@@ -494,8 +494,12 @@ mod tests {
         });
         assert_eq!(results[0], Err(ClusterError::RankDead(2)));
         for r in [1, 3] {
+            // A leaf only sends to the root, which waits for rank 1 but
+            // returns as soon as rank 2's death surfaces — so rank 3's
+            // send may find the root already gone.
+            let root_gone = r == 3 && results[r] == Err(ClusterError::RankDead(0));
             assert!(
-                matches!(results[r], Ok(()) | Err(ClusterError::RankDead(2))),
+                root_gone || matches!(results[r], Ok(()) | Err(ClusterError::RankDead(2))),
                 "rank {r}: {:?}",
                 results[r]
             );

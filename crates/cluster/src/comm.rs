@@ -558,9 +558,16 @@ mod tests {
         VirtualCluster::run(2, |comm: Comm<u8>| {
             if comm.rank() == 1 {
                 comm.kill();
-                comm.send(0, 9, 1).unwrap(); // dying gasp still deliverable
+                comm.send(0, 9, 1).unwrap(); // a dead rank can still send
             } else {
-                comm.recv(Some(1), Some(9)).unwrap();
+                // The message is sent *after* the kill, so the filtered
+                // receive may observe the death first. Either way rank 1
+                // is dead once this returns.
+                let synced = comm.recv(Some(1), Some(9));
+                assert!(
+                    matches!(synced, Ok(_) | Err(ClusterError::RankDead(1))),
+                    "{synced:?}"
+                );
                 assert!(!comm.is_alive(1));
                 assert_eq!(comm.send(1, 0, 1), Err(ClusterError::RankDead(1)));
             }
@@ -663,37 +670,57 @@ mod tests {
 
     #[test]
     fn failed_sends_are_not_counted() {
-        let results = VirtualCluster::run(2, |comm: Comm<u8>| {
-            if comm.rank() == 1 {
-                comm.kill();
-                comm.send(0, 0, 1).unwrap(); // sync: tell rank 0 we're dead
-                0
-            } else {
-                comm.recv(Some(1), Some(0)).unwrap();
-                let before = comm.cluster_messages_sent();
-                assert_eq!(comm.send(1, 0, 9), Err(ClusterError::RankDead(1)));
-                assert_eq!(comm.send(5, 0, 9), Err(ClusterError::InvalidRank(5)));
-                comm.cluster_messages_sent() - before
-            }
-        });
-        assert_eq!(results[0], 0, "failed sends must not increment the counter");
+        // The exact post-join total: rank 1's one successful send, and
+        // neither of rank 0's failed ones. (An in-rank before/after delta
+        // would race rank 1's counter bump.)
+        let (_, total) = VirtualCluster::run_with_faults_counted(
+            2,
+            MessageFaults::default(),
+            |comm: Comm<u8>| {
+                if comm.rank() == 1 {
+                    comm.kill();
+                    comm.send(0, 0, 1).unwrap(); // sync: tell rank 0 we're dead
+                } else {
+                    // Sent after the kill: the receive may see the death
+                    // first; rank 1 is dead either way.
+                    let synced = comm.recv(Some(1), Some(0));
+                    assert!(
+                        matches!(synced, Ok(_) | Err(ClusterError::RankDead(1))),
+                        "{synced:?}"
+                    );
+                    assert_eq!(comm.send(1, 0, 9), Err(ClusterError::RankDead(1)));
+                    assert_eq!(comm.send(5, 0, 9), Err(ClusterError::InvalidRank(5)));
+                }
+            },
+        );
+        assert_eq!(total, 1, "failed sends must not increment the counter");
     }
 
     #[test]
     fn message_counter_counts_all_sends() {
-        let results = VirtualCluster::run(4, |comm: Comm<u8>| {
-            // Everyone sends one message to rank 0.
-            if comm.rank() != 0 {
-                comm.send(0, 0, 1).unwrap();
-            } else {
-                for _ in 0..3 {
-                    comm.recv_any().unwrap();
+        let (results, total) = VirtualCluster::run_with_faults_counted(
+            4,
+            MessageFaults::default(),
+            |comm: Comm<u8>| {
+                // Everyone sends one message to rank 0.
+                if comm.rank() != 0 {
+                    comm.send(0, 0, 1).unwrap();
+                } else {
+                    for _ in 0..3 {
+                        comm.recv_any().unwrap();
+                    }
                 }
-            }
-            comm.cluster_messages_sent()
-        });
-        // After the barrier-free exchange, at least rank 0 observed 3 sends.
-        assert!(results[0] >= 3);
+                comm.cluster_messages_sent()
+            },
+        );
+        // The post-join total is exact. In-rank views are lower bounds: a
+        // sender's bump lands after its envelope, so rank 0 may read the
+        // counter before all three have — but every sender sees its own.
+        assert_eq!(total, 3);
+        for (rank, seen) in results.iter().enumerate() {
+            assert!(*seen <= 3, "rank {rank} saw {seen}");
+            assert!(rank == 0 || *seen >= 1, "rank {rank} missed its own send");
+        }
     }
 
     #[test]

@@ -42,13 +42,21 @@
 //!   plan is active and surfaces it in the [`DegradedRun`] it returns, so
 //!   a degraded run is always restartable — and resuming reproduces the
 //!   uninterrupted trajectory bit for bit.
+//!
+//! The launch, result fold, kill cascade and degraded payload are the
+//! `driver` module's, shared with the lattice ([`graph`]) and fixation
+//! ([`fixation`]) runners; this file keeps the well-mixed protocol body.
 
+mod driver;
 pub mod fixation;
 pub mod graph;
 
+pub use driver::{Degraded, Resumable};
+
 use crate::collective::Collective;
-use crate::comm::{ClusterError, Comm, Rank, VirtualCluster};
+use crate::comm::{ClusterError, Comm, Rank};
 use crate::faults::FaultPlan;
+use driver::{Protocol, RankError};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
 use evo_core::fitness::{evaluate_one_with_kernel_cached, prewarm_cache, FitnessPolicy, GameKernel};
 use evo_core::nature::{Event, NatureAgent};
@@ -61,7 +69,6 @@ use ipd::game::GameConfig;
 use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Point-to-point tag for fitness returns (collective tags live in their
 /// own range, see `collective.rs`).
@@ -168,62 +175,34 @@ pub struct DistOutcome {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// A distributed run that terminated early but *cleanly*: dead peers were
-/// detected, surviving state was snapshotted, and the caller can restart
-/// from [`DegradedRun::checkpoint`] to reproduce the uninterrupted
-/// trajectory bit for bit ([`DegradedRun::retry_config`] builds that
-/// restart configuration).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedRun {
-    /// Ranks observed dead when the Nature Agent degraded. Includes ranks
-    /// killed by the fault plan *and* survivors that killed themselves
-    /// while cascading the failure.
-    pub dead_ranks: Vec<Rank>,
-    /// Generations fully committed before the failure — the generation the
-    /// checkpoint resumes from.
-    pub completed_generations: u64,
-    /// Human-readable description of the detected failure.
-    pub reason: String,
-    /// Restartable snapshot at the last completed generation boundary.
-    /// `Some` whenever a fault plan was active; `None` only for failures
-    /// outside any fault plan (when no boundary snapshot was maintained).
-    pub checkpoint: Option<Checkpoint>,
-}
+/// A degraded well-mixed run: the restartable snapshot is a [`Checkpoint`].
+pub type DegradedRun = Degraded<Checkpoint>;
 
-impl DegradedRun {
-    /// Build the [`DistConfig`] that resumes this degraded run from its
-    /// checkpoint — the re-enqueue plumbing the service layer's automatic
-    /// retry uses (docs/SERVICE.md). Returns `None` when no restartable
-    /// checkpoint was captured (failure outside any fault plan).
-    ///
-    /// The retry keeps `base`'s rank count, fitness policy, cache setting,
-    /// and periodic-checkpoint interval, resumes from the degraded run's
-    /// checkpoint, and **clears the injected fault schedule** (rank kills
-    /// and message faults): those faults already executed, and replaying
-    /// them against the resumed generation range would either be a no-op
-    /// or degrade the retry identically forever. The receive deadline is
-    /// kept so emergent failures in the retry still surface as typed
-    /// degraded outcomes rather than hangs. Resuming reproduces the
-    /// uninterrupted trajectory bit for bit (docs/FAULT_TOLERANCE.md §4).
-    pub fn retry_config(&self, base: &DistConfig) -> Option<DistConfig> {
-        let cp = self.checkpoint.clone()?;
-        let mut cfg = base.clone();
-        cfg.params = cp.params.clone();
-        cfg.resume = Some(cp);
-        cfg.faults.kills.clear();
-        cfg.faults.messages = crate::faults::MessageFaults::default();
-        Some(cfg)
+impl Resumable for DistConfig {
+    type Checkpoint = Checkpoint;
+
+    fn resume_from(&mut self, checkpoint: Checkpoint) {
+        self.params = checkpoint.params.clone();
+        self.resume = Some(checkpoint);
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultPlan {
+        &mut self.faults
     }
 }
 
 /// Typed failure of a distributed run — what every `expect`/`panic!` in
-/// the old message loop became.
+/// the old message loop became. `C` is the checkpoint type of the family
+/// that ran ([`Checkpoint`] here, [`evo_core::spatial::SpatialCheckpoint`]
+/// for [`graph::run_spatial_distributed`],
+/// [`evo_core::fixation::FixationCheckpoint`] for
+/// [`fixation::run_fixation_distributed`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum DistError {
+pub enum DistError<C = Checkpoint> {
     /// Parameter validation failed before any rank was spawned.
     Params(String),
     /// A communication primitive failed in a context with no degraded-mode
-    /// recovery (e.g. the Nature Agent's result never materialised).
+    /// recovery (e.g. rank 0's result never materialised).
     Cluster(ClusterError),
     /// A rank received a message of an unexpected kind — a protocol bug,
     /// not a fault-model outcome.
@@ -233,30 +212,20 @@ pub enum DistError {
         /// What the protocol expected at that point.
         expected: &'static str,
     },
-    /// A worker rank's replicated strategy table diverged from the Nature
-    /// Agent's at the end of a fault-free run — the replication protocol
-    /// itself is broken (a dropped or reordered commit broadcast), so the
+    /// A compute rank's replicated state diverged from rank 0's at the end
+    /// of a fault-free run — the replication protocol itself is broken (a
+    /// dropped or reordered commit broadcast, a stale halo), so the
     /// trajectory cannot be trusted.
     ReplicaDivergence {
-        /// The first worker rank whose table diverged.
+        /// The first compute rank whose state diverged.
         rank: Rank,
     },
     /// The run degraded: a peer failure was detected and survived. The
-    /// boxed [`DegradedRun`] carries the restartable checkpoint.
-    Degraded(Box<DegradedRun>),
-    /// A *spatial* run degraded ([`graph::run_spatial_distributed`]): same
-    /// clean-termination contract, but the restartable snapshot is a
-    /// [`evo_core::spatial::SpatialCheckpoint`] rather than the well-mixed
-    /// [`Checkpoint`].
-    SpatialDegraded(Box<graph::SpatialDegradedRun>),
-    /// A *fixation batch* degraded ([`fixation::run_fixation_distributed`]):
-    /// same clean-termination contract, but the restartable snapshot is a
-    /// [`evo_core::fixation::FixationCheckpoint`] of the completed
-    /// replicates.
-    FixationDegraded(Box<fixation::FixationDegradedRun>),
+    /// boxed [`Degraded`] carries the restartable checkpoint.
+    Degraded(Box<Degraded<C>>),
 }
 
-impl std::fmt::Display for DistError {
+impl<C> std::fmt::Display for DistError<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DistError::Params(e) => write!(f, "invalid parameters: {e}"),
@@ -270,26 +239,16 @@ impl std::fmt::Display for DistError {
             ),
             DistError::Degraded(d) => write!(
                 f,
-                "run degraded after {} generations (dead ranks {:?}): {}",
-                d.completed_generations, d.dead_ranks, d.reason
-            ),
-            DistError::SpatialDegraded(d) => write!(
-                f,
-                "spatial run degraded after {} generations (dead ranks {:?}): {}",
-                d.completed_generations, d.dead_ranks, d.reason
-            ),
-            DistError::FixationDegraded(d) => write!(
-                f,
-                "fixation batch degraded after {} replicates (dead ranks {:?}): {}",
-                d.completed_replicates, d.dead_ranks, d.reason
+                "run degraded after {} generations or replicates (dead ranks {:?}): {}",
+                d.completed, d.dead_ranks, d.reason
             ),
         }
     }
 }
 
-impl std::error::Error for DistError {}
+impl<C: std::fmt::Debug> std::error::Error for DistError<C> {}
 
-impl From<ClusterError> for DistError {
+impl<C> From<ClusterError> for DistError<C> {
     fn from(e: ClusterError) -> Self {
         DistError::Cluster(e)
     }
@@ -315,67 +274,12 @@ pub fn owned_range(rank: usize, num_ssets: usize, ranks: usize) -> std::ops::Ran
     (r * num_ssets / compute)..((r + 1) * num_ssets / compute)
 }
 
-/// What one rank's thread hands back to [`run_distributed`].
-enum RankResult {
-    /// Rank 0 completed the run.
-    Outcome(Box<DistOutcome>),
-    /// Rank 0 detected a failure and degraded.
-    Degraded(Box<DegradedRun>),
-    /// A compute rank completed; its final table feeds the fault-free
-    /// consistency check.
-    Table(Vec<StratId>),
-    /// A compute rank failed (fault-plan kill or detected peer failure)
-    /// after killing itself to cascade the detection.
-    Failed {
-        #[allow(dead_code)]
-        rank: Rank,
-        #[allow(dead_code)]
-        generation: u64,
-    },
-}
-
-/// Why a rank's generation loop stopped early.
-#[derive(Debug, Clone, PartialEq)]
-enum RankError {
-    /// A communication primitive surfaced a peer failure or deadline.
-    Cluster(ClusterError),
-    /// An unexpected message kind arrived.
-    Protocol(&'static str),
-    /// The fault plan killed this rank.
-    Killed,
-}
-
-impl std::fmt::Display for RankError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RankError::Cluster(e) => write!(f, "{e}"),
-            RankError::Protocol(expected) => write!(f, "protocol violation: expected {expected}"),
-            RankError::Killed => write!(f, "killed by fault plan"),
-        }
-    }
-}
-
-impl From<ClusterError> for RankError {
-    fn from(e: ClusterError) -> Self {
-        RankError::Cluster(e)
-    }
-}
-
-/// Everything a rank thread needs, shipped into the cluster closure once.
-struct RunSpec {
-    params: Params,
+/// The well-mixed protocol: the run's configuration (its `params` already
+/// the ones driving the run) plus the validated state space, shipped into
+/// the cluster closure once.
+struct WellMixed {
+    config: DistConfig,
     space: StateSpace,
-    policy: FitnessPolicy,
-    faults: FaultPlan,
-    checkpoint_every: Option<u64>,
-    resume: Option<Checkpoint>,
-    payoff_cache: bool,
-}
-
-impl RunSpec {
-    fn recv_timeout(&self) -> Option<Duration> {
-        self.faults.recv_timeout_ms.map(Duration::from_millis)
-    }
 }
 
 /// Run the distributed engine and return its outcome. Spawns `ranks`
@@ -398,56 +302,57 @@ pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
     }
     // A resumed run is driven by the checkpoint's own params: they carry
     // the seed and the original generation target.
-    let params = match &config.resume {
-        Some(cp) => cp.params.clone(),
-        None => config.params.clone(),
-    };
-    let space = params
+    let mut config = config.clone();
+    if let Some(cp) = config.resume.take() {
+        config.resume_from(cp);
+    }
+    let space = config
+        .params
         .validate()
         .map_err(|e| DistError::Params(e.to_string()))?;
-    let fault_free = config.faults.is_empty();
-    let spec = RunSpec {
-        params,
-        space,
-        policy: config.policy,
-        faults: config.faults.clone(),
-        checkpoint_every: config.checkpoint_every,
-        resume: config.resume.clone(),
-        payoff_cache: !config.disable_payoff_cache,
-    };
-    let ranks = config.ranks;
-
-    let (results, messages_sent) = VirtualCluster::run_with_faults_counted(
-        ranks,
-        spec.faults.messages.clone(),
-        move |comm: Comm<DistMsg>| run_rank(&comm, &spec),
-    );
-
-    let mut outcome: Option<Box<DistOutcome>> = None;
-    let mut tables: Vec<Vec<StratId>> = Vec::new();
-    for r in results {
-        match r {
-            RankResult::Outcome(o) => outcome = Some(o),
-            RankResult::Degraded(d) => return Err(DistError::Degraded(d)),
-            RankResult::Table(t) => tables.push(t),
-            RankResult::Failed { .. } => {}
-        }
-    }
-    let mut outcome = *outcome.ok_or(DistError::Cluster(ClusterError::Disconnected))?;
-    // The post-join total is exact; rank 0's own view could miss peers'
-    // in-flight final sends (the count would then vary run to run).
+    let (mut outcome, messages_sent) =
+        driver::launch(config.ranks, &config.faults.clone(), WellMixed { config, space })?;
     outcome.messages_sent = messages_sent;
-    if fault_free {
-        // Consistency of the replicated strategy view — only meaningful
-        // when no rank was killed mid-run. Divergence is a typed error,
-        // not a panic: the caller decides whether to rerun or alert.
-        for (r, table) in tables.iter().enumerate() {
-            if *table != outcome.assignments {
-                return Err(DistError::ReplicaDivergence { rank: r + 1 });
-            }
+    Ok(outcome)
+}
+
+impl Protocol for WellMixed {
+    type Msg = DistMsg;
+    type Outcome = DistOutcome;
+    /// A compute rank's final replicated strategy table.
+    type Piece = Vec<StratId>;
+    type Checkpoint = Checkpoint;
+
+    fn coordinate(&self, comm: &Comm<DistMsg>) -> Result<DistOutcome, Box<DegradedRun>> {
+        let (ctx, result) = self.run(comm);
+        match result {
+            Ok(()) => Ok(DistOutcome {
+                features: ctx
+                    .assignments
+                    .iter()
+                    .map(|&id| ctx.pool.get(id).feature_vector())
+                    .collect(),
+                assignments: ctx.assignments,
+                stats: ctx.stats,
+                // Placeholder: `run_distributed` overwrites this with the
+                // exact post-join cluster total.
+                messages_sent: 0,
+                events: ctx.all_events,
+                generation_ns: ctx.generation_ns,
+                checkpoint: ctx.periodic,
+            }),
+            Err(e) => Err(driver::stopped(&e, ctx.generation, ctx.boundary, Vec::new())),
         }
     }
-    Ok(outcome)
+
+    fn compute(&self, comm: &Comm<DistMsg>) -> Result<Vec<StratId>, RankError> {
+        let (ctx, result) = self.run(comm);
+        result.map(|()| ctx.assignments)
+    }
+
+    fn agrees(outcome: &DistOutcome, table: &Vec<StratId>) -> bool {
+        *table == outcome.assignments
+    }
 }
 
 /// Phase-2 fitness provider for one rank: evaluates the owned range the
@@ -465,7 +370,7 @@ struct RankProvider<'a> {
     pool: &'a StrategyPool,
     game: &'a GameConfig,
     seed: u64,
-    recv_timeout: Option<Duration>,
+    faults: &'a FaultPlan,
     /// This rank's cross-generation payoff memo-cache (`None` when the run
     /// disabled it). Per-rank state: entries never travel over the wire,
     /// and every rank computes identical values from the replicated
@@ -476,18 +381,6 @@ struct RankProvider<'a> {
 impl RankProvider<'_> {
     fn is_nature(&self) -> bool {
         self.comm.rank() == 0
-    }
-
-    /// Source-filtered receive, deadline-bound when the fault plan set one.
-    fn frecv(
-        &self,
-        src: Rank,
-    ) -> Result<crate::comm::Envelope<DistMsg>, ClusterError> {
-        match self.recv_timeout {
-            Some(t) => self.comm.recv_timeout(Some(src), Some(FITNESS_TAG), t),
-            // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (dead owner surfaces as RankDead, not a hang)")
-            None => self.comm.recv(Some(src), Some(FITNESS_TAG)),
-        }
     }
 
     fn provide(&mut self, plan: &GenPlan) -> Result<Provided, RankError> {
@@ -546,7 +439,7 @@ impl RankProvider<'_> {
                         }
                         let want = if ft.is_none() { teacher } else { learner };
                         let owner = owner_of(want as usize, self.num_ssets, self.comm.size());
-                        match self.frecv(owner)?.payload {
+                        match driver::recv_from(self.comm, self.faults, owner, FITNESS_TAG)?.payload {
                             DistMsg::Fitness { sset, value, generation } => {
                                 if generation != plan.generation {
                                     // Stale fault-duplicated message from an
@@ -658,21 +551,28 @@ fn snapshot(params: &Params, ctx: &RankCtx) -> Checkpoint {
     }
 }
 
-/// Per-rank body of the distributed engine: initialise (or resume), drive
-/// the generation loop, and convert any failure into a typed, cascading
-/// result — this rank kills itself before returning on error so blocked
-/// peers unblock.
-fn run_rank(comm: &Comm<DistMsg>, spec: &RunSpec) -> RankResult {
-    let rank = comm.rank();
-    let is_nature = rank == 0;
-    let num_ssets = spec.params.num_ssets;
+impl WellMixed {
+    /// Per-rank body of the distributed engine: initialise (or resume) and
+    /// drive the generation loop. Returns the rank's state alongside the
+    /// loop's verdict so the failure path can report from it.
+    fn run(&self, comm: &Comm<DistMsg>) -> (RankCtx, Result<(), RankError>) {
+        let mut ctx = init(self, comm.rank() == 0);
+        let result = drive(comm, self, &mut ctx);
+        (ctx, result)
+    }
+}
+
+/// Build the rank's initial state: fresh at generation zero, or restored
+/// from the resume checkpoint.
+fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
+    let num_ssets = spec.config.params.num_ssets;
 
     // Every rank builds the identical initial table (paper: the global
     // strategy view is set up in the initialisation broadcast; here the
     // counter-based streams make it reproducible locally). Resume rebuilds
     // the table from the checkpoint the same way on every rank.
     let mut pool = StrategyPool::new();
-    let (assignments, start_gen, stats) = match &spec.resume {
+    let (assignments, start_gen, stats) = match &spec.config.resume {
         Some(cp) => {
             for s in &cp.pool {
                 pool.intern(s.clone());
@@ -680,11 +580,11 @@ fn run_rank(comm: &Comm<DistMsg>, spec: &RunSpec) -> RankResult {
             (cp.assignments.clone(), cp.generation, cp.stats)
         }
         None => {
-            let mixed = matches!(spec.params.kind, evo_core::params::StrategyKind::Mixed);
+            let mixed = matches!(spec.config.params.kind, evo_core::params::StrategyKind::Mixed);
             let a = (0..num_ssets)
                 .map(|i| {
                     // detlint: allow(rng-domain, reason = "replicated init: every rank rebuilds the identical gen-0 table with the same Init streams population::new uses, so the distributed and shared-memory backends agree bit-for-bit")
-                    let mut rng = stream(spec.params.seed, Domain::Init, i as u64, 0);
+                    let mut rng = stream(spec.config.params.seed, Domain::Init, i as u64, 0);
                     pool.intern(Strategy::random(spec.space, mixed, &mut rng))
                 })
                 .collect();
@@ -700,9 +600,9 @@ fn run_rank(comm: &Comm<DistMsg>, spec: &RunSpec) -> RankResult {
         generation: start_gen,
         boundary: None,
         periodic: None,
-        cache: PayoffCache::new(spec.params.game),
+        cache: PayoffCache::new(spec.config.params.game),
     };
-    if spec.payoff_cache && spec.resume.is_some() {
+    if !spec.config.disable_payoff_cache && spec.config.resume.is_some() {
         // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
         // excluded from checkpoints, so pre-warm it from the restored
         // strategy table instead of replaying the pair matrix on the
@@ -712,95 +612,39 @@ fn run_rank(comm: &Comm<DistMsg>, spec: &RunSpec) -> RankResult {
             &spec.space,
             &ctx.assignments,
             &ctx.pool,
-            &spec.params.game,
+            &spec.config.params.game,
             GameKernel::Naive,
             false,
             &ctx.cache,
         );
     }
-    let fault_aware = !spec.faults.is_empty();
-    if is_nature && fault_aware {
-        ctx.boundary = Some(snapshot(&spec.params, &ctx));
+    if is_nature && !spec.config.faults.is_empty() {
+        ctx.boundary = Some(snapshot(&spec.config.params, &ctx));
     }
-
-    match drive(comm, spec, &mut ctx, start_gen, fault_aware) {
-        Ok(()) => {
-            if is_nature {
-                RankResult::Outcome(Box::new(DistOutcome {
-                    features: ctx
-                        .assignments
-                        .iter()
-                        .map(|&id| ctx.pool.get(id).feature_vector())
-                        .collect(),
-                    assignments: ctx.assignments,
-                    stats: ctx.stats,
-                    // Placeholder: `run_distributed` overwrites this with
-                    // the exact post-join cluster total.
-                    messages_sent: 0,
-                    events: ctx.all_events,
-                    generation_ns: ctx.generation_ns,
-                    checkpoint: ctx.periodic,
-                }))
-            } else {
-                RankResult::Table(ctx.assignments)
-            }
-        }
-        Err(err) => {
-            // Cascade: peers blocked on this rank must observe the death
-            // instead of waiting forever.
-            comm.kill();
-            if is_nature {
-                let dead_ranks: Vec<Rank> = (0..comm.size())
-                    .filter(|&r| r != rank && !comm.is_alive(r))
-                    .collect();
-                RankResult::Degraded(Box::new(DegradedRun {
-                    dead_ranks,
-                    completed_generations: ctx.generation,
-                    reason: err.to_string(),
-                    checkpoint: ctx.boundary,
-                }))
-            } else {
-                RankResult::Failed {
-                    rank,
-                    generation: ctx.generation,
-                }
-            }
-        }
-    }
+    ctx
 }
 
 /// The generation loop proper. Returns `Err` on the first fault-plan kill,
 /// detected peer failure, deadline expiry, or protocol violation; `ctx` is
 /// left at the last committed generation boundary.
-fn drive(
-    comm: &Comm<DistMsg>,
-    spec: &RunSpec,
-    ctx: &mut RankCtx,
-    start_gen: u64,
-    fault_aware: bool,
-) -> Result<(), RankError> {
+fn drive(comm: &Comm<DistMsg>, spec: &WellMixed, ctx: &mut RankCtx) -> Result<(), RankError> {
     let rank = comm.rank();
     let ranks = comm.size();
     let is_nature = rank == 0;
-    let num_ssets = spec.params.num_ssets;
-    let coll = match spec.recv_timeout() {
-        Some(t) => Collective::with_recv_timeout(comm, t),
-        None => Collective::new(comm),
-    };
+    let fault_aware = !spec.config.faults.is_empty();
+    let num_ssets = spec.config.params.num_ssets;
+    let coll = driver::collective(comm, &spec.config.faults);
     // The setup barrier stands in for the paper's initial broadcast.
     coll.barrier(DistMsg::Scalar(0.0))?;
 
-    let nature = NatureAgent::from_params(&spec.params);
+    let nature = NatureAgent::from_params(&spec.config.params);
     let owned = owned_range(rank, num_ssets, ranks);
 
-    for generation in start_gen..spec.params.generations {
+    for generation in ctx.generation..spec.config.params.generations {
         if is_nature && fault_aware {
-            ctx.boundary = Some(snapshot(&spec.params, ctx));
+            ctx.boundary = Some(snapshot(&spec.config.params, ctx));
         }
-        if spec.faults.kills_at(rank, generation) {
-            obs::counters().add_fault_injected();
-            return Err(RankError::Killed);
-        }
+        driver::check_kill(&spec.config.faults, rank, generation)?;
 
         // Only the Nature Agent times generations: its view spans the full
         // bcast → compute → resolve → bcast cycle, matching what the
@@ -813,8 +657,8 @@ fn drive(
             DistMsg::Plan(engine::plan(
                 &nature,
                 num_ssets as u32,
-                spec.params.rule,
-                spec.policy,
+                spec.config.params.rule,
+                spec.config.policy,
                 generation,
             ))
         });
@@ -832,10 +676,10 @@ fn drive(
             space: &spec.space,
             assignments: &ctx.assignments,
             pool: &ctx.pool,
-            game: &spec.params.game,
-            seed: spec.params.seed,
-            recv_timeout: spec.recv_timeout(),
-            cache: spec.payoff_cache.then_some(&ctx.cache),
+            game: &spec.config.params.game,
+            seed: spec.config.params.seed,
+            faults: &spec.config.faults,
+            cache: (!spec.config.disable_payoff_cache).then_some(&ctx.cache),
         }
         .provide(&plan)?;
 
@@ -869,9 +713,9 @@ fn drive(
         }
         ctx.generation = generation + 1;
 
-        if let Some(every) = spec.checkpoint_every {
+        if let Some(every) = spec.config.checkpoint_every {
             if is_nature && every > 0 && ctx.generation.is_multiple_of(every) {
-                ctx.periodic = Some(snapshot(&spec.params, ctx));
+                ctx.periodic = Some(snapshot(&spec.config.params, ctx));
             }
         }
 
@@ -887,7 +731,7 @@ fn drive(
     // Refresh the boundary one last time: a peer death first observed at
     // the teardown barrier must still checkpoint the *final* state.
     if is_nature && fault_aware {
-        ctx.boundary = Some(snapshot(&spec.params, ctx));
+        ctx.boundary = Some(snapshot(&spec.config.params, ctx));
     }
     coll.barrier(DistMsg::Scalar(0.0))?;
     Ok(())
@@ -1144,9 +988,9 @@ mod tests {
         // Rank 0's sends are asynchronous, so it may legitimately commit
         // generations past the kill before it next *receives* from the dead
         // rank — but never past the end of the run.
-        assert!(d.completed_generations <= 40);
+        assert!(d.completed <= 40);
         let cp = d.checkpoint.expect("fault-aware runs always checkpoint");
-        assert_eq!(cp.generation, d.completed_generations);
+        assert_eq!(cp.generation, d.completed);
         assert_eq!(cp.schema_version, CHECKPOINT_SCHEMA_VERSION);
     }
 

@@ -23,11 +23,13 @@
 //! *between* replicates (the replicate index is the kill schedule's
 //! generation axis), the rank kills itself, and rank 0's source-filtered
 //! (or deadline-bound) receive surfaces the death as a typed
-//! [`FixationDegradedRun`] carrying a [`FixationCheckpoint`] of every
-//! replicate completed so far. Resuming runs only the missing replicates,
+//! [`FixationDegradedRun`] that always carries a [`FixationCheckpoint`] of
+//! every replicate completed so far. Resuming runs only the missing replicates,
 //! so the stitched outcome is bit-identical to an uninterrupted run.
 
-use crate::comm::{ClusterError, Comm, Rank, VirtualCluster};
+use super::driver::{self, Protocol, RankError};
+use super::{owned_range, Degraded, DistError, Resumable};
+use crate::comm::Comm;
 use crate::faults::FaultPlan;
 use evo_core::fixation::{
     FixationBatch, FixationCheckpoint, FixationOutcome, FixationSpec, ReplicateResult,
@@ -35,9 +37,6 @@ use evo_core::fixation::{
 use evo_core::paycache::PayoffCache;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
-
-use super::{owned_range, DistError, RankError};
 
 /// Point-to-point tag for replicate results (disjoint from the well-mixed
 /// engine's fitness tag by construction — the two protocols never share a
@@ -110,73 +109,39 @@ pub struct FixationDistOutcome {
     pub checkpoint: Option<FixationCheckpoint>,
 }
 
-/// A distributed fixation batch that terminated early but *cleanly*: dead
-/// ranks were detected and every replicate completed so far was
-/// snapshotted. Restarting from [`FixationDegradedRun::checkpoint`] (see
-/// [`FixationDegradedRun::retry_config`]) runs only the missing replicates
-/// and reproduces the uninterrupted outcome bit for bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixationDegradedRun {
-    /// Ranks observed dead when the coordinator degraded.
-    pub dead_ranks: Vec<Rank>,
-    /// Replicates fully received before the failure.
-    pub completed_replicates: u32,
-    /// Human-readable description of the detected failure.
-    pub reason: String,
-    /// Restartable snapshot. Unlike the well-mixed engine's boundary
-    /// checkpoint, this is *always* present: completed replicate results
-    /// are self-consistent at any instant, so no fault plan is needed to
-    /// maintain one.
-    pub checkpoint: FixationCheckpoint,
-}
+/// A degraded fixation batch: the restartable snapshot is a
+/// [`FixationCheckpoint`] of every replicate received so far, and it is
+/// *always* present — completed replicate results are self-consistent at
+/// any instant, so no fault plan is needed to maintain one.
+pub type FixationDegradedRun = Degraded<FixationCheckpoint>;
 
-impl FixationDegradedRun {
-    /// Build the [`FixationDistConfig`] that resumes this degraded batch
-    /// from its checkpoint — the re-enqueue plumbing the service layer's
-    /// automatic retry uses (docs/SERVICE.md). Keeps `base`'s rank count,
-    /// cache setting, and checkpoint interval; **clears the injected fault
-    /// schedule** (those faults already executed) but keeps the receive
-    /// deadline so emergent failures in the retry still surface as typed
-    /// degraded outcomes rather than hangs.
-    pub fn retry_config(&self, base: &FixationDistConfig) -> FixationDistConfig {
-        let mut cfg = base.clone();
-        cfg.spec = self.checkpoint.spec.clone();
-        cfg.resume = Some(self.checkpoint.clone());
-        cfg.faults.kills.clear();
-        cfg.faults.messages = crate::faults::MessageFaults::default();
-        cfg
+impl Resumable for FixationDistConfig {
+    type Checkpoint = FixationCheckpoint;
+
+    fn resume_from(&mut self, checkpoint: FixationCheckpoint) {
+        self.spec = checkpoint.spec.clone();
+        self.resume = Some(checkpoint);
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultPlan {
+        &mut self.faults
     }
 }
 
-/// What one rank's thread hands back to [`run_fixation_distributed`].
-enum FixRankResult {
-    /// Rank 0 assembled the full outcome.
-    Outcome(Box<FixationDistOutcome>),
-    /// Rank 0 detected a failure and degraded.
-    Degraded(Box<FixationDegradedRun>),
-    /// A compute rank finished all of its owned replicates.
-    Done,
-    /// A compute rank failed (fault-plan kill or detected peer failure)
-    /// after killing itself to cascade the detection.
-    Failed,
+/// The replicate-farm protocol: the batch's configuration, its `spec`
+/// already the one driving the run, shipped into the cluster closure once.
+struct Farm {
+    config: FixationDistConfig,
 }
 
-/// Everything a rank thread needs, shipped into the cluster closure once.
-struct FixRunSpec {
-    spec: FixationSpec,
-    faults: FaultPlan,
-    checkpoint_every: Option<u32>,
-    completed: Vec<ReplicateResult>,
-    payoff_cache: bool,
-}
-
-impl FixRunSpec {
-    fn recv_timeout(&self) -> Option<Duration> {
-        self.faults.recv_timeout_ms.map(Duration::from_millis)
+impl Farm {
+    /// The replicates the resume checkpoint already holds.
+    fn completed(&self) -> &[ReplicateResult] {
+        self.config.resume.as_ref().map_or(&[], |cp| &cp.completed)
     }
 
     fn is_completed(&self, r: u32) -> bool {
-        self.completed.iter().any(|c| c.replicate == r)
+        self.completed().iter().any(|c| c.replicate == r)
     }
 }
 
@@ -187,14 +152,14 @@ impl FixRunSpec {
 /// # Errors
 ///
 /// - [`DistError::Params`] — invalid spec or rank count.
-/// - [`DistError::FixationDegraded`] — a fault (injected or emergent) was
+/// - [`DistError::Degraded`] — a fault (injected or emergent) was
 ///   detected; the payload carries the dead ranks and a restartable
 ///   checkpoint of every completed replicate.
 /// - [`DistError::Cluster`] / [`DistError::Protocol`] — low-level failures
 ///   with no degraded-mode context.
 pub fn run_fixation_distributed(
     config: &FixationDistConfig,
-) -> Result<FixationDistOutcome, DistError> {
+) -> Result<FixationDistOutcome, DistError<FixationCheckpoint>> {
     let _span = obs::span("dist.fixation");
     if config.ranks < 2 {
         return Err(DistError::Params(
@@ -203,157 +168,106 @@ pub fn run_fixation_distributed(
     }
     // A resumed run is driven by the checkpoint's own spec (it carries the
     // batch seed and replicate count of the original run).
-    let (spec, completed) = match &config.resume {
-        Some(cp) => (cp.spec.clone(), cp.completed.clone()),
-        None => (config.spec.clone(), Vec::new()),
-    };
-    spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
-    let run = FixRunSpec {
-        spec,
-        faults: config.faults.clone(),
-        checkpoint_every: config.checkpoint_every,
-        completed,
-        payoff_cache: !config.disable_payoff_cache,
-    };
-    let ranks = config.ranks;
-
-    let (results, messages_sent) = VirtualCluster::run_with_faults_counted(
-        ranks,
-        run.faults.messages.clone(),
-        move |comm: Comm<FixMsg>| run_rank(&comm, &run),
-    );
-
-    let mut outcome: Option<Box<FixationDistOutcome>> = None;
-    for r in results {
-        match r {
-            FixRankResult::Outcome(o) => outcome = Some(o),
-            FixRankResult::Degraded(d) => return Err(DistError::FixationDegraded(d)),
-            FixRankResult::Done | FixRankResult::Failed => {}
-        }
+    let mut config = config.clone();
+    if let Some(cp) = config.resume.take() {
+        config.resume_from(cp);
     }
-    let mut outcome = *outcome.ok_or(DistError::Cluster(ClusterError::Disconnected))?;
-    // The post-join total is exact; rank 0's own view could miss peers'
-    // in-flight final sends.
+    config.spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
+    let (mut outcome, messages_sent) =
+        driver::launch(config.ranks, &config.faults.clone(), Farm { config })?;
     outcome.messages_sent = messages_sent;
     Ok(outcome)
 }
 
-/// Per-rank body: compute ranks run their owned replicates in ascending
-/// index order and send each result to rank 0; rank 0 receives them in the
-/// same deterministic order (per-link FIFO makes arrival order equal send
-/// order) and assembles the outcome. Any failure converts into a typed,
-/// cascading result — a failing rank kills itself before returning so
-/// blocked peers unblock.
-fn run_rank(comm: &Comm<FixMsg>, run: &FixRunSpec) -> FixRankResult {
-    let rank = comm.rank();
-    if rank == 0 {
-        match coordinate(comm, run) {
-            Ok(outcome) => FixRankResult::Outcome(Box::new(outcome)),
-            Err(err_batch) => {
-                let (err, batch) = *err_batch;
-                comm.kill();
-                let dead_ranks: Vec<Rank> = (0..comm.size())
-                    .filter(|&r| r != rank && !comm.is_alive(r))
-                    .collect();
-                FixRankResult::Degraded(Box::new(FixationDegradedRun {
-                    dead_ranks,
-                    completed_replicates: batch.completed().len() as u32,
-                    reason: err.to_string(),
-                    checkpoint: batch.checkpoint(),
-                }))
-            }
-        }
-    } else {
-        match compute(comm, run) {
-            Ok(()) => FixRankResult::Done,
-            Err(_) => {
-                comm.kill();
-                FixRankResult::Failed
-            }
-        }
-    }
-}
+/// Compute ranks run their owned replicates in ascending index order and
+/// send each result to rank 0; rank 0 receives them in the same
+/// deterministic order (per-link FIFO makes arrival order equal send order)
+/// and assembles the outcome.
+impl Protocol for Farm {
+    type Msg = FixMsg;
+    type Outcome = FixationDistOutcome;
+    /// Nothing is replicated: every result already travelled to rank 0.
+    type Piece = ();
+    type Checkpoint = FixationCheckpoint;
 
-/// Compute-rank body: run owned, not-yet-completed replicates in ascending
-/// order, sharing one payoff cache across them, and send each result home.
-fn compute(comm: &Comm<FixMsg>, run: &FixRunSpec) -> Result<(), RankError> {
-    let rank = comm.rank();
-    let owned = owned_range(rank, run.spec.replicates as usize, comm.size());
-    let cache = run
-        .payoff_cache
-        .then(|| Arc::new(PayoffCache::new(run.spec.params.game)));
-    for r in owned {
-        let r = r as u32;
-        if run.is_completed(r) {
-            continue;
+    /// Coordinator body: source-filtered receives in deterministic
+    /// (rank-major, replicate-ascending) order, recording each result into a
+    /// bookkeeping [`FixationBatch`]. On error, the report snapshots exactly
+    /// what was received.
+    fn coordinate(
+        &self,
+        comm: &Comm<FixMsg>,
+    ) -> Result<FixationDistOutcome, Box<FixationDegradedRun>> {
+        let mut batch = FixationBatch::new(self.config.spec.clone())
+            // detlint: allow(panic-path, reason = "run_fixation_distributed validated this exact spec before any rank started; re-validation cannot fail")
+            .expect("spec validated by run_fixation_distributed");
+        for c in self.completed() {
+            batch.record(*c);
         }
-        if run.faults.kills_at(rank, r as u64) {
-            obs::counters().add_fault_injected();
-            return Err(RankError::Killed);
-        }
-        let result = run.spec.run_replicate(r, cache.as_ref());
-        comm.send(0, RESULT_TAG, FixMsg::Result(result))?;
-    }
-    Ok(())
-}
+        let mut periodic: Option<FixationCheckpoint> = None;
+        let mut received: u32 = 0;
 
-/// Coordinator body: source-filtered receives in deterministic
-/// (rank-major, replicate-ascending) order, recording each result into a
-/// bookkeeping [`FixationBatch`]. On error, returns the batch alongside so
-/// the caller can snapshot exactly what was received.
-fn coordinate(
-    comm: &Comm<FixMsg>,
-    run: &FixRunSpec,
-) -> Result<FixationDistOutcome, Box<(RankError, FixationBatch)>> {
-    let mut batch = FixationBatch::new(run.spec.clone())
-        // detlint: allow(panic-path, reason = "run_fixation_distributed validated this exact spec before any rank started; re-validation cannot fail")
-        .expect("spec validated by run_fixation_distributed");
-    for c in &run.completed {
-        batch.record(*c);
-    }
-    let mut periodic: Option<FixationCheckpoint> = None;
-    let mut received: u32 = 0;
+        let stopped = |e: RankError, batch: &FixationBatch| {
+            let completed = batch.completed().len() as u64;
+            driver::stopped(&e, completed, Some(batch.checkpoint()), Vec::new())
+        };
 
-    let recv = |src: Rank| -> Result<crate::comm::Envelope<FixMsg>, ClusterError> {
-        match run.recv_timeout() {
-            Some(t) => comm.recv_timeout(Some(src), Some(RESULT_TAG), t),
-            // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (a killed compute rank surfaces as RankDead, not a hang)")
-            None => comm.recv(Some(src), Some(RESULT_TAG)),
-        }
-    };
-
-    for src in 1..comm.size() {
-        for r in owned_range(src, run.spec.replicates as usize, comm.size()) {
-            let r = r as u32;
-            if run.is_completed(r) {
-                continue;
-            }
-            let envelope = match recv(src) {
-                Ok(e) => e,
-                Err(e) => return Err(Box::new((RankError::Cluster(e), batch))),
-            };
-            let FixMsg::Result(result) = envelope.payload;
-            if result.replicate != r {
-                // Per-link FIFO plus the deterministic send order makes any
-                // index mismatch a protocol bug, not a fault-model outcome.
-                return Err(Box::new((RankError::Protocol("replicate result in owned order"), batch)));
-            }
-            batch.record(result);
-            received += 1;
-            if let Some(every) = run.checkpoint_every {
-                if every > 0 && received.is_multiple_of(every) {
-                    periodic = Some(batch.checkpoint());
+        for src in 1..comm.size() {
+            for r in owned_range(src, self.config.spec.replicates as usize, comm.size()) {
+                let r = r as u32;
+                if self.is_completed(r) {
+                    continue;
+                }
+                let envelope = match driver::recv_from(comm, &self.config.faults, src, RESULT_TAG) {
+                    Ok(e) => e,
+                    Err(e) => return Err(stopped(e.into(), &batch)),
+                };
+                let FixMsg::Result(result) = envelope.payload;
+                if result.replicate != r {
+                    // Per-link FIFO plus the deterministic send order makes any
+                    // index mismatch a protocol bug, not a fault-model outcome.
+                    return Err(stopped(RankError::Protocol("replicate result in owned order"), &batch));
+                }
+                batch.record(result);
+                received += 1;
+                if let Some(every) = self.config.checkpoint_every {
+                    if every > 0 && received.is_multiple_of(every) {
+                        periodic = Some(batch.checkpoint());
+                    }
                 }
             }
         }
+        Ok(FixationDistOutcome {
+            outcome: batch.outcome(),
+            // Placeholder: `run_fixation_distributed` overwrites this with the
+            // exact post-join cluster total.
+            messages_sent: 0,
+            checkpoint: periodic,
+        })
     }
-    Ok(FixationDistOutcome {
-        outcome: batch.outcome(),
-        // Placeholder: `run_fixation_distributed` overwrites this with the
-        // exact post-join cluster total.
-        messages_sent: 0,
-        checkpoint: periodic,
-    })
+
+    /// Compute-rank body: run owned, not-yet-completed replicates in ascending
+    /// order, sharing one payoff cache across them, and send each result home.
+    fn compute(&self, comm: &Comm<FixMsg>) -> Result<(), RankError> {
+        let rank = comm.rank();
+        let owned = owned_range(rank, self.config.spec.replicates as usize, comm.size());
+        let cache = (!self.config.disable_payoff_cache)
+            .then(|| Arc::new(PayoffCache::new(self.config.spec.params.game)));
+        for r in owned {
+            let r = r as u32;
+            if self.is_completed(r) {
+                continue;
+            }
+            driver::check_kill(&self.config.faults, rank, u64::from(r))?;
+            let result = self.config.spec.run_replicate(r, cache.as_ref());
+            comm.send(0, RESULT_TAG, FixMsg::Result(result))?;
+        }
+        Ok(())
+    }
+
+    fn agrees(_: &FixationDistOutcome, (): &()) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -427,14 +341,15 @@ mod tests {
             generation: 2,
         }];
         let err = run_fixation_distributed(&cfg).unwrap_err();
-        let DistError::FixationDegraded(d) = err else {
+        let DistError::Degraded(d) = err else {
             panic!("expected FixationDegradedRun, got {err}");
         };
         assert!(d.dead_ranks.contains(&1), "dead ranks: {:?}", d.dead_ranks);
-        assert!(d.completed_replicates < 10);
+        assert!(d.completed < 10);
+        let cp = d.checkpoint.expect("fixation batches always checkpoint");
         assert_eq!(
-            d.checkpoint.completed.len() as u32,
-            d.completed_replicates,
+            cp.completed.len() as u64,
+            d.completed,
             "checkpoint carries exactly the received replicates"
         );
     }
@@ -450,10 +365,10 @@ mod tests {
             rank: 2,
             generation: 7,
         }];
-        let DistError::FixationDegraded(d) = run_fixation_distributed(&cfg).unwrap_err() else {
+        let DistError::Degraded(d) = run_fixation_distributed(&cfg).unwrap_err() else {
             panic!("expected degraded batch");
         };
-        let retry = d.retry_config(&cfg);
+        let retry = d.retry_config(&cfg).expect("fixation batches always checkpoint");
         assert!(retry.faults.kills.is_empty(), "retry clears the kill schedule");
         let resumed = run_fixation_distributed(&retry).unwrap();
         assert_eq!(resumed.outcome, clean, "stitched outcome matches clean run");

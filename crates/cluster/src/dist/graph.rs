@@ -31,9 +31,9 @@
 //! a restartable [`SpatialCheckpoint`] in every degraded outcome
 //! (docs/FAULT_TOLERANCE.md).
 
-use crate::collective::Collective;
-use crate::comm::{ClusterError, Comm, Rank, VirtualCluster};
-use crate::dist::DistError;
+use super::driver::{self, Protocol, RankError};
+use super::{Degraded, DistError, Resumable};
+use crate::comm::{Comm, Rank};
 use crate::faults::FaultPlan;
 use evo_core::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan};
 use evo_core::fitness::GameKernel;
@@ -48,7 +48,6 @@ use evo_core::spatial::{
 use ipd::state::StateSpace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 /// Point-to-point tag for halo row exchanges.
 const HALO_TAG: crate::comm::Tag = 2;
@@ -164,36 +163,20 @@ pub struct SpatialOutcome {
     pub checkpoint: Option<SpatialCheckpoint>,
 }
 
-/// A spatial run that terminated early but cleanly — the lattice analogue
-/// of [`super::DegradedRun`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialDegradedRun {
-    /// Ranks observed dead when rank 0 degraded.
-    pub dead_ranks: Vec<Rank>,
-    /// Generations fully committed before the failure.
-    pub completed_generations: u64,
-    /// Human-readable description of the detected failure.
-    pub reason: String,
-    /// Restartable snapshot at the last completed generation boundary.
-    /// `Some` whenever a fault plan was active.
-    pub checkpoint: Option<SpatialCheckpoint>,
-}
+/// A degraded lattice run: the restartable snapshot is a
+/// [`SpatialCheckpoint`].
+pub type SpatialDegradedRun = Degraded<SpatialCheckpoint>;
 
-impl SpatialDegradedRun {
-    /// Build the [`SpatialDistConfig`] that resumes this degraded run from
-    /// its checkpoint. Keeps `base`'s rank count, cache setting, and
-    /// periodic-checkpoint interval; clears the already-executed fault
-    /// schedule but keeps the receive deadline (emergent failures in the
-    /// retry still surface as typed outcomes). Resuming reproduces the
-    /// uninterrupted trajectory bit for bit.
-    pub fn retry_config(&self, base: &SpatialDistConfig) -> Option<SpatialDistConfig> {
-        let cp = self.checkpoint.clone()?;
-        let mut cfg = base.clone();
-        cfg.params = cp.params.clone();
-        cfg.resume = Some(cp);
-        cfg.faults.kills.clear();
-        cfg.faults.messages = crate::faults::MessageFaults::default();
-        Some(cfg)
+impl Resumable for SpatialDistConfig {
+    type Checkpoint = SpatialCheckpoint;
+
+    fn resume_from(&mut self, checkpoint: SpatialCheckpoint) {
+        self.params = checkpoint.params.clone();
+        self.resume = Some(checkpoint);
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultPlan {
+        &mut self.faults
     }
 }
 
@@ -202,65 +185,7 @@ impl SpatialDegradedRun {
 /// Blocks are contiguous and ascending in rank order, so the ring-adjacent
 /// compute rank always owns the row-adjacent block.
 pub fn owned_rows(rank: usize, height: usize, ranks: usize) -> std::ops::Range<usize> {
-    if rank == 0 {
-        return 0..0;
-    }
-    let compute = ranks - 1;
-    let r = rank - 1;
-    (r * height / compute)..((r + 1) * height / compute)
-}
-
-/// What one rank's thread hands back to [`run_spatial_distributed`].
-enum RankResult {
-    /// Rank 0 completed the run.
-    Outcome(Box<SpatialOutcome>),
-    /// Rank 0 detected a failure and degraded.
-    Degraded(Box<SpatialDegradedRun>),
-    /// A compute rank completed; its final owned rows feed the fault-free
-    /// consistency check against rank 0's gathered grid.
-    Rows { start: usize, cells: Vec<StratId> },
-    /// A compute rank failed after killing itself to cascade detection.
-    Failed,
-}
-
-/// Why a rank's generation loop stopped early (mirrors `super::RankError`).
-#[derive(Debug, Clone, PartialEq)]
-enum RankError {
-    Cluster(ClusterError),
-    Protocol(&'static str),
-    Killed,
-}
-
-impl std::fmt::Display for RankError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RankError::Cluster(e) => write!(f, "{e}"),
-            RankError::Protocol(expected) => write!(f, "protocol violation: expected {expected}"),
-            RankError::Killed => write!(f, "killed by fault plan"),
-        }
-    }
-}
-
-impl From<ClusterError> for RankError {
-    fn from(e: ClusterError) -> Self {
-        RankError::Cluster(e)
-    }
-}
-
-/// Everything a rank thread needs, shipped into the cluster closure once.
-struct RunSpec {
-    params: SpatialParams,
-    init: InitPattern,
-    faults: FaultPlan,
-    checkpoint_every: Option<u64>,
-    resume: Option<SpatialCheckpoint>,
-    payoff_cache: bool,
-}
-
-impl RunSpec {
-    fn recv_timeout(&self) -> Option<Duration> {
-        self.faults.recv_timeout_ms.map(Duration::from_millis)
-    }
+    super::owned_range(rank, height, ranks)
 }
 
 /// Run the spatial engine rank-sharded and return its outcome —
@@ -272,11 +197,13 @@ impl RunSpec {
 ///
 /// - [`DistError::Params`] — invalid lattice parameters, init pattern, or
 ///   rank count (each compute rank must own ≥ 2 rows).
-/// - [`DistError::SpatialDegraded`] — a fault (injected or emergent) was
+/// - [`DistError::Degraded`] — a fault (injected or emergent) was
 ///   detected; the payload carries a restartable [`SpatialCheckpoint`].
 /// - [`DistError::Cluster`] / [`DistError::Protocol`] — low-level failures
 ///   with no degraded-mode context.
-pub fn run_spatial_distributed(config: &SpatialDistConfig) -> Result<SpatialOutcome, DistError> {
+pub fn run_spatial_distributed(
+    config: &SpatialDistConfig,
+) -> Result<SpatialOutcome, DistError<SpatialCheckpoint>> {
     let _span = obs::span("dist.spatial");
     if config.ranks < 2 {
         return Err(DistError::Params(
@@ -284,15 +211,16 @@ pub fn run_spatial_distributed(config: &SpatialDistConfig) -> Result<SpatialOutc
         ));
     }
     // A resumed run is driven by the checkpoint's own params.
-    let params = match &config.resume {
-        Some(cp) => cp.params.clone(),
-        None => config.params.clone(),
-    };
+    let mut config = config.clone();
+    if let Some(cp) = config.resume.take() {
+        config.resume_from(cp);
+    }
+    let params = &config.params;
     params.validate().map_err(DistError::Params)?;
     if config.resume.is_none() {
         config
             .init
-            .validate(&params)
+            .validate(params)
             .map_err(DistError::Params)?;
     }
     let compute = config.ranks - 1;
@@ -304,47 +232,78 @@ pub fn run_spatial_distributed(config: &SpatialDistConfig) -> Result<SpatialOutc
             params.height
         )));
     }
-    let fault_free = config.faults.is_empty();
-    let spec = RunSpec {
-        params,
-        init: config.init.clone(),
-        faults: config.faults.clone(),
-        checkpoint_every: config.checkpoint_every,
-        resume: config.resume.clone(),
-        payoff_cache: !config.disable_payoff_cache,
-    };
-    let ranks = config.ranks;
-
-    let (results, messages_sent) = VirtualCluster::run_with_faults_counted(
-        ranks,
-        spec.faults.messages.clone(),
-        move |comm: Comm<SpatialMsg>| run_rank(&comm, &spec),
-    );
-
-    let mut outcome: Option<Box<SpatialOutcome>> = None;
-    let mut rows: Vec<(usize, Vec<StratId>)> = Vec::new();
-    for r in results {
-        match r {
-            RankResult::Outcome(o) => outcome = Some(o),
-            RankResult::Degraded(d) => return Err(DistError::SpatialDegraded(d)),
-            RankResult::Rows { start, cells } => rows.push((start, cells)),
-            RankResult::Failed => {}
-        }
-    }
-    let mut outcome = *outcome.ok_or(DistError::Cluster(ClusterError::Disconnected))?;
+    let (mut outcome, messages_sent) =
+        driver::launch(config.ranks, &config.faults.clone(), Lattice { config })?;
     outcome.messages_sent = messages_sent;
-    if fault_free {
-        // Consistency of rank 0's gathered grid against each compute
-        // rank's live owned rows — the spatial analogue of the replicated-
-        // table divergence check.
-        for (start, cells) in rows {
-            if outcome.grid[start..start + cells.len()] != cells[..] {
-                let rank = 1 + start / outcome.grid.len().max(1);
-                return Err(DistError::ReplicaDivergence { rank });
+    Ok(outcome)
+}
+
+/// A compute rank's final owned rows: `cells` starting at grid index
+/// `start`.
+struct OwnedCells {
+    start: usize,
+    cells: Vec<StratId>,
+}
+
+/// The lattice protocol: the run's configuration, its `params` already the
+/// ones driving the run, shipped into the cluster closure once.
+struct Lattice {
+    config: SpatialDistConfig,
+}
+
+impl Protocol for Lattice {
+    type Msg = SpatialMsg;
+    type Outcome = SpatialOutcome;
+    type Piece = OwnedCells;
+    type Checkpoint = SpatialCheckpoint;
+
+    fn coordinate(&self, comm: &Comm<SpatialMsg>) -> Result<SpatialOutcome, Box<SpatialDegradedRun>> {
+        let (mut ctx, result) = self.run(comm);
+        match result {
+            Ok(()) => Ok(SpatialOutcome {
+                features: ctx
+                    .grid
+                    .iter()
+                    .map(|&id| ctx.pool.get(id).feature_vector())
+                    .collect(),
+                grid: ctx.grid,
+                stats: ctx.stats,
+                records: ctx.records,
+                // Placeholder: `run_spatial_distributed` overwrites this
+                // with the exact post-join cluster total.
+                messages_sent: 0,
+                checkpoint: ctx.periodic,
+            }),
+            Err(e) => {
+                // The resumed run re-executes everything past the boundary
+                // checkpoint, so only the records up to it are final — a
+                // failure can land after a generation's record was folded
+                // but before its boundary was secured.
+                let kept = ctx.boundary.as_ref().map_or(0, |cp| cp.generation - ctx.start);
+                ctx.records.truncate(kept as usize);
+                Err(driver::stopped(&e, ctx.generation, ctx.boundary, ctx.records))
             }
         }
     }
-    Ok(outcome)
+
+    fn compute(&self, comm: &Comm<SpatialMsg>) -> Result<OwnedCells, RankError> {
+        let (ctx, result) = self.run(comm);
+        result.map(|()| {
+            let (w, h) = (self.config.params.width, self.config.params.height);
+            let rows = owned_rows(comm.rank(), h, comm.size());
+            let start = rows.start * w;
+            OwnedCells {
+                start,
+                cells: ctx.grid[start..rows.end * w].to_vec(),
+            }
+        })
+    }
+
+    /// Rank 0's gathered grid against a compute rank's live owned rows —
+    /// the spatial analogue of the replicated-table divergence check.
+    fn agrees(outcome: &SpatialOutcome, piece: &OwnedCells) -> bool {
+        outcome.grid[piece.start..piece.start + piece.cells.len()] == piece.cells[..]
+    }
 }
 
 /// Mutable per-rank run state, kept outside the generation loop so the
@@ -360,6 +319,8 @@ struct RankCtx {
     payoffs: Vec<f64>,
     stats: RunStats,
     records: Vec<GenerationRecord>,
+    /// The generation this attempt started at (0, or the resume point).
+    start: u64,
     /// Generations fully committed so far (the resume point).
     generation: u64,
     /// Rank 0 only: consistent snapshot at the current generation
@@ -384,13 +345,20 @@ fn snapshot(params: &SpatialParams, ctx: &RankCtx) -> SpatialCheckpoint {
     }
 }
 
-/// Per-rank body: initialise (or resume) the replicated pool and grid,
-/// drive the generation loop, and convert any failure into a typed,
-/// cascading result.
-fn run_rank(comm: &Comm<SpatialMsg>, spec: &RunSpec) -> RankResult {
-    let rank = comm.rank();
-    let is_coord = rank == 0;
+impl Lattice {
+    /// Per-rank body: initialise (or resume) the replicated pool and grid
+    /// and drive the generation loop. Returns the rank's state alongside
+    /// the loop's verdict so the failure path can report from it.
+    fn run(&self, comm: &Comm<SpatialMsg>) -> (RankCtx, Result<(), RankError>) {
+        let mut ctx = init(&self.config, comm.rank() == 0);
+        let result = drive(comm, &self.config, &mut ctx);
+        (ctx, result)
+    }
+}
 
+/// Build the rank's initial state: seeded at generation zero, or restored
+/// from the resume checkpoint.
+fn init(spec: &SpatialDistConfig, is_coord: bool) -> RankCtx {
     // Every rank rebuilds the identical pool and initial grid locally —
     // the same construction (and, for random seeding, the same
     // `Domain::Init` streams) the shared backend uses, so ids and layout
@@ -418,76 +386,26 @@ fn run_rank(comm: &Comm<SpatialMsg>, spec: &RunSpec) -> RankResult {
         payoffs: vec![0.0; n],
         stats,
         records: Vec::new(),
+        start: start_gen,
         generation: start_gen,
         boundary: None,
         periodic: None,
         cache: PayoffCache::new(spec.params.game),
     };
-    let fault_aware = !spec.faults.is_empty();
-    if is_coord && fault_aware {
+    if is_coord && !spec.faults.is_empty() {
         ctx.boundary = Some(snapshot(&spec.params, &ctx));
     }
-
-    match drive(comm, spec, &mut ctx, start_gen, fault_aware) {
-        Ok(()) => {
-            if is_coord {
-                RankResult::Outcome(Box::new(SpatialOutcome {
-                    features: ctx
-                        .grid
-                        .iter()
-                        .map(|&id| ctx.pool.get(id).feature_vector())
-                        .collect(),
-                    grid: ctx.grid,
-                    stats: ctx.stats,
-                    records: ctx.records,
-                    // Placeholder: `run_spatial_distributed` overwrites
-                    // this with the exact post-join cluster total.
-                    messages_sent: 0,
-                    checkpoint: ctx.periodic,
-                }))
-            } else {
-                let rows = owned_rows(rank, spec.params.height, comm.size());
-                let start = rows.start * spec.params.width;
-                let end = rows.end * spec.params.width;
-                RankResult::Rows {
-                    start,
-                    cells: ctx.grid[start..end].to_vec(),
-                }
-            }
-        }
-        Err(err) => {
-            // Cascade: peers blocked on this rank must observe the death
-            // instead of waiting forever.
-            comm.kill();
-            if is_coord {
-                let dead_ranks: Vec<Rank> = (0..comm.size())
-                    .filter(|&r| r != rank && !comm.is_alive(r))
-                    .collect();
-                RankResult::Degraded(Box::new(SpatialDegradedRun {
-                    dead_ranks,
-                    completed_generations: ctx.generation,
-                    reason: err.to_string(),
-                    checkpoint: ctx.boundary,
-                }))
-            } else {
-                RankResult::Failed
-            }
-        }
-    }
+    ctx
 }
 
 /// The generation loop proper. `ctx` is left at the last committed
 /// generation boundary on error.
-fn drive(
-    comm: &Comm<SpatialMsg>,
-    spec: &RunSpec,
-    ctx: &mut RankCtx,
-    start_gen: u64,
-    fault_aware: bool,
-) -> Result<(), RankError> {
+fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -> Result<(), RankError> {
     let rank = comm.rank();
     let ranks = comm.size();
     let is_coord = rank == 0;
+    let fault_aware = !spec.faults.is_empty();
+    let start_gen = ctx.start;
     let compute = ranks - 1;
     let p = &spec.params;
     let (w, h) = (p.width, p.height);
@@ -497,10 +415,7 @@ fn drive(
         .map_err(|_| RankError::Protocol("valid memory depth"))?;
     let scope = GraphScope::of(&lattice, p.include_self);
     let per_cell = p.neighborhood.offsets().len() as u64 + u64::from(p.include_self);
-    let coll = match spec.recv_timeout() {
-        Some(t) => Collective::with_recv_timeout(comm, t),
-        None => Collective::new(comm),
-    };
+    let coll = driver::collective(comm, &spec.faults);
     coll.barrier(SpatialMsg::Scalar(0.0))?;
 
     let rows = owned_rows(rank, h, ranks);
@@ -516,20 +431,13 @@ fn drive(
         )
     };
 
-    let frecv = |src: Rank, tag: crate::comm::Tag| match spec.recv_timeout() {
-        Some(t) => comm.recv_timeout(Some(src), Some(tag), t),
-        // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (dead peer surfaces as RankDead, not a hang)")
-        None => comm.recv(Some(src), Some(tag)),
-    };
+    let frecv = |src: Rank, tag| driver::recv_from(comm, &spec.faults, src, tag);
 
     for generation in start_gen..p.generations {
         if is_coord && fault_aware {
             ctx.boundary = Some(snapshot(p, ctx));
         }
-        if spec.faults.kills_at(rank, generation) {
-            obs::counters().add_fault_injected();
-            return Err(RankError::Killed);
-        }
+        driver::check_kill(&spec.faults, rank, generation)?;
 
         // (1) Halo exchange: refresh the 2-ring of strategies around the
         // owned block. Skipped on the first post-init/post-resume
@@ -621,7 +529,7 @@ fn drive(
                     game: &p.game,
                     seed: p.seed,
                     kernel: GameKernel::Naive,
-                    cache: spec.payoff_cache.then_some(&ctx.cache),
+                    cache: (!spec.disable_payoff_cache).then_some(&ctx.cache),
                     range: range.clone(),
                 }
                 .provide(&plan);
@@ -900,13 +808,13 @@ mod tests {
             generation: 11,
         }];
         let err = run_spatial_distributed(&cfg).unwrap_err();
-        let DistError::SpatialDegraded(d) = err else {
+        let DistError::Degraded(d) = err else {
             panic!("expected SpatialDegradedRun");
         };
         assert!(d.dead_ranks.contains(&2), "dead ranks: {:?}", d.dead_ranks);
-        assert!(d.completed_generations <= 30);
+        assert!(d.completed <= 30);
         let cp = d.checkpoint.expect("fault-aware runs always checkpoint");
-        assert_eq!(cp.generation, d.completed_generations);
+        assert_eq!(cp.generation, d.completed);
         assert_eq!(cp.schema_version, SPATIAL_CHECKPOINT_SCHEMA_VERSION);
     }
 
@@ -923,7 +831,7 @@ mod tests {
             rank: 1,
             generation: 9,
         }];
-        let DistError::SpatialDegraded(d) = run_spatial_distributed(&cfg).unwrap_err() else {
+        let DistError::Degraded(d) = run_spatial_distributed(&cfg).unwrap_err() else {
             panic!("expected degraded run");
         };
         let resumed_cfg = d.retry_config(&cfg).expect("checkpoint present");
@@ -1013,7 +921,7 @@ mod tests {
         };
         cfg.faults.recv_timeout_ms = Some(200);
         match run_spatial_distributed(&cfg) {
-            Err(DistError::SpatialDegraded(d)) => {
+            Err(DistError::Degraded(d)) => {
                 assert!(d.checkpoint.is_some(), "degraded run leaves a checkpoint");
             }
             Ok(_) => {

@@ -164,6 +164,7 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 /// distributed protocol layer and the engine transition hot path.
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist.rs",
+    "crates/cluster/src/dist/driver.rs",
     "crates/cluster/src/dist/fixation.rs",
     "crates/cluster/src/dist/graph.rs",
     "crates/cluster/src/collective.rs",

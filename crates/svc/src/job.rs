@@ -100,7 +100,7 @@ pub struct JobRequest {
     #[serde(default)]
     pub checkpoint_every: Option<u64>,
     /// How many automatic re-enqueues a degraded distributed run is
-    /// allowed ([`cluster::dist::DegradedRun::retry_config`]). `0` means
+    /// allowed ([`cluster::dist::Degraded::retry_config`]). `0` means
     /// a degraded outcome is immediately terminal
     /// ([`JobStatus::Failed`]).
     #[serde(default)]

@@ -8,10 +8,18 @@
 //! submission stream replays the same dispatch order.
 
 use crate::job::{AdmitError, Backend, JobRequest, Priority};
-use evo_core::fixation::FixationCheckpoint;
-use evo_core::record::Checkpoint;
-use evo_core::spatial::SpatialCheckpoint;
 use std::collections::{BTreeSet, VecDeque};
+
+/// The checkpoint a parked or retried job resumes from, in the form the
+/// spool stores it — one slot, whichever family the job belongs to.
+#[derive(Debug, Clone)]
+pub struct Parked {
+    /// Progress units the checkpoint holds: the generation the job resumes
+    /// from, or for a fixation batch the replicates completed.
+    pub progress: u64,
+    /// The family's checkpoint as data (the `checkpoint.json` schema).
+    pub checkpoint: serde::Value,
+}
 
 /// A queued unit of work: the original request plus the lifecycle state
 /// the server threads through pauses and retries.
@@ -20,21 +28,12 @@ pub struct QueuedJob {
     /// The request as admitted.
     pub request: JobRequest,
     /// Checkpoint to resume from — `Some` after a pause-resume cycle or a
-    /// degraded-run retry, `None` for a fresh start. Well-mixed jobs only.
-    pub resume: Option<Checkpoint>,
-    /// The spatial counterpart of `resume` (lattice jobs checkpoint as
-    /// [`SpatialCheckpoint`]); at most one of the resume slots is ever
-    /// `Some`.
-    pub resume_spatial: Option<SpatialCheckpoint>,
-    /// The fixation counterpart (batch jobs checkpoint as
-    /// [`FixationCheckpoint`]); same at-most-one rule.
-    pub resume_fixation: Option<FixationCheckpoint>,
-    /// Degraded-run retries already consumed.
+    /// degraded-run retry, `None` for a fresh start.
+    pub resume: Option<Parked>,
+    /// Degraded-run retries already consumed. Once non-zero the request's
+    /// injected fault schedule has fired, and attempts run with it cleared
+    /// ([`cluster::dist::Degraded::retry_config`] semantics).
     pub retries: u32,
-    /// `true` once the request's injected fault schedule has fired —
-    /// retries run with the schedule cleared
-    /// ([`cluster::dist::DegradedRun::retry_config`] semantics).
-    pub faults_spent: bool,
 }
 
 impl QueuedJob {
@@ -42,10 +41,7 @@ impl QueuedJob {
         QueuedJob {
             request,
             resume: None,
-            resume_spatial: None,
-            resume_fixation: None,
             retries: 0,
-            faults_spent: false,
         }
     }
 }

@@ -13,13 +13,15 @@
 //! count only reorders *wall-clock* completion, which nothing in a
 //! receipt records.
 //!
-//! Lifecycle mechanics:
+//! Lifecycle mechanics — written once, generic over the workload family
+//! (`crate::family`: well-mixed, lattice, fixation):
 //!
 //! - **Pause** ([`Server::pause`]): a queued job is parked immediately;
-//!   a running shared-memory job observes the flag at its next
-//!   generation boundary, takes a [`Checkpoint`], and parks. Distributed
-//!   jobs run to completion or degradation (the virtual cluster owns its
-//!   ranks mid-flight); pausing one is refused.
+//!   a running shared-memory job observes the flag at its next step
+//!   boundary (a generation; a replicate for fixation batches), takes the
+//!   family's checkpoint, and parks. Distributed jobs run to completion
+//!   or degradation (the virtual cluster owns its ranks mid-flight);
+//!   pausing one is refused.
 //! - **Resume** ([`Server::resume`]): re-enqueues the parked job with
 //!   its checkpoint; the engine's generation-keyed RNG streams make the
 //!   continuation bit-identical to never having paused
@@ -28,23 +30,22 @@
 //!   (docs/PERFORMANCE.md §2).
 //! - **Degraded retry**: a distributed job that returns
 //!   [`DistError::Degraded`] is re-enqueued from the degraded
-//!   checkpoint via [`cluster::dist::DegradedRun::retry_config`]
+//!   checkpoint with [`cluster::dist::Degraded::retry_config`]
 //!   semantics (fault schedule cleared — those faults already fired;
 //!   receive deadline kept) while `retry_budget` lasts, then fails with
 //!   the degradation reason.
 
-use crate::job::{AdmitError, Backend, JobRequest, JobStatus, Receipt, SpatialJobSpec};
-use crate::queue::{JobQueue, QueuedJob};
+use crate::family::Family;
+use crate::job::{AdmitError, Backend, JobRequest, JobStatus, Receipt};
+use crate::queue::{JobQueue, Parked, QueuedJob};
 use crate::spool::Spool;
-use cluster::dist::fixation::{run_fixation_distributed, FixationDistConfig};
-use cluster::dist::graph::{run_spatial_distributed, SpatialDistConfig};
-use cluster::dist::{run_distributed, DistConfig, DistError};
-use evo_core::fitness::FitnessPolicy;
-use evo_core::fixation::{FixationBatch, FixationCheckpoint, FixationSpec};
+use cluster::dist::DistError;
+use cluster::faults::FaultPlan;
+use evo_core::fixation::FixationBatch;
 use evo_core::population::Population;
-use evo_core::record::{state_digest, Checkpoint, GenerationRecord};
-use evo_core::spatial::{SpatialCheckpoint, SpatialPopulation};
-use serde::Serialize as _;
+use evo_core::record::GenerationRecord;
+use evo_core::spatial::SpatialPopulation;
+use serde::{Deserialize as _, Serialize as _};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -213,17 +214,7 @@ impl Server {
                 // Status Queued ⇔ still in the queue: both are updated
                 // under this same lock, so `take` cannot miss.
                 let job = queue.take(id).expect("queued job is in the queue");
-                let generation = job
-                    .resume
-                    .as_ref()
-                    .map(|cp| cp.generation)
-                    .or_else(|| job.resume_spatial.as_ref().map(|cp| cp.generation))
-                    .or_else(|| {
-                        job.resume_fixation
-                            .as_ref()
-                            .map(|cp| cp.completed.len() as u64)
-                    })
-                    .unwrap_or(0);
+                let generation = job.resume.as_ref().map_or(0, |parked| parked.progress);
                 entry.parked = Some(job);
                 entry.status = JobStatus::Paused { generation };
                 (true, true)
@@ -282,9 +273,9 @@ impl Server {
     }
 
     /// The generation records streamed so far for `id` (shared-memory
-    /// jobs stream per generation; spatial distributed jobs deliver the
-    /// rank-0 record fold on completion; well-mixed distributed jobs
-    /// produce a receipt only).
+    /// jobs stream per step; spatial and fixation distributed jobs deliver
+    /// the rank-0 record fold when an attempt ends; well-mixed distributed
+    /// jobs produce a receipt only).
     pub fn records(&self, id: &str) -> Option<Vec<GenerationRecord>> {
         self.inner.lock().jobs.get(id).map(|e| e.records.clone())
     }
@@ -353,36 +344,15 @@ impl Drop for Server {
 
 /// What one execution attempt produced.
 enum Outcome {
-    /// Ran to the final generation.
-    Done { receipt: Receipt },
-    /// Honoured a pause request at a generation boundary.
-    Paused { checkpoint: Checkpoint },
-    /// A shared spatial job honoured a pause request.
-    PausedSpatial { checkpoint: SpatialCheckpoint },
-    /// A shared fixation job honoured a pause request at a replicate
-    /// boundary.
-    PausedFixation { checkpoint: FixationCheckpoint },
-    /// Distributed run degraded; `resume` is the retry checkpoint
-    /// derived via [`cluster::dist::DegradedRun::retry_config`].
-    Degraded {
-        resume: Option<Checkpoint>,
-        reason: String,
-    },
-    /// Distributed spatial run degraded
-    /// ([`cluster::dist::graph::SpatialDegradedRun::retry_config`]).
-    DegradedSpatial {
-        resume: Option<SpatialCheckpoint>,
-        reason: String,
-    },
-    /// Distributed fixation batch degraded. The checkpoint is always
-    /// present (completed replicates are self-consistent whatever the
-    /// fault —
-    /// [`cluster::dist::fixation::FixationDegradedRun::retry_config`]).
-    DegradedFixation {
-        resume: FixationCheckpoint,
-        reason: String,
-    },
-    /// Engine or I/O error — terminal.
+    /// Ran to the end.
+    Done { receipt: Box<Receipt> },
+    /// Honoured a pause request at a step boundary.
+    Paused { checkpoint: Parked },
+    /// A distributed attempt degraded with retry budget left: re-enqueue
+    /// from `resume`, the degraded run's checkpoint.
+    Degraded { resume: Parked },
+    /// Engine or I/O error, or a degraded attempt that cannot be retried
+    /// — terminal.
     Failed { reason: String },
 }
 
@@ -408,378 +378,157 @@ fn worker_loop(inner: &Inner) {
         };
         inner.spool_status(&job.request.id, &JobStatus::Running);
         inner.changed.notify_all();
-        let outcome = execute(inner, &job);
+        let request = &job.request;
+        let outcome = match (&request.fixation, &request.spatial) {
+            (Some(spec), _) => execute::<FixationBatch>(inner, &job, spec),
+            (None, Some(spec)) => execute::<SpatialPopulation>(inner, &job, spec),
+            (None, None) => execute::<Population>(inner, &job, request),
+        };
         finish(inner, job, outcome);
     }
 }
 
-/// Run one attempt of `job` (no lock held during simulation).
-fn execute(inner: &Inner, job: &QueuedJob) -> Outcome {
-    if let Some(spec) = &job.request.fixation {
-        return match job.request.backend {
-            Backend::Shared => execute_fixation_shared(inner, job, spec),
-            Backend::Distributed { ranks } => execute_fixation_distributed(inner, job, spec, ranks),
-        };
-    }
-    match (&job.request.spatial, job.request.backend) {
-        (None, Backend::Shared) => execute_shared(inner, job),
-        (None, Backend::Distributed { ranks }) => execute_distributed(job, ranks),
-        (Some(spec), Backend::Shared) => execute_spatial_shared(inner, job, spec),
-        (Some(spec), Backend::Distributed { ranks }) => {
-            execute_spatial_distributed(inner, job, spec, ranks)
-        }
-    }
-}
-
-fn execute_shared(inner: &Inner, job: &QueuedJob) -> Outcome {
-    let built = match &job.resume {
-        Some(cp) => Population::restore(cp.clone()),
-        None => Population::new(job.request.params.clone()),
-    };
-    let mut pop = match built {
-        Ok(p) => p,
-        Err(e) => {
-            return Outcome::Failed {
-                reason: e.to_string(),
-            }
-        }
-    };
-    if job.request.on_demand {
-        pop.fitness_policy = FitnessPolicy::OnDemand;
-    }
-    let id = &job.request.id;
-    let total = pop.params().generations;
-    let mut chunk: Vec<GenerationRecord> = Vec::new();
-    while pop.generation() < total {
-        if pause_requested(inner, id) {
-            stream_records(inner, id, &mut chunk);
-            return Outcome::Paused {
-                checkpoint: pop.checkpoint(),
-            };
-        }
-        chunk.push(pop.step());
-        if chunk.len() >= RECORD_FLUSH {
-            stream_records(inner, id, &mut chunk);
-        }
-        if let Some(every) = job.request.checkpoint_every {
-            if every > 0 && pop.generation() % every == 0 {
-                if let Some(sp) = &inner.spool {
-                    let _ = sp.write_checkpoint(id, &pop.checkpoint());
+/// Run one attempt of `job` as family `F` (no lock held during
+/// simulation).
+fn execute<F: Family>(inner: &Inner, job: &QueuedJob, spec: &F::Spec) -> Outcome {
+    let resume = match &job.resume {
+        Some(parked) => match F::Checkpoint::from_value(&parked.checkpoint) {
+            Ok(cp) => Some(cp),
+            Err(e) => {
+                return Outcome::Failed {
+                    reason: format!("resume checkpoint: {e}"),
                 }
             }
-        }
-    }
-    stream_records(inner, id, &mut chunk);
-    let digest = format!(
-        "{:016x}",
-        state_digest(&pop.assignments(), &pop.snapshot().features)
-    );
-    Outcome::Done {
-        receipt: Receipt {
-            schema_version: crate::SVC_SCHEMA_VERSION,
-            job_id: id.clone(),
-            seed: pop.params().seed,
-            generations: pop.generation(),
-            retries: job.retries,
-            state_digest: digest,
-            // svc reads no clock (docs/STATIC_ANALYSIS.md wall-clock
-            // rule): elapsed is reported as 0; cost attribution lives in
-            // the counter deltas and span timings.
-            manifest: pop.manifest(0.0),
         },
-    }
-}
-
-/// Shared-memory lattice job: the [`SpatialPopulation`] generation loop
-/// with the same pause/stream/checkpoint cadence as [`execute_shared`].
-fn execute_spatial_shared(inner: &Inner, job: &QueuedJob, spec: &SpatialJobSpec) -> Outcome {
-    let baseline = obs::counters().snapshot();
-    let mut pop = match &job.resume_spatial {
-        Some(cp) => match SpatialPopulation::restore(cp.clone()) {
-            Ok(p) => p,
-            Err(e) => return Outcome::Failed { reason: e },
-        },
-        None => SpatialPopulation::new(spec.params.clone(), spec.init.clone()),
+        None => None,
     };
-    let id = &job.request.id;
-    let total = pop.params().generations;
-    let mut chunk: Vec<GenerationRecord> = Vec::new();
-    while pop.generation() < total {
-        if pause_requested(inner, id) {
-            stream_records(inner, id, &mut chunk);
-            return Outcome::PausedSpatial {
-                checkpoint: pop.checkpoint(),
-            };
-        }
-        chunk.push(pop.step());
-        if chunk.len() >= RECORD_FLUSH {
-            stream_records(inner, id, &mut chunk);
-        }
-        if let Some(every) = job.request.checkpoint_every {
-            if every > 0 && pop.generation() % every == 0 {
-                if let Some(sp) = &inner.spool {
-                    let _ = sp.write_spatial_checkpoint(id, &pop.checkpoint());
-                }
-            }
-        }
-    }
-    stream_records(inner, id, &mut chunk);
-    let snap = pop.snapshot();
-    let digest = format!("{:016x}", state_digest(&snap.assignments, &snap.features));
-    let manifest = obs::RunManifest::capture(
-        pop.params().to_value(),
-        pop.params().seed,
-        1,
-        pop.generation(),
-        0.0,
-        &baseline,
-        &[],
-    );
-    Outcome::Done {
-        receipt: Receipt {
-            schema_version: crate::SVC_SCHEMA_VERSION,
-            job_id: id.clone(),
-            seed: pop.params().seed,
-            generations: pop.generation(),
-            retries: job.retries,
-            state_digest: digest,
-            manifest,
-        },
+    match job.request.backend {
+        Backend::Shared => execute_shared::<F>(inner, job, spec, resume),
+        Backend::Distributed { ranks } => execute_distributed::<F>(inner, job, spec, ranks, resume),
     }
 }
 
-/// Rank-sharded lattice job ([`cluster::dist::graph`]): runs to
-/// completion or degradation, streaming the rank-0 record fold on
-/// success. Fault and retry semantics mirror [`execute_distributed`].
-fn execute_spatial_distributed(
+fn receipt(job: &QueuedJob, seed: u64, generations: u64, digest: u64, manifest: obs::RunManifest) -> Box<Receipt> {
+    Box::new(Receipt {
+        schema_version: crate::SVC_SCHEMA_VERSION,
+        job_id: job.request.id.clone(),
+        seed,
+        generations,
+        retries: job.retries,
+        state_digest: format!("{digest:016x}"),
+        manifest,
+    })
+}
+
+/// The shared-memory step loop: pause check → step → stream → periodic
+/// checkpoint, then the receipt.
+fn execute_shared<F: Family>(
     inner: &Inner,
     job: &QueuedJob,
-    spec: &SpatialJobSpec,
-    ranks: usize,
+    spec: &F::Spec,
+    resume: Option<F::Checkpoint>,
 ) -> Outcome {
-    let mut cfg = SpatialDistConfig::new(spec.params.clone(), spec.init.clone(), ranks);
-    cfg.checkpoint_every = job.request.checkpoint_every;
-    cfg.resume = job.resume_spatial.clone();
-    if job.faults_spent {
-        // Retry attempt: injected schedule already fired, only the
-        // receive deadline survives (retry_config semantics).
-        cfg.faults.recv_timeout_ms = job.request.faults.recv_timeout_ms;
-    } else {
-        cfg.faults = job.request.faults.clone();
-    }
     let baseline = obs::counters().snapshot();
-    match run_spatial_distributed(&cfg) {
-        Ok(out) => {
-            let digest = format!("{:016x}", state_digest(&out.grid, &out.features));
-            let manifest = obs::RunManifest::capture(
-                spec.params.to_value(),
-                spec.params.seed,
-                ranks,
-                out.stats.generations,
-                0.0,
-                &baseline,
-                &[],
-            );
-            let mut chunk = out.records;
-            stream_records(inner, &job.request.id, &mut chunk);
-            Outcome::Done {
-                receipt: Receipt {
-                    schema_version: crate::SVC_SCHEMA_VERSION,
-                    job_id: job.request.id.clone(),
-                    seed: spec.params.seed,
-                    generations: out.stats.generations,
-                    retries: job.retries,
-                    state_digest: digest,
-                    manifest,
-                },
-            }
-        }
-        Err(DistError::SpatialDegraded(d)) => {
-            let reason = format!("degraded spatial run: {}", d.reason);
-            let resume = d.retry_config(&cfg).and_then(|next| next.resume);
-            Outcome::DegradedSpatial { resume, reason }
-        }
-        Err(e) => Outcome::Failed {
-            reason: e.to_string(),
-        },
-    }
-}
-
-/// Shared-memory fixation batch: the [`FixationBatch::run_step`]
-/// replicate loop, pausable at every replicate boundary, with the same
-/// stream/checkpoint cadence as the generation loops. The receipt's
-/// `generations` field counts *replicates* for this family; its digest is
-/// [`evo_core::fixation::FixationOutcome::digest`].
-fn execute_fixation_shared(inner: &Inner, job: &QueuedJob, spec: &FixationSpec) -> Outcome {
-    let baseline = obs::counters().snapshot();
-    let built = match &job.resume_fixation {
-        Some(cp) => FixationBatch::resume(cp.clone()),
-        None => FixationBatch::new(spec.clone()),
-    };
-    let mut batch = match built {
-        Ok(b) => b,
-        Err(e) => {
-            return Outcome::Failed {
-                reason: e.to_string(),
-            }
-        }
+    let mut run = match F::start(spec, resume) {
+        Ok(run) => run,
+        Err(reason) => return Outcome::Failed { reason },
     };
     let id = &job.request.id;
     let mut chunk: Vec<GenerationRecord> = Vec::new();
     loop {
         if pause_requested(inner, id) {
             stream_records(inner, id, &mut chunk);
-            return Outcome::PausedFixation {
-                checkpoint: batch.checkpoint(),
+            return Outcome::Paused {
+                checkpoint: Parked {
+                    progress: run.progress(),
+                    checkpoint: run.checkpoint().to_value(),
+                },
             };
         }
-        let Some(result) = batch.run_step() else { break };
-        chunk.push(result.to_record());
+        let Some(record) = run.step() else { break };
+        chunk.push(record);
         if chunk.len() >= RECORD_FLUSH {
             stream_records(inner, id, &mut chunk);
         }
         if let Some(every) = job.request.checkpoint_every {
-            if every > 0 && (batch.completed().len() as u64).is_multiple_of(every) {
+            if every > 0 && run.progress().is_multiple_of(every) {
                 if let Some(sp) = &inner.spool {
-                    let _ = sp.write_fixation_checkpoint(id, &batch.checkpoint());
+                    let _ = sp.write_checkpoint(id, &run.checkpoint());
                 }
             }
         }
     }
     stream_records(inner, id, &mut chunk);
-    let outcome = batch.outcome();
-    let manifest = obs::RunManifest::capture(
-        spec.params.to_value(),
-        spec.params.seed,
-        1,
-        u64::from(spec.replicates),
-        0.0,
-        &baseline,
-        &[],
-    );
+    let (_, seed) = F::identity(spec);
+    let manifest = run.manifest(spec, &baseline);
     Outcome::Done {
-        receipt: Receipt {
-            schema_version: crate::SVC_SCHEMA_VERSION,
-            job_id: id.clone(),
-            seed: spec.params.seed,
-            generations: outcome.results.len() as u64,
-            retries: job.retries,
-            state_digest: format!("{:016x}", outcome.digest()),
-            manifest,
-        },
+        receipt: receipt(job, seed, run.progress(), run.digest(), manifest),
     }
 }
 
-/// Replicate-sharded fixation batch ([`cluster::dist::fixation`]): runs
-/// to completion or degradation. Fault and retry semantics mirror
-/// [`execute_distributed`], except the degraded checkpoint is always
-/// present, so a budgeted retry is always possible.
-fn execute_fixation_distributed(
+/// One distributed attempt: config → run → receipt, or degraded →
+/// budgeted retry. Well-mixed, lattice and fixation jobs differ only in
+/// [`Family::distribute`].
+fn execute_distributed<F: Family>(
     inner: &Inner,
     job: &QueuedJob,
-    spec: &FixationSpec,
+    spec: &F::Spec,
     ranks: usize,
+    resume: Option<F::Checkpoint>,
 ) -> Outcome {
-    let mut cfg = FixationDistConfig::new(spec.clone(), ranks);
-    // The request-level interval is in u64 like the generation engines';
-    // a fixation batch never exceeds u32 replicates.
-    cfg.checkpoint_every = job
-        .request
-        .checkpoint_every
-        .map(|n| u32::try_from(n).unwrap_or(u32::MAX));
-    cfg.resume = job.resume_fixation.clone();
-    if job.faults_spent {
-        // Retry attempt: injected schedule already fired, only the
-        // receive deadline survives (retry_config semantics).
-        cfg.faults.recv_timeout_ms = job.request.faults.recv_timeout_ms;
-    } else {
-        cfg.faults = job.request.faults.clone();
-    }
-    let baseline = obs::counters().snapshot();
-    match run_fixation_distributed(&cfg) {
-        Ok(out) => {
-            let manifest = obs::RunManifest::capture(
-                spec.params.to_value(),
-                spec.params.seed,
-                ranks,
-                u64::from(spec.replicates),
-                0.0,
-                &baseline,
-                &[],
-            );
-            let mut chunk = out.outcome.records();
-            stream_records(inner, &job.request.id, &mut chunk);
-            Outcome::Done {
-                receipt: Receipt {
-                    schema_version: crate::SVC_SCHEMA_VERSION,
-                    job_id: job.request.id.clone(),
-                    seed: spec.params.seed,
-                    generations: out.outcome.results.len() as u64,
-                    retries: job.retries,
-                    state_digest: format!("{:016x}", out.outcome.digest()),
-                    manifest,
-                },
-            }
+    let request = &job.request;
+    let faults = if job.retries > 0 {
+        // Retry attempt: the injected schedule already fired, only the
+        // receive deadline survives (`Degraded::retry_config` semantics).
+        FaultPlan {
+            recv_timeout_ms: request.faults.recv_timeout_ms,
+            ..FaultPlan::default()
         }
-        Err(DistError::FixationDegraded(d)) => {
-            let reason = format!("degraded fixation batch: {}", d.reason);
-            let resume = d
-                .retry_config(&cfg)
-                .resume
-                .expect("fixation retry config always carries the checkpoint");
-            Outcome::DegradedFixation { resume, reason }
-        }
-        Err(e) => Outcome::Failed {
-            reason: e.to_string(),
-        },
-    }
-}
-
-fn execute_distributed(job: &QueuedJob, ranks: usize) -> Outcome {
-    let policy = if job.request.on_demand {
-        FitnessPolicy::OnDemand
     } else {
-        FitnessPolicy::EveryGeneration
+        request.faults.clone()
     };
-    let mut cfg = DistConfig::new(job.request.params.clone(), ranks, policy);
-    cfg.checkpoint_every = job.request.checkpoint_every;
-    cfg.resume = job.resume.clone();
-    if job.faults_spent {
-        // Retry attempt: DegradedRun::retry_config semantics — injected
-        // schedule already fired, only the receive deadline survives.
-        cfg.faults.recv_timeout_ms = job.request.faults.recv_timeout_ms;
-    } else {
-        cfg.faults = job.request.faults.clone();
-    }
     let baseline = obs::counters().snapshot();
-    match run_distributed(&cfg) {
-        Ok(out) => {
-            let digest = format!("{:016x}", state_digest(&out.assignments, &out.features));
+    match F::distribute(spec, ranks, faults, request.checkpoint_every, resume) {
+        Ok(mut out) => {
+            let (params, seed) = F::identity(spec);
             let manifest = obs::RunManifest::capture(
-                job.request.params.to_value(),
-                job.request.params.seed,
+                params,
+                seed,
                 ranks,
-                out.stats.generations,
+                out.generations,
                 0.0,
                 &baseline,
                 &out.generation_ns,
             );
+            stream_records(inner, &request.id, &mut out.records);
             Outcome::Done {
-                receipt: Receipt {
-                    schema_version: crate::SVC_SCHEMA_VERSION,
-                    job_id: job.request.id.clone(),
-                    seed: job.request.params.seed,
-                    generations: out.stats.generations,
-                    retries: job.retries,
-                    state_digest: digest,
-                    manifest,
-                },
+                receipt: receipt(job, seed, out.generations, out.digest, manifest),
             }
         }
-        Err(DistError::Degraded(d)) => {
-            let reason = format!("degraded run: {}", d.reason);
-            let resume = d.retry_config(&cfg).and_then(|next| next.resume);
-            Outcome::Degraded { resume, reason }
+        Err(DistError::Degraded(mut d)) => {
+            let reason = format!("{}: {}", F::DEGRADED, d.reason);
+            match d.checkpoint {
+                Some(cp) if job.retries < request.retry_budget => {
+                    // What the attempt committed up to the checkpoint must
+                    // reach the stream before the retry can append to it.
+                    stream_records(inner, &request.id, &mut d.records);
+                    Outcome::Degraded {
+                        resume: Parked {
+                            progress: F::resume_point(&cp),
+                            checkpoint: cp.to_value(),
+                        },
+                    }
+                }
+                Some(_) => Outcome::Failed {
+                    reason: format!(
+                        "{reason}; retry budget exhausted ({} allowed)",
+                        request.retry_budget
+                    ),
+                },
+                None => Outcome::Failed {
+                    reason: format!("{reason}; no checkpoint to retry from"),
+                },
+            }
         }
         Err(e) => Outcome::Failed {
             reason: e.to_string(),
@@ -815,8 +564,17 @@ fn stream_records(inner: &Inner, id: &str, chunk: &mut Vec<GenerationRecord>) {
 }
 
 /// Apply an execution outcome: settle, park, retry, or fail the job.
-fn finish(inner: &Inner, job: QueuedJob, outcome: Outcome) {
+fn finish(inner: &Inner, job: QueuedJob, mut outcome: Outcome) {
     let id = job.request.id.clone();
+    if let (Outcome::Done { receipt }, Some(sp)) = (&outcome, &inner.spool) {
+        if let Err(e) = sp.write_receipt(&id, receipt) {
+            // A receipt that failed to spool would make success
+            // unverifiable — fail the job, loudly.
+            outcome = Outcome::Failed {
+                reason: format!("receipt spool write failed: {e}"),
+            };
+        }
+    }
     let mut st = inner.lock();
     st.active -= 1;
     let State { queue, jobs, .. } = &mut *st;
@@ -825,10 +583,7 @@ fn finish(inner: &Inner, job: QueuedJob, outcome: Outcome) {
         inner.changed.notify_all();
         return;
     };
-    let mut spool_checkpoint: Option<Checkpoint> = None;
-    let mut spool_spatial_checkpoint: Option<SpatialCheckpoint> = None;
-    let mut spool_fixation_checkpoint: Option<FixationCheckpoint> = None;
-    let mut spool_receipt: Option<Receipt> = None;
+    let mut spool_checkpoint: Option<serde::Value> = None;
     let mut wake_worker = false;
     match outcome {
         Outcome::Done { receipt } => {
@@ -836,144 +591,32 @@ fn finish(inner: &Inner, job: QueuedJob, outcome: Outcome) {
                 state_digest: receipt.state_digest.clone(),
                 retries: receipt.retries,
             };
-            entry.receipt = Some(receipt.clone());
-            spool_receipt = Some(receipt);
+            entry.receipt = Some(*receipt);
             obs::counters().add_job_completed();
         }
         Outcome::Paused { checkpoint } => {
             entry.pause_requested = false;
             entry.status = JobStatus::Paused {
-                generation: checkpoint.generation,
-            };
-            spool_checkpoint = Some(checkpoint.clone());
-            entry.parked = Some(QueuedJob {
-                request: job.request.clone(),
-                resume: Some(checkpoint),
-                resume_spatial: None,
-                resume_fixation: None,
-                retries: job.retries,
-                faults_spent: job.faults_spent,
-            });
-        }
-        Outcome::PausedSpatial { checkpoint } => {
-            entry.pause_requested = false;
-            entry.status = JobStatus::Paused {
-                generation: checkpoint.generation,
-            };
-            spool_spatial_checkpoint = Some(checkpoint.clone());
-            entry.parked = Some(QueuedJob {
-                request: job.request.clone(),
-                resume: None,
-                resume_spatial: Some(checkpoint),
-                resume_fixation: None,
-                retries: job.retries,
-                faults_spent: job.faults_spent,
-            });
-        }
-        Outcome::PausedFixation { checkpoint } => {
-            entry.pause_requested = false;
-            entry.status = JobStatus::Paused {
                 // For fixation jobs the "generation" a pause reports is
                 // the replicate boundary it parked at.
-                generation: checkpoint.completed.len() as u64,
+                generation: checkpoint.progress,
             };
-            spool_fixation_checkpoint = Some(checkpoint.clone());
+            spool_checkpoint = Some(checkpoint.checkpoint.clone());
             entry.parked = Some(QueuedJob {
-                request: job.request.clone(),
-                resume: None,
-                resume_spatial: None,
-                resume_fixation: Some(checkpoint),
-                retries: job.retries,
-                faults_spent: job.faults_spent,
+                resume: Some(checkpoint),
+                ..job
             });
         }
-        Outcome::Degraded { resume, reason } => {
-            match resume {
-                Some(cp) if job.retries < job.request.retry_budget => {
-                    obs::counters().add_job_retried();
-                    entry.status = JobStatus::Queued;
-                    spool_checkpoint = Some(cp.clone());
-                    queue.requeue(QueuedJob {
-                        request: job.request.clone(),
-                        resume: Some(cp),
-                        resume_spatial: None,
-                        resume_fixation: None,
-                        retries: job.retries + 1,
-                        faults_spent: true,
-                    });
-                    wake_worker = true;
-                }
-                Some(_) => {
-                    entry.status = JobStatus::Failed {
-                        reason: format!(
-                            "{reason}; retry budget exhausted ({} allowed)",
-                            job.request.retry_budget
-                        ),
-                        retries: job.retries,
-                    };
-                }
-                None => {
-                    entry.status = JobStatus::Failed {
-                        reason: format!("{reason}; no checkpoint to retry from"),
-                        retries: job.retries,
-                    };
-                }
-            }
-        }
-        Outcome::DegradedSpatial { resume, reason } => match resume {
-            Some(cp) if job.retries < job.request.retry_budget => {
-                obs::counters().add_job_retried();
-                entry.status = JobStatus::Queued;
-                spool_spatial_checkpoint = Some(cp.clone());
-                queue.requeue(QueuedJob {
-                    request: job.request.clone(),
-                    resume: None,
-                    resume_spatial: Some(cp),
-                    resume_fixation: None,
-                    retries: job.retries + 1,
-                    faults_spent: true,
-                });
-                wake_worker = true;
-            }
-            Some(_) => {
-                entry.status = JobStatus::Failed {
-                    reason: format!(
-                        "{reason}; retry budget exhausted ({} allowed)",
-                        job.request.retry_budget
-                    ),
-                    retries: job.retries,
-                };
-            }
-            None => {
-                entry.status = JobStatus::Failed {
-                    reason: format!("{reason}; no checkpoint to retry from"),
-                    retries: job.retries,
-                };
-            }
-        },
-        Outcome::DegradedFixation { resume, reason } => {
-            if job.retries < job.request.retry_budget {
-                obs::counters().add_job_retried();
-                entry.status = JobStatus::Queued;
-                spool_fixation_checkpoint = Some(resume.clone());
-                queue.requeue(QueuedJob {
-                    request: job.request.clone(),
-                    resume: None,
-                    resume_spatial: None,
-                    resume_fixation: Some(resume),
-                    retries: job.retries + 1,
-                    faults_spent: true,
-                });
-                wake_worker = true;
-            } else {
-                entry.status = JobStatus::Failed {
-                    reason: format!(
-                        "{reason}; retry budget exhausted ({} allowed)",
-                        job.request.retry_budget
-                    ),
-                    retries: job.retries,
-                };
-            }
+        Outcome::Degraded { resume } => {
+            obs::counters().add_job_retried();
+            entry.status = JobStatus::Queued;
+            spool_checkpoint = Some(resume.checkpoint.clone());
+            queue.requeue(QueuedJob {
+                resume: Some(resume),
+                retries: job.retries + 1,
+                ..job
+            });
+            wake_worker = true;
         }
         Outcome::Failed { reason } => {
             entry.status = JobStatus::Failed {
@@ -984,41 +627,8 @@ fn finish(inner: &Inner, job: QueuedJob, outcome: Outcome) {
     }
     let status = entry.status.clone();
     drop(st);
-    if let Some(cp) = &spool_checkpoint {
-        if let Some(sp) = &inner.spool {
-            let _ = sp.write_checkpoint(&id, cp);
-        }
-    }
-    if let Some(cp) = &spool_spatial_checkpoint {
-        if let Some(sp) = &inner.spool {
-            let _ = sp.write_spatial_checkpoint(&id, cp);
-        }
-    }
-    if let Some(cp) = &spool_fixation_checkpoint {
-        if let Some(sp) = &inner.spool {
-            let _ = sp.write_fixation_checkpoint(&id, cp);
-        }
-    }
-    if let Some(receipt) = &spool_receipt {
-        if let Some(sp) = &inner.spool {
-            if let Err(e) = sp.write_receipt(&id, receipt) {
-                // A receipt that failed to spool would make success
-                // unverifiable — demote the job to Failed, loudly.
-                let mut st = inner.lock();
-                if let Some(entry) = st.jobs.get_mut(&id) {
-                    entry.status = JobStatus::Failed {
-                        reason: format!("receipt spool write failed: {e}"),
-                        retries: receipt.retries,
-                    };
-                    entry.receipt = None;
-                }
-                let status = st.jobs[&id].status.clone();
-                drop(st);
-                inner.spool_status(&id, &status);
-                inner.changed.notify_all();
-                return;
-            }
-        }
+    if let (Some(cp), Some(sp)) = (&spool_checkpoint, &inner.spool) {
+        let _ = sp.write_checkpoint(&id, cp);
     }
     inner.spool_status(&id, &status);
     inner.changed.notify_all();
@@ -1030,7 +640,9 @@ fn finish(inner: &Inner, job: QueuedJob, outcome: Outcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evo_core::fixation::FixationSpec;
     use evo_core::params::Params;
+    use evo_core::record::state_digest;
 
     fn small(seed: u64, generations: u64) -> Params {
         Params {

@@ -28,9 +28,8 @@
 //! (ROADMAP item 1) needs to trust the spool.
 
 use crate::job::{JobStatus, Receipt};
-use evo_core::fixation::FixationCheckpoint;
-use evo_core::record::{Checkpoint, GenerationRecord};
-use evo_core::spatial::SpatialCheckpoint;
+use evo_core::record::GenerationRecord;
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -183,11 +182,12 @@ impl Spool {
         serde_json::from_str(&text).map_err(to_io)
     }
 
-    /// Rewrite `id`'s latest restartable `checkpoint.json` (same schema
-    /// as `evogame-cli --checkpoint-out`; crash-atomic; bumps the
-    /// `checkpoints_written` counter like every other checkpoint
-    /// producer).
-    pub fn write_checkpoint(&self, id: &str, cp: &Checkpoint) -> std::io::Result<()> {
+    /// Rewrite `id`'s latest restartable `checkpoint.json` (crash-atomic;
+    /// bumps the `checkpoints_written` counter like every other checkpoint
+    /// producer). `cp` is the job's family checkpoint — well-mixed,
+    /// spatial, or fixation; a job only ever produces one kind — written
+    /// in the schema of the matching `evogame-cli --checkpoint-out`.
+    pub fn write_checkpoint<C: Serialize>(&self, id: &str, cp: &C) -> std::io::Result<()> {
         let dir = self.ensure_dir(id)?;
         let json = serde_json::to_string(cp).map_err(to_io)?;
         replace_file(&dir, "checkpoint.json", &json)?;
@@ -195,48 +195,9 @@ impl Spool {
         Ok(())
     }
 
-    /// Read `id`'s latest checkpoint, if one was spooled.
-    pub fn read_checkpoint(&self, id: &str) -> std::io::Result<Checkpoint> {
-        let text = std::fs::read_to_string(self.job_dir(id).join("checkpoint.json"))?;
-        serde_json::from_str(&text).map_err(to_io)
-    }
-
-    /// Rewrite `id`'s latest `checkpoint.json` for a lattice job (same
-    /// schema as `evogame-cli spatial --checkpoint-out`). Spatial and
-    /// well-mixed checkpoints share the filename — a job only ever
-    /// produces one kind.
-    pub fn write_spatial_checkpoint(&self, id: &str, cp: &SpatialCheckpoint) -> std::io::Result<()> {
-        let dir = self.ensure_dir(id)?;
-        let json = serde_json::to_string(cp).map_err(to_io)?;
-        replace_file(&dir, "checkpoint.json", &json)?;
-        obs::counters().add_checkpoint_written();
-        Ok(())
-    }
-
-    /// Read `id`'s latest spatial checkpoint, if one was spooled.
-    pub fn read_spatial_checkpoint(&self, id: &str) -> std::io::Result<SpatialCheckpoint> {
-        let text = std::fs::read_to_string(self.job_dir(id).join("checkpoint.json"))?;
-        serde_json::from_str(&text).map_err(to_io)
-    }
-
-    /// Rewrite `id`'s latest `checkpoint.json` for a fixation-batch job
-    /// (same schema as `evogame-cli fixate --checkpoint-out`). Like the
-    /// spatial variant, the filename is shared — a job only ever produces
-    /// one checkpoint kind.
-    pub fn write_fixation_checkpoint(
-        &self,
-        id: &str,
-        cp: &FixationCheckpoint,
-    ) -> std::io::Result<()> {
-        let dir = self.ensure_dir(id)?;
-        let json = serde_json::to_string(cp).map_err(to_io)?;
-        replace_file(&dir, "checkpoint.json", &json)?;
-        obs::counters().add_checkpoint_written();
-        Ok(())
-    }
-
-    /// Read `id`'s latest fixation checkpoint, if one was spooled.
-    pub fn read_fixation_checkpoint(&self, id: &str) -> std::io::Result<FixationCheckpoint> {
+    /// Read `id`'s latest checkpoint, if one was spooled, as the family
+    /// checkpoint type `C`; a file of another kind fails as `InvalidData`.
+    pub fn read_checkpoint<C: Deserialize>(&self, id: &str) -> std::io::Result<C> {
         let text = std::fs::read_to_string(self.job_dir(id).join("checkpoint.json"))?;
         serde_json::from_str(&text).map_err(to_io)
     }
@@ -283,7 +244,8 @@ mod tests {
             evo_core::population::Population::new(evo_core::params::Params::default()).unwrap();
         let cp = pop.checkpoint();
         spool.write_checkpoint("j1", &cp).unwrap();
-        assert_eq!(spool.read_checkpoint("j1").unwrap(), cp);
+        let back: evo_core::record::Checkpoint = spool.read_checkpoint("j1").unwrap();
+        assert_eq!(back, cp);
         let _ = std::fs::remove_dir_all(spool.root());
     }
 

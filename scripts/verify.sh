@@ -47,8 +47,11 @@ fi
 echo "== static: clippy, warnings are errors =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: tests =="
-cargo test -q
+echo "== tier-1: tests (root integration suites + every crate's unit tests) =="
+# --workspace: the root package alone never runs the crates' own unit
+# tests — cluster's per-family dist oracles and svc's lifecycle tests among
+# them.
+cargo test -q --workspace
 
 echo "== determinism: thread-count matrix (1/2/8 rayon workers) =="
 # tests/determinism.rs already replays each run at RAYON_NUM_THREADS
@@ -229,6 +232,17 @@ grep -q "faulty-dist: completed" "$SV_DIR/out1" \
 grep -q "retried 1" "$SV_DIR/err1" \
     || { echo "verify: FAIL — retry counter does not show the auto-resume" >&2; exit 1; }
 echo "serve smoke: 5/5 receipts, one auto-retry, spatial backends agree, resubmission bit-identical"
+
+echo "== benchmark surface: ledger builds and passes its smoke run =="
+# ledger/ (BENCHMARK.json) is a package of its own with path deps into
+# crates/: it pins the engine surface in ledger-trace/layers.rs and parses
+# four CLI output lines, so drift against either fails here, not at
+# benchmark time.
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin ledger -- run --smoke \
+    > target/verify-ledger-smoke.txt \
+    || { echo "verify: FAIL — ledger smoke run failed" >&2; tail -n 30 target/verify-ledger-smoke.txt >&2; exit 1; }
+tail -n 1 target/verify-ledger-smoke.txt
 
 if [ "${VERIFY_BENCH:-0}" = "1" ]; then
     echo "== perf: committed baseline regression gate (opt-in) =="

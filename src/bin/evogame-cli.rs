@@ -43,16 +43,18 @@
 use evogame::analysis::heatmap::{render_ascii, HeatmapOptions};
 use evogame::analysis::timeseries::Trajectory;
 use evogame::cluster::dist::fixation::{run_fixation_distributed, FixationDistConfig};
-use evogame::cluster::dist::{run_distributed, DistConfig, DistError};
-use evogame::cluster::faults::RankKill;
+use evogame::cluster::dist::{run_distributed, Degraded, DistConfig, DistError};
+use evogame::cluster::faults::{FaultPlan, RankKill};
 use evogame::engine::params::UpdateRule;
-use evogame::engine::record::{state_digest, Checkpoint};
+use evogame::engine::record::{state_digest, Checkpoint, GenerationRecord, RecordWriter};
+use evogame::obs::{CounterSnapshot, RunManifest};
 use evogame::svc::{JobRequest, JobStatus, Server, ServerConfig, Spool};
 use evogame::ipd::classic;
 use evogame::ipd::tournament::{Entrant, RoundRobin};
 use evogame::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::Serialize as _;
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--key` switches.
@@ -77,88 +79,313 @@ impl Args {
             .map(String::as_str)
     }
 
+    fn optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value {v:?} for {name}"))
+            })
+            .transpose()
+    }
+
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value {v:?} for {name}")),
-        }
+        Ok(self.optional(name)?.unwrap_or(default))
     }
 }
 
-fn build_params(args: &Args) -> Result<Params, String> {
+/// Engine parameters from the flags `run`/`distributed` and `fixate`
+/// share. The arguments are the defaults the subcommands differ in;
+/// mutation is the caller's (`fixate` forces it off).
+fn engine_params(
+    args: &Args,
+    ssets: usize,
+    generations: u64,
+    pc_rate: f64,
+    rule: &str,
+) -> Result<Params, String> {
     let mut p = Params {
         mem_steps: args.parse("--mem", 1usize)?,
-        num_ssets: args.parse("--ssets", 64usize)?,
-        generations: args.parse("--generations", 1_000u64)?,
+        num_ssets: args.parse("--ssets", ssets)?,
+        generations: args.parse("--generations", generations)?,
         seed: args.parse("--seed", 0u64)?,
-        pc_rate: args.parse("--pc-rate", 0.10f64)?,
-        mutation_rate: args.parse("--mu", 0.05f64)?,
+        pc_rate: args.parse("--pc-rate", pc_rate)?,
+        mutation_rate: 0.0,
         beta: args.parse("--beta", 1.0f64)?,
         ..Params::default()
     };
     p.game.rounds = args.parse("--rounds", 200u32)?;
     p.game.noise = args.parse("--noise", 0.0f64)?;
-    if args.flag("--mixed") {
-        p.kind = StrategyKind::Mixed;
-    }
-    p.rule = match args.value("--rule").unwrap_or("pc") {
+    p.rule = match args.value("--rule").unwrap_or(rule) {
         "pc" => UpdateRule::PairwiseComparison,
         "moran" => UpdateRule::Moran,
         "best" => UpdateRule::ImitateBest,
         other => return Err(format!("unknown rule {other:?} (pc|moran|best)")),
     };
+    Ok(p)
+}
+
+fn build_params(args: &Args) -> Result<Params, String> {
+    let mut p = engine_params(args, 64, 1_000, 0.10, "pc")?;
+    p.mutation_rate = args.parse("--mu", 0.05f64)?;
+    if args.flag("--mixed") {
+        p.kind = StrategyKind::Mixed;
+    }
     p.validate().map_err(|e| e.to_string())?;
     Ok(p)
 }
 
-/// Write `manifest` as pretty JSON to `path`.
-fn write_manifest(path: &str, manifest: &evogame::obs::RunManifest) -> Result<(), String> {
-    std::fs::write(path, manifest.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!("wrote run manifest to {path}");
-    Ok(())
+/// What a manifest is filed under: the run's parameters and seed.
+struct RunId {
+    params: serde::Value,
+    seed: u64,
 }
 
-/// Write a restartable checkpoint as JSON to `path`.
-fn write_checkpoint(path: &str, cp: &Checkpoint) -> Result<(), String> {
-    let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-    evogame::obs::counters().add_checkpoint_written();
-    eprintln!("wrote checkpoint (generation {}) to {path}", cp.generation);
-    Ok(())
+/// `--manifest-out FILE.json`, parsed once for every engine subcommand.
+struct ManifestOut {
+    path: Option<String>,
+    /// Counters when the command started; manifests report the delta.
+    baseline: CounterSnapshot,
 }
 
-/// Read a checkpoint previously written by [`write_checkpoint`].
-fn read_checkpoint(path: &str) -> Result<Checkpoint, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: not a checkpoint: {e}"))
+impl ManifestOut {
+    fn parse(args: &Args) -> Self {
+        let path = args.value("--manifest-out").map(str::to_string);
+        if path.is_some() {
+            // Timing layer on: spans and per-generation wall times. Counters
+            // are always on; this cannot change the trajectory.
+            evogame::obs::set_enabled(true);
+        }
+        ManifestOut {
+            path,
+            baseline: evogame::obs::counters().snapshot(),
+        }
+    }
+
+    /// Write the manifest `build` makes as pretty JSON, if one was asked for.
+    fn write(&self, build: impl FnOnce(&CounterSnapshot) -> RunManifest) -> Result<(), String> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        std::fs::write(path, build(&self.baseline).to_json()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote run manifest to {path}");
+        Ok(())
+    }
+
+    /// [`ManifestOut::write`] a manifest captured now: `units` generations
+    /// (or replicates) on `threads` threads (or ranks).
+    fn capture(
+        &self,
+        run: &RunId,
+        threads: usize,
+        units: u64,
+        elapsed: f64,
+        timings: &[u64],
+    ) -> Result<(), String> {
+        self.write(|baseline| {
+            RunManifest::capture(run.params.clone(), run.seed, threads, units, elapsed, baseline, timings)
+        })
+    }
+}
+
+/// What the checkpoint plumbing needs from a family's snapshot type.
+trait Restartable: serde::Serialize + serde::Deserialize {
+    /// How messages name this kind of checkpoint.
+    const KIND: &'static str;
+    /// The subcommand that resumes it.
+    const COMMAND: &'static str;
+    /// What a degraded-run message calls the run…
+    const RUN: &'static str;
+    /// …and its progress unit.
+    const UNIT: &'static str;
+    /// Progress as the "wrote checkpoint (…)" line reports it.
+    fn progress(&self) -> String;
+}
+
+impl Restartable for Checkpoint {
+    const KIND: &'static str = "checkpoint";
+    const COMMAND: &'static str = "distributed";
+    const RUN: &'static str = "run";
+    const UNIT: &'static str = "generations";
+    fn progress(&self) -> String {
+        format!("generation {}", self.generation)
+    }
+}
+
+impl Restartable for SpatialCheckpoint {
+    const KIND: &'static str = "spatial checkpoint";
+    const COMMAND: &'static str = "spatial";
+    const RUN: &'static str = "spatial run";
+    const UNIT: &'static str = "generations";
+    fn progress(&self) -> String {
+        format!("generation {}", self.generation)
+    }
+}
+
+impl Restartable for FixationCheckpoint {
+    const KIND: &'static str = "fixation checkpoint";
+    const COMMAND: &'static str = "fixate";
+    const RUN: &'static str = "fixation batch";
+    const UNIT: &'static str = "replicates";
+    fn progress(&self) -> String {
+        format!("{}/{} replicates", self.completed.len(), self.spec.replicates)
+    }
+}
+
+/// `--checkpoint-out FILE` / `--checkpoint-every N` / `--resume FILE`
+/// (docs/FAULT_TOLERANCE.md), parsed once for every engine subcommand.
+struct CheckpointFlags {
+    out: Option<String>,
+    every: Option<u64>,
+    resume: Option<String>,
+}
+
+impl CheckpointFlags {
+    fn parse(args: &Args) -> Result<Self, String> {
+        let flags = CheckpointFlags {
+            out: args.value("--checkpoint-out").map(str::to_string),
+            every: args.optional("--checkpoint-every")?,
+            resume: args.value("--resume").map(str::to_string),
+        };
+        // An interval with nowhere to write is a usage error, not a silent
+        // no-op (tests/cli.rs pins the subcommands to the identical message).
+        if flags.every.is_some() && flags.out.is_none() {
+            return Err("--checkpoint-every needs --checkpoint-out FILE".into());
+        }
+        Ok(flags)
+    }
+
+    /// Read the `--resume` checkpoint, if one was given. A resumed run is
+    /// driven by the checkpoint's own parameters (they carry the seed and
+    /// the target); parameter flags are ignored. Streams are keyed by
+    /// generation or replicate, so the continuation is bit-identical to
+    /// never having stopped.
+    fn resume<C: Restartable>(&self) -> Result<Option<C>, String> {
+        let Some(path) = &self.resume else {
+            return Ok(None);
+        };
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let cp = serde_json::from_str(&text).map_err(|e| format!("{path}: not a {}: {e}", C::KIND))?;
+        Ok(Some(cp))
+    }
+
+    /// Write a restartable checkpoint as JSON to `--checkpoint-out`, if set.
+    fn write<C: Restartable>(&self, cp: &C) -> Result<(), String> {
+        let Some(path) = &self.out else {
+            return Ok(());
+        };
+        let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+        evogame::obs::counters().add_checkpoint_written();
+        eprintln!("wrote checkpoint ({}) to {path}", cp.progress());
+        Ok(())
+    }
+
+    /// The shared-memory loops' `--checkpoint-every` write: snapshot when
+    /// `done` units completes an interval.
+    fn periodic<C: Restartable>(&self, done: u64, snapshot: impl FnOnce() -> C) -> Result<(), String> {
+        match self.every {
+            Some(n) if n > 0 && done.is_multiple_of(n) => self.write(&snapshot()),
+            _ => Ok(()),
+        }
+    }
+
+    /// The interval a generation-synchronous distributed run checkpoints
+    /// at. `--checkpoint-out` alone still wants the final state: the full
+    /// run length is an interval that fires exactly once, at the end.
+    fn dist_interval(&self, generations: u64) -> Option<u64> {
+        self.every.or(self.out.as_ref().map(|_| generations))
+    }
+}
+
+/// Deterministic fault injection (docs/FAULT_TOLERANCE.md; meaningful with
+/// `--ranks` only) and the cost-only `--no-payoff-cache` opt-out, parsed
+/// once for every engine subcommand.
+fn fault_flags(args: &Args) -> Result<(FaultPlan, bool), String> {
+    let mut faults = FaultPlan::default();
+    if let Some(rank) = args.optional("--kill-rank")? {
+        let generation = args.parse("--kill-at", 0u64)?;
+        faults.kills.push(RankKill { rank, generation });
+    }
+    faults.recv_timeout_ms = args.optional("--recv-timeout-ms")?;
+    Ok((faults, args.flag("--no-payoff-cache")))
+}
+
+/// `--records FILE.jsonl`: stream every record to a JSONL file (the Nature
+/// Agent's file-I/O role).
+struct Records(Option<(String, RecordWriter<std::fs::File>)>);
+
+impl Records {
+    fn open(args: &Args) -> Result<Self, String> {
+        let Some(path) = args.value("--records") else {
+            return Ok(Records(None));
+        };
+        let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+        Ok(Records(Some((path.to_string(), RecordWriter::new(file)))))
+    }
+
+    fn write(&mut self, rec: &GenerationRecord) -> Result<(), String> {
+        match &mut self.0 {
+            Some((_, w)) => w
+                .write_generation(rec)
+                .map_err(|e| format!("writing records: {e}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Flush and report; `unit` is what one record describes.
+    fn finish(&mut self, unit: &str) -> Result<(), String> {
+        if let Some((path, w)) = self.0.take() {
+            let lines = w.lines();
+            w.finish().map_err(|e| format!("flushing records: {e}"))?;
+            eprintln!("wrote {lines} {unit} records to {path}");
+        }
+        Ok(())
+    }
+}
+
+/// How `distributed`, `spatial --ranks` and `fixate --ranks` end a run that
+/// degraded cleanly: say what happened, save the restart checkpoint, still
+/// report the telemetry, and exit 3.
+fn degraded_exit<C: Restartable>(
+    d: &Degraded<C>,
+    checkpoints: &CheckpointFlags,
+    manifest: &ManifestOut,
+    run: &RunId,
+    ranks: usize,
+    elapsed: f64,
+) -> Result<ExitCode, String> {
+    eprintln!(
+        "{} degraded after {} {} (dead ranks {:?}): {}",
+        C::RUN,
+        d.completed,
+        C::UNIT,
+        d.dead_ranks,
+        d.reason
+    );
+    match (&checkpoints.out, &d.checkpoint) {
+        (Some(path), Some(cp)) => {
+            checkpoints.write(cp)?;
+            eprintln!("restart with: evogame-cli {} --resume {path}", C::COMMAND);
+        }
+        (None, Some(_)) => {
+            eprintln!("hint: add --checkpoint-out FILE to save the restart checkpoint");
+        }
+        _ => {}
+    }
+    // A degraded run still reports its telemetry — the fault counters are
+    // exactly what an operator wants from it.
+    manifest.capture(run, ranks, d.completed, elapsed, &[])?;
+    // Exit code 3 distinguishes a clean degraded run (typed, restartable)
+    // from usage or parameter errors (1).
+    Ok(ExitCode::from(3))
 }
 
 fn cmd_run(args: &Args) -> Result<ExitCode, String> {
-    let manifest_out = args.value("--manifest-out").map(str::to_string);
-    if manifest_out.is_some() {
-        // Timing layer on: spans and per-generation wall times. Counters
-        // are always on; this cannot change the trajectory.
-        evogame::obs::set_enabled(true);
-    }
-    let checkpoint_out = args.value("--checkpoint-out").map(str::to_string);
-    let checkpoint_every: Option<u64> = match args.value("--checkpoint-every") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value {v:?} for --checkpoint-every"))?,
-        ),
-        None => None,
-    };
-    if checkpoint_every.is_some() && checkpoint_out.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-out FILE".into());
-    }
-    let mut pop = match args.value("--resume") {
-        // A resumed run is driven by the checkpoint's own params (they
-        // carry the seed and generation target); parameter flags are
-        // ignored. Streams are generation-keyed, so the continuation is
-        // bit-identical to never having stopped.
-        Some(path) => Population::restore(read_checkpoint(path)?).map_err(|e| e.to_string())?,
+    let manifest = ManifestOut::parse(args);
+    let checkpoints = CheckpointFlags::parse(args)?;
+    let (_, no_payoff_cache) = fault_flags(args)?;
+    let mut pop = match checkpoints.resume()? {
+        Some(cp) => Population::restore(cp).map_err(|e| e.to_string())?,
         None => Population::new(build_params(args)?).map_err(|e| e.to_string())?,
     };
     if args.flag("--on-demand") {
@@ -172,7 +399,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     if args.flag("--dedup") {
         pop.dedup = true;
     }
-    if args.flag("--no-payoff-cache") {
+    if no_payoff_cache {
         pop.use_payoff_cache = false;
     }
     if args.flag("--expected-fitness") {
@@ -186,41 +413,18 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         Some((t, tol)) => Trajectory::with_target(t.clone(), *tol),
         None => Trajectory::new(),
     };
-    // Stream every generation record to a JSONL file (the Nature Agent's
-    // file-I/O role) while sampling the trajectory.
-    let mut writer = match args.value("--records") {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some((
-                path.to_string(),
-                evogame::engine::record::RecordWriter::new(file),
-            ))
-        }
-        None => None,
-    };
+    let mut records = Records::open(args)?;
     let t0 = std::time::Instant::now();
     traj.observe(&pop);
     for g in start..total {
-        let rec = pop.step();
-        if let Some((_, w)) = &mut writer {
-            w.write_generation(&rec)
-                .map_err(|e| format!("writing records: {e}"))?;
-        }
+        records.write(&pop.step())?;
         if (g + 1 - start) % every == 0 || g + 1 == total {
             traj.observe(&pop);
         }
-        if let (Some(n), Some(path)) = (checkpoint_every, checkpoint_out.as_deref()) {
-            if n > 0 && (g + 1) % n == 0 {
-                write_checkpoint(path, &pop.checkpoint())?;
-            }
-        }
+        checkpoints.periodic(g + 1, || pop.checkpoint())?;
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    if let Some((path, w)) = writer {
-        let lines = w.lines();
-        w.finish().map_err(|e| format!("flushing records: {e}"))?;
-        eprintln!("wrote {lines} generation records to {path}");
-    }
+    records.finish("generation")?;
 
     print!("{}", traj.to_csv());
     let stats = pop.stats();
@@ -237,14 +441,12 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         eprintln!("\nfinal population (clustered):");
         eprint!("{}", render_ascii(&pop.snapshot(), &HeatmapOptions::default()));
     }
-    if let Some(path) = checkpoint_out.as_deref() {
+    if checkpoints.out.is_some() {
         // Always leave the final state on disk, whatever interval (if any)
         // the periodic writes used.
-        write_checkpoint(path, &pop.checkpoint())?;
+        checkpoints.write(&pop.checkpoint())?;
     }
-    if let Some(path) = manifest_out {
-        write_manifest(&path, &pop.manifest(elapsed))?;
-    }
+    manifest.write(|_| pop.manifest(elapsed))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -324,66 +526,28 @@ fn cmd_distributed(args: &Args) -> Result<ExitCode, String> {
     if ranks < 2 {
         return Err("--ranks must be ≥ 2 (Nature Agent + compute)".into());
     }
-    let manifest_out = args.value("--manifest-out").map(str::to_string);
-    if manifest_out.is_some() {
-        evogame::obs::set_enabled(true);
-    }
-    let checkpoint_out = args.value("--checkpoint-out").map(str::to_string);
-    // Same validation as `run`: an interval with nowhere to write is a
-    // usage error, not a silent no-op (tests/cli.rs pins both subcommands
-    // to the identical message).
-    if args.value("--checkpoint-every").is_some() && checkpoint_out.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-out FILE".into());
-    }
+    let manifest = ManifestOut::parse(args);
+    let checkpoints = CheckpointFlags::parse(args)?;
     let policy = if args.flag("--every-generation") {
         FitnessPolicy::EveryGeneration
     } else {
         FitnessPolicy::OnDemand
     };
-    let mut cfg = match args.value("--resume") {
-        Some(path) => {
-            // The checkpoint's params drive the resumed run; parameter
-            // flags are ignored (same contract as `run --resume`).
-            let cp = read_checkpoint(path)?;
+    let mut cfg = match checkpoints.resume::<Checkpoint>()? {
+        Some(cp) => {
             let mut c = DistConfig::new(cp.params.clone(), ranks, policy);
             c.resume = Some(cp);
             c
         }
         None => DistConfig::new(build_params(args)?, ranks, policy),
     };
-    cfg.checkpoint_every = match args.value("--checkpoint-every") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value {v:?} for --checkpoint-every"))?,
-        ),
-        // `--checkpoint-out` alone still wants the final state: the full
-        // run length is an interval that fires exactly once, at the end.
-        None => checkpoint_out.as_ref().map(|_| cfg.params.generations),
-    };
+    let generations = cfg.params.generations;
+    cfg.checkpoint_every = checkpoints.dist_interval(generations);
+    (cfg.faults, cfg.disable_payoff_cache) = fault_flags(args)?;
 
-    // Deterministic fault injection (docs/FAULT_TOLERANCE.md).
-    if let Some(r) = args.value("--kill-rank") {
-        let rank: usize = r
-            .parse()
-            .map_err(|_| format!("invalid value {r:?} for --kill-rank"))?;
-        let generation = args.parse("--kill-at", 0u64)?;
-        cfg.faults.kills.push(RankKill { rank, generation });
-    }
-    if let Some(ms) = args.value("--recv-timeout-ms") {
-        cfg.faults.recv_timeout_ms = Some(
-            ms.parse()
-                .map_err(|_| format!("invalid value {ms:?} for --recv-timeout-ms"))?,
-        );
-    }
-    if args.flag("--no-payoff-cache") {
-        cfg.disable_payoff_cache = true;
-    }
-
-    let baseline = evogame::obs::counters().snapshot();
-    let (seed, generations) = (cfg.params.seed, cfg.params.generations);
-    let params_value = {
-        use serde::Serialize;
-        cfg.params.to_value()
+    let run = RunId {
+        params: cfg.params.to_value(),
+        seed: cfg.params.seed,
     };
     let t0 = std::time::Instant::now();
     match run_distributed(&cfg) {
@@ -405,55 +569,15 @@ fn cmd_distributed(args: &Args) -> Result<ExitCode, String> {
                 "state digest: {:016x}",
                 state_digest(&out.assignments, &out.features)
             );
-            if let (Some(path), Some(cp)) = (checkpoint_out.as_deref(), &out.checkpoint) {
-                write_checkpoint(path, cp)?;
+            if let Some(cp) = &out.checkpoint {
+                checkpoints.write(cp)?;
             }
-            if let Some(path) = manifest_out {
-                let manifest = evogame::obs::RunManifest::capture(
-                    params_value,
-                    seed,
-                    ranks,
-                    generations,
-                    t0.elapsed().as_secs_f64(),
-                    &baseline,
-                    &out.generation_ns,
-                );
-                write_manifest(&path, &manifest)?;
-            }
+            let elapsed = t0.elapsed().as_secs_f64();
+            manifest.capture(&run, ranks, generations, elapsed, &out.generation_ns)?;
             Ok(ExitCode::SUCCESS)
         }
         Err(DistError::Degraded(d)) => {
-            eprintln!(
-                "run degraded after {} generations (dead ranks {:?}): {}",
-                d.completed_generations, d.dead_ranks, d.reason
-            );
-            match (checkpoint_out.as_deref(), &d.checkpoint) {
-                (Some(path), Some(cp)) => {
-                    write_checkpoint(path, cp)?;
-                    eprintln!("restart with: evogame-cli distributed --resume {path}");
-                }
-                (None, Some(_)) => {
-                    eprintln!("hint: add --checkpoint-out FILE to save the restart checkpoint");
-                }
-                _ => {}
-            }
-            // A degraded run still reports its telemetry — the fault
-            // counters are exactly what an operator wants from it.
-            if let Some(path) = manifest_out {
-                let manifest = evogame::obs::RunManifest::capture(
-                    params_value,
-                    seed,
-                    ranks,
-                    d.completed_generations,
-                    t0.elapsed().as_secs_f64(),
-                    &baseline,
-                    &[],
-                );
-                write_manifest(&path, &manifest)?;
-            }
-            // Exit code 3 distinguishes a clean degraded run (typed,
-            // restartable) from usage or parameter errors (1).
-            Ok(ExitCode::from(3))
+            degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
         }
         Err(e) => Err(e.to_string()),
     }
@@ -509,47 +633,15 @@ fn parse_init(args: &Args) -> Result<InitPattern, String> {
     }
 }
 
-/// Write a restartable spatial checkpoint as JSON to `path`.
-fn write_spatial_checkpoint(path: &str, cp: &SpatialCheckpoint) -> Result<(), String> {
-    let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-    evogame::obs::counters().add_checkpoint_written();
-    eprintln!("wrote checkpoint (generation {}) to {path}", cp.generation);
-    Ok(())
-}
-
-/// Read a checkpoint previously written by [`write_spatial_checkpoint`].
-fn read_spatial_checkpoint(path: &str) -> Result<SpatialCheckpoint, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: not a spatial checkpoint: {e}"))
-}
-
 /// `spatial`: games on a lattice (docs/GRAPH.md). Without `--ranks` the
 /// shared-memory [`SpatialPopulation`] runs; with `--ranks N` the same
 /// trajectory runs rank-sharded over contiguous row partitions — bit for
 /// bit the same records, grid, and state digest.
 fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
-    let manifest_out = args.value("--manifest-out").map(str::to_string);
-    if manifest_out.is_some() {
-        evogame::obs::set_enabled(true);
-    }
-    let checkpoint_out = args.value("--checkpoint-out").map(str::to_string);
-    if args.value("--checkpoint-every").is_some() && checkpoint_out.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-out FILE".into());
-    }
-    let checkpoint_every: Option<u64> = match args.value("--checkpoint-every") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value {v:?} for --checkpoint-every"))?,
-        ),
-        None => None,
-    };
-    let resume: Option<SpatialCheckpoint> = match args.value("--resume") {
-        Some(path) => Some(read_spatial_checkpoint(path)?),
-        None => None,
-    };
-    // The checkpoint's params drive a resumed run (same contract as the
-    // other subcommands); parameter flags are ignored.
+    let manifest = ManifestOut::parse(args);
+    let checkpoints = CheckpointFlags::parse(args)?;
+    let (faults, no_payoff_cache) = fault_flags(args)?;
+    let resume: Option<SpatialCheckpoint> = checkpoints.resume()?;
     let (params, init) = match &resume {
         Some(cp) => (cp.params.clone(), InitPattern::SingleDefector),
         None => {
@@ -559,65 +651,26 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
             (p, init)
         }
     };
-    let baseline = evogame::obs::counters().snapshot();
-    let params_value = {
-        use serde::Serialize;
-        params.to_value()
+    let run = RunId {
+        params: params.to_value(),
+        seed: params.seed,
     };
-    let (seed, generations) = (params.seed, params.generations);
-    let mut writer = match args.value("--records") {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some((
-                path.to_string(),
-                evogame::engine::record::RecordWriter::new(file),
-            ))
-        }
-        None => None,
-    };
+    let generations = params.generations;
+    let mut records = Records::open(args)?;
     let t0 = std::time::Instant::now();
 
-    if let Some(ranks) = args.value("--ranks") {
+    if let Some(ranks) = args.optional::<usize>("--ranks")? {
         // Distributed: rank 0 coordinates, ranks 1.. own row blocks.
-        let ranks: usize = ranks
-            .parse()
-            .map_err(|_| format!("invalid value {ranks:?} for --ranks"))?;
         let mut cfg = SpatialDistConfig::new(params, init, ranks);
         cfg.resume = resume;
-        cfg.checkpoint_every = match checkpoint_every {
-            Some(n) => Some(n),
-            // `--checkpoint-out` alone still wants the final state.
-            None => checkpoint_out.as_ref().map(|_| generations),
-        };
-        if let Some(r) = args.value("--kill-rank") {
-            let rank: usize = r
-                .parse()
-                .map_err(|_| format!("invalid value {r:?} for --kill-rank"))?;
-            let generation = args.parse("--kill-at", 0u64)?;
-            cfg.faults.kills.push(RankKill { rank, generation });
-        }
-        if let Some(ms) = args.value("--recv-timeout-ms") {
-            cfg.faults.recv_timeout_ms = Some(
-                ms.parse()
-                    .map_err(|_| format!("invalid value {ms:?} for --recv-timeout-ms"))?,
-            );
-        }
-        if args.flag("--no-payoff-cache") {
-            cfg.disable_payoff_cache = true;
-        }
+        cfg.checkpoint_every = checkpoints.dist_interval(generations);
+        (cfg.faults, cfg.disable_payoff_cache) = (faults, no_payoff_cache);
         return match run_spatial_distributed(&cfg) {
             Ok(out) => {
-                if let Some((_, w)) = &mut writer {
-                    for rec in &out.records {
-                        w.write_generation(rec)
-                            .map_err(|e| format!("writing records: {e}"))?;
-                    }
+                for rec in &out.records {
+                    records.write(rec)?;
                 }
-                if let Some((path, w)) = writer {
-                    let lines = w.lines();
-                    w.finish().map_err(|e| format!("flushing records: {e}"))?;
-                    eprintln!("wrote {lines} generation records to {path}");
-                }
+                records.finish("generation")?;
                 let cells = out.grid.len();
                 let coop = out
                     .features
@@ -637,41 +690,14 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
                     "state digest: {:016x}",
                     state_digest(&out.grid, &out.features)
                 );
-                if let (Some(path), Some(cp)) = (checkpoint_out.as_deref(), &out.checkpoint) {
-                    write_spatial_checkpoint(path, cp)?;
+                if let Some(cp) = &out.checkpoint {
+                    checkpoints.write(cp)?;
                 }
-                if let Some(path) = manifest_out {
-                    let manifest = evogame::obs::RunManifest::capture(
-                        params_value,
-                        seed,
-                        ranks,
-                        generations,
-                        t0.elapsed().as_secs_f64(),
-                        &baseline,
-                        &[],
-                    );
-                    write_manifest(&path, &manifest)?;
-                }
+                manifest.capture(&run, ranks, generations, t0.elapsed().as_secs_f64(), &[])?;
                 Ok(ExitCode::SUCCESS)
             }
-            Err(DistError::SpatialDegraded(d)) => {
-                eprintln!(
-                    "spatial run degraded after {} generations (dead ranks {:?}): {}",
-                    d.completed_generations, d.dead_ranks, d.reason
-                );
-                match (checkpoint_out.as_deref(), &d.checkpoint) {
-                    (Some(path), Some(cp)) => {
-                        write_spatial_checkpoint(path, cp)?;
-                        eprintln!("restart with: evogame-cli spatial --resume {path}");
-                    }
-                    (None, Some(_)) => {
-                        eprintln!(
-                            "hint: add --checkpoint-out FILE to save the restart checkpoint"
-                        );
-                    }
-                    _ => {}
-                }
-                Ok(ExitCode::from(3))
+            Err(DistError::Degraded(d)) => {
+                degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
             }
             Err(e) => Err(e.to_string()),
         };
@@ -682,7 +708,7 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
         Some(cp) => SpatialPopulation::restore(cp)?,
         None => SpatialPopulation::new(params, init),
     };
-    if args.flag("--no-payoff-cache") {
+    if no_payoff_cache {
         pop.use_payoff_cache = false;
     }
     let start = pop.generation();
@@ -698,25 +724,14 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
     };
     for g in start..generations {
         let rec = pop.step();
-        if let Some((_, w)) = &mut writer {
-            w.write_generation(&rec)
-                .map_err(|e| format!("writing records: {e}"))?;
-        }
+        records.write(&rec)?;
         if (g + 1 - start) % every == 0 || g + 1 == generations {
             emit(&pop, rec.mean_fitness.unwrap_or(f64::NAN));
         }
-        if let (Some(n), Some(path)) = (checkpoint_every, checkpoint_out.as_deref()) {
-            if n > 0 && (g + 1) % n == 0 {
-                write_spatial_checkpoint(path, &pop.checkpoint())?;
-            }
-        }
+        checkpoints.periodic(g + 1, || pop.checkpoint())?;
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    if let Some((path, w)) = writer {
-        let lines = w.lines();
-        w.finish().map_err(|e| format!("flushing records: {e}"))?;
-        eprintln!("wrote {lines} generation records to {path}");
-    }
+    records.finish("generation")?;
     let stats = pop.stats();
     eprintln!(
         "\n{} generations in {elapsed:.2}s | adoptions {} | games {}",
@@ -731,21 +746,10 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
         eprintln!("\nfinal grid (C = cooperate, D = defect):");
         eprint!("{}", pop.render());
     }
-    if let Some(path) = checkpoint_out.as_deref() {
-        write_spatial_checkpoint(path, &pop.checkpoint())?;
+    if checkpoints.out.is_some() {
+        checkpoints.write(&pop.checkpoint())?;
     }
-    if let Some(path) = manifest_out {
-        let manifest = evogame::obs::RunManifest::capture(
-            params_value,
-            seed,
-            1,
-            generations,
-            elapsed,
-            &baseline,
-            &[],
-        );
-        write_manifest(&path, &manifest)?;
-    }
+    manifest.capture(&run, 1, generations, elapsed, &[])?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -760,24 +764,7 @@ fn build_fixation_spec(args: &Args) -> Result<FixationSpec, String> {
                 .into(),
         );
     }
-    let mut params = Params {
-        mem_steps: args.parse("--mem", 1usize)?,
-        num_ssets: args.parse("--ssets", 16usize)?,
-        generations: args.parse("--generations", 10_000u64)?,
-        seed: args.parse("--seed", 0u64)?,
-        pc_rate: args.parse("--pc-rate", 1.0f64)?,
-        mutation_rate: 0.0,
-        beta: args.parse("--beta", 1.0f64)?,
-        ..Params::default()
-    };
-    params.game.rounds = args.parse("--rounds", 200u32)?;
-    params.game.noise = args.parse("--noise", 0.0f64)?;
-    params.rule = match args.value("--rule").unwrap_or("moran") {
-        "pc" => UpdateRule::PairwiseComparison,
-        "moran" => UpdateRule::Moran,
-        "best" => UpdateRule::ImitateBest,
-        other => return Err(format!("unknown rule {other:?} (pc|moran|best)")),
-    };
+    let params = engine_params(args, 16, 10_000, 1.0, "moran")?;
     let space = params.validate().map_err(|e| e.to_string())?;
     let resident = roster_strategy(&space, args.value("--resident").unwrap_or("ALLC"))?;
     let mutant = roster_strategy(&space, args.value("--mutant").unwrap_or("ALLD"))?;
@@ -806,25 +793,6 @@ fn roster_strategy(space: &StateSpace, name: &str) -> Result<Strategy, String> {
                 names.join("|")
             )
         })
-}
-
-/// Write a restartable fixation checkpoint as JSON to `path`.
-fn write_fixation_checkpoint(path: &str, cp: &FixationCheckpoint) -> Result<(), String> {
-    let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-    evogame::obs::counters().add_checkpoint_written();
-    eprintln!(
-        "wrote checkpoint ({}/{} replicates) to {path}",
-        cp.completed.len(),
-        cp.spec.replicates
-    );
-    Ok(())
-}
-
-/// Read a checkpoint previously written by [`write_fixation_checkpoint`].
-fn read_fixation_checkpoint(path: &str) -> Result<FixationCheckpoint, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: not a fixation checkpoint: {e}"))
 }
 
 /// `fixate --matrix`: the round-robin tournament over every pure
@@ -870,27 +838,10 @@ fn cmd_fixate_matrix(spec: FixationSpec) -> Result<ExitCode, String> {
 /// runs, with `--ranks N` the same replicates run sharded across compute
 /// ranks — bit for bit the same counts, records, and state digest.
 fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
-    let manifest_out = args.value("--manifest-out").map(str::to_string);
-    if manifest_out.is_some() {
-        evogame::obs::set_enabled(true);
-    }
-    let checkpoint_out = args.value("--checkpoint-out").map(str::to_string);
-    if args.value("--checkpoint-every").is_some() && checkpoint_out.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-out FILE".into());
-    }
-    let checkpoint_every: Option<u32> = match args.value("--checkpoint-every") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value {v:?} for --checkpoint-every"))?,
-        ),
-        None => None,
-    };
-    let resume: Option<FixationCheckpoint> = match args.value("--resume") {
-        Some(path) => Some(read_fixation_checkpoint(path)?),
-        None => None,
-    };
-    // The checkpoint's spec drives a resumed run (same contract as the
-    // other subcommands); parameter flags are ignored.
+    let manifest = ManifestOut::parse(args);
+    let checkpoints = CheckpointFlags::parse(args)?;
+    let (faults, no_payoff_cache) = fault_flags(args)?;
+    let resume: Option<FixationCheckpoint> = checkpoints.resume()?;
     let spec = match &resume {
         Some(cp) => cp.spec.clone(),
         None => build_fixation_spec(args)?,
@@ -898,25 +849,19 @@ fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
     if args.flag("--matrix") {
         return cmd_fixate_matrix(spec);
     }
-    let baseline = evogame::obs::counters().snapshot();
-    let params_value = {
-        use serde::Serialize;
-        spec.params.to_value()
+    let run = RunId {
+        params: spec.params.to_value(),
+        seed: spec.params.seed,
     };
-    let (seed, replicates) = (spec.params.seed, spec.replicates);
-    let mut writer = match args.value("--records") {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some((
-                path.to_string(),
-                evogame::engine::record::RecordWriter::new(file),
-            ))
-        }
-        None => None,
-    };
+    let replicates = u64::from(spec.replicates);
+    let mut records = Records::open(args)?;
     let t0 = std::time::Instant::now();
 
-    let summarize = |out: &FixationOutcome, backend: &str, elapsed: f64| {
+    let mut report = |out: &FixationOutcome, backend: &str, elapsed: f64| -> Result<(), String> {
+        for rec in out.records() {
+            records.write(&rec)?;
+        }
+        records.finish("replicate")?;
         println!(
             "fixation batch ({backend}): {} replicates in {elapsed:.2}s",
             out.results.len()
@@ -931,96 +876,33 @@ fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
             out.mean_absorption_time()
         );
         eprintln!("state digest: {:016x}", out.digest());
-    };
-    let write_records = |writer: &mut Option<(
-        String,
-        evogame::engine::record::RecordWriter<std::fs::File>,
-    )>,
-                         out: &FixationOutcome|
-     -> Result<(), String> {
-        if let Some((_, w)) = writer {
-            for rec in out.records() {
-                w.write_generation(&rec)
-                    .map_err(|e| format!("writing records: {e}"))?;
-            }
-        }
-        if let Some((path, w)) = writer.take() {
-            let lines = w.lines();
-            w.finish().map_err(|e| format!("flushing records: {e}"))?;
-            eprintln!("wrote {lines} replicate records to {path}");
-        }
         Ok(())
     };
 
-    if let Some(ranks) = args.value("--ranks") {
+    if let Some(ranks) = args.optional::<usize>("--ranks")? {
         // Distributed: rank 0 coordinates, ranks 1.. own replicate blocks.
-        let ranks: usize = ranks
-            .parse()
-            .map_err(|_| format!("invalid value {ranks:?} for --ranks"))?;
         let mut cfg = FixationDistConfig::new(spec.clone(), ranks);
         cfg.resume = resume;
-        cfg.checkpoint_every = checkpoint_every;
-        if let Some(r) = args.value("--kill-rank") {
-            let rank: usize = r
-                .parse()
-                .map_err(|_| format!("invalid value {r:?} for --kill-rank"))?;
-            let generation = args.parse("--kill-at", 0u64)?;
-            cfg.faults.kills.push(RankKill { rank, generation });
-        }
-        if let Some(ms) = args.value("--recv-timeout-ms") {
-            cfg.faults.recv_timeout_ms = Some(
-                ms.parse()
-                    .map_err(|_| format!("invalid value {ms:?} for --recv-timeout-ms"))?,
-            );
-        }
-        if args.flag("--no-payoff-cache") {
-            cfg.disable_payoff_cache = true;
-        }
+        // A fixation batch never exceeds u32 replicates.
+        cfg.checkpoint_every = checkpoints.every.map(|n| u32::try_from(n).unwrap_or(u32::MAX));
+        (cfg.faults, cfg.disable_payoff_cache) = (faults, no_payoff_cache);
         return match run_fixation_distributed(&cfg) {
             Ok(out) => {
-                write_records(&mut writer, &out.outcome)?;
-                summarize(&out.outcome, &format!("{ranks} ranks"), t0.elapsed().as_secs_f64());
+                report(&out.outcome, &format!("{ranks} ranks"), t0.elapsed().as_secs_f64())?;
                 eprintln!("messages {}", out.messages_sent);
-                if let Some(path) = checkpoint_out.as_deref() {
+                if checkpoints.out.is_some() {
                     // The finished batch is its own (complete) checkpoint.
                     let mut book = FixationBatch::new(spec).map_err(|e| e.to_string())?;
                     for r in &out.outcome.results {
                         book.record(*r);
                     }
-                    write_fixation_checkpoint(path, &book.checkpoint())?;
+                    checkpoints.write(&book.checkpoint())?;
                 }
-                if let Some(path) = manifest_out {
-                    let manifest = evogame::obs::RunManifest::capture(
-                        params_value,
-                        seed,
-                        ranks,
-                        u64::from(replicates),
-                        t0.elapsed().as_secs_f64(),
-                        &baseline,
-                        &[],
-                    );
-                    write_manifest(&path, &manifest)?;
-                }
+                manifest.capture(&run, ranks, replicates, t0.elapsed().as_secs_f64(), &[])?;
                 Ok(ExitCode::SUCCESS)
             }
-            Err(DistError::FixationDegraded(d)) => {
-                eprintln!(
-                    "fixation batch degraded after {} replicates (dead ranks {:?}): {}",
-                    d.completed_replicates, d.dead_ranks, d.reason
-                );
-                // Unlike the generation-synchronous engines the degraded
-                // checkpoint is always present — completed replicates are
-                // self-consistent whatever the fault.
-                match checkpoint_out.as_deref() {
-                    Some(path) => {
-                        write_fixation_checkpoint(path, &d.checkpoint)?;
-                        eprintln!("restart with: evogame-cli fixate --resume {path}");
-                    }
-                    None => {
-                        eprintln!("hint: add --checkpoint-out FILE to save the restart checkpoint");
-                    }
-                }
-                Ok(ExitCode::from(3))
+            Err(DistError::Degraded(d)) => {
+                degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
             }
             Err(e) => Err(e.to_string()),
         };
@@ -1031,44 +913,24 @@ fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
         Some(cp) => FixationBatch::resume(cp).map_err(|e| e.to_string())?,
         None => FixationBatch::new(spec).map_err(|e| e.to_string())?,
     };
-    match checkpoint_every {
-        Some(n) if n > 0 => {
-            // Checkpointed runs go replicate by replicate so the snapshot
-            // cadence is exact; the stitched outcome is bit-identical to
-            // the rayon path (each replicate is a pure function of its
-            // index).
-            let path = checkpoint_out.as_deref().expect("checked above");
-            let mut fresh = 0u32;
-            while batch.run_step().is_some() {
-                fresh += 1;
-                if fresh.is_multiple_of(n) {
-                    write_fixation_checkpoint(path, &batch.checkpoint())?;
-                }
-            }
+    if checkpoints.every.is_some_and(|n| n > 0) {
+        // Checkpointed runs go replicate by replicate so the snapshot
+        // cadence is exact; the stitched outcome is bit-identical to the
+        // rayon path (each replicate is a pure function of its index).
+        let mut fresh = 0u64;
+        while batch.run_step().is_some() {
+            fresh += 1;
+            checkpoints.periodic(fresh, || batch.checkpoint())?;
         }
-        _ => {
-            batch.run();
-        }
+    } else {
+        batch.run();
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let out = batch.outcome();
-    write_records(&mut writer, &out)?;
-    summarize(&out, "shared memory", elapsed);
-    if let Some(path) = checkpoint_out.as_deref() {
-        write_fixation_checkpoint(path, &batch.checkpoint())?;
+    report(&batch.outcome(), "shared memory", elapsed)?;
+    if checkpoints.out.is_some() {
+        checkpoints.write(&batch.checkpoint())?;
     }
-    if let Some(path) = manifest_out {
-        let manifest = evogame::obs::RunManifest::capture(
-            params_value,
-            seed,
-            1,
-            u64::from(replicates),
-            elapsed,
-            &baseline,
-            &[],
-        );
-        write_manifest(&path, &manifest)?;
-    }
+    manifest.capture(&run, 1, replicates, elapsed, &[])?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -289,3 +289,73 @@ fn serve_requires_spool_dir() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--spool"));
 }
+
+/// The three checkpoint families, as the hostile-checkpoint matrix sees
+/// them: the resuming subcommand, the fixture the parent commit's CLI
+/// wrote (tests/fixtures/), the digest the uninterrupted run printed
+/// when the fixture was recorded, and how a wrong-kind error names the
+/// kind the subcommand expected.
+const FAMILIES: [(&str, &str, &str, &str); 3] = [
+    (
+        "distributed",
+        "checkpoint_wellmixed.json",
+        "93a85b702db77b54",
+        "not a checkpoint",
+    ),
+    (
+        "spatial",
+        "checkpoint_spatial.json",
+        "5fa0ccaa274d8ee5",
+        "not a spatial checkpoint",
+    ),
+    (
+        "fixate",
+        "checkpoint_fixation.json",
+        "43956cd242f3ba76",
+        "not a fixation checkpoint",
+    ),
+];
+
+#[test]
+fn resume_accepts_only_its_own_checkpoint_kind() {
+    // Every subcommand × every family's checkpoint, plus a truncated file,
+    // through the one checkpoint reader: the diagonal resumes to the
+    // recorded digest of the uninterrupted run (so checkpoints written
+    // before the reader was unified still load), every other cell exits 1
+    // naming the kind it wanted — never a panic (exit 101), never a silent
+    // cross-family resume.
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let truncated = std::env::temp_dir().join(format!(
+        "evogame_truncated_checkpoint_{}.json",
+        std::process::id()
+    ));
+    let whole = std::fs::read(fixtures.join(FAMILIES[0].1)).unwrap();
+    std::fs::write(&truncated, &whole[..whole.len() / 2]).unwrap();
+
+    for (command, own, digest, wanted) in FAMILIES {
+        let mut files: Vec<std::path::PathBuf> =
+            FAMILIES.iter().map(|f| fixtures.join(f.1)).collect();
+        files.push(truncated.clone());
+        for file in files {
+            let out = cli()
+                .args([command, "--ranks", "3", "--resume"])
+                .arg(&file)
+                .output()
+                .expect("spawn");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let cell = format!("{command} --resume {}", file.display());
+            if file.ends_with(own) {
+                assert!(out.status.success(), "{cell}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("state digest: {digest}")),
+                    "{cell}: {stderr}"
+                );
+            } else {
+                assert_eq!(out.status.code(), Some(1), "{cell}: {stderr}");
+                assert!(stderr.contains(wanted), "{cell}: {stderr}");
+                assert!(!stderr.contains("state digest"), "{cell}: {stderr}");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(truncated);
+}

@@ -335,7 +335,7 @@ fn spatial_rank_kill_then_resume_is_bit_identical() {
         rank: 1,
         generation: 12,
     }];
-    let DistError::SpatialDegraded(d) = run_spatial_distributed(&faulty).unwrap_err() else {
+    let DistError::Degraded(d) = run_spatial_distributed(&faulty).unwrap_err() else {
         panic!("expected a SpatialDegradedRun");
     };
     assert!(d.dead_ranks.contains(&1), "{:?}", d.dead_ranks);
@@ -419,16 +419,16 @@ fn fixation_rank_kill_then_resume_is_bit_identical() {
         rank: 1,
         generation: 6,
     }];
-    let DistError::FixationDegraded(d) = run_fixation_distributed(&faulty).unwrap_err() else {
+    let DistError::Degraded(d) = run_fixation_distributed(&faulty).unwrap_err() else {
         panic!("expected a FixationDegradedRun");
     };
     assert!(d.dead_ranks.contains(&1), "{:?}", d.dead_ranks);
     assert_eq!(
-        d.checkpoint.completed.len() as u32,
-        d.completed_replicates,
+        d.checkpoint.as_ref().unwrap().completed.len() as u64,
+        d.completed,
         "the degraded checkpoint carries exactly the completed replicates"
     );
-    let resumed = run_fixation_distributed(&d.retry_config(&faulty)).unwrap();
+    let resumed = run_fixation_distributed(&d.retry_config(&faulty).unwrap()).unwrap();
     assert_eq!(resumed.outcome, clean.outcome, "stitched outcome");
     assert_eq!(
         resumed.outcome.digest(),

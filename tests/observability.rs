@@ -3,14 +3,27 @@
 //! — the load-bearing guarantee — enabling observability never changes
 //! simulation results, at any thread count.
 //!
-//! Note on globals: the counters are process-global and these tests run in
-//! parallel, so assertions use baseline deltas and `monotone_since`, never
-//! exact process-wide values. `obs::set_enabled` is only ever set to
-//! `true` here (the off-state run happens before that, inside the one test
-//! that needs it) so tests cannot race each other's timing expectations.
+//! Note on globals: the counters are process-global and the harness runs
+//! tests in parallel, so assertions use baseline deltas and
+//! `monotone_since`, never exact process-wide values — and every test here
+//! that runs an engine holds [`COUNTERS`] while it does: a sibling's games
+//! landing between two manifests break the tests that compare deltas
+//! *exactly* (the run-scoped registry that would make the lock unnecessary
+//! is ROADMAP item 4). `obs::set_enabled` is only ever set to `true` here
+//! (the off-state run happens before that, inside the one test that needs
+//! it) so tests cannot race each other's timing expectations.
 
 use evogame::obs;
 use evogame::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests of this file that bump the process-global counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn counters_lock() -> MutexGuard<'static, ()> {
+    // A sibling that failed while holding the lock leaves nothing half-done.
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small_params(seed: u64) -> Params {
     Params {
@@ -28,6 +41,7 @@ fn small_params(seed: u64) -> Params {
 
 #[test]
 fn two_generation_manifest_roundtrips_through_serde() {
+    let _counters = counters_lock();
     obs::set_enabled(true);
     let mut pop = Population::new(small_params(3)).unwrap();
     let t0 = std::time::Instant::now();
@@ -62,6 +76,7 @@ fn two_generation_manifest_roundtrips_through_serde() {
 
 #[test]
 fn counters_are_monotone_across_a_run() {
+    let _counters = counters_lock();
     let before = obs::counters().snapshot();
     let mut pop = Population::new(small_params(5)).unwrap();
     pop.run(40);
@@ -78,6 +93,7 @@ fn counters_are_monotone_across_a_run() {
 
 #[test]
 fn observability_on_and_off_give_bit_identical_results() {
+    let _counters = counters_lock();
     // Off first (the flag may already be on from a concurrently running
     // test — that is fine: the assertion below holds either way, which is
     // exactly the guarantee under test).
@@ -100,6 +116,7 @@ fn observability_on_and_off_give_bit_identical_results() {
 
 #[test]
 fn manifests_are_thread_count_invariant_in_results() {
+    let _counters = counters_lock();
     // The engine is schedule-invariant, and observability must not break
     // that: the same run at 1 and 4 worker threads produces identical
     // trajectories (only the manifest's `threads` field may differ).
@@ -128,6 +145,7 @@ fn manifests_are_thread_count_invariant_in_results() {
 
 #[test]
 fn distributed_run_reports_comm_counters_and_timings() {
+    let _counters = counters_lock();
     obs::set_enabled(true);
     let baseline = obs::counters().snapshot();
     let mut params = small_params(13);

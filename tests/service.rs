@@ -203,3 +203,60 @@ fn fixed_seed_receipts_are_identical_across_servers_and_backends() {
     );
     assert_eq!(shared1, straight_digest(p), "and both match the bare engine");
 }
+
+#[test]
+fn retried_lattice_job_streams_the_same_records_as_the_shared_backend() {
+    // A degraded lattice attempt's records up to its checkpoint must reach
+    // the stream before the retry appends the rest: the retried job's
+    // in-memory records and spooled records.jsonl equal the shared
+    // backend's byte for byte, not just its digest.
+    let root = std::env::temp_dir().join(format!("evogame_svc_retry_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let spool = evogame::svc::Spool::new(&root).unwrap();
+    let server = Server::with_spool(
+        ServerConfig {
+            workers: 1,
+            queue_depth: 8,
+        },
+        Some(spool.clone()),
+    );
+    let p = SpatialParams {
+        width: 12,
+        height: 12,
+        generations: 24,
+        seed: 13,
+        ..SpatialParams::default()
+    };
+    server
+        .submit(JobRequest::new_spatial(
+            "shared",
+            p.clone(),
+            InitPattern::SingleDefector,
+        ))
+        .unwrap();
+    let mut retried = JobRequest::new_spatial("retried", p, InitPattern::SingleDefector);
+    retried.backend = Backend::Distributed { ranks: 3 };
+    retried.retry_budget = 1;
+    retried.faults.kills.push(RankKill {
+        rank: 2,
+        generation: 10,
+    });
+    server.submit(retried).unwrap();
+
+    let (shared_digest, _) = completed(server.wait("shared").unwrap());
+    let (retried_digest, retries) = completed(server.wait("retried").unwrap());
+    assert_eq!(retries, 1, "one degraded attempt, one clean retry");
+    assert_eq!(retried_digest, shared_digest);
+
+    let shared = server.records("shared").unwrap();
+    assert_eq!(shared.len(), 24);
+    assert_eq!(
+        server.records("retried").unwrap(),
+        shared,
+        "the retried job reports every generation exactly once"
+    );
+    let spooled = |id: &str| std::fs::read(spool.job_dir(id).join("records.jsonl")).unwrap();
+    assert_eq!(spooled("retried"), spooled("shared"), "records.jsonl");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
