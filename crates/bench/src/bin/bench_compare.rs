@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_compare -- \
-//!     benchmarks/BENCH_generation_pre.json benchmarks/BENCH_generation.json \
+//!     benchmarks/BENCH_generation.json target/bench/BENCH_generation.json \
 //!     [--threshold-pct 10]
 //! ```
 //!

@@ -58,12 +58,12 @@ use crate::comm::{ClusterError, Comm, Rank};
 use crate::faults::FaultPlan;
 use driver::{Protocol, RankError};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
-use evo_core::fitness::{evaluate_one_with_kernel_cached, prewarm_cache, FitnessPolicy, GameKernel};
+use evo_core::fitness::{FitnessPolicy, GameKernel, PairPayoff};
 use evo_core::nature::{Event, NatureAgent};
 use evo_core::params::Params;
-use evo_core::paycache::PayoffCache;
+use evo_core::paycache::{PayoffCache, PayoffKind};
 use evo_core::pool::{StratId, StrategyPool};
-use evo_core::record::{Checkpoint, RunStats, CHECKPOINT_SCHEMA_VERSION};
+use evo_core::record::{Checkpoint, RunStats};
 use evo_core::rngstream::{stream, Domain};
 use ipd::game::GameConfig;
 use ipd::state::StateSpace;
@@ -275,11 +275,13 @@ pub fn owned_range(rank: usize, num_ssets: usize, ranks: usize) -> std::ops::Ran
 }
 
 /// The well-mixed protocol: the run's configuration (its `params` already
-/// the ones driving the run) plus the validated state space, shipped into
-/// the cluster closure once.
+/// the ones driving the run), the validated state space and, on resume,
+/// the checkpoint's decoded strategy tables — shipped into the cluster
+/// closure once.
 struct WellMixed {
     config: DistConfig,
     space: StateSpace,
+    restored: Option<(StrategyPool, Vec<StratId>)>,
 }
 
 /// Run the distributed engine and return its outcome. Spawns `ranks`
@@ -288,7 +290,9 @@ struct WellMixed {
 ///
 /// # Errors
 ///
-/// - [`DistError::Params`] — invalid parameters or rank count.
+/// - [`DistError::Params`] — invalid parameters or rank count, or a
+///   resume checkpoint whose tables do not hold together
+///   ([`Checkpoint::tables`]); no rank is launched.
 /// - [`DistError::Degraded`] — a fault (injected or emergent) was detected;
 ///   the payload carries the dead ranks and a restartable checkpoint.
 /// - [`DistError::Cluster`] / [`DistError::Protocol`] — low-level failures
@@ -306,12 +310,24 @@ pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
     if let Some(cp) = config.resume.take() {
         config.resume_from(cp);
     }
-    let space = config
-        .params
-        .validate()
-        .map_err(|e| DistError::Params(e.to_string()))?;
+    let (space, restored) = match &config.resume {
+        Some(cp) => {
+            let (space, pool, assignments) =
+                cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
+            (space, Some((pool, assignments)))
+        }
+        None => (
+            config.params.validate().map_err(|e| DistError::Params(e.to_string()))?,
+            None,
+        ),
+    };
+    let spec = WellMixed {
+        config,
+        space,
+        restored,
+    };
     let (mut outcome, messages_sent) =
-        driver::launch(config.ranks, &config.faults.clone(), WellMixed { config, space })?;
+        driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
     outcome.messages_sent = messages_sent;
     Ok(outcome)
 }
@@ -401,22 +417,11 @@ impl RankProvider<'_> {
                     return Err(RankError::Protocol("well-mixed evaluation scope"))
                 }
             };
+            let pairs =
+                PairPayoff::new(self.space, self.pool, self.game, GameKernel::Naive, self.cache);
             needed
                 .into_iter()
-                .map(|s| {
-                    let f = evaluate_one_with_kernel_cached(
-                        self.space,
-                        self.assignments,
-                        self.pool,
-                        self.game,
-                        self.seed,
-                        plan.generation,
-                        s,
-                        GameKernel::Naive,
-                        self.cache,
-                    );
-                    (s, f)
-                })
+                .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, plan.generation, s)))
                 .collect()
         };
 
@@ -541,14 +546,7 @@ struct RankCtx {
 /// Build a restartable checkpoint of `ctx` (call only at a generation
 /// boundary, when pool/assignments/stats are mutually consistent).
 fn snapshot(params: &Params, ctx: &RankCtx) -> Checkpoint {
-    Checkpoint {
-        schema_version: CHECKPOINT_SCHEMA_VERSION,
-        params: params.clone(),
-        generation: ctx.generation,
-        pool: ctx.pool.iter().map(|(_, s)| (**s).clone()).collect(),
-        assignments: ctx.assignments.clone(),
-        stats: ctx.stats,
-    }
+    Checkpoint::capture(params, ctx.generation, &ctx.pool, &ctx.assignments, ctx.stats)
 }
 
 impl WellMixed {
@@ -569,17 +567,12 @@ fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
 
     // Every rank builds the identical initial table (paper: the global
     // strategy view is set up in the initialisation broadcast; here the
-    // counter-based streams make it reproducible locally). Resume rebuilds
-    // the table from the checkpoint the same way on every rank.
-    let mut pool = StrategyPool::new();
-    let (assignments, start_gen, stats) = match &spec.config.resume {
-        Some(cp) => {
-            for s in &cp.pool {
-                pool.intern(s.clone());
-            }
-            (cp.assignments.clone(), cp.generation, cp.stats)
-        }
+    // counter-based streams make it reproducible locally). Resume copies
+    // the tables `run_distributed` decoded from the checkpoint.
+    let (pool, assignments) = match &spec.restored {
+        Some(tables) => tables.clone(),
         None => {
+            let mut pool = StrategyPool::new();
             let mixed = matches!(spec.config.params.kind, evo_core::params::StrategyKind::Mixed);
             let a = (0..num_ssets)
                 .map(|i| {
@@ -588,8 +581,12 @@ fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
                     pool.intern(Strategy::random(spec.space, mixed, &mut rng))
                 })
                 .collect();
-            (a, 0, RunStats::default())
+            (pool, a)
         }
+    };
+    let (start_gen, stats) = match &spec.config.resume {
+        Some(cp) => (cp.generation, cp.stats),
+        None => (0, RunStats::default()),
     };
     let mut ctx = RankCtx {
         pool,
@@ -608,15 +605,14 @@ fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
         // strategy table instead of replaying the pair matrix on the
         // first post-resume evaluation. Cost-only; every value comes
         // from the same pure functions a cache miss would call.
-        prewarm_cache(
+        PairPayoff::new(
             &spec.space,
-            &ctx.assignments,
             &ctx.pool,
             &spec.config.params.game,
             GameKernel::Naive,
-            false,
-            &ctx.cache,
-        );
+            Some(&ctx.cache),
+        )
+        .prewarm(&ctx.assignments, PayoffKind::Sampled);
     }
     if is_nature && !spec.config.faults.is_empty() {
         ctx.boundary = Some(snapshot(&spec.config.params, &ctx));
@@ -971,6 +967,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_resume_checkpoint_is_a_params_error_before_any_rank_runs() {
+        let mut pop = Population::new(params(2, 6, 20)).unwrap();
+        pop.run(5);
+        let mut dangling = pop.checkpoint();
+        dangling.assignments[0] = 9999;
+        let mut short = pop.checkpoint();
+        short.assignments.truncate(3);
+        let mut future = pop.checkpoint();
+        future.schema_version += 1;
+        for (cp, names) in [(dangling, "unknown strategy id"), (short, "3 strategy"), (future, "newer")] {
+            let mut cfg = config(params(2, 6, 20), 3, FitnessPolicy::EveryGeneration);
+            cfg.resume = Some(cp);
+            let DistError::Params(msg) = run_distributed(&cfg).unwrap_err() else {
+                panic!("expected Params error");
+            };
+            assert!(msg.contains(names), "{msg}");
+        }
+    }
+
+    #[test]
     fn rank_kill_degrades_cleanly_with_checkpoint() {
         // The headline acceptance test: an injected rank kill terminates
         // with a typed DegradedRun — no panic, no hang — carrying a
@@ -991,7 +1007,7 @@ mod tests {
         assert!(d.completed <= 40);
         let cp = d.checkpoint.expect("fault-aware runs always checkpoint");
         assert_eq!(cp.generation, d.completed);
-        assert_eq!(cp.schema_version, CHECKPOINT_SCHEMA_VERSION);
+        assert_eq!(cp.schema_version, evo_core::record::CHECKPOINT_SCHEMA_VERSION);
     }
 
     #[test]

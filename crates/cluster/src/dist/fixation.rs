@@ -169,10 +169,15 @@ pub fn run_fixation_distributed(
     // A resumed run is driven by the checkpoint's own spec (it carries the
     // batch seed and replicate count of the original run).
     let mut config = config.clone();
-    if let Some(cp) = config.resume.take() {
-        config.resume_from(cp);
+    match config.resume.take() {
+        Some(cp) => {
+            cp.validate().map_err(|e| DistError::Params(e.to_string()))?;
+            config.resume_from(cp);
+        }
+        None => {
+            config.spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
+        }
     }
-    config.spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
     let (mut outcome, messages_sent) =
         driver::launch(config.ranks, &config.faults.clone(), Farm { config })?;
     outcome.messages_sent = messages_sent;

@@ -41,10 +41,7 @@ use evo_core::graph::GraphScope;
 use evo_core::paycache::PayoffCache;
 use evo_core::pool::{StratId, StrategyPool};
 use evo_core::record::{GenerationRecord, RunStats};
-use evo_core::spatial::{
-    self, InitPattern, LatticeProvider, SpatialCheckpoint, SpatialParams,
-    SPATIAL_CHECKPOINT_SCHEMA_VERSION,
-};
+use evo_core::spatial::{self, InitPattern, LatticeProvider, SpatialCheckpoint, SpatialParams};
 use ipd::state::StateSpace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -196,7 +193,9 @@ pub fn owned_rows(rank: usize, height: usize, ranks: usize) -> std::ops::Range<u
 /// # Errors
 ///
 /// - [`DistError::Params`] — invalid lattice parameters, init pattern, or
-///   rank count (each compute rank must own ≥ 2 rows).
+///   rank count (each compute rank must own ≥ 2 rows), or a resume
+///   checkpoint whose tables do not hold together
+///   ([`SpatialCheckpoint::tables`]); no rank is launched.
 /// - [`DistError::Degraded`] — a fault (injected or emergent) was
 ///   detected; the payload carries a restartable [`SpatialCheckpoint`].
 /// - [`DistError::Cluster`] / [`DistError::Protocol`] — low-level failures
@@ -216,13 +215,17 @@ pub fn run_spatial_distributed(
         config.resume_from(cp);
     }
     let params = &config.params;
-    params.validate().map_err(DistError::Params)?;
-    if config.resume.is_none() {
-        config
-            .init
-            .validate(params)
-            .map_err(DistError::Params)?;
-    }
+    let restored = match &config.resume {
+        Some(cp) => {
+            let (_, pool, grid) = cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
+            Some((pool, grid))
+        }
+        None => {
+            params.validate().map_err(DistError::Params)?;
+            config.init.validate(params).map_err(DistError::Params)?;
+            None
+        }
+    };
     let compute = config.ranks - 1;
     if compute > 1 && params.height < 2 * compute {
         return Err(DistError::Params(format!(
@@ -232,8 +235,9 @@ pub fn run_spatial_distributed(
             params.height
         )));
     }
+    let spec = Lattice { config, restored };
     let (mut outcome, messages_sent) =
-        driver::launch(config.ranks, &config.faults.clone(), Lattice { config })?;
+        driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
     outcome.messages_sent = messages_sent;
     Ok(outcome)
 }
@@ -246,9 +250,11 @@ struct OwnedCells {
 }
 
 /// The lattice protocol: the run's configuration, its `params` already the
-/// ones driving the run, shipped into the cluster closure once.
+/// ones driving the run, and on resume the checkpoint's decoded strategy
+/// tables — shipped into the cluster closure once.
 struct Lattice {
     config: SpatialDistConfig,
+    restored: Option<(StrategyPool, Vec<StratId>)>,
 }
 
 impl Protocol for Lattice {
@@ -335,14 +341,7 @@ struct RankCtx {
 /// Build a restartable checkpoint of `ctx` (call only at a generation
 /// boundary, with rank 0's grid freshly gathered).
 fn snapshot(params: &SpatialParams, ctx: &RankCtx) -> SpatialCheckpoint {
-    SpatialCheckpoint {
-        schema_version: SPATIAL_CHECKPOINT_SCHEMA_VERSION,
-        params: params.clone(),
-        generation: ctx.generation,
-        pool: ctx.pool.iter().map(|(_, s)| (**s).clone()).collect(),
-        grid: ctx.grid.clone(),
-        stats: ctx.stats,
-    }
+    SpatialCheckpoint::capture(params, ctx.generation, &ctx.pool, &ctx.grid, ctx.stats)
 }
 
 impl Lattice {
@@ -350,7 +349,7 @@ impl Lattice {
     /// and drive the generation loop. Returns the rank's state alongside
     /// the loop's verdict so the failure path can report from it.
     fn run(&self, comm: &Comm<SpatialMsg>) -> (RankCtx, Result<(), RankError>) {
-        let mut ctx = init(&self.config, comm.rank() == 0);
+        let mut ctx = init(self, comm.rank() == 0);
         let result = drive(comm, &self.config, &mut ctx);
         (ctx, result)
     }
@@ -358,26 +357,24 @@ impl Lattice {
 
 /// Build the rank's initial state: seeded at generation zero, or restored
 /// from the resume checkpoint.
-fn init(spec: &SpatialDistConfig, is_coord: bool) -> RankCtx {
+fn init(lattice: &Lattice, is_coord: bool) -> RankCtx {
+    let spec = &lattice.config;
     // Every rank rebuilds the identical pool and initial grid locally —
     // the same construction (and, for random seeding, the same
     // `Domain::Init` streams) the shared backend uses, so ids and layout
-    // replicate without an initialisation broadcast.
-    let (pool, grid, start_gen, stats) = match &spec.resume {
-        Some(cp) => {
-            let mut pool = StrategyPool::new();
-            for s in &cp.pool {
-                pool.intern(s.clone());
-            }
-            (pool, cp.grid.clone(), cp.generation, cp.stats)
-        }
+    // replicate without an initialisation broadcast. Resume copies the
+    // tables `run_spatial_distributed` decoded from the checkpoint.
+    let (pool, grid) = match &lattice.restored {
+        Some(tables) => tables.clone(),
         None => {
             let seeded =
                 spatial::SpatialPopulation::new(spec.params.clone(), spec.init.clone());
-            let pool = seeded.pool().clone();
-            let grid = seeded.grid().to_vec();
-            (pool, grid, 0, RunStats::default())
+            (seeded.pool().clone(), seeded.grid().to_vec())
         }
+    };
+    let (start_gen, stats) = match &spec.resume {
+        Some(cp) => (cp.generation, cp.stats),
+        None => (0, RunStats::default()),
     };
     let n = grid.len();
     let mut ctx = RankCtx {
@@ -794,6 +791,18 @@ mod tests {
             run_spatial_distributed(&bad_init).unwrap_err(),
             DistError::Params(_)
         ));
+        // A resume checkpoint whose grid names a strategy the pool lacks is
+        // rejected before any rank indexes with it.
+        let good = params(1, 6, 5, SpatialUpdate::BestNeighbor);
+        let mut hostile =
+            spatial::SpatialPopulation::new(good.clone(), InitPattern::SingleDefector).checkpoint();
+        hostile.grid[0] = 9999;
+        let mut resumed = SpatialDistConfig::new(good, InitPattern::SingleDefector, 3);
+        resumed.resume = Some(hostile);
+        let DistError::Params(msg) = run_spatial_distributed(&resumed).unwrap_err() else {
+            panic!("expected Params error");
+        };
+        assert!(msg.contains("unknown strategy id 9999"), "{msg}");
     }
 
     #[test]
@@ -815,7 +824,7 @@ mod tests {
         assert!(d.completed <= 30);
         let cp = d.checkpoint.expect("fault-aware runs always checkpoint");
         assert_eq!(cp.generation, d.completed);
-        assert_eq!(cp.schema_version, SPATIAL_CHECKPOINT_SCHEMA_VERSION);
+        assert_eq!(cp.schema_version, spatial::SPATIAL_CHECKPOINT_SCHEMA_VERSION);
     }
 
     #[test]

@@ -68,16 +68,11 @@ pub const PURITY_ROOTS: &[PurityRoot] = &[
         suffix: "engine::commit",
         sanctioned: &[],
     },
-    // The structured-population commit phases are RNG-free too: every
-    // spatial/migration draw happens in the decide step
-    // (`spatial::decide_cell`, `Archipelago::plan_migration`), so the
-    // apply steps get no sanctioned delegates at all.
+    // The structured-population commit phase is RNG-free too: every
+    // spatial draw happens in the decide step (`spatial::decide_cell`),
+    // so the apply step gets no sanctioned delegates at all.
     PurityRoot {
         suffix: "SpatialPopulation::commit_update",
-        sanctioned: &[],
-    },
-    PurityRoot {
-        suffix: "Archipelago::commit_migration",
         sanctioned: &[],
     },
     // The fixation workload's absorption classifier inspects committed
@@ -151,7 +146,6 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
         &[
             "crates/evo-core/src/rngstream.rs",
             "crates/evo-core/src/spatial.rs",
-            "crates/evo-core/src/islands.rs",
         ],
     ),
     (
@@ -161,7 +155,9 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 ];
 
 /// Files whose panic paths must be typed or reason-annotated: the
-/// distributed protocol layer and the engine transition hot path.
+/// distributed protocol layer, the engine transition hot path, and the
+/// populations and record layer that call the pair path and decode
+/// checkpoints.
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist.rs",
     "crates/cluster/src/dist/driver.rs",
@@ -171,6 +167,9 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/comm.rs",
     "crates/evo-core/src/engine.rs",
     "crates/evo-core/src/fitness.rs",
+    "crates/evo-core/src/population.rs",
+    "crates/evo-core/src/record.rs",
+    "crates/evo-core/src/spatial.rs",
 ];
 
 /// Receive method names that must be deadline-bound or annotated.

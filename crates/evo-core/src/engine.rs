@@ -37,15 +37,11 @@
 //! is what checkpoint/restore and the distributed engine's degraded-run
 //! recovery build on (docs/FAULT_TOLERANCE.md).
 
-use crate::fitness::{
-    evaluate_deduped_cached, evaluate_expected_cached, evaluate_expected_one_cached,
-    evaluate_one_with_kernel_cached, evaluate_with_kernel, is_deterministic, ExecMode,
-    FitnessPolicy, GameKernel,
-};
+use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff};
 use crate::graph::GraphScope;
 use crate::nature::{Event, GenSchedule, NatureAgent};
 use crate::params::UpdateRule;
-use crate::paycache::PayoffCache;
+use crate::paycache::{PayoffCache, PayoffKind};
 use crate::pool::{StratId, StrategyPool};
 use crate::record::{GenerationRecord, RunStats};
 use ipd::game::GameConfig;
@@ -222,7 +218,8 @@ pub trait FitnessProvider {
 
 /// The shared-memory provider: evaluates in place over the population's
 /// own tables, honouring the execution knobs ([`ExecMode`], dedup, kernel,
-/// expected-value fitness).
+/// expected-value fitness). Which evaluator each combination selects is
+/// tabulated in docs/PERFORMANCE.md §2.2.
 #[derive(Debug)]
 pub struct LocalProvider<'a> {
     /// State space of all strategies.
@@ -244,103 +241,74 @@ pub struct LocalProvider<'a> {
     /// Evaluate exact expected payoffs instead of one sampled realisation.
     pub expected_fitness: bool,
     /// Cross-generation pairwise payoff memo-cache
-    /// ([`crate::paycache::PayoffCache`], docs/PERFORMANCE.md). Cost-only:
-    /// results are bit-identical with the cache present, absent, cold, or
-    /// warm. Used by the pair, deduplicated, and expected-fitness paths;
-    /// the naive full evaluation stays uncached as the fidelity baseline.
+    /// ([`crate::paycache::PayoffCache`]). Cost-only: results are
+    /// bit-identical with the cache present, absent, cold, or warm.
     pub cache: Option<&'a PayoffCache>,
-}
-
-impl LocalProvider<'_> {
-    fn distinct(&self) -> u64 {
-        self.assignments.iter().collect::<BTreeSet<_>>().len() as u64
-    }
-
-    fn evaluate_one(&self, generation: u64, focal: usize) -> f64 {
-        if self.expected_fitness {
-            evaluate_expected_one_cached(
-                self.space,
-                self.assignments,
-                self.pool,
-                self.game,
-                focal,
-                self.cache,
-            )
-        } else {
-            evaluate_one_with_kernel_cached(
-                self.space,
-                self.assignments,
-                self.pool,
-                self.game,
-                self.seed,
-                generation,
-                focal,
-                self.kernel,
-                self.cache,
-            )
-        }
-    }
 }
 
 impl FitnessProvider for LocalProvider<'_> {
     fn provide(&mut self, plan: &GenPlan) -> Provided {
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.kernel, self.cache);
+        let s = self.assignments.len() as u64;
         match plan.eval {
             EvalScope::None => Provided {
                 view: FitnessView::None,
                 games: 0,
             },
-            EvalScope::Pair { teacher, learner } => Provided {
-                view: FitnessView::Pair {
-                    teacher: self.evaluate_one(plan.generation, teacher as usize),
-                    learner: self.evaluate_one(plan.generation, learner as usize),
-                },
-                games: 2 * self.assignments.len() as u64,
-            },
+            EvalScope::Pair { teacher, learner } => {
+                let one = |focal: u32| {
+                    if self.expected_fitness {
+                        // One cache row per focal SSet; too few misses to
+                        // be worth a rayon dispatch.
+                        pairs.evaluate_distinct(
+                            self.assignments,
+                            PayoffKind::Expected,
+                            Some(focal as usize),
+                            ExecMode::Sequential,
+                        )[0]
+                    } else {
+                        pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize)
+                    }
+                };
+                Provided {
+                    view: FitnessView::Pair {
+                        teacher: one(teacher),
+                        learner: one(learner),
+                    },
+                    games: 2 * s,
+                }
+            }
             EvalScope::Full => {
                 let _span = obs::span("population.fitness");
-                if self.expected_fitness {
-                    let u = self.distinct();
-                    Provided {
-                        view: FitnessView::Full(evaluate_expected_cached(
-                            self.space,
-                            self.assignments,
-                            self.pool,
-                            self.game,
-                            self.exec_mode,
-                            self.cache,
-                        )),
-                        games: u * u,
-                    }
-                } else if self.dedup
-                    && is_deterministic(self.assignments, self.pool, self.game)
-                {
-                    let u = self.distinct();
-                    Provided {
-                        view: FitnessView::Full(evaluate_deduped_cached(
-                            self.space,
-                            self.assignments,
-                            self.pool,
-                            self.game,
-                            self.exec_mode,
-                            self.cache,
-                        )),
-                        games: u * u,
-                    }
+                let distinct = if self.expected_fitness {
+                    Some(PayoffKind::Expected)
+                } else if self.dedup && pairs.all_deterministic(self.assignments) {
+                    Some(PayoffKind::Sampled)
                 } else {
-                    let s = self.assignments.len() as u64;
-                    Provided {
-                        view: FitnessView::Full(evaluate_with_kernel(
-                            self.space,
+                    None
+                };
+                match distinct {
+                    Some(kind) => {
+                        let u = self.assignments.iter().collect::<BTreeSet<_>>().len() as u64;
+                        Provided {
+                            view: FitnessView::Full(pairs.evaluate_distinct(
+                                self.assignments,
+                                kind,
+                                None,
+                                self.exec_mode,
+                            )),
+                            games: u * u,
+                        }
+                    }
+                    None => Provided {
+                        view: FitnessView::Full(pairs.evaluate_naive(
                             self.assignments,
-                            self.pool,
-                            self.game,
                             self.seed,
                             plan.generation,
                             self.exec_mode,
-                            self.kernel,
                         )),
                         games: s * s,
-                    }
+                    },
                 }
             }
             EvalScope::Neighborhood(_) => {

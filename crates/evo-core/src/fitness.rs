@@ -3,39 +3,32 @@
 //! Each generation, every SSet's strategy is measured against every strategy
 //! assigned to any SSet — `s²` iterated games. These games are independent,
 //! so this phase "is easily parallelized … and does not require any
-//! communication": [`evaluate`] runs them either sequentially or via rayon,
-//! with bit-identical results (each game draws from its own counter-based
-//! RNG stream keyed by `(seed, focal, opponent, generation)`).
+//! communication".
 //!
-//! Beyond the paper, [`evaluate_deduped`] exploits strategy interning: after
-//! the population begins to fixate, most SSets share a handful of distinct
-//! strategies, so only `u²` games between *unique* strategies are needed
-//! (`u` ≤ number of distinct strategies). Deduplication is only sound when
-//! games are deterministic (pure strategies, no noise); it is rejected
-//! otherwise. The `generation` criterion bench quantifies the speedup.
-//!
-//! Deduplication composes with two further cost-only layers
-//! (docs/PERFORMANCE.md):
-//!
-//! - The `*_cached` evaluator variants memoise distinct-pair payoffs
-//!   **across generations** in a [`PayoffCache`] — consecutive generations
-//!   differ by at most one adoption and one mutation, so nearly every pair
-//!   is a cache hit once the run warms up. Sampled payoffs are cached only
-//!   when deterministic; exact expectations ([`evaluate_expected`]) cache
-//!   for any strategies.
-//! - Cache misses on memory-≤1 populations with integral payoff matrices
-//!   replay through the word-parallel kernel
-//!   ([`ipd::batch::play_deterministic_batch`]), 64 games per `u64` op.
-//!
-//! Both layers are bit-identical to the plain evaluators (tested below and
-//! in `population`).
+//! Every game in the engine — well-mixed or on a lattice, shared-memory or
+//! on a rank — goes through one primitive, [`PairPayoff`]: it alone decides
+//! whether an ordered pair is *deterministic* (both pure, zero noise) and
+//! may be replayed from the kernel or the [`PayoffCache`], or must be
+//! played from its own counter-based stream. It is also the only code that
+//! touches the cache, in three shapes: [`PairPayoff::sampled`] probes and
+//! inserts one pair, [`PairPayoff::evaluate_distinct`] probes a batch,
+//! replays the misses together and inserts them, [`PairPayoff::prewarm`]
+//! inserts without probing. Three evaluators are built on it:
+//! [`PairPayoff::evaluate_naive`] (the paper's schedule, uncached),
+//! [`PairPayoff::evaluate_one`] (one focal SSet — what a rank owns) and
+//! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
+//! weighted by multiplicity). Which one runs when, what is cached and what
+//! is probed is stated once, in docs/PERFORMANCE.md §2.
 
 use crate::paycache::{PayoffCache, PayoffKind};
 use crate::pool::{StratId, StrategyPool};
 use crate::rngstream::game_stream;
+use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
 use ipd::game::{play, play_deterministic, play_deterministic_cycle, GameConfig};
+use ipd::markov::expected_outcome;
 use ipd::state::StateSpace;
 use ipd::strategy::{PureStrategy, Strategy};
+use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -47,6 +40,16 @@ pub enum ExecMode {
     Sequential,
     /// Data-parallel over SSets via rayon (one task per focal SSet).
     Rayon,
+}
+
+impl ExecMode {
+    /// `(0..n).map(f)` in index order, on this mode's schedule.
+    fn map<T: Send>(self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        match self {
+            ExecMode::Sequential => (0..n).map(f).collect(),
+            ExecMode::Rayon => (0..n).into_par_iter().map(f).collect(),
+        }
+    }
 }
 
 /// When fitness is computed within the generation loop.
@@ -72,545 +75,272 @@ pub enum GameKernel {
     Cycle,
 }
 
-#[inline]
-fn det_fitness(
-    kernel: GameKernel,
-    space: &StateSpace,
-    a: &ipd::strategy::PureStrategy,
-    b: &ipd::strategy::PureStrategy,
-    game: &GameConfig,
-) -> f64 {
-    match kernel {
-        GameKernel::Naive => play_deterministic(space, a, b, game).fitness_a,
-        GameKernel::Cycle => play_deterministic_cycle(space, a, b, game).fitness_a,
-    }
-}
-
-/// Compute every SSet's relative fitness: `fitness[i]` is the sum over all
-/// opponents `j` (self included) of the focal payoff of the game
-/// `strategy[i]` vs `strategy[j]`.
+/// The focal payoff of one ordered strategy pair, and the evaluators built
+/// on it. Borrowed over a run's tables for the length of one evaluation.
 ///
-/// Works for any strategy kind; stochastic games draw from per-game streams
-/// derived from `seed` and `generation`, so the result is independent of
-/// `mode`.
-pub fn evaluate(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    seed: u64,
-    generation: u64,
-    mode: ExecMode,
-) -> Vec<f64> {
-    evaluate_with_kernel(
-        space,
-        assignments,
-        pool,
-        game,
-        seed,
-        generation,
-        mode,
-        GameKernel::Naive,
-    )
+/// A pair is *deterministic* when both strategies are pure and the game is
+/// noiseless: its payoff is then a pure function of the pair, identical
+/// under every [`GameKernel`] and the word-parallel batch kernel, and is
+/// memoised as [`PayoffKind::Sampled`]. Any other pair draws from the
+/// stream its caller keys to the game and is never cached. Exact
+/// expectations ([`PayoffKind::Expected`]) are deterministic for every pair.
+#[derive(Debug, Clone, Copy)]
+pub struct PairPayoff<'a> {
+    space: &'a StateSpace,
+    pool: &'a StrategyPool,
+    game: &'a GameConfig,
+    kernel: GameKernel,
+    cache: Option<&'a PayoffCache>,
 }
 
-/// [`evaluate`] with an explicit deterministic-game kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_with_kernel(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    seed: u64,
-    generation: u64,
-    mode: ExecMode,
-    kernel: GameKernel,
-) -> Vec<f64> {
-    let s = assignments.len();
-    let focal_fitness = |i: usize| -> f64 {
-        let my_strat = pool.get(assignments[i]);
-        let mut total = 0.0;
-        for (j, &opp_id) in assignments.iter().enumerate() {
-            let opp = pool.get(opp_id);
-            total += game_fitness(
-                space,
-                my_strat,
-                opp,
-                game,
-                seed,
-                i as u32,
-                j as u32,
-                s as u32,
-                generation,
-                kernel,
-            );
+impl<'a> PairPayoff<'a> {
+    /// Bind the primitive to a run's tables. Panics if `cache` was built
+    /// for a different `game` ([`PayoffCache::assert_game`]).
+    pub fn new(
+        space: &'a StateSpace,
+        pool: &'a StrategyPool,
+        game: &'a GameConfig,
+        kernel: GameKernel,
+        cache: Option<&'a PayoffCache>,
+    ) -> Self {
+        if let Some(c) = cache {
+            c.assert_game(game);
         }
-        total
-    };
-    match mode {
-        ExecMode::Sequential => (0..s).map(focal_fitness).collect(),
-        ExecMode::Rayon => (0..s).into_par_iter().map(focal_fitness).collect(),
-    }
-}
-
-/// Relative fitness of a single focal SSet against the whole population —
-/// the per-owner computation of the distributed engine (each node evaluates
-/// the SSets it owns; §V-A). `evaluate(...)[i] == evaluate_one(..., i)` for
-/// every `i`, which is what keeps the distributed and shared-memory engines
-/// bit-identical.
-pub fn evaluate_one(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    seed: u64,
-    generation: u64,
-    focal: usize,
-) -> f64 {
-    evaluate_one_with_kernel(
-        space,
-        assignments,
-        pool,
-        game,
-        seed,
-        generation,
-        focal,
-        GameKernel::Naive,
-    )
-}
-
-/// [`evaluate_one`] with an explicit deterministic-game kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_one_with_kernel(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    seed: u64,
-    generation: u64,
-    focal: usize,
-    kernel: GameKernel,
-) -> f64 {
-    evaluate_one_with_kernel_cached(
-        space,
-        assignments,
-        pool,
-        game,
-        seed,
-        generation,
-        focal,
-        kernel,
-        None,
-    )
-}
-
-/// [`evaluate_one_with_kernel`] memoising deterministic pair payoffs in
-/// `cache`. Stochastic games (noise, mixed strategies) bypass the cache —
-/// their payoffs draw from generation-keyed streams and legitimately vary.
-/// Bit-identical to the uncached evaluator either way.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_one_with_kernel_cached(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    seed: u64,
-    generation: u64,
-    focal: usize,
-    kernel: GameKernel,
-    cache: Option<&PayoffCache>,
-) -> f64 {
-    if let Some(c) = cache {
-        c.assert_game(game);
-    }
-    let s = assignments.len();
-    let my_id = assignments[focal];
-    let my_strat = pool.get(my_id);
-    let mut total = 0.0;
-    for (j, &opp_id) in assignments.iter().enumerate() {
-        let opp = pool.get(opp_id);
-        let deterministic = game.noise == 0.0
-            && matches!(
-                (my_strat.as_ref(), opp.as_ref()),
-                (Strategy::Pure(_), Strategy::Pure(_))
-            );
-        total += match (deterministic, cache) {
-            (true, Some(c)) => c.get(my_id, opp_id, PayoffKind::Sampled).unwrap_or_else(|| {
-                let v = game_fitness(
-                    space,
-                    my_strat,
-                    opp,
-                    game,
-                    seed,
-                    focal as u32,
-                    j as u32,
-                    s as u32,
-                    generation,
-                    kernel,
-                );
-                c.insert(my_id, opp_id, PayoffKind::Sampled, v);
-                v
-            }),
-            _ => game_fitness(
-                space,
-                my_strat,
-                opp,
-                game,
-                seed,
-                focal as u32,
-                j as u32,
-                s as u32,
-                generation,
-                kernel,
-            ),
-        };
-    }
-    total
-}
-
-/// The focal player's fitness for one game, using the game's own stream.
-#[allow(clippy::too_many_arguments)]
-fn game_fitness(
-    space: &StateSpace,
-    mine: &Strategy,
-    opp: &Strategy,
-    game: &GameConfig,
-    seed: u64,
-    focal: u32,
-    opponent: u32,
-    num_ssets: u32,
-    generation: u64,
-    kernel: GameKernel,
-) -> f64 {
-    if game.noise == 0.0 {
-        if let (Strategy::Pure(a), Strategy::Pure(b)) = (mine, opp) {
-            return det_fitness(kernel, space, a, b, game);
+        PairPayoff {
+            space,
+            pool,
+            game,
+            kernel,
+            cache,
         }
     }
-    let mut rng = game_stream(seed, focal, opponent, num_ssets, generation);
-    play(space, mine, opp, game, &mut rng).fitness_a
-}
 
-/// Variance-free fitness: every SSet's **expected** relative fitness,
-/// computed exactly by Markov-chain forward iteration
-/// ([`ipd::markov::expected_outcome`]) instead of sampling games.
-///
-/// This changes the *dynamics*, not just the cost: selection acts on true
-/// expected payoffs, with no sampling noise in the pairwise comparisons —
-/// the "infinite-replicate" ablation of the paper's single-sample fitness.
-/// It also deduplicates by distinct strategy pairs (sound here because
-/// expectations don't depend on which SSet holds the strategy).
-pub fn evaluate_expected(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    mode: ExecMode,
-) -> Vec<f64> {
-    evaluate_expected_cached(space, assignments, pool, game, mode, None)
-}
+    /// The pair's pure strategies if its games are deterministic.
+    #[inline]
+    fn deterministic(&self, a: StratId, b: StratId) -> Option<(&'a PureStrategy, &'a PureStrategy)> {
+        match (self.pool.get(a).as_ref(), self.pool.get(b).as_ref()) {
+            (Strategy::Pure(pa), Strategy::Pure(pb)) if self.game.noise == 0.0 => Some((pa, pb)),
+            _ => None,
+        }
+    }
 
-/// [`evaluate_expected`] memoising pair expectations in `cache`.
-/// Expectations are deterministic for *any* strategies and noise level, so
-/// every distinct ordered pair is cacheable. Bit-identical to the uncached
-/// evaluator.
-pub fn evaluate_expected_cached(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    mode: ExecMode,
-    cache: Option<&PayoffCache>,
-) -> Vec<f64> {
-    if let Some(c) = cache {
-        c.assert_game(game);
+    /// `true` when every pair among `ids` is deterministic — the soundness
+    /// condition for deduplicating sampled games.
+    pub(crate) fn all_deterministic(&self, ids: &[StratId]) -> bool {
+        ids.iter().all(|&id| self.deterministic(id, id).is_some())
     }
-    // Count multiplicity of each distinct strategy id. A BTreeMap keeps
-    // every downstream iteration in ascending-id order, so the float
-    // accumulations below are order-stable run to run (hash maps would
-    // reorder them under std's per-process hasher seed).
-    let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
-    for &id in assignments {
-        *counts.entry(id).or_insert(0.0) += 1.0;
+
+    /// Play a deterministic pair through the configured kernel.
+    #[inline]
+    fn play_pure(&self, a: &PureStrategy, b: &PureStrategy) -> f64 {
+        match self.kernel {
+            GameKernel::Naive => play_deterministic(self.space, a, b, self.game).fitness_a,
+            GameKernel::Cycle => play_deterministic_cycle(self.space, a, b, self.game).fitness_a,
+        }
     }
-    // Already sorted: BTreeMap iterates keys in ascending order.
-    let unique: Vec<StratId> = counts.keys().copied().collect();
-    let u = unique.len();
-    let pos: BTreeMap<StratId, usize> = unique.iter().enumerate().map(|(k, &v)| (v, k)).collect();
-    // Probe the cache for every ordered pair; replay only the misses.
-    let mut payoff = vec![0.0f64; u * u];
-    let mut misses: Vec<(usize, usize)> = Vec::new();
-    for p in 0..u {
-        for q in 0..u {
-            match cache.and_then(|c| c.get(unique[p], unique[q], PayoffKind::Expected)) {
-                Some(v) => payoff[p * u + q] = v,
-                None => misses.push((p, q)),
+
+    /// Focal payoff of the game `a` plays against `b`. A deterministic
+    /// pair is served from the cache or replayed through the kernel;
+    /// anything else is played once from `stream()`, the game's own
+    /// `Domain::GamePlay` stream, which is opened only then.
+    #[inline]
+    pub fn sampled(&self, a: StratId, b: StratId, stream: impl FnOnce() -> ChaCha8Rng) -> f64 {
+        match self.deterministic(a, b) {
+            Some((pa, pb)) => {
+                let Some(cache) = self.cache else {
+                    return self.play_pure(pa, pb);
+                };
+                cache.get(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
+                    let value = self.play_pure(pa, pb);
+                    cache.insert(a, b, PayoffKind::Sampled, value);
+                    value
+                })
+            }
+            None => {
+                let (sa, sb) = (self.pool.get(a), self.pool.get(b));
+                play(self.space, sa, sb, self.game, &mut stream()).fitness_a
             }
         }
     }
-    let one = |&(p, q): &(usize, usize)| -> f64 {
-        ipd::markov::expected_outcome(space, pool.get(unique[p]), pool.get(unique[q]), game)
-            .fitness_a
-    };
-    let computed: Vec<f64> = match mode {
-        ExecMode::Sequential => misses.iter().map(one).collect(),
-        ExecMode::Rayon => (0..misses.len())
-            .into_par_iter()
-            .map(|i| one(&misses[i]))
-            .collect(),
-    };
-    for (&(p, q), &v) in misses.iter().zip(&computed) {
-        payoff[p * u + q] = v;
-        if let Some(c) = cache {
-            c.insert(unique[p], unique[q], PayoffKind::Expected, v);
+
+    /// Exact expected focal payoff of `a` against `b` (Markov forward
+    /// iteration), the value [`PayoffKind::Expected`] entries hold.
+    fn expected(&self, a: StratId, b: StratId) -> f64 {
+        expected_outcome(self.space, self.pool.get(a), self.pool.get(b), self.game).fitness_a
+    }
+
+    /// Relative fitness of the single SSet `focal` against the whole
+    /// population (self included), one sampled game per opponent in SSet
+    /// order — the per-owner computation of the distributed engine (§V-A).
+    /// Stochastic games draw from streams keyed by
+    /// `(seed, focal, opponent, generation)`, so the value is independent
+    /// of who computes it and bit-identical with the cache present, absent,
+    /// cold or warm.
+    pub fn evaluate_one(&self, assignments: &[StratId], seed: u64, generation: u64, focal: usize) -> f64 {
+        let s = assignments.len() as u32;
+        let me = assignments[focal];
+        let mut total = 0.0;
+        for (j, &opp) in assignments.iter().enumerate() {
+            total += self.sampled(me, opp, || game_stream(seed, focal as u32, j as u32, s, generation));
+        }
+        total
+    }
+
+    /// Every SSet's relative fitness by the paper's schedule: all `s²`
+    /// games played, nothing cached — the fidelity baseline.
+    /// `evaluate_naive(..)[i] == evaluate_one(.., i)` bit for bit.
+    pub fn evaluate_naive(
+        &self,
+        assignments: &[StratId],
+        seed: u64,
+        generation: u64,
+        mode: ExecMode,
+    ) -> Vec<f64> {
+        let uncached = PairPayoff { cache: None, ..*self };
+        mode.map(assignments.len(), |i| uncached.evaluate_one(assignments, seed, generation, i))
+    }
+
+    /// Fitness from each *distinct* ordered strategy pair once, combined by
+    /// multiplicity: every SSet's (`focal: None`), or only SSet `i`'s
+    /// (`Some(i)`, a one-element vector — one cache row probed, not `u²`).
+    ///
+    /// `kind` picks the pair value. [`PayoffKind::Expected`] is the exact
+    /// expectation — sound for any strategies, and a change of *dynamics*
+    /// for stochastic ones (selection sees no sampling noise).
+    /// [`PayoffKind::Sampled`] is the played game, equal to
+    /// [`PairPayoff::evaluate_naive`] when every pair is deterministic;
+    /// panics otherwise (dedup would change stochastic results). Cache
+    /// misses are replayed on `mode`'s schedule, sampled ones 64 per word
+    /// through [`play_deterministic_batch`] where it applies.
+    pub fn evaluate_distinct(
+        &self,
+        assignments: &[StratId],
+        kind: PayoffKind,
+        focal: Option<usize>,
+        mode: ExecMode,
+    ) -> Vec<f64> {
+        // Multiplicity of each distinct id. A BTreeMap keeps every
+        // iteration below in ascending-id order, so the float accumulations
+        // are order-stable run to run (a hash map would reorder them under
+        // std's per-process hasher seed).
+        let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
+        for &id in assignments {
+            *counts.entry(id).or_insert(0.0) += 1.0;
+        }
+        let unique: Vec<StratId> = counts.keys().copied().collect();
+        assert!(
+            kind == PayoffKind::Expected || self.all_deterministic(&unique),
+            "deduplicated evaluation requires pure strategies and zero noise"
+        );
+        let one;
+        let rows: &[StratId] = match focal {
+            Some(i) => {
+                one = [assignments[i]];
+                &one
+            }
+            None => &unique,
+        };
+        let u = unique.len();
+        // payoff[r*u + q] = focal payoff of row strategy r against unique
+        // q. Probe the cache for every pair; replay only the misses.
+        let mut payoff = vec![0.0f64; rows.len() * u];
+        let mut misses: Vec<usize> = Vec::new();
+        for (r, &a) in rows.iter().enumerate() {
+            for (q, &b) in unique.iter().enumerate() {
+                match self.cache.and_then(|c| c.get(a, b, kind)) {
+                    Some(v) => payoff[r * u + q] = v,
+                    None => misses.push(r * u + q),
+                }
+            }
+        }
+        let pair = |slot: usize| (rows[slot / u], unique[slot % u]);
+        let replayed: Vec<f64> = match kind {
+            PayoffKind::Expected => mode.map(misses.len(), |m| {
+                let (a, b) = pair(misses[m]);
+                self.expected(a, b)
+            }),
+            PayoffKind::Sampled => {
+                let pures: Vec<(&PureStrategy, &PureStrategy)> = misses
+                    .iter()
+                    .map(|&slot| {
+                        let (a, b) = pair(slot);
+                        // detlint: allow(panic-path, reason = "invariant: the soundness assert above verified every distinct strategy is pure and the game noiseless, so every pair among them is deterministic")
+                        self.deterministic(a, b).expect("asserted deterministic")
+                    })
+                    .collect();
+                if batch_is_word_parallel(self.space, self.game) {
+                    // One 64-lane batch per task; lanes are independent, so
+                    // the chunking cannot change any value.
+                    let chunks: Vec<_> = pures.chunks(64).collect();
+                    mode.map(chunks.len(), |c| play_deterministic_batch(self.space, chunks[c], self.game))
+                        .into_iter()
+                        .flatten()
+                        .map(|o| o.fitness_a)
+                        .collect()
+                } else {
+                    mode.map(pures.len(), |m| self.play_pure(pures[m].0, pures[m].1))
+                }
+            }
+        };
+        for (&slot, &v) in misses.iter().zip(&replayed) {
+            payoff[slot] = v;
+            if let Some(c) = self.cache {
+                let (a, b) = pair(slot);
+                c.insert(a, b, kind, v);
+            }
+        }
+        // fitness of row r = Σ_q count[q] · payoff[r][q], ascending q.
+        let weighted: Vec<f64> = payoff
+            .chunks(u.max(1))
+            .map(|row| unique.iter().zip(row).map(|(q, v)| counts[q] * v).sum())
+            .collect();
+        match focal {
+            Some(_) => weighted,
+            None => assignments
+                .iter()
+                // detlint: allow(panic-path, reason = "invariant: `unique` is exactly the key set of the multiplicity map built from `assignments` a few lines up, so every assigned id is found")
+                .map(|id| weighted[unique.binary_search(id).expect("assigned id is counted")])
+                .collect(),
         }
     }
-    let weighted: Vec<f64> = (0..u)
-        .map(|p| {
-            unique
-                .iter()
-                .enumerate()
-                .map(|(q, qid)| counts[qid] * payoff[p * u + q])
-                .sum()
-        })
-        .collect();
-    assignments.iter().map(|id| weighted[pos[id]]).collect()
-}
 
-/// Expected relative fitness of a single focal SSet (the `OnDemand`
-/// companion of [`evaluate_expected`]), deduplicated over distinct
-/// opponents.
-pub fn evaluate_expected_one(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    focal: usize,
-) -> f64 {
-    evaluate_expected_one_cached(space, assignments, pool, game, focal, None)
-}
-
-/// [`evaluate_expected_one`] memoising pair expectations in `cache`.
-pub fn evaluate_expected_one_cached(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    focal: usize,
-    cache: Option<&PayoffCache>,
-) -> f64 {
-    if let Some(c) = cache {
-        c.assert_game(game);
-    }
-    // Ascending-id iteration keeps the f64 summation order — and thus the
-    // exact bit pattern of the result — independent of hasher state.
-    let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
-    for &id in assignments {
-        *counts.entry(id).or_insert(0.0) += 1.0;
-    }
-    let me_id = assignments[focal];
-    let me = pool.get(me_id);
-    counts
-        .iter()
-        .map(|(&qid, &mult)| {
-            let v = match cache.and_then(|c| c.get(me_id, qid, PayoffKind::Expected)) {
-                Some(v) => v,
-                None => {
-                    let v =
-                        ipd::markov::expected_outcome(space, me, pool.get(qid), game).fitness_a;
-                    if let Some(c) = cache {
-                        c.insert(me_id, qid, PayoffKind::Expected, v);
-                    }
-                    v
-                }
-            };
-            mult * v
-        })
-        .sum()
-}
-
-/// Pre-warm `cache` from a strategy table: compute and memoise the focal
-/// payoff of every ordered pair of *distinct assigned* strategies that the
-/// cached evaluators would legally memoise — [`PayoffKind::Expected`]
-/// entries for every pair when `expected` is set, [`PayoffKind::Sampled`]
-/// entries for deterministic pairs (both pure, zero noise) otherwise.
-/// Returns the number of entries inserted.
-///
-/// This is the resume/retry cold-start fix (docs/PERFORMANCE.md): the
-/// payoff cache is deliberately excluded from checkpoints, so a restored
-/// run used to replay its whole pair matrix on the first post-resume
-/// evaluation. Pre-warming replays it once, up front, from the
-/// checkpoint's own strategy table. Cost-only: every value comes from the
-/// same pure functions the evaluators call on a miss
-/// ([`play_deterministic`] / [`ipd::markov::expected_outcome`]), so a
-/// pre-warmed run's trajectory, fitness bits, and statistics are
-/// bit-identical to a cold one (tested in `population`).
-pub fn prewarm_cache(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    kernel: GameKernel,
-    expected: bool,
-    cache: &PayoffCache,
-) -> usize {
-    cache.assert_game(game);
-    // BTreeSet: ascending-id iteration, so insertion order is stable (the
-    // cache itself is order-insensitive, but determinism costs nothing).
-    let unique: Vec<StratId> = assignments.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
-    let mut inserted = 0;
-    for &a in &unique {
-        for &b in &unique {
-            if expected {
-                let v = ipd::markov::expected_outcome(space, pool.get(a), pool.get(b), game)
-                    .fitness_a;
-                cache.insert(a, b, PayoffKind::Expected, v);
-                inserted += 1;
-            } else if game.noise == 0.0 {
-                if let (Strategy::Pure(pa), Strategy::Pure(pb)) =
-                    (pool.get(a).as_ref(), pool.get(b).as_ref())
-                {
-                    let v = det_fitness(kernel, space, pa, pb, game);
-                    cache.insert(a, b, PayoffKind::Sampled, v);
+    /// Pre-warm the cache from a strategy table: memoise the `kind` payoff
+    /// of every ordered pair of distinct assigned strategies that the
+    /// evaluators would legally memoise — all of them for
+    /// [`PayoffKind::Expected`], the deterministic ones for
+    /// [`PayoffKind::Sampled`]. Returns the number of entries inserted
+    /// (0 without a cache).
+    ///
+    /// This is the resume/retry cold-start fix (docs/PERFORMANCE.md §2):
+    /// the cache is deliberately excluded from checkpoints, so a restored
+    /// run replays its pair matrix once, up front, without probing (the
+    /// hit/miss counters do not move). Cost-only: every value is what a
+    /// miss would compute.
+    pub fn prewarm(&self, assignments: &[StratId], kind: PayoffKind) -> usize {
+        let Some(cache) = self.cache else {
+            return 0;
+        };
+        let unique: Vec<StratId> = assignments
+            .iter()
+            .copied()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut inserted = 0;
+        for &a in &unique {
+            for &b in &unique {
+                let value = match kind {
+                    PayoffKind::Expected => Some(self.expected(a, b)),
+                    PayoffKind::Sampled => self.deterministic(a, b).map(|(pa, pb)| self.play_pure(pa, pb)),
+                };
+                if let Some(v) = value {
+                    cache.insert(a, b, kind, v);
                     inserted += 1;
                 }
             }
         }
+        inserted
     }
-    inserted
-}
-
-/// `true` when fitness evaluation is fully deterministic — pure strategies
-/// only and no execution noise — which is the soundness condition for
-/// [`evaluate_deduped`].
-pub fn is_deterministic(assignments: &[StratId], pool: &StrategyPool, game: &GameConfig) -> bool {
-    game.noise == 0.0
-        && assignments
-            .iter()
-            .all(|&id| matches!(pool.get(id).as_ref(), Strategy::Pure(_)))
-}
-
-/// Deduplicated fitness evaluation: play each *distinct* ordered strategy
-/// pair once, then combine by multiplicity. Produces exactly the same
-/// fitness vector as [`evaluate`] when games are deterministic; panics
-/// otherwise (dedup would change stochastic results).
-pub fn evaluate_deduped(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    mode: ExecMode,
-) -> Vec<f64> {
-    evaluate_deduped_cached(space, assignments, pool, game, mode, None)
-}
-
-/// [`evaluate_deduped`] memoising distinct-pair payoffs in `cache` across
-/// generations. Cache misses replay through the word-parallel kernel
-/// ([`ipd::batch::play_deterministic_batch`]) when the configuration
-/// qualifies (memory ≤ 1, integral payoff matrix), and through scalar
-/// [`play_deterministic`] otherwise — both bit-identical to the plain
-/// evaluator, so trajectories do not depend on cache state or batch width.
-pub fn evaluate_deduped_cached(
-    space: &StateSpace,
-    assignments: &[StratId],
-    pool: &StrategyPool,
-    game: &GameConfig,
-    mode: ExecMode,
-    cache: Option<&PayoffCache>,
-) -> Vec<f64> {
-    assert!(
-        is_deterministic(assignments, pool, game),
-        "deduplicated evaluation requires pure strategies and zero noise"
-    );
-    if let Some(c) = cache {
-        c.assert_game(game);
-    }
-    // Count multiplicity of each distinct strategy id (BTreeMap: see
-    // evaluate_expected for why iteration order matters here).
-    let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
-    for &id in assignments {
-        *counts.entry(id).or_insert(0.0) += 1.0;
-    }
-    // Already sorted: BTreeMap iterates keys in ascending order.
-    let unique: Vec<StratId> = counts.keys().copied().collect();
-    let u = unique.len();
-    let pos: BTreeMap<StratId, usize> = unique.iter().enumerate().map(|(k, &v)| (v, k)).collect();
-    let pures: Vec<&PureStrategy> = unique
-        .iter()
-        .map(|&id| match pool.get(id).as_ref() {
-            Strategy::Pure(p) => p,
-            // detlint: allow(panic-path, reason = "invariant: the all_pure_deterministic gate a few lines up already verified every unique strategy is Strategy::Pure before this branch runs")
-            _ => unreachable!("checked deterministic"),
-        })
-        .collect();
-    // payoff[p*u + q] = focal fitness of unique strategy p against unique
-    // q. Probe the cache for every ordered pair; play only the misses.
-    let mut payoff = vec![0.0f64; u * u];
-    let mut misses: Vec<(usize, usize)> = Vec::new();
-    for p in 0..u {
-        for q in 0..u {
-            match cache.and_then(|c| c.get(unique[p], unique[q], PayoffKind::Sampled)) {
-                Some(v) => payoff[p * u + q] = v,
-                None => misses.push((p, q)),
-            }
-        }
-    }
-    let played: Vec<f64> = if ipd::batch::batch_is_word_parallel(space, game) {
-        let pairs: Vec<(&PureStrategy, &PureStrategy)> =
-            misses.iter().map(|&(p, q)| (pures[p], pures[q])).collect();
-        match mode {
-            ExecMode::Sequential => ipd::batch::play_deterministic_batch(space, &pairs, game)
-                .into_iter()
-                .map(|o| o.fitness_a)
-                .collect(),
-            ExecMode::Rayon => {
-                // One 64-lane batch per task; index order keeps the output
-                // identical to the sequential chunking.
-                let chunks = pairs.len().div_ceil(64);
-                (0..chunks)
-                    .into_par_iter()
-                    .map(|c| {
-                        let lo = c * 64;
-                        let hi = (lo + 64).min(pairs.len());
-                        ipd::batch::play_deterministic_batch(space, &pairs[lo..hi], game)
-                            .into_iter()
-                            .map(|o| o.fitness_a)
-                            .collect::<Vec<f64>>()
-                    })
-                    .collect::<Vec<Vec<f64>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-        }
-    } else {
-        let one =
-            |&(p, q): &(usize, usize)| play_deterministic(space, pures[p], pures[q], game).fitness_a;
-        match mode {
-            ExecMode::Sequential => misses.iter().map(one).collect(),
-            ExecMode::Rayon => (0..misses.len())
-                .into_par_iter()
-                .map(|i| one(&misses[i]))
-                .collect(),
-        }
-    };
-    for (&(p, q), &v) in misses.iter().zip(&played) {
-        payoff[p * u + q] = v;
-        if let Some(c) = cache {
-            c.insert(unique[p], unique[q], PayoffKind::Sampled, v);
-        }
-    }
-    // fitness[i] = sum over unique opponents q of count[q] * payoff[strat_i][q].
-    let weighted: Vec<f64> = (0..u)
-        .map(|p| {
-            unique
-                .iter()
-                .enumerate()
-                .map(|(q, qid)| counts[qid] * payoff[p * u + q])
-                .sum()
-        })
-        .collect();
-    assignments.iter().map(|id| weighted[pos[id]]).collect()
 }
 
 #[cfg(test)]
@@ -636,44 +366,22 @@ mod tests {
         (space, assignments, pool)
     }
 
-    fn cfg() -> GameConfig {
-        GameConfig {
-            rounds: 50,
-            noise: 0.0,
-            payoff: PayoffMatrix::default(),
-        }
-    }
-
-    #[test]
-    fn sequential_and_rayon_agree_pure() {
-        let (space, asg, pool) = setup_pure(24, 2, 1);
-        let seq = evaluate(&space, &asg, &pool, &cfg(), 1, 0, ExecMode::Sequential);
-        let par = evaluate(&space, &asg, &pool, &cfg(), 1, 0, ExecMode::Rayon);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn sequential_and_rayon_agree_stochastic() {
+    /// `n` SSets cycling through `distinct` random memory-one mixed
+    /// strategies.
+    fn setup_mixed(n: usize, distinct: usize, seed: u64) -> (StateSpace, Vec<StratId>, StrategyPool) {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
-        let mut rng = stream(3, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..16)
+        let mut rng = stream(seed, Domain::Init, 0, 0);
+        let ids: Vec<StratId> = (0..distinct)
             .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
             .collect();
-        let noisy = GameConfig {
-            rounds: 50,
-            noise: 0.05,
-            payoff: PayoffMatrix::default(),
-        };
-        let seq = evaluate(&space, &asg, &pool, &noisy, 3, 5, ExecMode::Sequential);
-        let par = evaluate(&space, &asg, &pool, &noisy, 3, 5, ExecMode::Rayon);
-        assert_eq!(seq, par, "stochastic games must be schedule-invariant");
+        (space, (0..n).map(|i| ids[i % distinct]).collect(), pool)
     }
 
-    #[test]
-    fn deduped_matches_naive() {
-        // Population with heavy duplication: 4 distinct strategies over 32
-        // SSets.
+    /// 32 SSets over ALLC / ALLD / TFT / WSLS: heavy duplication, and
+    /// memory-one with the default integral payoffs, so dedup misses take
+    /// the word-parallel batch kernel.
+    fn setup_classics() -> (StateSpace, Vec<StratId>, StrategyPool) {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let ids = [
@@ -682,10 +390,62 @@ mod tests {
             pool.intern(Strategy::Pure(classic::tft(&space))),
             pool.intern(Strategy::Pure(classic::wsls(&space))),
         ];
-        let asg: Vec<StratId> = (0..32).map(|i| ids[i % 4]).collect();
-        let naive = evaluate(&space, &asg, &pool, &cfg(), 0, 0, ExecMode::Sequential);
-        let dedup = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
-        let dedup_par = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Rayon);
+        (space, (0..32).map(|i| ids[i % 4]).collect(), pool)
+    }
+
+    fn cfg() -> GameConfig {
+        GameConfig {
+            rounds: 50,
+            noise: 0.0,
+            payoff: PayoffMatrix::default(),
+        }
+    }
+
+    fn noisy(rounds: u32, noise: f64) -> GameConfig {
+        GameConfig {
+            rounds,
+            noise,
+            payoff: PayoffMatrix::default(),
+        }
+    }
+
+    /// The uncached naive-kernel primitive.
+    fn plain<'a>(space: &'a StateSpace, pool: &'a StrategyPool, game: &'a GameConfig) -> PairPayoff<'a> {
+        PairPayoff::new(space, pool, game, GameKernel::Naive, None)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sequential_and_rayon_agree_pure() {
+        let (space, asg, pool) = setup_pure(24, 2, 1);
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let seq = pp.evaluate_naive(&asg, 1, 0, ExecMode::Sequential);
+        let par = pp.evaluate_naive(&asg, 1, 0, ExecMode::Rayon);
+        assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn sequential_and_rayon_agree_stochastic() {
+        let (space, asg, pool) = setup_mixed(16, 16, 3);
+        let game = noisy(50, 0.05);
+        let pp = plain(&space, &pool, &game);
+        let seq = pp.evaluate_naive(&asg, 3, 5, ExecMode::Sequential);
+        let par = pp.evaluate_naive(&asg, 3, 5, ExecMode::Rayon);
+        assert_eq!(seq, par, "stochastic games must be schedule-invariant");
+    }
+
+    #[test]
+    fn deduped_matches_naive() {
+        let (space, asg, pool) = setup_classics();
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let naive = pp.evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
+        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        let dedup_par = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Rayon);
         for i in 0..32 {
             assert!((naive[i] - dedup[i]).abs() < 1e-9, "sset {i}");
             assert!((naive[i] - dedup_par[i]).abs() < 1e-9, "sset {i} (rayon)");
@@ -695,8 +455,10 @@ mod tests {
     #[test]
     fn deduped_matches_naive_random_population() {
         let (space, asg, pool) = setup_pure(40, 3, 9);
-        let naive = evaluate(&space, &asg, &pool, &cfg(), 9, 2, ExecMode::Sequential);
-        let dedup = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let naive = pp.evaluate_naive(&asg, 9, 2, ExecMode::Sequential);
+        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
         for i in 0..asg.len() {
             assert!((naive[i] - dedup[i]).abs() < 1e-9);
         }
@@ -706,12 +468,8 @@ mod tests {
     #[should_panic(expected = "deduplicated evaluation requires")]
     fn deduped_rejects_noise() {
         let (space, asg, pool) = setup_pure(8, 1, 0);
-        let noisy = GameConfig {
-            rounds: 10,
-            noise: 0.1,
-            payoff: PayoffMatrix::default(),
-        };
-        evaluate_deduped(&space, &asg, &pool, &noisy, ExecMode::Sequential);
+        let game = noisy(10, 0.1);
+        plain(&space, &pool, &game).evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
     }
 
     #[test]
@@ -720,7 +478,12 @@ mod tests {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let id = pool.intern(Strategy::Mixed(classic::random_mixed(&space)));
-        evaluate_deduped(&space, &[id, id], &pool, &cfg(), ExecMode::Sequential);
+        plain(&space, &pool, &cfg()).evaluate_distinct(
+            &[id, id],
+            PayoffKind::Sampled,
+            None,
+            ExecMode::Sequential,
+        );
     }
 
     #[test]
@@ -733,7 +496,7 @@ mod tests {
         let d = pool.intern(Strategy::Pure(classic::all_d(&space)));
         let mut asg = vec![c; 16];
         asg[7] = d;
-        let fit = evaluate(&space, &asg, &pool, &cfg(), 0, 0, ExecMode::Sequential);
+        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
         for (i, f) in fit.iter().enumerate() {
             if i != 7 {
                 assert!(fit[7] > *f, "defector must out-earn cooperator {i}");
@@ -743,19 +506,11 @@ mod tests {
 
     #[test]
     fn fitness_depends_on_generation_for_stochastic_games() {
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(5, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..6)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let noisy = GameConfig {
-            rounds: 30,
-            noise: 0.0,
-            payoff: PayoffMatrix::default(),
-        };
-        let g0 = evaluate(&space, &asg, &pool, &noisy, 5, 0, ExecMode::Sequential);
-        let g1 = evaluate(&space, &asg, &pool, &noisy, 5, 1, ExecMode::Sequential);
+        let (space, asg, pool) = setup_mixed(6, 6, 5);
+        let game = noisy(30, 0.0);
+        let pp = plain(&space, &pool, &game);
+        let g0 = pp.evaluate_naive(&asg, 5, 0, ExecMode::Sequential);
+        let g1 = pp.evaluate_naive(&asg, 5, 1, ExecMode::Sequential);
         assert_ne!(g0, g1, "mixed-strategy games re-sample each generation");
     }
 
@@ -765,13 +520,13 @@ mod tests {
         let mut pool = StrategyPool::new();
         let p = pool.intern(Strategy::Pure(classic::tft(&space)));
         let m = pool.intern(Strategy::Mixed(classic::random_mixed(&space)));
-        assert!(is_deterministic(&[p, p], &pool, &cfg()));
-        assert!(!is_deterministic(&[p, m], &pool, &cfg()));
-        let noisy = GameConfig {
+        assert!(plain(&space, &pool, &cfg()).all_deterministic(&[p, p]));
+        assert!(!plain(&space, &pool, &cfg()).all_deterministic(&[p, m]));
+        let game = GameConfig {
             noise: 0.01,
             ..cfg()
         };
-        assert!(!is_deterministic(&[p, p], &pool, &noisy));
+        assert!(!plain(&space, &pool, &game).all_deterministic(&[p, p]));
     }
 
     #[test]
@@ -781,40 +536,29 @@ mod tests {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let c = pool.intern(Strategy::Pure(classic::all_c(&space)));
-        let fit = evaluate(&space, &[c, c], &pool, &cfg(), 0, 0, ExecMode::Sequential);
+        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&[c, c], 0, 0, ExecMode::Sequential);
         assert_eq!(fit, vec![300.0, 300.0]);
     }
 
     #[test]
     fn evaluate_one_matches_vector_evaluate() {
         let (space, asg, pool) = setup_pure(20, 2, 13);
-        let vec = evaluate(&space, &asg, &pool, &cfg(), 13, 4, ExecMode::Sequential);
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let vec = pp.evaluate_naive(&asg, 13, 4, ExecMode::Sequential);
         for (i, expected) in vec.iter().enumerate() {
-            let one = evaluate_one(&space, &asg, &pool, &cfg(), 13, 4, i);
-            assert_eq!(*expected, one, "sset {i}");
+            assert_eq!(*expected, pp.evaluate_one(&asg, 13, 4, i), "sset {i}");
         }
     }
 
     #[test]
     fn evaluate_one_matches_for_stochastic_games() {
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(21, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..10)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let noisy = GameConfig {
-            rounds: 30,
-            noise: 0.03,
-            payoff: PayoffMatrix::default(),
-        };
-        let vec = evaluate(&space, &asg, &pool, &noisy, 21, 9, ExecMode::Sequential);
+        let (space, asg, pool) = setup_mixed(10, 10, 21);
+        let game = noisy(30, 0.03);
+        let pp = plain(&space, &pool, &game);
+        let vec = pp.evaluate_naive(&asg, 21, 9, ExecMode::Sequential);
         for (i, expected) in vec.iter().enumerate() {
-            assert_eq!(
-                *expected,
-                evaluate_one(&space, &asg, &pool, &noisy, 21, 9, i),
-                "sset {i}"
-            );
+            assert_eq!(*expected, pp.evaluate_one(&asg, 21, 9, i), "sset {i}");
         }
     }
 
@@ -824,31 +568,24 @@ mod tests {
         // bit: both sum counts-weighted expectations in ascending-StratId
         // order, so even f64 rounding agrees exactly.
         let (space, asg, pool) = setup_pure(24, 2, 7);
-        let vec_seq = evaluate_expected(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
-        let vec_par = evaluate_expected(&space, &asg, &pool, &cfg(), ExecMode::Rayon);
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let vec_seq = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let vec_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon);
         for (i, expected) in vec_seq.iter().enumerate() {
             assert_eq!(expected.to_bits(), vec_par[i].to_bits(), "sset {i} (rayon)");
-            let one = evaluate_expected_one(&space, &asg, &pool, &cfg(), i);
-            assert_eq!(expected.to_bits(), one.to_bits(), "sset {i}");
+            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential);
+            assert_eq!(bits(&one), [expected.to_bits()], "sset {i}");
         }
 
         // Mixed strategies under noise: expectations stay deterministic.
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(33, Domain::Init, 0, 0);
-        let ids: Vec<StratId> = (0..4)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let asg: Vec<StratId> = (0..12).map(|i| ids[i % 4]).collect();
-        let noisy = GameConfig {
-            rounds: 40,
-            noise: 0.03,
-            payoff: PayoffMatrix::default(),
-        };
-        let vec = evaluate_expected(&space, &asg, &pool, &noisy, ExecMode::Sequential);
+        let (space, asg, pool) = setup_mixed(12, 4, 33);
+        let game = noisy(40, 0.03);
+        let pp = plain(&space, &pool, &game);
+        let vec = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
         for (i, expected) in vec.iter().enumerate() {
-            let one = evaluate_expected_one(&space, &asg, &pool, &noisy, i);
-            assert_eq!(expected.to_bits(), one.to_bits(), "sset {i} (mixed)");
+            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential);
+            assert_eq!(bits(&one), [expected.to_bits()], "sset {i} (mixed)");
         }
     }
 
@@ -856,9 +593,11 @@ mod tests {
     fn expected_equals_naive_for_deterministic_populations() {
         // With pure strategies and no noise, expectation = realisation.
         let (space, asg, pool) = setup_pure(24, 2, 17);
-        let naive = evaluate(&space, &asg, &pool, &cfg(), 17, 0, ExecMode::Sequential);
-        let expected = evaluate_expected(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
-        let expected_par = evaluate_expected(&space, &asg, &pool, &cfg(), ExecMode::Rayon);
+        let game = cfg();
+        let pp = plain(&space, &pool, &game);
+        let naive = pp.evaluate_naive(&asg, 17, 0, ExecMode::Sequential);
+        let expected = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let expected_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon);
         for i in 0..asg.len() {
             assert!((naive[i] - expected[i]).abs() < 1e-6, "sset {i}");
             assert!((expected[i] - expected_par[i]).abs() < 1e-12);
@@ -869,25 +608,17 @@ mod tests {
     fn expected_fitness_is_generation_invariant() {
         // Unlike sampled stochastic fitness, expectations don't depend on
         // the generation's RNG streams.
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(23, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..8)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let noisy = GameConfig {
-            rounds: 50,
-            noise: 0.02,
-            payoff: PayoffMatrix::default(),
-        };
-        let e1 = evaluate_expected(&space, &asg, &pool, &noisy, ExecMode::Sequential);
-        let e2 = evaluate_expected(&space, &asg, &pool, &noisy, ExecMode::Sequential);
+        let (space, asg, pool) = setup_mixed(8, 8, 23);
+        let game = noisy(50, 0.02);
+        let pp = plain(&space, &pool, &game);
+        let e1 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let e2 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
         assert_eq!(e1, e2);
         // And it approximates the mean of many sampled evaluations.
         let mut mean = vec![0.0; asg.len()];
         let reps = 400;
         for g in 0..reps {
-            let f = evaluate(&space, &asg, &pool, &noisy, 23, g, ExecMode::Sequential);
+            let f = pp.evaluate_naive(&asg, 23, g, ExecMode::Sequential);
             for (m, v) in mean.iter_mut().zip(&f) {
                 *m += v;
             }
@@ -901,158 +632,95 @@ mod tests {
         }
     }
 
+    /// Every route to a payoff gives the same bits: kernel {Naive, Cycle,
+    /// word-parallel batch} × cache {none, cold, warm} × schedule, for the
+    /// pair primitive and the three evaluators; and swapping roles
+    /// transposes.
     #[test]
-    fn cached_deduped_bit_identical_cold_and_warm() {
-        use crate::paycache::PayoffCache;
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let ids = [
-            pool.intern(Strategy::Pure(classic::all_c(&space))),
-            pool.intern(Strategy::Pure(classic::all_d(&space))),
-            pool.intern(Strategy::Pure(classic::tft(&space))),
-            pool.intern(Strategy::Pure(classic::wsls(&space))),
-        ];
-        let asg: Vec<StratId> = (0..32).map(|i| ids[i % 4]).collect();
-        let plain = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
-        let cache = PayoffCache::new(cfg());
-        for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-            // Cold then warm: both passes must reproduce the uncached
-            // vector to the bit.
-            for pass in 0..2 {
-                let cached =
-                    evaluate_deduped_cached(&space, &asg, &pool, &cfg(), mode, Some(&cache));
-                for i in 0..asg.len() {
-                    assert_eq!(
-                        plain[i].to_bits(),
-                        cached[i].to_bits(),
-                        "sset {i} ({mode:?}, pass {pass})"
-                    );
+    fn every_kernel_cache_state_and_schedule_gives_the_same_bits() {
+        let game = cfg();
+        // Word-parallel gate open (memory one), shut (memory three), and a
+        // mid-depth population with few duplicates.
+        let populations = [setup_classics(), setup_pure(40, 3, 9), setup_pure(20, 2, 13)];
+        for (space, asg, pool) in &populations {
+            let reference = plain(space, pool, &game);
+            let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
+            let dedup =
+                bits(&reference.evaluate_distinct(asg, PayoffKind::Sampled, None, ExecMode::Sequential));
+            let unique: Vec<StratId> = asg.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
+            let pure = |id: StratId| match pool.get(id).as_ref() {
+                Strategy::Pure(p) => p,
+                Strategy::Mixed(_) => panic!("pure population expected"),
+            };
+            for kernel in [GameKernel::Naive, GameKernel::Cycle] {
+                let cache = PayoffCache::new(game);
+                // `None`, then the same cache cold and warm.
+                for cached in [None, Some(&cache), Some(&cache)] {
+                    let pp = PairPayoff::new(space, pool, &game, kernel, cached);
+                    let label = format!("mem {} {kernel:?} cache {}", space.mem_steps(), cached.map_or(0, |c| c.len()));
+                    for &a in &unique {
+                        for &b in &unique {
+                            let v = pp.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                            let swapped = play_deterministic(space, pure(b), pure(a), &game);
+                            assert_eq!(v.to_bits(), swapped.fitness_b.to_bits(), "{label}: role swap ({a},{b})");
+                            let lane = play_deterministic_batch(space, &[(pure(a), pure(b))], &game);
+                            assert_eq!(v.to_bits(), lane[0].fitness_a.to_bits(), "{label}: batch ({a},{b})");
+                        }
+                    }
+                    for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                        assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
+                        assert_eq!(
+                            bits(&pp.evaluate_distinct(asg, PayoffKind::Sampled, None, mode)),
+                            dedup,
+                            "{label} {mode:?}"
+                        );
+                        for i in 0..asg.len() {
+                            assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
+                            let one = pp.evaluate_distinct(asg, PayoffKind::Sampled, Some(i), mode);
+                            assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
+                        }
+                    }
                 }
+                assert_eq!(cache.len(), unique.len() * unique.len(), "every ordered distinct pair memoised once");
             }
         }
-        assert_eq!(cache.len(), 16, "4 distinct strategies → 16 ordered pairs");
-    }
 
-    #[test]
-    fn cached_deduped_bit_identical_deep_memory_scalar_path() {
-        // Memory-3 populations miss the word-parallel gate; the scalar
-        // fallback must be cached identically.
-        use crate::paycache::PayoffCache;
-        let (space, asg, pool) = setup_pure(40, 3, 9);
-        let plain = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
-        let cache = PayoffCache::new(cfg());
-        for _ in 0..2 {
-            let cached = evaluate_deduped_cached(
-                &space,
-                &asg,
-                &pool,
-                &cfg(),
-                ExecMode::Rayon,
-                Some(&cache),
-            );
-            for i in 0..asg.len() {
-                assert_eq!(plain[i].to_bits(), cached[i].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn cached_expected_bit_identical_cold_and_warm() {
-        use crate::paycache::PayoffCache;
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(41, Domain::Init, 0, 0);
-        let ids: Vec<StratId> = (0..4)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let asg: Vec<StratId> = (0..12).map(|i| ids[i % 4]).collect();
-        let noisy = GameConfig {
-            rounds: 40,
-            noise: 0.03,
-            payoff: PayoffMatrix::default(),
-        };
-        let plain = evaluate_expected(&space, &asg, &pool, &noisy, ExecMode::Sequential);
-        let cache = PayoffCache::new(noisy);
-        for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-            for _ in 0..2 {
-                let cached =
-                    evaluate_expected_cached(&space, &asg, &pool, &noisy, mode, Some(&cache));
-                for (i, p) in plain.iter().enumerate() {
-                    assert_eq!(p.to_bits(), cached[i].to_bits(), "sset {i}");
-                }
+        // Expected payoffs, for strategies no sampled path may cache.
+        let (space, asg, pool) = setup_mixed(12, 4, 41);
+        let game = noisy(40, 0.03);
+        let exact = bits(&plain(&space, &pool, &game).evaluate_distinct(
+            &asg,
+            PayoffKind::Expected,
+            None,
+            ExecMode::Sequential,
+        ));
+        let cache = PayoffCache::new(game);
+        for cached in [None, Some(&cache), Some(&cache)] {
+            let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, cached);
+            for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                assert_eq!(bits(&pp.evaluate_distinct(&asg, PayoffKind::Expected, None, mode)), exact);
                 // The OnDemand companion shares the same entries.
-                for (i, p) in plain.iter().enumerate() {
-                    let one = evaluate_expected_one_cached(
-                        &space,
-                        &asg,
-                        &pool,
-                        &noisy,
-                        i,
-                        Some(&cache),
-                    );
-                    assert_eq!(p.to_bits(), one.to_bits(), "sset {i} (one)");
+                for (i, want) in exact.iter().enumerate() {
+                    let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), mode);
+                    assert_eq!(bits(&one), [*want], "sset {i} (one)");
                 }
             }
         }
-    }
-
-    #[test]
-    fn cached_evaluate_one_bit_identical_across_kernels() {
-        use crate::paycache::PayoffCache;
-        let (space, asg, pool) = setup_pure(20, 2, 13);
-        let cache = PayoffCache::new(cfg());
-        for kernel in [GameKernel::Naive, GameKernel::Cycle] {
-            for i in 0..asg.len() {
-                let plain = evaluate_one_with_kernel(&space, &asg, &pool, &cfg(), 13, 4, i, kernel);
-                let cached = evaluate_one_with_kernel_cached(
-                    &space,
-                    &asg,
-                    &pool,
-                    &cfg(),
-                    13,
-                    4,
-                    i,
-                    kernel,
-                    Some(&cache),
-                );
-                assert_eq!(plain.to_bits(), cached.to_bits(), "sset {i} ({kernel:?})");
-            }
-        }
+        assert_eq!(cache.len(), 16, "4 distinct strategies → 16 Expected entries");
     }
 
     #[test]
     fn cached_evaluate_one_bypasses_cache_for_stochastic_games() {
-        use crate::paycache::PayoffCache;
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(51, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..8)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let noisy = GameConfig {
-            rounds: 30,
-            noise: 0.03,
-            payoff: PayoffMatrix::default(),
-        };
-        let cache = PayoffCache::new(noisy);
+        let (space, asg, pool) = setup_mixed(8, 8, 51);
+        let game = noisy(30, 0.03);
+        let cache = PayoffCache::new(game);
+        let cached = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         // Different generations legitimately re-sample: cached results must
         // track the uncached evaluator, and nothing may be memoised.
         for generation in [0u64, 1, 2] {
             for i in 0..asg.len() {
-                let plain =
-                    evaluate_one(&space, &asg, &pool, &noisy, 21, generation, i);
-                let cached = evaluate_one_with_kernel_cached(
-                    &space,
-                    &asg,
-                    &pool,
-                    &noisy,
-                    21,
-                    generation,
-                    i,
-                    GameKernel::Naive,
-                    Some(&cache),
-                );
-                assert_eq!(plain.to_bits(), cached.to_bits());
+                let uncached = plain(&space, &pool, &game).evaluate_one(&asg, 21, generation, i);
+                assert_eq!(uncached.to_bits(), cached.evaluate_one(&asg, 21, generation, i).to_bits());
             }
         }
         assert!(cache.is_empty(), "stochastic payoffs must never be cached");
@@ -1060,7 +728,6 @@ mod tests {
 
     #[test]
     fn warm_cache_hits_reach_the_counters() {
-        use crate::paycache::PayoffCache;
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let ids = [
@@ -1069,13 +736,13 @@ mod tests {
         ];
         let asg: Vec<StratId> = (0..16).map(|i| ids[i % 2]).collect();
         let cache = PayoffCache::new(cfg());
+        let game = cfg();
+        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         let before = obs::counters().snapshot();
-        let cold =
-            evaluate_deduped_cached(&space, &asg, &pool, &cfg(), ExecMode::Sequential, Some(&cache));
+        let cold = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
         let mid = obs::counters().snapshot();
         assert!(mid.payoff_cache_misses >= before.payoff_cache_misses + 4);
-        let warm =
-            evaluate_deduped_cached(&space, &asg, &pool, &cfg(), ExecMode::Sequential, Some(&cache));
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
         let after = obs::counters().snapshot();
         assert!(after.payoff_cache_hits >= mid.payoff_cache_hits + 4);
         assert_eq!(cold, warm);
@@ -1083,70 +750,58 @@ mod tests {
 
     #[test]
     fn prewarmed_cache_serves_identical_values() {
-        use crate::paycache::PayoffCache;
         let (space, asg, pool) = setup_pure(24, 2, 61);
         // Cold reference.
-        let plain = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
+        let cold = plain(&space, &pool, &cfg()).evaluate_distinct(
+            &asg,
+            PayoffKind::Sampled,
+            None,
+            ExecMode::Sequential,
+        );
         // Pre-warmed cache: the first evaluation must be all hits and
         // bit-identical to the cold result.
         let cache = PayoffCache::new(cfg());
-        let n = prewarm_cache(&space, &asg, &pool, &cfg(), GameKernel::Naive, false, &cache);
+        let game = cfg();
+        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let n = pp.prewarm(&asg, PayoffKind::Sampled);
         let unique = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
         assert_eq!(n, unique * unique, "every ordered distinct pair memoised");
         assert_eq!(cache.len(), n);
         let before = obs::counters().snapshot();
-        let warm = evaluate_deduped_cached(&space, &asg, &pool, &cfg(), ExecMode::Sequential, Some(&cache));
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
         let after = obs::counters().snapshot();
         assert_eq!(
             after.payoff_cache_misses, before.payoff_cache_misses,
             "a pre-warmed first evaluation must not miss"
         );
-        for i in 0..asg.len() {
-            assert_eq!(plain[i].to_bits(), warm[i].to_bits(), "sset {i}");
-        }
+        assert_eq!(bits(&cold), bits(&warm));
     }
 
     #[test]
     fn prewarm_expected_kind_serves_expected_evaluators() {
-        use crate::paycache::PayoffCache;
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(62, Domain::Init, 0, 0);
-        let ids: Vec<StratId> = (0..4)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let asg: Vec<StratId> = (0..12).map(|i| ids[i % 4]).collect();
-        let noisy = GameConfig {
-            rounds: 40,
-            noise: 0.03,
-            payoff: PayoffMatrix::default(),
-        };
-        let plain = evaluate_expected(&space, &asg, &pool, &noisy, ExecMode::Sequential);
-        let cache = PayoffCache::new(noisy);
-        let n = prewarm_cache(&space, &asg, &pool, &noisy, GameKernel::Naive, true, &cache);
+        let (space, asg, pool) = setup_mixed(12, 4, 62);
+        let game = noisy(40, 0.03);
+        let cold = plain(&space, &pool, &game).evaluate_distinct(
+            &asg,
+            PayoffKind::Expected,
+            None,
+            ExecMode::Sequential,
+        );
+        let cache = PayoffCache::new(game);
+        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let n = pp.prewarm(&asg, PayoffKind::Expected);
         assert_eq!(n, 16, "4 distinct strategies → 16 Expected entries");
-        let warm = evaluate_expected_cached(&space, &asg, &pool, &noisy, ExecMode::Sequential, Some(&cache));
-        for i in 0..asg.len() {
-            assert_eq!(plain[i].to_bits(), warm[i].to_bits(), "sset {i}");
-        }
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        assert_eq!(bits(&cold), bits(&warm));
     }
 
     #[test]
     fn prewarm_inserts_nothing_for_stochastic_sampled_games() {
-        use crate::paycache::PayoffCache;
-        let space = StateSpace::new(1).unwrap();
-        let mut pool = StrategyPool::new();
-        let mut rng = stream(63, Domain::Init, 0, 0);
-        let asg: Vec<StratId> = (0..6)
-            .map(|_| pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut rng))))
-            .collect();
-        let noisy = GameConfig {
-            rounds: 20,
-            noise: 0.05,
-            payoff: PayoffMatrix::default(),
-        };
-        let cache = PayoffCache::new(noisy);
-        let n = prewarm_cache(&space, &asg, &pool, &noisy, GameKernel::Naive, false, &cache);
+        let (space, asg, pool) = setup_mixed(6, 6, 63);
+        let game = noisy(20, 0.05);
+        let cache = PayoffCache::new(game);
+        let n = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache))
+            .prewarm(&asg, PayoffKind::Sampled);
         assert_eq!(n, 0, "stochastic sampled payoffs must never be memoised");
         assert!(cache.is_empty());
     }

@@ -59,7 +59,7 @@ use crate::params::{Params, ParamsError};
 use crate::paycache::PayoffCache;
 use crate::pool::StratId;
 use crate::population::Population;
-use crate::record::{state_digest, GenerationRecord};
+use crate::record::{check_schema, state_digest, CheckpointError, GenerationRecord};
 use crate::rngstream::{stream, Domain};
 use ipd::payoff::Move;
 use ipd::state::StateSpace;
@@ -127,6 +127,8 @@ pub enum FixationError {
         /// The offending state count (`4^mem_steps`).
         states: usize,
     },
+    /// A [`FixationCheckpoint`] this build cannot resume.
+    Checkpoint(CheckpointError),
 }
 
 impl std::fmt::Display for FixationError {
@@ -148,6 +150,7 @@ impl std::fmt::Display for FixationError {
                 "tournament expansion bounded to {MAX_TOURNAMENT_STATES} states \
                  (memory ≤ 1); got {states}"
             ),
+            FixationError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
 }
@@ -415,6 +418,17 @@ pub struct FixationCheckpoint {
     pub completed: Vec<ReplicateResult>,
 }
 
+impl FixationCheckpoint {
+    /// Reject a checkpoint this build cannot resume: a future schema
+    /// version or an invalid spec. (Stray `completed` entries are not an
+    /// error — [`FixationBatch::resume`] normalises them.)
+    pub fn validate(&self) -> Result<(), FixationError> {
+        check_schema(self.schema_version, FIXATION_CHECKPOINT_SCHEMA_VERSION)
+            .map_err(FixationError::Checkpoint)?;
+        self.spec.validate().map(|_| ())
+    }
+}
+
 /// Runs a [`FixationSpec`]'s replicates — rayon-parallel in
 /// [`FixationBatch::run`], or one at a time through
 /// [`FixationBatch::run_step`] for pause-at-replicate-boundary callers
@@ -442,13 +456,16 @@ impl FixationBatch {
     /// (normalised to index order, out-of-range and duplicate entries
     /// dropped), only the missing ones will run.
     pub fn resume(cp: FixationCheckpoint) -> Result<Self, FixationError> {
-        let mut batch = FixationBatch::new(cp.spec)?;
+        cp.validate()?;
         let mut completed = cp.completed;
-        completed.retain(|r| r.replicate < batch.spec.replicates);
+        completed.retain(|r| r.replicate < cp.spec.replicates);
         completed.sort_by_key(|r| r.replicate);
         completed.dedup_by_key(|r| r.replicate);
-        batch.completed = completed;
-        Ok(batch)
+        Ok(FixationBatch {
+            cache: Arc::new(PayoffCache::new(cp.spec.params.game)),
+            spec: cp.spec,
+            completed,
+        })
     }
 
     /// The spec this batch runs.
@@ -781,6 +798,12 @@ mod tests {
         let cp: FixationCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(cp.schema_version, FIXATION_CHECKPOINT_SCHEMA_VERSION);
         assert_eq!(cp.completed.len(), 3);
+        let mut future = cp.clone();
+        future.schema_version += 1;
+        assert!(matches!(
+            FixationBatch::resume(future),
+            Err(FixationError::Checkpoint(CheckpointError::FutureSchema { .. }))
+        ));
         let mut resumed = FixationBatch::resume(cp).unwrap();
         assert_eq!(resumed.pending().len(), 5);
         let got = resumed.run();

@@ -43,7 +43,6 @@ pub mod engine;
 pub mod fermi;
 pub mod fixation;
 pub mod graph;
-pub mod islands;
 pub mod fitness;
 pub mod nature;
 pub mod params;
@@ -69,7 +68,6 @@ pub mod prelude {
         FixationOutcome, FixationSpec, FixationTournament, ReplicateResult,
     };
     pub use crate::graph::{AdjacencyGraph, GraphScope, GraphView, Lattice};
-    pub use crate::islands::{Archipelago, Migration, MigrationPolicy};
     pub use crate::nature::{Event, NatureAgent};
     pub use crate::params::{Params, ParamsError, StrategyKind, UpdateRule};
     pub use crate::paycache::{PayoffCache, PayoffKind};
@@ -77,7 +75,7 @@ pub mod prelude {
     pub use crate::population::Population;
     pub use crate::record::RunStats;
     pub use crate::replicator::{payoff_matrix, Replicator};
-    pub use crate::record::{Checkpoint, GenerationRecord, PopulationSnapshot};
+    pub use crate::record::{Checkpoint, CheckpointError, GenerationRecord, PopulationSnapshot};
     pub use crate::spatial::{
         InitPattern, LatticeProvider, Neighborhood, SpatialCheckpoint, SpatialParams,
         SpatialPopulation, SpatialUpdate,

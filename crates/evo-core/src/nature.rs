@@ -79,18 +79,6 @@ pub enum Event {
         /// The imitating SSet.
         learner: u32,
     },
-    /// An island-model migration: the destination SSet adopted the source
-    /// SSet's strategy verbatim (`crate::islands`).
-    Migration {
-        /// Source island.
-        from_island: u32,
-        /// Source SSet on the source island.
-        from_sset: u32,
-        /// Destination island.
-        to_island: u32,
-        /// Destination SSet overwritten on arrival.
-        to_sset: u32,
-    },
 }
 
 /// The Nature Agent's configuration and decision logic.

@@ -1,53 +1,19 @@
-//! Cross-generation pairwise payoff memo-cache (docs/PERFORMANCE.md §3).
+//! Cross-generation pairwise payoff memo-cache.
 //!
 //! Evolutionary dynamics change at most a couple of assignments per
 //! generation (one adoption, one mutation), so consecutive generations
-//! re-play almost exactly the same set of distinct strategy pairs. The
-//! per-generation deduplication in [`crate::fitness::evaluate_deduped`]
-//! already collapses repeated pairs *within* a generation; [`PayoffCache`]
-//! promotes that idea *across* generations: once a pair's focal payoff has
-//! been computed it is never computed again for the lifetime of the run.
-//!
-//! # Key semantics
+//! re-play almost exactly the same set of distinct strategy pairs.
+//! [`PayoffCache`] memoises a pair's focal payoff the first time it is
+//! computed and never computes it again for the lifetime of the run.
 //!
 //! A cached value is the focal player's payoff for one ordered pair of
-//! interned strategies under one fixed [`GameConfig`]. The logical key the
-//! performance contract specifies is `(strategy, strategy, rounds, noise)`
-//! — here the `(rounds, noise, payoff matrix)` part is captured once at
-//! construction (the cache stores the run's `GameConfig` and
-//! [`PayoffCache::assert_game`] rejects any other), and the per-entry key
-//! is `(StratId, StratId, PayoffKind)`. That compression is sound because
-//! [`crate::pool::StrategyPool`] interning is append-only: a `StratId`
-//! denotes the same strategy for the whole run, and equal strategies always
-//! intern to the same id.
-//!
-//! [`PayoffKind`] separates the two deterministic evaluators that may
-//! legally memoise: `Sampled` (round-simulation of pure, noiseless games —
-//! every kernel produces identical outcomes, so entries are shared across
-//! [`crate::fitness::GameKernel`]s) and `Expected` (exact Markov-chain
-//! expectations, deterministic for *any* strategies and noise). Stochastic
-//! sampled games are never cached: their payoffs draw from
-//! generation-keyed RNG streams and legitimately differ each generation.
-//!
-//! # Invalidation
-//!
-//! There is none, by construction: entries can never go stale within a run
-//! because ids are immutable and the game configuration is pinned. The
-//! cache is dropped (restarted cold) whenever a run's configuration could
-//! differ — in particular [`crate::population::Population::restore`]
-//! rebuilds it empty. Cold-vs-warm is cost-only: every value is replayed
-//! from pure functions, so trajectories are bit-identical with the cache
-//! on, off, cold, or warm (tested in `fitness` and `population`).
-//!
-//! # Determinism
-//!
-//! Interior mutability is a [`RwLock`]; under rayon two workers may race to
-//! compute the same missing pair, but both compute the identical `f64`
-//! from the same pure function, so the second insert is a no-op in effect.
-//! Nothing ever iterates the map, so std's per-process hasher seed cannot
-//! influence results. Cache traffic is observable through the
-//! `payoff_cache_hits` / `payoff_cache_misses` counters
-//! (docs/OBSERVABILITY.md).
+//! interned strategies under the one [`GameConfig`] the cache was built
+//! for; the entry key is `(StratId, StratId, PayoffKind)`. The only
+//! reader and writer in the engine is [`crate::fitness::PairPayoff`],
+//! which decides what may be memoised. The contract — key semantics, why
+//! nothing is ever invalidated, what each evaluator probes, determinism
+//! under rayon, toggles and counters — is docs/PERFORMANCE.md §2; this
+//! module only stores.
 //!
 //! ```
 //! use evo_core::paycache::{PayoffCache, PayoffKind};

@@ -2,12 +2,12 @@
 //! (paper §IV, Fig 1's Agents / SSets / Nature Agent hierarchy).
 
 use crate::engine::{self, FitnessProvider, FitnessView, LocalProvider};
-use crate::fitness::{ExecMode, FitnessPolicy, GameKernel};
+use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff};
 use crate::nature::NatureAgent;
 use crate::params::{Params, ParamsError, StrategyKind};
-use crate::paycache::PayoffCache;
+use crate::paycache::{PayoffCache, PayoffKind};
 use crate::pool::{StratId, StrategyPool};
-use crate::record::{Checkpoint, GenerationRecord, PopulationSnapshot, RunStats};
+use crate::record::{Checkpoint, CheckpointError, GenerationRecord, PopulationSnapshot, RunStats};
 use crate::rngstream::{stream, Domain};
 use crate::sset::SSetLayout;
 use ipd::state::StateSpace;
@@ -347,33 +347,28 @@ impl Population {
     /// the paper's 10^7-generation production runs survive batch-queue
     /// limits.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            schema_version: crate::record::CHECKPOINT_SCHEMA_VERSION,
-            params: self.params.clone(),
-            generation: self.generation,
-            pool: self.pool.iter().map(|(_, s)| (**s).clone()).collect(),
-            assignments: self.assignments.clone(),
-            stats: self.stats,
-        }
+        Checkpoint::capture(&self.params, self.generation, &self.pool, &self.assignments, self.stats)
     }
 
-    /// Rebuild a population from a checkpoint. Execution knobs
+    /// Rebuild a population from a checkpoint, rejecting one whose tables
+    /// do not hold together ([`Checkpoint::tables`]). Execution knobs
     /// (`exec_mode`, `fitness_policy`, `dedup`, `use_payoff_cache`) reset
     /// to defaults — none of them affect trajectories, only cost, so the
     /// resumed run is identical to an uninterrupted one. The payoff cache
     /// (deliberately excluded from checkpoints) is pre-warmed from the
-    /// checkpoint's own strategy table, so a resumed run no longer pays
-    /// the cold-start replay its first post-resume evaluation used to
-    /// (docs/PERFORMANCE.md); pre-warming is cost-only and the trajectory
-    /// stays bit-identical (tested below).
-    pub fn restore(cp: Checkpoint) -> Result<Self, ParamsError> {
-        let mut pop = Population::new(cp.params)?;
-        let mut pool = StrategyPool::new();
-        for s in cp.pool {
-            pool.intern(s);
-        }
+    /// checkpoint's own strategy table (docs/PERFORMANCE.md §2);
+    /// pre-warming is cost-only and the trajectory stays bit-identical
+    /// (tested below).
+    pub fn restore(cp: Checkpoint) -> Result<Self, CheckpointError> {
+        let (_, pool, assignments) = cp.tables()?;
+        // Built through `new`, whose random tables are overwritten below:
+        // the `Domain::Init` streams it opens are part of a resumed run's
+        // `rng_streams` count, so the decoded space goes unused here and
+        // the parameters are validated a second time.
+        let mut pop =
+            Population::new(cp.params).map_err(|e| CheckpointError::Params(e.to_string()))?;
         pop.pool = pool;
-        pop.assignments = cp.assignments;
+        pop.assignments = assignments;
         pop.generation = cp.generation;
         pop.stats = cp.stats;
         pop.prewarm_payoff_cache();
@@ -381,28 +376,24 @@ impl Population {
     }
 
     /// Pre-warm the cross-generation payoff cache from the current
-    /// strategy table ([`crate::fitness::prewarm_cache`]): memoise every
-    /// ordered pair of distinct assigned strategies that the cached
-    /// evaluators would legally memoise, honouring the population's
-    /// `kernel` and `expected_fitness` configuration. No-op when
-    /// `use_payoff_cache` is off. Returns the number of entries inserted.
+    /// strategy table ([`PairPayoff::prewarm`]): memoise every ordered
+    /// pair of distinct assigned strategies that the evaluators would
+    /// legally memoise, honouring the population's `kernel` and
+    /// `expected_fitness` configuration. No-op when `use_payoff_cache` is
+    /// off. Returns the number of entries inserted.
     ///
     /// [`Population::restore`] calls this automatically; call it again
     /// after flipping `expected_fitness` on a restored population so the
     /// `Expected`-kind entries are warmed too.
     pub fn prewarm_payoff_cache(&self) -> usize {
-        if !self.use_payoff_cache {
-            return 0;
-        }
-        crate::fitness::prewarm_cache(
-            &self.space,
-            &self.assignments,
-            &self.pool,
-            &self.params.game,
-            self.kernel,
-            self.expected_fitness,
-            self.active_cache(),
-        )
+        let cache = self.use_payoff_cache.then(|| self.active_cache());
+        let kind = if self.expected_fitness {
+            PayoffKind::Expected
+        } else {
+            PayoffKind::Sampled
+        };
+        PairPayoff::new(&self.space, &self.pool, &self.params.game, self.kernel, cache)
+            .prewarm(&self.assignments, kind)
     }
 
     /// Number of distinct-pair payoffs memoised so far in the
@@ -844,6 +835,50 @@ mod tests {
         for (id, strat) in pop.pool().iter() {
             assert_eq!(restored.pool().get(id), strat, "pool id {id} changed");
         }
+    }
+
+    #[test]
+    fn restore_rejects_checkpoints_whose_tables_do_not_hold_together() {
+        let mut pop = Population::new(small_params(33)).unwrap();
+        pop.run(60);
+        let good = pop.checkpoint();
+        assert!(good.pool.len() > 2, "mutations grew the pool");
+        let reject = |cp: Checkpoint| Population::restore(cp).expect_err("must reject");
+
+        let mut dangling = good.clone();
+        dangling.assignments[0] = 9999;
+        assert_eq!(
+            reject(dangling),
+            CheckpointError::UnknownStrategy {
+                id: 9999,
+                pool: good.pool.len()
+            }
+        );
+        let mut short = good.clone();
+        short.assignments.truncate(3);
+        assert_eq!(
+            reject(short),
+            CheckpointError::WrongLength {
+                found: 3,
+                expected: 12
+            }
+        );
+        let mut twin = good.clone();
+        twin.pool[1] = twin.pool[0].clone();
+        assert_eq!(reject(twin), CheckpointError::DuplicatePoolEntry { index: 1 });
+        let mut foreign = good.clone();
+        foreign.pool[0] = Strategy::Pure(classic::all_c(&StateSpace::new(2).unwrap()));
+        assert_eq!(reject(foreign), CheckpointError::SpaceMismatch { index: 0 });
+        let mut future = good.clone();
+        future.schema_version = crate::record::CHECKPOINT_SCHEMA_VERSION + 1;
+        assert!(matches!(reject(future), CheckpointError::FutureSchema { .. }));
+        let mut bad_params = good.clone();
+        bad_params.params.num_ssets = 1;
+        assert!(matches!(reject(bad_params), CheckpointError::Params(_)));
+        // Pre-versioning files (schema 0) share the layout and still load.
+        let mut legacy = good;
+        legacy.schema_version = 0;
+        assert!(Population::restore(legacy).is_ok());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! (the raw data behind the paper's Fig 2 strategy-population views).
 
 use crate::nature::Event;
-use crate::pool::StratId;
+use crate::pool::{StratId, StrategyPool};
+use ipd::state::StateSpace;
+use ipd::strategy::Strategy;
 use serde::{Deserialize, Serialize};
 
 /// What happened in one generation.
@@ -35,7 +37,6 @@ impl GenerationRecord {
             Event::Mutation { .. } => true,
             Event::Moran { parent, victim } => parent != victim,
             Event::ImitateBest { best, learner } => best != learner,
-            Event::Migration { .. } => true,
         })
     }
 }
@@ -103,6 +104,161 @@ pub struct Checkpoint {
     pub assignments: Vec<StratId>,
     /// Aggregate statistics at checkpoint time.
     pub stats: RunStats,
+}
+
+impl Checkpoint {
+    /// Snapshot a run's tables at a generation boundary (pool, assignments
+    /// and stats mutually consistent) — the one place a [`Checkpoint`] is
+    /// built.
+    pub fn capture(
+        params: &crate::params::Params,
+        generation: u64,
+        pool: &StrategyPool,
+        assignments: &[StratId],
+        stats: RunStats,
+    ) -> Self {
+        Checkpoint {
+            schema_version: CHECKPOINT_SCHEMA_VERSION,
+            params: params.clone(),
+            generation,
+            pool: pool_table(pool),
+            assignments: assignments.to_vec(),
+            stats,
+        }
+    }
+
+    /// Decode and validate the strategy tables: the parameters' state
+    /// space, the rebuilt interning pool (ids as written) and the per-SSet
+    /// id table. Every resume path goes through here, so a hostile or
+    /// damaged file fails typed before any engine code indexes with it
+    /// (docs/FAULT_TOLERANCE.md §2).
+    pub fn tables(&self) -> Result<(StateSpace, StrategyPool, Vec<StratId>), CheckpointError> {
+        check_schema(self.schema_version, CHECKPOINT_SCHEMA_VERSION)?;
+        let space = self
+            .params
+            .validate()
+            .map_err(|e| CheckpointError::Params(e.to_string()))?;
+        decode_tables(space, &self.pool, &self.assignments, self.params.num_ssets)
+    }
+}
+
+/// Why a checkpoint cannot be resumed. Shared by every checkpoint family
+/// ([`Checkpoint`], [`crate::spatial::SpatialCheckpoint`],
+/// [`crate::fixation::FixationCheckpoint`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum CheckpointError {
+    /// The embedded run parameters fail their own validation.
+    Params(String),
+    /// Written under a newer schema than this build reads.
+    FutureSchema {
+        /// The file's `schema_version`.
+        found: u32,
+        /// The newest version this build understands.
+        supported: u32,
+    },
+    /// The id table's length disagrees with the parameters.
+    WrongLength {
+        /// Entries in the file.
+        found: usize,
+        /// Entries the parameters call for.
+        expected: usize,
+    },
+    /// A pool strategy lives in a different state space than the
+    /// parameters' memory depth implies.
+    SpaceMismatch {
+        /// Pool index of the offending strategy.
+        index: usize,
+    },
+    /// The pool lists one strategy twice: re-interning would collapse the
+    /// two and shift every later id.
+    DuplicatePoolEntry {
+        /// Pool index of the second occurrence.
+        index: usize,
+    },
+    /// The id table references a strategy the pool does not hold.
+    UnknownStrategy {
+        /// The dangling id.
+        id: StratId,
+        /// Strategies in the pool.
+        pool: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Params(e) => write!(f, "invalid checkpoint parameters: {e}"),
+            CheckpointError::FutureSchema { found, supported } => write!(
+                f,
+                "checkpoint schema version {found} is newer than this build supports ({supported})"
+            ),
+            CheckpointError::WrongLength { found, expected } => write!(
+                f,
+                "checkpoint holds {found} strategy assignments, its parameters say {expected}"
+            ),
+            CheckpointError::SpaceMismatch { index } => write!(
+                f,
+                "checkpoint pool entry {index} has a different memory depth than the parameters"
+            ),
+            CheckpointError::DuplicatePoolEntry { index } => write!(
+                f,
+                "checkpoint pool entry {index} duplicates an earlier strategy (ids would shift)"
+            ),
+            CheckpointError::UnknownStrategy { id, pool } => write!(
+                f,
+                "checkpoint references unknown strategy id {id} (pool holds {pool})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// A checkpoint written under a schema newer than `supported` cannot be
+/// trusted to mean what this build would read into it.
+pub(crate) fn check_schema(found: u32, supported: u32) -> Result<(), CheckpointError> {
+    if found > supported {
+        return Err(CheckpointError::FutureSchema { found, supported });
+    }
+    Ok(())
+}
+
+/// Every interned strategy in id order — the `pool` field of a checkpoint.
+pub(crate) fn pool_table(pool: &StrategyPool) -> Vec<Strategy> {
+    pool.iter().map(|(_, s)| (**s).clone()).collect()
+}
+
+/// Re-intern a checkpoint's `pool` (ids must come out as written) and
+/// validate its id table against it: `expected` entries, each naming a
+/// pool strategy. `space` is handed back with the tables.
+pub(crate) fn decode_tables(
+    space: StateSpace,
+    strategies: &[Strategy],
+    ids: &[StratId],
+    expected: usize,
+) -> Result<(StateSpace, StrategyPool, Vec<StratId>), CheckpointError> {
+    if ids.len() != expected {
+        return Err(CheckpointError::WrongLength {
+            found: ids.len(),
+            expected,
+        });
+    }
+    let mut pool = StrategyPool::new();
+    for (index, s) in strategies.iter().enumerate() {
+        if s.space() != &space {
+            return Err(CheckpointError::SpaceMismatch { index });
+        }
+        if pool.intern(s.clone()) as usize != index {
+            return Err(CheckpointError::DuplicatePoolEntry { index });
+        }
+    }
+    match ids.iter().find(|&&id| id as usize >= pool.len()) {
+        Some(&id) => Err(CheckpointError::UnknownStrategy {
+            id,
+            pool: pool.len(),
+        }),
+        None => Ok((space, pool, ids.to_vec())),
+    }
 }
 
 /// Aggregate statistics over a run.
@@ -188,6 +344,7 @@ impl<W: std::io::Write> RecordWriter<W> {
 /// submissions of the same job (docs/SERVICE.md). The CLI prints it as the
 /// `state digest` stderr line; `svc` receipts carry it as `state_digest`.
 pub fn state_digest<A: Serialize, F: Serialize>(assignments: &A, features: &F) -> u64 {
+    // detlint: allow(panic-path, reason = "invariant: callers pass id and f64 tables, whose in-memory JSON serialisation has no failure path; a digest that could silently skip state would defeat its purpose")
     let json = serde_json::to_string(&(assignments, features)).expect("state serialises");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in json.bytes() {

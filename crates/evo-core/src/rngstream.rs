@@ -34,9 +34,9 @@ pub enum Domain {
     /// trajectory.
     Faults = 6,
     /// Structured-population dynamics: per-vertex spatial update draws
-    /// (Fermi neighbor choice and adoption on lattices/graphs) and island
-    /// migration selection. Disjoint from `Nature` so well-mixed and
-    /// graph-structured dynamics can never perturb each other's schedules.
+    /// (Fermi neighbor choice and adoption on lattices/graphs). Disjoint
+    /// from `Nature` so well-mixed and graph-structured dynamics can never
+    /// perturb each other's schedules.
     Graph = 7,
     /// Fixation-probability replicate seeding (`evo_core::fixation`): the
     /// per-replicate engine seeds of a `FixationBatch` are derived from

@@ -41,13 +41,16 @@
 //! backends (`cluster::dist::graph`).
 
 use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
-use crate::fitness::GameKernel;
+use crate::fitness::{GameKernel, PairPayoff};
 use crate::graph::{GraphScope, GraphView, Lattice};
-use crate::paycache::{PayoffCache, PayoffKind};
+use crate::paycache::PayoffCache;
 use crate::pool::{StratId, StrategyPool};
-use crate::record::{GenerationRecord, PopulationSnapshot, RunStats};
+use crate::record::{
+    check_schema, decode_tables, pool_table, CheckpointError, GenerationRecord, PopulationSnapshot,
+    RunStats,
+};
 use crate::rngstream::{stream, Domain};
-use ipd::game::{play, play_deterministic, play_deterministic_cycle, GameConfig};
+use ipd::game::GameConfig;
 use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
 use rayon::prelude::*;
@@ -119,8 +122,9 @@ impl Default for SpatialParams {
 }
 
 impl SpatialParams {
-    /// Non-panicking validation, for service admission and CLI parsing.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Non-panicking validation, for service admission, CLI parsing and
+    /// checkpoint decoding; returns the strategies' state space.
+    pub fn validate(&self) -> Result<StateSpace, String> {
         if self.width < 3 || self.height < 3 {
             return Err(format!(
                 "grid must be at least 3×3, got {}×{}",
@@ -132,7 +136,7 @@ impl SpatialParams {
                 return Err(format!("Fermi beta must be finite and ≥ 0, got {beta}"));
             }
         }
-        Ok(())
+        StateSpace::new(self.mem_steps).map_err(|e| format!("invalid memory depth: {e}"))
     }
 
     /// The torus topology these parameters describe.
@@ -208,6 +212,37 @@ pub struct SpatialCheckpoint {
     pub stats: RunStats,
 }
 
+impl SpatialCheckpoint {
+    /// Snapshot a lattice run's tables at a generation boundary — the one
+    /// place a [`SpatialCheckpoint`] is built.
+    pub fn capture(
+        params: &SpatialParams,
+        generation: u64,
+        pool: &StrategyPool,
+        grid: &[StratId],
+        stats: RunStats,
+    ) -> Self {
+        SpatialCheckpoint {
+            schema_version: SPATIAL_CHECKPOINT_SCHEMA_VERSION,
+            params: params.clone(),
+            generation,
+            pool: pool_table(pool),
+            grid: grid.to_vec(),
+            stats,
+        }
+    }
+
+    /// Decode and validate the strategy tables: the parameters' state
+    /// space, the rebuilt interning pool (ids as written) and the row-major
+    /// grid. The lattice counterpart of
+    /// [`crate::record::Checkpoint::tables`], behind every spatial resume.
+    pub fn tables(&self) -> Result<(StateSpace, StrategyPool, Vec<StratId>), CheckpointError> {
+        check_schema(self.schema_version, SPATIAL_CHECKPOINT_SCHEMA_VERSION)?;
+        let space = self.params.validate().map_err(CheckpointError::Params)?;
+        decode_tables(space, &self.pool, &self.grid, self.params.width * self.params.height)
+    }
+}
+
 /// Per-row payoff sums, rows in order. This is the *canonical* f64
 /// reduction order of the spatial record stream: the shared backend folds
 /// these row sums in row order, and the distributed backend has each rank
@@ -254,41 +289,18 @@ pub struct LatticeProvider<'a> {
 }
 
 impl LatticeProvider<'_> {
-    /// Focal payoff of the game vertex `a` plays against vertex `b`.
-    /// Deterministic pure noiseless pairs replay through the kernel and
-    /// memoise in the cache; anything else draws the per-pair
-    /// `Domain::GamePlay` stream (entity = `a·n + b`, so the (a, b) and
-    /// (b, a) games are independent).
-    fn pair_payoff(&self, a: usize, b: usize, generation: u64) -> f64 {
-        let ia = self.grid[a];
-        let ib = self.grid[b];
-        let sa = self.pool.get(ia);
-        let sb = self.pool.get(ib);
-        if self.game.noise == 0.0 {
-            if let (Strategy::Pure(pa), Strategy::Pure(pb)) = (sa.as_ref(), sb.as_ref()) {
-                if let Some(hit) = self
-                    .cache
-                    .and_then(|c| c.get(ia, ib, PayoffKind::Sampled))
-                {
-                    return hit;
-                }
-                let value = match self.kernel {
-                    GameKernel::Naive => {
-                        play_deterministic(self.space, pa, pb, self.game).fitness_a
-                    }
-                    GameKernel::Cycle => {
-                        play_deterministic_cycle(self.space, pa, pb, self.game).fitness_a
-                    }
-                };
-                if let Some(c) = self.cache {
-                    c.insert(ia, ib, PayoffKind::Sampled, value);
-                }
-                return value;
-            }
-        }
-        let entity = (a as u64) * self.grid.len() as u64 + b as u64;
-        let mut rng = stream(self.seed, Domain::GamePlay, entity, generation);
-        play(self.space, sa, sb, self.game, &mut rng).fitness_a
+    /// Focal payoff of the game vertex `a` plays against vertex `b`: the
+    /// shared pair primitive ([`PairPayoff::sampled`]) over the two cells'
+    /// strategies, with the per-pair `Domain::GamePlay` stream (entity =
+    /// `a·n + b`, so the (a, b) and (b, a) games are independent) for the
+    /// pairs it has to play. A thin call kept inlined: this is the lattice
+    /// hot loop, ~9 probes per cell per generation.
+    #[inline]
+    fn pair_payoff(&self, pairs: &PairPayoff<'_>, a: usize, b: usize, generation: u64) -> f64 {
+        pairs.sampled(self.grid[a], self.grid[b], || {
+            let entity = (a as u64) * self.grid.len() as u64 + b as u64;
+            stream(self.seed, Domain::GamePlay, entity, generation)
+        })
     }
 }
 
@@ -301,6 +313,7 @@ impl FitnessProvider for LatticeProvider<'_> {
         };
         let _span = obs::span("spatial.fitness");
         let gen = plan.generation;
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.kernel, self.cache);
         let per_cell = self.view.degree(0) as u64 + u64::from(scope.include_self);
         // The payoff phase is embarrassingly parallel (§V-A): each vertex
         // accumulates its neighbour games in the lattice's canonical
@@ -311,10 +324,10 @@ impl FitnessProvider for LatticeProvider<'_> {
             .into_par_iter()
             .map(|i| {
                 let mut total: f64 = (0..self.view.degree(i))
-                    .map(|k| self.pair_payoff(i, self.view.neighbor(i, k), gen))
+                    .map(|k| self.pair_payoff(&pairs, i, self.view.neighbor(i, k), gen))
                     .sum();
                 if scope.include_self {
-                    total += self.pair_payoff(i, i, gen);
+                    total += self.pair_payoff(&pairs, i, i, gen);
                 }
                 total
             })
@@ -395,6 +408,7 @@ impl SpatialPopulation {
     pub fn new(params: SpatialParams, init: InitPattern) -> Self {
         assert!(params.width >= 3 && params.height >= 3, "grid must be at least 3x3");
         let lattice = params.lattice();
+        // detlint: allow(panic-path, reason = "constructor contract: every outside input (CLI flags, svc admission, dist configs, checkpoints) passes SpatialParams::validate first, which rejects a bad memory depth typed; reaching this with one is a caller bug")
         let space = StateSpace::new(params.mem_steps).expect("valid memory steps");
         let mut pool = StrategyPool::new();
         let n = params.width * params.height;
@@ -515,47 +529,24 @@ impl SpatialPopulation {
 
     /// Serialise the complete run state (docs/GRAPH.md §checkpoints).
     pub fn checkpoint(&self) -> SpatialCheckpoint {
-        SpatialCheckpoint {
-            schema_version: SPATIAL_CHECKPOINT_SCHEMA_VERSION,
-            params: self.params.clone(),
-            generation: self.generation,
-            pool: self.pool.iter().map(|(_, s)| (**s).clone()).collect(),
-            grid: self.grid.clone(),
-            stats: self.stats,
-        }
+        SpatialCheckpoint::capture(&self.params, self.generation, &self.pool, &self.grid, self.stats)
     }
 
-    /// Rebuild a population from a checkpoint. Continuing is bit-identical
-    /// to never stopping; the payoff cache restarts cold (cost-only).
-    pub fn restore(cp: SpatialCheckpoint) -> Result<Self, String> {
-        cp.params.validate()?;
-        let n = cp.params.width * cp.params.height;
-        if cp.grid.len() != n {
-            return Err(format!(
-                "checkpoint grid has {} cells, params say {n}",
-                cp.grid.len()
-            ));
-        }
-        let mut pool = StrategyPool::new();
-        for s in cp.pool {
-            pool.intern(s);
-        }
-        if let Some(&bad) = cp.grid.iter().find(|&&id| id as usize >= pool.len()) {
-            return Err(format!("checkpoint grid references unknown strategy id {bad}"));
-        }
-        let lattice = cp.params.lattice();
-        let space = StateSpace::new(cp.params.mem_steps)
-            .map_err(|e| format!("invalid memory depth: {e}"))?;
-        let cache = PayoffCache::new(cp.params.game);
+    /// Rebuild a population from a checkpoint, rejecting one whose tables
+    /// do not hold together ([`SpatialCheckpoint::tables`]). Continuing is
+    /// bit-identical to never stopping; the payoff cache restarts cold
+    /// (cost-only).
+    pub fn restore(cp: SpatialCheckpoint) -> Result<Self, CheckpointError> {
+        let (space, pool, grid) = cp.tables()?;
         Ok(SpatialPopulation {
-            lattice,
+            lattice: cp.params.lattice(),
             space,
             pool,
-            grid: cp.grid,
-            payoffs: vec![0.0; n],
+            payoffs: vec![0.0; grid.len()],
+            grid,
             generation: cp.generation,
             stats: cp.stats,
-            cache,
+            cache: PayoffCache::new(cp.params.game),
             kernel: GameKernel::Naive,
             use_payoff_cache: true,
             params: cp.params,
@@ -974,21 +965,28 @@ mod tests {
             params(1.5, 5, SpatialUpdate::BestNeighbor),
             InitPattern::SingleDefector,
         );
+        let reject = |cp: SpatialCheckpoint| SpatialPopulation::restore(cp).expect_err("must reject");
         let mut bad_grid = pop.checkpoint();
         bad_grid.grid.pop();
-        assert!(SpatialCheckpoint::restore_err(bad_grid).contains("cells"));
+        assert_eq!(
+            reject(bad_grid),
+            CheckpointError::WrongLength {
+                found: 24,
+                expected: 25
+            }
+        );
         let mut bad_id = pop.checkpoint();
         bad_id.grid[0] = 999;
-        assert!(SpatialCheckpoint::restore_err(bad_id).contains("unknown strategy id"));
+        assert_eq!(reject(bad_id), CheckpointError::UnknownStrategy { id: 999, pool: 2 });
         let mut bad_dims = pop.checkpoint();
         bad_dims.params.width = 2;
-        assert!(SpatialCheckpoint::restore_err(bad_dims).contains("3×3"));
-    }
-
-    impl SpatialCheckpoint {
-        fn restore_err(self) -> String {
-            SpatialPopulation::restore(self).expect_err("must reject")
-        }
+        assert!(matches!(reject(bad_dims), CheckpointError::Params(e) if e.contains("3×3")));
+        let mut twin = pop.checkpoint();
+        twin.pool[1] = twin.pool[0].clone();
+        assert_eq!(reject(twin), CheckpointError::DuplicatePoolEntry { index: 1 });
+        let mut future = pop.checkpoint();
+        future.schema_version = SPATIAL_CHECKPOINT_SCHEMA_VERSION + 1;
+        assert!(matches!(reject(future), CheckpointError::FutureSchema { .. }));
     }
 
     #[test]

@@ -97,10 +97,9 @@ impl Family for Population {
 
     fn start(spec: &JobRequest, resume: Option<Checkpoint>) -> Result<Self, String> {
         let mut pop = match resume {
-            Some(cp) => Population::restore(cp),
-            None => Population::new(spec.params.clone()),
-        }
-        .map_err(|e| e.to_string())?;
+            Some(cp) => Population::restore(cp).map_err(|e| e.to_string()),
+            None => Population::new(spec.params.clone()).map_err(|e| e.to_string()),
+        }?;
         if spec.on_demand {
             pop.fitness_policy = FitnessPolicy::OnDemand;
         }
@@ -172,7 +171,7 @@ impl Family for SpatialPopulation {
 
     fn start(spec: &SpatialJobSpec, resume: Option<SpatialCheckpoint>) -> Result<Self, String> {
         match resume {
-            Some(cp) => SpatialPopulation::restore(cp),
+            Some(cp) => SpatialPopulation::restore(cp).map_err(|e| e.to_string()),
             None => Ok(SpatialPopulation::new(spec.params.clone(), spec.init.clone())),
         }
     }

@@ -268,6 +268,17 @@ impl CheckpointFlags {
         Ok(Some(cp))
     }
 
+    /// The message for a run that could not start: on `--resume` the
+    /// parameters and tables came from the file, and whether they hold
+    /// together is the library's check (docs/FAULT_TOLERANCE.md §4), so
+    /// the file is named.
+    fn blame(&self, e: impl std::fmt::Display) -> String {
+        match &self.resume {
+            Some(path) => format!("{path}: {e}"),
+            None => e.to_string(),
+        }
+    }
+
     /// Write a restartable checkpoint as JSON to `--checkpoint-out`, if set.
     fn write<C: Restartable>(&self, cp: &C) -> Result<(), String> {
         let Some(path) = &self.out else {
@@ -385,7 +396,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let checkpoints = CheckpointFlags::parse(args)?;
     let (_, no_payoff_cache) = fault_flags(args)?;
     let mut pop = match checkpoints.resume()? {
-        Some(cp) => Population::restore(cp).map_err(|e| e.to_string())?,
+        Some(cp) => Population::restore(cp).map_err(|e| checkpoints.blame(e))?,
         None => Population::new(build_params(args)?).map_err(|e| e.to_string())?,
     };
     if args.flag("--on-demand") {
@@ -579,6 +590,7 @@ fn cmd_distributed(args: &Args) -> Result<ExitCode, String> {
         Err(DistError::Degraded(d)) => {
             degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
         }
+        Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
         Err(e) => Err(e.to_string()),
     }
 }
@@ -699,13 +711,14 @@ fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
             Err(DistError::Degraded(d)) => {
                 degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
             }
+            Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
             Err(e) => Err(e.to_string()),
         };
     }
 
     // Shared-memory backend.
     let mut pop = match resume {
-        Some(cp) => SpatialPopulation::restore(cp)?,
+        Some(cp) => SpatialPopulation::restore(cp).map_err(|e| checkpoints.blame(e))?,
         None => SpatialPopulation::new(params, init),
     };
     if no_payoff_cache {
@@ -904,13 +917,14 @@ fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
             Err(DistError::Degraded(d)) => {
                 degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
             }
+            Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
             Err(e) => Err(e.to_string()),
         };
     }
 
     // Shared-memory backend.
     let mut batch = match resume {
-        Some(cp) => FixationBatch::resume(cp).map_err(|e| e.to_string())?,
+        Some(cp) => FixationBatch::resume(cp).map_err(|e| checkpoints.blame(e))?,
         None => FixationBatch::new(spec).map_err(|e| e.to_string())?,
     };
     if checkpoints.every.is_some_and(|n| n > 0) {

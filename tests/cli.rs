@@ -358,4 +358,67 @@ fn resume_accepts_only_its_own_checkpoint_kind() {
         }
     }
     let _ = std::fs::remove_file(truncated);
+
+    // In-family hostile inputs: the right kind of file, with tables that do
+    // not hold together. Every backend must refuse it by name before any
+    // engine code indexes with it — exit 1, never a panic, a hung rank or
+    // a digest of some other population.
+    use evogame::engine::fixation::FixationCheckpoint;
+    use evogame::engine::record::Checkpoint;
+    use evogame::engine::spatial::SpatialCheckpoint;
+    let load = |name: &str| std::fs::read_to_string(fixtures.join(name)).unwrap();
+    let well_mixed: Checkpoint = serde_json::from_str(&load(FAMILIES[0].1)).unwrap();
+    let lattice: SpatialCheckpoint = serde_json::from_str(&load(FAMILIES[1].1)).unwrap();
+    let batch: FixationCheckpoint = serde_json::from_str(&load(FAMILIES[2].1)).unwrap();
+    let mut cells: Vec<(&[&str], &str, String, &str)> = Vec::new();
+    const WELL_MIXED: [&[&str]; 2] = [&["run"], &["distributed", "--ranks", "3"]];
+    const LATTICE: [&[&str]; 2] = [&["spatial"], &["spatial", "--ranks", "3"]];
+    const BATCH: [&[&str]; 2] = [&["fixate"], &["fixate", "--ranks", "3"]];
+    for command in WELL_MIXED {
+        let json = |edit: &dyn Fn(&mut Checkpoint)| {
+            let mut cp = well_mixed.clone();
+            edit(&mut cp);
+            serde_json::to_string(&cp).unwrap()
+        };
+        cells.push((command, "bad_id", json(&|cp| cp.assignments[0] = 9999), "unknown strategy id 9999"));
+        cells.push((command, "wrong_length", json(&|cp| cp.assignments.truncate(3)), "3 strategy assignments"));
+        cells.push((command, "duplicate_pool", json(&|cp| cp.pool[1] = cp.pool[0].clone()), "duplicates"));
+        cells.push((command, "future_schema", json(&|cp| cp.schema_version = 99), "schema version 99"));
+    }
+    for command in LATTICE {
+        let json = |edit: &dyn Fn(&mut SpatialCheckpoint)| {
+            let mut cp = lattice.clone();
+            edit(&mut cp);
+            serde_json::to_string(&cp).unwrap()
+        };
+        cells.push((command, "bad_id", json(&|cp| cp.grid[0] = 9999), "unknown strategy id 9999"));
+        cells.push((command, "wrong_length", json(&|cp| cp.grid.truncate(3)), "3 strategy assignments"));
+        cells.push((command, "duplicate_pool", json(&|cp| cp.pool[1] = cp.pool[0].clone()), "duplicates"));
+        cells.push((command, "future_schema", json(&|cp| cp.schema_version = 99), "schema version 99"));
+    }
+    // A fixation checkpoint carries no strategy tables, and stray
+    // `completed` entries are normalised by design: the schema is the
+    // hostile input it has.
+    for command in BATCH {
+        let mut cp = batch.clone();
+        cp.schema_version = 99;
+        cells.push((command, "future_schema", serde_json::to_string(&cp).unwrap(), "schema version 99"));
+    }
+    for (command, case, json, names) in cells {
+        let file = std::env::temp_dir().join(format!(
+            "evogame_hostile_{}_{}_{case}_{}.json",
+            command[0],
+            command.len(),
+            std::process::id()
+        ));
+        std::fs::write(&file, json).unwrap();
+        let out = cli().args(command).arg("--resume").arg(&file).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let cell = format!("{command:?} --resume {case}");
+        assert_eq!(out.status.code(), Some(1), "{cell}: {stderr}");
+        assert!(stderr.contains(&*file.to_string_lossy()), "{cell} must name the file: {stderr}");
+        assert!(stderr.contains(names), "{cell}: {stderr}");
+        assert!(!stderr.contains("state digest"), "{cell}: {stderr}");
+        let _ = std::fs::remove_file(file);
+    }
 }

@@ -121,12 +121,16 @@ fn wsls_takeover_raises_population_payoff() {
         let mut total = 0.0;
         let s = pop.params().num_ssets as f64;
         let per_round = pop.params().game.rounds as f64 * s;
+        let pairs = evo_core::fitness::PairPayoff::new(
+            pop.space(),
+            pop.pool(),
+            &pop.params().game,
+            evo_core::fitness::GameKernel::Naive,
+            None,
+        );
         for g in 0..20u64 {
-            let f = evo_core::fitness::evaluate(
-                pop.space(),
+            let f = pairs.evaluate_naive(
                 pop.assignments(),
-                pop.pool(),
-                &pop.params().game,
                 pop.params().seed,
                 pop.generation() + g,
                 ExecMode::Sequential,
