@@ -165,6 +165,11 @@ impl<'a, M: Messenger> Collective<'a, M> {
     /// `O(log₂ P)` rounds; each non-root receives exactly once and forwards
     /// down its subtree — the message pattern behind the paper's pair
     /// selections, mutation announcements, and global strategy updates.
+    ///
+    /// A dead child does not starve its siblings: every child send is
+    /// attempted, and the first failure is returned afterwards. (Returning
+    /// on the first failed send would leave the live subtrees behind it
+    /// waiting on a parent that is alive and will never send.)
     pub fn bcast(
         &self,
         root: Rank,
@@ -187,14 +192,17 @@ impl<'a, M: Messenger> Collective<'a, M> {
         let mut forward_mask = mask >> 1;
         // detlint: allow(panic-path, reason = "invariant: bcast's binomial tree guarantees either this rank is root (payload passed in) or the loop above received from its parent before breaking")
         let v = payload.expect("root passed Some or value was received");
+        let mut first_err = None;
         while forward_mask > 0 {
             if vrank + forward_mask < size {
                 let dst = (vrank + forward_mask + root) % size;
-                self.comm.send(dst, tag, v.clone())?;
+                if let Err(e) = self.comm.send(dst, tag, v.clone()) {
+                    first_err.get_or_insert(e);
+                }
             }
             forward_mask >>= 1;
         }
-        Ok(v)
+        first_err.map_or(Ok(v), Err)
     }
 
     /// Binomial-tree reduction to `root` with combiner `op`; returns
@@ -457,6 +465,47 @@ mod tests {
         // Rank 0 only sends; depending on whether the kill lands before its
         // send to rank 2 it sees success or the dead rank — never a hang.
         assert!(matches!(results[0], Ok(7) | Err(ClusterError::RankDead(2))));
+    }
+
+    #[test]
+    fn bcast_feeds_every_rank_not_behind_the_dead_one() {
+        // Binomial tree rooted at 0: a rank's parent is the rank with its
+        // lowest set bit cleared. Every rank waits until the victim's death
+        // is visible before entering, so each outcome is decided by the
+        // tree alone; the deadline only bounds the ranks behind the victim's
+        // children, whose parent returned without dying.
+        let parent = |r: Rank| r & r.wrapping_sub(1);
+        for size in 2..=8usize {
+            for victim in 1..size {
+                let results = VirtualCluster::run(size, move |comm| {
+                    if comm.rank() == victim {
+                        comm.kill();
+                        return Err(ClusterError::RankDead(victim));
+                    }
+                    while comm.is_alive(victim) {
+                        std::thread::yield_now();
+                    }
+                    let coll = Collective::with_recv_timeout(&comm, Duration::from_secs(1));
+                    coll.bcast(0, (comm.rank() == 0).then_some(7u64))
+                });
+                for (rank, got) in results.iter().enumerate() {
+                    let case = format!("size {size}, victim {victim}, rank {rank}: {got:?}");
+                    let behind_victim =
+                        std::iter::successors(Some(rank), |&r| (r > 0).then(|| parent(r)))
+                            .any(|r| r == victim);
+                    if rank == victim || rank == parent(victim) || parent(rank) == victim {
+                        // The victim; its parent, whose send to it fails
+                        // after the other children were fed; its children,
+                        // whose source is dead.
+                        assert_eq!(*got, Err(ClusterError::RankDead(victim)), "{case}");
+                    } else if behind_victim {
+                        assert!(got.is_err(), "{case}");
+                    } else {
+                        assert_eq!(*got, Ok(7), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

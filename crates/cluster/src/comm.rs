@@ -555,15 +555,21 @@ mod tests {
     #[test]
     fn send_to_dead_rank_errors() {
         // Rank 1 kills itself; rank 0 observes the death after a sync.
-        VirtualCluster::run(2, |comm: Comm<u8>| {
+        // The barrier keeps rank 0's inbox open until rank 1's post-kill
+        // send has landed: a returned rank drops its receiver, and a send
+        // into a dropped receiver fails.
+        let sent = Arc::new(std::sync::Barrier::new(2));
+        VirtualCluster::run(2, move |comm: Comm<u8>| {
             if comm.rank() == 1 {
                 comm.kill();
                 comm.send(0, 9, 1).unwrap(); // a dead rank can still send
+                sent.wait();
             } else {
                 // The message is sent *after* the kill, so the filtered
                 // receive may observe the death first. Either way rank 1
                 // is dead once this returns.
                 let synced = comm.recv(Some(1), Some(9));
+                sent.wait();
                 assert!(
                     matches!(synced, Ok(_) | Err(ClusterError::RankDead(1))),
                     "{synced:?}"
@@ -672,18 +678,22 @@ mod tests {
     fn failed_sends_are_not_counted() {
         // The exact post-join total: rank 1's one successful send, and
         // neither of rank 0's failed ones. (An in-rank before/after delta
-        // would race rank 1's counter bump.)
+        // would race rank 1's counter bump.) The barrier keeps rank 0's
+        // inbox open until rank 1's send has landed, so that send succeeds.
+        let sent = Arc::new(std::sync::Barrier::new(2));
         let (_, total) = VirtualCluster::run_with_faults_counted(
             2,
             MessageFaults::default(),
-            |comm: Comm<u8>| {
+            move |comm: Comm<u8>| {
                 if comm.rank() == 1 {
                     comm.kill();
                     comm.send(0, 0, 1).unwrap(); // sync: tell rank 0 we're dead
+                    sent.wait();
                 } else {
                     // Sent after the kill: the receive may see the death
                     // first; rank 1 is dead either way.
                     let synced = comm.recv(Some(1), Some(0));
+                    sent.wait();
                     assert!(
                         matches!(synced, Ok(_) | Err(ClusterError::RankDead(1))),
                         "{synced:?}"

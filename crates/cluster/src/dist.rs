@@ -63,11 +63,10 @@ use evo_core::nature::{Event, NatureAgent};
 use evo_core::params::Params;
 use evo_core::paycache::{PayoffCache, PayoffKind};
 use evo_core::pool::{StratId, StrategyPool};
+use evo_core::population::initial_tables;
 use evo_core::record::{Checkpoint, RunStats};
-use evo_core::rngstream::{stream, Domain};
 use ipd::game::GameConfig;
 use ipd::state::StateSpace;
-use ipd::strategy::Strategy;
 use serde::{Deserialize, Serialize};
 
 /// Point-to-point tag for fitness returns (collective tags live in their
@@ -563,26 +562,13 @@ impl WellMixed {
 /// Build the rank's initial state: fresh at generation zero, or restored
 /// from the resume checkpoint.
 fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
-    let num_ssets = spec.config.params.num_ssets;
-
     // Every rank builds the identical initial table (paper: the global
     // strategy view is set up in the initialisation broadcast; here the
     // counter-based streams make it reproducible locally). Resume copies
     // the tables `run_distributed` decoded from the checkpoint.
     let (pool, assignments) = match &spec.restored {
         Some(tables) => tables.clone(),
-        None => {
-            let mut pool = StrategyPool::new();
-            let mixed = matches!(spec.config.params.kind, evo_core::params::StrategyKind::Mixed);
-            let a = (0..num_ssets)
-                .map(|i| {
-                    // detlint: allow(rng-domain, reason = "replicated init: every rank rebuilds the identical gen-0 table with the same Init streams population::new uses, so the distributed and shared-memory backends agree bit-for-bit")
-                    let mut rng = stream(spec.config.params.seed, Domain::Init, i as u64, 0);
-                    pool.intern(Strategy::random(spec.space, mixed, &mut rng))
-                })
-                .collect();
-            (pool, a)
-        }
+        None => initial_tables(&spec.config.params, spec.space),
     };
     let (start_gen, stats) = match &spec.config.resume {
         Some(cp) => (cp.generation, cp.stats),

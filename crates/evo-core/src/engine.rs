@@ -66,9 +66,9 @@ pub enum EvalScope {
     /// Every SSet's fitness.
     Full,
     /// Per-vertex payoffs over an explicit topology
-    /// ([`crate::graph::GraphView`]): each vertex accumulates game payoffs
+    /// ([`crate::graph::Lattice`]): each vertex accumulates game payoffs
     /// against its graph neighbours (plus itself when
-    /// [`GraphScope::include_self`]), in the view's canonical neighbour
+    /// [`GraphScope::include_self`]), in the lattice's canonical neighbour
     /// order. The scope carries only the plan-level descriptor; the
     /// adjacency lives with the provider that owns the population
     /// (docs/GRAPH.md).

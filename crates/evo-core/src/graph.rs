@@ -3,27 +3,23 @@
 //! The paper's §II situates the model in the cellular-automata lineage of
 //! spatial games (Nowak & May's lattice dilemma, reference \[30\]); this
 //! module makes that structure a first-class engine concept instead of a
-//! side loop. A [`GraphView`] is any vertex set with a *deterministically
-//! ordered* neighbor list per vertex; [`Lattice`] is the periodic (torus)
-//! grid with [`Neighborhood::VonNeumann4`] or [`Neighborhood::Moore8`]
-//! stencils, and [`AdjacencyGraph`] holds an arbitrary topology in CSR
-//! form for irregular networks (strategy-network replicator studies,
-//! arXiv:1403.1048).
+//! side loop. [`Lattice`] is the periodic (torus) grid with
+//! [`Neighborhood::VonNeumann4`] or [`Neighborhood::Moore8`] stencils: a
+//! vertex set with a *deterministically ordered* neighbor list per vertex.
 //!
 //! # Determinism contract
 //!
 //! Everything downstream — the spatial `FitnessProvider`, the per-vertex
 //! update draws, the rank-sharded distributed runner — iterates neighbors
-//! through [`GraphView::neighbor`] in index order `0..degree(v)`. Because
-//! that order is a pure function of the topology (offset order for
-//! lattices, sorted CSR order for adjacency graphs), payoff accumulation
-//! and RNG consumption are schedule-invariant: any thread count, any rank
-//! partition, same bits (docs/GRAPH.md).
+//! through [`Lattice::neighbor`] in index order `0..degree(v)`. Because
+//! that order is a pure function of the topology (the stencil's offset
+//! order), payoff accumulation and RNG consumption are schedule-invariant:
+//! any thread count, any rank partition, same bits (docs/GRAPH.md).
 //!
 //! A [`GraphScope`] is the *plan-level* summary of a topology: a tiny
 //! `Copy` descriptor that rides inside `engine::GenPlan` (and therefore
 //! inside the distributed `Plan` broadcast) without dragging the adjacency
-//! data along. The concrete [`GraphView`] lives with the population that
+//! data along. The concrete [`Lattice`] lives with the population that
 //! owns it; the scope only says how many vertices the plan covers and
 //! whether self-play is included.
 
@@ -56,32 +52,6 @@ impl Neighborhood {
                 (1, 1),
             ],
         }
-    }
-}
-
-/// A finite vertex set with deterministically ordered adjacency — the
-/// topology abstraction every structured-population consumer iterates
-/// through. Implementations must guarantee that `neighbor(v, k)` is a pure
-/// function of the topology (no interior mutability, no hashing order).
-pub trait GraphView {
-    /// Number of vertices.
-    fn len(&self) -> usize;
-
-    /// `true` when the graph has no vertices.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of neighbours of vertex `v`.
-    fn degree(&self, v: usize) -> usize;
-
-    /// The `k`-th neighbour of `v` in the graph's canonical order,
-    /// `k < degree(v)`.
-    fn neighbor(&self, v: usize, k: usize) -> usize;
-
-    /// The neighbours of `v` in canonical order, materialised.
-    fn neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.degree(v)).map(|k| self.neighbor(v, k)).collect()
     }
 }
 
@@ -130,96 +100,29 @@ impl Lattice {
     pub fn row_of(&self, i: usize) -> usize {
         i / self.width
     }
-}
 
-impl GraphView for Lattice {
-    fn len(&self) -> usize {
+    /// Number of cells.
+    #[allow(clippy::len_without_is_empty)] // `new` rejects anything below 3×3
+    pub fn len(&self) -> usize {
         self.width * self.height
     }
 
-    fn degree(&self, _v: usize) -> usize {
+    /// Number of neighbours of cell `v` (the stencil size).
+    pub fn degree(&self, _v: usize) -> usize {
         self.neighborhood.offsets().len()
     }
 
-    fn neighbor(&self, v: usize, k: usize) -> usize {
+    /// The `k`-th neighbour of `v` in stencil offset order,
+    /// `k < degree(v)`. A pure function of the topology.
+    pub fn neighbor(&self, v: usize, k: usize) -> usize {
         let (x, y) = self.coords(v);
         let (dx, dy) = self.neighborhood.offsets()[k];
         self.index(x as i64 + dx, y as i64 + dy)
     }
-}
 
-/// An arbitrary undirected topology in compressed-sparse-row form:
-/// `edges[offsets[v]..offsets[v + 1]]` are the neighbours of `v`, sorted
-/// ascending so iteration order is canonical regardless of construction
-/// order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdjacencyGraph {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-}
-
-impl AdjacencyGraph {
-    /// Build from an undirected edge list over `vertices` vertices.
-    /// Duplicate edges collapse; self-loops are rejected (a vertex playing
-    /// itself is expressed through the scope's `include_self`, not the
-    /// topology). Panics on an out-of-range endpoint.
-    pub fn from_edges(vertices: usize, edge_list: &[(usize, usize)]) -> Self {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); vertices];
-        for &(a, b) in edge_list {
-            assert!(a < vertices && b < vertices, "edge endpoint out of range");
-            assert_ne!(a, b, "self-loops are not topology; use include_self");
-            adj[a].push(b as u32);
-            adj[b].push(a as u32);
-        }
-        let mut offsets = Vec::with_capacity(vertices + 1);
-        let mut edges = Vec::new();
-        offsets.push(0u32);
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            edges.extend_from_slice(list);
-            edges.shrink_to_fit();
-            offsets.push(edges.len() as u32);
-        }
-        AdjacencyGraph { offsets, edges }
-    }
-
-    /// The lattice's adjacency, materialised — lets irregular-graph code
-    /// paths be validated against the stencil they generalise. Neighbour
-    /// order becomes sorted CSR order rather than stencil order, so payoff
-    /// sums may round differently from [`Lattice`] itself; equality of
-    /// *sets* of neighbours is what this guarantees.
-    pub fn from_lattice(lattice: &Lattice) -> Self {
-        let n = lattice.len();
-        let mut edge_list = Vec::new();
-        for v in 0..n {
-            for k in 0..lattice.degree(v) {
-                let u = lattice.neighbor(v, k);
-                if v < u {
-                    edge_list.push((v, u));
-                }
-            }
-        }
-        AdjacencyGraph::from_edges(n, &edge_list)
-    }
-
-    /// Total directed edge count (twice the undirected count).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-impl GraphView for AdjacencyGraph {
-    fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    fn degree(&self, v: usize) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    fn neighbor(&self, v: usize, k: usize) -> usize {
-        self.edges[self.offsets[v] as usize + k] as usize
+    /// The neighbours of `v` in stencil offset order, materialised.
+    pub fn neighbors(&self, v: usize) -> Vec<usize> {
+        (0..self.degree(v)).map(|k| self.neighbor(v, k)).collect()
     }
 }
 
@@ -237,10 +140,10 @@ pub struct GraphScope {
 }
 
 impl GraphScope {
-    /// The scope describing one generation over `view`.
-    pub fn of(view: &impl GraphView, include_self: bool) -> Self {
+    /// The scope describing one generation over `lattice`.
+    pub fn of(lattice: &Lattice, include_self: bool) -> Self {
         GraphScope {
-            vertices: view.len() as u32,
+            vertices: lattice.len() as u32,
             include_self,
         }
     }
@@ -283,35 +186,6 @@ mod tests {
             .map(|&(dx, dy)| l.index(2 + dx, 2 + dy))
             .collect();
         assert_eq!(l.neighbors(v), expect);
-    }
-
-    #[test]
-    fn adjacency_from_edges_is_sorted_and_deduped() {
-        let g = AdjacencyGraph::from_edges(4, &[(2, 0), (0, 1), (1, 0), (3, 1)]);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.neighbors(0), vec![1, 2]);
-        assert_eq!(g.neighbors(1), vec![0, 3]);
-        assert_eq!(g.neighbors(2), vec![0]);
-        assert_eq!(g.neighbors(3), vec![1]);
-        assert_eq!(g.num_edges(), 6, "(0,1)/(1,0) collapse to one undirected edge");
-    }
-
-    #[test]
-    fn adjacency_from_lattice_preserves_neighbor_sets() {
-        let l = Lattice::new(4, 4, Neighborhood::Moore8);
-        let g = AdjacencyGraph::from_lattice(&l);
-        assert_eq!(g.len(), l.len());
-        for v in 0..l.len() {
-            let mut from_lattice = l.neighbors(v);
-            from_lattice.sort_unstable();
-            assert_eq!(g.neighbors(v), from_lattice, "vertex {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loops")]
-    fn adjacency_rejects_self_loops() {
-        AdjacencyGraph::from_edges(2, &[(1, 1)]);
     }
 
     #[test]

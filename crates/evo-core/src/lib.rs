@@ -67,7 +67,7 @@ pub mod prelude {
         Absorption, FixationBatch, FixationCheckpoint, FixationError, FixationMatrix,
         FixationOutcome, FixationSpec, FixationTournament, ReplicateResult,
     };
-    pub use crate::graph::{AdjacencyGraph, GraphScope, GraphView, Lattice};
+    pub use crate::graph::{GraphScope, Lattice};
     pub use crate::nature::{Event, NatureAgent};
     pub use crate::params::{Params, ParamsError, StrategyKind, UpdateRule};
     pub use crate::paycache::{PayoffCache, PayoffKind};

@@ -15,6 +15,24 @@ use ipd::strategy::Strategy;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// The generation-zero strategy table of a run: SSet `i` holds an
+/// independent random strategy drawn from its own `Domain::Init` stream
+/// `(seed, i, 0)`, interned in SSet order. A pure function of
+/// `(params, space)`, so [`Population::new`] and every rank of
+/// `cluster::dist` build the identical pool ids and assignments without an
+/// initialisation broadcast.
+pub fn initial_tables(params: &Params, space: StateSpace) -> (StrategyPool, Vec<StratId>) {
+    let mut pool = StrategyPool::new();
+    let mixed = matches!(params.kind, StrategyKind::Mixed);
+    let assignments = (0..params.num_ssets)
+        .map(|i| {
+            let mut rng = stream(params.seed, Domain::Init, i as u64, 0);
+            pool.intern(Strategy::random(space, mixed, &mut rng))
+        })
+        .collect();
+    (pool, assignments)
+}
+
 /// A population of SSets evolving under pairwise-comparison learning and
 /// mutation.
 ///
@@ -84,14 +102,7 @@ impl Population {
     /// strategies to all SSets.
     pub fn new(params: Params) -> Result<Self, ParamsError> {
         let space = params.validate()?;
-        let mut pool = StrategyPool::new();
-        let mixed = matches!(params.kind, StrategyKind::Mixed);
-        let assignments: Vec<StratId> = (0..params.num_ssets)
-            .map(|i| {
-                let mut rng = stream(params.seed, Domain::Init, i as u64, 0);
-                pool.intern(Strategy::random(space, mixed, &mut rng))
-            })
-            .collect();
+        let (pool, assignments) = initial_tables(&params, space);
         let nature = NatureAgent::from_params(&params);
         let layout = SSetLayout {
             num_ssets: params.num_ssets,

@@ -42,7 +42,7 @@
 
 use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
 use crate::fitness::{GameKernel, PairPayoff};
-use crate::graph::{GraphScope, GraphView, Lattice};
+use crate::graph::{GraphScope, Lattice};
 use crate::paycache::PayoffCache;
 use crate::pool::{StratId, StrategyPool};
 use crate::record::{
@@ -504,7 +504,7 @@ impl SpatialPopulation {
     /// Neighbour indices of cell `i` (torus wraparound, canonical stencil
     /// order).
     pub fn neighbors(&self, i: usize) -> Vec<usize> {
-        GraphView::neighbors(&self.lattice, i)
+        self.lattice.neighbors(i)
     }
 
     /// Number of distinct strategies on the grid.

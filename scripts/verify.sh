@@ -244,14 +244,6 @@ cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin le
     || { echo "verify: FAIL — ledger smoke run failed" >&2; tail -n 30 target/verify-ledger-smoke.txt >&2; exit 1; }
 tail -n 1 target/verify-ledger-smoke.txt
 
-if [ "${VERIFY_BENCH:-0}" = "1" ]; then
-    echo "== perf: committed baseline regression gate (opt-in) =="
-    # Re-runs the committed criterion suites and compares against the
-    # benchmarks/BENCH_*.json baselines (docs/PERFORMANCE.md). Opt-in
-    # because wall-clock benches are machine-sensitive and slow.
-    sh scripts/bench_compare.sh
-fi
-
 echo "== docs: rustdoc, warnings are errors =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
