@@ -8,6 +8,17 @@
 //! Failure injection (a rank can be killed) lets tests exercise the error
 //! paths a real cluster would see.
 //!
+//! The transport is one [`std::sync::mpsc::channel`] per rank and this is
+//! the only module that knows it. Every rank shares the `P` senders, one
+//! rank thread owns each receiver. What the layers above lean on is what
+//! `std` documents: an unbounded channel's `send` never blocks, messages
+//! from one sending thread arrive in the order sent (per-(src, dst) FIFO),
+//! `send` fails once the receiver has been dropped (a returned rank reads
+//! as [`ClusterError::RankDead`]), and `recv_timeout` reports
+//! `Disconnected` only when every sender is gone — which a live handle's
+//! own `Arc` of the sender table rules out. Sharing the sender table
+//! between rank threads needs `Sender: Sync`, i.e. Rust ≥ 1.72.
+//!
 //! This module *is* the concurrency substrate, so it is exempted from the
 //! atomics rule wholesale: the liveness flags and message counter below
 //! model MPI runtime state, and nothing they gate feeds back into
@@ -16,11 +27,10 @@
 
 // detlint: allow-file(atomics, reason = "virtual-cluster substrate: liveness flags and message counters model the MPI runtime; protocol determinism is pinned by dist.rs tests")
 use crate::faults::{FaultAction, MessageFaults};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,27 +93,39 @@ struct Shared<T> {
     faults: MessageFaults,
 }
 
-/// A rank's communication handle. Cloneable only via the cluster spawn; one
-/// handle per rank.
+/// A rank's communication handle: built only by the cluster spawn, one per
+/// rank, and owned by that rank's thread alone. It is `Send` (the spawn
+/// moves it into the thread) and not `Sync` — the inbox is a `std`
+/// `Receiver` and the buffers beside it plain `RefCell`s, so a second
+/// thread borrowing it does not compile:
+///
+/// ```compile_fail
+/// use cluster::comm::{Comm, VirtualCluster};
+/// VirtualCluster::run(2, |comm: Comm<u8>| {
+///     std::thread::scope(|s| {
+///         s.spawn(|| comm.rank()); // `&Comm<u8>` is not `Send`
+///     });
+/// });
+/// ```
 pub struct Comm<T> {
     rank: Rank,
     size: usize,
     shared: Arc<Shared<T>>,
     inbox: Receiver<Envelope<T>>,
     /// Arrived-but-unmatched messages, in arrival order.
-    pending: Mutex<VecDeque<Envelope<T>>>,
+    pending: RefCell<VecDeque<Envelope<T>>>,
     /// Logical sends issued by this rank (the key into the fault schedule).
     sends: Cell<u64>,
     /// Envelopes held back by a `Delay` fault; released after this rank's
     /// next send, or when the handle drops (delivery stays guaranteed).
-    delayed: Mutex<Vec<Envelope<T>>>,
+    delayed: RefCell<Vec<Envelope<T>>>,
 }
 
 impl<T> Drop for Comm<T> {
     fn drop(&mut self) {
         // Release any still-delayed envelopes: a delay fault reorders
         // delivery, it never loses a message.
-        for env in self.delayed.lock().drain(..) {
+        for env in self.delayed.get_mut().drain(..) {
             let _ = self.shared.senders[env.dst].send(env);
         }
     }
@@ -162,7 +184,7 @@ impl<T: Send + Clone + 'static> Comm<T> {
         };
         // Envelopes delayed by *earlier* sends flush after this message —
         // "delayed past the sender's next message", reordered never lost.
-        let flush: Vec<Envelope<T>> = self.delayed.lock().drain(..).collect();
+        let flush = self.delayed.take();
         match self.shared.faults.action(self.rank, nth) {
             None => {
                 self.shared.senders[dst]
@@ -184,7 +206,7 @@ impl<T: Send + Clone + 'static> Comm<T> {
             }
             Some(FaultAction::Delay) => {
                 obs::counters().add_fault_injected();
-                self.delayed.lock().push(env);
+                self.delayed.borrow_mut().push(env);
             }
         }
         for old in flush {
@@ -243,18 +265,6 @@ impl<T: Send + Clone + 'static> Comm<T> {
         self.recv_until(src, tag, Some(deadline))
     }
 
-    /// Non-blocking receive: the next already-arrived matching message, or
-    /// `None` when nothing matches right now.
-    pub fn try_recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Envelope<T>> {
-        let matches = |e: &Envelope<T>| {
-            src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
-        };
-        if let Some(env) = self.take_pending(&matches) {
-            return Some(env);
-        }
-        self.drain_inbox(&matches)
-    }
-
     /// Shared receive loop: pending buffer → inbox drain → aliveness check
     /// → bounded wait, until a match, a detected failure, or the deadline.
     fn recv_until(
@@ -300,7 +310,7 @@ impl<T: Send + Clone + 'static> Comm<T> {
                     if matches(&env) {
                         return Ok(env);
                     }
-                    self.pending.lock().push_back(env);
+                    self.pending.borrow_mut().push_back(env);
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -312,9 +322,9 @@ impl<T: Send + Clone + 'static> Comm<T> {
 
     /// Remove and return the first pending envelope matching `matches`.
     fn take_pending(&self, matches: &impl Fn(&Envelope<T>) -> bool) -> Option<Envelope<T>> {
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.borrow_mut();
         let pos = pending.iter().position(matches)?;
-        // detlint: allow(panic-path, reason = "invariant: pos came from position() on the same queue under the same lock; remove cannot miss")
+        // detlint: allow(panic-path, reason = "invariant: pos came from position() on the same queue under the same borrow; remove cannot miss")
         Some(pending.remove(pos).expect("position just found"))
     }
 
@@ -322,11 +332,11 @@ impl<T: Send + Clone + 'static> Comm<T> {
     /// first match (later matches stay in the pending buffer in order).
     fn drain_inbox(&self, matches: &impl Fn(&Envelope<T>) -> bool) -> Option<Envelope<T>> {
         let mut found = None;
-        while let Some(env) = self.inbox.try_recv() {
+        while let Ok(env) = self.inbox.try_recv() {
             if found.is_none() && matches(&env) {
                 found = Some(env);
             } else {
-                self.pending.lock().push_back(env);
+                self.pending.borrow_mut().push_back(env);
             }
         }
         found
@@ -383,23 +393,13 @@ impl VirtualCluster {
         R: Send + 'static,
         F: Fn(Comm<T>) -> R + Send + Sync + 'static,
     {
-        Self::run_with_faults(size, MessageFaults::default(), body)
+        Self::run_with_faults_counted(size, MessageFaults::default(), body).0
     }
 
     /// [`VirtualCluster::run`] with a deterministic message-fault schedule
-    /// injected at the transport (see [`crate::faults`]). An empty schedule
-    /// behaves exactly like [`VirtualCluster::run`].
-    pub fn run_with_faults<T, R, F>(size: usize, faults: MessageFaults, body: F) -> Vec<R>
-    where
-        T: Send + Clone + 'static,
-        R: Send + 'static,
-        F: Fn(Comm<T>) -> R + Send + Sync + 'static,
-    {
-        Self::run_with_faults_counted(size, faults, body).0
-    }
-
-    /// [`VirtualCluster::run_with_faults`], additionally returning the
-    /// cluster-wide message total. The count is read **after every rank
+    /// injected at the transport (see [`crate::faults`]; an empty schedule
+    /// behaves exactly like [`VirtualCluster::run`]), additionally returning
+    /// the cluster-wide message total. The count is read **after every rank
     /// thread has joined**, so it is exact and schedule-independent —
     /// unlike [`Comm::cluster_messages_sent`] from inside a still-running
     /// rank, which can miss peers' in-flight final sends.
@@ -417,7 +417,7 @@ impl VirtualCluster {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -442,9 +442,9 @@ impl VirtualCluster {
                             size,
                             shared,
                             inbox,
-                            pending: Mutex::new(VecDeque::new()),
+                            pending: RefCell::new(VecDeque::new()),
                             sends: Cell::new(0),
-                            delayed: Mutex::new(Vec::new()),
+                            delayed: RefCell::new(Vec::new()),
                         };
                         body(comm)
                     })
@@ -658,23 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_is_nonblocking_and_filters() {
-        VirtualCluster::run(2, |comm: Comm<u8>| {
-            if comm.rank() == 1 {
-                comm.send(0, 1, 11).unwrap();
-                comm.send(0, 2, 22).unwrap();
-            } else {
-                // Wait for both, then pick tag 2 first.
-                let b = comm.recv(Some(1), Some(2)).unwrap();
-                assert_eq!(b.payload, 22);
-                let a = comm.try_recv(Some(1), Some(1));
-                assert_eq!(a.unwrap().payload, 11);
-                assert!(comm.try_recv(None, None).is_none());
-            }
-        });
-    }
-
-    #[test]
     fn failed_sends_are_not_counted() {
         // The exact post-join total: rank 1's one successful send, and
         // neither of rank 0's failed ones. (An in-rank before/after delta
@@ -704,6 +687,29 @@ mod tests {
             },
         );
         assert_eq!(total, 1, "failed sends must not increment the counter");
+    }
+
+    #[test]
+    fn send_to_returned_rank_errors_and_is_not_counted() {
+        // Rank 1 returns without kill(): its liveness flag stays set, but
+        // its handle — and with it the inbox — is gone. The barrier fixes
+        // the order: rank 0 sends only after the drop.
+        let gone = Arc::new(std::sync::Barrier::new(2));
+        let (_, total) = VirtualCluster::run_with_faults_counted(
+            2,
+            MessageFaults::default(),
+            move |comm: Comm<u8>| {
+                if comm.rank() == 1 {
+                    drop(comm);
+                    gone.wait();
+                } else {
+                    gone.wait();
+                    assert!(comm.is_alive(1));
+                    assert_eq!(comm.send(1, 0, 9), Err(ClusterError::RankDead(1)));
+                }
+            },
+        );
+        assert_eq!(total, 0, "a send into a dropped inbox must not be counted");
     }
 
     #[test]
@@ -752,6 +758,15 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_rejected() {
         VirtualCluster::run(0, |_c: Comm<u8>| ());
+    }
+
+    #[test]
+    fn comm_handle_is_send() {
+        // The other half of the single-owner claim (the `compile_fail`
+        // doc-test on `Comm` pins `!Sync`): the spawn moves the handle
+        // into its rank thread.
+        fn assert_send<T: Send>() {}
+        assert_send::<Comm<u8>>();
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct MessageFault {
 }
 
 /// The transport-level fault schedule handed to
-/// [`crate::comm::VirtualCluster::run_with_faults`]. Empty by default —
+/// [`crate::comm::VirtualCluster::run_with_faults_counted`]. Empty by default —
 /// and an empty schedule is provably inert: the lookup misses and the
 /// send path is the ordinary one.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]

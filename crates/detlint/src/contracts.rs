@@ -155,9 +155,9 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 ];
 
 /// Files whose panic paths must be typed or reason-annotated: the
-/// distributed protocol layer, the engine transition hot path, and the
-/// populations and record layer that call the pair path and decode
-/// checkpoints.
+/// distributed protocol layer, the engine transition hot path, the
+/// populations, fixation kernel and record layer that call the pair path
+/// and decode checkpoints, and the job server.
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist.rs",
     "crates/cluster/src/dist/driver.rs",
@@ -167,9 +167,11 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/comm.rs",
     "crates/evo-core/src/engine.rs",
     "crates/evo-core/src/fitness.rs",
+    "crates/evo-core/src/fixation.rs",
     "crates/evo-core/src/population.rs",
     "crates/evo-core/src/record.rs",
     "crates/evo-core/src/spatial.rs",
+    "crates/svc/src/server.rs",
 ];
 
 /// Receive method names that must be deadline-bound or annotated.

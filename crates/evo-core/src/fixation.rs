@@ -194,6 +194,7 @@ impl FixationSpec {
         params.seed = replicate_seed(self.params.seed, r);
         let cap = params.generations;
         let mut pop = Population::new_uniform(params, self.resident.clone())
+            // detlint: allow(panic-path, reason = "invariant: the documented precondition — every caller holds a spec that passed FixationSpec::validate (FixationBatch::new/resume, run_fixation_distributed), whose first step is the same Params::validate that new_uniform repeats; only the seed differs, and validation does not read it")
             .expect("validated fixation spec");
         // Two distinct strategies in an S-SSet population: the deduplicated
         // evaluator (which is also the one that consults the payoff cache —

@@ -124,7 +124,15 @@ struct Inner {
 
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
+        // detlint: allow(panic-path, reason = "invariant: the state lock guards bookkeeping only (queue and map moves, status assignments) — simulation, spool I/O and caller code run outside it — so only a bug in those few lines can poison it, and then no job status can be trusted; the panic reaches every caller instead of a wrong answer")
         self.state.lock().expect("svc state mutex poisoned")
+    }
+
+    /// Park on `cv` (one of this server's two), releasing the state lock
+    /// while parked.
+    fn park<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        // detlint: allow(panic-path, reason = "invariant: as Inner::lock — the state lock is poisoned only by a bookkeeping bug, after which no status a waiter would read can be trusted")
+        cv.wait(st).expect("svc state mutex poisoned")
     }
 
     /// Best-effort spool write: spool I/O failure must not wedge the
@@ -178,6 +186,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{i}"))
                     .spawn(move || worker_loop(&inner))
+                    // detlint: allow(panic-path, reason = "invariant: thread spawn fails only on OS resource exhaustion while the server is being built, before any job is accepted; there is no job to fail typed yet")
                     .expect("spawning svc worker thread")
             })
             .collect();
@@ -211,8 +220,7 @@ impl Server {
         };
         let (accepted, parked_now) = match entry.status {
             JobStatus::Queued => {
-                // Status Queued ⇔ still in the queue: both are updated
-                // under this same lock, so `take` cannot miss.
+                // detlint: allow(panic-path, reason = "invariant: status Queued ⇔ still in the queue — the two are only ever changed together under this lock (submit, worker pop, finish requeue, pause, resume), so take cannot miss")
                 let job = queue.take(id).expect("queued job is in the queue");
                 let generation = job.resume.as_ref().map_or(0, |parked| parked.progress);
                 entry.parked = Some(job);
@@ -245,6 +253,7 @@ impl Server {
         };
         match entry.status {
             JobStatus::Paused { .. } => {
+                // detlint: allow(panic-path, reason = "invariant: status Paused is assigned in exactly two places (pause of a queued job, finish of a paused run), each setting entry.parked in the same critical section")
                 let job = entry.parked.take().expect("paused job has parked work");
                 entry.status = JobStatus::Queued;
                 queue.requeue(job);
@@ -289,11 +298,7 @@ impl Server {
             let status = st.jobs.get(id)?.status.clone();
             match status {
                 JobStatus::Queued | JobStatus::Running => {
-                    st = self
-                        .inner
-                        .changed
-                        .wait(st)
-                        .expect("svc state mutex poisoned");
+                    st = Inner::park(&self.inner.changed, st);
                 }
                 _ => return Some(status),
             }
@@ -307,11 +312,7 @@ impl Server {
     pub fn wait_idle(&self) {
         let mut st = self.inner.lock();
         while st.active > 0 || !st.queue.is_empty() {
-            st = self
-                .inner
-                .changed
-                .wait(st)
-                .expect("svc state mutex poisoned");
+            st = Inner::park(&self.inner.changed, st);
         }
     }
 
@@ -367,7 +368,7 @@ fn worker_loop(inner: &Inner) {
                 if st.shutdown {
                     return;
                 }
-                st = inner.work.wait(st).expect("svc state mutex poisoned");
+                st = Inner::park(&inner.work, st);
             };
             st.active += 1;
             if let Some(entry) = st.jobs.get_mut(&job.request.id) {

@@ -3,9 +3,10 @@
 #
 # The static gates run first: detlint enforces the determinism contract
 # in two stages — the lexical token rules, then the structural contract
-# checks over the recovered call graph (docs/STATIC_ANALYSIS.md) — and
+# checks over the recovered call graph (docs/STATIC_ANALYSIS.md) — a
+# grep audit keeps every declared dependency edge in use, and
 # clippy holds the workspace lint policy
-# ([workspace.lints] in Cargo.toml) to zero warnings — both are cheaper
+# ([workspace.lints] in Cargo.toml) to zero warnings — all are cheaper
 # than the test suite and fail fast. The tier-1 gate (ROADMAP.md) is the
 # build + test pair; the doc gates additionally hold rustdoc to zero
 # warnings and run every doc-example, so the examples in the
@@ -41,6 +42,30 @@ if grep -rn "detlint: allow" --include="*.rs" crates src \
         | grep -v "^crates/detlint/" \
         | grep -v "reason *= *\""; then
     echo "verify: FAIL — 'detlint: allow' annotations above lack a reason" >&2
+    exit 1
+fi
+
+echo "== static: dependency audit (every declared edge is used) =="
+# A first-party manifest may list a crate only if some .rs file of that
+# package names it (`name::` or `use name`); an edge nobody names still
+# costs a build and, for vendored crates, keeps dead code in the tree.
+DEAD=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    srcs=""
+    for d in src tests benches examples build.rs; do
+        [ -e "$dir/$d" ] && srcs="$srcs $dir/$d"
+    done
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                      on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); gsub(/-/, "_"); print }' "$manifest"); do
+        grep -rqE --include='*.rs' "(^|[^A-Za-z0-9_])($dep::|use $dep([^A-Za-z0-9_]|\$))" $srcs \
+            || DEAD="$DEAD  $manifest: $dep
+"
+    done
+done
+if [ -n "$DEAD" ]; then
+    echo "verify: FAIL — dependencies no .rs file of the package names:" >&2
+    printf '%s' "$DEAD" >&2
     exit 1
 fi
 

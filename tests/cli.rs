@@ -422,3 +422,42 @@ fn resume_accepts_only_its_own_checkpoint_kind() {
         let _ = std::fs::remove_file(file);
     }
 }
+
+#[test]
+fn killed_rank_exits_3_with_a_checkpoint_that_resumes_to_the_clean_digest() {
+    // The degraded-exit contract (docs/FAULT_TOLERANCE.md), per family at
+    // scripts/verify.sh's smoke shapes: a rank kill ends the run with exit
+    // code 3 and a restart hint naming the checkpoint, and resuming from it
+    // lands on the unkilled run's state digest.
+    const SHAPES: [(&[&str], &str); 3] = [
+        (&["--ssets", "12", "--generations", "60", "--seed", "7", "--pc-rate", "0.25"], "30"),
+        (&["--width", "12", "--height", "12", "--generations", "40", "--seed", "11", "--update", "fermi", "--beta", "0.8"], "20"),
+        (&["--replicates", "16", "--ssets", "8", "--generations", "150", "--seed", "7", "--rounds", "10", "--rule", "moran"], "6"),
+    ];
+    let digest_line = |stderr: &str| {
+        let line = stderr.lines().find(|l| l.contains("state digest"));
+        line.unwrap_or_else(|| panic!("no state digest in: {stderr}")).to_owned()
+    };
+    for ((command, ..), (shape, kill_at)) in FAMILIES.iter().zip(SHAPES) {
+        let (_, clean) = run_ok(&[&[command, "--ranks", "3"], shape].concat());
+        let file = std::env::temp_dir().join(format!(
+            "evogame_killed_{command}_{}.json",
+            std::process::id()
+        ));
+        let path = file.to_string_lossy();
+        let out = cli()
+            .args([command, "--ranks", "3"])
+            .args(shape)
+            .args(["--kill-rank", "1", "--kill-at", kill_at, "--recv-timeout-ms", "2000"])
+            .args(["--checkpoint-out", &path])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{command}: {stderr}");
+        let hint = format!("restart with: evogame-cli {command} --resume {path}");
+        assert!(stderr.contains(&hint), "{command}: {stderr}");
+        let (_, resumed) = run_ok(&[command, "--ranks", "3", "--resume", &path]);
+        assert_eq!(digest_line(&resumed), digest_line(&clean), "{command}");
+        let _ = std::fs::remove_file(file);
+    }
+}

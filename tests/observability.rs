@@ -178,3 +178,26 @@ fn distributed_run_reports_comm_counters_and_timings() {
     let back = obs::RunManifest::from_json(&manifest.to_json()).unwrap();
     assert_eq!(manifest, back);
 }
+
+#[test]
+fn send_into_a_returned_ranks_inbox_counts_no_comm_message() {
+    // The counter half of `cluster::comm`'s
+    // `send_to_returned_rank_errors_and_is_not_counted`, here because only
+    // this file can read the process-global counters exactly.
+    use evogame::cluster::comm::{ClusterError, Comm, VirtualCluster};
+    let _counters = counters_lock();
+    let baseline = obs::counters().snapshot();
+    let gone = std::sync::Arc::new(std::sync::Barrier::new(2));
+    VirtualCluster::run(2, move |comm: Comm<u8>| {
+        if comm.rank() == 1 {
+            drop(comm);
+            gone.wait();
+        } else {
+            gone.wait();
+            assert_eq!(comm.send(1, 0, 9), Err(ClusterError::RankDead(1)));
+        }
+    });
+    let delta = obs::counters().snapshot().delta_since(&baseline);
+    assert_eq!(delta.comm_messages, 0);
+    assert_eq!(delta.comm_bytes, 0);
+}
