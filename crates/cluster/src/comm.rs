@@ -183,36 +183,37 @@ impl<T: Send + Clone + 'static> Comm<T> {
             payload,
         };
         // Envelopes delayed by *earlier* sends flush after this message —
-        // "delayed past the sender's next message", reordered never lost.
+        // "delayed past the sender's next message", reordered never lost:
+        // they are owed to their own destinations whatever this send
+        // returns, so its error is raised only after the flush.
         let flush = self.delayed.take();
-        match self.shared.faults.action(self.rank, nth) {
-            None => {
-                self.shared.senders[dst]
-                    .send(env)
-                    .map_err(|_| ClusterError::RankDead(dst))?;
-            }
+        let deliver = |env: Envelope<T>| {
+            self.shared.senders[dst]
+                .send(env)
+                .map_err(|_| ClusterError::RankDead(dst))
+        };
+        let sent = match self.shared.faults.action(self.rank, nth) {
+            None => deliver(env),
             Some(FaultAction::Drop) => {
                 // The network loses the message; the send itself succeeded.
                 obs::counters().add_fault_injected();
+                Ok(())
             }
             Some(FaultAction::Duplicate) => {
                 obs::counters().add_fault_injected();
-                self.shared.senders[dst]
-                    .send(env.clone())
-                    .map_err(|_| ClusterError::RankDead(dst))?;
-                self.shared.senders[dst]
-                    .send(env)
-                    .map_err(|_| ClusterError::RankDead(dst))?;
+                deliver(env.clone()).and_then(|()| deliver(env))
             }
             Some(FaultAction::Delay) => {
                 obs::counters().add_fault_injected();
                 self.delayed.borrow_mut().push(env);
+                Ok(())
             }
-        }
+        };
         for old in flush {
             let d = old.dst;
             let _ = self.shared.senders[d].send(old);
         }
+        sent?;
         self.shared.messages_sent.fetch_add(1, Ordering::Relaxed);
         // comm_bytes uses the in-memory size of the payload type — a
         // deliberate lower-bound approximation for heap-owning payloads
@@ -471,6 +472,7 @@ impl VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::MessageFault;
 
     #[test]
     fn ring_pass_visits_every_rank() {
@@ -710,6 +712,41 @@ mod tests {
             },
         );
         assert_eq!(total, 0, "a send into a dropped inbox must not be counted");
+    }
+
+    #[test]
+    fn failed_send_still_flushes_envelopes_delayed_for_live_ranks() {
+        // Rank 0's first send (to rank 2) is delayed past its next one,
+        // and that next one fails: rank 1 has returned. The delayed
+        // envelope is owed to rank 2 all the same.
+        let gone = Arc::new(std::sync::Barrier::new(2));
+        let faults = MessageFaults {
+            faults: vec![MessageFault {
+                src: 0,
+                nth_send: 0,
+                action: FaultAction::Delay,
+            }],
+        };
+        let (_, total) = VirtualCluster::run_with_faults_counted(3, faults, move |comm: Comm<u8>| {
+            match comm.rank() {
+                0 => {
+                    comm.send(2, 7, 42).unwrap();
+                    gone.wait();
+                    assert_eq!(comm.send(1, 0, 9), Err(ClusterError::RankDead(1)));
+                }
+                1 => {
+                    drop(comm);
+                    gone.wait();
+                }
+                _ => {
+                    let env = comm
+                        .recv_timeout(Some(0), Some(7), Duration::from_secs(5))
+                        .expect("the delayed envelope must still arrive");
+                    assert_eq!(env.payload, 42);
+                }
+            }
+        });
+        assert_eq!(total, 1, "the delayed send counts, the failed one does not");
     }
 
     #[test]

@@ -47,7 +47,6 @@ use crate::record::{GenerationRecord, RunStats};
 use ipd::game::GameConfig;
 use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
-use std::collections::BTreeSet;
 
 /// How much fitness evaluation the generation performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,12 +259,14 @@ impl FitnessProvider for LocalProvider<'_> {
                     if self.expected_fitness {
                         // One cache row per focal SSet; too few misses to
                         // be worth a rayon dispatch.
-                        pairs.evaluate_distinct(
-                            self.assignments,
-                            PayoffKind::Expected,
-                            Some(focal as usize),
-                            ExecMode::Sequential,
-                        )[0]
+                        pairs
+                            .evaluate_distinct(
+                                self.assignments,
+                                PayoffKind::Expected,
+                                Some(focal as usize),
+                                ExecMode::Sequential,
+                            )
+                            .0[0]
                     } else {
                         pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize)
                     }
@@ -289,15 +290,11 @@ impl FitnessProvider for LocalProvider<'_> {
                 };
                 match distinct {
                     Some(kind) => {
-                        let u = self.assignments.iter().collect::<BTreeSet<_>>().len() as u64;
+                        let (fitness, u) =
+                            pairs.evaluate_distinct(self.assignments, kind, None, self.exec_mode);
                         Provided {
-                            view: FitnessView::Full(pairs.evaluate_distinct(
-                                self.assignments,
-                                kind,
-                                None,
-                                self.exec_mode,
-                            )),
-                            games: u * u,
+                            view: FitnessView::Full(fitness),
+                            games: (u * u) as u64,
                         }
                     }
                     None => Provided {

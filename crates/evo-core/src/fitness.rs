@@ -10,17 +10,20 @@
 //! whether an ordered pair is *deterministic* (both pure, zero noise) and
 //! may be replayed from the kernel or the [`PayoffCache`], or must be
 //! played from its own counter-based stream. It is also the only code that
-//! touches the cache, in three shapes: [`PairPayoff::sampled`] probes and
-//! inserts one pair, [`PairPayoff::evaluate_distinct`] probes a batch,
-//! replays the misses together and inserts them, [`PairPayoff::prewarm`]
-//! inserts without probing. Three evaluators are built on it:
+//! touches the cache, and it does so through one per-thread probe session
+//! per evaluation (one read lock and one counter flush for all of an
+//! evaluation's probes, the read lock dropped before any write), in three
+//! shapes: [`PairPayoff::sampled`] probes and inserts one pair,
+//! [`PairPayoff::evaluate_distinct`] probes a batch, replays the misses
+//! together and inserts them, [`PairPayoff::prewarm`] inserts without
+//! probing. Three evaluators are built on it:
 //! [`PairPayoff::evaluate_naive`] (the paper's schedule, uncached),
 //! [`PairPayoff::evaluate_one`] (one focal SSet — what a rank owns) and
 //! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
 //! weighted by multiplicity). Which one runs when, what is cached and what
 //! is probed is stated once, in docs/PERFORMANCE.md §2.
 
-use crate::paycache::{PayoffCache, PayoffKind};
+use crate::paycache::{PayoffCache, PayoffKind, Reader};
 use crate::pool::{StratId, StrategyPool};
 use crate::rngstream::game_stream;
 use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
@@ -143,23 +146,21 @@ impl<'a> PairPayoff<'a> {
     /// pair is served from the cache or replayed through the kernel;
     /// anything else is played once from `stream()`, the game's own
     /// `Domain::GamePlay` stream, which is opened only then.
+    /// One call is a probe session of its own; an evaluation that asks for
+    /// many pairs opens one session for all of them.
     #[inline]
     pub fn sampled(&self, a: StratId, b: StratId, stream: impl FnOnce() -> ChaCha8Rng) -> f64 {
-        match self.deterministic(a, b) {
-            Some((pa, pb)) => {
-                let Some(cache) = self.cache else {
-                    return self.play_pure(pa, pb);
-                };
-                cache.get(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
-                    let value = self.play_pure(pa, pb);
-                    cache.insert(a, b, PayoffKind::Sampled, value);
-                    value
-                })
-            }
-            None => {
-                let (sa, sb) = (self.pool.get(a), self.pool.get(b));
-                play(self.space, sa, sb, self.game, &mut stream()).fitness_a
-            }
+        self.session().sampled(a, b, stream)
+    }
+
+    /// Open this thread's probe session for one evaluation.
+    #[inline]
+    pub(crate) fn session(&self) -> Session<'a> {
+        Session {
+            pairs: *self,
+            reader: None,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -179,9 +180,10 @@ impl<'a> PairPayoff<'a> {
     pub fn evaluate_one(&self, assignments: &[StratId], seed: u64, generation: u64, focal: usize) -> f64 {
         let s = assignments.len() as u32;
         let me = assignments[focal];
+        let mut session = self.session();
         let mut total = 0.0;
         for (j, &opp) in assignments.iter().enumerate() {
-            total += self.sampled(me, opp, || game_stream(seed, focal as u32, j as u32, s, generation));
+            total += session.sampled(me, opp, || game_stream(seed, focal as u32, j as u32, s, generation));
         }
         total
     }
@@ -212,22 +214,24 @@ impl<'a> PairPayoff<'a> {
     /// panics otherwise (dedup would change stochastic results). Cache
     /// misses are replayed on `mode`'s schedule, sampled ones 64 per word
     /// through [`play_deterministic_batch`] where it applies.
+    ///
+    /// Returns the fitness vector and `u`, the number of distinct assigned
+    /// strategies (`u²` games stand behind a full evaluation).
     pub fn evaluate_distinct(
         &self,
         assignments: &[StratId],
         kind: PayoffKind,
         focal: Option<usize>,
         mode: ExecMode,
-    ) -> Vec<f64> {
-        // Multiplicity of each distinct id. A BTreeMap keeps every
-        // iteration below in ascending-id order, so the float accumulations
-        // are order-stable run to run (a hash map would reorder them under
-        // std's per-process hasher seed).
-        let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
+    ) -> (Vec<f64>, usize) {
+        // Multiplicity of each distinct id, in ascending-id order: every
+        // float accumulation below runs in that order, so it is stable run
+        // to run (a hash map would reorder it).
+        let mut multiplicity: BTreeMap<StratId, f64> = BTreeMap::new();
         for &id in assignments {
-            *counts.entry(id).or_insert(0.0) += 1.0;
+            *multiplicity.entry(id).or_insert(0.0) += 1.0;
         }
-        let unique: Vec<StratId> = counts.keys().copied().collect();
+        let (unique, counts): (Vec<StratId>, Vec<f64>) = multiplicity.into_iter().unzip();
         assert!(
             kind == PayoffKind::Expected || self.all_deterministic(&unique),
             "deduplicated evaluation requires pure strategies and zero noise"
@@ -245,14 +249,17 @@ impl<'a> PairPayoff<'a> {
         // q. Probe the cache for every pair; replay only the misses.
         let mut payoff = vec![0.0f64; rows.len() * u];
         let mut misses: Vec<usize> = Vec::new();
+        let mut session = self.session();
         for (r, &a) in rows.iter().enumerate() {
             for (q, &b) in unique.iter().enumerate() {
-                match self.cache.and_then(|c| c.get(a, b, kind)) {
+                match session.probe(a, b, kind) {
                     Some(v) => payoff[r * u + q] = v,
                     None => misses.push(r * u + q),
                 }
             }
         }
+        // The replay may be long and parallel: no lock is held across it.
+        session.release();
         let pair = |slot: usize| (rows[slot / u], unique[slot % u]);
         let replayed: Vec<f64> = match kind {
             PayoffKind::Expected => mode.map(misses.len(), |m| {
@@ -284,24 +291,23 @@ impl<'a> PairPayoff<'a> {
         };
         for (&slot, &v) in misses.iter().zip(&replayed) {
             payoff[slot] = v;
-            if let Some(c) = self.cache {
-                let (a, b) = pair(slot);
-                c.insert(a, b, kind, v);
-            }
+            let (a, b) = pair(slot);
+            session.insert(a, b, kind, v);
         }
         // fitness of row r = Σ_q count[q] · payoff[r][q], ascending q.
         let weighted: Vec<f64> = payoff
             .chunks(u.max(1))
-            .map(|row| unique.iter().zip(row).map(|(q, v)| counts[q] * v).sum())
+            .map(|row| counts.iter().zip(row).map(|(c, v)| c * v).sum())
             .collect();
-        match focal {
+        let fitness = match focal {
             Some(_) => weighted,
             None => assignments
                 .iter()
                 // detlint: allow(panic-path, reason = "invariant: `unique` is exactly the key set of the multiplicity map built from `assignments` a few lines up, so every assigned id is found")
                 .map(|id| weighted[unique.binary_search(id).expect("assigned id is counted")])
                 .collect(),
-        }
+        };
+        (fitness, u)
     }
 
     /// Pre-warm the cache from a strategy table: memoise the `kind` payoff
@@ -317,9 +323,10 @@ impl<'a> PairPayoff<'a> {
     /// hit/miss counters do not move). Cost-only: every value is what a
     /// miss would compute.
     pub fn prewarm(&self, assignments: &[StratId], kind: PayoffKind) -> usize {
-        let Some(cache) = self.cache else {
+        if self.cache.is_none() {
             return 0;
-        };
+        }
+        let mut session = self.session();
         let unique: Vec<StratId> = assignments
             .iter()
             .copied()
@@ -334,12 +341,84 @@ impl<'a> PairPayoff<'a> {
                     PayoffKind::Sampled => self.deterministic(a, b).map(|(pa, pb)| self.play_pure(pa, pb)),
                 };
                 if let Some(v) = value {
-                    cache.insert(a, b, kind, v);
+                    session.insert(a, b, kind, v);
                     inserted += 1;
                 }
             }
         }
         inserted
+    }
+}
+
+/// One thread's cache access for one evaluation: the [`PayoffCache`] read
+/// lock is taken at the first probe and kept across the hits that follow,
+/// and hits and misses are tallied here and reach `obs` once, when the
+/// session ends. A miss drops the lock at once — the caller is about to
+/// play the game and [`Session::insert`] the result, and a writer must
+/// never wait behind this thread's own read guard. Holding the guard makes
+/// a session `!Send`; a thread opens one at a time and ends it with the
+/// evaluation (one focal SSet, one lattice cell), so another thread's write
+/// waits for a handful of lookups at most.
+#[derive(Debug)]
+pub(crate) struct Session<'a> {
+    pairs: PairPayoff<'a>,
+    reader: Option<Reader<'a>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Session<'_> {
+    /// Look `(a, b)` up; `None` without a cache or on a miss.
+    #[inline]
+    fn probe(&mut self, a: StratId, b: StratId, kind: PayoffKind) -> Option<f64> {
+        let cache = self.pairs.cache?;
+        let hit = self.reader.get_or_insert_with(|| cache.reader()).get(a, b, kind);
+        match hit {
+            Some(_) => self.hits += 1,
+            None => {
+                self.misses += 1;
+                self.release();
+            }
+        }
+        hit
+    }
+
+    /// Give the read lock back (the next probe takes it again).
+    #[inline]
+    fn release(&mut self) {
+        self.reader = None;
+    }
+
+    /// Memoise `(a, b)`; a no-op without a cache.
+    fn insert(&mut self, a: StratId, b: StratId, kind: PayoffKind, value: f64) {
+        if let Some(cache) = self.pairs.cache {
+            self.release();
+            cache.insert(a, b, kind, value);
+        }
+    }
+
+    /// [`PairPayoff::sampled`] within this session.
+    #[inline]
+    pub(crate) fn sampled(&mut self, a: StratId, b: StratId, stream: impl FnOnce() -> ChaCha8Rng) -> f64 {
+        let pairs = self.pairs;
+        match pairs.deterministic(a, b) {
+            Some((pa, pb)) => self.probe(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
+                let value = pairs.play_pure(pa, pb);
+                self.insert(a, b, PayoffKind::Sampled, value);
+                value
+            }),
+            None => {
+                let (sa, sb) = (pairs.pool.get(a), pairs.pool.get(b));
+                play(pairs.space, sa, sb, pairs.game, &mut stream()).fitness_a
+            }
+        }
+    }
+}
+
+impl Drop for Session<'_> {
+    fn drop(&mut self) {
+        self.release();
+        obs::counters().add_payoff_cache_probes(self.hits, self.misses);
     }
 }
 
@@ -444,8 +523,8 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
-        let dedup_par = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Rayon);
+        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
+        let dedup_par = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Rayon).0;
         for i in 0..32 {
             assert!((naive[i] - dedup[i]).abs() < 1e-9, "sset {i}");
             assert!((naive[i] - dedup_par[i]).abs() < 1e-9, "sset {i} (rayon)");
@@ -458,7 +537,7 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 9, 2, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
         for i in 0..asg.len() {
             assert!((naive[i] - dedup[i]).abs() < 1e-9);
         }
@@ -570,11 +649,11 @@ mod tests {
         let (space, asg, pool) = setup_pure(24, 2, 7);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let vec_seq = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
-        let vec_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon);
+        let vec_seq = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let vec_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon).0;
         for (i, expected) in vec_seq.iter().enumerate() {
             assert_eq!(expected.to_bits(), vec_par[i].to_bits(), "sset {i} (rayon)");
-            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential);
+            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential).0;
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i}");
         }
 
@@ -582,9 +661,9 @@ mod tests {
         let (space, asg, pool) = setup_mixed(12, 4, 33);
         let game = noisy(40, 0.03);
         let pp = plain(&space, &pool, &game);
-        let vec = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let vec = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
         for (i, expected) in vec.iter().enumerate() {
-            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential);
+            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential).0;
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i} (mixed)");
         }
     }
@@ -596,8 +675,8 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 17, 0, ExecMode::Sequential);
-        let expected = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
-        let expected_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon);
+        let expected = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let expected_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon).0;
         for i in 0..asg.len() {
             assert!((naive[i] - expected[i]).abs() < 1e-6, "sset {i}");
             assert!((expected[i] - expected_par[i]).abs() < 1e-12);
@@ -611,8 +690,8 @@ mod tests {
         let (space, asg, pool) = setup_mixed(8, 8, 23);
         let game = noisy(50, 0.02);
         let pp = plain(&space, &pool, &game);
-        let e1 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
-        let e2 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let e1 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let e2 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
         assert_eq!(e1, e2);
         // And it approximates the mean of many sampled evaluations.
         let mut mean = vec![0.0; asg.len()];
@@ -646,7 +725,7 @@ mod tests {
             let reference = plain(space, pool, &game);
             let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
             let dedup =
-                bits(&reference.evaluate_distinct(asg, PayoffKind::Sampled, None, ExecMode::Sequential));
+                bits(&reference.evaluate_distinct(asg, PayoffKind::Sampled, None, ExecMode::Sequential).0);
             let unique: Vec<StratId> = asg.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
             let pure = |id: StratId| match pool.get(id).as_ref() {
                 Strategy::Pure(p) => p,
@@ -658,9 +737,28 @@ mod tests {
                 for cached in [None, Some(&cache), Some(&cache)] {
                     let pp = PairPayoff::new(space, pool, &game, kernel, cached);
                     let label = format!("mem {} {kernel:?} cache {}", space.mem_steps(), cached.map_or(0, |c| c.len()));
-                    for &a in &unique {
-                        for &b in &unique {
-                            let v = pp.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                    for (r, &a) in unique.iter().enumerate() {
+                        // The row pair by pair through the one-shot, and
+                        // whole through one session; which goes first (and
+                        // so takes a cold cache's misses) alternates.
+                        let one_shot = || -> Vec<f64> {
+                            let play = |&b| pp.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                            unique.iter().map(play).collect()
+                        };
+                        let in_session = || -> Vec<f64> {
+                            let mut session = pp.session();
+                            let mut play = |&b| session.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                            unique.iter().map(&mut play).collect()
+                        };
+                        let (row, session_row) = if r % 2 == 0 {
+                            let row = one_shot();
+                            (row, in_session())
+                        } else {
+                            let session_row = in_session();
+                            (one_shot(), session_row)
+                        };
+                        assert_eq!(bits(&session_row), bits(&row), "{label}: session row {a}");
+                        for (&b, v) in unique.iter().zip(&row) {
                             let swapped = play_deterministic(space, pure(b), pure(a), &game);
                             assert_eq!(v.to_bits(), swapped.fitness_b.to_bits(), "{label}: role swap ({a},{b})");
                             let lane = play_deterministic_batch(space, &[(pure(a), pure(b))], &game);
@@ -670,13 +768,13 @@ mod tests {
                     for mode in [ExecMode::Sequential, ExecMode::Rayon] {
                         assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
                         assert_eq!(
-                            bits(&pp.evaluate_distinct(asg, PayoffKind::Sampled, None, mode)),
+                            bits(&pp.evaluate_distinct(asg, PayoffKind::Sampled, None, mode).0),
                             dedup,
                             "{label} {mode:?}"
                         );
                         for i in 0..asg.len() {
                             assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
-                            let one = pp.evaluate_distinct(asg, PayoffKind::Sampled, Some(i), mode);
+                            let one = pp.evaluate_distinct(asg, PayoffKind::Sampled, Some(i), mode).0;
                             assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
                         }
                     }
@@ -693,20 +791,68 @@ mod tests {
             PayoffKind::Expected,
             None,
             ExecMode::Sequential,
-        ));
+        ).0);
         let cache = PayoffCache::new(game);
         for cached in [None, Some(&cache), Some(&cache)] {
             let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, cached);
             for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                assert_eq!(bits(&pp.evaluate_distinct(&asg, PayoffKind::Expected, None, mode)), exact);
+                assert_eq!(bits(&pp.evaluate_distinct(&asg, PayoffKind::Expected, None, mode).0), exact);
                 // The OnDemand companion shares the same entries.
                 for (i, want) in exact.iter().enumerate() {
-                    let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), mode);
+                    let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), mode).0;
                     assert_eq!(bits(&one), [*want], "sset {i} (one)");
                 }
             }
         }
         assert_eq!(cache.len(), 16, "4 distinct strategies → 16 Expected entries");
+    }
+
+    /// Four threads race one cold cache, a session per focal row each: a
+    /// session that misses while the others hold theirs takes the write
+    /// lock and must get it, and no interleaving changes a bit.
+    #[test]
+    fn concurrent_sessions_on_a_cold_cache_agree_and_finish() {
+        const THREADS: usize = 4;
+        let (done, finished) = std::sync::mpsc::channel();
+        let work = std::thread::spawn(move || {
+            let (space, asg, pool) = setup_pure(40, 3, 9);
+            let game = cfg();
+            let reference = plain(&space, &pool, &game);
+            let cache = PayoffCache::new(game);
+            let shared = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (asg, start) = (&asg, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Each thread starts a quarter of the way round, so
+                        // one thread's cold rows are another's warm ones.
+                        for row in 0..asg.len() {
+                            let a = asg[(row + t * asg.len() / THREADS) % asg.len()];
+                            let mut session = shared.session();
+                            for &b in asg {
+                                let got = session.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                                let want = reference.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                                assert_eq!(got.to_bits(), want.to_bits(), "thread {t}: ({a},{b})");
+                            }
+                        }
+                    });
+                }
+            });
+            let distinct = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
+            assert_eq!(cache.len(), distinct * distinct);
+            // The receiver is gone only if the watchdog already fired.
+            let _ = done.send(());
+        });
+        // A deadlocked session would otherwise hang the whole suite.
+        match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("sessions racing a cold cache did not finish: deadlock")
+            }
+            // Finished, or failed and dropped the sender: `join` says which.
+            _ => work.join().expect("a racing thread failed an assertion"),
+        }
     }
 
     #[test]
@@ -739,10 +885,10 @@ mod tests {
         let game = cfg();
         let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         let before = obs::counters().snapshot();
-        let cold = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        let cold = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
         let mid = obs::counters().snapshot();
         assert!(mid.payoff_cache_misses >= before.payoff_cache_misses + 4);
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
         let after = obs::counters().snapshot();
         assert!(after.payoff_cache_hits >= mid.payoff_cache_hits + 4);
         assert_eq!(cold, warm);
@@ -757,7 +903,7 @@ mod tests {
             PayoffKind::Sampled,
             None,
             ExecMode::Sequential,
-        );
+        ).0;
         // Pre-warmed cache: the first evaluation must be all hits and
         // bit-identical to the cold result.
         let cache = PayoffCache::new(cfg());
@@ -768,7 +914,7 @@ mod tests {
         assert_eq!(n, unique * unique, "every ordered distinct pair memoised");
         assert_eq!(cache.len(), n);
         let before = obs::counters().snapshot();
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
         let after = obs::counters().snapshot();
         assert_eq!(
             after.payoff_cache_misses, before.payoff_cache_misses,
@@ -786,12 +932,12 @@ mod tests {
             PayoffKind::Expected,
             None,
             ExecMode::Sequential,
-        );
+        ).0;
         let cache = PayoffCache::new(game);
         let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         let n = pp.prewarm(&asg, PayoffKind::Expected);
         assert_eq!(n, 16, "4 distinct strategies → 16 Expected entries");
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
         assert_eq!(bits(&cold), bits(&warm));
     }
 

@@ -41,7 +41,7 @@
 //! backends (`cluster::dist::graph`).
 
 use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
-use crate::fitness::{GameKernel, PairPayoff};
+use crate::fitness::{GameKernel, PairPayoff, Session};
 use crate::graph::{GraphScope, Lattice};
 use crate::paycache::PayoffCache;
 use crate::pool::{StratId, StrategyPool};
@@ -290,14 +290,15 @@ pub struct LatticeProvider<'a> {
 
 impl LatticeProvider<'_> {
     /// Focal payoff of the game vertex `a` plays against vertex `b`: the
-    /// shared pair primitive ([`PairPayoff::sampled`]) over the two cells'
-    /// strategies, with the per-pair `Domain::GamePlay` stream (entity =
-    /// `a·n + b`, so the (a, b) and (b, a) games are independent) for the
-    /// pairs it has to play. A thin call kept inlined: this is the lattice
-    /// hot loop, ~9 probes per cell per generation.
+    /// shared pair primitive ([`PairPayoff::sampled`], within cell `a`'s
+    /// probe session) over the two cells' strategies, with the per-pair
+    /// `Domain::GamePlay` stream (entity = `a·n + b`, so the (a, b) and
+    /// (b, a) games are independent) for the pairs it has to play. A thin
+    /// call kept inlined: this is the lattice hot loop, ~9 probes per cell
+    /// per generation.
     #[inline]
-    fn pair_payoff(&self, pairs: &PairPayoff<'_>, a: usize, b: usize, generation: u64) -> f64 {
-        pairs.sampled(self.grid[a], self.grid[b], || {
+    fn pair_payoff(&self, session: &mut Session<'_>, a: usize, b: usize, generation: u64) -> f64 {
+        session.sampled(self.grid[a], self.grid[b], || {
             let entity = (a as u64) * self.grid.len() as u64 + b as u64;
             stream(self.seed, Domain::GamePlay, entity, generation)
         })
@@ -323,11 +324,15 @@ impl FitnessProvider for LatticeProvider<'_> {
             .clone()
             .into_par_iter()
             .map(|i| {
+                // One session per cell, not per rayon chunk: a cold
+                // worker's insert then waits for one stencil of another
+                // worker's reads, never for a whole chunk of them.
+                let mut session = pairs.session();
                 let mut total: f64 = (0..self.view.degree(i))
-                    .map(|k| self.pair_payoff(&pairs, i, self.view.neighbor(i, k), gen))
+                    .map(|k| self.pair_payoff(&mut session, i, self.view.neighbor(i, k), gen))
                     .sum();
                 if scope.include_self {
-                    total += self.pair_payoff(&pairs, i, i, gen);
+                    total += self.pair_payoff(&mut session, i, i, gen);
                 }
                 total
             })

@@ -227,17 +227,20 @@ impl Counters {
         self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One pairwise payoff served from the cross-generation payoff cache
-    /// (`evo_core::paycache`) without playing the game.
+    /// A finished run of probes of the cross-generation payoff cache
+    /// (`evo_core::paycache`): `hits` pairwise payoffs served without
+    /// playing the game, `misses` computed and inserted. The prober tallies
+    /// in plain integers and reports once per evaluation, so the shared
+    /// counter lines are written once per evaluation, not once per game; a
+    /// zero tally writes nothing.
     #[inline]
-    pub fn add_payoff_cache_hit(&self) {
-        self.payoff_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One pairwise payoff computed and inserted into the payoff cache.
-    #[inline]
-    pub fn add_payoff_cache_miss(&self) {
-        self.payoff_cache_misses.fetch_add(1, Ordering::Relaxed);
+    pub fn add_payoff_cache_probes(&self, hits: u64, misses: u64) {
+        if hits != 0 {
+            self.payoff_cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses != 0 {
+            self.payoff_cache_misses.fetch_add(misses, Ordering::Relaxed);
+        }
     }
 
     /// One pairwise payoff computed analytically by Markov forward
@@ -778,8 +781,7 @@ mod tests {
         counters().add_fault_injected();
         counters().add_comm_timeout();
         counters().add_checkpoint_written();
-        counters().add_payoff_cache_hit();
-        counters().add_payoff_cache_miss();
+        counters().add_payoff_cache_probes(3, 2);
         counters().add_markov_fastpath_eval();
         counters().add_job_accepted();
         counters().add_job_rejected();
@@ -797,8 +799,8 @@ mod tests {
         assert!(delta.faults_injected >= 1);
         assert!(delta.comm_timeouts >= 1);
         assert!(delta.checkpoints_written >= 1);
-        assert!(delta.payoff_cache_hits >= 1);
-        assert!(delta.payoff_cache_misses >= 1);
+        assert!(delta.payoff_cache_hits >= 3);
+        assert!(delta.payoff_cache_misses >= 2);
         assert!(delta.markov_fastpath_evals >= 1);
         assert!(delta.jobs_accepted >= 1);
         assert!(delta.jobs_rejected >= 1);

@@ -69,6 +69,19 @@ if [ -n "$DEAD" ]; then
     exit 1
 fi
 
+echo "== static: payoff-cache access audit (one reader/writer) =="
+# docs/PERFORMANCE.md §2: only fitness.rs (through its probe session) reads
+# or writes the PayoffCache, and only it and paycache.rs report probes to
+# obs. A second accessor could hold a session's read lock across its own
+# write, or count a probe twice.
+if grep -rnE --include='*.rs' \
+        '\.reader\(\)|add_payoff_cache_|PayoffCache::(get|insert)|\.(get|insert)\([^)]*PayoffKind::' \
+        crates/*/src \
+        | grep -vE '^crates/evo-core/src/(paycache|fitness)\.rs:|^crates/obs/'; then
+    echo "verify: FAIL — payoff-cache access outside crates/evo-core/src/{paycache,fitness}.rs" >&2
+    exit 1
+fi
+
 echo "== static: clippy, warnings are errors =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -201,3 +201,106 @@ fn send_into_a_returned_ranks_inbox_counts_no_comm_message() {
     assert_eq!(delta.comm_messages, 0);
     assert_eq!(delta.comm_bytes, 0);
 }
+
+/// `(hits, misses, games)` and digest of the 3-rank every-generation run of
+/// `small_params(17)` over 30 generations, as the per-probe counters read.
+const DIST_PROBES: (u64, u64, u64) = (7570, 110, 7680);
+const DIST_DIGEST: u64 = 0x5732_3e6f_2723_9b7c;
+/// Games after 1 and after 10 generations of the 16×12 lattice, and its
+/// digest then.
+const LATTICE_GAMES: (u64, u64) = (1728, 17280);
+const LATTICE_DIGEST: u64 = 0x6498_65ac_136a_af45;
+
+/// `(payoff_cache_hits, payoff_cache_misses)` moved since `baseline`.
+fn cache_probes_since(baseline: &obs::CounterSnapshot) -> (u64, u64) {
+    let delta = obs::counters().snapshot().delta_since(baseline);
+    (delta.payoff_cache_hits, delta.payoff_cache_misses)
+}
+
+#[test]
+fn payoff_cache_probes_add_up_to_the_games_of_a_cached_run() {
+    // Probes are tallied per evaluation and flushed when it ends, so at a
+    // run boundary the counters are exact: every game of a pure noiseless
+    // run was one probe. The literals are what the per-probe counters read
+    // before probes were batched; the digests pin the results themselves.
+    use evogame::cluster::dist::{run_distributed, DistConfig};
+    use evogame::engine::record::state_digest;
+    let _counters = counters_lock();
+    obs::set_enabled(true);
+
+    // Every-generation distributed run: one cache per rank, no races.
+    let baseline = obs::counters().snapshot();
+    let mut params = small_params(17);
+    params.generations = 30;
+    let out = run_distributed(&DistConfig::new(params, 3, FitnessPolicy::EveryGeneration)).unwrap();
+    let (hits, misses) = cache_probes_since(&baseline);
+    assert_eq!(hits + misses, out.stats.games_played);
+    assert_eq!((hits, misses, out.stats.games_played), DIST_PROBES);
+    assert_eq!(state_digest(&out.assignments, &out.features), DIST_DIGEST);
+
+    // Lattice: rayon workers share the cache and may both miss a cold pair,
+    // so the cold generation is pinned by its sum and the warm ones exactly.
+    let mut pop = SpatialPopulation::new(
+        SpatialParams {
+            width: 16,
+            height: 12,
+            seed: 19,
+            ..SpatialParams::default()
+        },
+        InitPattern::RandomDefectors(0.5),
+    );
+    let baseline = obs::counters().snapshot();
+    pop.step();
+    let (hits, misses) = cache_probes_since(&baseline);
+    assert_eq!(hits + misses, pop.stats().games_played);
+    assert!(misses >= 4, "ALLC and ALLD: four ordered pairs to learn, saw {misses}");
+    let cold_games = pop.stats().games_played;
+    let baseline = obs::counters().snapshot();
+    pop.run(9);
+    let (hits, misses) = cache_probes_since(&baseline);
+    assert_eq!((hits, misses), (pop.stats().games_played - cold_games, 0));
+    assert_eq!((cold_games, pop.stats().games_played), LATTICE_GAMES);
+    let snap = pop.snapshot();
+    assert_eq!(state_digest(&snap.assignments, &snap.features), LATTICE_DIGEST);
+}
+
+#[test]
+fn racing_threads_count_every_probe_of_a_cold_shared_cache_once() {
+    // The exact-count half of `evo_core::fitness`'s
+    // `concurrent_sessions_on_a_cold_cache_agree_and_finish`, here because
+    // only this file can read the process-global counters exactly. Which
+    // thread misses a cold pair is a race; that every probe is a hit or a
+    // miss, flushed by the time its evaluation returns, is not.
+    use evogame::engine::fitness::{GameKernel, PairPayoff};
+    use evogame::engine::paycache::PayoffCache;
+    const THREADS: usize = 4;
+    let _counters = counters_lock();
+    let pop = Population::new(Params {
+        mem_steps: 3,
+        num_ssets: 40,
+        seed: 9,
+        ..Params::default()
+    })
+    .unwrap();
+    let game = pop.params().game;
+    let cache = PayoffCache::new(game);
+    let pairs = PairPayoff::new(pop.space(), pop.pool(), &game, GameKernel::Naive, Some(&cache));
+    let asg = pop.assignments();
+    let start = std::sync::Barrier::new(THREADS);
+    let baseline = obs::counters().snapshot();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                for row in 0..asg.len() {
+                    pairs.evaluate_one(asg, 9, 0, (row + t * asg.len() / THREADS) % asg.len());
+                }
+            });
+        }
+    });
+    let (hits, misses) = cache_probes_since(&baseline);
+    let distinct = cache.len() as u64;
+    assert_eq!(hits + misses, (THREADS * asg.len() * asg.len()) as u64);
+    assert!((distinct..=distinct * THREADS as u64).contains(&misses), "{misses} misses for {distinct} entries");
+}
