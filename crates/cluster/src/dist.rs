@@ -51,7 +51,7 @@ mod driver;
 pub mod fixation;
 pub mod graph;
 
-pub use driver::{Degraded, Resumable};
+pub use driver::Degraded;
 
 use crate::collective::Collective;
 use crate::comm::{ClusterError, Comm, Rank};
@@ -177,19 +177,6 @@ pub struct DistOutcome {
 /// A degraded well-mixed run: the restartable snapshot is a [`Checkpoint`].
 pub type DegradedRun = Degraded<Checkpoint>;
 
-impl Resumable for DistConfig {
-    type Checkpoint = Checkpoint;
-
-    fn resume_from(&mut self, checkpoint: Checkpoint) {
-        self.params = checkpoint.params.clone();
-        self.resume = Some(checkpoint);
-    }
-
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-}
-
 /// Typed failure of a distributed run — what every `expect`/`panic!` in
 /// the old message loop became. `C` is the checkpoint type of the family
 /// that ran ([`Checkpoint`] here, [`evo_core::spatial::SpatialCheckpoint`]
@@ -306,8 +293,8 @@ pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
     // A resumed run is driven by the checkpoint's own params: they carry
     // the seed and the original generation target.
     let mut config = config.clone();
-    if let Some(cp) = config.resume.take() {
-        config.resume_from(cp);
+    if let Some(cp) = &config.resume {
+        config.params = cp.params.clone();
     }
     let (space, restored) = match &config.resume {
         Some(cp) => {
@@ -703,7 +690,6 @@ fn drive(comm: &Comm<DistMsg>, spec: &WellMixed, ctx: &mut RankCtx) -> Result<()
 
         if let Some(t0) = timer {
             let ns = t0.elapsed().as_nanos() as u64;
-            obs::generation_histogram().record(ns);
             if ctx.generation_ns.len() < obs::GENERATION_TIMING_CAP {
                 ctx.generation_ns.push(ns);
             }

@@ -10,7 +10,7 @@
 use super::DistError;
 use crate::collective::Collective;
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
-use crate::faults::{FaultPlan, MessageFaults};
+use crate::faults::FaultPlan;
 use evo_core::record::GenerationRecord;
 use std::time::Duration;
 
@@ -83,7 +83,7 @@ pub(super) fn check_kill(faults: &FaultPlan, rank: Rank, unit: u64) -> Result<()
 /// A distributed run that terminated early but *cleanly*: dead peers were
 /// detected, surviving state was snapshotted, and restarting from
 /// [`Degraded::checkpoint`] reproduces the uninterrupted outcome bit for
-/// bit ([`Degraded::retry_config`] builds that restart configuration).
+/// bit; [`FaultPlan::spent`] is the fault plan that restart runs under.
 /// `C` is the family's checkpoint type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degraded<C> {
@@ -106,40 +106,6 @@ pub struct Degraded<C> {
     /// no record stream (well-mixed) or whose checkpoint already holds the
     /// results (fixation).
     pub records: Vec<GenerationRecord>,
-}
-
-/// A run configuration [`Degraded::retry_config`] can point at a
-/// checkpoint.
-pub trait Resumable: Clone {
-    /// The family's checkpoint type.
-    type Checkpoint: Clone;
-    /// Resume from `checkpoint`; its own parameters drive the run.
-    fn resume_from(&mut self, checkpoint: Self::Checkpoint);
-    /// The fault schedule the run executes.
-    fn faults_mut(&mut self) -> &mut FaultPlan;
-}
-
-impl<C: Clone> Degraded<C> {
-    /// Build the configuration that resumes this degraded run from its
-    /// checkpoint — the re-enqueue semantics the service layer's automatic
-    /// retry follows (docs/SERVICE.md). Returns `None` when no restartable
-    /// checkpoint was captured (failure outside any fault plan).
-    ///
-    /// The retry keeps everything else in `base` (rank count, cache
-    /// setting, periodic-checkpoint interval, …) and **clears the injected
-    /// fault schedule** (rank kills and message faults): those faults
-    /// already executed, and replaying them against the resumed range
-    /// would either be a no-op or degrade the retry identically forever.
-    /// The receive deadline is kept so emergent failures in the retry
-    /// still surface as typed degraded outcomes rather than hangs.
-    pub fn retry_config<K: Resumable<Checkpoint = C>>(&self, base: &K) -> Option<K> {
-        let mut cfg = base.clone();
-        cfg.resume_from(self.checkpoint.clone()?);
-        let faults = cfg.faults_mut();
-        faults.kills.clear();
-        faults.messages = MessageFaults::default();
-        Some(cfg)
-    }
 }
 
 /// Rank 0's failure report: everything in [`Degraded`] the protocol body

@@ -28,7 +28,7 @@
 //! so the stitched outcome is bit-identical to an uninterrupted run.
 
 use super::driver::{self, Protocol, RankError};
-use super::{owned_range, Degraded, DistError, Resumable};
+use super::{owned_range, Degraded, DistError};
 use crate::comm::Comm;
 use crate::faults::FaultPlan;
 use evo_core::fixation::{
@@ -115,19 +115,6 @@ pub struct FixationDistOutcome {
 /// any instant, so no fault plan is needed to maintain one.
 pub type FixationDegradedRun = Degraded<FixationCheckpoint>;
 
-impl Resumable for FixationDistConfig {
-    type Checkpoint = FixationCheckpoint;
-
-    fn resume_from(&mut self, checkpoint: FixationCheckpoint) {
-        self.spec = checkpoint.spec.clone();
-        self.resume = Some(checkpoint);
-    }
-
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-}
-
 /// The replicate-farm protocol: the batch's configuration, its `spec`
 /// already the one driving the run, shipped into the cluster closure once.
 struct Farm {
@@ -169,10 +156,10 @@ pub fn run_fixation_distributed(
     // A resumed run is driven by the checkpoint's own spec (it carries the
     // batch seed and replicate count of the original run).
     let mut config = config.clone();
-    match config.resume.take() {
+    match &config.resume {
         Some(cp) => {
             cp.validate().map_err(|e| DistError::Params(e.to_string()))?;
-            config.resume_from(cp);
+            config.spec = cp.spec.clone();
         }
         None => {
             config.spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
@@ -373,8 +360,9 @@ mod tests {
         let DistError::Degraded(d) = run_fixation_distributed(&cfg).unwrap_err() else {
             panic!("expected degraded batch");
         };
-        let retry = d.retry_config(&cfg).expect("fixation batches always checkpoint");
-        assert!(retry.faults.kills.is_empty(), "retry clears the kill schedule");
+        let mut retry = cfg.clone();
+        retry.faults = cfg.faults.spent();
+        retry.resume = Some(d.checkpoint.expect("fixation batches always checkpoint"));
         let resumed = run_fixation_distributed(&retry).unwrap();
         assert_eq!(resumed.outcome, clean, "stitched outcome matches clean run");
         assert_eq!(resumed.outcome.digest(), clean.digest());

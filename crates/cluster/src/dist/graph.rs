@@ -32,7 +32,7 @@
 //! (docs/FAULT_TOLERANCE.md).
 
 use super::driver::{self, Protocol, RankError};
-use super::{Degraded, DistError, Resumable};
+use super::{Degraded, DistError};
 use crate::comm::{Comm, Rank};
 use crate::faults::FaultPlan;
 use evo_core::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan};
@@ -164,19 +164,6 @@ pub struct SpatialOutcome {
 /// [`SpatialCheckpoint`].
 pub type SpatialDegradedRun = Degraded<SpatialCheckpoint>;
 
-impl Resumable for SpatialDistConfig {
-    type Checkpoint = SpatialCheckpoint;
-
-    fn resume_from(&mut self, checkpoint: SpatialCheckpoint) {
-        self.params = checkpoint.params.clone();
-        self.resume = Some(checkpoint);
-    }
-
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-}
-
 /// The rows owned by `rank` under a balanced block partition of `height`
 /// rows over compute ranks `1..ranks` (empty for rank 0, the coordinator).
 /// Blocks are contiguous and ascending in rank order, so the ring-adjacent
@@ -211,8 +198,8 @@ pub fn run_spatial_distributed(
     }
     // A resumed run is driven by the checkpoint's own params.
     let mut config = config.clone();
-    if let Some(cp) = config.resume.take() {
-        config.resume_from(cp);
+    if let Some(cp) = &config.resume {
+        config.params = cp.params.clone();
     }
     let params = &config.params;
     let restored = match &config.resume {
@@ -843,7 +830,9 @@ mod tests {
         let DistError::Degraded(d) = run_spatial_distributed(&cfg).unwrap_err() else {
             panic!("expected degraded run");
         };
-        let resumed_cfg = d.retry_config(&cfg).expect("checkpoint present");
+        let mut resumed_cfg = cfg.clone();
+        resumed_cfg.faults = cfg.faults.spent();
+        resumed_cfg.resume = Some(d.checkpoint.expect("checkpoint present"));
         let resume_from = resumed_cfg.resume.as_ref().unwrap().generation as usize;
         let resumed = run_spatial_distributed(&resumed_cfg).unwrap();
 

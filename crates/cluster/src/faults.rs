@@ -115,6 +115,17 @@ impl FaultPlan {
         self.kills.is_empty() && self.messages.is_empty()
     }
 
+    /// The plan a retry of a degraded run executes — the retry rule
+    /// (docs/FAULT_TOLERANCE.md §3, its one statement): a retry resumes
+    /// from the degraded checkpoint with kills and message faults spent and
+    /// the receive deadline kept.
+    pub fn spent(&self) -> FaultPlan {
+        FaultPlan {
+            recv_timeout_ms: self.recv_timeout_ms,
+            ..FaultPlan::default()
+        }
+    }
+
     /// Whether `rank` is scheduled to die at the start of `generation`.
     pub fn kills_at(&self, rank: usize, generation: u64) -> bool {
         self.kills
@@ -175,6 +186,16 @@ mod tests {
         assert!(plan.is_empty());
         assert!(!plan.kills_at(1, 0));
         assert_eq!(plan.messages.action(0, 0), None);
+    }
+
+    #[test]
+    fn a_spent_plan_keeps_only_the_receive_deadline() {
+        let plan = FaultPlan::seeded(5, 4, 40, 2, 3);
+        assert!(!plan.kills.is_empty() && !plan.messages.is_empty());
+        let spent = plan.spent();
+        assert!(spent.is_empty(), "kills and message faults are spent");
+        assert_eq!(spent.recv_timeout_ms, plan.recv_timeout_ms, "deadline kept");
+        assert_eq!(FaultPlan::none().spent(), FaultPlan::none());
     }
 
     #[test]

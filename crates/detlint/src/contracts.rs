@@ -157,7 +157,8 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 /// Files whose panic paths must be typed or reason-annotated: the
 /// distributed protocol layer, the engine transition hot path, the
 /// populations, fixation kernel and record layer that call the pair path
-/// and decode checkpoints, and the job server.
+/// and decode checkpoints, and the job server with its family seam and
+/// admission queue.
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist.rs",
     "crates/cluster/src/dist/driver.rs",
@@ -171,6 +172,8 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/evo-core/src/population.rs",
     "crates/evo-core/src/record.rs",
     "crates/evo-core/src/spatial.rs",
+    "crates/svc/src/family.rs",
+    "crates/svc/src/queue.rs",
     "crates/svc/src/server.rs",
 ];
 

@@ -439,6 +439,11 @@ pub struct FixationBatch {
     spec: FixationSpec,
     cache: Arc<PayoffCache>,
     completed: Vec<ReplicateResult>,
+    /// Share one payoff cache across the batch's replicates
+    /// (docs/PERFORMANCE.md); off, every replicate warms a private one. On
+    /// by default and purely a cost knob, as on the population engines:
+    /// outcomes are bit-identical either way.
+    pub use_payoff_cache: bool,
 }
 
 impl FixationBatch {
@@ -450,6 +455,7 @@ impl FixationBatch {
             cache,
             spec,
             completed: Vec::new(),
+            use_payoff_cache: true,
         })
     }
 
@@ -466,6 +472,7 @@ impl FixationBatch {
             cache: Arc::new(PayoffCache::new(cp.spec.params.game)),
             spec: cp.spec,
             completed,
+            use_payoff_cache: true,
         })
     }
 
@@ -494,7 +501,7 @@ impl FixationBatch {
     /// Run one replicate through the batch-shared cache (pure; does not
     /// record the result — [`FixationBatch::run`]/[`FixationBatch::run_step`] do).
     pub fn run_replicate(&self, r: u32) -> ReplicateResult {
-        self.spec.run_replicate(r, Some(&self.cache))
+        self.spec.run_replicate(r, self.use_payoff_cache.then_some(&self.cache))
     }
 
     /// Run the lowest pending replicate and record its result; `None`
@@ -784,6 +791,10 @@ mod tests {
         while seq.run_step().is_some() {}
         assert!(seq.is_complete());
         assert_eq!(seq.outcome(), expected);
+        let mut uncached = FixationBatch::new(spec(13, 6)).unwrap();
+        uncached.use_payoff_cache = false;
+        assert_eq!(uncached.run(), expected, "the batch cache is cost-only");
+        assert!(uncached.cache.is_empty(), "a batch with the cache off never warms it");
     }
 
     #[test]

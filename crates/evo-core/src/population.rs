@@ -103,16 +103,25 @@ impl Population {
     pub fn new(params: Params) -> Result<Self, ParamsError> {
         let space = params.validate()?;
         let (pool, assignments) = initial_tables(&params, space);
-        let nature = NatureAgent::from_params(&params);
-        let layout = SSetLayout {
-            num_ssets: params.num_ssets,
-            agents_per_sset: params.effective_agents_per_sset(),
-        };
-        Ok(Population {
+        Ok(Population::with_tables(params, space, pool, assignments))
+    }
+
+    /// A generation-0 population over the given strategy tables, every knob
+    /// at its default — the one place those defaults are stated.
+    fn with_tables(
+        params: Params,
+        space: StateSpace,
+        pool: StrategyPool,
+        assignments: Vec<StratId>,
+    ) -> Self {
+        Population {
             fitness: vec![0.0; params.num_ssets],
-            nature,
+            nature: NatureAgent::from_params(&params),
             space,
-            layout,
+            layout: SSetLayout {
+                num_ssets: params.num_ssets,
+                agents_per_sset: params.effective_agents_per_sset(),
+            },
             pool,
             assignments,
             generation: 0,
@@ -128,7 +137,7 @@ impl Population {
             payoff_cache: PayoffCache::new(params.game),
             shared_cache: None,
             params,
-        })
+        }
     }
 
     /// Build a population with every SSet holding `strategy` — no
@@ -148,32 +157,8 @@ impl Population {
         );
         let mut pool = StrategyPool::new();
         let id = pool.intern(strategy);
-        let nature = NatureAgent::from_params(&params);
-        let layout = SSetLayout {
-            num_ssets: params.num_ssets,
-            agents_per_sset: params.effective_agents_per_sset(),
-        };
-        Ok(Population {
-            fitness: vec![0.0; params.num_ssets],
-            nature,
-            space,
-            layout,
-            pool,
-            assignments: vec![id; params.num_ssets],
-            generation: 0,
-            stats: RunStats::default(),
-            obs_baseline: obs::counters().snapshot(),
-            gen_timings: Vec::new(),
-            exec_mode: ExecMode::Rayon,
-            fitness_policy: FitnessPolicy::EveryGeneration,
-            dedup: false,
-            kernel: GameKernel::Naive,
-            expected_fitness: false,
-            use_payoff_cache: true,
-            payoff_cache: PayoffCache::new(params.game),
-            shared_cache: None,
-            params,
-        })
+        let assignments = vec![id; params.num_ssets];
+        Ok(Population::with_tables(params, space, pool, assignments))
     }
 
     /// Evaluate through `cache` instead of the private per-population
@@ -294,7 +279,6 @@ impl Population {
         }
         if let Some(t0) = timer {
             let ns = t0.elapsed().as_nanos() as u64;
-            obs::generation_histogram().record(ns);
             if self.gen_timings.len() < obs::GENERATION_TIMING_CAP {
                 self.gen_timings.push(ns);
             }

@@ -586,73 +586,28 @@ pub fn span_snapshots() -> Vec<SpanSnapshot> {
 
 // -------------------------------------------------------------- histogram
 
-/// Number of buckets in a [`Histogram`] (one per power of two of `u64`).
+/// Number of buckets in a [`HistogramSnapshot`] (one per power of two of
+/// `u64`).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// A lock-free log₂ histogram: bucket `i` counts recorded values `v` with
-/// `⌊log₂ v⌋ = i − 1` (bucket 0 counts `v = 0`). Cheap enough for hot
-/// paths — one relaxed atomic increment per record.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    /// Bucket index for a value.
-    #[inline]
-    fn bucket_of(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
-    }
-
-    /// Record one value.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`] — the
-/// `generation_ns_histogram` field of the run manifest.
+/// A log₂ histogram — the `generation_ns_histogram` field of the run
+/// manifest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// `buckets[i]` counts values whose log₂ bucket is `i`; see
-    /// [`Histogram`].
+    /// `buckets[i]` counts the values `v` with `⌊log₂ v⌋ = i − 1`;
+    /// `buckets[0]` counts `v = 0`.
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
-    /// Build a histogram snapshot directly from a slice of values (used at
-    /// manifest-capture time to summarise a timing series).
+    /// Bucket a slice of values (used at manifest-capture time to
+    /// summarise a timing series).
     pub fn from_values(values: &[u64]) -> Self {
-        let h = Histogram::new();
+        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
         for &v in values {
-            h.record(v);
+            buckets[(64 - v.leading_zeros()) as usize] += 1;
         }
-        h.snapshot()
+        HistogramSnapshot { buckets }
     }
 
     /// Total values recorded.
@@ -670,14 +625,6 @@ impl HistogramSnapshot {
             (1u64 << i) - 1
         }
     }
-}
-
-/// The process-global histogram of per-generation wall times
-/// (nanoseconds). The generation loops (`Population::step` and the
-/// distributed engine) record into it when observability is [`enabled`].
-pub fn generation_histogram() -> &'static Histogram {
-    static GEN_HIST: Histogram = Histogram::new();
-    &GEN_HIST
 }
 
 // --------------------------------------------------------------- manifest
@@ -706,10 +653,10 @@ pub struct RunManifest {
     pub elapsed_seconds: f64,
     /// Per-generation wall time, nanoseconds, in generation order. Empty
     /// when the timing layer was disabled; producers may cap the series
-    /// (the engine keeps the first [`GENERATION_TIMING_CAP`] entries) —
-    /// the histogram always covers every generation.
+    /// (the engine keeps the first [`GENERATION_TIMING_CAP`] entries).
     pub per_generation_ns: Vec<u64>,
-    /// Log₂ histogram summarising `per_generation_ns`.
+    /// Log₂ histogram of `per_generation_ns` as stored: of a capped
+    /// series it covers the capped part only.
     pub generation_ns_histogram: HistogramSnapshot,
     /// Counter activity attributed to the run
     /// ([`CounterSnapshot::delta_since`] a baseline taken at run start).
@@ -718,8 +665,8 @@ pub struct RunManifest {
     pub spans: Vec<SpanSnapshot>,
 }
 
-/// Maximum `per_generation_ns` entries the engine retains verbatim; runs
-/// longer than this are summarised by the histogram beyond the cap.
+/// Maximum `per_generation_ns` entries the engine retains; later
+/// generations of a longer run are timed by the spans only.
 pub const GENERATION_TIMING_CAP: usize = 100_000;
 
 impl RunManifest {
@@ -868,19 +815,14 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let h = Histogram::new();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 1
-        h.record(2); // bucket 2
-        h.record(3); // bucket 2
-        h.record(1024); // bucket 11
-        let snap = h.snapshot();
+        // Buckets 0, 1, 2, 2 and 11.
+        let snap = HistogramSnapshot::from_values(&[0, 1, 2, 3, 1024]);
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[1], 1);
         assert_eq!(snap.buckets[2], 2);
         assert_eq!(snap.buckets[11], 1);
         assert_eq!(snap.count(), 5);
-        assert_eq!(snap, HistogramSnapshot::from_values(&[0, 1, 2, 3, 1024]));
+        assert_eq!(snap.buckets.len(), HISTOGRAM_BUCKETS);
         assert_eq!(HistogramSnapshot::bucket_upper_bound(0), 0);
         assert_eq!(HistogramSnapshot::bucket_upper_bound(3), 7);
         assert_eq!(HistogramSnapshot::bucket_upper_bound(64), u64::MAX);

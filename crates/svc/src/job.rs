@@ -100,8 +100,8 @@ pub struct JobRequest {
     #[serde(default)]
     pub checkpoint_every: Option<u64>,
     /// How many automatic re-enqueues a degraded distributed run is
-    /// allowed ([`cluster::dist::Degraded::retry_config`]). `0` means
-    /// a degraded outcome is immediately terminal
+    /// allowed (each under [`cluster::faults::FaultPlan::spent`]). `0`
+    /// means a degraded outcome is immediately terminal
     /// ([`JobStatus::Failed`]).
     #[serde(default)]
     pub retry_budget: u32,

@@ -30,9 +30,8 @@
 //!   engine's own [`evo_core::record::Checkpoint`]; resume re-enqueues
 //!   it; a distributed job that comes back
 //!   [`cluster::dist::DistError::Degraded`] is automatically re-enqueued
-//!   from its degraded checkpoint with
-//!   [`cluster::dist::Degraded::retry_config`] semantics while its retry
-//!   budget lasts.
+//!   from its degraded checkpoint under the retry rule
+//!   ([`cluster::faults::FaultPlan::spent`]) while its retry budget lasts.
 //!
 //! Observability: the server increments the process-global
 //! `jobs_accepted` / `jobs_rejected` / `jobs_completed` / `jobs_retried`
@@ -41,12 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod family;
+pub mod family;
 pub mod job;
 pub mod queue;
 pub mod server;
 pub mod spool;
 
+pub use family::{Distributed, Family};
 pub use job::{AdmitError, Backend, JobRequest, JobStatus, Priority, Receipt, SpatialJobSpec};
 pub use queue::JobQueue;
 pub use server::{Server, ServerConfig};

@@ -7,6 +7,7 @@
 //! queue holds no timestamps and consults no clock, so replaying the same
 //! submission stream replays the same dispatch order.
 
+use crate::family::Selected;
 use crate::job::{AdmitError, Backend, JobRequest, Priority};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -31,8 +32,8 @@ pub struct QueuedJob {
     /// degraded-run retry, `None` for a fresh start.
     pub resume: Option<Parked>,
     /// Degraded-run retries already consumed. Once non-zero the request's
-    /// injected fault schedule has fired, and attempts run with it cleared
-    /// ([`cluster::dist::Degraded::retry_config`] semantics).
+    /// injected fault schedule has fired, and attempts run under
+    /// [`cluster::faults::FaultPlan::spent`].
     pub retries: u32,
 }
 
@@ -141,67 +142,33 @@ impl JobQueue {
     }
 
     fn check(&self, request: &JobRequest) -> Result<(), AdmitError> {
+        let invalid = |reason: String| Err(AdmitError::Invalid { reason });
         if request.id.is_empty() {
-            return Err(AdmitError::Invalid {
-                reason: "job id must be non-empty".into(),
-            });
+            return invalid("job id must be non-empty".into());
         }
         if !request
             .id
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
         {
-            return Err(AdmitError::Invalid {
-                reason: format!(
-                    "job id {:?} must match [A-Za-z0-9._-]+ (it names the spool directory)",
-                    request.id
-                ),
-            });
+            return invalid(format!(
+                "job id {:?} must match [A-Za-z0-9._-]+ (it names the spool directory)",
+                request.id
+            ));
         }
-        if request.spatial.is_some() && request.fixation.is_some() {
-            return Err(AdmitError::Invalid {
-                reason: "a job runs one family: spatial or fixation, not both".into(),
-            });
-        }
-        if let Some(spec) = &request.fixation {
-            if let Err(e) = spec.validate() {
-                return Err(AdmitError::Invalid {
-                    reason: format!("fixation spec: {e}"),
-                });
-            }
-        } else if let Some(spec) = &request.spatial {
-            if let Err(e) = spec.params.validate() {
-                return Err(AdmitError::Invalid {
-                    reason: format!("spatial params: {e}"),
-                });
-            }
-            if let Err(e) = spec.init.validate(&spec.params) {
-                return Err(AdmitError::Invalid {
-                    reason: format!("spatial init: {e}"),
-                });
-            }
-        } else if let Err(e) = request.params.validate() {
-            return Err(AdmitError::Invalid {
-                reason: format!("params: {e}"),
-            });
+        if let Err(reason) = Selected::of(request).and_then(|family| family.validate()) {
+            return invalid(reason);
         }
         match request.backend {
-            Backend::Shared => {
-                if request.faults != cluster::faults::FaultPlan::default() {
-                    return Err(AdmitError::Invalid {
-                        reason: "fault injection requires the distributed backend".into(),
-                    });
-                }
+            Backend::Shared if request.faults != cluster::faults::FaultPlan::default() => {
+                return invalid("fault injection requires the distributed backend".into());
             }
-            Backend::Distributed { ranks } => {
-                if ranks < 2 {
-                    return Err(AdmitError::Invalid {
-                        reason: format!(
-                            "distributed backend needs at least 2 ranks (got {ranks})"
-                        ),
-                    });
-                }
+            Backend::Distributed { ranks } if ranks < 2 => {
+                return invalid(format!(
+                    "distributed backend needs at least 2 ranks (got {ranks})"
+                ));
             }
+            _ => {}
         }
         if self.seen.contains(&request.id) {
             return Err(AdmitError::DuplicateId {

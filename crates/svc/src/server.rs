@@ -30,17 +30,15 @@
 //!   (docs/PERFORMANCE.md §2).
 //! - **Degraded retry**: a distributed job that returns
 //!   [`DistError::Degraded`] is re-enqueued from the degraded
-//!   checkpoint with [`cluster::dist::Degraded::retry_config`]
-//!   semantics (fault schedule cleared — those faults already fired;
-//!   receive deadline kept) while `retry_budget` lasts, then fails with
-//!   the degradation reason.
+//!   checkpoint under the retry rule
+//!   ([`cluster::faults::FaultPlan::spent`]) while
+//!   `retry_budget` lasts, then fails with the degradation reason.
 
-use crate::family::Family;
+use crate::family::{Family, Selected};
 use crate::job::{AdmitError, Backend, JobRequest, JobStatus, Receipt};
 use crate::queue::{JobQueue, Parked, QueuedJob};
 use crate::spool::Spool;
 use cluster::dist::DistError;
-use cluster::faults::FaultPlan;
 use evo_core::fixation::FixationBatch;
 use evo_core::population::Population;
 use evo_core::record::GenerationRecord;
@@ -379,11 +377,12 @@ fn worker_loop(inner: &Inner) {
         };
         inner.spool_status(&job.request.id, &JobStatus::Running);
         inner.changed.notify_all();
-        let request = &job.request;
-        let outcome = match (&request.fixation, &request.spatial) {
-            (Some(spec), _) => execute::<FixationBatch>(inner, &job, spec),
-            (None, Some(spec)) => execute::<SpatialPopulation>(inner, &job, spec),
-            (None, None) => execute::<Population>(inner, &job, request),
+        let outcome = match Selected::of(&job.request) {
+            Ok(Selected::WellMixed(spec)) => execute::<Population>(inner, &job, &spec),
+            Ok(Selected::Lattice(spec)) => execute::<SpatialPopulation>(inner, &job, spec),
+            Ok(Selected::Fixation(spec)) => execute::<FixationBatch>(inner, &job, spec),
+            // Admission ran the same selection; this arm is unreachable.
+            Err(reason) => Outcome::Failed { reason },
         };
         finish(inner, job, outcome);
     }
@@ -430,7 +429,7 @@ fn execute_shared<F: Family>(
     resume: Option<F::Checkpoint>,
 ) -> Outcome {
     let baseline = obs::counters().snapshot();
-    let mut run = match F::start(spec, resume) {
+    let mut run = match F::start(spec, resume, true) {
         Ok(run) => run,
         Err(reason) => return Outcome::Failed { reason },
     };
@@ -461,7 +460,10 @@ fn execute_shared<F: Family>(
     }
     stream_records(inner, id, &mut chunk);
     let (_, seed) = F::identity(spec);
-    let manifest = run.manifest(spec, &baseline);
+    // svc reads no clock (docs/STATIC_ANALYSIS.md wall-clock rule): elapsed
+    // is reported as 0; cost attribution lives in the counter deltas and
+    // span timings.
+    let manifest = run.manifest(spec, &baseline, 0.0);
     Outcome::Done {
         receipt: receipt(job, seed, run.progress(), run.digest(), manifest),
     }
@@ -479,35 +481,30 @@ fn execute_distributed<F: Family>(
 ) -> Outcome {
     let request = &job.request;
     let faults = if job.retries > 0 {
-        // Retry attempt: the injected schedule already fired, only the
-        // receive deadline survives (`Degraded::retry_config` semantics).
-        FaultPlan {
-            recv_timeout_ms: request.faults.recv_timeout_ms,
-            ..FaultPlan::default()
-        }
+        request.faults.spent()
     } else {
         request.faults.clone()
     };
     let baseline = obs::counters().snapshot();
-    match F::distribute(spec, ranks, faults, request.checkpoint_every, resume) {
+    match F::distribute(spec, ranks, faults, request.checkpoint_every, resume, true) {
         Ok(mut out) => {
             let (params, seed) = F::identity(spec);
             let manifest = obs::RunManifest::capture(
                 params,
                 seed,
                 ranks,
-                out.generations,
+                out.units,
                 0.0,
                 &baseline,
                 &out.generation_ns,
             );
             stream_records(inner, &request.id, &mut out.records);
             Outcome::Done {
-                receipt: receipt(job, seed, out.generations, out.digest, manifest),
+                receipt: receipt(job, seed, out.units, out.digest, manifest),
             }
         }
         Err(DistError::Degraded(mut d)) => {
-            let reason = format!("{}: {}", F::DEGRADED, d.reason);
+            let reason = format!("degraded {}: {}", F::RUN, d.reason);
             match d.checkpoint {
                 Some(cp) if job.retries < request.retry_budget => {
                     // What the attempt committed up to the checkpoint must

@@ -1,0 +1,181 @@
+#!/usr/bin/env sh
+# Behavioural identity of two evogame-cli builds: run one command list
+# through both binaries and diff everything they leave behind — stdout,
+# stderr, exit codes, --records streams, checkpoints, spool trees and the
+# counters of --manifest-out files.
+#
+# Usage: sh scripts/cli_identity.sh <parent-bin> <child-bin> [workdir]
+#
+# The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
+# down, every update rule on both backends, mixed strategies with noise,
+# the cost knobs, the lattice shared / row-sharded / fermi-vn4, fixation
+# shared / replicate-sharded / --matrix, checkpoint -> resume per family
+# across backends, kill -> resume per family, and an 8-job `serve
+# --workers 1` batch — all at RAYON_NUM_THREADS=2.
+#
+# Normalised before the diff, and nothing else:
+#   - wall times ("in 0.12s", a manifest's elapsed / per-generation / span
+#     fields);
+#   - the `dead ranks [...]` census of a degraded run and which dead rank
+#     its reason names first (kill-cascade race, ROADMAP 4b);
+#   - the boundary generation of a killed well-mixed distributed run
+#     (ROADMAP 4b: `--kill-at 30` degrades at 30, 31 or 32): in the
+#     `kill-dist*` commands the generation of the degraded line and of the
+#     checkpoint line and the resumed runs' `messages N` are masked, and
+#     `kill-dist.json`, its manifest, the shared resume's sampled CSV (its
+#     sample points count from the boundary) and the `wm-faulty` job's
+#     spool checkpoint and receipt counters are left out;
+#   - process-global counters that race on every commit (ROADMAP item 2):
+#     in shared-memory `fixate`'s manifest the four counters two rayon
+#     workers missing the same cold cache entry both bump
+#     (payoff_cache_{hits,misses}, games_played, rounds_simulated), and
+#     `jobs_accepted` in `serve` receipts.
+# Killed `fixate --ranks` runs write no manifest (every counter of such a
+# run races).
+#
+# Exit status 0 and "identical" on no difference, 1 and the diff otherwise.
+# Both binaries must accept every command: a flag one of them rejects
+# shows up as a differing exit code, not as a crash of this script.
+set -eu
+
+[ $# -ge 2 ] || { echo "usage: $0 <parent-bin> <child-bin> [workdir]" >&2; exit 2; }
+PARENT=$(realpath "$1")
+CHILD=$(realpath "$2")
+WORK=${3:-$(mktemp -d)}
+export RAYON_NUM_THREADS=2
+
+WM="--ssets 12 --generations 60 --seed 7 --pc-rate 0.25"
+SP="--width 12 --height 12 --generations 40 --seed 11"
+FX="--replicates 16 --ssets 8 --generations 150 --seed 7 --rounds 10"
+KILL="--kill-rank 1 --recv-timeout-ms 2000"
+
+# The `serve` batch: one request line per job.
+PARAMS='{"mem_steps":1,"num_ssets":12,"agents_per_sset":0,"game":{"rounds":200,"noise":0.0,"payoff":{"reward":3.0,"sucker":0.0,"temptation":4.0,"punishment":1.0}},"pc_rate":0.25,"mutation_rate":0.05,"beta":1.0,"kind":"Pure","teacher_must_be_fitter":true,"rule":"PairwiseComparison","mutation_kind":"Fresh","generations":60,"seed":7}'
+MIXED=$(printf '%s' "$PARAMS" | sed 's/"noise":0.0/"noise":0.01/; s/"kind":"Pure"/"kind":"Mixed"/; s/"rounds":200/"rounds":20/')
+FIXP=$(printf '%s' "$PARAMS" | sed 's/"num_ssets":12/"num_ssets":8/; s/"pc_rate":0.25/"pc_rate":1.0/; s/"mutation_rate":0.05/"mutation_rate":0.0/; s/"rule":"PairwiseComparison"/"rule":"Moran"/; s/"generations":60/"generations":150/; s/"rounds":200/"rounds":10/')
+LATTICE='{"params":{"width":12,"height":12,"mem_steps":0,"game":{"rounds":1,"noise":0.0,"payoff":{"reward":1.0,"sucker":0.0,"temptation":1.85,"punishment":0.0}},"neighborhood":"Moore8","update":"BestNeighbor","include_self":true,"generations":40,"seed":11},"init":"SingleDefector"}'
+SPACE='{"mem_steps":1,"num_states":4,"mask":3}'
+FIXATION="{\"params\":$FIXP,\"resident\":{\"Pure\":{\"space\":$SPACE,\"words\":[0]}},\"mutant\":{\"Pure\":{\"space\":$SPACE,\"words\":[15]}},\"replicates\":12}"
+DIST='"backend":{"Distributed":{"ranks":3}}'
+jobs() {
+    echo "{\"id\":\"wm-shared\",\"params\":$PARAMS}"
+    echo "{\"id\":\"wm-dist\",\"params\":$PARAMS,$DIST}"
+    echo "{\"id\":\"wm-faulty\",\"params\":$PARAMS,$DIST,\"retry_budget\":2,\"faults\":{\"kills\":[{\"rank\":2,\"generation\":30}],\"recv_timeout_ms\":2000}}"
+    echo "{\"id\":\"wm-mixed\",\"params\":$MIXED,\"checkpoint_every\":25}"
+    echo "{\"id\":\"sp-shared\",\"spatial\":$LATTICE}"
+    echo "{\"id\":\"sp-faulty\",\"spatial\":$LATTICE,$DIST,\"retry_budget\":1,\"faults\":{\"kills\":[{\"rank\":1,\"generation\":20}],\"recv_timeout_ms\":2000}}"
+    echo "{\"id\":\"fx-shared\",\"fixation\":$FIXATION}"
+    echo "{\"id\":\"fx-dist\",\"fixation\":$FIXATION,$DIST}"
+}
+
+# run_list <bin>: every command, in a fresh directory, files by relative
+# path so that both sides print the same names.
+run_list() {
+    bin=$1
+    c() { # c <id> <args...>: stdout, stderr and exit code of one command
+        id=$1; shift
+        rc=0
+        "$bin" "$@" > "$id.out" 2> "$id.err" || rc=$?
+        echo "$rc" > "$id.rc"
+    }
+    # The seven ledger shapes, small.
+    c wm_naive run --ssets 64 --mem 1 --generations 5 --seed 11 --records wm_naive.jsonl
+    c wm_cached run --ssets 512 --mem 1 --generations 200 --seed 12 --records wm_cached.jsonl --dedup
+    c dist_everygen distributed --ranks 3 --ssets 128 --generations 15 --seed 13 --every-generation
+    c dist_ondemand distributed --ranks 3 --ssets 256 --generations 1500 --seed 14
+    c spatial spatial --width 128 --height 128 --generations 4 --init random:0.5 --seed 15 --records spatial.jsonl
+    c fixate fixate --replicates 280 --seed 16 --records fixate.jsonl
+    # Every rule, both backends, both policies; manifests on one rule.
+    for rule in pc moran best; do
+        c "run-$rule" run $WM --rule $rule --records "run-$rule.jsonl"
+        c "run-$rule-od" run $WM --rule $rule --on-demand
+        c "dist-$rule" distributed --ranks 3 $WM --rule $rule
+        c "dist-$rule-eg" distributed --ranks 4 $WM --rule $rule --every-generation
+    done
+    c run-manifest run $WM --manifest-out run.manifest.json
+    c dist-manifest distributed --ranks 3 $WM --manifest-out dist.manifest.json
+    # Mixed strategies with noise; the cost knobs and views.
+    c run-mixed run --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20 --records run-mixed.jsonl
+    c dist-mixed distributed --ranks 3 --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20
+    c run-nocache run $WM --no-payoff-cache
+    c run-expected run $WM --expected-fitness --sample-every 7 --heatmap
+    c run-mem2 run --ssets 8 --generations 20 --seed 5 --mem 2 --mu 0.2 --beta 2 --dedup
+    c dist-nocache distributed --ranks 3 $WM --no-payoff-cache
+    # The lattice.
+    c sp-shared spatial $SP --records sp-shared.jsonl --render --manifest-out sp-shared.manifest.json
+    c sp-ranks spatial $SP --ranks 3 --records sp-ranks.jsonl --manifest-out sp-ranks.manifest.json
+    c sp-fermi spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --sample-every 4
+    c sp-fermi-ranks spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --ranks 4 --records sp-fermi-ranks.jsonl
+    c sp-iterated spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --noise 0.02 --temptation 1.6 --no-payoff-cache
+    # Fixation.
+    c fx-shared fixate $FX --records fx-shared.jsonl --manifest-out fx-shared.manifest.json
+    c fx-ranks fixate $FX --ranks 3 --records fx-ranks.jsonl --manifest-out fx-ranks.manifest.json
+    c fx-ranks-nocache fixate $FX --ranks 3 --no-payoff-cache
+    c fx-pc fixate --replicates 12 --ssets 6 --seed 9 --rule pc --pc-rate 0.5 --resident TFT --mutant WSLS --generations 400
+    c fx-matrix fixate --matrix --replicates 3 --ssets 6 --generations 100 --seed 2 --rounds 10
+    # Checkpoint -> resume, per family, across backends (the distributed
+    # runs leave their latest periodic snapshot: generation 50 / 30).
+    c cp-run run $WM --checkpoint-out cp-run.json --checkpoint-every 25
+    c cp-run-resume run --resume cp-run.json
+    c cp-dist distributed --ranks 3 $WM --checkpoint-out cp-dist.json --checkpoint-every 25
+    c cp-dist-resume-shared run --resume cp-dist.json --records cp-dist-resume.jsonl
+    c cp-dist-resume distributed --ranks 4 --resume cp-dist.json --checkpoint-out cp-dist-2.json
+    c cp-sp spatial $SP --ranks 3 --checkpoint-out cp-sp.json --checkpoint-every 15
+    c cp-sp-resume-shared spatial --resume cp-sp.json --records cp-sp-resume.jsonl --checkpoint-out cp-sp-2.json
+    c cp-sp-resume spatial --ranks 2 --resume cp-sp.json --records cp-sp-resume-ranks.jsonl
+    c cp-fx fixate $FX --checkpoint-out cp-fx.json --checkpoint-every 5
+    c cp-fx-ranks fixate $FX --ranks 3 --checkpoint-out cp-fx-ranks.json --checkpoint-every 5
+    c cp-fx-resume fixate --resume cp-fx.json
+    # Kill -> resume, per family; plus the degraded exit without a file.
+    c kill-dist distributed --ranks 4 $WM --every-generation $KILL --kill-at 30 --checkpoint-out kill-dist.json --manifest-out kill-dist.manifest.json
+    c kill-dist-resume distributed --ranks 4 --every-generation --resume kill-dist.json
+    c kill-dist-resume-shared run --resume kill-dist.json
+    c kill-dist-nofile distributed --ranks 3 $WM --every-generation $KILL --kill-at 10
+    c kill-sp spatial $SP --ranks 3 $KILL --kill-at 20 --checkpoint-out kill-sp.json --records kill-sp.jsonl
+    c kill-sp-resume spatial --ranks 3 --resume kill-sp.json --records kill-sp-resume.jsonl
+    c kill-sp-resume-shared spatial --resume kill-sp.json
+    c kill-fx fixate $FX --ranks 3 $KILL --kill-at 6 --checkpoint-out kill-fx.json
+    c kill-fx-resume fixate --ranks 3 --resume kill-fx.json --records kill-fx-resume.jsonl
+    c kill-fx-resume-shared fixate --resume kill-fx.json --records kill-fx-resume-shared.jsonl
+    # Refusals both builds make, with their messages.
+    c bad-rule run --rule telepathy
+    c bad-every run $WM --checkpoint-every 5
+    c bad-kind spatial --resume cp-run.json
+    c bad-mu fixate --mu 0.1
+    # The service: 8 jobs, one worker.
+    jobs > jobs.jsonl
+    c serve serve --workers 1 --queue-depth 16 --spool spool --requests jobs.jsonl
+}
+
+normalise() {
+    for f in "$1"/*.out "$1"/*.err; do
+        sed -E 's/ in [0-9]+\.[0-9]+s/ in Xs/; s/, [0-9]+\.[0-9]+s$/, Xs/; s/dead ranks \[[^]]*\]\): rank [0-9]+ is dead/dead ranks [..]): rank N is dead/' "$f" > "$f.n"
+        mv "$f.n" "$f"
+    done
+    sed -E -i 's/after [0-9]+ generations/after N generations/; s/\(generation [0-9]+\)/(generation N)/; s/messages [0-9]+/messages N/' "$1"/kill-dist*.out "$1"/kill-dist*.err
+    rm "$1/kill-dist.json" "$1/kill-dist.manifest.json" "$1/kill-dist-resume-shared.out" \
+        "$1/spool/wm-faulty/checkpoint.json"
+    sed -i '/"counters": {/,/}/d' "$1/spool/wm-faulty/receipt.json"
+    for f in "$1"/*.manifest.json; do
+        sed -E '/"elapsed_seconds"/d; /"(per_generation_ns|buckets|spans)": \[$/,/^ *\],?$/d' "$f" > "$f.n"
+        mv "$f.n" "$f"
+    done
+    sed -E -i 's/"(payoff_cache_hits|payoff_cache_misses|games_played|rounds_simulated)": [0-9]+/"\1": X/' "$1/fx-shared.manifest.json"
+    find "$1/spool" -name receipt.json -exec sed -E -i 's/"jobs_accepted": [0-9]+/"jobs_accepted": X/' {} +
+}
+
+for side in parent child; do
+    rm -rf "$WORK/$side"
+    mkdir -p "$WORK/$side"
+done
+(cd "$WORK/parent" && run_list "$PARENT")
+(cd "$WORK/child" && run_list "$CHILD")
+normalise "$WORK/parent"
+normalise "$WORK/child"
+if diff -r "$WORK/parent" "$WORK/child" > "$WORK/identity.diff"; then
+    echo "identical: $(ls "$WORK/parent"/*.rc | wc -l) commands, $(find "$WORK/parent" -type f | wc -l) files ($WORK)"
+else
+    cat "$WORK/identity.diff"
+    echo "cli_identity: the builds differ (trees kept in $WORK)" >&2
+    exit 1
+fi

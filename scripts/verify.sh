@@ -13,9 +13,22 @@
 # observability contract (docs/OBSERVABILITY.md, crates/obs rustdoc) can
 # never rot silently.
 #
+# The script leaves the tree as it found it. Any cargo run on ledger/
+# rewrites ledger/Cargo.lock (the committed copy still lists two vendored
+# packages PR 19 deleted, and cargo drops the orphans; ledger/ is the
+# benchmark's own path, so only a `benchmark` PR may re-commit it): a trap
+# puts the file back, and the last stage fails if the run changed any
+# other tracked file.
+#
 # Usage: sh scripts/verify.sh
 set -eu
 cd "$(dirname "$0")/.."
+
+mkdir -p target
+cp ledger/Cargo.lock target/verify-ledger-Cargo.lock
+trap 'cp target/verify-ledger-Cargo.lock ledger/Cargo.lock' EXIT
+tracked_changes() { git status --porcelain --untracked-files=no 2>/dev/null || true; }
+TREE_BEFORE=$(tracked_changes)
 
 echo "== tier-1: release build =="
 cargo build --release
@@ -28,7 +41,6 @@ echo "== static: detlint structural contracts (phase purity, RNG domains, comm, 
 # approximate call graph, then checks the five contract rules
 # (docs/STATIC_ANALYSIS.md). The SARIF report is written unconditionally
 # so CI can upload it as an artifact even on a clean run.
-mkdir -p target
 cargo run -p detlint --release -- check --rules structural
 cargo run -p detlint --release -- check --format sarif > target/detlint.sarif || true
 echo "sarif report: target/detlint.sarif"
@@ -287,5 +299,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== docs: doc-examples =="
 cargo test -q --doc --workspace
+
+echo "== tree: the run changed no tracked file =="
+cp target/verify-ledger-Cargo.lock ledger/Cargo.lock
+TREE_AFTER=$(tracked_changes)
+if [ "$TREE_AFTER" != "$TREE_BEFORE" ]; then
+    echo "verify: FAIL — tracked files changed by this run (git status --porcelain):" >&2
+    printf 'before:\n%s\nafter:\n%s\n' "$TREE_BEFORE" "$TREE_AFTER" >&2
+    exit 1
+fi
 
 echo "verify: OK"

@@ -1,82 +1,68 @@
-//! `evogame-cli` — drive the library from the command line.
+//! `evogame-cli` — drive the library from the command line. [`USAGE`]
+//! (`evogame-cli help`) lists the subcommands and every flag.
 //!
-//! ```text
-//! evogame-cli run         --ssets 64 --generations 5000 [--mem 1] [--mixed]
-//!                         [--seed S] [--pc-rate 0.1] [--mu 0.05] [--beta 1]
-//!                         [--noise 0] [--rule pc|moran|best] [--on-demand]
-//!                         [--sample-every N] [--heatmap] [--records F.jsonl]
-//!                         [--manifest-out run.json]
-//! evogame-cli tournament  [--mem 2] [--noise 0.0] [--reps 5] [--rounds 200]
-//! evogame-cli predict     --procs 262144 [--ssets 4194304] [--mem 6]
-//!                         [--generations 1000] [--profile bgp|bgl]
-//! evogame-cli distributed --ranks 4 --ssets 16 --generations 200 [...]
-//!                         [--rule pc|moran|best] [--every-generation]
-//!                         [--manifest-out run.json]
-//!                         [--kill-rank R --kill-at G] [--recv-timeout-ms MS]
-//! evogame-cli spatial     --width 32 --height 32 --generations 100
-//!                         [--temptation 1.85] [--update best|fermi]
-//!                         [--neighborhood moore8|vn4] [--init single|random:P]
-//!                         [--ranks N] [--records F.jsonl] [...]
-//! evogame-cli fixate      --replicates 64 [--resident ALLC] [--mutant ALLD]
-//!                         [--ssets 16] [--generations 10000] [--rule moran]
-//!                         [--ranks N] [--matrix] [--records F.jsonl] [...]
-//! evogame-cli serve       --spool DIR [--requests FILE.jsonl]
-//!                         [--workers N] [--queue-depth N]
-//! ```
-//!
-//! Every subcommand prints human-readable output; `run` can also emit the
-//! sampled trajectory as CSV. `--manifest-out` additionally enables the
-//! observability timing layer and writes the machine-readable JSON run
-//! manifest described in `docs/OBSERVABILITY.md`.
-//!
-//! Both engines accept `--checkpoint-out` / `--checkpoint-every` /
-//! `--resume` (docs/FAULT_TOLERANCE.md); checkpoints are backend-neutral,
-//! and resuming is bit-identical to never having stopped. The distributed
-//! engine additionally accepts deterministic fault-injection flags; an
-//! injected failure ends the run with exit code 3 and, when
-//! `--checkpoint-out` is given, a restartable checkpoint. Both engines
-//! print a final `state digest` line to stderr so scripts can compare
-//! outcomes across backends and across interrupted-vs-straight runs.
+//! The engine subcommands — `run`, `distributed`, `spatial`, `fixate` — are
+//! one driver ([`engine_command`]) over [`Family`], the seam `svc`'s job
+//! lifecycle is written over too; what is per family here is its flags and
+//! its report lines ([`Front`]). Exit codes: 1 for a usage or parameter
+//! error, 3 for a distributed run that degraded cleanly
+//! (docs/FAULT_TOLERANCE.md), 4 for a `serve` batch with a failed or
+//! rejected job. An argument nothing reads — a misspelled flag, a flag the
+//! subcommand does not honour on this backend — is refused, not ignored.
 
 #![forbid(unsafe_code)]
 
 use evogame::analysis::heatmap::{render_ascii, HeatmapOptions};
 use evogame::analysis::timeseries::Trajectory;
-use evogame::cluster::dist::fixation::{run_fixation_distributed, FixationDistConfig};
-use evogame::cluster::dist::{run_distributed, Degraded, DistConfig, DistError};
+use evogame::cluster::dist::DistError;
 use evogame::cluster::faults::{FaultPlan, RankKill};
 use evogame::engine::params::UpdateRule;
-use evogame::engine::record::{state_digest, Checkpoint, GenerationRecord, RecordWriter};
-use evogame::obs::{CounterSnapshot, RunManifest};
-use evogame::svc::{JobRequest, JobStatus, Server, ServerConfig, Spool};
+use evogame::engine::record::{state_digest, GenerationRecord, RecordWriter};
 use evogame::ipd::classic;
 use evogame::ipd::tournament::{Entrant, RoundRobin};
+use evogame::obs::{CounterSnapshot, RunManifest};
 use evogame::prelude::*;
+use evogame::svc::{Distributed, Family, JobRequest, JobStatus, Server, ServerConfig, SpatialJobSpec, Spool};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize as _;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--key` switches.
+/// It remembers which arguments some reader asked for, so that the rest can
+/// be refused ([`Args::reject_unread`]): the flags a subcommand knows are
+/// exactly the ones its code reads.
 struct Args {
     rest: Vec<String>,
+    read: RefCell<BTreeSet<usize>>,
 }
 
 impl Args {
     fn new(raw: &[String]) -> Self {
-        Args { rest: raw.to_vec() }
+        Args {
+            rest: raw.to_vec(),
+            read: RefCell::default(),
+        }
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.rest.iter().any(|a| a == name)
+        let at = self.rest.iter().position(|a| a == name);
+        self.read.borrow_mut().extend(at);
+        at.is_some()
     }
 
     fn value(&self, name: &str) -> Option<&str> {
-        self.rest
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(String::as_str)
+        let at = self.rest.iter().position(|a| a == name)?;
+        let value = self.rest.get(at + 1)?;
+        self.read.borrow_mut().extend([at, at + 1]);
+        Some(value)
+    }
+
+    /// The leading positional argument (`classify <code>`).
+    fn first(&self) -> Option<&str> {
+        self.read.borrow_mut().insert(0);
+        self.rest.first().map(String::as_str)
     }
 
     fn optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
@@ -90,6 +76,21 @@ impl Args {
 
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         Ok(self.optional(name)?.unwrap_or(default))
+    }
+
+    /// Refuse the first argument nothing read: an unknown or misspelled
+    /// flag, a second copy of one, a flag missing its value, or a flag this
+    /// subcommand does not honour on the backend it was asked to run. Call
+    /// it after every flag is read and before any work is done.
+    fn reject_unread(&self, command: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        match (0..self.rest.len()).find(|at| !read.contains(at)) {
+            Some(at) => Err(format!(
+                "`{command}` does not understand {} here (see `evogame-cli help`)",
+                self.rest[at]
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -134,12 +135,6 @@ fn build_params(args: &Args) -> Result<Params, String> {
     Ok(p)
 }
 
-/// What a manifest is filed under: the run's parameters and seed.
-struct RunId {
-    params: serde::Value,
-    seed: u64,
-}
-
 /// `--manifest-out FILE.json`, parsed once for every engine subcommand.
 struct ManifestOut {
     path: Option<String>,
@@ -170,65 +165,6 @@ impl ManifestOut {
         eprintln!("wrote run manifest to {path}");
         Ok(())
     }
-
-    /// [`ManifestOut::write`] a manifest captured now: `units` generations
-    /// (or replicates) on `threads` threads (or ranks).
-    fn capture(
-        &self,
-        run: &RunId,
-        threads: usize,
-        units: u64,
-        elapsed: f64,
-        timings: &[u64],
-    ) -> Result<(), String> {
-        self.write(|baseline| {
-            RunManifest::capture(run.params.clone(), run.seed, threads, units, elapsed, baseline, timings)
-        })
-    }
-}
-
-/// What the checkpoint plumbing needs from a family's snapshot type.
-trait Restartable: serde::Serialize + serde::Deserialize {
-    /// How messages name this kind of checkpoint.
-    const KIND: &'static str;
-    /// The subcommand that resumes it.
-    const COMMAND: &'static str;
-    /// What a degraded-run message calls the run…
-    const RUN: &'static str;
-    /// …and its progress unit.
-    const UNIT: &'static str;
-    /// Progress as the "wrote checkpoint (…)" line reports it.
-    fn progress(&self) -> String;
-}
-
-impl Restartable for Checkpoint {
-    const KIND: &'static str = "checkpoint";
-    const COMMAND: &'static str = "distributed";
-    const RUN: &'static str = "run";
-    const UNIT: &'static str = "generations";
-    fn progress(&self) -> String {
-        format!("generation {}", self.generation)
-    }
-}
-
-impl Restartable for SpatialCheckpoint {
-    const KIND: &'static str = "spatial checkpoint";
-    const COMMAND: &'static str = "spatial";
-    const RUN: &'static str = "spatial run";
-    const UNIT: &'static str = "generations";
-    fn progress(&self) -> String {
-        format!("generation {}", self.generation)
-    }
-}
-
-impl Restartable for FixationCheckpoint {
-    const KIND: &'static str = "fixation checkpoint";
-    const COMMAND: &'static str = "fixate";
-    const RUN: &'static str = "fixation batch";
-    const UNIT: &'static str = "replicates";
-    fn progress(&self) -> String {
-        format!("{}/{} replicates", self.completed.len(), self.spec.replicates)
-    }
 }
 
 /// `--checkpoint-out FILE` / `--checkpoint-every N` / `--resume FILE`
@@ -255,16 +191,15 @@ impl CheckpointFlags {
     }
 
     /// Read the `--resume` checkpoint, if one was given. A resumed run is
-    /// driven by the checkpoint's own parameters (they carry the seed and
-    /// the target); parameter flags are ignored. Streams are keyed by
-    /// generation or replicate, so the continuation is bit-identical to
-    /// never having stopped.
-    fn resume<C: Restartable>(&self) -> Result<Option<C>, String> {
+    /// driven by the checkpoint's own parameters ([`Family::resuming`]).
+    /// Streams are keyed by generation or replicate, so the continuation is
+    /// bit-identical to never having stopped.
+    fn resume<F: Family>(&self) -> Result<Option<F::Checkpoint>, String> {
         let Some(path) = &self.resume else {
             return Ok(None);
         };
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let cp = serde_json::from_str(&text).map_err(|e| format!("{path}: not a {}: {e}", C::KIND))?;
+        let cp = serde_json::from_str(&text).map_err(|e| format!("{path}: not a {}: {e}", F::KIND))?;
         Ok(Some(cp))
     }
 
@@ -279,46 +214,35 @@ impl CheckpointFlags {
         }
     }
 
-    /// Write a restartable checkpoint as JSON to `--checkpoint-out`, if set.
-    fn write<C: Restartable>(&self, cp: &C) -> Result<(), String> {
+    /// Write a restartable checkpoint as JSON to `--checkpoint-out`, if
+    /// set; `progress` words what it holds.
+    fn write<C: serde::Serialize>(&self, cp: &C, progress: fn(&C) -> String) -> Result<(), String> {
         let Some(path) = &self.out else {
             return Ok(());
         };
         let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         evogame::obs::counters().add_checkpoint_written();
-        eprintln!("wrote checkpoint ({}) to {path}", cp.progress());
+        eprintln!("wrote checkpoint ({}) to {path}", progress(cp));
         Ok(())
-    }
-
-    /// The shared-memory loops' `--checkpoint-every` write: snapshot when
-    /// `done` units completes an interval.
-    fn periodic<C: Restartable>(&self, done: u64, snapshot: impl FnOnce() -> C) -> Result<(), String> {
-        match self.every {
-            Some(n) if n > 0 && done.is_multiple_of(n) => self.write(&snapshot()),
-            _ => Ok(()),
-        }
-    }
-
-    /// The interval a generation-synchronous distributed run checkpoints
-    /// at. `--checkpoint-out` alone still wants the final state: the full
-    /// run length is an interval that fires exactly once, at the end.
-    fn dist_interval(&self, generations: u64) -> Option<u64> {
-        self.every.or(self.out.as_ref().map(|_| generations))
     }
 }
 
-/// Deterministic fault injection (docs/FAULT_TOLERANCE.md; meaningful with
-/// `--ranks` only) and the cost-only `--no-payoff-cache` opt-out, parsed
-/// once for every engine subcommand.
-fn fault_flags(args: &Args) -> Result<(FaultPlan, bool), String> {
+/// Deterministic fault injection (docs/FAULT_TOLERANCE.md). The flags are
+/// read on the distributed backends only, so a shared-memory run refuses
+/// them.
+fn fault_flags(args: &Args, distributed: bool) -> Result<FaultPlan, String> {
     let mut faults = FaultPlan::default();
-    if let Some(rank) = args.optional("--kill-rank")? {
-        let generation = args.parse("--kill-at", 0u64)?;
-        faults.kills.push(RankKill { rank, generation });
+    if distributed {
+        if let Some(rank) = args.optional("--kill-rank")? {
+            let generation = args.parse("--kill-at", 0u64)?;
+            faults.kills.push(RankKill { rank, generation });
+        } else if args.flag("--kill-at") {
+            return Err("--kill-at needs --kill-rank R".into());
+        }
+        faults.recv_timeout_ms = args.optional("--recv-timeout-ms")?;
     }
-    faults.recv_timeout_ms = args.optional("--recv-timeout-ms")?;
-    Ok((faults, args.flag("--no-payoff-cache")))
+    Ok(faults)
 }
 
 /// `--records FILE.jsonl`: stream every record to a JSONL file (the Nature
@@ -326,8 +250,8 @@ fn fault_flags(args: &Args) -> Result<(FaultPlan, bool), String> {
 struct Records(Option<(String, RecordWriter<std::fs::File>)>);
 
 impl Records {
-    fn open(args: &Args) -> Result<Self, String> {
-        let Some(path) = args.value("--records") else {
+    fn create(path: Option<&str>) -> Result<Self, String> {
+        let Some(path) = path else {
             return Ok(Records(None));
         };
         let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
@@ -354,111 +278,243 @@ impl Records {
     }
 }
 
-/// How `distributed`, `spatial --ranks` and `fixate --ranks` end a run that
-/// degraded cleanly: say what happened, save the restart checkpoint, still
-/// report the telemetry, and exit 3.
-fn degraded_exit<C: Restartable>(
-    d: &Degraded<C>,
-    checkpoints: &CheckpointFlags,
-    manifest: &ManifestOut,
-    run: &RunId,
-    ranks: usize,
-    elapsed: f64,
-) -> Result<ExitCode, String> {
-    eprintln!(
-        "{} degraded after {} {} (dead ranks {:?}): {}",
-        C::RUN,
-        d.completed,
-        C::UNIT,
-        d.dead_ranks,
-        d.reason
-    );
-    match (&checkpoints.out, &d.checkpoint) {
-        (Some(path), Some(cp)) => {
-            checkpoints.write(cp)?;
-            eprintln!("restart with: evogame-cli {} --resume {path}", C::COMMAND);
-        }
-        (None, Some(_)) => {
-            eprintln!("hint: add --checkpoint-out FILE to save the restart checkpoint");
-        }
-        _ => {}
-    }
-    // A degraded run still reports its telemetry — the fault counters are
-    // exactly what an operator wants from it.
-    manifest.capture(run, ranks, d.completed, elapsed, &[])?;
-    // Exit code 3 distinguishes a clean degraded run (typed, restartable)
-    // from usage or parameter errors (1).
-    Ok(ExitCode::from(3))
+/// What a family's reporter hears from [`engine_command`].
+enum Event<'a, F: Family> {
+    /// The shared-memory run is built, fresh or restored; its first step
+    /// comes next.
+    Started(&'a mut F),
+    /// The step just run is one `--sample-every` picks (stepwise fronts).
+    Sampled(&'a F, &'a GenerationRecord),
+    /// The shared-memory run reached its target after this many seconds.
+    Finished(&'a F, f64),
+    /// The run finished on this many ranks after this many seconds.
+    Distributed(&'a Distributed<F>, usize, f64),
 }
 
-fn cmd_run(args: &Args) -> Result<ExitCode, String> {
+type Reporter<'a, F> = Box<dyn FnMut(Event<'_, F>) + 'a>;
+
+/// What is per family in an engine subcommand: the spec its flags
+/// describe, and its report lines.
+struct Front<'a, F: Family> {
+    spec: F::Spec,
+    /// `--records FILE`, where this family on this backend has records.
+    records: Option<&'a str>,
+    /// Whether a shared-memory run's records and samples come from its
+    /// steps, as they run, or from its end ([`Family::run_to_end`]).
+    stepwise: bool,
+    /// Progress as the "wrote checkpoint (…)" line words it.
+    progress: fn(&F::Checkpoint) -> String,
+    report: Reporter<'a, F>,
+}
+
+/// The final-state line every engine run ends on; scripts and the ledger
+/// parse it.
+fn digest_line(digest: u64) {
+    eprintln!("state digest: {digest:016x}");
+}
+
+/// `run`, `distributed`, `spatial` and `fixate`: one lifecycle over
+/// [`Family`]. Read the flags, refuse what nobody read, start or resume;
+/// then either step the shared-memory run (records, samples, periodic
+/// checkpoints) or, with `ranks`, run it on the virtual cluster — bit for
+/// bit the same records and state digest — and leave the final checkpoint
+/// and the manifest. A distributed run that degraded cleanly says what
+/// happened, saves the restart checkpoint, still reports its telemetry, and
+/// exits 3.
+fn engine_command<'a, F: Family>(
+    command: &str,
+    args: &'a Args,
+    ranks: Option<usize>,
+    front: impl FnOnce(&'a Args, bool) -> Result<Front<'a, F>, String>,
+) -> Result<ExitCode, String> {
     let manifest = ManifestOut::parse(args);
     let checkpoints = CheckpointFlags::parse(args)?;
-    let (_, no_payoff_cache) = fault_flags(args)?;
-    let mut pop = match checkpoints.resume()? {
-        Some(cp) => Population::restore(cp).map_err(|e| checkpoints.blame(e))?,
-        None => Population::new(build_params(args)?).map_err(|e| e.to_string())?,
+    let faults = fault_flags(args, ranks.is_some())?;
+    // Cost-only (docs/PERFORMANCE.md): trajectories are bit-identical
+    // either way.
+    let use_payoff_cache = !args.flag("--no-payoff-cache");
+    let mut front = front(args, ranks.is_some())?;
+    // Which generations the printed trajectory samples: every Nth the run
+    // executes (default: ten samples) and the last.
+    let sample_every: Option<u64> = match ranks {
+        None if front.stepwise => args.optional("--sample-every")?,
+        _ => None,
     };
-    if args.flag("--on-demand") {
-        pop.fitness_policy = FitnessPolicy::OnDemand;
+    args.reject_unread(command)?;
+
+    let resume = checkpoints.resume::<F>()?;
+    let spec = match &resume {
+        Some(cp) => F::resuming(front.spec, cp),
+        None => front.spec,
+    };
+    let (progress, report) = (front.progress, &mut front.report);
+    let (params, seed) = F::identity(&spec);
+    let mut records = Records::create(front.records)?;
+    let t0 = std::time::Instant::now();
+    let elapsed = || t0.elapsed().as_secs_f64();
+
+    let Some(ranks) = ranks else {
+        let mut run = F::start(&spec, resume, use_payoff_cache).map_err(|e| checkpoints.blame(e))?;
+        report(Event::Started(&mut run));
+        let (start, target) = (run.progress(), F::target(&spec));
+        let sample_every = sample_every.unwrap_or((target.saturating_sub(start) / 10).max(1));
+        let periodic = checkpoints.every.filter(|&n| n > 0);
+        if front.stepwise || periodic.is_some() {
+            while let Some(record) = run.step() {
+                let done = run.progress();
+                if front.stepwise {
+                    records.write(&record)?;
+                    if (done - start).is_multiple_of(sample_every) || done == target {
+                        report(Event::Sampled(&run, &record));
+                    }
+                }
+                if periodic.is_some_and(|n| done.is_multiple_of(n)) {
+                    checkpoints.write(&run.checkpoint(), progress)?;
+                }
+            }
+        }
+        if !front.stepwise {
+            for record in run.run_to_end() {
+                records.write(&record)?;
+            }
+        }
+        let elapsed = elapsed();
+        records.finish(F::UNIT)?;
+        report(Event::Finished(&run, elapsed));
+        if checkpoints.out.is_some() {
+            // Always leave the final state on disk, whatever interval (if
+            // any) the periodic writes used.
+            checkpoints.write(&run.checkpoint(), progress)?;
+        }
+        manifest.write(|baseline| run.manifest(&spec, baseline, elapsed))?;
+        return Ok(ExitCode::SUCCESS);
+    };
+
+    let capture = |units, timings: &[u64]| {
+        manifest.write(|baseline| {
+            RunManifest::capture(params, seed, ranks, units, elapsed(), baseline, timings)
+        })
+    };
+    // `--checkpoint-out` alone still wants the final state: the full run
+    // length is an interval that fires exactly once, at the end.
+    let interval = checkpoints.every.or(checkpoints.out.as_ref().map(|_| F::target(&spec)));
+    match F::distribute(&spec, ranks, faults, interval, resume, use_payoff_cache) {
+        Ok(out) => {
+            for record in &out.records {
+                records.write(record)?;
+            }
+            records.finish(F::UNIT)?;
+            report(Event::Distributed(&out, ranks, elapsed()));
+            if let Some(cp) = &out.checkpoint {
+                checkpoints.write(cp, progress)?;
+            }
+            capture(out.units, &out.generation_ns)?;
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(DistError::Degraded(d)) => {
+            eprintln!(
+                "{} degraded after {} {}s (dead ranks {:?}): {}",
+                F::RUN,
+                d.completed,
+                F::UNIT,
+                d.dead_ranks,
+                d.reason
+            );
+            match (&checkpoints.out, &d.checkpoint) {
+                (Some(path), Some(cp)) => {
+                    checkpoints.write(cp, progress)?;
+                    eprintln!("restart with: evogame-cli {command} --resume {path}");
+                }
+                (None, Some(_)) => {
+                    eprintln!("hint: add --checkpoint-out FILE to save the restart checkpoint");
+                }
+                _ => {}
+            }
+            // A degraded run still reports its telemetry — the fault
+            // counters are exactly what an operator wants from it.
+            capture(d.completed, &[])?;
+            // Exit code 3 distinguishes a clean degraded run (typed,
+            // restartable) from usage or parameter errors (1).
+            Ok(ExitCode::from(3))
+        }
+        Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
+        Err(e) => Err(e.to_string()),
     }
-    // Performance knobs (docs/PERFORMANCE.md). `--dedup` and
-    // `--no-payoff-cache` are cost-only: trajectories are bit-identical
-    // either way. `--expected-fitness` selects the exact Markov fast path —
+}
+
+/// `run` (shared memory) and `distributed`: the well-mixed engine.
+fn well_mixed(args: &Args, distributed: bool) -> Result<Front<'_, Population>, String> {
+    // `run` evaluates every generation unless told otherwise, as the paper
+    // does; `distributed` defaults to the policy that scales.
+    let on_demand = if distributed {
+        !args.flag("--every-generation")
+    } else {
+        args.flag("--on-demand")
+    };
+    let policy = if on_demand {
+        FitnessPolicy::OnDemand
+    } else {
+        FitnessPolicy::EveryGeneration
+    };
+    // Shared-memory performance knobs (docs/PERFORMANCE.md). `--dedup` is
+    // cost-only; `--expected-fitness` selects the exact Markov fast path —
     // identical dynamics for pure noiseless populations, a documented
     // variance-free ablation for stochastic ones.
-    if args.flag("--dedup") {
-        pop.dedup = true;
-    }
-    if no_payoff_cache {
-        pop.use_payoff_cache = false;
-    }
-    if args.flag("--expected-fitness") {
-        pop.expected_fitness = true;
-    }
-    let start = pop.generation();
-    let total = pop.params().generations;
-    let every = args.parse("--sample-every", ((total - start) / 10).max(1))?;
-    let target = (pop.space().mem_steps() == 1).then(|| (vec![1.0, 0.0, 0.0, 1.0], 0.499));
-    let mut traj = match &target {
-        Some((t, tol)) => Trajectory::with_target(t.clone(), *tol),
-        None => Trajectory::new(),
-    };
-    let mut records = Records::open(args)?;
-    let t0 = std::time::Instant::now();
-    traj.observe(&pop);
-    for g in start..total {
-        records.write(&pop.step())?;
-        if (g + 1 - start) % every == 0 || g + 1 == total {
-            traj.observe(&pop);
-        }
-        checkpoints.periodic(g + 1, || pop.checkpoint())?;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    records.finish("generation")?;
-
-    print!("{}", traj.to_csv());
-    let stats = pop.stats();
-    eprintln!(
-        "\n{} generations in {elapsed:.2}s | PC events {} | adoptions {} | mutations {} | \
-         games {}",
-        stats.generations, stats.pc_events, stats.adoptions, stats.mutations, stats.games_played
-    );
-    eprintln!(
-        "state digest: {:016x}",
-        state_digest(&pop.assignments(), &pop.snapshot().features)
-    );
-    if args.flag("--heatmap") {
-        eprintln!("\nfinal population (clustered):");
-        eprint!("{}", render_ascii(&pop.snapshot(), &HeatmapOptions::default()));
-    }
-    if checkpoints.out.is_some() {
-        // Always leave the final state on disk, whatever interval (if any)
-        // the periodic writes used.
-        checkpoints.write(&pop.checkpoint())?;
-    }
-    manifest.write(|_| pop.manifest(elapsed))?;
-    Ok(ExitCode::SUCCESS)
+    let shared = |name| !distributed && args.flag(name);
+    let (dedup, expected_fitness, heatmap) =
+        (shared("--dedup"), shared("--expected-fitness"), shared("--heatmap"));
+    let mut traj = Trajectory::new();
+    Ok(Front {
+        spec: (build_params(args)?, policy),
+        records: if distributed { None } else { args.value("--records") },
+        stepwise: true,
+        progress: |cp| format!("generation {}", cp.generation),
+        report: Box::new(move |event| match event {
+            Event::Started(pop) => {
+                pop.dedup = dedup;
+                pop.expected_fitness = expected_fitness;
+                if pop.space().mem_steps() == 1 {
+                    traj = Trajectory::with_target(vec![1.0, 0.0, 0.0, 1.0], 0.499);
+                }
+                traj.observe(pop);
+            }
+            Event::Sampled(pop, _) => traj.observe(pop),
+            Event::Finished(pop, elapsed) => {
+                print!("{}", traj.to_csv());
+                let stats = pop.stats();
+                eprintln!(
+                    "\n{} generations in {elapsed:.2}s | PC events {} | adoptions {} | \
+                     mutations {} | games {}",
+                    stats.generations,
+                    stats.pc_events,
+                    stats.adoptions,
+                    stats.mutations,
+                    stats.games_played
+                );
+                digest_line(pop.digest());
+                if heatmap {
+                    eprintln!("\nfinal population (clustered):");
+                    eprint!("{}", render_ascii(&pop.snapshot(), &HeatmapOptions::default()));
+                }
+            }
+            Event::Distributed(out, ranks, elapsed) => {
+                let stats = &out.outcome.stats;
+                println!(
+                    "distributed run on {ranks} ranks: {} generations in {elapsed:.2}s",
+                    stats.generations
+                );
+                println!(
+                    "PC events {} | adoptions {} | mutations {} | games {} | messages {}",
+                    stats.pc_events,
+                    stats.adoptions,
+                    stats.mutations,
+                    stats.games_played,
+                    out.outcome.messages_sent
+                );
+                digest_line(out.digest);
+            }
+        }),
+    })
 }
 
 fn cmd_tournament(args: &Args) -> Result<(), String> {
@@ -470,6 +526,8 @@ fn cmd_tournament(args: &Args) -> Result<(), String> {
         ..GameConfig::default()
     };
     let reps = args.parse("--reps", 5u32)?;
+    let seed = args.parse("--seed", 0u64)?;
+    args.reject_unread("tournament")?;
     let mut entrants: Vec<Entrant> = classic::roster(&space)
         .into_iter()
         .map(|(n, s)| Entrant {
@@ -483,7 +541,7 @@ fn cmd_tournament(args: &Args) -> Result<(), String> {
             strategy: Strategy::Mixed(classic::gtft(&space, &cfg.payoff)),
         });
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(args.parse("--seed", 0u64)?);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let result = RoundRobin::new(space, cfg).with_repetitions(reps).run(&entrants, &mut rng);
     print!("{}", result.render());
     println!("winner: {}", result.winner());
@@ -509,6 +567,8 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
             FitnessPolicy::OnDemand
         },
     };
+    let base = args.parse("--base", 1_024u64)?;
+    args.reject_unread("predict")?;
     let model = PerfModel::new(profile);
     let b = model.breakdown(&w, procs);
     println!("profile:  {}", model.profile.name);
@@ -524,75 +584,11 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     println!("  compute/gen:     {:.3} ms", b.compute * 1e3);
     println!("  comm/gen:        {:.3} ms", b.comm * 1e3);
     println!("  mapping penalty: {:.2}x", b.penalty);
-    let base = args.parse("--base", 1_024u64)?;
     println!(
         "efficiency vs {base} procs: {:.1}%",
         model.efficiency(&w, base, procs) * 100.0
     );
     Ok(())
-}
-
-fn cmd_distributed(args: &Args) -> Result<ExitCode, String> {
-    let ranks = args.parse("--ranks", 4usize)?;
-    if ranks < 2 {
-        return Err("--ranks must be ≥ 2 (Nature Agent + compute)".into());
-    }
-    let manifest = ManifestOut::parse(args);
-    let checkpoints = CheckpointFlags::parse(args)?;
-    let policy = if args.flag("--every-generation") {
-        FitnessPolicy::EveryGeneration
-    } else {
-        FitnessPolicy::OnDemand
-    };
-    let mut cfg = match checkpoints.resume::<Checkpoint>()? {
-        Some(cp) => {
-            let mut c = DistConfig::new(cp.params.clone(), ranks, policy);
-            c.resume = Some(cp);
-            c
-        }
-        None => DistConfig::new(build_params(args)?, ranks, policy),
-    };
-    let generations = cfg.params.generations;
-    cfg.checkpoint_every = checkpoints.dist_interval(generations);
-    (cfg.faults, cfg.disable_payoff_cache) = fault_flags(args)?;
-
-    let run = RunId {
-        params: cfg.params.to_value(),
-        seed: cfg.params.seed,
-    };
-    let t0 = std::time::Instant::now();
-    match run_distributed(&cfg) {
-        Ok(out) => {
-            println!(
-                "distributed run on {ranks} ranks: {} generations in {:.2}s",
-                out.stats.generations,
-                t0.elapsed().as_secs_f64()
-            );
-            println!(
-                "PC events {} | adoptions {} | mutations {} | games {} | messages {}",
-                out.stats.pc_events,
-                out.stats.adoptions,
-                out.stats.mutations,
-                out.stats.games_played,
-                out.messages_sent
-            );
-            eprintln!(
-                "state digest: {:016x}",
-                state_digest(&out.assignments, &out.features)
-            );
-            if let Some(cp) = &out.checkpoint {
-                checkpoints.write(cp)?;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            manifest.capture(&run, ranks, generations, elapsed, &out.generation_ns)?;
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(DistError::Degraded(d)) => {
-            degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
-        }
-        Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
-        Err(e) => Err(e.to_string()),
-    }
 }
 
 /// Spatial lattice parameters from flags (docs/GRAPH.md). The payoff
@@ -645,125 +641,57 @@ fn parse_init(args: &Args) -> Result<InitPattern, String> {
     }
 }
 
-/// `spatial`: games on a lattice (docs/GRAPH.md). Without `--ranks` the
-/// shared-memory [`SpatialPopulation`] runs; with `--ranks N` the same
-/// trajectory runs rank-sharded over contiguous row partitions — bit for
-/// bit the same records, grid, and state digest.
-fn cmd_spatial(args: &Args) -> Result<ExitCode, String> {
-    let manifest = ManifestOut::parse(args);
-    let checkpoints = CheckpointFlags::parse(args)?;
-    let (faults, no_payoff_cache) = fault_flags(args)?;
-    let resume: Option<SpatialCheckpoint> = checkpoints.resume()?;
-    let (params, init) = match &resume {
-        Some(cp) => (cp.params.clone(), InitPattern::SingleDefector),
-        None => {
-            let p = build_spatial_params(args)?;
-            let init = parse_init(args)?;
-            init.validate(&p)?;
-            (p, init)
-        }
-    };
-    let run = RunId {
-        params: params.to_value(),
-        seed: params.seed,
-    };
-    let generations = params.generations;
-    let mut records = Records::open(args)?;
-    let t0 = std::time::Instant::now();
-
-    if let Some(ranks) = args.optional::<usize>("--ranks")? {
-        // Distributed: rank 0 coordinates, ranks 1.. own row blocks.
-        let mut cfg = SpatialDistConfig::new(params, init, ranks);
-        cfg.resume = resume;
-        cfg.checkpoint_every = checkpoints.dist_interval(generations);
-        (cfg.faults, cfg.disable_payoff_cache) = (faults, no_payoff_cache);
-        return match run_spatial_distributed(&cfg) {
-            Ok(out) => {
-                for rec in &out.records {
-                    records.write(rec)?;
-                }
-                records.finish("generation")?;
-                let cells = out.grid.len();
-                let coop = out
-                    .features
-                    .iter()
-                    .filter(|f| f.iter().all(|&p| p == 1.0))
-                    .count();
-                println!(
-                    "spatial run on {ranks} ranks: {} generations in {:.2}s",
-                    out.stats.generations,
-                    t0.elapsed().as_secs_f64()
-                );
-                println!(
-                    "cooperators {coop}/{cells} | adoptions {} | games {} | messages {}",
-                    out.stats.adoptions, out.stats.games_played, out.messages_sent
-                );
+/// `spatial`: games on a lattice (docs/GRAPH.md), on the shared-memory
+/// [`SpatialPopulation`] or rank-sharded over contiguous row partitions.
+fn spatial(args: &Args, distributed: bool) -> Result<Front<'_, SpatialPopulation>, String> {
+    let params = build_spatial_params(args)?;
+    let init = parse_init(args)?;
+    init.validate(&params)?;
+    let render = !distributed && args.flag("--render");
+    Ok(Front {
+        spec: SpatialJobSpec { params, init },
+        records: args.value("--records"),
+        stepwise: true,
+        progress: |cp| format!("generation {}", cp.generation),
+        report: Box::new(move |event| match event {
+            Event::Started(_) => println!("generation,cooperator_fraction,mean_fitness,distinct"),
+            Event::Sampled(pop, record) => println!(
+                "{},{:.6},{:.6},{}",
+                pop.generation(),
+                pop.cooperator_fraction(),
+                record.mean_fitness.unwrap_or(f64::NAN),
+                pop.snapshot().distinct_strategies()
+            ),
+            Event::Finished(pop, elapsed) => {
+                let stats = pop.stats();
                 eprintln!(
-                    "state digest: {:016x}",
-                    state_digest(&out.grid, &out.features)
+                    "\n{} generations in {elapsed:.2}s | adoptions {} | games {}",
+                    stats.generations, stats.adoptions, stats.games_played
                 );
-                if let Some(cp) = &out.checkpoint {
-                    checkpoints.write(cp)?;
+                digest_line(pop.digest());
+                if render {
+                    eprintln!("\nfinal grid (C = cooperate, D = defect):");
+                    eprint!("{}", pop.render());
                 }
-                manifest.capture(&run, ranks, generations, t0.elapsed().as_secs_f64(), &[])?;
-                Ok(ExitCode::SUCCESS)
             }
-            Err(DistError::Degraded(d)) => {
-                degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
+            Event::Distributed(out, ranks, elapsed) => {
+                let (stats, features) = (&out.outcome.stats, &out.outcome.features);
+                let cooperators = features.iter().filter(|f| f.iter().all(|&p| p == 1.0)).count();
+                println!(
+                    "spatial run on {ranks} ranks: {} generations in {elapsed:.2}s",
+                    stats.generations
+                );
+                println!(
+                    "cooperators {cooperators}/{} | adoptions {} | games {} | messages {}",
+                    out.outcome.grid.len(),
+                    stats.adoptions,
+                    stats.games_played,
+                    out.outcome.messages_sent
+                );
+                digest_line(out.digest);
             }
-            Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
-            Err(e) => Err(e.to_string()),
-        };
-    }
-
-    // Shared-memory backend.
-    let mut pop = match resume {
-        Some(cp) => SpatialPopulation::restore(cp).map_err(|e| checkpoints.blame(e))?,
-        None => SpatialPopulation::new(params, init),
-    };
-    if no_payoff_cache {
-        pop.use_payoff_cache = false;
-    }
-    let start = pop.generation();
-    let every = args.parse("--sample-every", ((generations - start) / 10).max(1))?;
-    println!("generation,cooperator_fraction,mean_fitness,distinct");
-    let emit = |pop: &SpatialPopulation, mean: f64| {
-        println!(
-            "{},{:.6},{mean:.6},{}",
-            pop.generation(),
-            pop.cooperator_fraction(),
-            pop.snapshot().distinct_strategies()
-        );
-    };
-    for g in start..generations {
-        let rec = pop.step();
-        records.write(&rec)?;
-        if (g + 1 - start) % every == 0 || g + 1 == generations {
-            emit(&pop, rec.mean_fitness.unwrap_or(f64::NAN));
-        }
-        checkpoints.periodic(g + 1, || pop.checkpoint())?;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    records.finish("generation")?;
-    let stats = pop.stats();
-    eprintln!(
-        "\n{} generations in {elapsed:.2}s | adoptions {} | games {}",
-        stats.generations, stats.adoptions, stats.games_played
-    );
-    let snap = pop.snapshot();
-    eprintln!(
-        "state digest: {:016x}",
-        state_digest(&snap.assignments, &snap.features)
-    );
-    if args.flag("--render") {
-        eprintln!("\nfinal grid (C = cooperate, D = defect):");
-        eprint!("{}", pop.render());
-    }
-    if checkpoints.out.is_some() {
-        checkpoints.write(&pop.checkpoint())?;
-    }
-    manifest.capture(&run, 1, generations, elapsed, &[])?;
-    Ok(ExitCode::SUCCESS)
+        }),
+    })
 }
 
 /// Fixation spec from flags (docs/FIXATION.md). `--mu` is rejected:
@@ -811,7 +739,9 @@ fn roster_strategy(space: &StateSpace, name: &str) -> Result<Strategy, String> {
 /// `fixate --matrix`: the round-robin tournament over every pure
 /// memory-`m` strategy (docs/FIXATION.md), printed as the pairwise
 /// fixation-probability matrix.
-fn cmd_fixate_matrix(spec: FixationSpec) -> Result<ExitCode, String> {
+fn fixate_matrix(args: &Args) -> Result<ExitCode, String> {
+    let spec = build_fixation_spec(args)?;
+    args.reject_unread("fixate --matrix")?;
     let t0 = std::time::Instant::now();
     let tournament = FixationTournament {
         params: spec.params,
@@ -838,43 +768,17 @@ fn cmd_fixate_matrix(spec: FixationSpec) -> Result<ExitCode, String> {
             .collect();
         println!("{code:>8} {}", row.join(" "));
     }
-    eprintln!(
-        "state digest: {:016x}",
-        state_digest(&matrix.probabilities, &matrix.mean_times)
-    );
+    digest_line(state_digest(&matrix.probabilities, &matrix.mean_times));
     Ok(ExitCode::SUCCESS)
 }
 
 /// `fixate`: the fixation-probability workload (docs/FIXATION.md). Seeds
 /// one mutant into a resident population and runs independent replicates
-/// to absorption; without `--ranks` the shared-memory [`FixationBatch`]
-/// runs, with `--ranks N` the same replicates run sharded across compute
-/// ranks — bit for bit the same counts, records, and state digest.
-fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
-    let manifest = ManifestOut::parse(args);
-    let checkpoints = CheckpointFlags::parse(args)?;
-    let (faults, no_payoff_cache) = fault_flags(args)?;
-    let resume: Option<FixationCheckpoint> = checkpoints.resume()?;
-    let spec = match &resume {
-        Some(cp) => cp.spec.clone(),
-        None => build_fixation_spec(args)?,
-    };
-    if args.flag("--matrix") {
-        return cmd_fixate_matrix(spec);
-    }
-    let run = RunId {
-        params: spec.params.to_value(),
-        seed: spec.params.seed,
-    };
-    let replicates = u64::from(spec.replicates);
-    let mut records = Records::open(args)?;
-    let t0 = std::time::Instant::now();
-
-    let mut report = |out: &FixationOutcome, backend: &str, elapsed: f64| -> Result<(), String> {
-        for rec in out.records() {
-            records.write(&rec)?;
-        }
-        records.finish("replicate")?;
+/// to absorption, on the shared-memory [`FixationBatch`] or sharded across
+/// compute ranks. Nothing is sampled on the way, so the batch may run at
+/// once ([`Family::run_to_end`]).
+fn fixate(args: &Args, _distributed: bool) -> Result<Front<'_, FixationBatch>, String> {
+    let summary = |out: &FixationOutcome, backend: &str, elapsed: f64| {
         println!(
             "fixation batch ({backend}): {} replicates in {elapsed:.2}s",
             out.results.len()
@@ -888,64 +792,22 @@ fn cmd_fixate(args: &Args) -> Result<ExitCode, String> {
             out.fixation_probability(),
             out.mean_absorption_time()
         );
-        eprintln!("state digest: {:016x}", out.digest());
-        Ok(())
+        digest_line(out.digest());
     };
-
-    if let Some(ranks) = args.optional::<usize>("--ranks")? {
-        // Distributed: rank 0 coordinates, ranks 1.. own replicate blocks.
-        let mut cfg = FixationDistConfig::new(spec.clone(), ranks);
-        cfg.resume = resume;
-        // A fixation batch never exceeds u32 replicates.
-        cfg.checkpoint_every = checkpoints.every.map(|n| u32::try_from(n).unwrap_or(u32::MAX));
-        (cfg.faults, cfg.disable_payoff_cache) = (faults, no_payoff_cache);
-        return match run_fixation_distributed(&cfg) {
-            Ok(out) => {
-                report(&out.outcome, &format!("{ranks} ranks"), t0.elapsed().as_secs_f64())?;
-                eprintln!("messages {}", out.messages_sent);
-                if checkpoints.out.is_some() {
-                    // The finished batch is its own (complete) checkpoint.
-                    let mut book = FixationBatch::new(spec).map_err(|e| e.to_string())?;
-                    for r in &out.outcome.results {
-                        book.record(*r);
-                    }
-                    checkpoints.write(&book.checkpoint())?;
-                }
-                manifest.capture(&run, ranks, replicates, t0.elapsed().as_secs_f64(), &[])?;
-                Ok(ExitCode::SUCCESS)
+    Ok(Front {
+        spec: build_fixation_spec(args)?,
+        records: args.value("--records"),
+        stepwise: false,
+        progress: |cp| format!("{}/{} replicates", cp.completed.len(), cp.spec.replicates),
+        report: Box::new(move |event| match event {
+            Event::Started(_) | Event::Sampled(..) => {}
+            Event::Finished(batch, elapsed) => summary(&batch.outcome(), "shared memory", elapsed),
+            Event::Distributed(out, ranks, elapsed) => {
+                summary(&out.outcome.outcome, &format!("{ranks} ranks"), elapsed);
+                eprintln!("messages {}", out.outcome.messages_sent);
             }
-            Err(DistError::Degraded(d)) => {
-                degraded_exit(&d, &checkpoints, &manifest, &run, ranks, t0.elapsed().as_secs_f64())
-            }
-            Err(e @ DistError::Params(_)) => Err(checkpoints.blame(e)),
-            Err(e) => Err(e.to_string()),
-        };
-    }
-
-    // Shared-memory backend.
-    let mut batch = match resume {
-        Some(cp) => FixationBatch::resume(cp).map_err(|e| checkpoints.blame(e))?,
-        None => FixationBatch::new(spec).map_err(|e| e.to_string())?,
-    };
-    if checkpoints.every.is_some_and(|n| n > 0) {
-        // Checkpointed runs go replicate by replicate so the snapshot
-        // cadence is exact; the stitched outcome is bit-identical to the
-        // rayon path (each replicate is a pure function of its index).
-        let mut fresh = 0u64;
-        while batch.run_step().is_some() {
-            fresh += 1;
-            checkpoints.periodic(fresh, || batch.checkpoint())?;
-        }
-    } else {
-        batch.run();
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    report(&batch.outcome(), "shared memory", elapsed)?;
-    if checkpoints.out.is_some() {
-        checkpoints.write(&batch.checkpoint())?;
-    }
-    manifest.capture(&run, 1, replicates, elapsed, &[])?;
-    Ok(ExitCode::SUCCESS)
+        }),
+    })
 }
 
 /// `serve`: the simulation-as-a-service front end (docs/SERVICE.md).
@@ -964,7 +826,9 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     };
     let workers = args.parse("--workers", 2usize)?.max(1);
     let queue_depth = args.parse("--queue-depth", 64usize)?;
-    let text = match args.value("--requests") {
+    let requests = args.value("--requests");
+    args.reject_unread("serve")?;
+    let text = match requests {
         Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
         None => {
             use std::io::Read as _;
@@ -1052,9 +916,10 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_classify(args: &Args) -> Result<(), String> {
-    let Some(code) = args.rest.first() else {
+    let Some(code) = args.first() else {
         return Err("usage: evogame-cli classify <m<n>:...> (see ipd::codec)".into());
     };
+    args.reject_unread("classify")?;
     let strategy = evogame::ipd::codec::decode(code).map_err(|e| e.to_string())?;
     let space = *strategy.space();
     let fv = strategy.feature_vector();
@@ -1143,29 +1008,46 @@ serve flags (docs/SERVICE.md; exit code 4 = some job failed/rejected):
                --queue-depth N      admission bound (default 64)
 ";
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let args = Args::new(&raw[1..]);
-    let result: Result<ExitCode, String> = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "tournament" => cmd_tournament(&args).map(|()| ExitCode::SUCCESS),
-        "predict" => cmd_predict(&args).map(|()| ExitCode::SUCCESS),
-        "distributed" => cmd_distributed(&args),
-        "spatial" => cmd_spatial(&args),
-        "fixate" => cmd_fixate(&args),
-        "serve" => cmd_serve(&args),
-        "classify" => cmd_classify(&args).map(|()| ExitCode::SUCCESS),
+/// Route a subcommand. The engine subcommands differ only in the family
+/// they drive and in how they come by a rank count.
+fn dispatch(command: &str, args: &Args) -> Result<ExitCode, String> {
+    let done = |()| ExitCode::SUCCESS;
+    match command {
+        "run" if args.flag("--ranks") => Err(
+            "`run` is the shared-memory engine and takes no --ranks; `distributed --ranks N` \
+             runs the same trajectory on the virtual cluster"
+                .into(),
+        ),
+        "run" => engine_command(command, args, None, well_mixed),
+        "distributed" => {
+            let ranks = args.parse("--ranks", 4usize)?;
+            if ranks < 2 {
+                return Err("--ranks must be ≥ 2 (Nature Agent + compute)".into());
+            }
+            engine_command(command, args, Some(ranks), well_mixed)
+        }
+        "spatial" => engine_command(command, args, args.optional("--ranks")?, spatial),
+        "fixate" if args.flag("--matrix") => fixate_matrix(args),
+        "fixate" => engine_command(command, args, args.optional("--ranks")?, fixate),
+        "tournament" => cmd_tournament(args).map(done),
+        "predict" => cmd_predict(args).map(done),
+        "serve" => cmd_serve(args),
+        "classify" => cmd_classify(args).map(done),
         "-h" | "--help" | "help" => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
+    }
+}
+
+fn main() -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(command) = raw.first() else {
+        eprint!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-    match result {
+    match dispatch(command, &Args::new(&raw[1..])) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");

@@ -461,3 +461,166 @@ fn killed_rank_exits_3_with_a_checkpoint_that_resumes_to_the_clean_digest() {
         let _ = std::fs::remove_file(file);
     }
 }
+
+/// The engine subcommands as one table: family, its shared-memory and its
+/// clustered subcommand, a small shape, and the unit its progress counts.
+const ENGINES: [(&str, &str, &[&str], &str); 3] = [
+    ("run", "distributed", &["--ssets", "12", "--generations", "24", "--seed", "7", "--pc-rate", "0.25"], "generations"),
+    ("spatial", "spatial", &["--width", "8", "--height", "8", "--generations", "12", "--seed", "11", "--init", "random:0.4"], "generations"),
+    ("fixate", "fixate", &["--replicates", "12", "--ssets", "8", "--generations", "150", "--seed", "7", "--rounds", "10"], "replicates"),
+];
+
+fn digest_of(stderr: &str) -> String {
+    let line = stderr.lines().find(|l| l.starts_with("state digest: "));
+    line.unwrap_or_else(|| panic!("no state digest in: {stderr}")).to_owned()
+}
+
+fn digits(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// `… <N> <unit> in <X.XX>s …` somewhere in `text`.
+fn has_progress_line(text: &str, unit: &str) -> bool {
+    text.lines().any(|line| {
+        let Some((before, after)) = line.split_once(&format!(" {unit} in ")) else {
+            return false;
+        };
+        let count = before.rsplit(' ').next().unwrap_or("");
+        let seconds = after.split('s').next().unwrap_or("");
+        let decimals = seconds.split_once('.').map_or(0, |(_, d)| d.len());
+        digits(count) && decimals == 2 && seconds.parse::<f64>().is_ok()
+    })
+}
+
+#[test]
+fn engine_subcommands_agree_across_backends_checkpoints_and_kills() {
+    // {run/distributed, spatial, fixate} × {shared, --ranks 3} × {straight,
+    // --checkpoint-out → --resume on either backend, kill → --resume}: one
+    // digest per family, through the one generic driver. The four lines the
+    // ledger parses keep their shape on every backend.
+    for (shared, clustered, shape, unit) in ENGINES {
+        let backends: [Vec<&str>; 2] = [vec![shared], vec![clustered, "--ranks", "3"]];
+        let file = |tag: &str| {
+            let name = format!("evogame_table_{shared}_{tag}_{}.json", std::process::id());
+            std::env::temp_dir().join(name).to_string_lossy().into_owned()
+        };
+        let (out, err) = run_ok(&[&backends[0][..], shape].concat());
+        let digest = digest_of(&err);
+        assert_eq!(digest.len(), "state digest: ".len() + 16, "{shared}: {digest}");
+        assert!(digest.bytes().skip(14).all(|b| b.is_ascii_hexdigit()), "{shared}: {digest}");
+        for (backend, tag) in backends.iter().zip(["shared", "ranks"]) {
+            let cell = format!("{backend:?}");
+            let path = file(tag);
+            let (out, err) = run_ok(
+                &[&backend[..], shape, &["--checkpoint-out", &path, "--checkpoint-every", "5"]].concat(),
+            );
+            assert_eq!(digest_of(&err), digest, "{cell} with checkpoints");
+            let both = format!("{out}{err}");
+            assert!(has_progress_line(&both, unit), "{cell}: {both}");
+            if shared == "fixate" {
+                let counts = out.lines().find(|l| l.starts_with("fixed ")).expect("fixation counts line");
+                let fields: Vec<&str> = counts.split(" | ").collect();
+                let ok = |field: &str, name: &str| field.strip_prefix(name).is_some_and(digits);
+                assert!(
+                    ok(fields[0], "fixed ") && ok(fields[1], "extinct ") && ok(fields[2], "censored "),
+                    "{cell}: {counts}"
+                );
+            } else {
+                let games = both.lines().find_map(|l| l.split_once("| games ")).expect("games field").1;
+                assert!(digits(games.split(' ').next().unwrap()), "{cell}: {games}");
+            }
+            for resumer in &backends {
+                let (_, err) = run_ok(&[&resumer[..], &["--resume", &path]].concat());
+                assert_eq!(digest_of(&err), digest, "{cell} checkpoint resumed by {resumer:?}");
+            }
+            let _ = std::fs::remove_file(path);
+        }
+        assert!(out.is_empty() || !out.contains("state digest"), "the digest goes to stderr");
+
+        // A rank kill: exit 3, the restart hint, and a mid-run checkpoint
+        // either backend resumes onto the same digest.
+        let path = file("killed");
+        let killed = cli()
+            .args(&backends[1])
+            .args(shape)
+            .args(["--kill-rank", "1", "--kill-at", "3", "--recv-timeout-ms", "2000"])
+            .args(["--checkpoint-out", &path])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&killed.stderr);
+        assert_eq!(killed.status.code(), Some(3), "{clustered}: {stderr}");
+        let hint = format!("restart with: evogame-cli {clustered} --resume {path}");
+        assert!(stderr.contains(&hint), "{clustered}: {stderr}");
+        for resumer in &backends {
+            let (_, err) = run_ok(&[&resumer[..], &["--resume", &path]].concat());
+            assert_eq!(digest_of(&err), digest, "killed {clustered} resumed by {resumer:?}");
+        }
+
+        // Another family's subcommand refuses the file, by name.
+        let other = if shared == "spatial" { "fixate" } else { "spatial" };
+        let refused = cli().args([other, "--resume", &path]).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert_eq!(refused.status.code(), Some(1), "{other} --resume {path}: {stderr}");
+        assert!(stderr.contains(&path), "{other} must name the file: {stderr}");
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn arguments_nothing_reads_are_refused_before_any_work() {
+    // One row per refusal: the argv, and what stderr must name. Every row
+    // exits 1 without running (no digest) and without touching its files.
+    let records = std::env::temp_dir().join(format!("evogame_refused_{}.jsonl", std::process::id()));
+    let records = records.to_string_lossy().into_owned();
+    let rows: [(&[&str], &str); 14] = [
+        (&["run", "--generation", "50", "--records", &records], "--generation"),
+        (&["run", "--ranks", "3"], "distributed --ranks N"),
+        (&["run", "--seed", "1", "--seed", "2"], "--seed"),
+        (&["run", "--seed"], "--seed"),
+        (&["run", "stray"], "stray"),
+        (&["distributed", "--kill-at", "3"], "--kill-at needs --kill-rank"),
+        (&["distributed", "--dedup"], "--dedup"),
+        (&["distributed", "--records", &records], "--records"),
+        (&["spatial", "--kill-rank", "1", "--kill-at", "3"], "--kill-rank"),
+        (&["spatial", "--ranks", "3", "--render"], "--render"),
+        (&["fixate", "--sample-every", "2"], "--sample-every"),
+        (&["fixate", "--matrix", "--ranks", "3"], "--ranks"),
+        (&["tournament", "--bogus"], "--bogus"),
+        (&["classify", "m1:6", "extra"], "extra"),
+    ];
+    for (argv, names) in rows {
+        let out = cli().args(argv).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains(names), "{argv:?} must name {names:?}: {stderr}");
+        assert!(!stderr.contains("state digest"), "{argv:?} must not run: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} must not run");
+    }
+    assert!(!std::path::Path::new(&records).exists(), "a refused run creates no file");
+    let spool = std::env::temp_dir().join(format!("evogame_refused_spool_{}", std::process::id()));
+    let out = cli().args(["serve", "--bogus", "--spool"]).arg(&spool).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+    assert!(!spool.exists(), "a refused serve creates no spool");
+}
+
+#[test]
+fn shared_fixate_honours_no_payoff_cache_with_the_same_digest() {
+    let shape = ENGINES[2].2;
+    let manifest = std::env::temp_dir().join(format!("evogame_fx_nocache_{}.json", std::process::id()));
+    let misses = |extra: &[&str]| -> (String, u64) {
+        let (_, err) =
+            run_ok(&[&["fixate"], shape, extra, &["--manifest-out", &manifest.to_string_lossy()]].concat());
+        let text = std::fs::read_to_string(&manifest).expect("manifest written");
+        let m = evogame::obs::RunManifest::from_json(&text).expect("valid manifest");
+        (digest_of(&err), m.counters.payoff_cache_misses)
+    };
+    let (cached, shared_misses) = misses(&[]);
+    let (uncached, private_misses) = misses(&["--no-payoff-cache"]);
+    assert_eq!(cached, uncached, "the cache is cost-only");
+    // Without the batch cache every replicate warms a private one: the
+    // pair's payoffs are missed once per replicate, not once per batch.
+    assert!(shared_misses < 12, "one cold pass over the pair: {shared_misses}");
+    assert!(private_misses >= 12, "at least one miss per replicate: {private_misses}");
+    let _ = std::fs::remove_file(manifest);
+}

@@ -339,9 +339,9 @@ fn spatial_rank_kill_then_resume_is_bit_identical() {
         panic!("expected a SpatialDegradedRun");
     };
     assert!(d.dead_ranks.contains(&1), "{:?}", d.dead_ranks);
-    let resumed_cfg = d
-        .retry_config(&faulty)
-        .expect("degraded run leaves a checkpoint");
+    let mut resumed_cfg = faulty.clone();
+    resumed_cfg.faults = faulty.faults.spent();
+    resumed_cfg.resume = Some(d.checkpoint.expect("degraded run leaves a checkpoint"));
     let resume_from = resumed_cfg.resume.as_ref().unwrap().generation as usize;
     let resumed = run_spatial_distributed(&resumed_cfg).unwrap();
     assert_eq!(resumed.grid, clean.grid, "final grid");
@@ -428,7 +428,10 @@ fn fixation_rank_kill_then_resume_is_bit_identical() {
         d.completed,
         "the degraded checkpoint carries exactly the completed replicates"
     );
-    let resumed = run_fixation_distributed(&d.retry_config(&faulty).unwrap()).unwrap();
+    let mut retry = faulty.clone();
+    retry.faults = faulty.faults.spent();
+    retry.resume = d.checkpoint;
+    let resumed = run_fixation_distributed(&retry).unwrap();
     assert_eq!(resumed.outcome, clean.outcome, "stitched outcome");
     assert_eq!(
         resumed.outcome.digest(),
