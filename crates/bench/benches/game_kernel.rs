@@ -2,10 +2,12 @@
 //!
 //! Measures one 200-round deterministic game per memory step — the
 //! innermost loop of the whole system, whose cost profile drives Table VI
-//! and Fig 4.
+//! and Fig 4 — and, in `game_kernel/lockstep`, the same games played K at
+//! a time: the table `evo_core::fitness`'s `LANES` constant is read off
+//! (docs/PERFORMANCE.md §1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipd::game::{play, play_deterministic, GameConfig};
+use ipd::game::{play, play_deterministic, play_deterministic_lanes, GameConfig};
 use ipd::state::StateSpace;
 use ipd::strategy::{MixedStrategy, PureStrategy, Strategy};
 use rand::SeedableRng;
@@ -113,6 +115,43 @@ fn bench_word_parallel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One focal strategy against K opponents in lockstep, K = 1, 2, 4, 8.
+/// Criterion reports the time of one K-game call: divide by K for the
+/// cost of a game.
+fn bench_lockstep(c: &mut Criterion) {
+    fn lanes<const K: usize>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        space: &StateSpace,
+        strats: &[PureStrategy],
+        cfg: &GameConfig,
+    ) {
+        let opponents: [&PureStrategy; K] = std::array::from_fn(|k| &strats[k + 1]);
+        group.bench_function(BenchmarkId::new(&format!("memory-{}", space.mem_steps()), K), |bencher| {
+            bencher.iter(|| {
+                black_box(play_deterministic_lanes(
+                    black_box(space),
+                    black_box(&strats[0]),
+                    black_box(opponents),
+                    cfg,
+                ))
+            });
+        });
+    }
+    let cfg = GameConfig::default();
+    let mut group = c.benchmark_group("game_kernel/lockstep");
+    group.sample_size(20);
+    for mem in [1usize, 3, 6] {
+        let space = StateSpace::new(mem).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let strats: Vec<PureStrategy> = (0..9).map(|_| PureStrategy::random(space, &mut rng)).collect();
+        lanes::<1>(&mut group, &space, &strats, &cfg);
+        lanes::<2>(&mut group, &space, &strats, &cfg);
+        lanes::<4>(&mut group, &space, &strats, &cfg);
+        lanes::<8>(&mut group, &space, &strats, &cfg);
+    }
+    group.finish();
+}
+
 fn bench_expected_vs_sampled(c: &mut Criterion) {
     // Exact Markov expectation vs one Monte-Carlo sample, per memory depth.
     use ipd::markov::expected_outcome;
@@ -144,6 +183,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
     targets = bench_deterministic, bench_stochastic, bench_cycle_kernel,
-        bench_word_parallel, bench_expected_vs_sampled
+        bench_word_parallel, bench_lockstep, bench_expected_vs_sampled
 }
 criterion_main!(benches);

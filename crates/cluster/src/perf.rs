@@ -26,12 +26,14 @@
 //! 2. [`fit_strong_scaling`] least-squares-fits per-row constants directly
 //!    to observed `(P, seconds)` points (the embedded paper tables), which
 //!    is how the `table6`/`table7` regenerators produce their model rows.
-//! 3. [`measure_game_cost`] times the real local Rust kernel so local
-//!    profiles report this machine's actual game costs.
+//! 3. [`measure_game_cost`] times the real local Rust kernel the way a
+//!    rank drives it, so local profiles report this machine's actual game
+//!    costs.
 
 use crate::topology::{CollectiveTree, Torus3D};
-use evo_core::fitness::FitnessPolicy;
-use ipd::game::{play_deterministic, play_with_lookup, GameConfig, StateLookup};
+use evo_core::fitness::{FitnessPolicy, GameKernel, PairPayoff};
+use evo_core::pool::{StratId, StrategyPool};
+use ipd::game::{play_with_lookup, GameConfig, StateLookup};
 use ipd::state::{StateSpace, StateTable};
 use ipd::strategy::{PureStrategy, Strategy};
 use serde::{Deserialize, Serialize};
@@ -279,49 +281,61 @@ impl PerfModel {
 }
 
 /// Time the real game kernel: seconds per iterated game of `rounds` rounds
-/// at `mem_steps`, with the paper's linear state scan or the O(1) rolling
-/// index. This is the measurement feeding Fig 4's local reproduction.
+/// at `mem_steps`. With the O(1) rolling index this is the kernel *as a
+/// rank runs it* — one focal SSet against a population of pure strategies
+/// through [`PairPayoff::evaluate_one`], uncached, so the figure carries
+/// the engine's lockstep groups and not the latency of one game played
+/// alone. With the paper's linear state scan it is the ablation's
+/// one-game-at-a-time kernel. This is the measurement feeding Fig 4's
+/// local reproduction.
 pub fn measure_game_cost(mem_steps: usize, rounds: u32, linear_scan: bool) -> f64 {
     use rand::SeedableRng;
+    /// Games per timed call on the engine path (a whole number of groups).
+    const SSETS: usize = 16;
     let space = StateSpace::new(mem_steps).expect("valid memory steps");
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC0FFEE);
-    let a = PureStrategy::random(space, &mut rng);
-    let b = PureStrategy::random(space, &mut rng);
+    let mut pool = StrategyPool::new();
+    let assignments: Vec<StratId> = (0..SSETS)
+        .map(|_| pool.intern(Strategy::Pure(PureStrategy::random(space, &mut rng))))
+        .collect();
     let cfg = GameConfig {
         rounds,
         ..GameConfig::default()
     };
     let table = linear_scan.then(|| StateTable::new(space));
-    let sa = Strategy::Pure(a.clone());
-    let sb = Strategy::Pure(b.clone());
-    let run_one = |rng: &mut rand_chacha::ChaCha8Rng| -> f64 {
+    let pairs = PairPayoff::new(&space, &pool, &cfg, GameKernel::Naive, None);
+    // One timed call and the games it plays.
+    let games = if linear_scan { 1 } else { SSETS };
+    let mut run = || -> f64 {
         match &table {
             Some(t) => {
-                play_with_lookup(&space, &sa, &sb, &cfg, StateLookup::LinearScan(t), rng).fitness_a
+                let (a, b) = (pool.get(assignments[0]), pool.get(assignments[1]));
+                play_with_lookup(&space, a, b, &cfg, StateLookup::LinearScan(t), &mut rng).fitness_a
             }
-            None => play_deterministic(&space, &a, &b, &cfg).fitness_a,
+            None => pairs.evaluate_one(&assignments, 0, 0, 0),
         }
     };
     // Warm up, then time enough games for a stable estimate.
     let mut sink = 0.0;
     for _ in 0..3 {
-        sink += run_one(&mut rng);
+        sink += run();
     }
-    let iters: u32 = if linear_scan && mem_steps >= 5 {
+    let timed_games: usize = if linear_scan && mem_steps >= 5 {
         20
     } else if linear_scan && mem_steps >= 3 {
         100
     } else {
         400
     };
+    let iters = timed_games / games;
     // detlint: allow(wall-clock, reason = "calibration measurement for the performance model; feeds simulated time, not trajectories")
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        sink += run_one(&mut rng);
+        sink += run();
     }
     let elapsed = start.elapsed().as_secs_f64();
     std::hint::black_box(sink);
-    elapsed / iters as f64
+    elapsed / (iters * games) as f64
 }
 
 /// A per-row strong-scaling fit: `T(P) ≈ G·(work·game_cost/P + const +

@@ -22,12 +22,21 @@
 //! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
 //! weighted by multiplicity). Which one runs when, what is cached and what
 //! is probed is stated once, in docs/PERFORMANCE.md §2.
+//!
+//! Deterministic games that have to be played are played a *group* at a
+//! time: one focal strategy against up to `LANES` opponents, dispatched to
+//! the configured [`GameKernel`] in one place (`PairPayoff::play_group`).
+//! Under [`GameKernel::Naive`] the group's games advance in lockstep
+//! ([`play_deterministic_lanes`]); every round of every game is still
+//! simulated, the lanes are only how. [`PairPayoff::evaluate_one`] walks
+//! its opponents in such groups — probe, play the group's misses together,
+//! add in SSet order, insert — with or without a cache.
 
 use crate::paycache::{PayoffCache, PayoffKind, Reader};
 use crate::pool::{StratId, StrategyPool};
 use crate::rngstream::game_stream;
 use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
-use ipd::game::{play, play_deterministic, play_deterministic_cycle, GameConfig};
+use ipd::game::{play, play_deterministic_cycle, play_deterministic_lanes, GameConfig, GameOutcome};
 use ipd::markov::expected_outcome;
 use ipd::state::StateSpace;
 use ipd::strategy::{PureStrategy, Strategy};
@@ -66,11 +75,23 @@ pub enum FitnessPolicy {
     OnDemand,
 }
 
+/// Deterministic games one focal strategy plays in lockstep under
+/// [`GameKernel::Naive`]. Fixed by measurement, not a setting: the
+/// `game_kernel/lockstep` bench (crates/bench/benches/game_kernel.rs; its
+/// table is in docs/PERFORMANCE.md §1) has four lanes ahead of one and two
+/// at every memory depth and never behind eight by more than the spread.
+const LANES: usize = 4;
+const _: () = assert!(LANES == 4, "PairPayoff::play_group spells out the partial groups of four lanes");
+
 /// Which inner-loop kernel plays deterministic (pure, noiseless) games.
-/// Outcomes are identical (property-tested in `ipd`); only cost differs.
+/// Outcomes are identical for integral payoff matrices (property-tested in
+/// `ipd`; with fractional payoffs `Cycle` rounds its arithmetic payout
+/// differently in the last bits); only cost differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum GameKernel {
-    /// Simulate every round, as the paper's implementation does.
+    /// Simulate every round of every scheduled game, as the paper's
+    /// implementation does — four games of one focal strategy at a time
+    /// ([`play_deterministic_lanes`]).
     #[default]
     Naive,
     /// Detect the state-pair cycle and pay out the remaining rounds
@@ -118,13 +139,20 @@ impl<'a> PairPayoff<'a> {
         }
     }
 
+    /// The strategy behind `id` if its games can be deterministic: it is
+    /// pure and the game noiseless.
+    #[inline]
+    fn pure(&self, id: StratId) -> Option<&'a PureStrategy> {
+        match self.pool.get(id).as_ref() {
+            Strategy::Pure(p) if self.game.noise == 0.0 => Some(p),
+            _ => None,
+        }
+    }
+
     /// The pair's pure strategies if its games are deterministic.
     #[inline]
     fn deterministic(&self, a: StratId, b: StratId) -> Option<(&'a PureStrategy, &'a PureStrategy)> {
-        match (self.pool.get(a).as_ref(), self.pool.get(b).as_ref()) {
-            (Strategy::Pure(pa), Strategy::Pure(pb)) if self.game.noise == 0.0 => Some((pa, pb)),
-            _ => None,
-        }
+        self.pure(a).zip(self.pure(b))
     }
 
     /// `true` when every pair among `ids` is deterministic — the soundness
@@ -133,13 +161,49 @@ impl<'a> PairPayoff<'a> {
         ids.iter().all(|&id| self.deterministic(id, id).is_some())
     }
 
-    /// Play a deterministic pair through the configured kernel.
-    #[inline]
-    fn play_pure(&self, a: &PureStrategy, b: &PureStrategy) -> f64 {
-        match self.kernel {
-            GameKernel::Naive => play_deterministic(self.space, a, b, self.game).fitness_a,
-            GameKernel::Cycle => play_deterministic_cycle(self.space, a, b, self.game).fitness_a,
+    /// Focal payoffs of `focal` against up to [`LANES`] `opponents` (any
+    /// further ones are not played: callers chunk by `LANES`), in order, in
+    /// the leading elements of the result — the one place a [`GameKernel`]
+    /// is dispatched. `Naive` plays the group in lockstep; `Cycle` has no
+    /// lockstep form (each game stops at its own cycle).
+    fn play_group<'s>(
+        &self,
+        focal: &'s PureStrategy,
+        opponents: impl IntoIterator<Item = &'s PureStrategy>,
+    ) -> [f64; LANES] {
+        // Unused lanes hold the focal strategy and are never played.
+        let mut lanes = [focal; LANES];
+        let mut n = 0;
+        for (lane, opponent) in lanes.iter_mut().zip(opponents) {
+            *lane = opponent;
+            n += 1;
         }
+        let mut values = [0.0; LANES];
+        let mut put = |played: &[GameOutcome]| {
+            for (value, outcome) in values.iter_mut().zip(played) {
+                *value = outcome.fitness_a;
+            }
+        };
+        match (self.kernel, &lanes[..n]) {
+            (_, &[]) => {}
+            (GameKernel::Naive, &[a]) => put(&play_deterministic_lanes(self.space, focal, [a], self.game)),
+            (GameKernel::Naive, &[a, b]) => put(&play_deterministic_lanes(self.space, focal, [a, b], self.game)),
+            (GameKernel::Naive, &[a, b, c]) => put(&play_deterministic_lanes(self.space, focal, [a, b, c], self.game)),
+            // A full group: the partial ones are spelled out above.
+            (GameKernel::Naive, _) => put(&play_deterministic_lanes(self.space, focal, lanes, self.game)),
+            (GameKernel::Cycle, opponents) => {
+                for (value, opponent) in values.iter_mut().zip(opponents) {
+                    *value = play_deterministic_cycle(self.space, focal, opponent, self.game).fitness_a;
+                }
+            }
+        }
+        values
+    }
+
+    /// Play a pair that is not deterministic from `rng`, its game's own
+    /// stream.
+    fn play_stochastic(&self, a: StratId, b: StratId, mut rng: ChaCha8Rng) -> f64 {
+        play(self.space, self.pool.get(a), self.pool.get(b), self.game, &mut rng).fitness_a
     }
 
     /// Focal payoff of the game `a` plays against `b`. A deterministic
@@ -176,14 +240,20 @@ impl<'a> PairPayoff<'a> {
     /// Stochastic games draw from streams keyed by
     /// `(seed, focal, opponent, generation)`, so the value is independent
     /// of who computes it and bit-identical with the cache present, absent,
-    /// cold or warm.
+    /// cold or warm. The opponents are walked a group (`LANES`) at a time;
+    /// the values are added in SSet order.
     pub fn evaluate_one(&self, assignments: &[StratId], seed: u64, generation: u64, focal: usize) -> f64 {
         let s = assignments.len() as u32;
         let me = assignments[focal];
         let mut session = self.session();
         let mut total = 0.0;
-        for (j, &opp) in assignments.iter().enumerate() {
-            total += session.sampled(me, opp, || game_stream(seed, focal as u32, j as u32, s, generation));
+        for (g, group) in assignments.chunks(LANES).enumerate() {
+            let values = session.sampled_group(me, group, |k| {
+                game_stream(seed, focal as u32, (g * LANES + k) as u32, s, generation)
+            });
+            for value in &values[..group.len()] {
+                total += value;
+            }
         }
         total
     }
@@ -285,7 +355,17 @@ impl<'a> PairPayoff<'a> {
                         .map(|o| o.fitness_a)
                         .collect()
                 } else {
-                    mode.map(pures.len(), |m| self.play_pure(pures[m].0, pures[m].1))
+                    // The misses of one row share their focal strategy:
+                    // one group of them per task.
+                    let groups: Vec<_> = pures
+                        .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
+                        .flat_map(|row| row.chunks(LANES))
+                        .collect();
+                    mode.map(groups.len(), |g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
+                        .into_iter()
+                        .zip(&groups)
+                        .flat_map(|(values, group)| values.into_iter().take(group.len()))
+                        .collect()
                 }
             }
         };
@@ -335,14 +415,25 @@ impl<'a> PairPayoff<'a> {
             .collect();
         let mut inserted = 0;
         for &a in &unique {
-            for &b in &unique {
-                let value = match kind {
-                    PayoffKind::Expected => Some(self.expected(a, b)),
-                    PayoffKind::Sampled => self.deterministic(a, b).map(|(pa, pb)| self.play_pure(pa, pb)),
-                };
-                if let Some(v) = value {
-                    session.insert(a, b, kind, v);
-                    inserted += 1;
+            match kind {
+                PayoffKind::Expected => {
+                    for &b in &unique {
+                        session.insert(a, b, kind, self.expected(a, b));
+                        inserted += 1;
+                    }
+                }
+                PayoffKind::Sampled => {
+                    let row: Vec<_> = unique
+                        .iter()
+                        .filter_map(|&b| self.deterministic(a, b).map(|(pa, pb)| (b, pa, pb)))
+                        .collect();
+                    for group in row.chunks(LANES) {
+                        let values = self.play_group(group[0].1, group.iter().map(|&(_, _, pb)| pb));
+                        for (&(b, ..), value) in group.iter().zip(values) {
+                            session.insert(a, b, kind, value);
+                            inserted += 1;
+                        }
+                    }
                 }
             }
         }
@@ -368,8 +459,10 @@ pub(crate) struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Look `(a, b)` up; `None` without a cache or on a miss.
-    #[inline]
+    /// Look `(a, b)` up; `None` without a cache or on a miss. Always
+    /// inlined: a hit is a handful of instructions, and the evaluators'
+    /// probe loops are nothing but hits once a run is warm.
+    #[inline(always)]
     fn probe(&mut self, a: StratId, b: StratId, kind: PayoffKind) -> Option<f64> {
         let cache = self.pairs.cache?;
         let hit = self.reader.get_or_insert_with(|| cache.reader()).get(a, b, kind);
@@ -403,14 +496,76 @@ impl Session<'_> {
         let pairs = self.pairs;
         match pairs.deterministic(a, b) {
             Some((pa, pb)) => self.probe(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
-                let value = pairs.play_pure(pa, pb);
+                let [value, ..] = pairs.play_group(pa, [pb]);
                 self.insert(a, b, PayoffKind::Sampled, value);
                 value
             }),
-            None => {
-                let (sa, sb) = (pairs.pool.get(a), pairs.pool.get(b));
-                play(pairs.space, sa, sb, pairs.game, &mut stream()).fitness_a
+            None => pairs.play_stochastic(a, b, stream()),
+        }
+    }
+
+    /// [`Session::sampled`] for `me` against up to [`LANES`] `opponents`
+    /// at once; `stream(k)` opens the stream of the game against
+    /// `opponents[k]`. Values, probe counts and cache contents are those of
+    /// `sampled` called per opponent in order — an opponent the group has
+    /// already missed counts as the hit it would have been by then — but
+    /// the misses are played together ([`PairPayoff::play_group`]) and
+    /// inserted after. A group of hits costs what its probes cost.
+    #[inline]
+    pub(crate) fn sampled_group(
+        &mut self,
+        me: StratId,
+        opponents: &[StratId],
+        stream: impl Fn(usize) -> ChaCha8Rng,
+    ) -> [f64; LANES] {
+        let pairs = self.pairs;
+        let focal = pairs.pure(me);
+        let mut values = [0.0; LANES];
+        // Bit k: the game against `opponents[k]` is still to be played.
+        let mut unplayed = 0u32;
+        for (k, (&opp, value)) in opponents.iter().zip(&mut values).enumerate() {
+            if focal.and(pairs.pure(opp)).is_none() {
+                *value = pairs.play_stochastic(me, opp, stream(k));
+            } else if unplayed != 0 && pairs.cache.is_some() && Self::slots(opponents, unplayed).any(|j| opponents[j] == opp) {
+                self.hits += 1;
+                unplayed |= 1 << k;
+            } else if let Some(hit) = self.probe(me, opp, PayoffKind::Sampled) {
+                *value = hit;
+            } else {
+                unplayed |= 1 << k;
             }
+        }
+        if unplayed != 0 {
+            self.play_unplayed(me, opponents, unplayed, &mut values);
+        }
+        values
+    }
+
+    /// The slots of a group whose bit is set in `unplayed`, ascending.
+    fn slots(opponents: &[StratId], unplayed: u32) -> impl Iterator<Item = usize> + '_ {
+        (0..opponents.len().min(LANES)).filter(move |k| unplayed >> k & 1 == 1)
+    }
+
+    /// Play a group's unplayed slots together and memoise the games. With a
+    /// cache, slots that name one opponent share one game (the later ones
+    /// were counted as hits); without one every scheduled game is played.
+    #[inline(never)]
+    fn play_unplayed(&mut self, me: StratId, opponents: &[StratId], unplayed: u32, values: &mut [f64; LANES]) {
+        let pairs = self.pairs;
+        // The slot whose game slot `k` takes its value from.
+        let source = |k: usize| match pairs.cache {
+            Some(_) => Self::slots(opponents, unplayed).find(|&j| opponents[j] == opponents[k]).unwrap_or(k),
+            None => k,
+        };
+        let games = || Self::slots(opponents, unplayed).filter(|&k| source(k) == k);
+        let Some(focal) = pairs.pure(me) else { return };
+        let played = pairs.play_group(focal, games().filter_map(|k| pairs.pure(opponents[k])));
+        for (k, value) in games().zip(played) {
+            values[k] = value;
+            self.insert(me, opponents[k], PayoffKind::Sampled, value);
+        }
+        for k in Self::slots(opponents, unplayed) {
+            values[k] = values[source(k)];
         }
     }
 }
@@ -427,6 +582,7 @@ mod tests {
     use super::*;
     use crate::rngstream::{stream, Domain};
     use ipd::classic;
+    use ipd::game::play_deterministic;
     use ipd::payoff::PayoffMatrix;
     use ipd::strategy::{MixedStrategy, PureStrategy};
     use rand::Rng;
@@ -718,9 +874,16 @@ mod tests {
     #[test]
     fn every_kernel_cache_state_and_schedule_gives_the_same_bits() {
         let game = cfg();
-        // Word-parallel gate open (memory one), shut (memory three), and a
-        // mid-depth population with few duplicates.
-        let populations = [setup_classics(), setup_pure(40, 3, 9), setup_pure(20, 2, 13)];
+        // Word-parallel gate open (memory one), shut (memory three), a
+        // mid-depth population with few duplicates, and two sizes that
+        // leave a partial last group.
+        let populations = [
+            setup_classics(),
+            setup_pure(40, 3, 9),
+            setup_pure(20, 2, 13),
+            setup_pure(3, 2, 5),
+            setup_pure(13, 3, 6),
+        ];
         for (space, asg, pool) in &populations {
             let reference = plain(space, pool, &game);
             let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
@@ -783,6 +946,38 @@ mod tests {
             }
         }
 
+        // One mixed SSet in a pure population at noise 0: its groups hold
+        // deterministic and stochastic opponents side by side. The
+        // reference is the pair-by-pair sum built from the kernels alone.
+        let (space, mut asg, mut pool) = setup_pure(13, 2, 6);
+        asg[5] = pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut stream(6, Domain::Init, 1, 0))));
+        let s = asg.len() as u32;
+        let reference: Vec<u64> = (0..asg.len())
+            .map(|i| {
+                let total = asg.iter().enumerate().fold(0.0, |total, (j, &opp)| {
+                    total + match (pool.get(asg[i]).as_ref(), pool.get(opp).as_ref()) {
+                        (Strategy::Pure(a), Strategy::Pure(b)) => play_deterministic(&space, a, b, &game).fitness_a,
+                        (a, b) => play(&space, a, b, &game, &mut game_stream(13, i as u32, j as u32, s, 4)).fitness_a,
+                    }
+                });
+                total.to_bits()
+            })
+            .collect();
+        let pure_ids = asg.iter().filter(|&&id| id != asg[5]).collect::<std::collections::BTreeSet<_>>().len();
+        for kernel in [GameKernel::Naive, GameKernel::Cycle] {
+            let cache = PayoffCache::new(game);
+            for cached in [None, Some(&cache), Some(&cache)] {
+                let pp = PairPayoff::new(&space, &pool, &game, kernel, cached);
+                for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                    assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4, mode)), reference, "{kernel:?} {mode:?}");
+                }
+                for (i, want) in reference.iter().enumerate() {
+                    assert_eq!(pp.evaluate_one(&asg, 13, 4, i).to_bits(), *want, "{kernel:?}: one {i}");
+                }
+            }
+            assert_eq!(cache.len(), pure_ids * pure_ids, "only the pure pairs are memoised");
+        }
+
         // Expected payoffs, for strategies no sampled path may cache.
         let (space, asg, pool) = setup_mixed(12, 4, 41);
         let game = noisy(40, 0.03);
@@ -805,6 +1000,52 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), 16, "4 distinct strategies → 16 Expected entries");
+    }
+
+    /// The group walk against the per-pair walk on twin half-warm caches:
+    /// hits and misses fall inside one group, opponents repeat inside one
+    /// group, the last group is partial — and the values, the probe tallies
+    /// and the cache contents come out the same.
+    #[test]
+    fn group_walk_probes_and_inserts_like_the_per_pair_walk() {
+        let game = cfg();
+        // The classics two SSets each, so that neighbours in a group repeat.
+        let (space, classics, pool) = setup_classics();
+        let doubled = (space, (0..14).map(|i| classics[(i / 2) % 4]).collect(), pool);
+        for (space, asg, pool) in [doubled, setup_pure(13, 3, 6), setup_pure(3, 2, 5)] {
+            let naive = bits(&plain(&space, &pool, &game).evaluate_naive(&asg, 13, 4, ExecMode::Sequential));
+            // Warm the strategies of the first third of the SSets.
+            let warm = &asg[..asg.len() / 3];
+            for kernel in [GameKernel::Naive, GameKernel::Cycle] {
+                let (grouped, paired) = (PayoffCache::new(game), PayoffCache::new(game));
+                let by_group = PairPayoff::new(&space, &pool, &game, kernel, Some(&grouped));
+                let by_pair = PairPayoff::new(&space, &pool, &game, kernel, Some(&paired));
+                assert_eq!(by_group.prewarm(warm, PayoffKind::Sampled), by_pair.prewarm(warm, PayoffKind::Sampled));
+                let no_stream = |_: usize| -> ChaCha8Rng { panic!("deterministic pairs open no stream") };
+                for (i, &me) in asg.iter().enumerate() {
+                    let label = format!("mem {} {kernel:?} focal {i}", space.mem_steps());
+                    let (total, tally) = {
+                        let mut session = by_group.session();
+                        let mut total = 0.0;
+                        for group in asg.chunks(LANES) {
+                            let values = session.sampled_group(me, group, no_stream);
+                            for value in &values[..group.len()] {
+                                total += value;
+                            }
+                        }
+                        (total, (session.hits, session.misses))
+                    };
+                    let mut session = by_pair.session();
+                    let want = asg.iter().fold(0.0, |t, &opp| t + session.sampled(me, opp, || no_stream(0)));
+                    assert_eq!(total.to_bits(), want.to_bits(), "{label}");
+                    assert_eq!(total.to_bits(), naive[i], "{label}: against the uncached evaluator");
+                    assert_eq!(tally, (session.hits, session.misses), "{label}: (hits, misses)");
+                    assert_eq!(tally.0 + tally.1, asg.len() as u64, "{label}: one probe per opponent");
+                }
+                let distinct = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
+                assert_eq!((grouped.len(), paired.len()), (distinct * distinct, distinct * distinct));
+            }
+        }
     }
 
     /// Four threads race one cold cache, a session per focal row each: a

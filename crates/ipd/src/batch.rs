@@ -136,11 +136,12 @@ fn batch64(
         mb = b;
     }
     let [r, s, t, p] = config.payoff.as_rstp();
+    // One flush for the word's games, not two shared-line writes per lane.
+    obs::counters().add_games(pairs.len() as u64, config.rounds);
     (0..pairs.len())
         .map(|l| {
             let (ncc, ncd, ndc) = (cc.count(l), cd.count(l), dc.count(l));
             let ndd = config.rounds as u64 - ncc - ncd - ndc;
-            obs::counters().add_game(config.rounds);
             GameOutcome {
                 // count × payoff: exact (bit-identical to the scalar
                 // kernel) because the caller gated on is_integral().

@@ -4,20 +4,48 @@
 //! two strategies. Both players start from the all-cooperation view (the
 //! paper arbitrarily sets the first plays to 0) and each round:
 //!
-//! 1. each player determines its current state from its view of history,
-//! 2. each picks a move via its strategy (sampling for mixed strategies),
+//! 1. each player's current state is its rolling state id — the last *n*
+//!    rounds from its own perspective, packed two bits a round,
+//! 2. each picks a move via its strategy: a bit of the packed table for a
+//!    pure strategy, a sample for a mixed one,
 //! 3. execution noise flips each move independently with probability ε
 //!    (§III-E),
-//! 4. payoffs accrue per the matrix, and both views roll forward.
+//! 4. **the round step** (`Lane::step`, the one round body of this
+//!    module): on the raw move bits `a`, `b` (1 = defect) both payoffs are
+//!    read from the 4-entry table `[R,S,T,P]` at `a<<1|b` and `b<<1|a` and
+//!    added to the two per-game `f64` sums, the defections are counted as
+//!    integers, and both state ids shift the round in — no branch, no
+//!    `Move`, no `match`.
+//!
+//! Steps 1–3 differ per kernel; step 4 is shared by all of them:
+//! [`play_deterministic_lanes`] (and [`play_deterministic`], its one-lane
+//! case) read step 2 from the strategy words, [`play`] /
+//! [`play_transcript`] draw steps 2–3 from the caller's RNG, and
+//! [`play_deterministic_cycle`] steps until the state pair repeats. The
+//! kernels that play every round add the sums round by round in round
+//! order, so their results agree to the bit for any payoff matrix and
+//! memory depth; the cycle kernel pays the rest of the game out as
+//! products and agrees to the bit where those are exact (an integral
+//! matrix, [`PayoffMatrix::is_integral`]).
+//!
+//! # Lockstep lanes
+//!
+//! One game is a dependent chain — state → table word → shift → mask →
+//! next state — of about ten cycles a round with nothing else to overlap
+//! it. Games are independent of one another, so
+//! [`play_deterministic_lanes`] advances `K` of them a round at a time:
+//! the chains interleave and the core's idle issue slots do the other
+//! lanes' work (docs/PERFORMANCE.md §1 has the measured table). Every
+//! round of every lane is still simulated.
 //!
 //! The paper's agent computes *both* plays from a single `current_view` by
-//! evaluating the view from each perspective; we keep two mirrored views,
-//! which is equivalent (property-tested in [`crate::history`]) and avoids
-//! the per-round perspective swap.
+//! evaluating the view from each perspective; we keep two mirrored state
+//! ids, which is equivalent (property-tested in [`crate::history`]) and
+//! avoids the per-round perspective swap.
 
 use crate::history::HistoryView;
 use crate::payoff::{Move, PayoffMatrix};
-use crate::state::{StateSpace, StateTable};
+use crate::state::{StateId, StateSpace, StateTable};
 use crate::strategy::{PureStrategy, Strategy};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -99,6 +127,115 @@ pub enum StateLookup<'a> {
     LinearScan(&'a StateTable),
 }
 
+/// One game in flight: both players' rolling state ids and the totals so
+/// far.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    state_a: u32,
+    state_b: u32,
+    fitness_a: f64,
+    fitness_b: f64,
+    /// Defections so far: A's in the low half, B's in the high half (one
+    /// add a round; neither half can carry, a game has `u32` rounds).
+    defects: u64,
+}
+
+impl Lane {
+    /// Game start: the all-cooperation view ([`StateSpace::initial_state`]),
+    /// nothing accrued.
+    const START: Lane = Lane {
+        state_a: 0,
+        state_b: 0,
+        fitness_a: 0.0,
+        fitness_b: 0.0,
+        defects: 0,
+    };
+
+    /// The round step (module doc, step 4). `a` and `b` are the players'
+    /// move bits, `table` is `[R,S,T,P]`, `mask` is [`StateSpace::mask`]
+    /// (zero at memory zero, which pins the state there).
+    #[inline(always)]
+    fn step(&mut self, table: &[f64; 4], mask: u32, a: u32, b: u32) {
+        /// What a round adds to `defects`, by `a<<1|b`.
+        const DEFECTS: [u64; 4] = [0, 1 << 32, 1, 1 << 32 | 1];
+        let (ab, ba) = ((a << 1 | b) & 3, (b << 1 | a) & 3);
+        self.fitness_a += table[ab as usize];
+        self.fitness_b += table[ba as usize];
+        self.defects += DEFECTS[ab as usize];
+        self.state_a = (self.state_a << 2 | ab) & mask;
+        self.state_b = (self.state_b << 2 | ba) & mask;
+    }
+
+    fn outcome(&self, rounds: u32) -> GameOutcome {
+        GameOutcome {
+            fitness_a: self.fitness_a,
+            fitness_b: self.fitness_b,
+            coop_a: rounds - self.defects as u32,
+            coop_b: rounds - (self.defects >> 32) as u32,
+            rounds,
+        }
+    }
+}
+
+/// The move bit (1 = defect) for `state` in `word`, the word of a pure
+/// strategy's packed table ([`PureStrategy::words`]) that holds it.
+#[inline(always)]
+fn word_bit(word: u64, state: u32) -> u32 {
+    ((word >> (state & 63)) & 1) as u32
+}
+
+/// The move bit for `state` in a packed table (the kernels take the slice
+/// once, outside the round loop).
+#[inline(always)]
+fn move_bit(words: &[u64], state: u32) -> u32 {
+    word_bit(words[(state >> 6) as usize], state)
+}
+
+/// Play `K` games to the end, a round of every lane at a time. `moves`
+/// gives lane `k`'s move bits for the round from its two state ids.
+#[inline(always)]
+fn play_lanes<const K: usize>(
+    space: &StateSpace,
+    config: &GameConfig,
+    mut moves: impl FnMut(usize, StateId, StateId) -> (u32, u32),
+) -> [GameOutcome; K] {
+    let table = config.payoff.as_rstp();
+    let mask = space.mask() as u32;
+    let mut lanes = [Lane::START; K];
+    for _ in 0..config.rounds {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let (a, b) = moves(k, lane.state_a as StateId, lane.state_b as StateId);
+            lane.step(&table, mask, a, b);
+        }
+    }
+    obs::counters().add_games(K as u64, config.rounds);
+    lanes.map(|lane| lane.outcome(config.rounds))
+}
+
+/// Both players' moves for one round: each decides from its state
+/// (sampling if mixed), then execution noise flips each move with
+/// probability `noise` — A's draws before B's at each stage.
+#[inline]
+fn sample_moves<R: Rng + ?Sized>(
+    a: &Strategy,
+    b: &Strategy,
+    (state_a, state_b): (StateId, StateId),
+    noise: f64,
+    rng: &mut R,
+) -> (Move, Move) {
+    let mut move_a = a.decide(state_a, rng);
+    let mut move_b = b.decide(state_b, rng);
+    if noise > 0.0 {
+        if rng.random::<f64>() < noise {
+            move_a = move_a.flipped();
+        }
+        if rng.random::<f64>() < noise {
+            move_b = move_b.flipped();
+        }
+    }
+    (move_a, move_b)
+}
+
 /// Play one iterated game between two strategies, sampling mixed moves and
 /// noise from `rng`.
 pub fn play<R: Rng + ?Sized>(
@@ -123,43 +260,55 @@ pub fn play_with_lookup<R: Rng + ?Sized>(
 ) -> GameOutcome {
     debug_assert_eq!(a.space(), space, "strategy A space mismatch");
     debug_assert_eq!(b.space(), space, "strategy B space mismatch");
-    let mut view_a = HistoryView::new(*space);
-    let mut view_b = HistoryView::new(*space);
-    let mut out = GameOutcome {
-        fitness_a: 0.0,
-        fitness_b: 0.0,
-        coop_a: 0,
-        coop_b: 0,
-        rounds: config.rounds,
-    };
-    for _ in 0..config.rounds {
-        let (state_a, state_b) = match lookup {
-            StateLookup::Rolling => (view_a.state(), view_b.state()),
-            StateLookup::LinearScan(table) => (
-                view_a.find_state_linear(table),
-                view_b.find_state_linear(table),
-            ),
-        };
-        let mut move_a = a.decide(state_a, rng);
-        let mut move_b = b.decide(state_b, rng);
-        if config.noise > 0.0 {
-            if rng.random::<f64>() < config.noise {
-                move_a = move_a.flipped();
-            }
-            if rng.random::<f64>() < config.noise {
-                move_b = move_b.flipped();
-            }
+    let [outcome] = match lookup {
+        StateLookup::Rolling => play_lanes(space, config, |_, state_a, state_b| {
+            let (move_a, move_b) = sample_moves(a, b, (state_a, state_b), config.noise, rng);
+            (move_a.bit() as u32, move_b.bit() as u32)
+        }),
+        // The paper's agents keep their explicit views and search the
+        // state table with them; the rolling ids are not consulted.
+        StateLookup::LinearScan(table) => {
+            let mut view_a = HistoryView::new(*space);
+            let mut view_b = HistoryView::new(*space);
+            play_lanes(space, config, |_, _, _| {
+                let states = (view_a.find_state_linear(table), view_b.find_state_linear(table));
+                let (move_a, move_b) = sample_moves(a, b, states, config.noise, rng);
+                view_a.record(move_a, move_b);
+                view_b.record(move_b, move_a);
+                (move_a.bit() as u32, move_b.bit() as u32)
+            })
         }
-        let (pa, pb) = config.payoff.payoffs(move_a, move_b);
-        out.fitness_a += pa;
-        out.fitness_b += pb;
-        out.coop_a += move_a.is_cooperate() as u32;
-        out.coop_b += move_b.is_cooperate() as u32;
-        view_a.record(move_a, move_b);
-        view_b.record(move_b, move_a);
+    };
+    outcome
+}
+
+/// Play one focal pure strategy against `K` pure opponents with no noise,
+/// the `K` games in lockstep (module doc, "Lockstep lanes"). Game `k` is
+/// `focal` (player A) against `opponents[k]` (player B); each outcome is
+/// bit-identical to [`play_deterministic`]'s for that pair.
+pub fn play_deterministic_lanes<const K: usize>(
+    space: &StateSpace,
+    focal: &PureStrategy,
+    opponents: [&PureStrategy; K],
+    config: &GameConfig,
+) -> [GameOutcome; K] {
+    debug_assert_eq!(focal.space(), space);
+    debug_assert!(opponents.iter().all(|o| o.space() == space));
+    if space.num_states() <= 64 {
+        // Up to memory three a table is one word and rides in a register:
+        // no load and no index on the lane's dependent chain.
+        let focal = focal.words()[0];
+        let opponents = opponents.map(|o| o.words()[0]);
+        play_lanes(space, config, |k, state_a, state_b| {
+            (word_bit(focal, state_a as u32), word_bit(opponents[k], state_b as u32))
+        })
+    } else {
+        let focal = focal.words();
+        let opponents = opponents.map(|o| o.words());
+        play_lanes(space, config, |k, state_a, state_b| {
+            (move_bit(focal, state_a as u32), move_bit(opponents[k], state_b as u32))
+        })
     }
-    obs::counters().add_game(config.rounds);
-    out
 }
 
 /// Play a fully deterministic game between two *pure* strategies with no
@@ -171,30 +320,8 @@ pub fn play_deterministic(
     b: &PureStrategy,
     config: &GameConfig,
 ) -> GameOutcome {
-    debug_assert_eq!(a.space(), space);
-    debug_assert_eq!(b.space(), space);
-    let mut state_a = space.initial_state();
-    let mut state_b = space.initial_state();
-    let mut out = GameOutcome {
-        fitness_a: 0.0,
-        fitness_b: 0.0,
-        coop_a: 0,
-        coop_b: 0,
-        rounds: config.rounds,
-    };
-    for _ in 0..config.rounds {
-        let move_a = a.move_for(state_a);
-        let move_b = b.move_for(state_b);
-        let (pa, pb) = config.payoff.payoffs(move_a, move_b);
-        out.fitness_a += pa;
-        out.fitness_b += pb;
-        out.coop_a += move_a.is_cooperate() as u32;
-        out.coop_b += move_b.is_cooperate() as u32;
-        state_a = space.advance(state_a, move_a, move_b);
-        state_b = space.advance(state_b, move_b, move_a);
-    }
-    obs::counters().add_game(config.rounds);
-    out
+    let [outcome] = play_deterministic_lanes(space, a, [b], config);
+    outcome
 }
 
 /// A full game record: the move pair of every round plus the outcome.
@@ -251,38 +378,13 @@ pub fn play_transcript<R: Rng + ?Sized>(
     config: &GameConfig,
     rng: &mut R,
 ) -> Transcript {
-    let mut view_a = HistoryView::new(*space);
-    let mut view_b = HistoryView::new(*space);
     let mut moves = Vec::with_capacity(config.rounds as usize);
-    let mut out = GameOutcome {
-        fitness_a: 0.0,
-        fitness_b: 0.0,
-        coop_a: 0,
-        coop_b: 0,
-        rounds: config.rounds,
-    };
-    for _ in 0..config.rounds {
-        let mut move_a = a.decide(view_a.state(), rng);
-        let mut move_b = b.decide(view_b.state(), rng);
-        if config.noise > 0.0 {
-            if rng.random::<f64>() < config.noise {
-                move_a = move_a.flipped();
-            }
-            if rng.random::<f64>() < config.noise {
-                move_b = move_b.flipped();
-            }
-        }
-        let (pa, pb) = config.payoff.payoffs(move_a, move_b);
-        out.fitness_a += pa;
-        out.fitness_b += pb;
-        out.coop_a += move_a.is_cooperate() as u32;
-        out.coop_b += move_b.is_cooperate() as u32;
+    let [outcome] = play_lanes(space, config, |_, state_a, state_b| {
+        let (move_a, move_b) = sample_moves(a, b, (state_a, state_b), config.noise, rng);
         moves.push((move_a, move_b));
-        view_a.record(move_a, move_b);
-        view_b.record(move_b, move_a);
-    }
-    obs::counters().add_game(config.rounds);
-    Transcript { moves, outcome: out }
+        (move_a.bit() as u32, move_b.bit() as u32)
+    });
+    Transcript { moves, outcome }
 }
 
 /// Play a deterministic game with **cycle detection**: a noiseless game
@@ -293,9 +395,11 @@ pub fn play_transcript<R: Rng + ?Sized>(
 /// are paid out arithmetically instead of simulated.
 ///
 /// Produces *exactly* the same [`GameOutcome`] as [`play_deterministic`]
-/// (property-tested); the `game_kernel` bench quantifies the speedup. This
-/// is the shape of fine-grained optimisation the paper's future-work
-/// section anticipates for accelerator ports.
+/// for an integral payoff matrix (property-tested; with fractional payoffs
+/// the move counts still agree and the sums differ in the last bits, a
+/// product not being a run of additions); the `game_kernel` bench
+/// quantifies the speedup. This is the shape of fine-grained optimisation
+/// the paper's future-work section anticipates for accelerator ports.
 pub fn play_deterministic_cycle(
     space: &StateSpace,
     a: &PureStrategy,
@@ -304,81 +408,48 @@ pub fn play_deterministic_cycle(
 ) -> GameOutcome {
     debug_assert_eq!(a.space(), space);
     debug_assert_eq!(b.space(), space);
+    let (a, b) = (a.words(), b.words());
     let rounds = config.rounds as usize;
-    // Per-round cumulative records: cum[r] = totals after r rounds.
+    let table = config.payoff.as_rstp();
+    let mask = space.mask() as u32;
     // first_seen maps a state pair to the round index at which it was the
-    // *pre-round* state.
-    // detlint: allow(hash-iter, reason = "cycle-detection table is point-lookup only (get/insert by state pair); never iterated")
+    // *pre-round* state; cum[r] is the game after r rounds.
+    // detlint: allow(hash-iter, reason = "cycle-detection table is point-lookup only (insert by state pair); never iterated")
     let mut first_seen = std::collections::HashMap::<u32, usize>::with_capacity(64);
-    let mut cum: Vec<(f64, f64, u32, u32)> = Vec::with_capacity(64.min(rounds) + 1);
-    cum.push((0.0, 0.0, 0, 0));
-    let mut state_a = space.initial_state();
-    let mut state_b = space.initial_state();
-    let mut out = GameOutcome {
-        fitness_a: 0.0,
-        fitness_b: 0.0,
-        coop_a: 0,
-        coop_b: 0,
-        rounds: config.rounds,
-    };
+    let mut cum: Vec<Lane> = Vec::with_capacity(64.min(rounds) + 1);
+    let mut lane = Lane::START;
     for r in 0..rounds {
-        let key = ((state_a as u32) << 16) | state_b as u32;
-        if let Some(&r0) = first_seen.get(&key) {
+        cum.push(lane);
+        let key = lane.state_a << 16 | lane.state_b;
+        if let Some(r0) = first_seen.insert(key, r) {
             // Cycle of length L = r − r0 discovered. Totals so far are
             // cum[r]; each full cycle adds cum[r] − cum[r0]; the remainder
             // replays the recorded prefix of the cycle.
             let len = r - r0;
             let remaining = rounds - r;
             let (full, part) = (remaining / len, remaining % len);
-            let delta = (
-                cum[r].0 - cum[r0].0,
-                cum[r].1 - cum[r0].1,
-                cum[r].2 - cum[r0].2,
-                cum[r].3 - cum[r0].3,
-            );
-            let partial = (
-                cum[r0 + part].0 - cum[r0].0,
-                cum[r0 + part].1 - cum[r0].1,
-                cum[r0 + part].2 - cum[r0].2,
-                cum[r0 + part].3 - cum[r0].3,
-            );
-            out.fitness_a = cum[r].0 + full as f64 * delta.0 + partial.0;
-            out.fitness_b = cum[r].1 + full as f64 * delta.1 + partial.1;
-            out.coop_a = cum[r].2 + full as u32 * delta.2 + partial.2;
-            out.coop_b = cum[r].3 + full as u32 * delta.3 + partial.3;
-            // Counts the *logical* rounds paid out, so the telemetry of a
-            // cycle-accelerated run matches the naive kernel's.
-            obs::counters().add_game(config.rounds);
-            return out;
+            let (at, from, upto) = (lane, cum[r0], cum[r0 + part]);
+            // (at + full·Δ) + partial, in that order: the float sums are
+            // part of the kernel's contract.
+            lane.fitness_a = at.fitness_a + full as f64 * (at.fitness_a - from.fitness_a) + (upto.fitness_a - from.fitness_a);
+            lane.fitness_b = at.fitness_b + full as f64 * (at.fitness_b - from.fitness_b) + (upto.fitness_b - from.fitness_b);
+            // Both halves at once: no half ever exceeds `rounds`.
+            lane.defects += full as u64 * (at.defects - from.defects) + (upto.defects - from.defects);
+            break;
         }
-        first_seen.insert(key, r);
-        let move_a = a.move_for(state_a);
-        let move_b = b.move_for(state_b);
-        let (pa, pb) = config.payoff.payoffs(move_a, move_b);
-        let last = *cum.last().expect("cum starts non-empty");
-        cum.push((
-            last.0 + pa,
-            last.1 + pb,
-            last.2 + move_a.is_cooperate() as u32,
-            last.3 + move_b.is_cooperate() as u32,
-        ));
-        state_a = space.advance(state_a, move_a, move_b);
-        state_b = space.advance(state_b, move_b, move_a);
+        lane.step(&table, mask, move_bit(a, lane.state_a), move_bit(b, lane.state_b));
     }
-    let last = *cum.last().expect("nonempty");
-    out.fitness_a = last.0;
-    out.fitness_b = last.1;
-    out.coop_a = last.2;
-    out.coop_b = last.3;
+    // Counts the *logical* rounds paid out, so the telemetry of a
+    // cycle-accelerated run matches the naive kernel's.
     obs::counters().add_game(config.rounds);
-    out
+    lane.outcome(config.rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classic;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn sp(n: usize) -> StateSpace {
@@ -389,6 +460,136 @@ mod tests {
         GameConfig {
             rounds,
             ..GameConfig::default()
+        }
+    }
+
+    /// The round body the kernels had before they shared `Lane::step`,
+    /// kept as an independent oracle: `Move`s, `PayoffMatrix::payoffs` and
+    /// `StateSpace::advance`, nothing of the step or its move bits.
+    fn oracle<R: Rng + ?Sized>(
+        space: &StateSpace,
+        a: &Strategy,
+        b: &Strategy,
+        config: &GameConfig,
+        rng: &mut R,
+    ) -> Transcript {
+        let mut state_a = space.initial_state();
+        let mut state_b = space.initial_state();
+        let mut moves = Vec::new();
+        let mut out = GameOutcome {
+            fitness_a: 0.0,
+            fitness_b: 0.0,
+            coop_a: 0,
+            coop_b: 0,
+            rounds: config.rounds,
+        };
+        for _ in 0..config.rounds {
+            let mut move_a = a.decide(state_a, rng);
+            let mut move_b = b.decide(state_b, rng);
+            if config.noise > 0.0 {
+                if rng.random::<f64>() < config.noise {
+                    move_a = move_a.flipped();
+                }
+                if rng.random::<f64>() < config.noise {
+                    move_b = move_b.flipped();
+                }
+            }
+            let (pa, pb) = config.payoff.payoffs(move_a, move_b);
+            out.fitness_a += pa;
+            out.fitness_b += pb;
+            out.coop_a += move_a.is_cooperate() as u32;
+            out.coop_b += move_b.is_cooperate() as u32;
+            moves.push((move_a, move_b));
+            state_a = space.advance(state_a, move_a, move_b);
+            state_b = space.advance(state_b, move_b, move_a);
+        }
+        Transcript { moves, outcome: out }
+    }
+
+    fn assert_same_bits(got: &GameOutcome, want: &GameOutcome, ctx: &str) {
+        assert_eq!(got.fitness_a.to_bits(), want.fitness_a.to_bits(), "{ctx}: fitness_a");
+        assert_eq!(got.fitness_b.to_bits(), want.fitness_b.to_bits(), "{ctx}: fitness_b");
+        assert_eq!(got, want, "{ctx}");
+    }
+
+    /// The default matrix, a weak dilemma with a fractional temptation, and
+    /// a donation game with a negative sucker's payoff.
+    fn payoffs() -> [PayoffMatrix; 3] {
+        [
+            PayoffMatrix::default(),
+            PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+            PayoffMatrix::donation(2.0, 0.3),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Every lane of every group width is the oracle's game to the bit.
+        #[test]
+        fn lanes_match_the_oracle(seed in proptest::prelude::any::<u64>(), mem in 0usize..=6) {
+            fn check<const K: usize>(space: &StateSpace, strats: &[PureStrategy], config: &GameConfig) {
+                let opponents: [&PureStrategy; K] = std::array::from_fn(|k| &strats[k + 1]);
+                let got = play_deterministic_lanes(space, &strats[0], opponents, config);
+                let mut unused = ChaCha8Rng::seed_from_u64(0);
+                let focal = Strategy::Pure(strats[0].clone());
+                for (k, lane) in got.iter().enumerate() {
+                    let opp = Strategy::Pure(opponents[k].clone());
+                    let want = oracle(space, &focal, &opp, config, &mut unused).outcome;
+                    let ctx = format!("memory-{} {} rounds K={K} lane {k} {:?}", space.mem_steps(), config.rounds, config.payoff);
+                    assert_same_bits(lane, &want, &ctx);
+                }
+            }
+            let space = sp(mem);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let strats: Vec<PureStrategy> = (0..5).map(|_| PureStrategy::random(space, &mut rng)).collect();
+            for payoff in payoffs() {
+                for rounds in [0u32, 1, 7, 200] {
+                    let config = GameConfig { rounds, noise: 0.0, payoff };
+                    check::<1>(&space, &strats, &config);
+                    check::<2>(&space, &strats, &config);
+                    check::<3>(&space, &strats, &config);
+                    check::<4>(&space, &strats, &config);
+                    let single = play_deterministic(&space, &strats[0], &strats[1], &config);
+                    let [lane] = play_deterministic_lanes(&space, &strats[0], [&strats[1]], &config);
+                    assert_same_bits(&single, &lane, "play_deterministic is the one-lane case");
+                }
+            }
+        }
+
+        /// `play` and `play_transcript` are the oracle's game — outcome,
+        /// moves, and the position they leave the RNG at — for pure and
+        /// mixed strategies, with and without noise.
+        #[test]
+        fn sampled_kernels_match_the_oracle(seed in proptest::prelude::any::<u64>(), mem in 0usize..=6) {
+            let space = sp(mem);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let pure = |rng: &mut ChaCha8Rng| Strategy::Pure(PureStrategy::random(space, rng));
+            let mixed = |rng: &mut ChaCha8Rng| Strategy::Mixed(crate::strategy::MixedStrategy::random(space, rng));
+            let pairs = [
+                (pure(&mut rng), pure(&mut rng)),
+                (mixed(&mut rng), mixed(&mut rng)),
+                (pure(&mut rng), mixed(&mut rng)),
+            ];
+            for (a, b) in &pairs {
+                for noise in [0.0, 0.05] {
+                    for payoff in payoffs() {
+                        let config = GameConfig { rounds: 60, noise, payoff };
+                        let ctx = format!("memory-{mem} noise {noise} {payoff:?}");
+                        let mut want_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
+                        let want = oracle(&space, a, b, &config, &mut want_rng);
+                        let want_next = want_rng.next_u64();
+
+                        let mut play_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
+                        assert_same_bits(&play(&space, a, b, &config, &mut play_rng), &want.outcome, &ctx);
+                        assert_eq!(play_rng.next_u64(), want_next, "{ctx}: play's RNG position");
+
+                        let mut transcript_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
+                        let transcript = play_transcript(&space, a, b, &config, &mut transcript_rng);
+                        assert_same_bits(&transcript.outcome, &want.outcome, &ctx);
+                        assert_eq!(transcript.moves, want.moves, "{ctx}: moves");
+                        assert_eq!(transcript_rng.next_u64(), want_next, "{ctx}: play_transcript's RNG position");
+                    }
+                }
+            }
         }
     }
 

@@ -258,3 +258,63 @@ proptest! {
         prop_assert_eq!(MixedStrategy::from_pure(&p).nearest_pure(), p);
     }
 }
+
+/// A memory-n pure strategy lifted to memory-(n+1) — the move for state `s`
+/// is the original's move for `s & mask_n`, the oldest round ignored —
+/// plays the same game (Gaffney, Harper & Knight, arXiv:1912.04493, on
+/// memory-n strategies embedded in longer memories): bit-identical focal
+/// payoffs through the lockstep lanes, the word-parallel batch where it
+/// applies and the exact Markov expectation for any matrix, and through the
+/// cycle kernel for integral ones.
+#[test]
+fn lifted_strategies_score_the_same_through_every_kernel() {
+    use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
+    use ipd::game::{play_deterministic_cycle, play_deterministic_lanes};
+    use ipd::payoff::PayoffMatrix;
+    let lift = |p: &PureStrategy, wider: StateSpace| {
+        let mask = p.space().mask();
+        PureStrategy::from_fn(wider, |s| p.move_for(s & mask))
+    };
+    let payoffs = [
+        PayoffMatrix::default(),
+        PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+        PayoffMatrix::donation(2.0, 0.3),
+    ];
+    for n in 0usize..=3 {
+        let (space, wider) = (StateSpace::new(n).unwrap(), StateSpace::new(n + 1).unwrap());
+        let mut rng = ChaCha8Rng::seed_from_u64(1912 + n as u64);
+        for _ in 0..8 {
+            let a = PureStrategy::random(space, &mut rng);
+            let b = PureStrategy::random(space, &mut rng);
+            let (la, lb) = (lift(&a, wider), lift(&b, wider));
+            for payoff in payoffs {
+                for rounds in [0u32, 1, 7, 200] {
+                    let cfg = GameConfig { rounds, noise: 0.0, payoff };
+                    let want = play_deterministic(&space, &a, &b, &cfg).fitness_a.to_bits();
+                    let ctx = format!("memory-{n} lifted, {rounds} rounds, {payoff:?}");
+                    let [vs_b, vs_a] = play_deterministic_lanes(&wider, &la, [&lb, &la], &cfg);
+                    assert_eq!(vs_b.fitness_a.to_bits(), want, "{ctx}: lanes");
+                    let self_play = play_deterministic(&space, &a, &a, &cfg).fitness_a.to_bits();
+                    assert_eq!(vs_a.fitness_a.to_bits(), self_play, "{ctx}: lanes, self-play");
+                    // The cycle kernel pays whole cycles out as one
+                    // product, which is the round-by-round sum to the bit
+                    // only where the sums are exact.
+                    let cycle = play_deterministic_cycle(&wider, &la, &lb, &cfg).fitness_a;
+                    if payoff.is_integral() {
+                        assert_eq!(cycle.to_bits(), want, "{ctx}: cycle");
+                    } else {
+                        let want = f64::from_bits(want);
+                        assert!((cycle - want).abs() <= 1e-12 * want.abs().max(1.0), "{ctx}: cycle {cycle} vs {want}");
+                    }
+                    if batch_is_word_parallel(&wider, &cfg) {
+                        let batch = play_deterministic_batch(&wider, &[(&la, &lb)], &cfg);
+                        assert_eq!(batch[0].fitness_a.to_bits(), want, "{ctx}: batch");
+                    }
+                    let (sa, sb) = (IpdStrategy::Pure(la.clone()), IpdStrategy::Pure(lb.clone()));
+                    let exact = ipd::markov::expected_outcome(&wider, &sa, &sb, &cfg);
+                    assert_eq!(exact.fitness_a.to_bits(), want, "{ctx}: markov");
+                }
+            }
+        }
+    }
+}

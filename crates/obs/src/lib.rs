@@ -159,9 +159,19 @@ impl Counters {
     /// out arithmetically.
     #[inline]
     pub fn add_game(&self, rounds: u32) {
-        self.games_played.fetch_add(1, Ordering::Relaxed);
+        self.add_games(1, rounds);
+    }
+
+    /// `games` iterated games finished together, each `rounds_each` rounds
+    /// long — one flush for a lockstep group (`ipd::game`) or a
+    /// word-parallel batch (`ipd::batch`) instead of two writes per game to
+    /// the line every worker shares. Totals are exactly those of `games`
+    /// calls to [`Counters::add_game`].
+    #[inline]
+    pub fn add_games(&self, games: u64, rounds_each: u32) {
+        self.games_played.fetch_add(games, Ordering::Relaxed);
         self.rounds_simulated
-            .fetch_add(rounds as u64, Ordering::Relaxed);
+            .fetch_add(games * rounds_each as u64, Ordering::Relaxed);
     }
 
     /// One Fermi pairwise comparison resolved
@@ -719,6 +729,7 @@ mod tests {
     fn counters_increment_and_stay_monotone() {
         let before = counters().snapshot();
         counters().add_game(200);
+        counters().add_games(3, 50);
         counters().add_fermi_update();
         counters().add_mutation();
         counters().add_rng_stream();
@@ -740,8 +751,8 @@ mod tests {
         let after = counters().snapshot();
         assert!(after.monotone_since(&before));
         let delta = after.delta_since(&before);
-        assert!(delta.games_played >= 1);
-        assert!(delta.rounds_simulated >= 200);
+        assert!(delta.games_played >= 4);
+        assert!(delta.rounds_simulated >= 350);
         assert!(delta.comm_bytes >= 64);
         assert!(delta.faults_injected >= 1);
         assert!(delta.comm_timeouts >= 1);

@@ -8,7 +8,8 @@
 #
 # The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
 # down, every update rule on both backends, mixed strategies with noise,
-# the cost knobs, the lattice shared / row-sharded / fermi-vn4, fixation
+# the cost knobs, population sizes that leave a partial lockstep group at
+# memory 2 / 3 / 6, the lattice shared / row-sharded / fermi-vn4, fixation
 # shared / replicate-sharded / --matrix, checkpoint -> resume per family
 # across backends, kill -> resume per family, and an 8-job `serve
 # --workers 1` batch — all at RAYON_NUM_THREADS=2.
@@ -101,6 +102,12 @@ run_list() {
     c run-expected run $WM --expected-fitness --sample-every 7 --heatmap
     c run-mem2 run --ssets 8 --generations 20 --seed 5 --mem 2 --mu 0.2 --beta 2 --dedup
     c dist-nocache distributed --ranks 3 $WM --no-payoff-cache
+    # The lockstep groups' awkward shapes: a partial last group of one-word
+    # strategies, 64-word strategies, and uncached ranks (every game of
+    # every owned row played, 13 opponents a row).
+    c run-tail run --ssets 13 --mem 3 --generations 20 --seed 5
+    c run-mem6 run --ssets 9 --mem 6 --generations 6 --seed 6 --rounds 50
+    c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation --no-payoff-cache
     # The lattice.
     c sp-shared spatial $SP --records sp-shared.jsonl --render --manifest-out sp-shared.manifest.json
     c sp-ranks spatial $SP --ranks 3 --records sp-ranks.jsonl --manifest-out sp-ranks.manifest.json
