@@ -4,19 +4,17 @@
 //! strategy of \[0101\], which is WSLS" — and general diagnostics of evolved
 //! populations.
 
-use evo_core::pool::StratId;
+use evo_core::pool::{census, StratId};
 use evo_core::record::PopulationSnapshot;
-use std::collections::BTreeMap;
 
 /// Abundance of each strategy id: `(id, count)` sorted by descending count
 /// (ties by ascending id).
 pub fn abundance(snapshot: &PopulationSnapshot) -> Vec<(StratId, usize)> {
-    let mut counts: BTreeMap<StratId, usize> = BTreeMap::new();
-    for &id in &snapshot.assignments {
-        *counts.entry(id).or_insert(0) += 1;
-    }
-    let mut v: Vec<(StratId, usize)> = counts.into_iter().collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let census = census(&snapshot.assignments);
+    let mut v: Vec<(StratId, usize)> =
+        census.ids().iter().zip(census.counts()).map(|(&id, &count)| (id, count as usize)).collect();
+    // A stable sort of the census's ascending ids: ties stay by id.
+    v.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
     v
 }
 
@@ -145,6 +143,34 @@ mod tests {
         // Maximal diversity: 4 distinct ids.
         let max = snap(vec![0, 1, 2, 3], vec![vec![0.0]; 4]);
         assert!((shannon_diversity(&max) - 4.0f64.ln()).abs() < 1e-12);
+    }
+
+    /// The engine's count, the snapshot's and the abundance table agree on
+    /// every generation of a mutating run.
+    #[test]
+    fn every_count_of_one_population_agrees() {
+        use evo_core::params::Params;
+        use evo_core::population::Population;
+        let params = Params {
+            num_ssets: 24,
+            mutation_rate: 0.3,
+            seed: 5,
+            ..Params::default()
+        };
+        let mut pop = Population::new(params).unwrap();
+        pop.dedup = true;
+        for _ in 0..40 {
+            pop.step();
+            let snap = pop.snapshot();
+            let ab = abundance(&snap);
+            assert_eq!(pop.distinct_strategies(), snap.distinct_strategies());
+            assert_eq!(ab.len(), snap.distinct_strategies());
+            assert_eq!(ab.iter().map(|&(_, n)| n).sum::<usize>(), 24);
+            for &(id, n) in &ab {
+                assert_eq!(n, snap.assignments.iter().filter(|&&a| a == id).count(), "count of {id}");
+            }
+        }
+        assert!(pop.pool().len() > pop.distinct_strategies(), "mutants came and went");
     }
 
     #[test]

@@ -39,12 +39,11 @@ use evo_core::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan};
 use evo_core::fitness::GameKernel;
 use evo_core::graph::GraphScope;
 use evo_core::paycache::PayoffCache;
-use evo_core::pool::{StratId, StrategyPool};
+use evo_core::pool::{census, StratId, StrategyPool};
 use evo_core::record::{GenerationRecord, RunStats};
 use evo_core::spatial::{self, InitPattern, LatticeProvider, SpatialCheckpoint, SpatialParams};
 use ipd::state::StateSpace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Point-to-point tag for halo row exchanges.
 const HALO_TAG: crate::comm::Tag = 2;
@@ -84,7 +83,7 @@ struct GenSummary {
     row_sums: Vec<f64>,
     /// Max payoff over the owned cells (cell order).
     max: f64,
-    /// Distinct strategy ids present on the owned cells.
+    /// Distinct strategy ids present on the owned cells, ascending.
     distinct: Vec<StratId>,
     /// Owned cells whose strategy changed this generation.
     adoptions: u64,
@@ -556,12 +555,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                     generation,
                     row_sums: spatial::row_sums(owned_payoffs, w),
                     max: owned_payoffs.iter().cloned().fold(f64::MIN, f64::max),
-                    distinct: ctx.grid[cells.clone()]
-                        .iter()
-                        .copied()
-                        .collect::<BTreeSet<_>>()
-                        .into_iter()
-                        .collect(),
+                    distinct: census(&ctx.grid[cells.clone()]).ids().to_vec(),
                     adoptions,
                 })),
             )?;
@@ -571,7 +565,8 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
             // `row_major_mean` reduction bit for bit.
             let mut row_sums: Vec<f64> = Vec::with_capacity(h);
             let mut max = f64::MIN;
-            let mut distinct: BTreeSet<StratId> = BTreeSet::new();
+            // Every rank's distinct ids, counted once below.
+            let mut distinct: Vec<StratId> = Vec::new();
             let mut adoptions = 0u64;
             for src in 1..ranks {
                 loop {
@@ -582,7 +577,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                             }
                             row_sums.extend_from_slice(&s.row_sums);
                             max = max.max(s.max);
-                            distinct.extend(s.distinct.iter().copied());
+                            distinct.extend_from_slice(&s.distinct);
                             adoptions += s.adoptions;
                             break;
                         }
@@ -600,7 +595,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                 events: Vec::new(),
                 mean_fitness: Some(mean),
                 max_fitness: Some(max),
-                distinct_strategies: distinct.len(),
+                distinct_strategies: census(&distinct).len(),
             });
         }
         ctx.generation = generation + 1;

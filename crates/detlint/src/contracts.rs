@@ -157,7 +157,8 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 /// Files whose panic paths must be typed or reason-annotated: the
 /// distributed protocol layer, the engine transition hot path, the
 /// populations, fixation kernel and record layer that call the pair path
-/// and decode checkpoints, and the job server with its family seam and
+/// and decode checkpoints, the strategy pool whose census every backend
+/// takes each generation, and the job server with its family seam and
 /// admission queue.
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist.rs",
@@ -169,6 +170,7 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/evo-core/src/engine.rs",
     "crates/evo-core/src/fitness.rs",
     "crates/evo-core/src/fixation.rs",
+    "crates/evo-core/src/pool.rs",
     "crates/evo-core/src/population.rs",
     "crates/evo-core/src/record.rs",
     "crates/evo-core/src/spatial.rs",

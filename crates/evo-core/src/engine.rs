@@ -42,7 +42,7 @@ use crate::graph::GraphScope;
 use crate::nature::{Event, GenSchedule, NatureAgent};
 use crate::params::UpdateRule;
 use crate::paycache::{PayoffCache, PayoffKind};
-use crate::pool::{StratId, StrategyPool};
+use crate::pool::{census, StratId, StrategyPool};
 use crate::record::{GenerationRecord, RunStats};
 use ipd::game::GameConfig;
 use ipd::state::StateSpace;
@@ -255,21 +255,19 @@ impl FitnessProvider for LocalProvider<'_> {
                 games: 0,
             },
             EvalScope::Pair { teacher, learner } => {
-                let one = |focal: u32| {
-                    if self.expected_fitness {
-                        // One cache row per focal SSet; too few misses to
-                        // be worth a rayon dispatch.
-                        pairs
-                            .evaluate_distinct(
-                                self.assignments,
-                                PayoffKind::Expected,
-                                Some(focal as usize),
-                                ExecMode::Sequential,
-                            )
-                            .0[0]
-                    } else {
-                        pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize)
-                    }
+                // Expected fitness weighs each focal row by the census: one
+                // census serves both rows.
+                let census = self.expected_fitness.then(|| census(self.assignments));
+                let one = |focal: u32| match &census {
+                    // One cache row per focal SSet; too few misses to be
+                    // worth a rayon dispatch.
+                    Some(census) => pairs.evaluate_distinct(
+                        census,
+                        PayoffKind::Expected,
+                        Some(focal as usize),
+                        ExecMode::Sequential,
+                    )[0],
+                    None => pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize),
                 };
                 Provided {
                     view: FitnessView::Pair {
@@ -281,20 +279,22 @@ impl FitnessProvider for LocalProvider<'_> {
             }
             EvalScope::Full => {
                 let _span = obs::span("population.fitness");
-                let distinct = if self.expected_fitness {
-                    Some(PayoffKind::Expected)
-                } else if self.dedup && pairs.all_deterministic(self.assignments) {
-                    Some(PayoffKind::Sampled)
-                } else {
-                    None
-                };
+                // The population counted once; whether dedup is sound is a
+                // question about its u distinct strategies, not its s SSets.
+                let distinct = (self.expected_fitness || self.dedup)
+                    .then(|| census(self.assignments))
+                    .filter(|census| self.expected_fitness || pairs.all_deterministic(census.ids()));
                 match distinct {
-                    Some(kind) => {
-                        let (fitness, u) =
-                            pairs.evaluate_distinct(self.assignments, kind, None, self.exec_mode);
+                    Some(census) => {
+                        let kind = if self.expected_fitness {
+                            PayoffKind::Expected
+                        } else {
+                            PayoffKind::Sampled
+                        };
+                        let u = census.len() as u64;
                         Provided {
-                            view: FitnessView::Full(fitness),
-                            games: (u * u) as u64,
+                            view: FitnessView::Full(pairs.evaluate_distinct(&census, kind, None, self.exec_mode)),
+                            games: u * u,
                         }
                     }
                     None => Provided {

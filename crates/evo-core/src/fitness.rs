@@ -20,8 +20,11 @@
 //! [`PairPayoff::evaluate_naive`] (the paper's schedule, uncached),
 //! [`PairPayoff::evaluate_one`] (one focal SSet — what a rank owns) and
 //! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
-//! weighted by multiplicity). Which one runs when, what is cached and what
-//! is probed is stated once, in docs/PERFORMANCE.md §2.
+//! weighted by multiplicity). The distinct strategies and multiplicities
+//! are a [`Census`] the caller takes once per generation; the weighted rows
+//! go back to the SSets through it ([`Census::spread`]). Which evaluator
+//! runs when, what is cached and what is probed is stated once, in
+//! docs/PERFORMANCE.md §2.
 //!
 //! Deterministic games that have to be played are played a *group* at a
 //! time: one focal strategy against up to `LANES` opponents, dispatched to
@@ -33,7 +36,7 @@
 //! add in SSet order, insert — with or without a cache.
 
 use crate::paycache::{PayoffCache, PayoffKind, Reader};
-use crate::pool::{StratId, StrategyPool};
+use crate::pool::{census, Census, StratId, StrategyPool};
 use crate::rngstream::game_stream;
 use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
 use ipd::game::{play, play_deterministic_cycle, play_deterministic_lanes, GameConfig, GameOutcome};
@@ -43,7 +46,6 @@ use ipd::strategy::{PureStrategy, Strategy};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// How the game-dynamics phase is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -275,6 +277,9 @@ impl<'a> PairPayoff<'a> {
     /// Fitness from each *distinct* ordered strategy pair once, combined by
     /// multiplicity: every SSet's (`focal: None`), or only SSet `i`'s
     /// (`Some(i)`, a one-element vector — one cache row probed, not `u²`).
+    /// The distinct strategies and their multiplicities are `census`'s
+    /// ([`crate::pool::census`] of the assignments), taken once by the
+    /// caller.
     ///
     /// `kind` picks the pair value. [`PayoffKind::Expected`] is the exact
     /// expectation — sound for any strategies, and a change of *dynamics*
@@ -284,35 +289,27 @@ impl<'a> PairPayoff<'a> {
     /// panics otherwise (dedup would change stochastic results). Cache
     /// misses are replayed on `mode`'s schedule, sampled ones 64 per word
     /// through [`play_deterministic_batch`] where it applies.
-    ///
-    /// Returns the fitness vector and `u`, the number of distinct assigned
-    /// strategies (`u²` games stand behind a full evaluation).
     pub fn evaluate_distinct(
         &self,
-        assignments: &[StratId],
+        census: &Census,
         kind: PayoffKind,
         focal: Option<usize>,
         mode: ExecMode,
-    ) -> (Vec<f64>, usize) {
-        // Multiplicity of each distinct id, in ascending-id order: every
-        // float accumulation below runs in that order, so it is stable run
-        // to run (a hash map would reorder it).
-        let mut multiplicity: BTreeMap<StratId, f64> = BTreeMap::new();
-        for &id in assignments {
-            *multiplicity.entry(id).or_insert(0.0) += 1.0;
-        }
-        let (unique, counts): (Vec<StratId>, Vec<f64>) = multiplicity.into_iter().unzip();
+    ) -> Vec<f64> {
+        // Every float accumulation below runs in the census's ascending-id
+        // order, so it is stable run to run.
+        let unique = census.ids();
         assert!(
-            kind == PayoffKind::Expected || self.all_deterministic(&unique),
+            kind == PayoffKind::Expected || self.all_deterministic(unique),
             "deduplicated evaluation requires pure strategies and zero noise"
         );
         let one;
         let rows: &[StratId] = match focal {
             Some(i) => {
-                one = [assignments[i]];
+                one = [census.assignments()[i]];
                 &one
             }
-            None => &unique,
+            None => unique,
         };
         let u = unique.len();
         // payoff[r*u + q] = focal payoff of row strategy r against unique
@@ -377,17 +374,12 @@ impl<'a> PairPayoff<'a> {
         // fitness of row r = Σ_q count[q] · payoff[r][q], ascending q.
         let weighted: Vec<f64> = payoff
             .chunks(u.max(1))
-            .map(|row| counts.iter().zip(row).map(|(c, v)| c * v).sum())
+            .map(|row| census.counts().iter().zip(row).map(|(&c, v)| f64::from(c) * v).sum())
             .collect();
-        let fitness = match focal {
+        match focal {
             Some(_) => weighted,
-            None => assignments
-                .iter()
-                // detlint: allow(panic-path, reason = "invariant: `unique` is exactly the key set of the multiplicity map built from `assignments` a few lines up, so every assigned id is found")
-                .map(|id| weighted[unique.binary_search(id).expect("assigned id is counted")])
-                .collect(),
-        };
-        (fitness, u)
+            None => census.spread(&weighted),
+        }
     }
 
     /// Pre-warm the cache from a strategy table: memoise the `kind` payoff
@@ -407,17 +399,13 @@ impl<'a> PairPayoff<'a> {
             return 0;
         }
         let mut session = self.session();
-        let unique: Vec<StratId> = assignments
-            .iter()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let census = census(assignments);
+        let unique = census.ids();
         let mut inserted = 0;
-        for &a in &unique {
+        for &a in unique {
             match kind {
                 PayoffKind::Expected => {
-                    for &b in &unique {
+                    for &b in unique {
                         session.insert(a, b, kind, self.expected(a, b));
                         inserted += 1;
                     }
@@ -628,6 +616,26 @@ mod tests {
         (space, (0..32).map(|i| ids[i % 4]).collect(), pool)
     }
 
+    /// 16 SSets over a pool ~200 times their size, as a long mutating run
+    /// leaves it: every SSet was overwritten by fresh strategies again and
+    /// again, then took one of five survivors scattered across the pool —
+    /// few, high and sparse live ids among thousands of dead ones.
+    fn setup_dead_pool() -> (StateSpace, Vec<StratId>, StrategyPool) {
+        let (space, mut asg, mut pool) = setup_pure(16, 2, 71);
+        let mut rng = stream(71, Domain::Init, 1, 0);
+        for _ in 0..200 {
+            for slot in &mut asg {
+                *slot = pool.intern(Strategy::Pure(PureStrategy::random(space, &mut rng)));
+            }
+        }
+        let top = pool.len() as StratId - 1;
+        for (i, slot) in asg.iter_mut().enumerate() {
+            *slot = top - (i as StratId % 5) * 700;
+        }
+        assert!(pool.len() > 100 * asg.len());
+        (space, asg, pool)
+    }
+
     fn cfg() -> GameConfig {
         GameConfig {
             rounds: 50,
@@ -679,8 +687,8 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
-        let dedup_par = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Rayon).0;
+        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        let dedup_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Rayon);
         for i in 0..32 {
             assert!((naive[i] - dedup[i]).abs() < 1e-9, "sset {i}");
             assert!((naive[i] - dedup_par[i]).abs() < 1e-9, "sset {i} (rayon)");
@@ -693,7 +701,7 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 9, 2, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
+        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
         for i in 0..asg.len() {
             assert!((naive[i] - dedup[i]).abs() < 1e-9);
         }
@@ -704,7 +712,7 @@ mod tests {
     fn deduped_rejects_noise() {
         let (space, asg, pool) = setup_pure(8, 1, 0);
         let game = noisy(10, 0.1);
-        plain(&space, &pool, &game).evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential);
+        plain(&space, &pool, &game).evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
     }
 
     #[test]
@@ -714,7 +722,7 @@ mod tests {
         let mut pool = StrategyPool::new();
         let id = pool.intern(Strategy::Mixed(classic::random_mixed(&space)));
         plain(&space, &pool, &cfg()).evaluate_distinct(
-            &[id, id],
+            &census(&[id, id]),
             PayoffKind::Sampled,
             None,
             ExecMode::Sequential,
@@ -805,11 +813,11 @@ mod tests {
         let (space, asg, pool) = setup_pure(24, 2, 7);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let vec_seq = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
-        let vec_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon).0;
+        let vec_seq = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let vec_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Rayon);
         for (i, expected) in vec_seq.iter().enumerate() {
             assert_eq!(expected.to_bits(), vec_par[i].to_bits(), "sset {i} (rayon)");
-            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential).0;
+            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), ExecMode::Sequential);
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i}");
         }
 
@@ -817,9 +825,9 @@ mod tests {
         let (space, asg, pool) = setup_mixed(12, 4, 33);
         let game = noisy(40, 0.03);
         let pp = plain(&space, &pool, &game);
-        let vec = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let vec = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
         for (i, expected) in vec.iter().enumerate() {
-            let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), ExecMode::Sequential).0;
+            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), ExecMode::Sequential);
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i} (mixed)");
         }
     }
@@ -831,8 +839,8 @@ mod tests {
         let game = cfg();
         let pp = plain(&space, &pool, &game);
         let naive = pp.evaluate_naive(&asg, 17, 0, ExecMode::Sequential);
-        let expected = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
-        let expected_par = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Rayon).0;
+        let expected = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let expected_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Rayon);
         for i in 0..asg.len() {
             assert!((naive[i] - expected[i]).abs() < 1e-6, "sset {i}");
             assert!((expected[i] - expected_par[i]).abs() < 1e-12);
@@ -846,8 +854,8 @@ mod tests {
         let (space, asg, pool) = setup_mixed(8, 8, 23);
         let game = noisy(50, 0.02);
         let pp = plain(&space, &pool, &game);
-        let e1 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
-        let e2 = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let e1 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let e2 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
         assert_eq!(e1, e2);
         // And it approximates the mean of many sampled evaluations.
         let mut mean = vec![0.0; asg.len()];
@@ -875,20 +883,21 @@ mod tests {
     fn every_kernel_cache_state_and_schedule_gives_the_same_bits() {
         let game = cfg();
         // Word-parallel gate open (memory one), shut (memory three), a
-        // mid-depth population with few duplicates, and two sizes that
-        // leave a partial last group.
+        // mid-depth population with few duplicates, two sizes that leave a
+        // partial last group, and a pool mostly of dead ids.
         let populations = [
             setup_classics(),
             setup_pure(40, 3, 9),
             setup_pure(20, 2, 13),
             setup_pure(3, 2, 5),
             setup_pure(13, 3, 6),
+            setup_dead_pool(),
         ];
         for (space, asg, pool) in &populations {
             let reference = plain(space, pool, &game);
             let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
             let dedup =
-                bits(&reference.evaluate_distinct(asg, PayoffKind::Sampled, None, ExecMode::Sequential).0);
+                bits(&reference.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, ExecMode::Sequential));
             let unique: Vec<StratId> = asg.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
             let pure = |id: StratId| match pool.get(id).as_ref() {
                 Strategy::Pure(p) => p,
@@ -931,13 +940,13 @@ mod tests {
                     for mode in [ExecMode::Sequential, ExecMode::Rayon] {
                         assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
                         assert_eq!(
-                            bits(&pp.evaluate_distinct(asg, PayoffKind::Sampled, None, mode).0),
+                            bits(&pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, mode)),
                             dedup,
                             "{label} {mode:?}"
                         );
                         for i in 0..asg.len() {
                             assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
-                            let one = pp.evaluate_distinct(asg, PayoffKind::Sampled, Some(i), mode).0;
+                            let one = pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, Some(i), mode);
                             assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
                         }
                     }
@@ -982,19 +991,19 @@ mod tests {
         let (space, asg, pool) = setup_mixed(12, 4, 41);
         let game = noisy(40, 0.03);
         let exact = bits(&plain(&space, &pool, &game).evaluate_distinct(
-            &asg,
+            &census(&asg),
             PayoffKind::Expected,
             None,
             ExecMode::Sequential,
-        ).0);
+        ));
         let cache = PayoffCache::new(game);
         for cached in [None, Some(&cache), Some(&cache)] {
             let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, cached);
             for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                assert_eq!(bits(&pp.evaluate_distinct(&asg, PayoffKind::Expected, None, mode).0), exact);
+                assert_eq!(bits(&pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, mode)), exact);
                 // The OnDemand companion shares the same entries.
                 for (i, want) in exact.iter().enumerate() {
-                    let one = pp.evaluate_distinct(&asg, PayoffKind::Expected, Some(i), mode).0;
+                    let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), mode);
                     assert_eq!(bits(&one), [*want], "sset {i} (one)");
                 }
             }
@@ -1126,10 +1135,10 @@ mod tests {
         let game = cfg();
         let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         let before = obs::counters().snapshot();
-        let cold = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
+        let cold = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
         let mid = obs::counters().snapshot();
         assert!(mid.payoff_cache_misses >= before.payoff_cache_misses + 4);
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
         let after = obs::counters().snapshot();
         assert!(after.payoff_cache_hits >= mid.payoff_cache_hits + 4);
         assert_eq!(cold, warm);
@@ -1140,11 +1149,11 @@ mod tests {
         let (space, asg, pool) = setup_pure(24, 2, 61);
         // Cold reference.
         let cold = plain(&space, &pool, &cfg()).evaluate_distinct(
-            &asg,
+            &census(&asg),
             PayoffKind::Sampled,
             None,
             ExecMode::Sequential,
-        ).0;
+        );
         // Pre-warmed cache: the first evaluation must be all hits and
         // bit-identical to the cold result.
         let cache = PayoffCache::new(cfg());
@@ -1155,7 +1164,7 @@ mod tests {
         assert_eq!(n, unique * unique, "every ordered distinct pair memoised");
         assert_eq!(cache.len(), n);
         let before = obs::counters().snapshot();
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Sampled, None, ExecMode::Sequential).0;
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
         let after = obs::counters().snapshot();
         assert_eq!(
             after.payoff_cache_misses, before.payoff_cache_misses,
@@ -1169,16 +1178,16 @@ mod tests {
         let (space, asg, pool) = setup_mixed(12, 4, 62);
         let game = noisy(40, 0.03);
         let cold = plain(&space, &pool, &game).evaluate_distinct(
-            &asg,
+            &census(&asg),
             PayoffKind::Expected,
             None,
             ExecMode::Sequential,
-        ).0;
+        );
         let cache = PayoffCache::new(game);
         let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
         let n = pp.prewarm(&asg, PayoffKind::Expected);
         assert_eq!(n, 16, "4 distinct strategies → 16 Expected entries");
-        let warm = pp.evaluate_distinct(&asg, PayoffKind::Expected, None, ExecMode::Sequential).0;
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
         assert_eq!(bits(&cold), bits(&warm));
     }
 

@@ -7,8 +7,18 @@
 //! `Vec<StratId>` — the paper's `SSet_strat` array of "strategy IDs assigned
 //! to all SSets". Interning also lets the deduplicated fitness evaluator
 //! ([`crate::fitness`]) play each distinct strategy pair only once.
+//!
+//! Whatever a generation needs to know about *which* strategies its SSets
+//! hold — the distinct ids the deduplicated evaluator plays, their
+//! multiplicities, the count a record reports — comes from one [`census`]
+//! of the assignment array. It counts into a flat per-thread tally indexed
+//! by [`StratId`] and resets only the entries it touched, so it costs
+//! O(s + u log u) for s SSets holding u distinct strategies, however many
+//! strategies the pool has interned over the run (docs/PERFORMANCE.md
+//! §2.1).
 
 use ipd::strategy::Strategy;
+use std::cell::RefCell;
 // detlint: allow(hash-iter, reason = "interning index is point-lookup only; never iterated, so hash order cannot reach any result")
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,6 +89,111 @@ impl StrategyPool {
     }
 }
 
+thread_local! {
+    /// This thread's tally: `TALLY[id]` counts SSets holding `id` while a
+    /// census runs and is 0 between censuses. Grow-only, 4 B per id up to
+    /// the largest id this thread has counted.
+    static TALLY: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's tally, grown to hold id `top`. `f` must leave
+/// every entry it touched at 0.
+fn with_tally<R>(top: StratId, f: impl FnOnce(&mut [u32]) -> R) -> R {
+    TALLY.with(|tally| {
+        // Cannot re-enter: both callers pass census code that calls out to
+        // nothing (no callback, no user type's code), so no second borrow
+        // of this thread's tally can start while this one is held.
+        let mut tally = tally.borrow_mut();
+        let len = top as usize + 1;
+        if tally.len() < len {
+            tally.resize(len, 0);
+        }
+        f(&mut tally[..len])
+    })
+}
+
+/// The distinct strategies among a population's assignments, counted once
+/// — see [`census`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Census<'a> {
+    assignments: &'a [StratId],
+    ids: Vec<StratId>,
+    counts: Vec<u32>,
+}
+
+impl<'a> Census<'a> {
+    /// The assignments this census counted.
+    pub fn assignments(&self) -> &'a [StratId] {
+        self.assignments
+    }
+
+    /// The distinct ids, ascending.
+    pub fn ids(&self) -> &[StratId] {
+        &self.ids
+    }
+
+    /// `counts()[k]` = the number of SSets holding `ids()[k]`; they sum to
+    /// the number of SSets.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// u, the number of distinct ids.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` for a census of no SSets.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Spread one value per distinct id (`rows[k]` belongs to `ids()[k]`)
+    /// back to the SSets: element `i` of the result is the row of the id
+    /// SSet `i` holds. O(s + u); panics if `rows` is not one per id.
+    pub fn spread<T: Copy>(&self, rows: &[T]) -> Vec<T> {
+        assert_eq!(rows.len(), self.ids.len(), "one row per distinct id");
+        with_tally(self.ids.last().copied().unwrap_or(0), |tally| {
+            for (k, &id) in self.ids.iter().enumerate() {
+                tally[id as usize] = k as u32;
+            }
+            let spread = self.assignments.iter().map(|&id| rows[tally[id as usize] as usize]).collect();
+            for &id in &self.ids {
+                tally[id as usize] = 0;
+            }
+            spread
+        })
+    }
+}
+
+/// Count a population's strategies: the distinct ids among `assignments`
+/// in ascending order, each with its exact number of SSets.
+///
+/// O(s + u log u), independent of how many strategies the pool holds:
+/// the count goes into this thread's flat tally, which only grows, and
+/// only the u entries touched are reset. Ascending order and integer
+/// counts make every sum weighted by them run in one fixed order, so its
+/// bits are stable run to run and across threads.
+pub fn census(assignments: &[StratId]) -> Census<'_> {
+    with_tally(assignments.iter().copied().max().unwrap_or(0), |tally| {
+        let mut ids = Vec::new();
+        for &id in assignments {
+            let count = &mut tally[id as usize];
+            if *count == 0 {
+                ids.push(id);
+            }
+            *count += 1;
+        }
+        ids.sort_unstable();
+        let counts = ids.iter().map(|&id| std::mem::take(&mut tally[id as usize])).collect();
+        Census {
+            assignments,
+            ids,
+            counts,
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,5 +259,94 @@ mod tests {
         let pool = StrategyPool::new();
         assert!(pool.is_empty());
         assert_eq!(pool.len(), 0);
+    }
+
+    /// The census as a `BTreeMap` would take it: ascending `(id, count)`.
+    fn reference(assignments: &[StratId]) -> Vec<(StratId, u32)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for &id in assignments {
+            *counts.entry(id).or_insert(0) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    /// `census` against the reference, plus what it promises beyond it:
+    /// counts summing to s, and `spread` giving each SSet its id's row.
+    fn check(assignments: &[StratId]) {
+        let c = census(assignments);
+        let pairs: Vec<(StratId, u32)> = c.ids().iter().copied().zip(c.counts().iter().copied()).collect();
+        assert_eq!(pairs, reference(assignments), "census of {assignments:?}");
+        assert!(c.ids().windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        assert_eq!(c.counts().iter().map(|&n| n as usize).sum::<usize>(), assignments.len());
+        assert_eq!((c.len(), c.is_empty()), (pairs.len(), assignments.is_empty()));
+        assert_eq!(c.assignments(), assignments);
+        assert_eq!(census(assignments), c, "the census left its tally clean");
+        let rows: Vec<usize> = (0..c.len()).collect();
+        let spread: Vec<StratId> = c.spread(&rows).into_iter().map(|k| c.ids()[k]).collect();
+        assert_eq!(spread, assignments, "spread hands every SSet its own id's row");
+    }
+
+    mod census_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Dense ids with heavy duplication, as a well-mixed run holds
+            /// them; then, on the same thread, sparse ids up to 100 000
+            /// (a long run's pool) and a disjoint repeat — each must match
+            /// the reference, so the tally was left clean every time.
+            #[test]
+            fn census_matches_a_btreemap(
+                dense in prop::collection::vec(0u32..16, 0..600),
+                sparse in prop::collection::vec(0u32..100_000, 8),
+                shift in 1u32..1000,
+            ) {
+                check(&dense);
+                check(&sparse);
+                let disjoint: Vec<StratId> = sparse.iter().map(|&id| id + 100_000 + shift).collect();
+                check(&disjoint);
+                check(&dense);
+            }
+        }
+    }
+
+    #[test]
+    fn census_edge_cases() {
+        check(&[]);
+        assert_eq!(census(&[]).spread::<f64>(&[]), Vec::<f64>::new());
+        check(&[7; 512]);
+        check(&[0]);
+        check(&[199_999, 0, 199_999]);
+        check(&[]);
+        let c = census(&[3, 1, 3, 3]);
+        assert_eq!((c.ids(), c.counts()), (&[1, 3][..], &[1, 3][..]));
+        assert_eq!(c.spread(&[10.0, 30.0]), vec![30.0, 10.0, 30.0, 30.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per distinct id")]
+    fn spread_needs_one_row_per_id() {
+        census(&[1, 2]).spread(&[0.0]);
+    }
+
+    /// Censuses on several threads at once: each thread's tally is its own.
+    #[test]
+    fn censuses_on_concurrent_threads_agree_with_the_reference() {
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..200u32 {
+                        let assignments: Vec<StratId> =
+                            (0..64u32).map(|i| (i * 7 + round * 13 + t * 1000) % (50 + 97 * t + round)).collect();
+                        check(&assignments);
+                    }
+                });
+            }
+        });
     }
 }

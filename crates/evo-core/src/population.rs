@@ -6,13 +6,12 @@ use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff};
 use crate::nature::NatureAgent;
 use crate::params::{Params, ParamsError, StrategyKind};
 use crate::paycache::{PayoffCache, PayoffKind};
-use crate::pool::{StratId, StrategyPool};
+use crate::pool::{census, StratId, StrategyPool};
 use crate::record::{Checkpoint, CheckpointError, GenerationRecord, PopulationSnapshot, RunStats};
 use crate::rngstream::{stream, Domain};
 use crate::sset::SSetLayout;
 use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The generation-zero strategy table of a run: SSet `i` holds an
@@ -225,7 +224,7 @@ impl Population {
 
     /// Number of distinct strategies currently assigned.
     pub fn distinct_strategies(&self) -> usize {
-        self.assignments.iter().collect::<BTreeSet<_>>().len()
+        census(&self.assignments).len()
     }
 
     /// Run one generation through the engine core

@@ -6,7 +6,7 @@
 //! (the raw data behind the paper's Fig 2 strategy-population views).
 
 use crate::nature::Event;
-use crate::pool::{StratId, StrategyPool};
+use crate::pool::{census, StratId, StrategyPool};
 use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
 use serde::{Deserialize, Serialize};
@@ -67,10 +67,7 @@ impl PopulationSnapshot {
 
     /// Number of distinct strategy ids present.
     pub fn distinct_strategies(&self) -> usize {
-        let mut ids: Vec<StratId> = self.assignments.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
+        census(&self.assignments).len()
     }
 }
 

@@ -44,7 +44,7 @@ use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
 use crate::fitness::{GameKernel, PairPayoff, Session};
 use crate::graph::{GraphScope, Lattice};
 use crate::paycache::PayoffCache;
-use crate::pool::{StratId, StrategyPool};
+use crate::pool::{census, StratId, StrategyPool};
 use crate::record::{
     check_schema, decode_tables, pool_table, CheckpointError, GenerationRecord, PopulationSnapshot,
     RunStats,
@@ -55,7 +55,6 @@ use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 pub use crate::graph::Neighborhood;
 
@@ -514,7 +513,7 @@ impl SpatialPopulation {
 
     /// Number of distinct strategies on the grid.
     pub fn distinct_strategies(&self) -> usize {
-        self.grid.iter().collect::<BTreeSet<_>>().len()
+        census(&self.grid).len()
     }
 
     /// A full state view (grid ids plus per-cell feature vectors) — the

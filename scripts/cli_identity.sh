@@ -9,7 +9,9 @@
 # The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
 # down, every update rule on both backends, mixed strategies with noise,
 # the cost knobs, population sizes that leave a partial lockstep group at
-# memory 2 / 3 / 6, the lattice shared / row-sharded / fermi-vn4, fixation
+# memory 2 / 3 / 6, the strategy census (a pool far larger than the
+# population, expected fitness on demand, dedup counters in a manifest),
+# the lattice shared / row-sharded / fermi-vn4, fixation
 # shared / replicate-sharded / --matrix, checkpoint -> resume per family
 # across backends, kill -> resume per family, and an 8-job `serve
 # --workers 1` batch — all at RAYON_NUM_THREADS=2.
@@ -108,6 +110,12 @@ run_list() {
     c run-tail run --ssets 13 --mem 3 --generations 20 --seed 5
     c run-mem6 run --ssets 9 --mem 6 --generations 6 --seed 6 --rounds 50
     c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation --no-payoff-cache
+    # The census: a pool far larger than the population (mutation at every
+    # other generation), the Pair scope's one census for two expected rows,
+    # and the dedup path's hits, misses and games in a manifest.
+    c run-deadpool run --ssets 16 --mem 3 --generations 2000 --mu 0.5 --seed 8 --dedup --records run-deadpool.jsonl
+    c run-expected-od run $WM --expected-fitness --on-demand --records run-expected-od.jsonl
+    c wm_cached-manifest run --ssets 512 --mem 1 --generations 200 --seed 12 --dedup --manifest-out wm_cached.manifest.json
     # The lattice.
     c sp-shared spatial $SP --records sp-shared.jsonl --render --manifest-out sp-shared.manifest.json
     c sp-ranks spatial $SP --ranks 3 --records sp-ranks.jsonl --manifest-out sp-ranks.manifest.json
