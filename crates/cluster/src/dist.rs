@@ -38,14 +38,15 @@
 //! - any rank that fails **kills itself** before returning, so the failure
 //!   cascades: peers blocked on it unblock with `RankDead` within one
 //!   generation instead of deadlocking;
-//! - rank 0 maintains a generation-boundary [`Checkpoint`] while a fault
-//!   plan is active and surfaces it in the [`DegradedRun`] it returns, so
-//!   a degraded run is always restartable — and resuming reproduces the
+//! - a degraded run surfaces a generation-boundary [`Checkpoint`] in the
+//!   [`DegradedRun`] it returns, and resuming from it reproduces the
 //!   uninterrupted trajectory bit for bit.
 //!
-//! The launch, result fold, kill cascade and degraded payload are the
-//! `driver` module's, shared with the lattice ([`graph`]) and fixation
-//! ([`fixation`]) runners; this file keeps the well-mixed protocol body.
+//! All of that is the `driver` module's — the launch, kill cascade and
+//! degraded payload shared with the lattice ([`graph`]) and fixation
+//! ([`fixation`]) runners, and the generation frame (boundary snapshots,
+//! kill checks, periodic checkpoints, teardown) shared with the lattice;
+//! this file keeps one well-mixed generation's body.
 
 mod driver;
 pub mod fixation;
@@ -56,7 +57,7 @@ pub use driver::Degraded;
 use crate::collective::Collective;
 use crate::comm::{ClusterError, Comm, Rank};
 use crate::faults::FaultPlan;
-use driver::{Protocol, RankError};
+use driver::{Generations, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
 use evo_core::fitness::{FitnessPolicy, GameKernel, PairPayoff};
 use evo_core::nature::{Event, NatureAgent};
@@ -261,12 +262,13 @@ pub fn owned_range(rank: usize, num_ssets: usize, ranks: usize) -> std::ops::Ran
 }
 
 /// The well-mixed protocol: the run's configuration (its `params` already
-/// the ones driving the run), the validated state space and, on resume,
-/// the checkpoint's decoded strategy tables — shipped into the cluster
-/// closure once.
+/// the ones driving the run), the validated state space, the Nature Agent
+/// and, on resume, the checkpoint's decoded strategy tables — shipped into
+/// the cluster closure once.
 struct WellMixed {
     config: DistConfig,
     space: StateSpace,
+    nature: NatureAgent,
     restored: Option<(StrategyPool, Vec<StratId>)>,
 }
 
@@ -308,52 +310,170 @@ pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
         ),
     };
     let spec = WellMixed {
+        nature: NatureAgent::from_params(&config.params),
         config,
         space,
         restored,
     };
-    let (mut outcome, messages_sent) =
+    let (rank0, messages_sent) =
         driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
-    outcome.messages_sent = messages_sent;
-    Ok(outcome)
+    let st = rank0.state;
+    Ok(DistOutcome {
+        features: st.assignments.iter().map(|&id| st.pool.get(id).feature_vector()).collect(),
+        assignments: st.assignments,
+        stats: st.stats,
+        messages_sent,
+        events: st.events,
+        generation_ns: rank0.generation_ns,
+        checkpoint: rank0.periodic,
+    })
 }
 
-impl Protocol for WellMixed {
-    type Msg = DistMsg;
-    type Outcome = DistOutcome;
-    /// A compute rank's final replicated strategy table.
-    type Piece = Vec<StratId>;
-    type Checkpoint = Checkpoint;
+/// One rank's replicated strategy table and the SSets it owns.
+struct RankState {
+    pool: StrategyPool,
+    assignments: Vec<StratId>,
+    stats: RunStats,
+    /// Rank 0 only: events per generation.
+    events: Vec<Vec<Event>>,
+    owned: std::ops::Range<usize>,
+    /// This rank's payoff memo-cache, surviving across generations.
+    /// Excluded from checkpoints by design: a resumed run restarts it
+    /// cold and still reproduces the identical trajectory (cost-only).
+    cache: PayoffCache,
+}
 
-    fn coordinate(&self, comm: &Comm<DistMsg>) -> Result<DistOutcome, Box<DegradedRun>> {
-        let (ctx, result) = self.run(comm);
-        match result {
-            Ok(()) => Ok(DistOutcome {
-                features: ctx
-                    .assignments
-                    .iter()
-                    .map(|&id| ctx.pool.get(id).feature_vector())
-                    .collect(),
-                assignments: ctx.assignments,
-                stats: ctx.stats,
-                // Placeholder: `run_distributed` overwrites this with the
-                // exact post-join cluster total.
-                messages_sent: 0,
-                events: ctx.all_events,
-                generation_ns: ctx.generation_ns,
-                checkpoint: ctx.periodic,
-            }),
-            Err(e) => Err(driver::stopped(&e, ctx.generation, ctx.boundary, Vec::new())),
+impl Generations for WellMixed {
+    type Msg = DistMsg;
+    type State = RankState;
+    type Checkpoint = Checkpoint;
+    const BARRIER: DistMsg = DistMsg::Scalar(0.0);
+
+    fn schedule(&self) -> Schedule<'_> {
+        let start = self.config.resume.as_ref().map_or(0, |cp| cp.generation);
+        Schedule {
+            faults: &self.config.faults,
+            checkpoint_every: self.config.checkpoint_every,
+            generations: start..self.config.params.generations,
         }
     }
 
-    fn compute(&self, comm: &Comm<DistMsg>) -> Result<Vec<StratId>, RankError> {
-        let (ctx, result) = self.run(comm);
-        result.map(|()| ctx.assignments)
+    fn init(&self, rank: Rank, ranks: usize) -> RankState {
+        // Every rank builds the identical initial table (paper: the global
+        // strategy view is set up in the initialisation broadcast; here the
+        // counter-based streams make it reproducible locally). Resume copies
+        // the tables `run_distributed` decoded from the checkpoint.
+        let (pool, assignments) = match &self.restored {
+            Some(tables) => tables.clone(),
+            None => initial_tables(&self.config.params, self.space),
+        };
+        let state = RankState {
+            pool,
+            assignments,
+            stats: self.config.resume.as_ref().map_or_else(RunStats::default, |cp| cp.stats),
+            events: Vec::new(),
+            owned: owned_range(rank, self.config.params.num_ssets, ranks),
+            cache: PayoffCache::new(self.config.params.game),
+        };
+        if !self.config.disable_payoff_cache && self.config.resume.is_some() {
+            // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
+            // excluded from checkpoints, so pre-warm it from the restored
+            // strategy table instead of replaying the pair matrix on the
+            // first post-resume evaluation. Cost-only; every value comes
+            // from the same pure functions a cache miss would call.
+            PairPayoff::new(
+                &self.space,
+                &state.pool,
+                &self.config.params.game,
+                GameKernel::Naive,
+                Some(&state.cache),
+            )
+            .prewarm(&state.assignments, PayoffKind::Sampled);
+        }
+        state
     }
 
-    fn agrees(outcome: &DistOutcome, table: &Vec<StratId>) -> bool {
-        *table == outcome.assignments
+    fn step(
+        &self,
+        comm: &Comm<DistMsg>,
+        coll: &Collective<'_, Comm<DistMsg>>,
+        st: &mut RankState,
+        generation: u64,
+        _whole: bool,
+    ) -> Result<(), RankError> {
+        let is_nature = comm.rank() == 0;
+        let params = &self.config.params;
+        let num_ssets = params.num_ssets;
+
+        // (1) Nature plans the generation and broadcasts the plan.
+        let msg = is_nature.then(|| {
+            DistMsg::Plan(engine::plan(
+                &self.nature,
+                num_ssets as u32,
+                params.rule,
+                self.config.policy,
+                generation,
+            ))
+        });
+        let plan = match coll.bcast(0, msg)? {
+            DistMsg::Plan(p) => p,
+            _ => return Err(RankError::Protocol("generation plan")),
+        };
+
+        // (2) Game dynamics and fitness movement through the provider.
+        let provided = RankProvider {
+            comm,
+            coll,
+            owned: st.owned.clone(),
+            num_ssets,
+            space: &self.space,
+            assignments: &st.assignments,
+            pool: &st.pool,
+            game: &params.game,
+            seed: params.seed,
+            faults: &self.config.faults,
+            cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
+        }
+        .provide(&plan)?;
+
+        // (3) Nature applies the plan — the engine core owns all stats —
+        // and broadcasts the decision; (4) every rank commits it. PC-free,
+        // mutation-free generations broadcast nothing beyond the plan.
+        if is_nature {
+            let delta = engine::apply(
+                &self.nature,
+                &self.space,
+                &plan,
+                &provided,
+                &mut st.assignments,
+                &mut st.pool,
+                &mut st.stats,
+            );
+            if plan.has_update() {
+                coll.bcast(0, Some(DistMsg::Decision(delta.decision.clone())))?;
+            }
+            st.events.push(delta.events);
+        } else if plan.has_update() {
+            match coll.bcast(0, None)? {
+                DistMsg::Decision(decision) => {
+                    // Compute ranks replay the commit on their replicated
+                    // table; rank 0's `stats` is the authoritative copy.
+                    let mut replica_stats = RunStats::default();
+                    engine::commit(&decision, &mut st.assignments, &mut st.pool, &mut replica_stats);
+                }
+                _ => return Err(RankError::Protocol("decision")),
+            }
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self, st: &RankState, generation: u64) -> Checkpoint {
+        Checkpoint::capture(&self.config.params, generation, &st.pool, &st.assignments, st.stats)
+    }
+
+    /// A compute rank's replicated strategy table against rank 0's.
+    fn agrees(rank0: &RankState, st: &RankState) -> bool {
+        st.assignments == rank0.assignments
     }
 }
 
@@ -505,204 +625,6 @@ impl RankProvider<'_> {
         };
         Ok(Provided { view, games })
     }
-}
-
-/// Mutable per-rank run state, kept outside the generation loop so the
-/// failure path can snapshot it.
-struct RankCtx {
-    pool: StrategyPool,
-    assignments: Vec<StratId>,
-    stats: RunStats,
-    all_events: Vec<Vec<Event>>,
-    generation_ns: Vec<u64>,
-    /// Generations fully committed so far (the resume point).
-    generation: u64,
-    /// Rank 0 only: consistent snapshot at the current generation boundary,
-    /// refreshed each generation while a fault plan is active (mid-
-    /// generation failures must not checkpoint half-applied state).
-    boundary: Option<Checkpoint>,
-    /// Rank 0 only: the latest `checkpoint_every` periodic snapshot.
-    periodic: Option<Checkpoint>,
-    /// This rank's payoff memo-cache, surviving across generations.
-    /// Excluded from checkpoints by design: a resumed run restarts it
-    /// cold and still reproduces the identical trajectory (cost-only).
-    cache: PayoffCache,
-}
-
-/// Build a restartable checkpoint of `ctx` (call only at a generation
-/// boundary, when pool/assignments/stats are mutually consistent).
-fn snapshot(params: &Params, ctx: &RankCtx) -> Checkpoint {
-    Checkpoint::capture(params, ctx.generation, &ctx.pool, &ctx.assignments, ctx.stats)
-}
-
-impl WellMixed {
-    /// Per-rank body of the distributed engine: initialise (or resume) and
-    /// drive the generation loop. Returns the rank's state alongside the
-    /// loop's verdict so the failure path can report from it.
-    fn run(&self, comm: &Comm<DistMsg>) -> (RankCtx, Result<(), RankError>) {
-        let mut ctx = init(self, comm.rank() == 0);
-        let result = drive(comm, self, &mut ctx);
-        (ctx, result)
-    }
-}
-
-/// Build the rank's initial state: fresh at generation zero, or restored
-/// from the resume checkpoint.
-fn init(spec: &WellMixed, is_nature: bool) -> RankCtx {
-    // Every rank builds the identical initial table (paper: the global
-    // strategy view is set up in the initialisation broadcast; here the
-    // counter-based streams make it reproducible locally). Resume copies
-    // the tables `run_distributed` decoded from the checkpoint.
-    let (pool, assignments) = match &spec.restored {
-        Some(tables) => tables.clone(),
-        None => initial_tables(&spec.config.params, spec.space),
-    };
-    let (start_gen, stats) = match &spec.config.resume {
-        Some(cp) => (cp.generation, cp.stats),
-        None => (0, RunStats::default()),
-    };
-    let mut ctx = RankCtx {
-        pool,
-        assignments,
-        stats,
-        all_events: Vec::new(),
-        generation_ns: Vec::new(),
-        generation: start_gen,
-        boundary: None,
-        periodic: None,
-        cache: PayoffCache::new(spec.config.params.game),
-    };
-    if !spec.config.disable_payoff_cache && spec.config.resume.is_some() {
-        // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
-        // excluded from checkpoints, so pre-warm it from the restored
-        // strategy table instead of replaying the pair matrix on the
-        // first post-resume evaluation. Cost-only; every value comes
-        // from the same pure functions a cache miss would call.
-        PairPayoff::new(
-            &spec.space,
-            &ctx.pool,
-            &spec.config.params.game,
-            GameKernel::Naive,
-            Some(&ctx.cache),
-        )
-        .prewarm(&ctx.assignments, PayoffKind::Sampled);
-    }
-    if is_nature && !spec.config.faults.is_empty() {
-        ctx.boundary = Some(snapshot(&spec.config.params, &ctx));
-    }
-    ctx
-}
-
-/// The generation loop proper. Returns `Err` on the first fault-plan kill,
-/// detected peer failure, deadline expiry, or protocol violation; `ctx` is
-/// left at the last committed generation boundary.
-fn drive(comm: &Comm<DistMsg>, spec: &WellMixed, ctx: &mut RankCtx) -> Result<(), RankError> {
-    let rank = comm.rank();
-    let ranks = comm.size();
-    let is_nature = rank == 0;
-    let fault_aware = !spec.config.faults.is_empty();
-    let num_ssets = spec.config.params.num_ssets;
-    let coll = driver::collective(comm, &spec.config.faults);
-    // The setup barrier stands in for the paper's initial broadcast.
-    coll.barrier(DistMsg::Scalar(0.0))?;
-
-    let nature = NatureAgent::from_params(&spec.config.params);
-    let owned = owned_range(rank, num_ssets, ranks);
-
-    for generation in ctx.generation..spec.config.params.generations {
-        if is_nature && fault_aware {
-            ctx.boundary = Some(snapshot(&spec.config.params, ctx));
-        }
-        driver::check_kill(&spec.config.faults, rank, generation)?;
-
-        // Only the Nature Agent times generations: its view spans the full
-        // bcast → compute → resolve → bcast cycle, matching what the
-        // shared-memory engine's per-step timing measures.
-        // detlint: allow(wall-clock, reason = "obs-gated timing; measures the cycle, never feeds simulation state")
-        let timer = (is_nature && obs::enabled()).then(std::time::Instant::now);
-
-        // (1) Nature plans the generation and broadcasts the plan.
-        let msg = is_nature.then(|| {
-            DistMsg::Plan(engine::plan(
-                &nature,
-                num_ssets as u32,
-                spec.config.params.rule,
-                spec.config.policy,
-                generation,
-            ))
-        });
-        let plan = match coll.bcast(0, msg)? {
-            DistMsg::Plan(p) => p,
-            _ => return Err(RankError::Protocol("generation plan")),
-        };
-
-        // (2) Game dynamics and fitness movement through the provider.
-        let provided = RankProvider {
-            comm,
-            coll: &coll,
-            owned: owned.clone(),
-            num_ssets,
-            space: &spec.space,
-            assignments: &ctx.assignments,
-            pool: &ctx.pool,
-            game: &spec.config.params.game,
-            seed: spec.config.params.seed,
-            faults: &spec.config.faults,
-            cache: (!spec.config.disable_payoff_cache).then_some(&ctx.cache),
-        }
-        .provide(&plan)?;
-
-        // (3) Nature applies the plan — the engine core owns all stats —
-        // and broadcasts the decision; (4) every rank commits it. PC-free,
-        // mutation-free generations broadcast nothing beyond the plan.
-        if is_nature {
-            let delta = engine::apply(
-                &nature,
-                &spec.space,
-                &plan,
-                &provided,
-                &mut ctx.assignments,
-                &mut ctx.pool,
-                &mut ctx.stats,
-            );
-            if plan.has_update() {
-                coll.bcast(0, Some(DistMsg::Decision(delta.decision.clone())))?;
-            }
-            ctx.all_events.push(delta.events);
-        } else if plan.has_update() {
-            match coll.bcast(0, None)? {
-                DistMsg::Decision(decision) => {
-                    // Compute ranks replay the commit on their replicated
-                    // table; rank 0's `stats` is the authoritative copy.
-                    let mut replica_stats = RunStats::default();
-                    engine::commit(&decision, &mut ctx.assignments, &mut ctx.pool, &mut replica_stats);
-                }
-                _ => return Err(RankError::Protocol("decision")),
-            }
-        }
-        ctx.generation = generation + 1;
-
-        if let Some(every) = spec.config.checkpoint_every {
-            if is_nature && every > 0 && ctx.generation.is_multiple_of(every) {
-                ctx.periodic = Some(snapshot(&spec.config.params, ctx));
-            }
-        }
-
-        if let Some(t0) = timer {
-            let ns = t0.elapsed().as_nanos() as u64;
-            if ctx.generation_ns.len() < obs::GENERATION_TIMING_CAP {
-                ctx.generation_ns.push(ns);
-            }
-        }
-    }
-
-    // Refresh the boundary one last time: a peer death first observed at
-    // the teardown barrier must still checkpoint the *final* state.
-    if is_nature && fault_aware {
-        ctx.boundary = Some(snapshot(&spec.config.params, ctx));
-    }
-    coll.barrier(DistMsg::Scalar(0.0))?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -6,12 +6,19 @@
 //! results, count the messages exactly, check the replicas of a fault-free
 //! run, and on any rank's failure run the kill cascade and surface the
 //! restartable [`Degraded`] payload (docs/FAULT_TOLERANCE.md).
+//!
+//! The generation-stepped runners (well-mixed, lattice) implement
+//! [`Generations`] instead, and its one [`Protocol`] impl is the
+//! generation frame: the boundary snapshot, kill check, generation timer,
+//! periodic checkpoint, teardown barrier and failure report around each
+//! family's per-generation body.
 
 use super::DistError;
 use crate::collective::Collective;
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
 use crate::faults::FaultPlan;
 use evo_core::record::GenerationRecord;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Why a rank's protocol body stopped early.
@@ -56,17 +63,6 @@ pub(super) fn recv_from<M: Send + Clone + 'static>(
         Some(t) => comm.recv_timeout(Some(src), Some(tag), t),
         // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (a dead peer surfaces as RankDead, not a hang)")
         None => comm.recv(Some(src), Some(tag)),
-    }
-}
-
-/// Collectives over `comm`, deadline-bound when the fault plan set one.
-pub(super) fn collective<'a, M: Send + Clone + 'static>(
-    comm: &'a Comm<M>,
-    faults: &FaultPlan,
-) -> Collective<'a, Comm<M>> {
-    match recv_deadline(faults) {
-        Some(t) => Collective::with_recv_timeout(comm, t),
-        None => Collective::new(comm),
     }
 }
 
@@ -147,6 +143,181 @@ pub(super) trait Protocol: Send + Sync + 'static {
     fn compute(&self, comm: &Comm<Self::Msg>) -> Result<Self::Piece, RankError>;
     /// Does a compute rank's final piece match rank 0's outcome?
     fn agrees(outcome: &Self::Outcome, piece: &Self::Piece) -> bool;
+}
+
+/// What the generation frame reads of a run's configuration.
+pub(super) struct Schedule<'a> {
+    /// Kills are checked before every generation; a non-empty plan has
+    /// rank 0 keep a boundary checkpoint.
+    pub faults: &'a FaultPlan,
+    /// Rank 0 snapshots at absolute multiples of this (0 never does).
+    pub checkpoint_every: Option<u64>,
+    /// The resume point (0 on a fresh run) up to the generation target.
+    pub generations: Range<u64>,
+}
+
+/// A protocol whose ranks step through generations in lockstep. It
+/// declares what differs between families — replicated state, one
+/// generation's body, the snapshot — and the frame (its [`Protocol`] impl)
+/// does the rest once. The run's outcome is rank 0's final [`RankCtx`]; a
+/// compute rank's piece is its final state.
+pub(super) trait Generations: Send + Sync + 'static {
+    /// Messages the ranks exchange.
+    type Msg: Send + Clone + 'static;
+    /// One rank's replicated state.
+    type State: Send + 'static;
+    /// The restartable snapshot.
+    type Checkpoint: Send + 'static;
+    /// The message the setup and teardown barriers carry.
+    const BARRIER: Self::Msg;
+
+    /// The run's fault plan, checkpoint interval and generation span.
+    fn schedule(&self) -> Schedule<'_>;
+    /// Rank `rank`'s state at the first generation: fresh, or restored
+    /// from the resume checkpoint.
+    fn init(&self, rank: Rank, ranks: usize) -> Self::State;
+    /// Run `generation` on this rank. With `whole` set, rank 0 must hold
+    /// the complete state when it returns: a snapshot or the outcome
+    /// follows.
+    fn step(
+        &self,
+        comm: &Comm<Self::Msg>,
+        coll: &Collective<'_, Comm<Self::Msg>>,
+        state: &mut Self::State,
+        generation: u64,
+        whole: bool,
+    ) -> Result<(), RankError>;
+    /// A restartable checkpoint of rank 0's `state` at boundary
+    /// `generation`.
+    fn snapshot(&self, state: &Self::State, generation: u64) -> Self::Checkpoint;
+    /// The records rank 0's `state` holds (none unless the family keeps
+    /// a record stream).
+    fn records(_state: Self::State) -> Vec<GenerationRecord> {
+        Vec::new()
+    }
+    /// Does a compute rank's final state match rank 0's?
+    fn agrees(rank0: &Self::State, state: &Self::State) -> bool;
+}
+
+/// Per-rank run state, kept outside the generation loop so the failure
+/// path can report from it; rank 0's is the outcome of a finished run.
+pub(super) struct RankCtx<S, C> {
+    pub(super) state: S,
+    /// Generations fully committed so far (the resume point).
+    generation: u64,
+    /// Rank 0 only: consistent snapshot at the current generation
+    /// boundary, refreshed while a fault plan is active (mid-generation
+    /// failures must not checkpoint half-applied state). Whenever a rank
+    /// body fails it is the snapshot at `generation`.
+    boundary: Option<C>,
+    /// Rank 0 only: the latest `checkpoint_every` snapshot.
+    pub(super) periodic: Option<C>,
+    /// Rank 0 only: per-generation wall times while obs timing is on.
+    pub(super) generation_ns: Vec<u64>,
+}
+
+impl<G: Generations> Protocol for G {
+    type Msg = G::Msg;
+    type Outcome = RankCtx<G::State, G::Checkpoint>;
+    type Piece = G::State;
+    type Checkpoint = G::Checkpoint;
+
+    fn coordinate(&self, comm: &Comm<G::Msg>) -> Result<Self::Outcome, Box<Degraded<G::Checkpoint>>> {
+        let (ctx, result) = run(self, comm);
+        match result {
+            Ok(()) => Ok(ctx),
+            Err(e) => {
+                // Only the records up to the boundary are final: a resumed
+                // run re-executes everything past it.
+                let start = self.schedule().generations.start;
+                let kept = if ctx.boundary.is_some() { ctx.generation - start } else { 0 };
+                let mut records = G::records(ctx.state);
+                records.truncate(kept as usize);
+                Err(stopped(&e, ctx.generation, ctx.boundary, records))
+            }
+        }
+    }
+
+    fn compute(&self, comm: &Comm<G::Msg>) -> Result<G::State, RankError> {
+        let (ctx, result) = run(self, comm);
+        result.map(|()| ctx.state)
+    }
+
+    fn agrees(rank0: &Self::Outcome, state: &G::State) -> bool {
+        <G as Generations>::agrees(&rank0.state, state)
+    }
+}
+
+/// One rank's whole run: initialise (or resume), then the generation loop
+/// from the setup barrier to the teardown barrier. Returns the rank's
+/// state alongside the loop's verdict: `Err` on the first fault-plan kill,
+/// detected peer failure, deadline expiry or protocol violation, with the
+/// state left at the last committed generation boundary.
+fn run<G: Generations>(
+    family: &G,
+    comm: &Comm<G::Msg>,
+) -> (RankCtx<G::State, G::Checkpoint>, Result<(), RankError>) {
+    let schedule = family.schedule();
+    let rank = comm.rank();
+    let is_nature = rank == 0;
+    let fault_aware = !schedule.faults.is_empty();
+    let Range { start, end: target } = schedule.generations;
+    let state = family.init(rank, comm.size());
+    let mut ctx = RankCtx {
+        boundary: (is_nature && fault_aware).then(|| family.snapshot(&state, start)),
+        state,
+        generation: start,
+        periodic: None,
+        generation_ns: Vec::new(),
+    };
+    // Collectives are deadline-bound when the fault plan set one.
+    let coll = match recv_deadline(schedule.faults) {
+        Some(t) => Collective::with_recv_timeout(comm, t),
+        None => Collective::new(comm),
+    };
+    let result = (|| -> Result<(), RankError> {
+        // The setup barrier stands in for the paper's initial broadcast.
+        coll.barrier(G::BARRIER)?;
+        for generation in start..target {
+            if is_nature && fault_aware {
+                ctx.boundary = Some(family.snapshot(&ctx.state, generation));
+            }
+            check_kill(schedule.faults, rank, generation)?;
+
+            // Only rank 0 times generations: its view spans the whole
+            // generation, matching what the shared-memory engine's
+            // per-step timing measures.
+            // detlint: allow(wall-clock, reason = "obs-gated timing; measures the cycle, never feeds simulation state")
+            let timer = (is_nature && obs::enabled()).then(std::time::Instant::now);
+
+            let next = generation + 1;
+            let periodic = schedule
+                .checkpoint_every
+                .is_some_and(|e| e > 0 && next.is_multiple_of(e));
+            let whole = fault_aware || periodic || next == target;
+            family.step(comm, &coll, &mut ctx.state, generation, whole)?;
+            ctx.generation = next;
+
+            if is_nature && periodic {
+                ctx.periodic = Some(family.snapshot(&ctx.state, next));
+            }
+            if let Some(t0) = timer {
+                let ns = t0.elapsed().as_nanos() as u64;
+                if ctx.generation_ns.len() < obs::GENERATION_TIMING_CAP {
+                    ctx.generation_ns.push(ns);
+                }
+            }
+        }
+
+        // Refresh the boundary one last time: a peer death first observed
+        // at the teardown barrier must still checkpoint the *final* state.
+        if is_nature && fault_aware {
+            ctx.boundary = Some(family.snapshot(&ctx.state, ctx.generation));
+        }
+        coll.barrier(G::BARRIER)?;
+        Ok(())
+    })();
+    (ctx, result)
 }
 
 /// What rank 0 (`Ok(Outcome)` / `Err(Some)`) or a compute rank

@@ -52,8 +52,7 @@ enum FixMsg {
 
 /// Configuration of a distributed fixation batch. Construct with
 /// [`FixationDistConfig::new`] and set the optional fault-tolerance fields
-/// as needed; the defaults are a fault-free, checkpoint-free run of the
-/// full batch.
+/// as needed; the defaults are a fault-free run of the full batch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FixationDistConfig {
     /// The batch to run (shared with the shared-memory runner).
@@ -65,11 +64,6 @@ pub struct FixationDistConfig {
     /// before it would run replicate `r`. Empty = fault-free.
     #[serde(default)]
     pub faults: FaultPlan,
-    /// Have rank 0 refresh a restartable [`FixationCheckpoint`] every N
-    /// *received* replicates, surfaced as
-    /// [`FixationDistOutcome::checkpoint`].
-    #[serde(default)]
-    pub checkpoint_every: Option<u32>,
     /// Resume from a checkpoint: its `spec` drives the run (`spec` above
     /// is ignored when set) and its completed replicates are skipped.
     #[serde(default)]
@@ -82,13 +76,12 @@ pub struct FixationDistConfig {
 }
 
 impl FixationDistConfig {
-    /// A fault-free, checkpoint-free run of the full batch.
+    /// A fault-free run of the full batch.
     pub fn new(spec: FixationSpec, ranks: usize) -> Self {
         FixationDistConfig {
             spec,
             ranks,
             faults: FaultPlan::default(),
-            checkpoint_every: None,
             resume: None,
             disable_payoff_cache: false,
         }
@@ -103,10 +96,6 @@ pub struct FixationDistOutcome {
     pub outcome: FixationOutcome,
     /// Total point-to-point messages the run sent.
     pub messages_sent: u64,
-    /// The most recent periodic checkpoint (`Some` only when
-    /// [`FixationDistConfig::checkpoint_every`] was set and at least one
-    /// interval completed).
-    pub checkpoint: Option<FixationCheckpoint>,
 }
 
 /// A degraded fixation batch: the restartable snapshot is a
@@ -196,8 +185,6 @@ impl Protocol for Farm {
         for c in self.completed() {
             batch.record(*c);
         }
-        let mut periodic: Option<FixationCheckpoint> = None;
-        let mut received: u32 = 0;
 
         let stopped = |e: RankError, batch: &FixationBatch| {
             let completed = batch.completed().len() as u64;
@@ -221,12 +208,6 @@ impl Protocol for Farm {
                     return Err(stopped(RankError::Protocol("replicate result in owned order"), &batch));
                 }
                 batch.record(result);
-                received += 1;
-                if let Some(every) = self.config.checkpoint_every {
-                    if every > 0 && received.is_multiple_of(every) {
-                        periodic = Some(batch.checkpoint());
-                    }
-                }
             }
         }
         Ok(FixationDistOutcome {
@@ -234,7 +215,6 @@ impl Protocol for Farm {
             // Placeholder: `run_fixation_distributed` overwrites this with the
             // exact post-join cluster total.
             messages_sent: 0,
-            checkpoint: periodic,
         })
     }
 
@@ -373,12 +353,14 @@ mod tests {
         let clean = run_fixation_distributed(&FixationDistConfig::new(spec(13, 9), 3))
             .unwrap()
             .outcome;
-        let mut cfg = FixationDistConfig::new(spec(13, 9), 3);
-        cfg.checkpoint_every = Some(4);
-        let out = run_fixation_distributed(&cfg).unwrap();
-        assert_eq!(out.outcome, clean, "checkpointing is inert");
-        let cp = out.checkpoint.expect("periodic checkpoint present");
-        assert_eq!(cp.completed.len(), 8, "latest multiple of 4 within 9");
+        // A prefix checkpoint spanning both rank blocks (0..4 and 4..9):
+        // the distributed batch runs only the missing replicate.
+        let mut shared = FixationBatch::new(spec(13, 9)).unwrap();
+        for _ in 0..8 {
+            shared.run_step();
+        }
+        let cp = shared.checkpoint();
+        assert_eq!(cp.completed.len(), 8);
 
         let mut resumed_cfg = FixationDistConfig::new(cp.spec.clone(), 3);
         resumed_cfg.resume = Some(cp);

@@ -26,13 +26,13 @@
 //!
 //! Full-grid gathers happen only at generation boundaries that need a
 //! consistent snapshot: while a fault plan is active, at
-//! `checkpoint_every` points, and at the end of the run. Fault handling
-//! mirrors the well-mixed engine: typed errors, cascading self-kill, and
-//! a restartable [`SpatialCheckpoint`] in every degraded outcome
-//! (docs/FAULT_TOLERANCE.md).
+//! `checkpoint_every` points, and at the end of the run. Which boundaries
+//! those are, and fault handling (docs/FAULT_TOLERANCE.md), is the
+//! generation frame's in `driver`; this file keeps one generation's body.
 
-use super::driver::{self, Protocol, RankError};
+use super::driver::{self, Generations, RankError, Schedule};
 use super::{Degraded, DistError};
+use crate::collective::Collective;
 use crate::comm::{Comm, Rank};
 use crate::faults::FaultPlan;
 use evo_core::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan};
@@ -201,15 +201,15 @@ pub fn run_spatial_distributed(
         config.params = cp.params.clone();
     }
     let params = &config.params;
-    let restored = match &config.resume {
+    let (space, restored) = match &config.resume {
         Some(cp) => {
-            let (_, pool, grid) = cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
-            Some((pool, grid))
+            let (space, pool, grid) = cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
+            (space, Some((pool, grid)))
         }
         None => {
-            params.validate().map_err(DistError::Params)?;
+            let space = params.validate().map_err(DistError::Params)?;
             config.init.validate(params).map_err(DistError::Params)?;
-            None
+            (space, None)
         }
     };
     let compute = config.ranks - 1;
@@ -221,86 +221,36 @@ pub fn run_spatial_distributed(
             params.height
         )));
     }
-    let spec = Lattice { config, restored };
-    let (mut outcome, messages_sent) =
+    let spec = Lattice {
+        config,
+        space,
+        restored,
+    };
+    let (rank0, messages_sent) =
         driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
-    outcome.messages_sent = messages_sent;
-    Ok(outcome)
-}
-
-/// A compute rank's final owned rows: `cells` starting at grid index
-/// `start`.
-struct OwnedCells {
-    start: usize,
-    cells: Vec<StratId>,
+    let st = rank0.state;
+    Ok(SpatialOutcome {
+        features: st.grid.iter().map(|&id| st.pool.get(id).feature_vector()).collect(),
+        grid: st.grid,
+        stats: st.stats,
+        records: st.records,
+        messages_sent,
+        checkpoint: rank0.periodic,
+    })
 }
 
 /// The lattice protocol: the run's configuration, its `params` already the
-/// ones driving the run, and on resume the checkpoint's decoded strategy
-/// tables — shipped into the cluster closure once.
+/// ones driving the run, the validated state space and, on resume, the
+/// checkpoint's decoded strategy tables — shipped into the cluster closure
+/// once.
 struct Lattice {
     config: SpatialDistConfig,
+    space: StateSpace,
     restored: Option<(StrategyPool, Vec<StratId>)>,
 }
 
-impl Protocol for Lattice {
-    type Msg = SpatialMsg;
-    type Outcome = SpatialOutcome;
-    type Piece = OwnedCells;
-    type Checkpoint = SpatialCheckpoint;
-
-    fn coordinate(&self, comm: &Comm<SpatialMsg>) -> Result<SpatialOutcome, Box<SpatialDegradedRun>> {
-        let (mut ctx, result) = self.run(comm);
-        match result {
-            Ok(()) => Ok(SpatialOutcome {
-                features: ctx
-                    .grid
-                    .iter()
-                    .map(|&id| ctx.pool.get(id).feature_vector())
-                    .collect(),
-                grid: ctx.grid,
-                stats: ctx.stats,
-                records: ctx.records,
-                // Placeholder: `run_spatial_distributed` overwrites this
-                // with the exact post-join cluster total.
-                messages_sent: 0,
-                checkpoint: ctx.periodic,
-            }),
-            Err(e) => {
-                // The resumed run re-executes everything past the boundary
-                // checkpoint, so only the records up to it are final — a
-                // failure can land after a generation's record was folded
-                // but before its boundary was secured.
-                let kept = ctx.boundary.as_ref().map_or(0, |cp| cp.generation - ctx.start);
-                ctx.records.truncate(kept as usize);
-                Err(driver::stopped(&e, ctx.generation, ctx.boundary, ctx.records))
-            }
-        }
-    }
-
-    fn compute(&self, comm: &Comm<SpatialMsg>) -> Result<OwnedCells, RankError> {
-        let (ctx, result) = self.run(comm);
-        result.map(|()| {
-            let (w, h) = (self.config.params.width, self.config.params.height);
-            let rows = owned_rows(comm.rank(), h, comm.size());
-            let start = rows.start * w;
-            OwnedCells {
-                start,
-                cells: ctx.grid[start..rows.end * w].to_vec(),
-            }
-        })
-    }
-
-    /// Rank 0's gathered grid against a compute rank's live owned rows —
-    /// the spatial analogue of the replicated-table divergence check.
-    fn agrees(outcome: &SpatialOutcome, piece: &OwnedCells) -> bool {
-        outcome.grid[piece.start..piece.start + piece.cells.len()] == piece.cells[..]
-    }
-}
-
-/// Mutable per-rank run state, kept outside the generation loop so the
-/// failure path can snapshot it.
-struct RankCtx {
+/// One rank's share of the lattice.
+struct RankState {
     pool: StrategyPool,
     /// Full-size grid, row-major. A compute rank keeps only its owned
     /// rows + exchanged halo rows fresh; rank 0's copy is refreshed by
@@ -310,123 +260,84 @@ struct RankCtx {
     /// decide phase reads.
     payoffs: Vec<f64>,
     stats: RunStats,
+    /// Rank 0 only: the records of the generations run so far.
     records: Vec<GenerationRecord>,
-    /// The generation this attempt started at (0, or the resume point).
-    start: u64,
-    /// Generations fully committed so far (the resume point).
-    generation: u64,
-    /// Rank 0 only: consistent snapshot at the current generation
-    /// boundary, maintained while a fault plan is active.
-    boundary: Option<SpatialCheckpoint>,
-    /// Rank 0 only: the latest `checkpoint_every` periodic snapshot.
-    periodic: Option<SpatialCheckpoint>,
     /// This rank's payoff memo-cache (cost-only, never checkpointed).
     cache: PayoffCache,
+    /// The owned rows' cells (empty on the coordinator).
+    cells: std::ops::Range<usize>,
 }
 
-/// Build a restartable checkpoint of `ctx` (call only at a generation
-/// boundary, with rank 0's grid freshly gathered).
-fn snapshot(params: &SpatialParams, ctx: &RankCtx) -> SpatialCheckpoint {
-    SpatialCheckpoint::capture(params, ctx.generation, &ctx.pool, &ctx.grid, ctx.stats)
-}
+impl Generations for Lattice {
+    type Msg = SpatialMsg;
+    type State = RankState;
+    type Checkpoint = SpatialCheckpoint;
+    const BARRIER: SpatialMsg = SpatialMsg::Scalar(0.0);
 
-impl Lattice {
-    /// Per-rank body: initialise (or resume) the replicated pool and grid
-    /// and drive the generation loop. Returns the rank's state alongside
-    /// the loop's verdict so the failure path can report from it.
-    fn run(&self, comm: &Comm<SpatialMsg>) -> (RankCtx, Result<(), RankError>) {
-        let mut ctx = init(self, comm.rank() == 0);
-        let result = drive(comm, &self.config, &mut ctx);
-        (ctx, result)
-    }
-}
-
-/// Build the rank's initial state: seeded at generation zero, or restored
-/// from the resume checkpoint.
-fn init(lattice: &Lattice, is_coord: bool) -> RankCtx {
-    let spec = &lattice.config;
-    // Every rank rebuilds the identical pool and initial grid locally —
-    // the same construction (and, for random seeding, the same
-    // `Domain::Init` streams) the shared backend uses, so ids and layout
-    // replicate without an initialisation broadcast. Resume copies the
-    // tables `run_spatial_distributed` decoded from the checkpoint.
-    let (pool, grid) = match &lattice.restored {
-        Some(tables) => tables.clone(),
-        None => {
-            let seeded =
-                spatial::SpatialPopulation::new(spec.params.clone(), spec.init.clone());
-            (seeded.pool().clone(), seeded.grid().to_vec())
+    fn schedule(&self) -> Schedule<'_> {
+        let start = self.config.resume.as_ref().map_or(0, |cp| cp.generation);
+        Schedule {
+            faults: &self.config.faults,
+            checkpoint_every: self.config.checkpoint_every,
+            generations: start..self.config.params.generations,
         }
-    };
-    let (start_gen, stats) = match &spec.resume {
-        Some(cp) => (cp.generation, cp.stats),
-        None => (0, RunStats::default()),
-    };
-    let n = grid.len();
-    let mut ctx = RankCtx {
-        pool,
-        grid,
-        payoffs: vec![0.0; n],
-        stats,
-        records: Vec::new(),
-        start: start_gen,
-        generation: start_gen,
-        boundary: None,
-        periodic: None,
-        cache: PayoffCache::new(spec.params.game),
-    };
-    if is_coord && !spec.faults.is_empty() {
-        ctx.boundary = Some(snapshot(&spec.params, &ctx));
     }
-    ctx
-}
 
-/// The generation loop proper. `ctx` is left at the last committed
-/// generation boundary on error.
-fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -> Result<(), RankError> {
-    let rank = comm.rank();
-    let ranks = comm.size();
-    let is_coord = rank == 0;
-    let fault_aware = !spec.faults.is_empty();
-    let start_gen = ctx.start;
-    let compute = ranks - 1;
-    let p = &spec.params;
-    let (w, h) = (p.width, p.height);
-    let n = w * h;
-    let lattice = p.lattice();
-    let space = StateSpace::new(p.mem_steps)
-        .map_err(|_| RankError::Protocol("valid memory depth"))?;
-    let scope = GraphScope::of(&lattice, p.include_self);
-    let per_cell = p.neighborhood.offsets().len() as u64 + u64::from(p.include_self);
-    let coll = driver::collective(comm, &spec.faults);
-    coll.barrier(SpatialMsg::Scalar(0.0))?;
-
-    let rows = owned_rows(rank, h, ranks);
-    let cells = (rows.start * w)..(rows.end * w);
-    // Ring neighbours among compute ranks (row-adjacent by construction);
-    // meaningless for the coordinator, which exchanges no halos.
-    let (prev, next) = if is_coord {
-        (0, 0)
-    } else {
-        (
-            if rank == 1 { ranks - 1 } else { rank - 1 },
-            if rank == ranks - 1 { 1 } else { rank + 1 },
-        )
-    };
-
-    let frecv = |src: Rank, tag| driver::recv_from(comm, &spec.faults, src, tag);
-
-    for generation in start_gen..p.generations {
-        if is_coord && fault_aware {
-            ctx.boundary = Some(snapshot(p, ctx));
+    fn init(&self, rank: Rank, ranks: usize) -> RankState {
+        let spec = &self.config;
+        // Every rank rebuilds the identical pool and initial grid locally —
+        // the same construction (and, for random seeding, the same
+        // `Domain::Init` streams) the shared backend uses, so ids and layout
+        // replicate without an initialisation broadcast. Resume copies the
+        // tables `run_spatial_distributed` decoded from the checkpoint.
+        let (pool, grid) = match &self.restored {
+            Some(tables) => tables.clone(),
+            None => {
+                let seeded =
+                    spatial::SpatialPopulation::new(spec.params.clone(), spec.init.clone());
+                (seeded.pool().clone(), seeded.grid().to_vec())
+            }
+        };
+        let rows = owned_rows(rank, spec.params.height, ranks);
+        RankState {
+            payoffs: vec![0.0; grid.len()],
+            pool,
+            grid,
+            stats: spec.resume.as_ref().map_or_else(RunStats::default, |cp| cp.stats),
+            records: Vec::new(),
+            cache: PayoffCache::new(spec.params.game),
+            cells: rows.start * spec.params.width..rows.end * spec.params.width,
         }
-        driver::check_kill(&spec.faults, rank, generation)?;
+    }
+
+    fn step(
+        &self,
+        comm: &Comm<SpatialMsg>,
+        coll: &Collective<'_, Comm<SpatialMsg>>,
+        st: &mut RankState,
+        generation: u64,
+        whole: bool,
+    ) -> Result<(), RankError> {
+        let (rank, ranks) = (comm.rank(), comm.size());
+        let is_coord = rank == 0;
+        let compute = ranks - 1;
+        let p = &self.config.params;
+        let (w, h) = (p.width, p.height);
+        let n = w * h;
+        let lattice = p.lattice();
+        let cells = st.cells.clone();
+        let rows = (cells.start / w)..(cells.end / w);
+        let frecv = |src: Rank, tag| driver::recv_from(comm, &self.config.faults, src, tag);
 
         // (1) Halo exchange: refresh the 2-ring of strategies around the
         // owned block. Skipped on the first post-init/post-resume
         // generation (the whole grid is fresh) and with a single compute
         // rank (it owns every row).
-        if !is_coord && compute > 1 && generation > start_gen {
+        if !is_coord && compute > 1 && generation > self.schedule().generations.start {
+            // Ring neighbours among compute ranks, row-adjacent by
+            // construction.
+            let prev = if rank == 1 { ranks - 1 } else { rank - 1 };
+            let next = if rank == ranks - 1 { 1 } else { rank + 1 };
             for first_row in [rows.start, rows.end - 2] {
                 let dst = if first_row == rows.start { prev } else { next };
                 comm.send(
@@ -434,7 +345,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                     HALO_TAG,
                     SpatialMsg::Halo {
                         first_row: first_row as u32,
-                        cells: ctx.grid[first_row * w..(first_row + 2) * w].to_vec(),
+                        cells: st.grid[first_row * w..(first_row + 2) * w].to_vec(),
                         generation,
                     },
                 )?;
@@ -469,7 +380,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                             }
                             let fr = first_row as usize;
                             if let Some(i) = wants.iter().position(|&r| r == fr) {
-                                ctx.grid[fr * w..fr * w + cells.len()]
+                                st.grid[fr * w..fr * w + cells.len()]
                                     .copy_from_slice(&cells);
                                 wants.remove(i);
                             }
@@ -483,7 +394,9 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
         // (2) Rank 0 plans the generation and broadcasts the plan — the
         // only per-generation collective; the plan carries no update
         // decision, so nothing else is broadcast.
-        let msg = is_coord.then(|| SpatialMsg::Plan(engine::graph_plan(scope, generation)));
+        let msg = is_coord.then(|| {
+            SpatialMsg::Plan(engine::graph_plan(GraphScope::of(&lattice, p.include_self), generation))
+        });
         let plan = match coll.bcast(0, msg)? {
             SpatialMsg::Plan(pl) => pl,
             _ => return Err(RankError::Protocol("generation plan")),
@@ -505,21 +418,21 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
             }
             for range in ranges {
                 let provided = LatticeProvider {
-                    space: &space,
+                    space: &self.space,
                     view: &lattice,
-                    grid: &ctx.grid,
-                    pool: &ctx.pool,
+                    grid: &st.grid,
+                    pool: &st.pool,
                     game: &p.game,
                     seed: p.seed,
                     kernel: GameKernel::Naive,
-                    cache: (!spec.disable_payoff_cache).then_some(&ctx.cache),
+                    cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
                     range: range.clone(),
                 }
                 .provide(&plan);
                 let FitnessView::Full(values) = provided.view else {
                     return Err(RankError::Protocol("full payoff field"));
                 };
-                ctx.payoffs[range].copy_from_slice(&values);
+                st.payoffs[range].copy_from_slice(&values);
             }
 
             // (4) Decide + commit the owned cells. Counter-based
@@ -534,20 +447,20 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                         p.seed,
                         plan.generation,
                         i,
-                        &|j| ctx.grid[j],
-                        &|j| ctx.payoffs[j],
+                        &|j| st.grid[j],
+                        &|j| st.payoffs[j],
                     )
                 })
                 .collect();
-            let adoptions = ctx.grid[cells.clone()]
+            let adoptions = st.grid[cells.clone()]
                 .iter()
                 .zip(&new_cells)
                 .filter(|(old, new)| old != new)
                 .count() as u64;
-            ctx.grid[cells.clone()].copy_from_slice(&new_cells);
+            st.grid[cells.clone()].copy_from_slice(&new_cells);
 
             // (5) Per-generation summary to rank 0.
-            let owned_payoffs = &ctx.payoffs[cells.clone()];
+            let owned_payoffs = &st.payoffs[cells.clone()];
             comm.send(
                 0,
                 SUMMARY_TAG,
@@ -555,7 +468,7 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                     generation,
                     row_sums: spatial::row_sums(owned_payoffs, w),
                     max: owned_payoffs.iter().cloned().fold(f64::MIN, f64::max),
-                    distinct: census(&ctx.grid[cells.clone()]).ids().to_vec(),
+                    distinct: census(&st.grid[cells.clone()]).ids().to_vec(),
                     adoptions,
                 })),
             )?;
@@ -586,11 +499,12 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                 }
             }
             let mean = row_sums.iter().sum::<f64>() / n as f64;
-            ctx.stats.generations += 1;
-            ctx.stats.fitness_evaluations += 1;
-            ctx.stats.games_played += per_cell * n as u64;
-            ctx.stats.adoptions += adoptions;
-            ctx.records.push(GenerationRecord {
+            let per_cell = p.neighborhood.offsets().len() as u64 + u64::from(p.include_self);
+            st.stats.generations += 1;
+            st.stats.fitness_evaluations += 1;
+            st.stats.games_played += per_cell * n as u64;
+            st.stats.adoptions += adoptions;
+            st.records.push(GenerationRecord {
                 generation,
                 events: Vec::new(),
                 mean_fitness: Some(mean),
@@ -598,43 +512,43 @@ fn drive(comm: &Comm<SpatialMsg>, spec: &SpatialDistConfig, ctx: &mut RankCtx) -
                 distinct_strategies: census(&distinct).len(),
             });
         }
-        ctx.generation = generation + 1;
 
         // (6) Boundary gather — the only full-grid traffic. SPMD: every
-        // rank evaluates the same deterministic condition.
-        let checkpoint_point = spec
-            .checkpoint_every
-            .is_some_and(|e| e > 0 && ctx.generation.is_multiple_of(e));
-        let last = ctx.generation == p.generations;
-        if fault_aware || checkpoint_point || last {
+        // rank gets the same `whole` from the frame.
+        if whole {
             let block = SpatialMsg::OwnedRows {
                 first_row: rows.start as u32,
-                cells: ctx.grid[cells.clone()].to_vec(),
+                cells: st.grid[cells].to_vec(),
             };
             if let Some(blocks) = coll.gather(0, block)? {
                 for b in blocks {
                     match b {
                         SpatialMsg::OwnedRows { first_row, cells } => {
                             let start = first_row as usize * w;
-                            ctx.grid[start..start + cells.len()].copy_from_slice(&cells);
+                            st.grid[start..start + cells.len()].copy_from_slice(&cells);
                         }
                         _ => return Err(RankError::Protocol("owned rows block")),
                     }
                 }
-                if checkpoint_point {
-                    ctx.periodic = Some(snapshot(p, ctx));
-                }
             }
         }
+        Ok(())
     }
 
-    // Refresh the boundary one last time: a peer death first observed at
-    // the teardown barrier must still checkpoint the *final* state.
-    if is_coord && fault_aware {
-        ctx.boundary = Some(snapshot(p, ctx));
+    /// Call only with rank 0's grid freshly gathered.
+    fn snapshot(&self, st: &RankState, generation: u64) -> SpatialCheckpoint {
+        SpatialCheckpoint::capture(&self.config.params, generation, &st.pool, &st.grid, st.stats)
     }
-    coll.barrier(SpatialMsg::Scalar(0.0))?;
-    Ok(())
+
+    fn records(st: RankState) -> Vec<GenerationRecord> {
+        st.records
+    }
+
+    /// Rank 0's gathered grid against a compute rank's live owned rows —
+    /// the spatial analogue of the replicated-table divergence check.
+    fn agrees(rank0: &RankState, st: &RankState) -> bool {
+        rank0.grid[st.cells.clone()] == st.grid[st.cells.clone()]
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@
 
 use crate::collective::{Collective, Messenger};
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
-use crate::dist::owned_range;
 use crate::perf::{MachineProfile, Workload};
 use crate::topology::Torus3D;
 use evo_core::fitness::FitnessPolicy;
@@ -199,7 +198,6 @@ pub fn simulate_run(
         let coll = Collective::new(comm);
         let rank = comm.rank();
         let is_nature = rank == 0;
-        let _ = owned_range(rank, num_ssets, comm.size()); // kept for parity with dist.rs
         for generation in 0..generations {
             // Schedule broadcast.
             let schedule = nature.schedule(num_ssets as u32, generation);

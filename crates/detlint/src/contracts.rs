@@ -175,8 +175,10 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/evo-core/src/record.rs",
     "crates/evo-core/src/spatial.rs",
     "crates/svc/src/family.rs",
+    "crates/svc/src/job.rs",
     "crates/svc/src/queue.rs",
     "crates/svc/src/server.rs",
+    "crates/svc/src/spool.rs",
 ];
 
 /// Receive method names that must be deadline-bound or annotated.

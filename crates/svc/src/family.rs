@@ -414,18 +414,18 @@ impl Family for FixationBatch {
         self.outcome().digest()
     }
 
+    /// `checkpoint_every` is not read: the finished batch is its own
+    /// complete checkpoint, and a degraded one always carries every
+    /// replicate it received.
     fn distribute(
         spec: &FixationSpec,
         ranks: usize,
         faults: FaultPlan,
-        checkpoint_every: Option<u64>,
+        _checkpoint_every: Option<u64>,
         resume: Option<FixationCheckpoint>,
         use_payoff_cache: bool,
     ) -> Result<Distributed<Self>, DistError<FixationCheckpoint>> {
         let mut cfg = FixationDistConfig::new(spec.clone(), ranks);
-        // The front-ends' interval is in u64 like the generation engines';
-        // a fixation batch never exceeds u32 replicates.
-        cfg.checkpoint_every = checkpoint_every.map(|n| u32::try_from(n).unwrap_or(u32::MAX));
         cfg.resume = resume;
         cfg.faults = faults;
         cfg.disable_payoff_cache = !use_payoff_cache;

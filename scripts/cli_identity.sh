@@ -13,8 +13,10 @@
 # population, expected fitness on demand, dedup counters in a manifest),
 # the lattice shared / row-sharded / fermi-vn4, fixation
 # shared / replicate-sharded / --matrix, checkpoint -> resume per family
-# across backends, kill -> resume per family, and an 8-job `serve
-# --workers 1` batch — all at RAYON_NUM_THREADS=2.
+# across backends, kill -> resume per family, the generation frame's edge
+# cases (one compute rank, a resumed run's periodic checkpoints at
+# absolute multiples, a lattice kill at the first generation), and an
+# 8-job `serve --workers 1` batch — all at RAYON_NUM_THREADS=2.
 #
 # Normalised before the diff, and nothing else:
 #   - wall times ("in 0.12s", a manifest's elapsed / per-generation / span
@@ -104,6 +106,7 @@ run_list() {
     c run-expected run $WM --expected-fitness --sample-every 7 --heatmap
     c run-mem2 run --ssets 8 --generations 20 --seed 5 --mem 2 --mu 0.2 --beta 2 --dedup
     c dist-nocache distributed --ranks 3 $WM --no-payoff-cache
+    c dist-one distributed --ranks 2 $WM
     # The lockstep groups' awkward shapes: a partial last group of one-word
     # strategies, 64-word strategies, and uncached ranks (every game of
     # every owned row played, 13 opponents a row).
@@ -135,9 +138,11 @@ run_list() {
     c cp-dist distributed --ranks 3 $WM --checkpoint-out cp-dist.json --checkpoint-every 25
     c cp-dist-resume-shared run --resume cp-dist.json --records cp-dist-resume.jsonl
     c cp-dist-resume distributed --ranks 4 --resume cp-dist.json --checkpoint-out cp-dist-2.json
+    c cp-dist-resume-every distributed --resume cp-dist.json --checkpoint-every 20 --checkpoint-out cp-dist-3.json
     c cp-sp spatial $SP --ranks 3 --checkpoint-out cp-sp.json --checkpoint-every 15
     c cp-sp-resume-shared spatial --resume cp-sp.json --records cp-sp-resume.jsonl --checkpoint-out cp-sp-2.json
     c cp-sp-resume spatial --ranks 2 --resume cp-sp.json --records cp-sp-resume-ranks.jsonl
+    c cp-sp-resume-every spatial --ranks 3 --resume cp-sp.json --checkpoint-every 10 --checkpoint-out cp-sp-3.json
     c cp-fx fixate $FX --checkpoint-out cp-fx.json --checkpoint-every 5
     c cp-fx-ranks fixate $FX --ranks 3 --checkpoint-out cp-fx-ranks.json --checkpoint-every 5
     c cp-fx-resume fixate --resume cp-fx.json
@@ -149,6 +154,7 @@ run_list() {
     c kill-sp spatial $SP --ranks 3 $KILL --kill-at 20 --checkpoint-out kill-sp.json --records kill-sp.jsonl
     c kill-sp-resume spatial --ranks 3 --resume kill-sp.json --records kill-sp-resume.jsonl
     c kill-sp-resume-shared spatial --resume kill-sp.json
+    c kill-sp-first spatial $SP --ranks 3 $KILL --kill-at 0 --checkpoint-out kill-sp-first.json --records kill-sp-first.jsonl
     c kill-fx fixate $FX --ranks 3 $KILL --kill-at 6 --checkpoint-out kill-fx.json
     c kill-fx-resume fixate --ranks 3 --resume kill-fx.json --records kill-fx-resume.jsonl
     c kill-fx-resume-shared fixate --resume kill-fx.json --records kill-fx-resume-shared.jsonl

@@ -353,6 +353,131 @@ fn spatial_rank_kill_then_resume_is_bit_identical() {
     );
 }
 
+/// One edge of the generation frame's boundary contract, run through both
+/// generation-stepped runners.
+struct FrameEdge {
+    name: &'static str,
+    /// Resume from a shared-memory checkpoint taken at this generation.
+    resume_at: Option<u64>,
+    /// Kill rank 1 before this generation.
+    kill_at: Option<u64>,
+    checkpoint_every: Option<u64>,
+    /// `Ok`: the generation of the run's latest periodic checkpoint.
+    /// `Err`: the generation a degraded run stops at — its `completed`,
+    /// its checkpoint's generation, and no records.
+    expect: Result<Option<u64>, u64>,
+}
+
+/// What a run did at its boundaries: the latest periodic checkpoint's
+/// generation, or a degraded run's (completed, checkpoint generation,
+/// records).
+type FrameObserved = Result<Option<u64>, (u64, Option<u64>, usize)>;
+
+fn frame_well_mixed(edge: &FrameEdge) -> FrameObserved {
+    // Moran at pc rate 1 gathers every owned block each generation, so
+    // rank 0 cannot commit the kill generation without the killed rank.
+    let mut params = Params {
+        mem_steps: 1,
+        num_ssets: 8,
+        generations: 18,
+        seed: 0xED6E,
+        pc_rate: 1.0,
+        rule: UpdateRule::Moran,
+        ..Params::default()
+    };
+    params.game.rounds = 8;
+    let mut cfg = DistConfig::new(params.clone(), 3, FitnessPolicy::EveryGeneration);
+    cfg.resume = edge.resume_at.map(|g| {
+        let mut pop = Population::new(params).unwrap();
+        pop.run(g);
+        pop.checkpoint()
+    });
+    cfg.checkpoint_every = edge.checkpoint_every;
+    cfg.faults.kills = edge.kill_at.map(|g| RankKill { rank: 1, generation: g }).into_iter().collect();
+    match run_distributed(&cfg) {
+        Ok(out) => Ok(out.checkpoint.map(|cp| cp.generation)),
+        Err(DistError::Degraded(d)) => {
+            Err((d.completed, d.checkpoint.map(|cp| cp.generation), d.records.len()))
+        }
+        Err(other) => panic!("{}: well-mixed: {other}", edge.name),
+    }
+}
+
+fn frame_lattice(edge: &FrameEdge) -> FrameObserved {
+    let params = SpatialParams {
+        width: 12,
+        height: 12,
+        generations: 18,
+        seed: 0xED6F,
+        update: SpatialUpdate::Fermi { beta: 1.0 },
+        ..SpatialParams::default()
+    };
+    let init = InitPattern::RandomDefectors(0.4);
+    let mut cfg = SpatialDistConfig::new(params.clone(), init.clone(), 3);
+    cfg.resume = edge.resume_at.map(|g| {
+        let mut pop = SpatialPopulation::new(params, init);
+        for _ in 0..g {
+            pop.step();
+        }
+        pop.checkpoint()
+    });
+    cfg.checkpoint_every = edge.checkpoint_every;
+    cfg.faults.kills = edge.kill_at.map(|g| RankKill { rank: 1, generation: g }).into_iter().collect();
+    match run_spatial_distributed(&cfg) {
+        Ok(out) => Ok(out.checkpoint.map(|cp| cp.generation)),
+        Err(DistError::Degraded(d)) => {
+            Err((d.completed, d.checkpoint.map(|cp| cp.generation), d.records.len()))
+        }
+        Err(other) => panic!("{}: lattice: {other}", edge.name),
+    }
+}
+
+#[test]
+fn generation_frame_boundary_edges_hold_for_both_runners() {
+    let edges = [
+        FrameEdge {
+            name: "kill at the first generation of a fresh attempt",
+            resume_at: None,
+            kill_at: Some(0),
+            checkpoint_every: None,
+            expect: Err(0),
+        },
+        FrameEdge {
+            name: "kill at the first generation of a resumed attempt",
+            resume_at: Some(7),
+            kill_at: Some(7),
+            checkpoint_every: None,
+            expect: Err(7),
+        },
+        FrameEdge {
+            name: "checkpoint_every = 0 never snapshots",
+            resume_at: None,
+            kill_at: None,
+            checkpoint_every: Some(0),
+            expect: Ok(None),
+        },
+        FrameEdge {
+            name: "an interval longer than the run never snapshots",
+            resume_at: None,
+            kill_at: None,
+            checkpoint_every: Some(40),
+            expect: Ok(None),
+        },
+        FrameEdge {
+            name: "a resumed run snapshots at absolute multiples (7 → 10, 15)",
+            resume_at: Some(7),
+            kill_at: None,
+            checkpoint_every: Some(5),
+            expect: Ok(Some(15)),
+        },
+    ];
+    for edge in &edges {
+        let expected = edge.expect.map_err(|g| (g, Some(g), 0));
+        assert_eq!(frame_well_mixed(edge), expected, "well-mixed: {}", edge.name);
+        assert_eq!(frame_lattice(edge), expected, "lattice: {}", edge.name);
+    }
+}
+
 fn fixation_spec(seed: u64, replicates: u32) -> FixationSpec {
     let space = StateSpace::new(1).unwrap();
     let mut params = Params {
