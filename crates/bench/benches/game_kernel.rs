@@ -3,7 +3,10 @@
 //! Measures one 200-round deterministic game per memory step — the
 //! innermost loop of the whole system, whose cost profile drives Table VI
 //! and Fig 4 — and, in `game_kernel/lockstep`, the same games played K at
-//! a time: the table `evo_core::fitness`'s `LANES` constant is read off
+//! a time: the table `evo_core::fitness`'s `LANES` constant is read off.
+//! `game_kernel/cycle_vs_naive` times the engine's kernel, the cycle
+//! payout, against the lanes, per game, at each depth, and
+//! `game_kernel/word_parallel` against the 64-game batch kernel
 //! (docs/PERFORMANCE.md §1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -65,33 +68,58 @@ fn bench_stochastic(c: &mut Criterion) {
     group.finish();
 }
 
+/// What `PairPayoff::play_group` costs per memory depth: a 200-round game
+/// played alone and paid out from its cycle, and 64 random focal
+/// strategies against four random opponents each — in lockstep lanes
+/// (`lockstep/4`) and paid out from their cycles (`cycle_detection/4`), 256
+/// games an iteration: divide by 256. How soon a game repeats a state
+/// varies from pair to pair, so the per-game cost is read off many pairs.
 fn bench_cycle_kernel(c: &mut Criterion) {
-    // Ablation: naive 200-round loop vs cycle-detection payout.
-    use ipd::game::play_deterministic_cycle;
+    use ipd::game::{play_deterministic_cycle, play_deterministic_cycles};
+    const GROUPS: usize = 64;
     let cfg = GameConfig::default();
-    for mem in [1usize, 3, 6] {
+    for mem in [1usize, 3, 4, 5, 6] {
         let space = StateSpace::new(mem).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let a = PureStrategy::random(space, &mut rng);
-        let b = PureStrategy::random(space, &mut rng);
+        let strats: Vec<PureStrategy> = (0..5 * GROUPS).map(|_| PureStrategy::random(space, &mut rng)).collect();
+        let groups: Vec<(&PureStrategy, [&PureStrategy; 4])> = strats
+            .chunks(5)
+            .map(|s| (&s[0], std::array::from_fn(|k| &s[k + 1])))
+            .collect();
+        let (a, b) = (&strats[0], &strats[1]);
         let mut group = c.benchmark_group(format!("game_kernel/cycle_vs_naive/memory-{mem}"));
         group.sample_size(20);
         group.bench_function("naive_200_rounds", |bencher| {
-            bencher.iter(|| black_box(play_deterministic(&space, &a, &b, &cfg)));
+            bencher.iter(|| black_box(play_deterministic(&space, a, b, &cfg)));
         });
         group.bench_function("cycle_detection", |bencher| {
-            bencher.iter(|| black_box(play_deterministic_cycle(&space, &a, &b, &cfg)));
+            bencher.iter(|| black_box(play_deterministic_cycle(&space, a, b, &cfg)));
+        });
+        group.bench_function("lockstep/4", |bencher| {
+            bencher.iter(|| {
+                for &(focal, g) in &groups {
+                    black_box(play_deterministic_lanes(&space, focal, black_box(g), &cfg));
+                }
+            });
+        });
+        group.bench_function("cycle_detection/4", |bencher| {
+            bencher.iter(|| {
+                for &(focal, g) in &groups {
+                    black_box(play_deterministic_cycles(&space, focal, black_box(g), &cfg));
+                }
+            });
         });
         group.finish();
     }
 }
 
 fn bench_word_parallel(c: &mut Criterion) {
-    // 64 memory-1 games: one scalar `play_deterministic` per pair vs one
+    // 64 memory-1 games: one scalar `play_deterministic` per pair, one
     // word-parallel `play_deterministic_batch` call that packs all 64 into
-    // u64 lane arithmetic (ipd::batch, docs/PERFORMANCE.md). Outcomes are
-    // bit-identical; only the cost differs.
+    // u64 lane arithmetic (ipd::batch, docs/PERFORMANCE.md), and one cycle
+    // payout per pair. Outcomes are bit-identical; only the cost differs.
     use ipd::batch::play_deterministic_batch;
+    use ipd::game::play_deterministic_cycle;
     let cfg = GameConfig::default();
     let space = StateSpace::new(1).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(8);
@@ -111,6 +139,14 @@ fn bench_word_parallel(c: &mut Criterion) {
     });
     group.bench_function("batch_64_games", |bencher| {
         bencher.iter(|| play_deterministic_batch(black_box(&space), &pairs, &cfg));
+    });
+    group.bench_function("cycle_64_games", |bencher| {
+        bencher.iter(|| {
+            pairs
+                .iter()
+                .map(|&(a, b)| play_deterministic_cycle(black_box(&space), a, b, &cfg))
+                .collect::<Vec<_>>()
+        });
     });
     group.finish();
 }

@@ -59,7 +59,7 @@ use crate::comm::{ClusterError, Comm, Rank};
 use crate::faults::FaultPlan;
 use driver::{Generations, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
-use evo_core::fitness::{FitnessPolicy, GameKernel, PairPayoff};
+use evo_core::fitness::{FitnessPolicy, PairPayoff};
 use evo_core::nature::{Event, NatureAgent};
 use evo_core::params::Params;
 use evo_core::paycache::{PayoffCache, PayoffKind};
@@ -385,7 +385,6 @@ impl Generations for WellMixed {
                 &self.space,
                 &state.pool,
                 &self.config.params.game,
-                GameKernel::Naive,
                 Some(&state.cache),
             )
             .prewarm(&state.assignments, PayoffKind::Sampled);
@@ -523,8 +522,7 @@ impl RankProvider<'_> {
                     return Err(RankError::Protocol("well-mixed evaluation scope"))
                 }
             };
-            let pairs =
-                PairPayoff::new(self.space, self.pool, self.game, GameKernel::Naive, self.cache);
+            let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
             needed
                 .into_iter()
                 .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, plan.generation, s)))

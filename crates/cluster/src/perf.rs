@@ -31,7 +31,7 @@
 //!    costs.
 
 use crate::topology::{CollectiveTree, Torus3D};
-use evo_core::fitness::{FitnessPolicy, GameKernel, PairPayoff};
+use evo_core::fitness::{FitnessPolicy, PairPayoff};
 use evo_core::pool::{StratId, StrategyPool};
 use ipd::game::{play_with_lookup, GameConfig, StateLookup};
 use ipd::state::{StateSpace, StateTable};
@@ -303,7 +303,7 @@ pub fn measure_game_cost(mem_steps: usize, rounds: u32, linear_scan: bool) -> f6
         ..GameConfig::default()
     };
     let table = linear_scan.then(|| StateTable::new(space));
-    let pairs = PairPayoff::new(&space, &pool, &cfg, GameKernel::Naive, None);
+    let pairs = PairPayoff::new(&space, &pool, &cfg, None);
     // One timed call and the games it plays.
     let games = if linear_scan { 1 } else { SSETS };
     let mut run = || -> f64 {

@@ -216,7 +216,7 @@ pub trait FitnessProvider {
 }
 
 /// The shared-memory provider: evaluates in place over the population's
-/// own tables, honouring the execution knobs ([`ExecMode`], dedup, kernel,
+/// own tables, honouring the execution knobs ([`ExecMode`], dedup,
 /// expected-value fitness). Which evaluator each combination selects is
 /// tabulated in docs/PERFORMANCE.md §2.2.
 #[derive(Debug)]
@@ -235,7 +235,8 @@ pub struct LocalProvider<'a> {
     pub exec_mode: ExecMode,
     /// Use the deduplicated evaluator when sound.
     pub dedup: bool,
-    /// Inner-loop kernel for deterministic games.
+    /// Read by nothing: [`PairPayoff`] plays every deterministic game
+    /// through one kernel ([`GameKernel`] says why the field stays).
     pub kernel: GameKernel,
     /// Evaluate exact expected payoffs instead of one sampled realisation.
     pub expected_fitness: bool,
@@ -247,7 +248,7 @@ pub struct LocalProvider<'a> {
 
 impl FitnessProvider for LocalProvider<'_> {
     fn provide(&mut self, plan: &GenPlan) -> Provided {
-        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.kernel, self.cache);
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
         let s = self.assignments.len() as u64;
         match plan.eval {
             EvalScope::None => Provided {

@@ -27,19 +27,24 @@
 //! docs/PERFORMANCE.md §2.
 //!
 //! Deterministic games that have to be played are played a *group* at a
-//! time: one focal strategy against up to `LANES` opponents, dispatched to
-//! the configured [`GameKernel`] in one place (`PairPayoff::play_group`).
-//! Under [`GameKernel::Naive`] the group's games advance in lockstep
-//! ([`play_deterministic_lanes`]); every round of every game is still
-//! simulated, the lanes are only how. [`PairPayoff::evaluate_one`] walks
-//! its opponents in such groups — probe, play the group's misses together,
-//! add in SSet order, insert — with or without a cache.
+//! time: one focal strategy against up to `LANES` opponents, in one place
+//! (`PairPayoff::play_group`), through one kernel, whatever the setting:
+//! [`play_deterministic_cycles`] pays each game out from its cycle (the
+//! walk to A's first repeated state, integer outcome counts, one payout)
+//! wherever that payout is the round-by-round sum to the bit (an integral
+//! matrix, every sum within 2⁵³), and plays the group in lockstep lanes
+//! ([`ipd::game::play_deterministic_lanes`]) everywhere else. Both give the same bits,
+//! and both count every scheduled game and all its rounds in
+//! `games_played` / `rounds_simulated`, once per group.
+//! [`PairPayoff::evaluate_one`] walks its opponents in such groups — probe,
+//! play the group's misses together, add in SSet order, insert — with or
+//! without a cache, and [`PairPayoff::evaluate_distinct`] replays its
+//! misses in them, one row's at a time.
 
 use crate::paycache::{PayoffCache, PayoffKind, Reader};
 use crate::pool::{census, Census, StratId, StrategyPool};
 use crate::rngstream::game_stream;
-use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
-use ipd::game::{play, play_deterministic_cycle, play_deterministic_lanes, GameConfig, GameOutcome};
+use ipd::game::{play, play_deterministic_cycles, GameConfig, GameOutcome};
 use ipd::markov::expected_outcome;
 use ipd::state::StateSpace;
 use ipd::strategy::{PureStrategy, Strategy};
@@ -77,28 +82,25 @@ pub enum FitnessPolicy {
     OnDemand,
 }
 
-/// Deterministic games one focal strategy plays in lockstep under
-/// [`GameKernel::Naive`]. Fixed by measurement, not a setting: the
-/// `game_kernel/lockstep` bench (crates/bench/benches/game_kernel.rs; its
-/// table is in docs/PERFORMANCE.md §1) has four lanes ahead of one and two
-/// at every memory depth and never behind eight by more than the spread.
+/// Deterministic games of one focal strategy evaluated as one group. Fixed
+/// by measurement, not a setting: the `game_kernel/lockstep` bench
+/// (crates/bench/benches/game_kernel.rs; its table is in
+/// docs/PERFORMANCE.md §1) has four lockstep lanes ahead of one and two at
+/// every memory depth and never behind eight by more than the spread.
 const LANES: usize = 4;
 const _: () = assert!(LANES == 4, "PairPayoff::play_group spells out the partial groups of four lanes");
 
-/// Which inner-loop kernel plays deterministic (pure, noiseless) games.
-/// Outcomes are identical for integral payoff matrices (property-tested in
-/// `ipd`; with fractional payoffs `Cycle` rounds its arithmetic payout
-/// differently in the last bits); only cost differs.
+/// A kernel choice that no longer exists. Every deterministic group is
+/// played by [`play_deterministic_cycles`], not by this setting; the
+/// `kernel` fields that hold it are read by nothing. The ledger's traced
+/// replay still names `GameKernel::Naive` in the provider struct literals
+/// it builds (ROADMAP item 1 re-pins that surface; item 2 deletes this
+/// enum with the other knob fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum GameKernel {
-    /// Simulate every round of every scheduled game, as the paper's
-    /// implementation does — four games of one focal strategy at a time
-    /// ([`play_deterministic_lanes`]).
+    /// The only value.
     #[default]
     Naive,
-    /// Detect the state-pair cycle and pay out the remaining rounds
-    /// arithmetically ([`play_deterministic_cycle`]).
-    Cycle,
 }
 
 /// The focal payoff of one ordered strategy pair, and the evaluators built
@@ -106,16 +108,16 @@ pub enum GameKernel {
 ///
 /// A pair is *deterministic* when both strategies are pure and the game is
 /// noiseless: its payoff is then a pure function of the pair, identical
-/// under every [`GameKernel`] and the word-parallel batch kernel, and is
-/// memoised as [`PayoffKind::Sampled`]. Any other pair draws from the
-/// stream its caller keys to the game and is never cached. Exact
-/// expectations ([`PayoffKind::Expected`]) are deterministic for every pair.
+/// through every deterministic kernel (lockstep lanes, cycle payout,
+/// word-parallel batch), and is memoised as [`PayoffKind::Sampled`]. Any
+/// other pair draws from the stream its caller keys to the game and is
+/// never cached. Exact expectations ([`PayoffKind::Expected`]) are
+/// deterministic for every pair.
 #[derive(Debug, Clone, Copy)]
 pub struct PairPayoff<'a> {
     space: &'a StateSpace,
     pool: &'a StrategyPool,
     game: &'a GameConfig,
-    kernel: GameKernel,
     cache: Option<&'a PayoffCache>,
 }
 
@@ -126,7 +128,6 @@ impl<'a> PairPayoff<'a> {
         space: &'a StateSpace,
         pool: &'a StrategyPool,
         game: &'a GameConfig,
-        kernel: GameKernel,
         cache: Option<&'a PayoffCache>,
     ) -> Self {
         if let Some(c) = cache {
@@ -136,7 +137,6 @@ impl<'a> PairPayoff<'a> {
             space,
             pool,
             game,
-            kernel,
             cache,
         }
     }
@@ -165,9 +165,11 @@ impl<'a> PairPayoff<'a> {
 
     /// Focal payoffs of `focal` against up to [`LANES`] `opponents` (any
     /// further ones are not played: callers chunk by `LANES`), in order, in
-    /// the leading elements of the result — the one place a [`GameKernel`]
-    /// is dispatched. `Naive` plays the group in lockstep; `Cycle` has no
-    /// lockstep form (each game stops at its own cycle).
+    /// the leading elements of the result — the one place deterministic
+    /// games are played: [`play_deterministic_cycles`] pays each out from
+    /// its cycle where that is exact and plays the group in lockstep lanes
+    /// where it is not. Every game is scheduled and counted either way;
+    /// only how its rounds are evaluated differs.
     fn play_group<'s>(
         &self,
         focal: &'s PureStrategy,
@@ -186,18 +188,14 @@ impl<'a> PairPayoff<'a> {
                 *value = outcome.fitness_a;
             }
         };
-        match (self.kernel, &lanes[..n]) {
-            (_, &[]) => {}
-            (GameKernel::Naive, &[a]) => put(&play_deterministic_lanes(self.space, focal, [a], self.game)),
-            (GameKernel::Naive, &[a, b]) => put(&play_deterministic_lanes(self.space, focal, [a, b], self.game)),
-            (GameKernel::Naive, &[a, b, c]) => put(&play_deterministic_lanes(self.space, focal, [a, b, c], self.game)),
+        let (space, game) = (self.space, self.game);
+        match lanes[..n] {
+            [] => {}
+            [a] => put(&play_deterministic_cycles(space, focal, [a], game)),
+            [a, b] => put(&play_deterministic_cycles(space, focal, [a, b], game)),
+            [a, b, c] => put(&play_deterministic_cycles(space, focal, [a, b, c], game)),
             // A full group: the partial ones are spelled out above.
-            (GameKernel::Naive, _) => put(&play_deterministic_lanes(self.space, focal, lanes, self.game)),
-            (GameKernel::Cycle, opponents) => {
-                for (value, opponent) in values.iter_mut().zip(opponents) {
-                    *value = play_deterministic_cycle(self.space, focal, opponent, self.game).fitness_a;
-                }
-            }
+            _ => put(&play_deterministic_cycles(space, focal, lanes, game)),
         }
         values
     }
@@ -287,8 +285,8 @@ impl<'a> PairPayoff<'a> {
     /// [`PayoffKind::Sampled`] is the played game, equal to
     /// [`PairPayoff::evaluate_naive`] when every pair is deterministic;
     /// panics otherwise (dedup would change stochastic results). Cache
-    /// misses are replayed on `mode`'s schedule, sampled ones 64 per word
-    /// through [`play_deterministic_batch`] where it applies.
+    /// misses are replayed on `mode`'s schedule, sampled ones a group of
+    /// one row's misses per task (`PairPayoff::play_group`).
     pub fn evaluate_distinct(
         &self,
         census: &Census,
@@ -342,28 +340,17 @@ impl<'a> PairPayoff<'a> {
                         self.deterministic(a, b).expect("asserted deterministic")
                     })
                     .collect();
-                if batch_is_word_parallel(self.space, self.game) {
-                    // One 64-lane batch per task; lanes are independent, so
-                    // the chunking cannot change any value.
-                    let chunks: Vec<_> = pures.chunks(64).collect();
-                    mode.map(chunks.len(), |c| play_deterministic_batch(self.space, chunks[c], self.game))
-                        .into_iter()
-                        .flatten()
-                        .map(|o| o.fitness_a)
-                        .collect()
-                } else {
-                    // The misses of one row share their focal strategy:
-                    // one group of them per task.
-                    let groups: Vec<_> = pures
-                        .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
-                        .flat_map(|row| row.chunks(LANES))
-                        .collect();
-                    mode.map(groups.len(), |g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
-                        .into_iter()
-                        .zip(&groups)
-                        .flat_map(|(values, group)| values.into_iter().take(group.len()))
-                        .collect()
-                }
+                // The misses of one row share their focal strategy: one
+                // group of them per task.
+                let groups: Vec<_> = pures
+                    .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
+                    .flat_map(|row| row.chunks(LANES))
+                    .collect();
+                mode.map(groups.len(), |g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
+                    .into_iter()
+                    .zip(&groups)
+                    .flat_map(|(values, group)| values.into_iter().take(group.len()))
+                    .collect()
             }
         };
         for (&slot, &v) in misses.iter().zip(&replayed) {
@@ -601,9 +588,8 @@ mod tests {
         (space, (0..n).map(|i| ids[i % distinct]).collect(), pool)
     }
 
-    /// 32 SSets over ALLC / ALLD / TFT / WSLS: heavy duplication, and
-    /// memory-one with the default integral payoffs, so dedup misses take
-    /// the word-parallel batch kernel.
+    /// 32 SSets over ALLC / ALLD / TFT / WSLS: heavy duplication at memory
+    /// one.
     fn setup_classics() -> (StateSpace, Vec<StratId>, StrategyPool) {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
@@ -652,9 +638,9 @@ mod tests {
         }
     }
 
-    /// The uncached naive-kernel primitive.
+    /// The uncached primitive.
     fn plain<'a>(space: &'a StateSpace, pool: &'a StrategyPool, game: &'a GameConfig) -> PairPayoff<'a> {
-        PairPayoff::new(space, pool, game, GameKernel::Naive, None)
+        PairPayoff::new(space, pool, game, None)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -875,16 +861,18 @@ mod tests {
         }
     }
 
-    /// Every route to a payoff gives the same bits: kernel {Naive, Cycle,
-    /// word-parallel batch} × cache {none, cold, warm} × schedule, for the
-    /// pair primitive and the three evaluators; and swapping roles
-    /// transposes.
+    /// Every route to a payoff gives the same bits: kernel {cycle payout,
+    /// lockstep lanes} × cache {none, cold, warm} × schedule, for the pair
+    /// primitive and the three evaluators, each pair against the one-lane
+    /// kernel; and swapping roles transposes.
     #[test]
     fn every_kernel_cache_state_and_schedule_gives_the_same_bits() {
-        let game = cfg();
-        // Word-parallel gate open (memory one), shut (memory three), a
-        // mid-depth population with few duplicates, two sizes that leave a
-        // partial last group, and a pool mostly of dead ids.
+        // Heavy duplication (memory one), memory three, a mid-depth
+        // population with few duplicates, two sizes that leave a partial
+        // last group, a pool mostly of dead ids, and the deeper walks of
+        // memory four and six — under the default matrix, which
+        // `play_group` pays out from cycles, and a fractional one, which it
+        // plays in lanes.
         let populations = [
             setup_classics(),
             setup_pure(40, 3, 9),
@@ -892,8 +880,14 @@ mod tests {
             setup_pure(3, 2, 5),
             setup_pure(13, 3, 6),
             setup_dead_pool(),
+            setup_pure(9, 4, 14),
+            setup_pure(7, 6, 15),
         ];
-        for (space, asg, pool) in &populations {
+        let weak = GameConfig {
+            payoff: PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+            ..cfg()
+        };
+        for ((space, asg, pool), game) in populations.iter().flat_map(|p| [(p, cfg()), (p, weak)]) {
             let reference = plain(space, pool, &game);
             let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
             let dedup =
@@ -903,61 +897,58 @@ mod tests {
                 Strategy::Pure(p) => p,
                 Strategy::Mixed(_) => panic!("pure population expected"),
             };
-            for kernel in [GameKernel::Naive, GameKernel::Cycle] {
-                let cache = PayoffCache::new(game);
-                // `None`, then the same cache cold and warm.
-                for cached in [None, Some(&cache), Some(&cache)] {
-                    let pp = PairPayoff::new(space, pool, &game, kernel, cached);
-                    let label = format!("mem {} {kernel:?} cache {}", space.mem_steps(), cached.map_or(0, |c| c.len()));
-                    for (r, &a) in unique.iter().enumerate() {
-                        // The row pair by pair through the one-shot, and
-                        // whole through one session; which goes first (and
-                        // so takes a cold cache's misses) alternates.
-                        let one_shot = || -> Vec<f64> {
-                            let play = |&b| pp.sampled(a, b, || panic!("deterministic pairs open no stream"));
-                            unique.iter().map(play).collect()
-                        };
-                        let in_session = || -> Vec<f64> {
-                            let mut session = pp.session();
-                            let mut play = |&b| session.sampled(a, b, || panic!("deterministic pairs open no stream"));
-                            unique.iter().map(&mut play).collect()
-                        };
-                        let (row, session_row) = if r % 2 == 0 {
-                            let row = one_shot();
-                            (row, in_session())
-                        } else {
-                            let session_row = in_session();
-                            (one_shot(), session_row)
-                        };
-                        assert_eq!(bits(&session_row), bits(&row), "{label}: session row {a}");
-                        for (&b, v) in unique.iter().zip(&row) {
-                            let swapped = play_deterministic(space, pure(b), pure(a), &game);
-                            assert_eq!(v.to_bits(), swapped.fitness_b.to_bits(), "{label}: role swap ({a},{b})");
-                            let lane = play_deterministic_batch(space, &[(pure(a), pure(b))], &game);
-                            assert_eq!(v.to_bits(), lane[0].fitness_a.to_bits(), "{label}: batch ({a},{b})");
-                        }
-                    }
-                    for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                        assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
-                        assert_eq!(
-                            bits(&pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, mode)),
-                            dedup,
-                            "{label} {mode:?}"
-                        );
-                        for i in 0..asg.len() {
-                            assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
-                            let one = pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, Some(i), mode);
-                            assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
-                        }
+            let cache = PayoffCache::new(game);
+            // `None`, then the same cache cold and warm.
+            for cached in [None, Some(&cache), Some(&cache)] {
+                let pp = PairPayoff::new(space, pool, &game, cached);
+                let label = format!("mem {} {:?} cache {}", space.mem_steps(), game.payoff, cached.map_or(0, |c| c.len()));
+                for (r, &a) in unique.iter().enumerate() {
+                    // The row pair by pair through the one-shot, and
+                    // whole through one session; which goes first (and
+                    // so takes a cold cache's misses) alternates.
+                    let one_shot = || -> Vec<f64> {
+                        let play = |&b| pp.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                        unique.iter().map(play).collect()
+                    };
+                    let in_session = || -> Vec<f64> {
+                        let mut session = pp.session();
+                        let mut play = |&b| session.sampled(a, b, || panic!("deterministic pairs open no stream"));
+                        unique.iter().map(&mut play).collect()
+                    };
+                    let (row, session_row) = if r % 2 == 0 {
+                        let row = one_shot();
+                        (row, in_session())
+                    } else {
+                        let session_row = in_session();
+                        (one_shot(), session_row)
+                    };
+                    assert_eq!(bits(&session_row), bits(&row), "{label}: session row {a}");
+                    for (&b, v) in unique.iter().zip(&row) {
+                        let swapped = play_deterministic(space, pure(b), pure(a), &game);
+                        assert_eq!(v.to_bits(), swapped.fitness_b.to_bits(), "{label}: role swap ({a},{b})");
                     }
                 }
-                assert_eq!(cache.len(), unique.len() * unique.len(), "every ordered distinct pair memoised once");
+                for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                    assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
+                    assert_eq!(
+                        bits(&pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, mode)),
+                        dedup,
+                        "{label} {mode:?}"
+                    );
+                    for i in 0..asg.len() {
+                        assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
+                        let one = pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, Some(i), mode);
+                        assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
+                    }
+                }
             }
+            assert_eq!(cache.len(), unique.len() * unique.len(), "every ordered distinct pair memoised once");
         }
 
         // One mixed SSet in a pure population at noise 0: its groups hold
         // deterministic and stochastic opponents side by side. The
         // reference is the pair-by-pair sum built from the kernels alone.
+        let game = cfg();
         let (space, mut asg, mut pool) = setup_pure(13, 2, 6);
         asg[5] = pool.intern(Strategy::Mixed(MixedStrategy::random(space, &mut stream(6, Domain::Init, 1, 0))));
         let s = asg.len() as u32;
@@ -973,19 +964,17 @@ mod tests {
             })
             .collect();
         let pure_ids = asg.iter().filter(|&&id| id != asg[5]).collect::<std::collections::BTreeSet<_>>().len();
-        for kernel in [GameKernel::Naive, GameKernel::Cycle] {
-            let cache = PayoffCache::new(game);
-            for cached in [None, Some(&cache), Some(&cache)] {
-                let pp = PairPayoff::new(&space, &pool, &game, kernel, cached);
-                for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                    assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4, mode)), reference, "{kernel:?} {mode:?}");
-                }
-                for (i, want) in reference.iter().enumerate() {
-                    assert_eq!(pp.evaluate_one(&asg, 13, 4, i).to_bits(), *want, "{kernel:?}: one {i}");
-                }
+        let cache = PayoffCache::new(game);
+        for cached in [None, Some(&cache), Some(&cache)] {
+            let pp = PairPayoff::new(&space, &pool, &game, cached);
+            for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4, mode)), reference, "{mode:?}");
             }
-            assert_eq!(cache.len(), pure_ids * pure_ids, "only the pure pairs are memoised");
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(pp.evaluate_one(&asg, 13, 4, i).to_bits(), *want, "one {i}");
+            }
         }
+        assert_eq!(cache.len(), pure_ids * pure_ids, "only the pure pairs are memoised");
 
         // Expected payoffs, for strategies no sampled path may cache.
         let (space, asg, pool) = setup_mixed(12, 4, 41);
@@ -998,7 +987,7 @@ mod tests {
         ));
         let cache = PayoffCache::new(game);
         for cached in [None, Some(&cache), Some(&cache)] {
-            let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, cached);
+            let pp = PairPayoff::new(&space, &pool, &game, cached);
             for mode in [ExecMode::Sequential, ExecMode::Rayon] {
                 assert_eq!(bits(&pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, mode)), exact);
                 // The OnDemand companion shares the same entries.
@@ -1025,35 +1014,33 @@ mod tests {
             let naive = bits(&plain(&space, &pool, &game).evaluate_naive(&asg, 13, 4, ExecMode::Sequential));
             // Warm the strategies of the first third of the SSets.
             let warm = &asg[..asg.len() / 3];
-            for kernel in [GameKernel::Naive, GameKernel::Cycle] {
-                let (grouped, paired) = (PayoffCache::new(game), PayoffCache::new(game));
-                let by_group = PairPayoff::new(&space, &pool, &game, kernel, Some(&grouped));
-                let by_pair = PairPayoff::new(&space, &pool, &game, kernel, Some(&paired));
-                assert_eq!(by_group.prewarm(warm, PayoffKind::Sampled), by_pair.prewarm(warm, PayoffKind::Sampled));
-                let no_stream = |_: usize| -> ChaCha8Rng { panic!("deterministic pairs open no stream") };
-                for (i, &me) in asg.iter().enumerate() {
-                    let label = format!("mem {} {kernel:?} focal {i}", space.mem_steps());
-                    let (total, tally) = {
-                        let mut session = by_group.session();
-                        let mut total = 0.0;
-                        for group in asg.chunks(LANES) {
-                            let values = session.sampled_group(me, group, no_stream);
-                            for value in &values[..group.len()] {
-                                total += value;
-                            }
+            let (grouped, paired) = (PayoffCache::new(game), PayoffCache::new(game));
+            let by_group = PairPayoff::new(&space, &pool, &game, Some(&grouped));
+            let by_pair = PairPayoff::new(&space, &pool, &game, Some(&paired));
+            assert_eq!(by_group.prewarm(warm, PayoffKind::Sampled), by_pair.prewarm(warm, PayoffKind::Sampled));
+            let no_stream = |_: usize| -> ChaCha8Rng { panic!("deterministic pairs open no stream") };
+            for (i, &me) in asg.iter().enumerate() {
+                let label = format!("mem {} focal {i}", space.mem_steps());
+                let (total, tally) = {
+                    let mut session = by_group.session();
+                    let mut total = 0.0;
+                    for group in asg.chunks(LANES) {
+                        let values = session.sampled_group(me, group, no_stream);
+                        for value in &values[..group.len()] {
+                            total += value;
                         }
-                        (total, (session.hits, session.misses))
-                    };
-                    let mut session = by_pair.session();
-                    let want = asg.iter().fold(0.0, |t, &opp| t + session.sampled(me, opp, || no_stream(0)));
-                    assert_eq!(total.to_bits(), want.to_bits(), "{label}");
-                    assert_eq!(total.to_bits(), naive[i], "{label}: against the uncached evaluator");
-                    assert_eq!(tally, (session.hits, session.misses), "{label}: (hits, misses)");
-                    assert_eq!(tally.0 + tally.1, asg.len() as u64, "{label}: one probe per opponent");
-                }
-                let distinct = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
-                assert_eq!((grouped.len(), paired.len()), (distinct * distinct, distinct * distinct));
+                    }
+                    (total, (session.hits, session.misses))
+                };
+                let mut session = by_pair.session();
+                let want = asg.iter().fold(0.0, |t, &opp| t + session.sampled(me, opp, || no_stream(0)));
+                assert_eq!(total.to_bits(), want.to_bits(), "{label}");
+                assert_eq!(total.to_bits(), naive[i], "{label}: against the uncached evaluator");
+                assert_eq!(tally, (session.hits, session.misses), "{label}: (hits, misses)");
+                assert_eq!(tally.0 + tally.1, asg.len() as u64, "{label}: one probe per opponent");
             }
+            let distinct = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
+            assert_eq!((grouped.len(), paired.len()), (distinct * distinct, distinct * distinct));
         }
     }
 
@@ -1069,7 +1056,7 @@ mod tests {
             let game = cfg();
             let reference = plain(&space, &pool, &game);
             let cache = PayoffCache::new(game);
-            let shared = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+            let shared = PairPayoff::new(&space, &pool, &game, Some(&cache));
             let start = std::sync::Barrier::new(THREADS);
             std::thread::scope(|scope| {
                 for t in 0..THREADS {
@@ -1110,7 +1097,7 @@ mod tests {
         let (space, asg, pool) = setup_mixed(8, 8, 51);
         let game = noisy(30, 0.03);
         let cache = PayoffCache::new(game);
-        let cached = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let cached = PairPayoff::new(&space, &pool, &game, Some(&cache));
         // Different generations legitimately re-sample: cached results must
         // track the uncached evaluator, and nothing may be memoised.
         for generation in [0u64, 1, 2] {
@@ -1133,7 +1120,7 @@ mod tests {
         let asg: Vec<StratId> = (0..16).map(|i| ids[i % 2]).collect();
         let cache = PayoffCache::new(cfg());
         let game = cfg();
-        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let pp = PairPayoff::new(&space, &pool, &game, Some(&cache));
         let before = obs::counters().snapshot();
         let cold = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
         let mid = obs::counters().snapshot();
@@ -1158,7 +1145,7 @@ mod tests {
         // bit-identical to the cold result.
         let cache = PayoffCache::new(cfg());
         let game = cfg();
-        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let pp = PairPayoff::new(&space, &pool, &game, Some(&cache));
         let n = pp.prewarm(&asg, PayoffKind::Sampled);
         let unique = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
         assert_eq!(n, unique * unique, "every ordered distinct pair memoised");
@@ -1184,7 +1171,7 @@ mod tests {
             ExecMode::Sequential,
         );
         let cache = PayoffCache::new(game);
-        let pp = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache));
+        let pp = PairPayoff::new(&space, &pool, &game, Some(&cache));
         let n = pp.prewarm(&asg, PayoffKind::Expected);
         assert_eq!(n, 16, "4 distinct strategies → 16 Expected entries");
         let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
@@ -1196,7 +1183,7 @@ mod tests {
         let (space, asg, pool) = setup_mixed(6, 6, 63);
         let game = noisy(20, 0.05);
         let cache = PayoffCache::new(game);
-        let n = PairPayoff::new(&space, &pool, &game, GameKernel::Naive, Some(&cache))
+        let n = PairPayoff::new(&space, &pool, &game, Some(&cache))
             .prewarm(&asg, PayoffKind::Sampled);
         assert_eq!(n, 0, "stochastic sampled payoffs must never be memoised");
         assert!(cache.is_empty());

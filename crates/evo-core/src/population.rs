@@ -72,9 +72,6 @@ pub struct Population {
     /// Use the deduplicated evaluator whenever it is sound (pure
     /// strategies, zero noise). Off by default for paper fidelity.
     pub dedup: bool,
-    /// Inner-loop kernel for deterministic games; `Cycle` pays out
-    /// state-pair cycles arithmetically with identical outcomes.
-    pub kernel: GameKernel,
     /// Variance-free selection: fitness is the exact *expected* payoff
     /// (Markov forward iteration) instead of one sampled realisation.
     /// Changes the dynamics for stochastic games — an ablation of the
@@ -130,7 +127,6 @@ impl Population {
             exec_mode: ExecMode::Rayon,
             fitness_policy: FitnessPolicy::EveryGeneration,
             dedup: false,
-            kernel: GameKernel::Naive,
             expected_fitness: false,
             use_payoff_cache: true,
             payoff_cache: PayoffCache::new(params.game),
@@ -257,7 +253,7 @@ impl Population {
             seed: self.params.seed,
             exec_mode: self.exec_mode,
             dedup: self.dedup,
-            kernel: self.kernel,
+            kernel: GameKernel::Naive,
             expected_fitness: self.expected_fitness,
             cache: self.use_payoff_cache.then(|| self.active_cache()),
         }
@@ -372,9 +368,9 @@ impl Population {
     /// Pre-warm the cross-generation payoff cache from the current
     /// strategy table ([`PairPayoff::prewarm`]): memoise every ordered
     /// pair of distinct assigned strategies that the evaluators would
-    /// legally memoise, honouring the population's `kernel` and
-    /// `expected_fitness` configuration. No-op when `use_payoff_cache` is
-    /// off. Returns the number of entries inserted.
+    /// legally memoise, honouring the population's `expected_fitness`
+    /// configuration. No-op when `use_payoff_cache` is off. Returns the
+    /// number of entries inserted.
     ///
     /// [`Population::restore`] calls this automatically; call it again
     /// after flipping `expected_fitness` on a restored population so the
@@ -386,7 +382,7 @@ impl Population {
         } else {
             PayoffKind::Sampled
         };
-        PairPayoff::new(&self.space, &self.pool, &self.params.game, self.kernel, cache)
+        PairPayoff::new(&self.space, &self.pool, &self.params.game, cache)
             .prewarm(&self.assignments, kind)
     }
 
@@ -769,20 +765,6 @@ mod tests {
         eager.run(100);
         assert_eq!(lazy.assignments(), eager.assignments());
         assert!(lazy.stats().fitness_evaluations <= eager.stats().fitness_evaluations);
-    }
-
-    #[test]
-    fn cycle_kernel_trajectory_identical_to_naive() {
-        let mut naive = Population::new(small_params(40)).unwrap();
-        let mut cycle = Population::new(small_params(40)).unwrap();
-        cycle.kernel = GameKernel::Cycle;
-        for _ in 0..120 {
-            let a = naive.step();
-            let b = cycle.step();
-            assert_eq!(a, b);
-        }
-        assert_eq!(naive.assignments(), cycle.assignments());
-        assert_eq!(naive.fitness(), cycle.fitness());
     }
 
     #[test]

@@ -277,7 +277,8 @@ pub struct LatticeProvider<'a> {
     pub game: &'a GameConfig,
     /// Master seed.
     pub seed: u64,
-    /// Inner-loop kernel for deterministic games.
+    /// Read by nothing: [`PairPayoff`] plays every deterministic game
+    /// through one kernel ([`GameKernel`] says why the field stays).
     pub kernel: GameKernel,
     /// Cross-generation payoff memo-cache (cost-only; docs/PERFORMANCE.md).
     pub cache: Option<&'a PayoffCache>,
@@ -313,7 +314,7 @@ impl FitnessProvider for LatticeProvider<'_> {
         };
         let _span = obs::span("spatial.fitness");
         let gen = plan.generation;
-        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.kernel, self.cache);
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
         let per_cell = self.view.degree(0) as u64 + u64::from(scope.include_self);
         // The payoff phase is embarrassingly parallel (§V-A): each vertex
         // accumulates its neighbour games in the lattice's canonical
@@ -401,8 +402,6 @@ pub struct SpatialPopulation {
     generation: u64,
     stats: RunStats,
     cache: PayoffCache,
-    /// Deterministic-game kernel (outcome-identical options).
-    pub kernel: GameKernel,
     /// Probe the cross-generation payoff cache (cost-only knob).
     pub use_payoff_cache: bool,
 }
@@ -455,7 +454,6 @@ impl SpatialPopulation {
             generation: 0,
             stats: RunStats::default(),
             cache,
-            kernel: GameKernel::Naive,
             use_payoff_cache: true,
         }
     }
@@ -551,7 +549,6 @@ impl SpatialPopulation {
             generation: cp.generation,
             stats: cp.stats,
             cache: PayoffCache::new(cp.params.game),
-            kernel: GameKernel::Naive,
             use_payoff_cache: true,
             params: cp.params,
         })
@@ -627,7 +624,7 @@ impl SpatialPopulation {
             pool: &self.pool,
             game: &self.params.game,
             seed: self.params.seed,
-            kernel: self.kernel,
+            kernel: GameKernel::Naive,
             cache: self.use_payoff_cache.then_some(&self.cache),
             range: 0..self.grid.len(),
         };
@@ -869,20 +866,6 @@ mod tests {
         let frame = pop.render();
         assert_eq!(frame.matches('.').count(), 1, "one defector");
         assert_eq!(frame.matches('#').count(), 24, "24 cooperators");
-    }
-
-    #[test]
-    fn kernel_choice_does_not_change_spatial_outcomes() {
-        let mk = |kernel| {
-            let mut p = params(1.9, 10, SpatialUpdate::BestNeighbor);
-            p.game.rounds = 50;
-            p.mem_steps = 1;
-            let mut pop = SpatialPopulation::new(p, InitPattern::RandomDefectors(0.4));
-            pop.kernel = kernel;
-            pop.run(10);
-            pop.render()
-        };
-        assert_eq!(mk(GameKernel::Naive), mk(GameKernel::Cycle));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the population engine's invariants.
 
-use evo_core::fitness::{ExecMode, GameKernel};
+use evo_core::fitness::ExecMode;
 use evo_core::params::{Params, StrategyKind, UpdateRule};
 use evo_core::population::Population;
 use evo_core::sset::SSetLayout;
@@ -120,20 +120,17 @@ proptest! {
     }
 
     /// All outcome-preserving engine options agree on every random
-    /// parameterisation (cycle kernel requires deterministic games to
-    /// engage; it must be a no-op otherwise).
+    /// parameterisation (dedup requires deterministic games to engage; it
+    /// must be a no-op otherwise).
     #[test]
     fn engine_options_trajectory_invariant(params in arb_params()) {
-        let run = |kernel: GameKernel, dedup: bool| {
+        let run = |dedup: bool| {
             let mut pop = Population::new(params.clone()).unwrap();
-            pop.kernel = kernel;
             pop.dedup = dedup;
             pop.run(20);
             pop.assignments().to_vec()
         };
-        let base = run(GameKernel::Naive, false);
-        prop_assert_eq!(&run(GameKernel::Cycle, false), &base);
-        prop_assert_eq!(&run(GameKernel::Naive, true), &base);
+        prop_assert_eq!(run(true), run(false));
     }
 
     /// Opponent assignment partitions opponents exactly once for arbitrary

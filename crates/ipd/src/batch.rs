@@ -8,6 +8,11 @@
 //! strategies (§VI-B1) invite: the strategy table is already a bit stream,
 //! so a round becomes a 4-way bit mux over table planes.
 //!
+//! The engine no longer plays through it: paying a game out from its cycle
+//! ([`crate::game::play_deterministic_cycles`]) is cheaper per game under
+//! the same exactness gate (docs/PERFORMANCE.md §1). It stays public for
+//! the ledger's traced kernel probe, which pins it.
+//!
 //! # How a round is computed
 //!
 //! For memory ≤ 1 a player's state is exactly `(my last move, opponent's
@@ -29,13 +34,14 @@
 //!
 //! The count-based payout is **bit-identical** to the scalar kernel's
 //! round-by-round `f64` accumulation whenever the payoff matrix is
-//! integral ([`crate::payoff::PayoffMatrix::is_integral`]): both
-//! computations are then
-//! exact integer arithmetic below 2⁵³, so they produce the same integer
-//! and hence the same `f64` bit pattern. [`play_deterministic_batch`]
-//! only takes the bit-sliced path under that condition (and memory ≤ 1);
-//! otherwise it falls back to [`play_deterministic`] per game, so its
-//! results equal the scalar kernel's *unconditionally* (property-tested).
+//! integral and no sum of the game can pass 2⁵³
+//! ([`crate::payoff::PayoffMatrix::pays_exactly`], which takes the game
+//! length): both computations are then exact integer arithmetic, so they
+//! produce the same integer and hence the same `f64` bit pattern.
+//! [`play_deterministic_batch`] only takes the bit-sliced path under that
+//! condition (and memory ≤ 1); otherwise it falls back to
+//! [`play_deterministic`] per game, so its results equal the scalar
+//! kernel's *unconditionally* (property-tested).
 //!
 //! ```
 //! use ipd::prelude::*;
@@ -135,31 +141,25 @@ fn batch64(
         ma = a;
         mb = b;
     }
-    let [r, s, t, p] = config.payoff.as_rstp();
     // One flush for the word's games, not two shared-line writes per lane.
     obs::counters().add_games(pairs.len() as u64, config.rounds);
     (0..pairs.len())
         .map(|l| {
             let (ncc, ncd, ndc) = (cc.count(l), cd.count(l), dc.count(l));
             let ndd = config.rounds as u64 - ncc - ncd - ndc;
-            GameOutcome {
-                // count × payoff: exact (bit-identical to the scalar
-                // kernel) because the caller gated on is_integral().
-                fitness_a: ncc as f64 * r + ncd as f64 * s + ndc as f64 * t + ndd as f64 * p,
-                fitness_b: ncc as f64 * r + ncd as f64 * t + ndc as f64 * s + ndd as f64 * p,
-                coop_a: (ncc + ncd) as u32,
-                coop_b: (ncc + ndc) as u32,
-                rounds: config.rounds,
-            }
+            // Exact (bit-identical to the scalar kernel): the caller gated
+            // on `pays_exactly`.
+            GameOutcome::from_counts(&config.payoff, [ncc, ncd, ndc, ndd], config.rounds)
         })
         .collect()
 }
 
 /// `true` if [`play_deterministic_batch`] will take the word-parallel path
-/// for this space and configuration (memory ≤ 1 and an integral payoff
-/// matrix — the exactness condition documented at module level).
+/// for this space and configuration (memory ≤ 1 and a payoff matrix whose
+/// count payout is exact at this game length — the exactness condition
+/// documented at module level).
 pub fn batch_is_word_parallel(space: &StateSpace, config: &GameConfig) -> bool {
-    space.mem_steps() <= 1 && config.payoff.is_integral()
+    space.mem_steps() <= 1 && config.payoff.pays_exactly(config.rounds)
 }
 
 /// Play every pair in `pairs` deterministically (pure strategies, no
@@ -312,6 +312,24 @@ mod tests {
     }
 
     #[test]
+    fn all_non_positive_matrix_pays_out_positive_zero() {
+        // Every entry ≤ -0.0: a game that scores zero sums to +0.0 round
+        // by round, and the count payout must too (it adds from +0.0).
+        let s = sp(1);
+        let cfg = GameConfig {
+            rounds: 9,
+            payoff: PayoffMatrix::from_rstp(-3.0, -0.0, -1.0, -2.0),
+            ..GameConfig::default()
+        };
+        assert!(batch_is_word_parallel(&s, &cfg));
+        let (c, d) = (classic::all_c(&s), classic::all_d(&s));
+        let fast = play_deterministic_batch(&s, &[(&c, &d)], &cfg);
+        let want = play_deterministic(&s, &c, &d, &cfg);
+        assert_eq!(want.fitness_a.to_bits(), 0.0f64.to_bits());
+        assert_bit_identical(&fast[0], &want, "ALLC vs ALLD, all payoffs ≤ -0.0");
+    }
+
+    #[test]
     fn integral_donation_matrix_takes_word_parallel_path() {
         let s = sp(1);
         let donation = GameConfig {
@@ -324,6 +342,26 @@ mod tests {
         let b = classic::all_d(&s);
         let fast = play_deterministic_batch(&s, &[(&a, &b)], &donation);
         assert_bit_identical(&fast[0], &play_deterministic(&s, &a, &b, &donation), "donation");
+    }
+
+    #[test]
+    fn word_parallel_gate_bounds_the_game_length() {
+        // An odd integral reward of ~2^32 over 2^22 rounds: the
+        // round-by-round sum passes 2^53 and rounds from there on, so the
+        // exact count payout is not what the scalar kernel returns, and the
+        // batch must fall back to it.
+        let s = sp(1);
+        let long = GameConfig {
+            rounds: 1 << 22,
+            payoff: PayoffMatrix::from_rstp(4_294_967_295.0, 0.0, 1.0, 0.0),
+            ..GameConfig::default()
+        };
+        assert!(!batch_is_word_parallel(&s, &long));
+        let c = classic::all_c(&s);
+        let scalar = play_deterministic(&s, &c, &c, &long);
+        assert_ne!(scalar.fitness_a, long.rounds as f64 * long.payoff.reward, "the sum is inexact here");
+        let fast = play_deterministic_batch(&s, &[(&c, &c)], &long);
+        assert_bit_identical(&fast[0], &scalar, "2^22 rounds of ~2^32");
     }
 
     #[test]

@@ -10,23 +10,34 @@
 //!    pure strategy, a sample for a mixed one,
 //! 3. execution noise flips each move independently with probability ε
 //!    (§III-E),
-//! 4. **the round step** (`Lane::step`, the one round body of this
-//!    module): on the raw move bits `a`, `b` (1 = defect) both payoffs are
+//! 4. **the round step** (`Lane::step`, the one round body of every
+//!    kernel that sums round by round): on the raw move bits `a`, `b` (1 = defect) both payoffs are
 //!    read from the 4-entry table `[R,S,T,P]` at `a<<1|b` and `b<<1|a` and
 //!    added to the two per-game `f64` sums, the defections are counted as
 //!    integers, and both state ids shift the round in — no branch, no
 //!    `Move`, no `match`.
 //!
-//! Steps 1–3 differ per kernel; step 4 is shared by all of them:
-//! [`play_deterministic_lanes`] (and [`play_deterministic`], its one-lane
-//! case) read step 2 from the strategy words, [`play`] /
-//! [`play_transcript`] draw steps 2–3 from the caller's RNG, and
-//! [`play_deterministic_cycle`] steps until the state pair repeats. The
-//! kernels that play every round add the sums round by round in round
-//! order, so their results agree to the bit for any payoff matrix and
-//! memory depth; the cycle kernel pays the rest of the game out as
-//! products and agrees to the bit where those are exact (an integral
-//! matrix, [`PayoffMatrix::is_integral`]).
+//! Steps 1–3 differ per kernel; step 4 is shared by every kernel that
+//! plays every round: [`play_deterministic_lanes`] (and
+//! [`play_deterministic`], its one-lane case) read step 2 from the strategy
+//! words, [`play`] / [`play_transcript`] draw steps 2–3 from the caller's
+//! RNG. They add the sums round by round in round order, so their results
+//! agree to the bit for any payoff matrix and memory depth.
+//!
+//! # Paying a game out from its cycle
+//!
+//! A noiseless game between pure strategies is eventually periodic: B's
+//! state id is always A's with each round's bits swapped, so A's id alone
+//! is the game's state, one of `4^n`. [`play_deterministic_cycle`] (and
+//! [`play_deterministic_cycles`], its `K`-opponent form) walk A's id until
+//! Brent's table-free detection finds its cycle, count the four outcomes
+//! over prefix + whole cycles + remainder as integers, and pay the counts
+//! out once (their round, `Walk::round`, is step 4's state shift,
+//! `Walk::shift`, without the sums). That payout is the round-by-round sum to the bit
+//! exactly where [`PayoffMatrix::pays_exactly`] holds (integral payoffs,
+//! every sum within 2⁵³); everywhere else the cycle kernels play every
+//! round through the lanes, so they too agree to the bit with every other
+//! deterministic kernel for every matrix.
 //!
 //! # Lockstep lanes
 //!
@@ -88,6 +99,24 @@ pub struct GameOutcome {
 }
 
 impl GameOutcome {
+    /// The outcome of a `rounds`-round game with `counts` rounds of
+    /// `[CC, CD, DC, DD]` (player A's move first): each total paid out once,
+    /// from `+0.0`, in `[R, S, T, P]` order — the one count-to-payoff
+    /// formula. Equal to the round-by-round sums to the bit where
+    /// `payoff.pays_exactly(rounds)`.
+    pub(crate) fn from_counts(payoff: &PayoffMatrix, [cc, cd, dc, dd]: [u64; 4], rounds: u32) -> GameOutcome {
+        let pay = |counts: [u64; 4]| {
+            counts.iter().zip(payoff.as_rstp()).fold(0.0, |total, (&n, p)| total + n as f64 * p)
+        };
+        GameOutcome {
+            fitness_a: pay([cc, cd, dc, dd]),
+            fitness_b: pay([cc, dc, cd, dd]),
+            coop_a: (cc + cd) as u32,
+            coop_b: (cc + dc) as u32,
+            rounds,
+        }
+    }
+
     /// Mean per-round fitness of player A.
     pub fn mean_fitness_a(&self) -> f64 {
         self.fitness_a / self.rounds as f64
@@ -127,12 +156,44 @@ pub enum StateLookup<'a> {
     LinearScan(&'a StateTable),
 }
 
-/// One game in flight: both players' rolling state ids and the totals so
-/// far.
+/// Both players' rolling state ids: all a noiseless game carries from one
+/// round to the next. B's id is always A's with each round's two bits
+/// swapped — both start at 0 and every round shifts `ab` into one and `ba`
+/// into the other — so A's id alone is the state of the game, one of `4^n`.
 #[derive(Debug, Clone, Copy)]
-struct Lane {
+struct Walk {
     state_a: u32,
     state_b: u32,
+}
+
+impl Walk {
+    /// Game start: the all-cooperation view ([`StateSpace::initial_state`]).
+    const START: Walk = Walk { state_a: 0, state_b: 0 };
+
+    /// Shift a round with move bits `a`, `b` into both ids (`mask` is
+    /// [`StateSpace::mask`], zero at memory zero, which pins the state
+    /// there) and return its outcome from each side, `a<<1|b` and `b<<1|a`.
+    #[inline(always)]
+    fn shift(&mut self, mask: u32, a: u32, b: u32) -> (usize, usize) {
+        let (ab, ba) = ((a << 1 | b) & 3, (b << 1 | a) & 3);
+        self.state_a = (self.state_a << 2 | ab) & mask;
+        self.state_b = (self.state_b << 2 | ba) & mask;
+        (ab as usize, ba as usize)
+    }
+
+    /// One round of a noiseless game whose move bits `moves` gives from the
+    /// two ids: the ids shifted on, and the outcome `a<<1|b`.
+    #[inline(always)]
+    fn round(&mut self, mask: u32, moves: &impl Fn(u32, u32) -> (u32, u32)) -> usize {
+        let (a, b) = moves(self.state_a, self.state_b);
+        self.shift(mask, a, b).0
+    }
+}
+
+/// One game in flight: its walk and the totals so far.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    walk: Walk,
     fitness_a: f64,
     fitness_b: f64,
     /// Defections so far: A's in the low half, B's in the high half (one
@@ -141,29 +202,24 @@ struct Lane {
 }
 
 impl Lane {
-    /// Game start: the all-cooperation view ([`StateSpace::initial_state`]),
-    /// nothing accrued.
+    /// Game start: nothing accrued.
     const START: Lane = Lane {
-        state_a: 0,
-        state_b: 0,
+        walk: Walk::START,
         fitness_a: 0.0,
         fitness_b: 0.0,
         defects: 0,
     };
 
     /// The round step (module doc, step 4). `a` and `b` are the players'
-    /// move bits, `table` is `[R,S,T,P]`, `mask` is [`StateSpace::mask`]
-    /// (zero at memory zero, which pins the state there).
+    /// move bits, `table` is `[R,S,T,P]`, `mask` is [`StateSpace::mask`].
     #[inline(always)]
     fn step(&mut self, table: &[f64; 4], mask: u32, a: u32, b: u32) {
         /// What a round adds to `defects`, by `a<<1|b`.
         const DEFECTS: [u64; 4] = [0, 1 << 32, 1, 1 << 32 | 1];
-        let (ab, ba) = ((a << 1 | b) & 3, (b << 1 | a) & 3);
-        self.fitness_a += table[ab as usize];
-        self.fitness_b += table[ba as usize];
-        self.defects += DEFECTS[ab as usize];
-        self.state_a = (self.state_a << 2 | ab) & mask;
-        self.state_b = (self.state_b << 2 | ba) & mask;
+        let (ab, ba) = self.walk.shift(mask, a, b);
+        self.fitness_a += table[ab];
+        self.fitness_b += table[ba];
+        self.defects += DEFECTS[ab];
     }
 
     fn outcome(&self, rounds: u32) -> GameOutcome {
@@ -204,7 +260,7 @@ fn play_lanes<const K: usize>(
     let mut lanes = [Lane::START; K];
     for _ in 0..config.rounds {
         for (k, lane) in lanes.iter_mut().enumerate() {
-            let (a, b) = moves(k, lane.state_a as StateId, lane.state_b as StateId);
+            let (a, b) = moves(k, lane.walk.state_a as StateId, lane.walk.state_b as StateId);
             lane.step(&table, mask, a, b);
         }
     }
@@ -387,62 +443,106 @@ pub fn play_transcript<R: Rng + ?Sized>(
     Transcript { moves, outcome }
 }
 
-/// Play a deterministic game with **cycle detection**: a noiseless game
-/// between pure strategies is a walk on the finite set of
-/// `(state_a, state_b)` pairs, so it enters a cycle after at most
-/// `4^n · 4^n` rounds — in practice within a handful (memory-one games
-/// cycle within 17 rounds). Once the cycle is found, the remaining rounds
-/// are paid out arithmetically instead of simulated.
+/// Rounds of each outcome of a game, indexed by `a<<1|b` (player A's move
+/// first): `[CC, CD, DC, DD]`.
+type Counts = [u64; 4];
+
+/// The counts of a `rounds`-round game, with no table, by Brent's cycle
+/// detection over A's state id: the tortoise waits at A's state of round
+/// 2^k − 1 while the game itself walks on as the hare. When the hare meets
+/// it `len` rounds on, the game has been on a cycle of period `len` since
+/// the tortoise's round, so the rest of the game is `full` more cycles of
+/// the counts the hare took since then and the first `part` rounds of one,
+/// walked again.
 ///
-/// Produces *exactly* the same [`GameOutcome`] as [`play_deterministic`]
-/// for an integral payoff matrix (property-tested; with fractional payoffs
-/// the move counts still agree and the sums differ in the last bits, a
-/// product not being a run of additions); the `game_kernel` bench
-/// quantifies the speedup. This is the shape of fine-grained optimisation
-/// the paper's future-work section anticipates for accelerator ports.
+/// The counts walked are packed 16 bits an outcome, one add a round. A game
+/// of 4ⁿ ≤ 4096 states meets the tortoise before round 3·4096 and then
+/// walks fewer than 4096 rounds more, so no field can carry.
+fn counts_by_brent(mask: u32, rounds: u32, moves: impl Fn(u32, u32) -> (u32, u32)) -> Counts {
+    let field = |packed: u64, i: usize| packed >> (16 * i) & 0xffff;
+    let mut walked = 0u64;
+    let mut walk = Walk::START;
+    let (mut tortoise, mut at_tortoise) = (0, 0);
+    let (mut power, mut len) = (1, 0);
+    let mut r = 0;
+    while r < rounds {
+        if len == power {
+            (tortoise, at_tortoise) = (walk.state_a, walked);
+            power *= 2;
+            len = 0;
+        }
+        walked += 1 << (16 * walk.round(mask, &moves));
+        (r, len) = (r + 1, len + 1);
+        if walk.state_a == tortoise {
+            let left = rounds - r;
+            let (full, part) = (u64::from(left / len), left % len);
+            let cycle = walked - at_tortoise;
+            let mut tail = 0;
+            for _ in 0..part {
+                tail += 1 << (16 * walk.round(mask, &moves));
+            }
+            return std::array::from_fn(|i| field(walked, i) + full * field(cycle, i) + field(tail, i));
+        }
+    }
+    std::array::from_fn(|i| field(walked, i))
+}
+
+/// Play a deterministic game paid out from its **cycle**: a noiseless game
+/// between pure strategies is a walk on A's `4^n` state ids (`Walk`), so it
+/// is eventually periodic — a memory-one game repeats a state within five
+/// rounds. The kernel finds the cycle, counts the four outcomes over the
+/// prefix, the whole cycles and the remainder as integers, and converts the
+/// counts to payoffs once. It allocates nothing and keeps no table: Brent's
+/// detection needs one remembered state.
+///
+/// The payout is taken only where it equals the round-by-round `f64` sums
+/// to the bit ([`PayoffMatrix::pays_exactly`]); any other game is played
+/// round by round through [`play_deterministic_lanes`]. So the result is
+/// [`play_deterministic`]'s for **every** matrix, by construction, and the
+/// `obs` counters count the game's rounds as if every one were simulated.
+/// This is the shape of fine-grained optimisation the paper's future-work
+/// section anticipates for accelerator ports.
 pub fn play_deterministic_cycle(
     space: &StateSpace,
     a: &PureStrategy,
     b: &PureStrategy,
     config: &GameConfig,
 ) -> GameOutcome {
-    debug_assert_eq!(a.space(), space);
-    debug_assert_eq!(b.space(), space);
-    let (a, b) = (a.words(), b.words());
-    let rounds = config.rounds as usize;
-    let table = config.payoff.as_rstp();
-    let mask = space.mask() as u32;
-    // first_seen maps a state pair to the round index at which it was the
-    // *pre-round* state; cum[r] is the game after r rounds.
-    // detlint: allow(hash-iter, reason = "cycle-detection table is point-lookup only (insert by state pair); never iterated")
-    let mut first_seen = std::collections::HashMap::<u32, usize>::with_capacity(64);
-    let mut cum: Vec<Lane> = Vec::with_capacity(64.min(rounds) + 1);
-    let mut lane = Lane::START;
-    for r in 0..rounds {
-        cum.push(lane);
-        let key = lane.state_a << 16 | lane.state_b;
-        if let Some(r0) = first_seen.insert(key, r) {
-            // Cycle of length L = r − r0 discovered. Totals so far are
-            // cum[r]; each full cycle adds cum[r] − cum[r0]; the remainder
-            // replays the recorded prefix of the cycle.
-            let len = r - r0;
-            let remaining = rounds - r;
-            let (full, part) = (remaining / len, remaining % len);
-            let (at, from, upto) = (lane, cum[r0], cum[r0 + part]);
-            // (at + full·Δ) + partial, in that order: the float sums are
-            // part of the kernel's contract.
-            lane.fitness_a = at.fitness_a + full as f64 * (at.fitness_a - from.fitness_a) + (upto.fitness_a - from.fitness_a);
-            lane.fitness_b = at.fitness_b + full as f64 * (at.fitness_b - from.fitness_b) + (upto.fitness_b - from.fitness_b);
-            // Both halves at once: no half ever exceeds `rounds`.
-            lane.defects += full as u64 * (at.defects - from.defects) + (upto.defects - from.defects);
-            break;
-        }
-        lane.step(&table, mask, move_bit(a, lane.state_a), move_bit(b, lane.state_b));
+    let [outcome] = play_deterministic_cycles(space, a, [b], config);
+    outcome
+}
+
+/// [`play_deterministic_cycle`] for one focal pure strategy against `K`
+/// opponents — game `k` is `focal` (player A) against `opponents[k]` — with
+/// one `obs` flush for the `K` games, as [`play_deterministic_lanes`]
+/// (which plays them where the cycle payout is not exact).
+pub fn play_deterministic_cycles<const K: usize>(
+    space: &StateSpace,
+    focal: &PureStrategy,
+    opponents: [&PureStrategy; K],
+    config: &GameConfig,
+) -> [GameOutcome; K] {
+    if !config.payoff.pays_exactly(config.rounds) {
+        return play_deterministic_lanes(space, focal, opponents, config);
     }
-    // Counts the *logical* rounds paid out, so the telemetry of a
-    // cycle-accelerated run matches the naive kernel's.
-    obs::counters().add_game(config.rounds);
-    lane.outcome(config.rounds)
+    debug_assert_eq!(focal.space(), space);
+    debug_assert!(opponents.iter().all(|o| o.space() == space));
+    let (mask, rounds) = (space.mask() as u32, config.rounds);
+    let mut outcomes = [GameOutcome::from_counts(&config.payoff, [0; 4], 0); K];
+    for (outcome, opponent) in outcomes.iter_mut().zip(opponents) {
+        // Up to memory three a table is one word, read from a register, as
+        // in the lanes.
+        let counts = if space.num_states() <= 64 {
+            let (a, b) = (focal.words()[0], opponent.words()[0]);
+            counts_by_brent(mask, rounds, move |sa, sb| (word_bit(a, sa), word_bit(b, sb)))
+        } else {
+            let (a, b) = (focal.words(), opponent.words());
+            counts_by_brent(mask, rounds, move |sa, sb| (move_bit(a, sa), move_bit(b, sb)))
+        };
+        *outcome = GameOutcome::from_counts(&config.payoff, counts, rounds);
+    }
+    obs::counters().add_games(K as u64, rounds);
+    outcomes
 }
 
 #[cfg(test)]
@@ -512,13 +612,15 @@ mod tests {
         assert_eq!(got, want, "{ctx}");
     }
 
-    /// The default matrix, a weak dilemma with a fractional temptation, and
-    /// a donation game with a negative sucker's payoff.
-    fn payoffs() -> [PayoffMatrix; 3] {
+    /// The default matrix, a weak dilemma with a fractional temptation, a
+    /// donation game with a negative sucker's payoff, and an integral one
+    /// with no positive entry, whose zero-scoring games must sum to +0.0.
+    fn payoffs() -> [PayoffMatrix; 4] {
         [
             PayoffMatrix::default(),
             PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
             PayoffMatrix::donation(2.0, 0.3),
+            PayoffMatrix::from_rstp(-3.0, -0.0, -1.0, -2.0),
         ]
     }
 
@@ -814,29 +916,42 @@ mod tests {
         let cfg200 = cfg(200);
         for (na, a) in classic::roster(&s) {
             for (nb, b) in classic::roster(&s) {
-                assert_eq!(
-                    play_deterministic(&s, &a, &b, &cfg200),
-                    play_deterministic_cycle(&s, &a, &b, &cfg200),
-                    "{na} vs {nb}"
+                assert_same_bits(
+                    &play_deterministic_cycle(&s, &a, &b, &cfg200),
+                    &play_deterministic(&s, &a, &b, &cfg200),
+                    &format!("{na} vs {nb}"),
                 );
             }
         }
     }
 
+    /// Every group width of the cycle kernel, every depth, every matrix
+    /// (the fractional ones through the lanes), against the oracle.
     #[test]
-    fn cycle_kernel_matches_naive_random_all_memories() {
+    fn cycle_kernel_matches_the_oracle_at_every_group_width() {
+        fn check<const K: usize>(space: &StateSpace, strats: &[PureStrategy], config: &GameConfig) {
+            let opponents: [&PureStrategy; K] = std::array::from_fn(|k| &strats[k + 1]);
+            let got = play_deterministic_cycles(space, &strats[0], opponents, config);
+            let focal = Strategy::Pure(strats[0].clone());
+            for (k, game) in got.iter().enumerate() {
+                let opp = Strategy::Pure(opponents[k].clone());
+                let want = oracle(space, &focal, &opp, config, &mut ChaCha8Rng::seed_from_u64(0)).outcome;
+                let ctx = format!("memory-{} {} rounds K={K} game {k} {:?}", space.mem_steps(), config.rounds, config.payoff);
+                assert_same_bits(game, &want, &ctx);
+            }
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         for mem in 0..=6 {
             let s = sp(mem);
-            for _ in 0..20 {
-                let a = crate::strategy::PureStrategy::random(s, &mut rng);
-                let b = crate::strategy::PureStrategy::random(s, &mut rng);
-                for rounds in [0u32, 1, 7, 50, 200, 1_000] {
-                    assert_eq!(
-                        play_deterministic(&s, &a, &b, &cfg(rounds)),
-                        play_deterministic_cycle(&s, &a, &b, &cfg(rounds)),
-                        "memory-{mem}, {rounds} rounds"
-                    );
+            for _ in 0..4 {
+                let strats: Vec<PureStrategy> = (0..5).map(|_| PureStrategy::random(s, &mut rng)).collect();
+                for payoff in payoffs() {
+                    for rounds in [0u32, 1, 7, 50, 200, 1_000] {
+                        let config = GameConfig { rounds, noise: 0.0, payoff };
+                        check::<1>(&s, &strats, &config);
+                        check::<3>(&s, &strats, &config);
+                        check::<4>(&s, &strats, &config);
+                    }
                 }
             }
         }

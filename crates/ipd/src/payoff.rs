@@ -225,18 +225,24 @@ impl PayoffMatrix {
         [self.reward, self.sucker, self.temptation, self.punishment]
     }
 
-    /// `true` if every payoff is an integer-valued `f64` small enough that
-    /// `count × payoff` sums over a game are exact (no rounding at any
-    /// intermediate). This is the soundness condition for kernels that
-    /// accumulate *outcome counts* and multiply by the payoff once at the
-    /// end (the word-parallel batch kernel in `ipd::batch`), instead of
-    /// adding payoffs round by round in trajectory order: with integral
-    /// payoffs both orders are exact integer arithmetic below 2^53, so the
-    /// results are bit-identical. The paper's `[3,0,4,1]` matrix qualifies.
-    pub fn is_integral(&self) -> bool {
-        self.as_rstp()
-            .iter()
-            .all(|&p| p.fract() == 0.0 && p.abs() <= 2f64.powi(32))
+    /// `true` if a game of `rounds` rounds paid out from its *outcome
+    /// counts* — `n_CC·R + n_CD·S + n_DC·T + n_DD·P`, added from `+0.0` —
+    /// gives the round-by-round `f64` sums to the bit: every payoff is an
+    /// integer of magnitude at most 2⁵³ and `max|p| · rounds ≤ 2⁵³`. Every
+    /// partial sum, product and sum of products on either side is then an
+    /// integer no larger than 2⁵³ in magnitude, so no operation rounds, and
+    /// an exact zero is `+0.0` on both. This is the soundness condition for
+    /// the kernels that count outcomes (the word-parallel batch in
+    /// `ipd::batch`, the cycle payout in `ipd::game`). The paper's
+    /// `[3,0,4,1]` matrix qualifies at every `u32` game length.
+    pub fn pays_exactly(&self, rounds: u32) -> bool {
+        const EXACT: u64 = 1 << 53;
+        self.as_rstp().iter().all(|&p| {
+            // |p| is an integer iff it survives the round trip through u64
+            // (`as` saturates, NaN goes to 0; no libm `trunc` call per entry).
+            let m = p.abs() as u64;
+            m as f64 == p.abs() && m <= EXACT && m.checked_mul(rounds.into()).is_some_and(|total| total <= EXACT)
+        })
     }
 }
 
@@ -334,6 +340,35 @@ mod tests {
         let m = PayoffMatrix::snowdrift(4.0, 2.0);
         assert!(m.payoff(Move::Cooperate, Move::Defect) > m.payoff(Move::Defect, Move::Defect));
         assert!(!m.is_prisoners_dilemma());
+    }
+
+    #[test]
+    fn count_payout_is_exact_only_while_every_sum_fits_53_bits() {
+        let m = PayoffMatrix::default();
+        assert!(m.pays_exactly(0) && m.pays_exactly(200) && m.pays_exactly(u32::MAX));
+        // Fractional entries never qualify, however short the game.
+        assert!(!PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0).pays_exactly(1));
+        assert!(!PayoffMatrix::donation(2.0, 0.3).pays_exactly(200));
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(!PayoffMatrix::from_rstp(3.0, 0.0, bad, 1.0).pays_exactly(1));
+        }
+        // Negative entries and -0.0 are integral; the bound is on |p|.
+        let neg = PayoffMatrix::from_rstp(-3.0, -0.0, -1.0, -2.0);
+        assert!(neg.pays_exactly(1000));
+        // The bound is max|p| · rounds ≤ 2^53, exactly.
+        let big = |p: f64| PayoffMatrix::from_rstp(p, 0.0, 1.0, -p);
+        assert!(big(2f64.powi(43)).pays_exactly(1 << 10));
+        assert!(!big(2f64.powi(43)).pays_exactly((1 << 10) + 1));
+        assert!(big(2f64.powi(53)).pays_exactly(1));
+        assert!(!big(2f64.powi(53)).pays_exactly(2));
+        // 3 · (2^53 + 1) / 3 is 2^53 + 1, which the f64 product rounds
+        // down to 2^53: a gate that multiplied in f64 would let it through.
+        let third = 3_002_399_751_580_331.0;
+        assert_eq!(third * 3.0, 2f64.powi(53));
+        assert!(!big(third).pays_exactly(3));
+        // Entries of 2^32, which the old gate accepted at any length.
+        assert!(!big(2f64.powi(32)).pays_exactly(u32::MAX));
+        assert!(!big(2f64.powi(54)).pays_exactly(0));
     }
 
     #[test]

@@ -161,19 +161,35 @@ proptest! {
         prop_assert_eq!(play(&space, &a, &b, &cfg, &mut r1), play(&space, &a, &b, &cfg, &mut r2));
     }
 
-    /// The cycle-detection kernel is outcome-identical to the naive loop
-    /// for any strategies, memory depth, and round count.
+    /// The cycle kernel is the naive loop's game to the bit for any
+    /// strategies, memory depth, matrix and round count — the round counts
+    /// around the walk's `4^n` states included, where Brent's detection
+    /// meets the longest cycles, and a game longer than the 16-bit fields
+    /// that count the rounds walked.
     #[test]
-    fn cycle_kernel_equals_naive(seed in any::<u64>(), n in 0usize..=5, rounds in 0u32..512) {
+    fn cycle_kernel_equals_naive(seed in any::<u64>(), n in 0usize..=6, rounds in 0u32..512) {
+        use ipd::payoff::PayoffMatrix;
         let space = StateSpace::new(n).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a = PureStrategy::random(space, &mut rng);
         let b = PureStrategy::random(space, &mut rng);
-        let cfg = GameConfig { rounds, ..GameConfig::default() };
-        prop_assert_eq!(
-            play_deterministic(&space, &a, &b, &cfg),
-            ipd::game::play_deterministic_cycle(&space, &a, &b, &cfg)
-        );
+        let states = space.num_states() as u32;
+        let payoffs = [
+            PayoffMatrix::default(),
+            PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+            PayoffMatrix::donation(2.0, 0.3),
+            // No positive entry: a game that scores zero is +0.0.
+            PayoffMatrix::from_rstp(-3.0, -0.0, -1.0, -2.0),
+        ];
+        for payoff in payoffs {
+            for rounds in [rounds, 0, 1, states - 1, states, states + 1, 200, 1_000, 70_000] {
+                let cfg = GameConfig { rounds, noise: 0.0, payoff };
+                let (want, got) = (play_deterministic(&space, &a, &b, &cfg), ipd::game::play_deterministic_cycle(&space, &a, &b, &cfg));
+                prop_assert_eq!(got.fitness_a.to_bits(), want.fitness_a.to_bits(), "{} rounds {:?}", rounds, payoff);
+                prop_assert_eq!(got.fitness_b.to_bits(), want.fitness_b.to_bits(), "{} rounds {:?}", rounds, payoff);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     /// Any (χ, φ) pair within the feasible region yields a valid ZD
@@ -263,9 +279,8 @@ proptest! {
 /// is the original's move for `s & mask_n`, the oldest round ignored —
 /// plays the same game (Gaffney, Harper & Knight, arXiv:1912.04493, on
 /// memory-n strategies embedded in longer memories): bit-identical focal
-/// payoffs through the lockstep lanes, the word-parallel batch where it
-/// applies and the exact Markov expectation for any matrix, and through the
-/// cycle kernel for integral ones.
+/// payoffs through the lockstep lanes, the cycle kernel, the word-parallel
+/// batch where it applies and the exact Markov expectation, for any matrix.
 #[test]
 fn lifted_strategies_score_the_same_through_every_kernel() {
     use ipd::batch::{batch_is_word_parallel, play_deterministic_batch};
@@ -279,6 +294,7 @@ fn lifted_strategies_score_the_same_through_every_kernel() {
         PayoffMatrix::default(),
         PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
         PayoffMatrix::donation(2.0, 0.3),
+        PayoffMatrix::from_rstp(-3.0, -0.0, -1.0, -2.0),
     ];
     for n in 0usize..=3 {
         let (space, wider) = (StateSpace::new(n).unwrap(), StateSpace::new(n + 1).unwrap());
@@ -287,8 +303,9 @@ fn lifted_strategies_score_the_same_through_every_kernel() {
             let a = PureStrategy::random(space, &mut rng);
             let b = PureStrategy::random(space, &mut rng);
             let (la, lb) = (lift(&a, wider), lift(&b, wider));
+            let states = wider.num_states() as u32;
             for payoff in payoffs {
-                for rounds in [0u32, 1, 7, 200] {
+                for rounds in [0u32, 1, 7, states - 1, states, states + 1, 200, 1_000] {
                     let cfg = GameConfig { rounds, noise: 0.0, payoff };
                     let want = play_deterministic(&space, &a, &b, &cfg).fitness_a.to_bits();
                     let ctx = format!("memory-{n} lifted, {rounds} rounds, {payoff:?}");
@@ -296,16 +313,8 @@ fn lifted_strategies_score_the_same_through_every_kernel() {
                     assert_eq!(vs_b.fitness_a.to_bits(), want, "{ctx}: lanes");
                     let self_play = play_deterministic(&space, &a, &a, &cfg).fitness_a.to_bits();
                     assert_eq!(vs_a.fitness_a.to_bits(), self_play, "{ctx}: lanes, self-play");
-                    // The cycle kernel pays whole cycles out as one
-                    // product, which is the round-by-round sum to the bit
-                    // only where the sums are exact.
                     let cycle = play_deterministic_cycle(&wider, &la, &lb, &cfg).fitness_a;
-                    if payoff.is_integral() {
-                        assert_eq!(cycle.to_bits(), want, "{ctx}: cycle");
-                    } else {
-                        let want = f64::from_bits(want);
-                        assert!((cycle - want).abs() <= 1e-12 * want.abs().max(1.0), "{ctx}: cycle {cycle} vs {want}");
-                    }
+                    assert_eq!(cycle.to_bits(), want, "{ctx}: cycle");
                     if batch_is_word_parallel(&wider, &cfg) {
                         let batch = play_deterministic_batch(&wider, &[(&la, &lb)], &cfg);
                         assert_eq!(batch[0].fitness_a.to_bits(), want, "{ctx}: batch");

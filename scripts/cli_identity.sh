@@ -9,7 +9,9 @@
 # The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
 # down, every update rule on both backends, mixed strategies with noise,
 # the cost knobs, population sizes that leave a partial lockstep group at
-# memory 2 / 3 / 6, the strategy census (a pool far larger than the
+# memory 2 / 3 / 6, both cycle detectors (memory 3 and 4) and a
+# deterministic fractional lattice game, which must skip the cycle payout,
+# the strategy census (a pool far larger than the
 # population, expected fitness on demand, dedup counters in a manifest),
 # the lattice shared / row-sharded / fermi-vn4, fixation
 # shared / replicate-sharded / --matrix, checkpoint -> resume per family
@@ -111,6 +113,10 @@ run_list() {
     # strategies, 64-word strategies, and uncached ranks (every game of
     # every owned row played, 13 opponents a row).
     c run-tail run --ssets 13 --mem 3 --generations 20 --seed 5
+    # The cycle payout's two move lookups (a one-word table up to memory
+    # three, a loaded word from memory four) and its longest walks.
+    c run-mem3 run --ssets 9 --mem 3 --generations 6 --seed 6 --rounds 300
+    c run-mem4 run --ssets 9 --mem 4 --generations 6 --seed 6 --rounds 300
     c run-mem6 run --ssets 9 --mem 6 --generations 6 --seed 6 --rounds 50
     c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation --no-payoff-cache
     # The census: a pool far larger than the population (mutation at every
@@ -125,6 +131,8 @@ run_list() {
     c sp-fermi spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --sample-every 4
     c sp-fermi-ranks spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --ranks 4 --records sp-fermi-ranks.jsonl
     c sp-iterated spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --noise 0.02 --temptation 1.6 --no-payoff-cache
+    # Deterministic and fractional: the every-round path, not the cycle payout.
+    c sp-iterated-det spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --temptation 1.6
     # Fixation.
     c fx-shared fixate $FX --records fx-shared.jsonl --manifest-out fx-shared.manifest.json
     c fx-ranks fixate $FX --ranks 3 --records fx-ranks.jsonl --manifest-out fx-ranks.manifest.json

@@ -124,40 +124,26 @@ fn every_rule_and_policy_is_bit_identical_distributed() {
 
 #[test]
 fn random_configs_all_exec_paths_agree() {
-    // Sequential vs rayon vs dedup vs cycle kernel on random configs.
+    // Sequential vs rayon vs dedup on random configs.
     let mut rng = ChaCha8Rng::seed_from_u64(0xACE5);
     for case in 0..20 {
         let mut params = random_params(&mut rng);
-        // Dedup and the cycle kernel require deterministic games to engage
-        // in half the cases; the rest exercise the stochastic fallbacks.
+        // Dedup requires deterministic games to engage in half the cases;
+        // the rest exercise the stochastic fallbacks.
         if rng.random_bool(0.5) {
             params.kind = StrategyKind::Pure;
             params.game.noise = 0.0;
         }
-        let build = |mode: ExecMode, dedup: bool, kernel: GameKernel| {
+        let build = |mode: ExecMode, dedup: bool| {
             let mut p = Population::new(params.clone()).unwrap();
             p.exec_mode = mode;
             p.dedup = dedup;
-            p.kernel = kernel;
             p.run_to_end();
             p.assignments().to_vec()
         };
-        let baseline = build(ExecMode::Sequential, false, GameKernel::Naive);
-        assert_eq!(
-            baseline,
-            build(ExecMode::Rayon, false, GameKernel::Naive),
-            "case {case}: rayon diverged"
-        );
-        assert_eq!(
-            baseline,
-            build(ExecMode::Sequential, true, GameKernel::Naive),
-            "case {case}: dedup diverged"
-        );
-        assert_eq!(
-            baseline,
-            build(ExecMode::Rayon, false, GameKernel::Cycle),
-            "case {case}: cycle kernel diverged"
-        );
+        let baseline = build(ExecMode::Sequential, false);
+        assert_eq!(baseline, build(ExecMode::Rayon, false), "case {case}: rayon diverged");
+        assert_eq!(baseline, build(ExecMode::Sequential, true), "case {case}: dedup diverged");
     }
 }
 

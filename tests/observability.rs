@@ -271,7 +271,7 @@ fn racing_threads_count_every_probe_of_a_cold_shared_cache_once() {
     // only this file can read the process-global counters exactly. Which
     // thread misses a cold pair is a race; that every probe is a hit or a
     // miss, flushed by the time its evaluation returns, is not.
-    use evogame::engine::fitness::{GameKernel, PairPayoff};
+    use evogame::engine::fitness::PairPayoff;
     use evogame::engine::paycache::PayoffCache;
     const THREADS: usize = 4;
     let _counters = counters_lock();
@@ -284,7 +284,7 @@ fn racing_threads_count_every_probe_of_a_cold_shared_cache_once() {
     .unwrap();
     let game = pop.params().game;
     let cache = PayoffCache::new(game);
-    let pairs = PairPayoff::new(pop.space(), pop.pool(), &game, GameKernel::Naive, Some(&cache));
+    let pairs = PairPayoff::new(pop.space(), pop.pool(), &game, Some(&cache));
     let asg = pop.assignments();
     let start = std::sync::Barrier::new(THREADS);
     let baseline = obs::counters().snapshot();

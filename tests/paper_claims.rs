@@ -125,7 +125,6 @@ fn wsls_takeover_raises_population_payoff() {
             pop.space(),
             pop.pool(),
             &pop.params().game,
-            evo_core::fitness::GameKernel::Naive,
             None,
         );
         for g in 0..20u64 {

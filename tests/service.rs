@@ -42,7 +42,11 @@ fn completed(status: JobStatus) -> (String, u32) {
 fn pause_mid_run_then_resume_is_bit_identical_to_straight_run() {
     // Long enough that the pause request always lands mid-run: the
     // worker checks the flag every generation, so the only way to miss
-    // is completing all 40k generations before our pause call.
+    // is completing all 40k generations before our pause call. The pause
+    // waits for the first streamed records, so it cannot land before the
+    // first generation either (a job that has just turned `Running` is
+    // still setting up, and on two free cores this thread gets there
+    // first).
     let p = params(3, 40_000, 8);
     let server = Server::new(ServerConfig {
         workers: 1,
@@ -51,7 +55,7 @@ fn pause_mid_run_then_resume_is_bit_identical_to_straight_run() {
     server
         .submit(JobRequest::new("pause-me", p.clone()))
         .unwrap();
-    while server.status("pause-me") == Some(JobStatus::Queued) {
+    while server.records("pause-me").is_some_and(|r| r.is_empty()) {
         std::thread::yield_now();
     }
     assert!(server.pause("pause-me"), "running shared job accepts pause");
