@@ -338,8 +338,8 @@ impl Generations for Lattice {
             // construction.
             let prev = if rank == 1 { ranks - 1 } else { rank - 1 };
             let next = if rank == ranks - 1 { 1 } else { rank + 1 };
-            for first_row in [rows.start, rows.end - 2] {
-                let dst = if first_row == rows.start { prev } else { next };
+            // A two-row block sends the same rows both ways.
+            for (first_row, dst) in [(rows.start, prev), (rows.end - 2, next)] {
                 comm.send(
                     dst,
                     HALO_TAG,
@@ -627,6 +627,26 @@ mod tests {
                     "{update:?} ranks {ranks}: state digest"
                 );
             }
+        }
+    }
+
+    /// Blocks of the two-row minimum on 3-wide tori, where every halo row
+    /// is a whole owned block and the end ranks' halos wrap. Each block
+    /// sends its one pair of rows both ways; when the bottom pair went to
+    /// the previous rank as well, the next one waited for it forever.
+    #[test]
+    fn two_row_blocks_exchange_halos_both_ways() {
+        for (height, ranks) in [(6usize, 4usize), (8, 5), (9, 3), (4, 3)] {
+            let mut p = params(13, 3, 10, SpatialUpdate::Fermi { beta: 0.9 });
+            p.height = height;
+            let init = InitPattern::RandomDefectors(0.4);
+            let (ref_records, ref_grid, ref_stats, _) = shared_reference(&p, &init);
+            let mut cfg = SpatialDistConfig::new(p, init, ranks);
+            cfg.faults.recv_timeout_ms = Some(10_000);
+            let out = run_spatial_distributed(&cfg).unwrap();
+            assert_eq!(out.records, ref_records, "3×{height} ranks {ranks}: records");
+            assert_eq!(out.grid, ref_grid, "3×{height} ranks {ranks}: grid");
+            assert_eq!(out.stats, ref_stats, "3×{height} ranks {ranks}: stats");
         }
     }
 

@@ -12,8 +12,10 @@
 //! played from its own counter-based stream. It is also the only code that
 //! touches the cache, and it does so through one per-thread probe session
 //! per evaluation (one read lock and one counter flush for all of an
-//! evaluation's probes, the read lock dropped before any write), in three
-//! shapes: [`PairPayoff::sampled`] probes and inserts one pair,
+//! evaluation's probes, the read lock dropped before any write; on the
+//! lattice one session per worker's block of cells, with a pair memo in
+//! front of the cache, `MemoSession`), in three shapes:
+//! [`PairPayoff::sampled`] probes and inserts one pair,
 //! [`PairPayoff::evaluate_distinct`] probes a batch, replays the misses
 //! together and inserts them, [`PairPayoff::prewarm`] inserts without
 //! probing. Three evaluators are built on it:
@@ -41,7 +43,7 @@
 //! without a cache, and [`PairPayoff::evaluate_distinct`] replays its
 //! misses in them, one row's at a time.
 
-use crate::paycache::{PayoffCache, PayoffKind, Reader};
+use crate::paycache::{pair_key, PayoffCache, PayoffKind, Reader};
 use crate::pool::{census, Census, StratId, StrategyPool};
 use crate::rngstream::game_stream;
 use ipd::game::{play, play_deterministic_cycles, GameConfig, GameOutcome};
@@ -225,6 +227,18 @@ impl<'a> PairPayoff<'a> {
             reader: None,
             hits: 0,
             misses: 0,
+        }
+    }
+
+    /// Open this thread's probe session for a walk over many cells, with a
+    /// pair memo in front of the cache ([`MemoSession`]).
+    #[inline]
+    pub(crate) fn memo_session(&self) -> MemoSession<'a> {
+        MemoSession {
+            session: self.session(),
+            keys: [0; MEMO_SLOTS],
+            values: [0.0; MEMO_SLOTS],
+            filled: 0,
         }
     }
 
@@ -422,9 +436,10 @@ impl<'a> PairPayoff<'a> {
 /// session ends. A miss drops the lock at once — the caller is about to
 /// play the game and [`Session::insert`] the result, and a writer must
 /// never wait behind this thread's own read guard. Holding the guard makes
-/// a session `!Send`; a thread opens one at a time and ends it with the
-/// evaluation (one focal SSet, one lattice cell), so another thread's write
-/// waits for a handful of lookups at most.
+/// a session `!Send`; a thread opens one at a time and holds the guard for
+/// one evaluation at most (one focal SSet; on the lattice one cell, after
+/// which the block's [`MemoSession`] gives it back), so another thread's
+/// write waits for a handful of lookups at most.
 #[derive(Debug)]
 pub(crate) struct Session<'a> {
     pairs: PairPayoff<'a>,
@@ -470,13 +485,26 @@ impl Session<'_> {
     pub(crate) fn sampled(&mut self, a: StratId, b: StratId, stream: impl FnOnce() -> ChaCha8Rng) -> f64 {
         let pairs = self.pairs;
         match pairs.deterministic(a, b) {
-            Some((pa, pb)) => self.probe(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
-                let [value, ..] = pairs.play_group(pa, [pb]);
-                self.insert(a, b, PayoffKind::Sampled, value);
-                value
-            }),
+            Some((pa, pb)) => self.probe_or_play(a, b, pa, pb),
             None => pairs.play_stochastic(a, b, stream()),
         }
+    }
+
+    /// The deterministic pair `(a, b)` (strategies `pa`, `pb`): probed, and
+    /// played and inserted on a miss.
+    #[inline]
+    fn probe_or_play(&mut self, a: StratId, b: StratId, pa: &PureStrategy, pb: &PureStrategy) -> f64 {
+        self.probe(a, b, PayoffKind::Sampled).unwrap_or_else(|| {
+            let [value, ..] = self.pairs.play_group(pa, [pb]);
+            self.insert(a, b, PayoffKind::Sampled, value);
+            value
+        })
+    }
+
+    /// This session's `(hits, misses)` so far.
+    #[cfg(test)]
+    pub(crate) fn tally(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 
     /// [`Session::sampled`] for `me` against up to [`LANES`] `opponents`
@@ -549,6 +577,73 @@ impl Drop for Session<'_> {
     fn drop(&mut self) {
         self.release();
         obs::counters().add_payoff_cache_probes(self.hits, self.misses);
+    }
+}
+
+/// Slots in a [`MemoSession`]'s pair memo: `1 << MEMO_BITS`, one bit each
+/// of its `filled` word.
+const MEMO_BITS: u32 = 6;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+const _: () = assert!(MEMO_SLOTS <= u64::BITS as usize, "one `filled` bit per memo slot");
+
+/// A [`Session`] with a small pair memo in front of the cache, for a walk
+/// that asks for the same few pairs again and again: a block of lattice
+/// cells, whose stencils meet a handful of distinct strategy pairs
+/// thousands of times. The memo is direct-mapped, `MEMO_SLOTS` entries on
+/// the stack, and holds only deterministic pairs the cache answered or took
+/// in within this session. So it answers only where the cache would have
+/// hit, with the cache's value, and its answer counts as that hit: values,
+/// `hits + misses` and cache contents are those of [`Session::sampled`]
+/// called pair by pair. Stochastic pairs never enter it, and without a
+/// cache it stays empty (every game is played, as uncached probes play it).
+///
+/// A memo answer takes no lock. The walk calls [`MemoSession::release`]
+/// after every cell, so the read guard a cache probe takes is held for one
+/// stencil at most, as a per-cell session held it.
+#[derive(Debug)]
+pub(crate) struct MemoSession<'a> {
+    session: Session<'a>,
+    /// `keys[s]` ([`pair_key`]) and `values[s]` hold a pair where bit `s` of
+    /// `filled` is set.
+    keys: [u64; MEMO_SLOTS],
+    values: [f64; MEMO_SLOTS],
+    filled: u64,
+}
+
+impl MemoSession<'_> {
+    /// [`Session::sampled`], served from the memo where it holds the pair.
+    #[inline]
+    pub(crate) fn sampled(&mut self, a: StratId, b: StratId, stream: impl FnOnce() -> ChaCha8Rng) -> f64 {
+        let key = pair_key(a, b);
+        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - MEMO_BITS)) as usize;
+        if self.filled >> slot & 1 == 1 && self.keys[slot] == key {
+            self.session.hits += 1;
+            return self.values[slot];
+        }
+        let pairs = self.session.pairs;
+        let Some((pa, pb)) = pairs.deterministic(a, b) else {
+            return pairs.play_stochastic(a, b, stream());
+        };
+        let value = self.session.probe_or_play(a, b, pa, pb);
+        if pairs.cache.is_some() {
+            self.keys[slot] = key;
+            self.values[slot] = value;
+            self.filled |= 1 << slot;
+        }
+        value
+    }
+
+    /// Give the read lock back, if a probe took it (the next probe takes it
+    /// again).
+    #[inline]
+    pub(crate) fn release(&mut self) {
+        self.session.release();
+    }
+
+    /// This session's `(hits, misses)` so far, memo answers among the hits.
+    #[cfg(test)]
+    pub(crate) fn tally(&self) -> (u64, u64) {
+        self.session.tally()
     }
 }
 

@@ -11,7 +11,8 @@
 //!
 //! Everything downstream — the spatial `FitnessProvider`, the per-vertex
 //! update draws, the rank-sharded distributed runner — iterates neighbors
-//! through [`Lattice::neighbor`] in index order `0..degree(v)`. Because
+//! through [`Lattice::stencil`] (one slot: [`Lattice::neighbor`]) in index
+//! order `0..degree(v)`. Because
 //! that order is a pure function of the topology (the stencil's offset
 //! order), payoff accumulation and RNG consumption are schedule-invariant:
 //! any thread count, any rank partition, same bits (docs/GRAPH.md).
@@ -37,7 +38,9 @@ pub enum Neighborhood {
 impl Neighborhood {
     /// The neighbour offsets `(dx, dy)` in the fixed order payoffs are
     /// accumulated in. The order is part of the determinism contract:
-    /// changing it changes f64 rounding and therefore trajectories.
+    /// changing it changes f64 rounding and therefore trajectories. Every
+    /// component is -1, 0 or 1: [`Lattice::stencil`] wraps by compare, not
+    /// by division, and relies on it.
     pub fn offsets(&self) -> &'static [(i64, i64)] {
         match self {
             Neighborhood::VonNeumann4 => &[(0, -1), (0, 1), (-1, 0), (1, 0)],
@@ -116,13 +119,49 @@ impl Lattice {
     /// `k < degree(v)`. A pure function of the topology.
     pub fn neighbor(&self, v: usize, k: usize) -> usize {
         let (x, y) = self.coords(v);
-        let (dx, dy) = self.neighborhood.offsets()[k];
-        self.index(x as i64 + dx, y as i64 + dy)
+        self.offset(x, y, self.neighborhood.offsets()[k])
+    }
+
+    /// The neighbours of `v` in stencil offset order — the order every
+    /// payoff sum and update walks. `v`'s coordinates are found once and
+    /// each offset wraps with a compare, so the walk divides once, not
+    /// twice per neighbour.
+    #[inline]
+    pub fn stencil(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let (x, y) = self.coords(v);
+        self.neighborhood.offsets().iter().map(move |&d| self.offset(x, y, d))
     }
 
     /// The neighbours of `v` in stencil offset order, materialised.
     pub fn neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.degree(v)).map(|k| self.neighbor(v, k)).collect()
+        self.stencil(v).collect()
+    }
+
+    /// The cell one stencil offset `(dx, dy)` away from `(x, y)`.
+    #[inline]
+    fn offset(&self, x: usize, y: usize, (dx, dy): (i64, i64)) -> usize {
+        step(y, dy, self.height) * self.width + step(x, dx, self.width)
+    }
+}
+
+/// Coordinate `c` moved by `d` ∈ {-1, 0, 1} along an axis of `n` cells
+/// that wraps ([`Neighborhood::offsets`] never steps further).
+#[inline]
+fn step(c: usize, d: i64, n: usize) -> usize {
+    if d < 0 {
+        if c == 0 {
+            n - 1
+        } else {
+            c - 1
+        }
+    } else if d > 0 {
+        if c + 1 == n {
+            0
+        } else {
+            c + 1
+        }
+    } else {
+        c
     }
 }
 
@@ -186,6 +225,36 @@ mod tests {
             .map(|&(dx, dy)| l.index(2 + dx, 2 + dy))
             .collect();
         assert_eq!(l.neighbors(v), expect);
+    }
+
+    /// The compare-wrapped walk against the `rem_euclid` formula it
+    /// replaced (`index(x + dx, y + dy)`), for every cell and stencil slot
+    /// of square, wide and tall tori down to the 3-cell minimum, where
+    /// every border cell wraps.
+    #[test]
+    fn stencil_equals_the_rem_euclid_formula() {
+        for neighborhood in [Neighborhood::Moore8, Neighborhood::VonNeumann4] {
+            assert!(
+                neighborhood.offsets().iter().all(|&(dx, dy)| dx.abs() <= 1 && dy.abs() <= 1),
+                "{neighborhood:?}: an offset beyond ±1 breaks the compare wrap"
+            );
+            for (w, h) in [(3, 3), (3, 7), (7, 3), (12, 12), (128, 128)] {
+                let l = Lattice::new(w, h, neighborhood);
+                for v in 0..l.len() {
+                    let (x, y) = (v % w, v / w);
+                    let oracle: Vec<usize> = neighborhood
+                        .offsets()
+                        .iter()
+                        .map(|&(dx, dy)| l.index(x as i64 + dx, y as i64 + dy))
+                        .collect();
+                    assert_eq!(l.stencil(v).collect::<Vec<_>>(), oracle, "{neighborhood:?} {w}×{h} cell {v}");
+                    assert_eq!(l.neighbors(v), oracle, "{neighborhood:?} {w}×{h} cell {v}");
+                    for (k, &want) in oracle.iter().enumerate() {
+                        assert_eq!(l.neighbor(v, k), want, "{neighborhood:?} {w}×{h} cell {v} slot {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,8 +81,9 @@ impl Hasher for PairHasher {
 // detlint: allow(hash-iter, reason = "point lookups and inserts only; the maps are never iterated, so bucket order cannot affect any result")
 type PairMap = HashMap<u64, f64, BuildHasherDefault<PairHasher>>;
 
+/// The packed word `a << 32 | b` an ordered pair is stored under.
 #[inline]
-fn pair_key(a: StratId, b: StratId) -> u64 {
+pub(crate) fn pair_key(a: StratId, b: StratId) -> u64 {
     u64::from(a) << 32 | u64::from(b)
 }
 

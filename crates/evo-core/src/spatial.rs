@@ -41,7 +41,7 @@
 //! backends (`cluster::dist::graph`).
 
 use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
-use crate::fitness::{GameKernel, PairPayoff, Session};
+use crate::fitness::{GameKernel, MemoSession, PairPayoff};
 use crate::graph::{GraphScope, Lattice};
 use crate::paycache::PayoffCache;
 use crate::pool::{census, StratId, StrategyPool};
@@ -55,6 +55,7 @@ use ipd::state::StateSpace;
 use ipd::strategy::Strategy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 pub use crate::graph::Neighborhood;
 
@@ -263,6 +264,15 @@ pub fn row_major_mean(payoffs: &[f64], width: usize) -> f64 {
 /// as [`FitnessView::Full`]. The shared backend borrows the population's
 /// own tables; the distributed backend builds one over each rank's halo
 /// view.
+///
+/// `provide` splits `range` into one contiguous block of cells per rayon
+/// worker. Each block runs one probe session: one counter flush for the
+/// block, and a small pair memo in front of the cache that answers the
+/// block's recurring deterministic pairs without the hash probe or the read
+/// lock, counted as the cache hits they replace. The read lock a cache
+/// probe takes is given back after every cell. Every cell's value, the
+/// cache's contents and the hit / miss totals are those of one session per
+/// cell (docs/PERFORMANCE.md §2.2–2.3).
 #[derive(Debug)]
 pub struct LatticeProvider<'a> {
     /// State space of all strategies.
@@ -290,18 +300,64 @@ pub struct LatticeProvider<'a> {
 
 impl LatticeProvider<'_> {
     /// Focal payoff of the game vertex `a` plays against vertex `b`: the
-    /// shared pair primitive ([`PairPayoff::sampled`], within cell `a`'s
-    /// probe session) over the two cells' strategies, with the per-pair
-    /// `Domain::GamePlay` stream (entity = `a·n + b`, so the (a, b) and
-    /// (b, a) games are independent) for the pairs it has to play. A thin
-    /// call kept inlined: this is the lattice hot loop, ~9 probes per cell
-    /// per generation.
+    /// shared pair primitive (within the block's [`MemoSession`]) over the
+    /// two cells' strategies, with the per-pair `Domain::GamePlay` stream
+    /// (entity = `a·n + b`, so the (a, b) and (b, a) games are independent)
+    /// for the pairs it has to play. A thin call kept inlined: this is the
+    /// lattice hot loop, ~9 probes per cell per generation.
     #[inline]
-    fn pair_payoff(&self, session: &mut Session<'_>, a: usize, b: usize, generation: u64) -> f64 {
+    fn pair_payoff(&self, session: &mut MemoSession<'_>, a: usize, b: usize, generation: u64) -> f64 {
         session.sampled(self.grid[a], self.grid[b], || {
             let entity = (a as u64) * self.grid.len() as u64 + b as u64;
             stream(self.seed, Domain::GamePlay, entity, generation)
         })
+    }
+
+    /// The payoffs of `cells`, in order, through one `session`: each cell's
+    /// neighbour games in the lattice's canonical stencil order, then its
+    /// self-game. The read lock goes back after every cell, so another
+    /// worker's insert waits for one stencil of this block's lookups at
+    /// most, never for the block.
+    fn block(
+        &self,
+        session: &mut MemoSession<'_>,
+        cells: Range<usize>,
+        include_self: bool,
+        generation: u64,
+    ) -> Vec<f64> {
+        cells
+            .map(|i| {
+                let mut total: f64 = self
+                    .view
+                    .stencil(i)
+                    .map(|j| self.pair_payoff(session, i, j, generation))
+                    .sum();
+                if include_self {
+                    total += self.pair_payoff(session, i, i, generation);
+                }
+                session.release();
+                total
+            })
+            .collect()
+    }
+
+    /// The payoffs of `range`, walked as `blocks` (≥ 1) contiguous blocks,
+    /// one task and one probe session each. Every cell's value is the same
+    /// whatever the block count; only the cache's cold-miss race can move
+    /// the hit / miss split between concurrent blocks.
+    fn payoffs(&self, include_self: bool, generation: u64, blocks: usize) -> Vec<f64> {
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
+        let (start, end) = (self.range.start, self.range.end);
+        let size = self.range.len().div_ceil(blocks);
+        let per_block: Vec<Vec<f64>> = (0..blocks)
+            .into_par_iter()
+            .map(|b| {
+                let lo = (start + b * size).min(end);
+                let cells = lo..(lo + size).min(end);
+                self.block(&mut pairs.memo_session(), cells, include_self, generation)
+            })
+            .collect();
+        per_block.concat()
     }
 }
 
@@ -313,30 +369,12 @@ impl FitnessProvider for LatticeProvider<'_> {
             ref other => panic!("LatticeProvider needs a Neighborhood scope, got {other:?}"),
         };
         let _span = obs::span("spatial.fitness");
-        let gen = plan.generation;
-        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
         let per_cell = self.view.degree(0) as u64 + u64::from(scope.include_self);
-        // The payoff phase is embarrassingly parallel (§V-A): each vertex
-        // accumulates its neighbour games in the lattice's canonical
-        // stencil order, so the per-vertex sum is thread-count invariant.
-        let payoffs: Vec<f64> = self
-            .range
-            .clone()
-            .into_par_iter()
-            .map(|i| {
-                // One session per cell, not per rayon chunk: a cold
-                // worker's insert then waits for one stencil of another
-                // worker's reads, never for a whole chunk of them.
-                let mut session = pairs.session();
-                let mut total: f64 = (0..self.view.degree(i))
-                    .map(|k| self.pair_payoff(&mut session, i, self.view.neighbor(i, k), gen))
-                    .sum();
-                if scope.include_self {
-                    total += self.pair_payoff(&mut session, i, i, gen);
-                }
-                total
-            })
-            .collect();
+        // The payoff phase is embarrassingly parallel (§V-A): one block of
+        // cells per worker, so the read lock and the counter flush are paid
+        // once a block, not once a cell.
+        let blocks = rayon::current_num_threads().min(self.range.len()).max(1);
+        let payoffs = self.payoffs(scope.include_self, plan.generation, blocks);
         Provided {
             view: FitnessView::Full(payoffs),
             games: per_cell * self.range.len() as u64,
@@ -364,8 +402,7 @@ pub fn decide_cell(
         SpatialUpdate::BestNeighbor => {
             let mut best = cell;
             let mut best_pay = payoff_of(cell);
-            for k in 0..view.degree(cell) {
-                let j = view.neighbor(cell, k);
+            for j in view.stencil(cell) {
                 // Strict improvement, lowest-index tie-break: the rule
                 // stays fully deterministic.
                 if payoff_of(j) > best_pay || (payoff_of(j) == best_pay && j < best) {
@@ -882,6 +919,126 @@ mod tests {
             (records, pop.render(), *pop.stats())
         };
         assert_eq!(mk(true), mk(false), "cache must not change the trajectory");
+    }
+
+    /// The walk the block walk replaced, as an independent reference: one
+    /// probe session per cell, neighbours by the `rem_euclid` formula.
+    /// Returns the payoffs and the sessions' summed `(hits, misses)`.
+    fn per_cell_walk(p: &LatticeProvider<'_>, include_self: bool, generation: u64) -> (Vec<f64>, (u64, u64)) {
+        let pairs = PairPayoff::new(p.space, p.pool, p.game, p.cache);
+        let n = p.grid.len() as u64;
+        let mut tally = (0, 0);
+        let values = p
+            .range
+            .clone()
+            .map(|i| {
+                let mut session = pairs.session();
+                let mut play = |j: usize| {
+                    let game = || stream(p.seed, Domain::GamePlay, i as u64 * n + j as u64, generation);
+                    session.sampled(p.grid[i], p.grid[j], game)
+                };
+                let (x, y) = p.view.coords(i);
+                let mut total: f64 = p
+                    .view
+                    .neighborhood
+                    .offsets()
+                    .iter()
+                    .map(|&(dx, dy)| play(p.view.index(x as i64 + dx, y as i64 + dy)))
+                    .sum();
+                if include_self {
+                    total += play(i);
+                }
+                let (hits, misses) = session.tally();
+                tally = (tally.0 + hits, tally.1 + misses);
+                total
+            })
+            .collect();
+        (values, tally)
+    }
+
+    /// The block walk against the per-cell walk: payoff bits at 1, 2 and 8
+    /// blocks (what `provide` makes of `RAYON_NUM_THREADS` 1/2/8), with and
+    /// without a cache; the one-block `(hits, misses)`; and the cache
+    /// contents, cold and warm. The grids: the two-strategy weak dilemma;
+    /// all 16 pure memory-one strategies, more distinct pairs than memo
+    /// slots, so slots collide; pure and mixed strategies side by side,
+    /// whose stochastic pairs the memo must never answer; the same pure
+    /// grid under noise; and, on each, the row ranges a distributed rank
+    /// evaluates (its owned rows and the two halo rows, which wrap).
+    #[test]
+    fn block_walk_equals_the_per_cell_walk() {
+        let space = StateSpace::new(1).unwrap();
+        let (w, h) = (12, 9);
+        let mut rng = stream(5, Domain::Init, 0, 0);
+        let pure: Vec<Strategy> = (0..w * h)
+            .map(|i| {
+                // Every index at least once, then at random.
+                let index = if i < 16 { i as u8 } else { rand::Rng::random_range(&mut rng, 0..16) };
+                Strategy::Pure(ipd::strategy::PureStrategy::from_memory_one_index(space, index))
+            })
+            .collect();
+        let mixed: Vec<Strategy> = [0.2, 0.7]
+            .map(|p| Strategy::Mixed(ipd::strategy::MixedStrategy::memory_one(space, [p, 0.5, 0.1, p]).unwrap()))
+            .into();
+        let with_mixed: Vec<Strategy> =
+            pure.iter().enumerate().map(|(i, s)| if i % 3 == 0 { mixed[i % 2].clone() } else { s.clone() }).collect();
+        let iterated = |noise: f64| SpatialParams {
+            width: w,
+            height: h,
+            mem_steps: 1,
+            game: GameConfig {
+                rounds: 20,
+                noise,
+                ..GameConfig::default()
+            },
+            seed: 5,
+            ..SpatialParams::default()
+        };
+        let mut weak = params(1.85, w, SpatialUpdate::BestNeighbor);
+        weak.height = h;
+        let grids = [
+            ("weak dilemma", SpatialPopulation::new(weak, InitPattern::RandomDefectors(0.5))),
+            ("16 pure", SpatialPopulation::new(iterated(0.0), InitPattern::Explicit(pure.clone()))),
+            ("pure and mixed", SpatialPopulation::new(iterated(0.0), InitPattern::Explicit(with_mixed))),
+            ("noisy", SpatialPopulation::new(iterated(0.05), InitPattern::Explicit(pure))),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, pop) in &grids {
+            let game = pop.params.game;
+            for (include_self, range) in [(true, 0..w * h), (false, 3 * w..6 * w), (true, 0..w), (true, (h - 1) * w..h * w)] {
+                let label = format!("{name} self {include_self} cells {range:?}");
+                let provider = |cache| LatticeProvider {
+                    space: &pop.space,
+                    view: &pop.lattice,
+                    grid: &pop.grid,
+                    pool: &pop.pool,
+                    game: &game,
+                    seed: pop.params.seed,
+                    kernel: GameKernel::Naive,
+                    cache,
+                    range: range.clone(),
+                };
+                let (want, _) = per_cell_walk(&provider(None), include_self, 3);
+                let (reference, blocked) = (PayoffCache::new(game), PayoffCache::new(game));
+                for pass in ["cold", "warm"] {
+                    let (by_cell, tally) = per_cell_walk(&provider(Some(&reference)), include_self, 3);
+                    assert_eq!(bits(&by_cell), bits(&want), "{label} {pass}: cached per-cell walk");
+                    let block = provider(Some(&blocked));
+                    let mut session = PairPayoff::new(&pop.space, &pop.pool, &game, Some(&blocked)).memo_session();
+                    let got = block.block(&mut session, range.clone(), include_self, 3);
+                    assert_eq!(bits(&got), bits(&want), "{label} {pass}: one block");
+                    assert_eq!(session.tally(), tally, "{label} {pass}: (hits, misses)");
+                    drop(session);
+                    assert_eq!(blocked.len(), reference.len(), "{label} {pass}: cache entries");
+                    for blocks in [1, 2, 8] {
+                        for cache in [None, Some(&blocked)] {
+                            let got = provider(cache).payoffs(include_self, 3, blocks);
+                            assert_eq!(bits(&got), bits(&want), "{label} {pass}: {blocks} blocks, cached {}", cache.is_some());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

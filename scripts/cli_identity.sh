@@ -13,7 +13,8 @@
 # deterministic fractional lattice game, which must skip the cycle payout,
 # the strategy census (a pool far larger than the
 # population, expected fitness on demand, dedup counters in a manifest),
-# the lattice shared / row-sharded / fermi-vn4, fixation
+# the lattice shared / row-sharded / fermi-vn4 / on 3-wide and 3-tall tori
+# whose stencils and halo rows wrap, fixation
 # shared / replicate-sharded / --matrix, checkpoint -> resume per family
 # across backends, kill -> resume per family, the generation frame's edge
 # cases (one compute rank, a resumed run's periodic checkpoints at
@@ -133,6 +134,11 @@ run_list() {
     c sp-iterated spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --noise 0.02 --temptation 1.6 --no-payoff-cache
     # Deterministic and fractional: the every-round path, not the cycle payout.
     c sp-iterated-det spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --temptation 1.6
+    # Wrap-heavy tori: at width or height 3 every cell's stencil wraps on
+    # that axis, and over ranks each compute rank's outer halo row wraps.
+    c sp-wrap-vn4 spatial --width 3 --height 7 --generations 12 --seed 17 --neighborhood vn4 --no-self --init single --records sp-wrap-vn4.jsonl
+    c sp-wrap-moore spatial --width 7 --height 3 --generations 12 --seed 17 --init random:0.4 --update fermi --beta 0.8 --records sp-wrap-moore.jsonl
+    c sp-wrap-ranks spatial --width 3 --height 9 --ranks 3 --generations 12 --seed 17 --init random:0.4 --records sp-wrap-ranks.jsonl
     # Fixation.
     c fx-shared fixate $FX --records fx-shared.jsonl --manifest-out fx-shared.manifest.json
     c fx-ranks fixate $FX --ranks 3 --records fx-ranks.jsonl --manifest-out fx-ranks.manifest.json
