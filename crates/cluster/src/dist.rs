@@ -124,11 +124,12 @@ pub struct DistConfig {
     #[serde(default)]
     pub resume: Option<Checkpoint>,
     /// Disable the per-rank cross-generation payoff memo-cache
-    /// ([`PayoffCache`], docs/PERFORMANCE.md). Caching is on by default
-    /// and is cost-only — trajectories and message schedules are
-    /// bit-identical either way — so configs serialised before this field
-    /// existed deserialise to `false` (cache on) without changing their
-    /// results. Phrased as an opt-out so the serde default works.
+    /// ([`PayoffCache`], docs/PERFORMANCE.md §2.3). Caching is on by
+    /// default and is cost-only — trajectories and message schedules are
+    /// bit-identical either way. No front-end sets it: its one caller is
+    /// the ledger's `cluster.perf.pred_ratio` check, which times the
+    /// uncached run because `cluster::perf`'s LogGP model knows no cache
+    /// (ROADMAP item 5).
     #[serde(default)]
     pub disable_payoff_cache: bool,
 }
@@ -629,7 +630,6 @@ impl RankProvider<'_> {
 mod tests {
     use super::*;
     use crate::faults::{FaultAction, MessageFault, MessageFaults, RankKill};
-    use evo_core::fitness::ExecMode;
     use evo_core::population::Population;
     use ipd::game::GameConfig;
 
@@ -671,7 +671,6 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let p = params(seed, 10, 40);
             let mut reference = Population::new(p.clone()).unwrap();
-            reference.exec_mode = ExecMode::Sequential;
             let mut ref_events = Vec::new();
             for _ in 0..40 {
                 ref_events.push(reference.step().events);
@@ -718,7 +717,6 @@ mod tests {
                 let mut p = params(21, 9, 40);
                 p.rule = rule;
                 let mut reference = Population::new(p.clone()).unwrap();
-                reference.exec_mode = ExecMode::Sequential;
                 reference.fitness_policy = policy;
                 let mut ref_events = Vec::new();
                 for _ in 0..40 {

@@ -68,11 +68,6 @@ pub struct FixationDistConfig {
     /// is ignored when set) and its completed replicates are skipped.
     #[serde(default)]
     pub resume: Option<FixationCheckpoint>,
-    /// Disable the per-rank payoff memo-cache shared across that rank's
-    /// replicates. Cost-only either way (serde default keeps older
-    /// configs on the cached path).
-    #[serde(default)]
-    pub disable_payoff_cache: bool,
 }
 
 impl FixationDistConfig {
@@ -83,7 +78,6 @@ impl FixationDistConfig {
             ranks,
             faults: FaultPlan::default(),
             resume: None,
-            disable_payoff_cache: false,
         }
     }
 }
@@ -223,15 +217,14 @@ impl Protocol for Farm {
     fn compute(&self, comm: &Comm<FixMsg>) -> Result<(), RankError> {
         let rank = comm.rank();
         let owned = owned_range(rank, self.config.spec.replicates as usize, comm.size());
-        let cache = (!self.config.disable_payoff_cache)
-            .then(|| Arc::new(PayoffCache::new(self.config.spec.params.game)));
+        let cache = Arc::new(PayoffCache::new(self.config.spec.params.game));
         for r in owned {
             let r = r as u32;
             if self.is_completed(r) {
                 continue;
             }
             driver::check_kill(&self.config.faults, rank, u64::from(r))?;
-            let result = self.config.spec.run_replicate(r, cache.as_ref());
+            let result = self.config.spec.run_replicate(r, Some(&cache));
             comm.send(0, RESULT_TAG, FixMsg::Result(result))?;
         }
         Ok(())
@@ -366,14 +359,5 @@ mod tests {
         resumed_cfg.resume = Some(cp);
         let resumed = run_fixation_distributed(&resumed_cfg).unwrap();
         assert_eq!(resumed.outcome, clean);
-    }
-
-    #[test]
-    fn payoff_cache_off_is_bit_identical_to_on() {
-        let on = run_fixation_distributed(&FixationDistConfig::new(spec(15, 8), 3)).unwrap();
-        let mut cfg = FixationDistConfig::new(spec(15, 8), 3);
-        cfg.disable_payoff_cache = true;
-        let off = run_fixation_distributed(&cfg).unwrap();
-        assert_eq!(on.outcome, off.outcome);
     }
 }

@@ -115,10 +115,6 @@ pub struct SpatialDistConfig {
     /// `init` above are ignored when this is set.
     #[serde(default)]
     pub resume: Option<SpatialCheckpoint>,
-    /// Disable the per-rank cross-generation payoff memo-cache
-    /// (cost-only; trajectories are bit-identical either way).
-    #[serde(default)]
-    pub disable_payoff_cache: bool,
 }
 
 impl SpatialDistConfig {
@@ -131,7 +127,6 @@ impl SpatialDistConfig {
             faults: FaultPlan::default(),
             checkpoint_every: None,
             resume: None,
-            disable_payoff_cache: false,
         }
     }
 }
@@ -425,7 +420,7 @@ impl Generations for Lattice {
                     game: &p.game,
                     seed: p.seed,
                     kernel: GameKernel::Naive,
-                    cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
+                    cache: Some(&st.cache),
                     range: range.clone(),
                 }
                 .provide(&plan);
@@ -670,20 +665,6 @@ mod tests {
             assert_eq!(out.grid, ref_grid, "ranks {ranks}");
             assert_eq!(out.stats, ref_stats, "ranks {ranks}");
         }
-    }
-
-    #[test]
-    fn payoff_cache_off_is_bit_identical_to_on() {
-        let p = params(11, 9, 12, SpatialUpdate::BestNeighbor);
-        let init = InitPattern::RandomDefectors(0.3);
-        let on = run_spatial_distributed(&SpatialDistConfig::new(p.clone(), init.clone(), 3))
-            .unwrap();
-        let mut cfg = SpatialDistConfig::new(p, init, 3);
-        cfg.disable_payoff_cache = true;
-        let off = run_spatial_distributed(&cfg).unwrap();
-        assert_eq!(on.records, off.records);
-        assert_eq!(on.grid, off.grid);
-        assert_eq!(on.stats, off.stats);
     }
 
     #[test]

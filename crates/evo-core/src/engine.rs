@@ -216,9 +216,9 @@ pub trait FitnessProvider {
 }
 
 /// The shared-memory provider: evaluates in place over the population's
-/// own tables, honouring the execution knobs ([`ExecMode`], dedup,
-/// expected-value fitness). Which evaluator each combination selects is
-/// tabulated in docs/PERFORMANCE.md §2.2.
+/// own tables, honouring the evaluation knobs (dedup, expected-value
+/// fitness). Which evaluator each combination selects is tabulated in
+/// docs/PERFORMANCE.md §2.2. Rows and miss replays map through rayon.
 #[derive(Debug)]
 pub struct LocalProvider<'a> {
     /// State space of all strategies.
@@ -231,7 +231,8 @@ pub struct LocalProvider<'a> {
     pub game: &'a GameConfig,
     /// Master seed.
     pub seed: u64,
-    /// Sequential or rayon evaluation.
+    /// Read by nothing: the schedule follows from the plan ([`ExecMode`]
+    /// says why the field stays).
     pub exec_mode: ExecMode,
     /// Use the deduplicated evaluator when sound.
     pub dedup: bool,
@@ -260,14 +261,8 @@ impl FitnessProvider for LocalProvider<'_> {
                 // census serves both rows.
                 let census = self.expected_fitness.then(|| census(self.assignments));
                 let one = |focal: u32| match &census {
-                    // One cache row per focal SSet; too few misses to be
-                    // worth a rayon dispatch.
-                    Some(census) => pairs.evaluate_distinct(
-                        census,
-                        PayoffKind::Expected,
-                        Some(focal as usize),
-                        ExecMode::Sequential,
-                    )[0],
+                    // One cache row per focal SSet.
+                    Some(census) => pairs.evaluate_distinct(census, PayoffKind::Expected, Some(focal as usize))[0],
                     None => pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize),
                 };
                 Provided {
@@ -294,17 +289,12 @@ impl FitnessProvider for LocalProvider<'_> {
                         };
                         let u = census.len() as u64;
                         Provided {
-                            view: FitnessView::Full(pairs.evaluate_distinct(&census, kind, None, self.exec_mode)),
+                            view: FitnessView::Full(pairs.evaluate_distinct(&census, kind, None)),
                             games: u * u,
                         }
                     }
                     None => Provided {
-                        view: FitnessView::Full(pairs.evaluate_naive(
-                            self.assignments,
-                            self.seed,
-                            plan.generation,
-                            self.exec_mode,
-                        )),
+                        view: FitnessView::Full(pairs.evaluate_naive(self.assignments, self.seed, plan.generation)),
                         games: s * s,
                     },
                 }

@@ -54,23 +54,17 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// How the game-dynamics phase is executed.
+/// A schedule choice that no longer exists. The schedule follows from the
+/// input: every evaluation maps its rows and its miss replays through
+/// rayon, which runs them on the calling thread at one worker and for ≤ 1
+/// item. Read by nothing: the ledger's traced
+/// replay still names `ExecMode::Rayon` in the `LocalProvider` struct
+/// literal it builds (ROADMAP item 1 re-pins that surface; item 2 deletes
+/// this enum with the other knob fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Single-threaded reference implementation.
-    Sequential,
-    /// Data-parallel over SSets via rayon (one task per focal SSet).
+    /// The only value.
     Rayon,
-}
-
-impl ExecMode {
-    /// `(0..n).map(f)` in index order, on this mode's schedule.
-    fn map<T: Send>(self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        match self {
-            ExecMode::Sequential => (0..n).map(f).collect(),
-            ExecMode::Rayon => (0..n).into_par_iter().map(f).collect(),
-        }
-    }
 }
 
 /// When fitness is computed within the generation loop.
@@ -273,17 +267,15 @@ impl<'a> PairPayoff<'a> {
     }
 
     /// Every SSet's relative fitness by the paper's schedule: all `s²`
-    /// games played, nothing cached — the fidelity baseline.
-    /// `evaluate_naive(..)[i] == evaluate_one(.., i)` bit for bit.
-    pub fn evaluate_naive(
-        &self,
-        assignments: &[StratId],
-        seed: u64,
-        generation: u64,
-        mode: ExecMode,
-    ) -> Vec<f64> {
+    /// games played, nothing cached — the fidelity baseline. One rayon task
+    /// per focal SSet; `evaluate_naive(..)[i] == evaluate_one(.., i)` bit
+    /// for bit.
+    pub fn evaluate_naive(&self, assignments: &[StratId], seed: u64, generation: u64) -> Vec<f64> {
         let uncached = PairPayoff { cache: None, ..*self };
-        mode.map(assignments.len(), |i| uncached.evaluate_one(assignments, seed, generation, i))
+        (0..assignments.len())
+            .into_par_iter()
+            .map(|i| uncached.evaluate_one(assignments, seed, generation, i))
+            .collect()
     }
 
     /// Fitness from each *distinct* ordered strategy pair once, combined by
@@ -299,15 +291,9 @@ impl<'a> PairPayoff<'a> {
     /// [`PayoffKind::Sampled`] is the played game, equal to
     /// [`PairPayoff::evaluate_naive`] when every pair is deterministic;
     /// panics otherwise (dedup would change stochastic results). Cache
-    /// misses are replayed on `mode`'s schedule, sampled ones a group of
-    /// one row's misses per task (`PairPayoff::play_group`).
-    pub fn evaluate_distinct(
-        &self,
-        census: &Census,
-        kind: PayoffKind,
-        focal: Option<usize>,
-        mode: ExecMode,
-    ) -> Vec<f64> {
+    /// misses are replayed through rayon, a group of one row's misses per
+    /// task (`PairPayoff::play_group`).
+    pub fn evaluate_distinct(&self, census: &Census, kind: PayoffKind, focal: Option<usize>) -> Vec<f64> {
         // Every float accumulation below runs in the census's ascending-id
         // order, so it is stable run to run.
         let unique = census.ids();
@@ -341,10 +327,13 @@ impl<'a> PairPayoff<'a> {
         session.release();
         let pair = |slot: usize| (rows[slot / u], unique[slot % u]);
         let replayed: Vec<f64> = match kind {
-            PayoffKind::Expected => mode.map(misses.len(), |m| {
-                let (a, b) = pair(misses[m]);
-                self.expected(a, b)
-            }),
+            PayoffKind::Expected => (0..misses.len())
+                .into_par_iter()
+                .map(|m| {
+                    let (a, b) = pair(misses[m]);
+                    self.expected(a, b)
+                })
+                .collect(),
             PayoffKind::Sampled => {
                 let pures: Vec<(&PureStrategy, &PureStrategy)> = misses
                     .iter()
@@ -360,7 +349,10 @@ impl<'a> PairPayoff<'a> {
                     .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
                     .flat_map(|row| row.chunks(LANES))
                     .collect();
-                mode.map(groups.len(), |g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
+                (0..groups.len())
+                    .into_par_iter()
+                    .map(|g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
+                    .collect::<Vec<_>>()
                     .into_iter()
                     .zip(&groups)
                     .flat_map(|(values, group)| values.into_iter().take(group.len()))
@@ -743,36 +735,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_rayon_agree_pure() {
-        let (space, asg, pool) = setup_pure(24, 2, 1);
-        let game = cfg();
-        let pp = plain(&space, &pool, &game);
-        let seq = pp.evaluate_naive(&asg, 1, 0, ExecMode::Sequential);
-        let par = pp.evaluate_naive(&asg, 1, 0, ExecMode::Rayon);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn sequential_and_rayon_agree_stochastic() {
-        let (space, asg, pool) = setup_mixed(16, 16, 3);
-        let game = noisy(50, 0.05);
-        let pp = plain(&space, &pool, &game);
-        let seq = pp.evaluate_naive(&asg, 3, 5, ExecMode::Sequential);
-        let par = pp.evaluate_naive(&asg, 3, 5, ExecMode::Rayon);
-        assert_eq!(seq, par, "stochastic games must be schedule-invariant");
-    }
-
-    #[test]
     fn deduped_matches_naive() {
         let (space, asg, pool) = setup_classics();
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let naive = pp.evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
-        let dedup_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Rayon);
+        let naive = pp.evaluate_naive(&asg, 0, 0);
+        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         for i in 0..32 {
             assert!((naive[i] - dedup[i]).abs() < 1e-9, "sset {i}");
-            assert!((naive[i] - dedup_par[i]).abs() < 1e-9, "sset {i} (rayon)");
         }
     }
 
@@ -781,8 +751,8 @@ mod tests {
         let (space, asg, pool) = setup_pure(40, 3, 9);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let naive = pp.evaluate_naive(&asg, 9, 2, ExecMode::Sequential);
-        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        let naive = pp.evaluate_naive(&asg, 9, 2);
+        let dedup = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         for i in 0..asg.len() {
             assert!((naive[i] - dedup[i]).abs() < 1e-9);
         }
@@ -793,7 +763,7 @@ mod tests {
     fn deduped_rejects_noise() {
         let (space, asg, pool) = setup_pure(8, 1, 0);
         let game = noisy(10, 0.1);
-        plain(&space, &pool, &game).evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        plain(&space, &pool, &game).evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
     }
 
     #[test]
@@ -802,12 +772,7 @@ mod tests {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let id = pool.intern(Strategy::Mixed(classic::random_mixed(&space)));
-        plain(&space, &pool, &cfg()).evaluate_distinct(
-            &census(&[id, id]),
-            PayoffKind::Sampled,
-            None,
-            ExecMode::Sequential,
-        );
+        plain(&space, &pool, &cfg()).evaluate_distinct(&census(&[id, id]), PayoffKind::Sampled, None);
     }
 
     #[test]
@@ -820,7 +785,7 @@ mod tests {
         let d = pool.intern(Strategy::Pure(classic::all_d(&space)));
         let mut asg = vec![c; 16];
         asg[7] = d;
-        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&asg, 0, 0, ExecMode::Sequential);
+        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&asg, 0, 0);
         for (i, f) in fit.iter().enumerate() {
             if i != 7 {
                 assert!(fit[7] > *f, "defector must out-earn cooperator {i}");
@@ -833,8 +798,8 @@ mod tests {
         let (space, asg, pool) = setup_mixed(6, 6, 5);
         let game = noisy(30, 0.0);
         let pp = plain(&space, &pool, &game);
-        let g0 = pp.evaluate_naive(&asg, 5, 0, ExecMode::Sequential);
-        let g1 = pp.evaluate_naive(&asg, 5, 1, ExecMode::Sequential);
+        let g0 = pp.evaluate_naive(&asg, 5, 0);
+        let g1 = pp.evaluate_naive(&asg, 5, 1);
         assert_ne!(g0, g1, "mixed-strategy games re-sample each generation");
     }
 
@@ -860,7 +825,7 @@ mod tests {
         let space = StateSpace::new(1).unwrap();
         let mut pool = StrategyPool::new();
         let c = pool.intern(Strategy::Pure(classic::all_c(&space)));
-        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&[c, c], 0, 0, ExecMode::Sequential);
+        let fit = plain(&space, &pool, &cfg()).evaluate_naive(&[c, c], 0, 0);
         assert_eq!(fit, vec![300.0, 300.0]);
     }
 
@@ -869,7 +834,7 @@ mod tests {
         let (space, asg, pool) = setup_pure(20, 2, 13);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let vec = pp.evaluate_naive(&asg, 13, 4, ExecMode::Sequential);
+        let vec = pp.evaluate_naive(&asg, 13, 4);
         for (i, expected) in vec.iter().enumerate() {
             assert_eq!(*expected, pp.evaluate_one(&asg, 13, 4, i), "sset {i}");
         }
@@ -880,7 +845,7 @@ mod tests {
         let (space, asg, pool) = setup_mixed(10, 10, 21);
         let game = noisy(30, 0.03);
         let pp = plain(&space, &pool, &game);
-        let vec = pp.evaluate_naive(&asg, 21, 9, ExecMode::Sequential);
+        let vec = pp.evaluate_naive(&asg, 21, 9);
         for (i, expected) in vec.iter().enumerate() {
             assert_eq!(*expected, pp.evaluate_one(&asg, 21, 9, i), "sset {i}");
         }
@@ -894,11 +859,9 @@ mod tests {
         let (space, asg, pool) = setup_pure(24, 2, 7);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let vec_seq = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
-        let vec_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Rayon);
-        for (i, expected) in vec_seq.iter().enumerate() {
-            assert_eq!(expected.to_bits(), vec_par[i].to_bits(), "sset {i} (rayon)");
-            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), ExecMode::Sequential);
+        let vec = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
+        for (i, expected) in vec.iter().enumerate() {
+            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i));
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i}");
         }
 
@@ -906,9 +869,9 @@ mod tests {
         let (space, asg, pool) = setup_mixed(12, 4, 33);
         let game = noisy(40, 0.03);
         let pp = plain(&space, &pool, &game);
-        let vec = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let vec = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
         for (i, expected) in vec.iter().enumerate() {
-            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), ExecMode::Sequential);
+            let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i));
             assert_eq!(bits(&one), [expected.to_bits()], "sset {i} (mixed)");
         }
     }
@@ -919,12 +882,10 @@ mod tests {
         let (space, asg, pool) = setup_pure(24, 2, 17);
         let game = cfg();
         let pp = plain(&space, &pool, &game);
-        let naive = pp.evaluate_naive(&asg, 17, 0, ExecMode::Sequential);
-        let expected = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
-        let expected_par = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Rayon);
+        let naive = pp.evaluate_naive(&asg, 17, 0);
+        let expected = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
         for i in 0..asg.len() {
             assert!((naive[i] - expected[i]).abs() < 1e-6, "sset {i}");
-            assert!((expected[i] - expected_par[i]).abs() < 1e-12);
         }
     }
 
@@ -935,14 +896,14 @@ mod tests {
         let (space, asg, pool) = setup_mixed(8, 8, 23);
         let game = noisy(50, 0.02);
         let pp = plain(&space, &pool, &game);
-        let e1 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
-        let e2 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let e1 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
+        let e2 = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
         assert_eq!(e1, e2);
         // And it approximates the mean of many sampled evaluations.
         let mut mean = vec![0.0; asg.len()];
         let reps = 400;
         for g in 0..reps {
-            let f = pp.evaluate_naive(&asg, 23, g, ExecMode::Sequential);
+            let f = pp.evaluate_naive(&asg, 23, g);
             for (m, v) in mean.iter_mut().zip(&f) {
                 *m += v;
             }
@@ -957,11 +918,11 @@ mod tests {
     }
 
     /// Every route to a payoff gives the same bits: kernel {cycle payout,
-    /// lockstep lanes} × cache {none, cold, warm} × schedule, for the pair
-    /// primitive and the three evaluators, each pair against the one-lane
-    /// kernel; and swapping roles transposes.
+    /// lockstep lanes} × cache {none, cold, warm}, for the pair primitive
+    /// and the three evaluators (each of every SSet's rows and of one row),
+    /// each pair against the one-lane kernel; and swapping roles transposes.
     #[test]
-    fn every_kernel_cache_state_and_schedule_gives_the_same_bits() {
+    fn every_kernel_and_cache_state_gives_the_same_bits() {
         // Heavy duplication (memory one), memory three, a mid-depth
         // population with few duplicates, two sizes that leave a partial
         // last group, a pool mostly of dead ids, and the deeper walks of
@@ -984,9 +945,8 @@ mod tests {
         };
         for ((space, asg, pool), game) in populations.iter().flat_map(|p| [(p, cfg()), (p, weak)]) {
             let reference = plain(space, pool, &game);
-            let naive = bits(&reference.evaluate_naive(asg, 13, 4, ExecMode::Sequential));
-            let dedup =
-                bits(&reference.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, ExecMode::Sequential));
+            let naive = bits(&reference.evaluate_naive(asg, 13, 4));
+            let dedup = bits(&reference.evaluate_distinct(&census(asg), PayoffKind::Sampled, None));
             let unique: Vec<StratId> = asg.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
             let pure = |id: StratId| match pool.get(id).as_ref() {
                 Strategy::Pure(p) => p,
@@ -1023,18 +983,12 @@ mod tests {
                         assert_eq!(v.to_bits(), swapped.fitness_b.to_bits(), "{label}: role swap ({a},{b})");
                     }
                 }
-                for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                    assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4, mode)), naive, "{label} {mode:?}");
-                    assert_eq!(
-                        bits(&pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, None, mode)),
-                        dedup,
-                        "{label} {mode:?}"
-                    );
-                    for i in 0..asg.len() {
-                        assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
-                        let one = pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, Some(i), mode);
-                        assert_eq!(bits(&one), [dedup[i]], "{label} {mode:?}: distinct one {i}");
-                    }
+                assert_eq!(bits(&pp.evaluate_naive(asg, 13, 4)), naive, "{label}");
+                assert_eq!(bits(&pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, None)), dedup, "{label}");
+                for i in 0..asg.len() {
+                    assert_eq!(pp.evaluate_one(asg, 13, 4, i).to_bits(), naive[i], "{label}: one {i}");
+                    let one = pp.evaluate_distinct(&census(asg), PayoffKind::Sampled, Some(i));
+                    assert_eq!(bits(&one), [dedup[i]], "{label}: distinct one {i}");
                 }
             }
             assert_eq!(cache.len(), unique.len() * unique.len(), "every ordered distinct pair memoised once");
@@ -1062,9 +1016,7 @@ mod tests {
         let cache = PayoffCache::new(game);
         for cached in [None, Some(&cache), Some(&cache)] {
             let pp = PairPayoff::new(&space, &pool, &game, cached);
-            for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4, mode)), reference, "{mode:?}");
-            }
+            assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4)), reference);
             for (i, want) in reference.iter().enumerate() {
                 assert_eq!(pp.evaluate_one(&asg, 13, 4, i).to_bits(), *want, "one {i}");
             }
@@ -1074,22 +1026,15 @@ mod tests {
         // Expected payoffs, for strategies no sampled path may cache.
         let (space, asg, pool) = setup_mixed(12, 4, 41);
         let game = noisy(40, 0.03);
-        let exact = bits(&plain(&space, &pool, &game).evaluate_distinct(
-            &census(&asg),
-            PayoffKind::Expected,
-            None,
-            ExecMode::Sequential,
-        ));
+        let exact = bits(&plain(&space, &pool, &game).evaluate_distinct(&census(&asg), PayoffKind::Expected, None));
         let cache = PayoffCache::new(game);
         for cached in [None, Some(&cache), Some(&cache)] {
             let pp = PairPayoff::new(&space, &pool, &game, cached);
-            for mode in [ExecMode::Sequential, ExecMode::Rayon] {
-                assert_eq!(bits(&pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, mode)), exact);
-                // The OnDemand companion shares the same entries.
-                for (i, want) in exact.iter().enumerate() {
-                    let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i), mode);
-                    assert_eq!(bits(&one), [*want], "sset {i} (one)");
-                }
+            assert_eq!(bits(&pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None)), exact);
+            // The OnDemand companion shares the same entries.
+            for (i, want) in exact.iter().enumerate() {
+                let one = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, Some(i));
+                assert_eq!(bits(&one), [*want], "sset {i} (one)");
             }
         }
         assert_eq!(cache.len(), 16, "4 distinct strategies → 16 Expected entries");
@@ -1106,7 +1051,7 @@ mod tests {
         let (space, classics, pool) = setup_classics();
         let doubled = (space, (0..14).map(|i| classics[(i / 2) % 4]).collect(), pool);
         for (space, asg, pool) in [doubled, setup_pure(13, 3, 6), setup_pure(3, 2, 5)] {
-            let naive = bits(&plain(&space, &pool, &game).evaluate_naive(&asg, 13, 4, ExecMode::Sequential));
+            let naive = bits(&plain(&space, &pool, &game).evaluate_naive(&asg, 13, 4));
             // Warm the strategies of the first third of the SSets.
             let warm = &asg[..asg.len() / 3];
             let (grouped, paired) = (PayoffCache::new(game), PayoffCache::new(game));
@@ -1136,6 +1081,63 @@ mod tests {
             }
             let distinct = asg.iter().collect::<std::collections::BTreeSet<_>>().len();
             assert_eq!((grouped.len(), paired.len()), (distinct * distinct, distinct * distinct));
+        }
+    }
+
+    /// The lifting identity (Gaffney, Harper & Knight, arXiv:1912.04493)
+    /// through every evaluator: a population of memory-n pure strategies and
+    /// the same population lifted to memory m (the move for state `s` is the
+    /// original's for `s & mask_n`; `classic`'s TFT and WSLS lift
+    /// themselves) get the same fitness bits from `evaluate_one`,
+    /// `evaluate_naive` and `evaluate_distinct(Sampled)`, each with no cache,
+    /// a cold one and a warm one — under an integral matrix, which
+    /// `play_group` pays out from cycles, and the fractional 1.85 one, which
+    /// it plays in lanes.
+    #[test]
+    fn lifted_populations_score_the_same_through_every_evaluator_and_cache_state() {
+        let lift = |p: &PureStrategy, wider: StateSpace| {
+            let mask = p.space().mask();
+            PureStrategy::from_fn(wider, |s| p.move_for(s & mask))
+        };
+        let weak = GameConfig {
+            payoff: PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+            ..cfg()
+        };
+        for (n, m) in [(1usize, 2usize), (1, 4), (2, 3), (1, 6), (3, 5)] {
+            let (space, wider) = (StateSpace::new(n).unwrap(), StateSpace::new(m).unwrap());
+            let mut rng = stream(1912, Domain::Init, n as u64, m as u64);
+            let random: Vec<PureStrategy> = (0..5).map(|_| PureStrategy::random(space, &mut rng)).collect();
+            let narrow = [classic::tft(&space), classic::wsls(&space)].into_iter().chain(random.iter().cloned());
+            let lifted = [classic::tft(&wider), classic::wsls(&wider)]
+                .into_iter()
+                .chain(random.iter().map(|p| lift(p, wider)));
+            // Eleven SSets over the seven tables, so that dedup weighs
+            // repeated strategies.
+            let population = |tables: Vec<PureStrategy>| {
+                let mut pool = StrategyPool::new();
+                let ids: Vec<StratId> = tables.into_iter().map(|p| pool.intern(Strategy::Pure(p))).collect();
+                let asg: Vec<StratId> = (0..11).map(|i| ids[i * 5 % ids.len()]).collect();
+                (pool, asg)
+            };
+            let (narrow_pool, asg) = population(narrow.collect());
+            let (lifted_pool, lifted_asg) = population(lifted.collect());
+            assert_eq!(asg, lifted_asg, "lifting keeps which SSets share a strategy");
+            for game in [cfg(), weak] {
+                let reference = plain(&space, &narrow_pool, &game);
+                let naive = bits(&reference.evaluate_naive(&asg, 13, 4));
+                let dedup = bits(&reference.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None));
+                let cache = PayoffCache::new(game);
+                for cached in [None, Some(&cache), Some(&cache)] {
+                    let label = format!("memory {n} lifted to {m}, {:?}, cache {}", game.payoff, cached.map_or(0, |c| c.len()));
+                    let pp = PairPayoff::new(&wider, &lifted_pool, &game, cached);
+                    for (i, want) in naive.iter().enumerate() {
+                        assert_eq!(pp.evaluate_one(&asg, 13, 4, i).to_bits(), *want, "{label}: one {i}");
+                    }
+                    assert_eq!(bits(&pp.evaluate_naive(&asg, 13, 4)), naive, "{label}: naive");
+                    assert_eq!(bits(&pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None)), dedup, "{label}: distinct");
+                }
+                assert!(!cache.is_empty(), "the cold pass warms the cache");
+            }
         }
     }
 
@@ -1217,10 +1219,10 @@ mod tests {
         let game = cfg();
         let pp = PairPayoff::new(&space, &pool, &game, Some(&cache));
         let before = obs::counters().snapshot();
-        let cold = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        let cold = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         let mid = obs::counters().snapshot();
         assert!(mid.payoff_cache_misses >= before.payoff_cache_misses + 4);
-        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         let after = obs::counters().snapshot();
         assert!(after.payoff_cache_hits >= mid.payoff_cache_hits + 4);
         assert_eq!(cold, warm);
@@ -1230,12 +1232,7 @@ mod tests {
     fn prewarmed_cache_serves_identical_values() {
         let (space, asg, pool) = setup_pure(24, 2, 61);
         // Cold reference.
-        let cold = plain(&space, &pool, &cfg()).evaluate_distinct(
-            &census(&asg),
-            PayoffKind::Sampled,
-            None,
-            ExecMode::Sequential,
-        );
+        let cold = plain(&space, &pool, &cfg()).evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         // Pre-warmed cache: the first evaluation must be all hits and
         // bit-identical to the cold result.
         let cache = PayoffCache::new(cfg());
@@ -1246,7 +1243,7 @@ mod tests {
         assert_eq!(n, unique * unique, "every ordered distinct pair memoised");
         assert_eq!(cache.len(), n);
         let before = obs::counters().snapshot();
-        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
         let after = obs::counters().snapshot();
         assert_eq!(
             after.payoff_cache_misses, before.payoff_cache_misses,
@@ -1259,17 +1256,12 @@ mod tests {
     fn prewarm_expected_kind_serves_expected_evaluators() {
         let (space, asg, pool) = setup_mixed(12, 4, 62);
         let game = noisy(40, 0.03);
-        let cold = plain(&space, &pool, &game).evaluate_distinct(
-            &census(&asg),
-            PayoffKind::Expected,
-            None,
-            ExecMode::Sequential,
-        );
+        let cold = plain(&space, &pool, &game).evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
         let cache = PayoffCache::new(game);
         let pp = PairPayoff::new(&space, &pool, &game, Some(&cache));
         let n = pp.prewarm(&asg, PayoffKind::Expected);
         assert_eq!(n, 16, "4 distinct strategies → 16 Expected entries");
-        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None, ExecMode::Sequential);
+        let warm = pp.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
         assert_eq!(bits(&cold), bits(&warm));
     }
 

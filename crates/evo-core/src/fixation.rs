@@ -185,7 +185,9 @@ impl FixationSpec {
     /// Run replicate `r` to absorption (or the cap): the pure function of
     /// `(spec, r)` both backends and the resume path execute. `cache`, when
     /// given, is the batch-shared payoff cache (cost-only; see the module
-    /// docs for why sharing across a pair's replicates is sound).
+    /// docs for why sharing across a pair's replicates is sound); `None`
+    /// runs the replicate on a private cache of its own, the reference the
+    /// shared one is checked and timed against.
     ///
     /// Panics if the spec is invalid — callers construct through
     /// [`FixationBatch::new`] or validate first.
@@ -439,11 +441,6 @@ pub struct FixationBatch {
     spec: FixationSpec,
     cache: Arc<PayoffCache>,
     completed: Vec<ReplicateResult>,
-    /// Share one payoff cache across the batch's replicates
-    /// (docs/PERFORMANCE.md); off, every replicate warms a private one. On
-    /// by default and purely a cost knob, as on the population engines:
-    /// outcomes are bit-identical either way.
-    pub use_payoff_cache: bool,
 }
 
 impl FixationBatch {
@@ -455,7 +452,6 @@ impl FixationBatch {
             cache,
             spec,
             completed: Vec::new(),
-            use_payoff_cache: true,
         })
     }
 
@@ -472,7 +468,6 @@ impl FixationBatch {
             cache: Arc::new(PayoffCache::new(cp.spec.params.game)),
             spec: cp.spec,
             completed,
-            use_payoff_cache: true,
         })
     }
 
@@ -501,7 +496,7 @@ impl FixationBatch {
     /// Run one replicate through the batch-shared cache (pure; does not
     /// record the result — [`FixationBatch::run`]/[`FixationBatch::run_step`] do).
     pub fn run_replicate(&self, r: u32) -> ReplicateResult {
-        self.spec.run_replicate(r, self.use_payoff_cache.then_some(&self.cache))
+        self.spec.run_replicate(r, Some(&self.cache))
     }
 
     /// Run the lowest pending replicate and record its result; `None`
@@ -741,12 +736,14 @@ mod tests {
 
     #[test]
     fn shared_cache_is_cost_only() {
-        let s = spec(7, 6);
-        let cache = Arc::new(PayoffCache::new(s.params.game));
-        for r in 0..6 {
-            assert_eq!(s.run_replicate(r, Some(&cache)), s.run_replicate(r, None));
+        // The batch's replicates, rayon-parallel through its shared cache,
+        // against each replicate run alone with no shared cache.
+        let mut batch = FixationBatch::new(spec(7, 6)).unwrap();
+        let outcome = batch.run();
+        for (r, result) in outcome.results.iter().enumerate() {
+            assert_eq!(*result, batch.spec().run_replicate(r as u32, None), "replicate {r}");
         }
-        assert!(!cache.is_empty(), "replicates must warm the shared cache");
+        assert!(!batch.cache.is_empty(), "replicates must warm the shared cache");
     }
 
     #[test]
@@ -791,10 +788,6 @@ mod tests {
         while seq.run_step().is_some() {}
         assert!(seq.is_complete());
         assert_eq!(seq.outcome(), expected);
-        let mut uncached = FixationBatch::new(spec(13, 6)).unwrap();
-        uncached.use_payoff_cache = false;
-        assert_eq!(uncached.run(), expected, "the batch cache is cost-only");
-        assert!(uncached.cache.is_empty(), "a batch with the cache off never warms it");
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub fn initial_tables(params: &Params, space: StateSpace) -> (StrategyPool, Vec<
 ///    learner adopting the teacher's strategy on success;
 /// 4. a scheduled mutation assigns a fresh random strategy to its target.
 ///
-/// Results are bit-identical across [`ExecMode`]s and thread counts.
+/// A full evaluation maps its SSets through rayon; results are
+/// bit-identical at every thread count.
 #[derive(Debug, Clone)]
 pub struct Population {
     params: Params,
@@ -65,8 +66,6 @@ pub struct Population {
     /// Per-generation wall times (ns), recorded only while [`obs::enabled`];
     /// capped at [`obs::GENERATION_TIMING_CAP`] entries.
     gen_timings: Vec<u64>,
-    /// Execution mode for the game-dynamics phase.
-    pub exec_mode: ExecMode,
     /// When fitness is evaluated.
     pub fitness_policy: FitnessPolicy,
     /// Use the deduplicated evaluator whenever it is sound (pure
@@ -77,12 +76,11 @@ pub struct Population {
     /// Changes the dynamics for stochastic games — an ablation of the
     /// paper's single-sample fitness, not a cost knob.
     pub expected_fitness: bool,
-    /// Memoise distinct-pair payoffs across generations
-    /// ([`PayoffCache`], docs/PERFORMANCE.md). On by default: purely a
-    /// cost knob — trajectories are bit-identical with it on or off.
-    pub use_payoff_cache: bool,
-    /// The cross-generation payoff memo-cache (warm state survives between
-    /// steps; [`Population::restore`] restarts it cold).
+    /// The cross-generation payoff memo-cache ([`PayoffCache`],
+    /// docs/PERFORMANCE.md §2): warm state survives between steps, and
+    /// [`Population::restore`] pre-warms it. Cost-only — the naive
+    /// evaluator never reads it, and every other one gives the bits it
+    /// would give without it.
     payoff_cache: PayoffCache,
     /// When set ([`Population::use_shared_payoff_cache`]), evaluations
     /// read and warm this cache instead of the private one — the batch
@@ -124,11 +122,9 @@ impl Population {
             stats: RunStats::default(),
             obs_baseline: obs::counters().snapshot(),
             gen_timings: Vec::new(),
-            exec_mode: ExecMode::Rayon,
             fitness_policy: FitnessPolicy::EveryGeneration,
             dedup: false,
             expected_fitness: false,
-            use_payoff_cache: true,
             payoff_cache: PayoffCache::new(params.game),
             shared_cache: None,
             params,
@@ -251,11 +247,11 @@ impl Population {
             pool: &self.pool,
             game: &self.params.game,
             seed: self.params.seed,
-            exec_mode: self.exec_mode,
+            exec_mode: ExecMode::Rayon,
             dedup: self.dedup,
             kernel: GameKernel::Naive,
             expected_fitness: self.expected_fitness,
-            cache: self.use_payoff_cache.then(|| self.active_cache()),
+            cache: Some(self.active_cache()),
         }
         .provide(&plan);
         let delta = engine::apply(
@@ -342,13 +338,12 @@ impl Population {
 
     /// Rebuild a population from a checkpoint, rejecting one whose tables
     /// do not hold together ([`Checkpoint::tables`]). Execution knobs
-    /// (`exec_mode`, `fitness_policy`, `dedup`, `use_payoff_cache`) reset
-    /// to defaults — none of them affect trajectories, only cost, so the
-    /// resumed run is identical to an uninterrupted one. The payoff cache
-    /// (deliberately excluded from checkpoints) is pre-warmed from the
-    /// checkpoint's own strategy table (docs/PERFORMANCE.md §2);
-    /// pre-warming is cost-only and the trajectory stays bit-identical
-    /// (tested below).
+    /// (`fitness_policy`, `dedup`) reset to defaults — neither affects
+    /// trajectories, only cost, so the resumed run is identical to an
+    /// uninterrupted one. The payoff cache (deliberately excluded from
+    /// checkpoints) is pre-warmed from the checkpoint's own strategy table
+    /// (docs/PERFORMANCE.md §2); pre-warming is cost-only and the
+    /// trajectory stays bit-identical (tested below).
     pub fn restore(cp: Checkpoint) -> Result<Self, CheckpointError> {
         let (_, pool, assignments) = cp.tables()?;
         // Built through `new`, whose random tables are overwritten below:
@@ -369,26 +364,24 @@ impl Population {
     /// strategy table ([`PairPayoff::prewarm`]): memoise every ordered
     /// pair of distinct assigned strategies that the evaluators would
     /// legally memoise, honouring the population's `expected_fitness`
-    /// configuration. No-op when `use_payoff_cache` is off. Returns the
-    /// number of entries inserted.
+    /// configuration. Returns the number of entries inserted.
     ///
     /// [`Population::restore`] calls this automatically; call it again
     /// after flipping `expected_fitness` on a restored population so the
     /// `Expected`-kind entries are warmed too.
     pub fn prewarm_payoff_cache(&self) -> usize {
-        let cache = self.use_payoff_cache.then(|| self.active_cache());
         let kind = if self.expected_fitness {
             PayoffKind::Expected
         } else {
             PayoffKind::Sampled
         };
-        PairPayoff::new(&self.space, &self.pool, &self.params.game, cache)
+        PairPayoff::new(&self.space, &self.pool, &self.params.game, Some(self.active_cache()))
             .prewarm(&self.assignments, kind)
     }
 
     /// Number of distinct-pair payoffs memoised so far in the
-    /// cross-generation payoff cache (0 when `use_payoff_cache` is off or
-    /// no cacheable evaluation has run yet).
+    /// cross-generation payoff cache (0 until a cacheable evaluation has
+    /// run or the cache was pre-warmed).
     pub fn payoff_cache_len(&self) -> usize {
         self.active_cache().len()
     }
@@ -475,21 +468,6 @@ mod tests {
             pop.step();
             assert_eq!(pop.assignments().len(), 12, "SSet count must not change");
         }
-    }
-
-    #[test]
-    fn sequential_equals_rayon_full_run() {
-        let mut a = Population::new(small_params(3)).unwrap();
-        a.exec_mode = ExecMode::Sequential;
-        let mut b = Population::new(small_params(3)).unwrap();
-        b.exec_mode = ExecMode::Rayon;
-        for _ in 0..60 {
-            let ra = a.step();
-            let rb = b.step();
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(a.assignments(), b.assignments());
-        assert_eq!(a.fitness(), b.fitness());
     }
 
     #[test]
@@ -677,8 +655,6 @@ mod tests {
         p.pc_rate = 1.0;
         let mut a = Population::new(p.clone()).unwrap();
         let mut b = Population::new(p).unwrap();
-        a.exec_mode = ExecMode::Sequential;
-        b.exec_mode = ExecMode::Rayon;
         for _ in 0..60 {
             let ra = a.step();
             let rb = b.step();
@@ -920,43 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn payoff_cache_trajectory_identical_across_rules_and_policies() {
-        // The cache is a pure memoisation layer: for every update rule and
-        // fitness policy, with and without dedup, the trajectory —
-        // records, assignments, fitness bits, and statistics — must be
-        // identical with the cache on or off.
-        for rule in [
-            UpdateRule::PairwiseComparison,
-            UpdateRule::Moran,
-            UpdateRule::ImitateBest,
-        ] {
-            for policy in [FitnessPolicy::EveryGeneration, FitnessPolicy::OnDemand] {
-                for dedup in [false, true] {
-                    let mut p = small_params(70);
-                    p.rule = rule;
-                    p.pc_rate = 0.5;
-                    let mut cold = Population::new(p.clone()).unwrap();
-                    cold.use_payoff_cache = false;
-                    cold.fitness_policy = policy;
-                    cold.dedup = dedup;
-                    let mut warm = Population::new(p).unwrap();
-                    warm.use_payoff_cache = true;
-                    warm.fitness_policy = policy;
-                    warm.dedup = dedup;
-                    for _ in 0..60 {
-                        let a = cold.step();
-                        let b = warm.step();
-                        assert_eq!(a, b, "{rule:?}/{policy:?}/dedup={dedup}");
-                    }
-                    assert_eq!(cold.assignments(), warm.assignments());
-                    assert_eq!(cold.fitness(), warm.fitness());
-                    assert_eq!(cold.stats(), warm.stats(), "games accounting must not change");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn payoff_cache_warms_up_and_expected_mode_caches_too() {
         let mut pop = Population::new(small_params(71)).unwrap();
         pop.dedup = true;
@@ -1032,15 +971,10 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_respects_cache_toggle_and_expected_mode() {
+    fn prewarm_honours_expected_mode() {
         let mut pop = Population::new(small_params(75)).unwrap();
         pop.run(30);
         let cp = pop.checkpoint();
-
-        let mut off = Population::restore(cp.clone()).unwrap();
-        off.payoff_cache.clear();
-        off.use_payoff_cache = false;
-        assert_eq!(off.prewarm_payoff_cache(), 0, "no-op when the cache is off");
 
         let exact = Population::restore(cp).unwrap();
         let sampled_entries = exact.payoff_cache_len();
@@ -1060,8 +994,6 @@ mod tests {
         p.kind = StrategyKind::Mixed;
         let mut a = Population::new(p.clone()).unwrap();
         let mut b = Population::new(p).unwrap();
-        a.exec_mode = ExecMode::Sequential;
-        b.exec_mode = ExecMode::Rayon;
         a.run(60);
         b.run(60);
         assert_eq!(a.assignments(), b.assignments());

@@ -439,8 +439,6 @@ pub struct SpatialPopulation {
     generation: u64,
     stats: RunStats,
     cache: PayoffCache,
-    /// Probe the cross-generation payoff cache (cost-only knob).
-    pub use_payoff_cache: bool,
 }
 
 impl SpatialPopulation {
@@ -491,7 +489,6 @@ impl SpatialPopulation {
             generation: 0,
             stats: RunStats::default(),
             cache,
-            use_payoff_cache: true,
         }
     }
 
@@ -586,7 +583,6 @@ impl SpatialPopulation {
             generation: cp.generation,
             stats: cp.stats,
             cache: PayoffCache::new(cp.params.game),
-            use_payoff_cache: true,
             params: cp.params,
         })
     }
@@ -662,7 +658,7 @@ impl SpatialPopulation {
             game: &self.params.game,
             seed: self.params.seed,
             kernel: GameKernel::Naive,
-            cache: self.use_payoff_cache.then_some(&self.cache),
+            cache: Some(&self.cache),
             range: 0..self.grid.len(),
         };
         let provided = provider.provide(&plan);
@@ -903,22 +899,6 @@ mod tests {
         let frame = pop.render();
         assert_eq!(frame.matches('.').count(), 1, "one defector");
         assert_eq!(frame.matches('#').count(), 24, "24 cooperators");
-    }
-
-    #[test]
-    fn payoff_cache_is_cost_only_for_spatial_runs() {
-        let mk = |cache_on: bool| {
-            let mut p = params(1.85, 12, SpatialUpdate::Fermi { beta: 0.8 });
-            p.seed = 11;
-            let mut pop =
-                SpatialPopulation::new(p, InitPattern::RandomDefectors(0.4));
-            pop.use_payoff_cache = cache_on;
-            let records: Vec<String> = (0..12)
-                .map(|_| serde_json::to_string(&pop.step()).unwrap())
-                .collect();
-            (records, pop.render(), *pop.stats())
-        };
-        assert_eq!(mk(true), mk(false), "cache must not change the trajectory");
     }
 
     /// The walk the block walk replaced, as an independent reference: one

@@ -1,6 +1,6 @@
 //! Property-based tests for the population engine's invariants.
 
-use evo_core::fitness::ExecMode;
+use evo_core::fitness::PairPayoff;
 use evo_core::params::{Params, StrategyKind, UpdateRule};
 use evo_core::population::Population;
 use evo_core::sset::SSetLayout;
@@ -67,20 +67,21 @@ proptest! {
         }
     }
 
-    /// The parallel engine is bit-identical to the sequential reference for
-    /// every parameterisation, including stochastic games.
+    /// The engine's rayon-mapped fitness vector is bit-identical to the
+    /// one-row evaluator run SSet by SSet on this thread, for every
+    /// parameterisation, including stochastic games.
     #[test]
-    fn parallel_equals_sequential(params in arb_params()) {
-        let mut seq = Population::new(params.clone()).unwrap();
-        seq.exec_mode = ExecMode::Sequential;
-        let mut par = Population::new(params).unwrap();
-        par.exec_mode = ExecMode::Rayon;
-        for _ in 0..20 {
-            let a = seq.step();
-            let b = par.step();
-            prop_assert_eq!(a, b);
+    fn parallel_equals_evaluate_one_per_sset(params in arb_params()) {
+        let mut pop = Population::new(params).unwrap();
+        for g in 0..20 {
+            let before = pop.assignments().to_vec();
+            pop.step();
+            let pairs = PairPayoff::new(pop.space(), pop.pool(), &pop.params().game, None);
+            for (i, fitness) in pop.fitness().iter().enumerate() {
+                let one = pairs.evaluate_one(&before, pop.params().seed, g, i);
+                prop_assert_eq!(fitness.to_bits(), one.to_bits(), "generation {}, sset {}", g, i);
+            }
         }
-        prop_assert_eq!(seq.assignments(), par.assignments());
     }
 
     /// Replaying the same parameters reproduces the identical trajectory.

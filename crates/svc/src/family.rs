@@ -79,12 +79,7 @@ pub trait Family: Sized {
     fn resume_point(checkpoint: &Self::Checkpoint) -> u64;
 
     /// Build the shared-memory run: fresh from `spec`, or restored.
-    /// `use_payoff_cache` is cost-only (docs/PERFORMANCE.md §2).
-    fn start(
-        spec: &Self::Spec,
-        resume: Option<Self::Checkpoint>,
-        use_payoff_cache: bool,
-    ) -> Result<Self, String>;
+    fn start(spec: &Self::Spec, resume: Option<Self::Checkpoint>) -> Result<Self, String>;
     /// Progress units completed so far (generations; replicates).
     fn progress(&self) -> u64;
     /// Run one progress unit — the pause and checkpoint granularity — and
@@ -121,7 +116,6 @@ pub trait Family: Sized {
         faults: FaultPlan,
         checkpoint_every: Option<u64>,
         resume: Option<Self::Checkpoint>,
-        use_payoff_cache: bool,
     ) -> Result<Distributed<Self>, DistError<Self::Checkpoint>>;
 }
 
@@ -195,17 +189,12 @@ impl Family for Population {
         checkpoint.generation
     }
 
-    fn start(
-        (params, policy): &Self::Spec,
-        resume: Option<Checkpoint>,
-        use_payoff_cache: bool,
-    ) -> Result<Self, String> {
+    fn start((params, policy): &Self::Spec, resume: Option<Checkpoint>) -> Result<Self, String> {
         let mut pop = match resume {
             Some(cp) => Population::restore(cp).map_err(|e| e.to_string()),
             None => Population::new(params.clone()).map_err(|e| e.to_string()),
         }?;
         pop.fitness_policy = *policy;
-        pop.use_payoff_cache = use_payoff_cache;
         Ok(pop)
     }
 
@@ -237,13 +226,11 @@ impl Family for Population {
         faults: FaultPlan,
         checkpoint_every: Option<u64>,
         resume: Option<Checkpoint>,
-        use_payoff_cache: bool,
     ) -> Result<Distributed<Self>, DistError<Checkpoint>> {
         let mut cfg = DistConfig::new(params.clone(), ranks, *policy);
         cfg.checkpoint_every = checkpoint_every;
         cfg.resume = resume;
         cfg.faults = faults;
-        cfg.disable_payoff_cache = !use_payoff_cache;
         let mut out = run_distributed(&cfg)?;
         Ok(Distributed {
             units: out.stats.generations,
@@ -290,17 +277,11 @@ impl Family for SpatialPopulation {
         checkpoint.generation
     }
 
-    fn start(
-        spec: &SpatialJobSpec,
-        resume: Option<SpatialCheckpoint>,
-        use_payoff_cache: bool,
-    ) -> Result<Self, String> {
-        let mut pop = match resume {
-            Some(cp) => SpatialPopulation::restore(cp).map_err(|e| e.to_string())?,
-            None => SpatialPopulation::new(spec.params.clone(), spec.init.clone()),
-        };
-        pop.use_payoff_cache = use_payoff_cache;
-        Ok(pop)
+    fn start(spec: &SpatialJobSpec, resume: Option<SpatialCheckpoint>) -> Result<Self, String> {
+        match resume {
+            Some(cp) => SpatialPopulation::restore(cp).map_err(|e| e.to_string()),
+            None => Ok(SpatialPopulation::new(spec.params.clone(), spec.init.clone())),
+        }
     }
 
     fn progress(&self) -> u64 {
@@ -326,13 +307,11 @@ impl Family for SpatialPopulation {
         faults: FaultPlan,
         checkpoint_every: Option<u64>,
         resume: Option<SpatialCheckpoint>,
-        use_payoff_cache: bool,
     ) -> Result<Distributed<Self>, DistError<SpatialCheckpoint>> {
         let mut cfg = SpatialDistConfig::new(spec.params.clone(), spec.init.clone(), ranks);
         cfg.checkpoint_every = checkpoint_every;
         cfg.resume = resume;
         cfg.faults = faults;
-        cfg.disable_payoff_cache = !use_payoff_cache;
         let mut out = run_spatial_distributed(&cfg)?;
         Ok(Distributed {
             units: out.stats.generations,
@@ -377,18 +356,12 @@ impl Family for FixationBatch {
         checkpoint.completed.len() as u64
     }
 
-    fn start(
-        spec: &FixationSpec,
-        resume: Option<FixationCheckpoint>,
-        use_payoff_cache: bool,
-    ) -> Result<Self, String> {
-        let mut batch = match resume {
+    fn start(spec: &FixationSpec, resume: Option<FixationCheckpoint>) -> Result<Self, String> {
+        match resume {
             Some(cp) => FixationBatch::resume(cp),
             None => FixationBatch::new(spec.clone()),
         }
-        .map_err(|e| e.to_string())?;
-        batch.use_payoff_cache = use_payoff_cache;
-        Ok(batch)
+        .map_err(|e| e.to_string())
     }
 
     fn progress(&self) -> u64 {
@@ -423,12 +396,10 @@ impl Family for FixationBatch {
         faults: FaultPlan,
         _checkpoint_every: Option<u64>,
         resume: Option<FixationCheckpoint>,
-        use_payoff_cache: bool,
     ) -> Result<Distributed<Self>, DistError<FixationCheckpoint>> {
         let mut cfg = FixationDistConfig::new(spec.clone(), ranks);
         cfg.resume = resume;
         cfg.faults = faults;
-        cfg.disable_payoff_cache = !use_payoff_cache;
         let out = run_fixation_distributed(&cfg)?;
         Ok(Distributed {
             units: out.outcome.results.len() as u64,

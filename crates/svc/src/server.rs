@@ -429,7 +429,7 @@ fn execute_shared<F: Family>(
     resume: Option<F::Checkpoint>,
 ) -> Outcome {
     let baseline = obs::counters().snapshot();
-    let mut run = match F::start(spec, resume, true) {
+    let mut run = match F::start(spec, resume) {
         Ok(run) => run,
         Err(reason) => return Outcome::Failed { reason },
     };
@@ -486,7 +486,7 @@ fn execute_distributed<F: Family>(
         request.faults.clone()
     };
     let baseline = obs::counters().snapshot();
-    match F::distribute(spec, ranks, faults, request.checkpoint_every, resume, true) {
+    match F::distribute(spec, ranks, faults, request.checkpoint_every, resume) {
         Ok(mut out) => {
             let (params, seed) = F::identity(spec);
             let manifest = obs::RunManifest::capture(

@@ -8,7 +8,8 @@
 #
 # The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
 # down, every update rule on both backends, mixed strategies with noise,
-# the cost knobs, population sizes that leave a partial lockstep group at
+# the evaluator flags (--dedup, --expected-fitness, also on a resumed
+# run), population sizes that leave a partial lockstep group at
 # memory 2 / 3 / 6, both cycle detectors (memory 3 and 4) and a
 # deterministic fractional lattice game, which must skip the cycle payout,
 # the strategy census (a pool far larger than the
@@ -105,21 +106,20 @@ run_list() {
     # Mixed strategies with noise; the cost knobs and views.
     c run-mixed run --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20 --records run-mixed.jsonl
     c dist-mixed distributed --ranks 3 --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20
-    c run-nocache run $WM --no-payoff-cache
     c run-expected run $WM --expected-fitness --sample-every 7 --heatmap
     c run-mem2 run --ssets 8 --generations 20 --seed 5 --mem 2 --mu 0.2 --beta 2 --dedup
-    c dist-nocache distributed --ranks 3 $WM --no-payoff-cache
     c dist-one distributed --ranks 2 $WM
     # The lockstep groups' awkward shapes: a partial last group of one-word
-    # strategies, 64-word strategies, and uncached ranks (every game of
-    # every owned row played, 13 opponents a row).
+    # strategies (every game of every row played: the naive evaluator is
+    # uncached), 64-word strategies, and ranks whose 13-opponent rows miss
+    # a cold cache.
     c run-tail run --ssets 13 --mem 3 --generations 20 --seed 5
     # The cycle payout's two move lookups (a one-word table up to memory
     # three, a loaded word from memory four) and its longest walks.
     c run-mem3 run --ssets 9 --mem 3 --generations 6 --seed 6 --rounds 300
     c run-mem4 run --ssets 9 --mem 4 --generations 6 --seed 6 --rounds 300
     c run-mem6 run --ssets 9 --mem 6 --generations 6 --seed 6 --rounds 50
-    c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation --no-payoff-cache
+    c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation
     # The census: a pool far larger than the population (mutation at every
     # other generation), the Pair scope's one census for two expected rows,
     # and the dedup path's hits, misses and games in a manifest.
@@ -131,7 +131,7 @@ run_list() {
     c sp-ranks spatial $SP --ranks 3 --records sp-ranks.jsonl --manifest-out sp-ranks.manifest.json
     c sp-fermi spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --sample-every 4
     c sp-fermi-ranks spatial $SP --update fermi --beta 0.8 --neighborhood vn4 --no-self --init random:0.3 --ranks 4 --records sp-fermi-ranks.jsonl
-    c sp-iterated spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --noise 0.02 --temptation 1.6 --no-payoff-cache
+    c sp-iterated spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --noise 0.02 --temptation 1.6
     # Deterministic and fractional: the every-round path, not the cycle payout.
     c sp-iterated-det spatial --width 8 --height 8 --generations 10 --mem 1 --rounds 5 --temptation 1.6
     # Wrap-heavy tori: at width or height 3 every cell's stencil wraps on
@@ -142,7 +142,6 @@ run_list() {
     # Fixation.
     c fx-shared fixate $FX --records fx-shared.jsonl --manifest-out fx-shared.manifest.json
     c fx-ranks fixate $FX --ranks 3 --records fx-ranks.jsonl --manifest-out fx-ranks.manifest.json
-    c fx-ranks-nocache fixate $FX --ranks 3 --no-payoff-cache
     c fx-pc fixate --replicates 12 --ssets 6 --seed 9 --rule pc --pc-rate 0.5 --resident TFT --mutant WSLS --generations 400
     c fx-matrix fixate --matrix --replicates 3 --ssets 6 --generations 100 --seed 2 --rounds 10
     # Checkpoint -> resume, per family, across backends (the distributed
@@ -153,6 +152,9 @@ run_list() {
     c cp-dist-resume-shared run --resume cp-dist.json --records cp-dist-resume.jsonl
     c cp-dist-resume distributed --ranks 4 --resume cp-dist.json --checkpoint-out cp-dist-2.json
     c cp-dist-resume-every distributed --resume cp-dist.json --checkpoint-every 20 --checkpoint-out cp-dist-3.json
+    # Expected fitness on a resumed run starts on a warm cache (cp-run.json
+    # holds the run's last generation, so the snapshot at 50 of 60 it is).
+    c cp-dist-resume-expected run --resume cp-dist.json --expected-fitness --manifest-out cp-dist-resume-expected.manifest.json
     c cp-sp spatial $SP --ranks 3 --checkpoint-out cp-sp.json --checkpoint-every 15
     c cp-sp-resume-shared spatial --resume cp-sp.json --records cp-sp-resume.jsonl --checkpoint-out cp-sp-2.json
     c cp-sp-resume spatial --ranks 2 --resume cp-sp.json --records cp-sp-resume-ranks.jsonl

@@ -33,6 +33,19 @@ TREE_BEFORE=$(tracked_changes)
 echo "== tier-1: release build =="
 cargo build --release
 
+echo "== perf: the payoff-cache probe stays inlined =="
+# The all-hit probe loop (dist_everygen: millions of ≈ 6 ns probes a run)
+# is sensitive to inlining, not to work: when `fitness::Session::probe`
+# stopped inlining, the workload read +40 % wall time with no other
+# change. It is `#[inline(always)]` for that reason; an out-of-line copy
+# shows up as a symbol of its own (`probe_or_play` is another function).
+# The symbols are read first, so that `set -e` stops here if nm fails.
+syms=$(nm -C target/release/evogame-cli)
+if printf '%s\n' "$syms" | grep -E 'evo_core::fitness::Session::probe([^_[:alnum:]]|$)'; then
+    echo "verify: FAIL — fitness::Session::probe is no longer inlined into its callers" >&2
+    exit 1
+fi
+
 echo "== static: detlint lexical determinism contract =="
 cargo run -p detlint --release -- check --rules lexical
 

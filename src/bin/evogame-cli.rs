@@ -330,9 +330,6 @@ fn engine_command<'a, F: Family>(
     let manifest = ManifestOut::parse(args);
     let checkpoints = CheckpointFlags::parse(args)?;
     let faults = fault_flags(args, ranks.is_some())?;
-    // Cost-only (docs/PERFORMANCE.md): trajectories are bit-identical
-    // either way.
-    let use_payoff_cache = !args.flag("--no-payoff-cache");
     let mut front = front(args, ranks.is_some())?;
     // Which generations the printed trajectory samples: every Nth the run
     // executes (default: ten samples) and the last.
@@ -354,7 +351,7 @@ fn engine_command<'a, F: Family>(
     let elapsed = || t0.elapsed().as_secs_f64();
 
     let Some(ranks) = ranks else {
-        let mut run = F::start(&spec, resume, use_payoff_cache).map_err(|e| checkpoints.blame(e))?;
+        let mut run = F::start(&spec, resume).map_err(|e| checkpoints.blame(e))?;
         report(Event::Started(&mut run));
         let (start, target) = (run.progress(), F::target(&spec));
         let sample_every = sample_every.unwrap_or((target.saturating_sub(start) / 10).max(1));
@@ -398,7 +395,7 @@ fn engine_command<'a, F: Family>(
     // `--checkpoint-out` alone still wants the final state: the full run
     // length is an interval that fires exactly once, at the end.
     let interval = checkpoints.every.or(checkpoints.out.as_ref().map(|_| F::target(&spec)));
-    match F::distribute(&spec, ranks, faults, interval, resume, use_payoff_cache) {
+    match F::distribute(&spec, ranks, faults, interval, resume) {
         Ok(out) => {
             for record in &out.records {
                 records.write(record)?;
@@ -463,6 +460,7 @@ fn well_mixed(args: &Args, distributed: bool) -> Result<Front<'_, Population>, S
     let shared = |name| !distributed && args.flag(name);
     let (dedup, expected_fitness, heatmap) =
         (shared("--dedup"), shared("--expected-fitness"), shared("--heatmap"));
+    let resumed = args.value("--resume").is_some();
     let mut traj = Trajectory::new();
     Ok(Front {
         spec: (build_params(args)?, policy),
@@ -473,6 +471,11 @@ fn well_mixed(args: &Args, distributed: bool) -> Result<Front<'_, Population>, S
             Event::Started(pop) => {
                 pop.dedup = dedup;
                 pop.expected_fitness = expected_fitness;
+                if resumed && expected_fitness {
+                    // `Population::restore` warmed the cache for sampled
+                    // fitness; this run reads expected payoffs.
+                    pop.prewarm_payoff_cache();
+                }
                 if pop.space().mem_steps() == 1 {
                     traj = Trajectory::with_target(vec![1.0, 0.0, 0.0, 1.0], 0.499);
                 }
@@ -960,9 +963,8 @@ run flags:     --ssets N --generations G --mem M --seed S --pc-rate R --mu R
                                            accepted by `distributed`)
 performance (docs/PERFORMANCE.md; all bit-identical for the paper's
 deterministic configurations):
-               --dedup              play each distinct strategy pair once
-               --no-payoff-cache    disable the cross-generation payoff
-                                    memo-cache (also for `distributed`)
+               --dedup              play each distinct strategy pair once,
+                                    memoised across generations
                --expected-fitness   exact Markov fitness (`run` only): the
                                     analytic fast path instead of round
                                     simulation

@@ -605,22 +605,23 @@ fn arguments_nothing_reads_are_refused_before_any_work() {
 }
 
 #[test]
-fn shared_fixate_honours_no_payoff_cache_with_the_same_digest() {
-    let shape = ENGINES[2].2;
-    let manifest = std::env::temp_dir().join(format!("evogame_fx_nocache_{}.json", std::process::id()));
-    let misses = |extra: &[&str]| -> (String, u64) {
-        let (_, err) =
-            run_ok(&[&["fixate"], shape, extra, &["--manifest-out", &manifest.to_string_lossy()]].concat());
-        let text = std::fs::read_to_string(&manifest).expect("manifest written");
-        let m = evogame::obs::RunManifest::from_json(&text).expect("valid manifest");
-        (digest_of(&err), m.counters.payoff_cache_misses)
-    };
-    let (cached, shared_misses) = misses(&[]);
-    let (uncached, private_misses) = misses(&["--no-payoff-cache"]);
-    assert_eq!(cached, uncached, "the cache is cost-only");
-    // Without the batch cache every replicate warms a private one: the
-    // pair's payoffs are missed once per replicate, not once per batch.
-    assert!(shared_misses < 12, "one cold pass over the pair: {shared_misses}");
-    assert!(private_misses >= 12, "at least one miss per replicate: {private_misses}");
+fn expected_fitness_resume_starts_on_a_warm_cache() {
+    // A distributed run leaves its periodic snapshot at generation 20 of
+    // 21; `run` resumes it for the last generation with expected fitness.
+    let dir = std::env::temp_dir();
+    let cp = dir.join(format!("evogame_expected_resume_cp_{}.json", std::process::id()));
+    let manifest = dir.join(format!("evogame_expected_resume_manifest_{}.json", std::process::id()));
+    let (cp_path, manifest_path) = (cp.to_string_lossy(), manifest.to_string_lossy());
+    run_ok(&[
+        "distributed", "--ranks", "2", "--ssets", "12", "--generations", "21", "--seed", "7",
+        "--every-generation", "--checkpoint-every", "20", "--checkpoint-out", &cp_path,
+    ]);
+    run_ok(&["run", "--resume", &cp_path, "--expected-fitness", "--manifest-out", &manifest_path]);
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    let m = evogame::obs::RunManifest::from_json(&text).expect("valid manifest");
+    assert_eq!(m.generations, 21, "the last generation ran");
+    assert!(m.counters.payoff_cache_hits > 0, "the generation probed the cache");
+    assert_eq!(m.counters.payoff_cache_misses, 0, "the restore pre-warmed the expected payoffs");
+    let _ = std::fs::remove_file(cp);
     let _ = std::fs::remove_file(manifest);
 }

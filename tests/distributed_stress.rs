@@ -124,7 +124,8 @@ fn every_rule_and_policy_is_bit_identical_distributed() {
 
 #[test]
 fn random_configs_all_exec_paths_agree() {
-    // Sequential vs rayon vs dedup on random configs.
+    // The naive evaluator vs dedup on random configs (every thread count
+    // is tests/determinism.rs's matrix).
     let mut rng = ChaCha8Rng::seed_from_u64(0xACE5);
     for case in 0..20 {
         let mut params = random_params(&mut rng);
@@ -134,16 +135,13 @@ fn random_configs_all_exec_paths_agree() {
             params.kind = StrategyKind::Pure;
             params.game.noise = 0.0;
         }
-        let build = |mode: ExecMode, dedup: bool| {
+        let build = |dedup: bool| {
             let mut p = Population::new(params.clone()).unwrap();
-            p.exec_mode = mode;
             p.dedup = dedup;
             p.run_to_end();
             p.assignments().to_vec()
         };
-        let baseline = build(ExecMode::Sequential, false);
-        assert_eq!(baseline, build(ExecMode::Rayon, false), "case {case}: rayon diverged");
-        assert_eq!(baseline, build(ExecMode::Sequential, true), "case {case}: dedup diverged");
+        assert_eq!(build(false), build(true), "case {case}: dedup diverged");
     }
 }
 

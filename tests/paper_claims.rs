@@ -128,12 +128,7 @@ fn wsls_takeover_raises_population_payoff() {
             None,
         );
         for g in 0..20u64 {
-            let f = pairs.evaluate_naive(
-                pop.assignments(),
-                pop.params().seed,
-                pop.generation() + g,
-                ExecMode::Sequential,
-            );
+            let f = pairs.evaluate_naive(pop.assignments(), pop.params().seed, pop.generation() + g);
             total += f.iter().sum::<f64>() / s / per_round;
         }
         total / 20.0
