@@ -38,6 +38,19 @@ pub const TABLE7_SECONDS: [(u64, [f64; 4]); 6] = [
     (32_768, [5_785.0, 2_861.0, 1_430.0, 736.0]),
 ];
 
+/// Table VIII as printed: agents per processor for each Table VII SSet
+/// count (rows) and processor count (columns). The printed table is
+/// internally inconsistent (its 1,024-processor column exceeds its
+/// 256-processor one); `table8` reports where it departs from `S²/P`.
+pub const TABLE8_PRINTED: [[u64; TABLE7_PROCS.len()]; TABLE7_SECONDS.len()] = [
+    [4_096, 2_048, 16_384, 2_048],
+    [16_384, 8_192, 262_144, 32_768],
+    [65_536, 32_768, 4_194_304, 524_288],
+    [262_144, 131_072, 67_108_864, 8_388_608],
+    [1_048_576, 524_288, 1_073_741_824, 134_217_728],
+    [4_194_304, 2_097_152, 17_179_869_184, 2_147_483_648],
+];
+
 /// §VI-A: fraction of SSets that adopted WSLS in the validation run.
 pub const FIG2_WSLS_FRACTION: f64 = 0.85;
 

@@ -70,26 +70,36 @@ if grep -rn "detlint: allow" --include="*.rs" crates src \
     exit 1
 fi
 
-echo "== static: dependency audit (every declared edge is used) =="
+echo "== static: dependency audit (every declared edge is used where its section allows) =="
 # A first-party manifest may list a crate only if some .rs file of that
 # package names it (`name::` or `use name`); an edge nobody names still
-# costs a build and, for vendored crates, keeps dead code in the tree.
+# costs a build and, for vendored crates, keeps dead code in the tree. A
+# [dependencies] edge must be named by the package's own code (src/ or
+# build.rs): one that only tests, benches or examples name belongs in
+# [dev-dependencies], which any .rs file of the package may name
+# (`#[cfg(test)]` modules live in src/).
 DEAD=""
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir=$(dirname "$manifest")
-    srcs=""
-    for d in src tests benches examples build.rs; do
-        [ -e "$dir/$d" ] && srcs="$srcs $dir/$d"
-    done
-    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
-                      on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); gsub(/-/, "_"); print }' "$manifest"); do
+    for edge in $(awk '/^\[/ { sec = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") ? substr($0, 2, length($0) - 2) : ""; next }
+                       sec != "" && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); gsub(/-/, "_"); print sec ":" $0 }' "$manifest"); do
+        section=${edge%%:*}
+        dep=${edge#*:}
+        dirs="src build.rs"
+        if [ "$section" = dev-dependencies ]; then
+            dirs="src tests benches examples build.rs"
+        fi
+        srcs=""
+        for d in $dirs; do
+            [ -e "$dir/$d" ] && srcs="$srcs $dir/$d"
+        done
         grep -rqE --include='*.rs' "(^|[^A-Za-z0-9_])($dep::|use $dep([^A-Za-z0-9_]|\$))" $srcs \
-            || DEAD="$DEAD  $manifest: $dep
+            || DEAD="$DEAD  $manifest: [$section] $dep
 "
     done
 done
 if [ -n "$DEAD" ]; then
-    echo "verify: FAIL — dependencies no .rs file of the package names:" >&2
+    echo "verify: FAIL — dependency edges no .rs file their section allows names:" >&2
     printf '%s' "$DEAD" >&2
     exit 1
 fi
