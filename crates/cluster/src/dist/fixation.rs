@@ -110,8 +110,10 @@ impl Farm {
         self.config.resume.as_ref().map_or(&[], |cp| &cp.completed)
     }
 
+    /// Whether the resume checkpoint holds replicate `r` (its results are
+    /// in replicate order: `run_fixation_distributed` sorts them).
     fn is_completed(&self, r: u32) -> bool {
-        self.completed().iter().any(|c| c.replicate == r)
+        self.completed().binary_search_by_key(&r, |c| c.replicate).is_ok()
     }
 }
 
@@ -139,9 +141,10 @@ pub fn run_fixation_distributed(
     // A resumed run is driven by the checkpoint's own spec (it carries the
     // batch seed and replicate count of the original run).
     let mut config = config.clone();
-    match &config.resume {
+    match &mut config.resume {
         Some(cp) => {
             cp.validate().map_err(|e| DistError::Params(e.to_string()))?;
+            cp.completed.sort_by_key(|r| r.replicate);
             config.spec = cp.spec.clone();
         }
         None => {

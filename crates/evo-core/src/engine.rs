@@ -23,7 +23,9 @@
 //!    (`Domain::Nature` ids 1/2, `Domain::Mutation` id 1).
 //!
 //! [`Population`](crate::population::Population) drives all three phases
-//! locally. The distributed engine broadcasts the [`GenPlan`] from rank 0,
+//! locally, and so does each fixation replicate
+//! ([`FixationSpec::run_replicate`](crate::fixation::FixationSpec::run_replicate)),
+//! over its own two-strategy provider. The distributed engine broadcasts the [`GenPlan`] from rank 0,
 //! runs phase 2 on every rank, applies on rank 0, and broadcasts the
 //! [`GenDecision`] so compute ranks [`commit`] the identical update to
 //! their replicated tables. Because both backends execute this module's

@@ -17,8 +17,9 @@
 //! front of the cache, `MemoSession`), in three shapes:
 //! [`PairPayoff::sampled`] probes and inserts one pair,
 //! [`PairPayoff::evaluate_distinct`] probes a batch, replays the misses
-//! together and inserts them, [`PairPayoff::prewarm`] inserts without
-//! probing. Three evaluators are built on it:
+//! together and inserts them (a fixation replicate's `PairTable` probes
+//! its pair's four payoffs so, once per replicate), [`PairPayoff::prewarm`]
+//! inserts without probing. Three evaluators are built on it:
 //! [`PairPayoff::evaluate_naive`] (the paper's schedule, uncached),
 //! [`PairPayoff::evaluate_one`] (one focal SSet — what a rank owns) and
 //! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
@@ -309,70 +310,28 @@ impl<'a> PairPayoff<'a> {
             }
             None => unique,
         };
-        let u = unique.len();
-        // payoff[r*u + q] = focal payoff of row strategy r against unique
-        // q. Probe the cache for every pair; replay only the misses.
-        let mut payoff = vec![0.0f64; rows.len() * u];
-        let mut misses: Vec<usize> = Vec::new();
-        let mut session = self.session();
-        for (r, &a) in rows.iter().enumerate() {
-            for (q, &b) in unique.iter().enumerate() {
-                match session.probe(a, b, kind) {
-                    Some(v) => payoff[r * u + q] = v,
-                    None => misses.push(r * u + q),
-                }
-            }
-        }
-        // The replay may be long and parallel: no lock is held across it.
-        session.release();
-        let pair = |slot: usize| (rows[slot / u], unique[slot % u]);
-        let replayed: Vec<f64> = match kind {
-            PayoffKind::Expected => (0..misses.len())
-                .into_par_iter()
-                .map(|m| {
-                    let (a, b) = pair(misses[m]);
-                    self.expected(a, b)
-                })
-                .collect(),
-            PayoffKind::Sampled => {
-                let pures: Vec<(&PureStrategy, &PureStrategy)> = misses
-                    .iter()
-                    .map(|&slot| {
-                        let (a, b) = pair(slot);
-                        // detlint: allow(panic-path, reason = "invariant: the soundness assert above verified every distinct strategy is pure and the game noiseless, so every pair among them is deterministic")
-                        self.deterministic(a, b).expect("asserted deterministic")
-                    })
-                    .collect();
-                // The misses of one row share their focal strategy: one
-                // group of them per task.
-                let groups: Vec<_> = pures
-                    .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
-                    .flat_map(|row| row.chunks(LANES))
-                    .collect();
-                (0..groups.len())
-                    .into_par_iter()
-                    .map(|g| self.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .zip(&groups)
-                    .flat_map(|(values, group)| values.into_iter().take(group.len()))
-                    .collect()
-            }
-        };
-        for (&slot, &v) in misses.iter().zip(&replayed) {
-            payoff[slot] = v;
-            let (a, b) = pair(slot);
-            session.insert(a, b, kind, v);
-        }
-        // fitness of row r = Σ_q count[q] · payoff[r][q], ascending q.
+        let payoff = self.session().pair_rows(rows, unique, kind);
         let weighted: Vec<f64> = payoff
-            .chunks(u.max(1))
-            .map(|row| census.counts().iter().zip(row).map(|(&c, v)| f64::from(c) * v).sum())
+            .chunks(unique.len().max(1))
+            .map(|row| weighted_row(census.counts(), row))
             .collect();
         match focal {
             Some(_) => weighted,
             None => census.spread(&weighted),
         }
+    }
+
+    /// The payoffs of a population of the two strategies `ids` (ascending),
+    /// for as long as it holds no other: [`PairTable`]. `None` unless both
+    /// are pure and the game noiseless.
+    pub(crate) fn pair_table(&self, ids: [StratId; 2]) -> Option<PairTable> {
+        assert!(ids[0] < ids[1], "a pair table's ids ascend, as a census's do");
+        self.all_deterministic(&ids).then_some(PairTable {
+            ids,
+            payoffs: None,
+            hits: 0,
+            misses: 0,
+        })
     }
 
     /// Pre-warm the cache from a strategy table: memoise the `kind` payoff
@@ -493,6 +452,69 @@ impl Session<'_> {
         })
     }
 
+    /// The `kind` payoff of every row strategy against every one of
+    /// `unique`, row-major (`payoff[r·u + q]` is `rows[r]` against
+    /// `unique[q]`): every pair probed in that order, the misses replayed
+    /// through rayon with no lock held — a group of one row's misses per
+    /// task (`PairPayoff::play_group`) — and inserted after. For
+    /// [`PayoffKind::Sampled`] every pair must be deterministic.
+    fn pair_rows(&mut self, rows: &[StratId], unique: &[StratId], kind: PayoffKind) -> Vec<f64> {
+        let pairs = self.pairs;
+        let u = unique.len();
+        let mut payoff = vec![0.0f64; rows.len() * u];
+        let mut misses: Vec<usize> = Vec::new();
+        for (r, &a) in rows.iter().enumerate() {
+            for (q, &b) in unique.iter().enumerate() {
+                match self.probe(a, b, kind) {
+                    Some(v) => payoff[r * u + q] = v,
+                    None => misses.push(r * u + q),
+                }
+            }
+        }
+        // The replay may be long and parallel: no lock is held across it.
+        self.release();
+        let pair = |slot: usize| (rows[slot / u], unique[slot % u]);
+        let replayed: Vec<f64> = match kind {
+            PayoffKind::Expected => (0..misses.len())
+                .into_par_iter()
+                .map(|m| {
+                    let (a, b) = pair(misses[m]);
+                    pairs.expected(a, b)
+                })
+                .collect(),
+            PayoffKind::Sampled => {
+                let pures: Vec<(&PureStrategy, &PureStrategy)> = misses
+                    .iter()
+                    .map(|&slot| {
+                        let (a, b) = pair(slot);
+                        // detlint: allow(panic-path, reason = "invariant: both callers check first that every strategy they pass is pure and the game noiseless (evaluate_distinct's soundness assert, pair_table's all_deterministic), so every pair among them is deterministic")
+                        pairs.deterministic(a, b).expect("asserted deterministic")
+                    })
+                    .collect();
+                // The misses of one row share their focal strategy: one
+                // group of them per task.
+                let groups: Vec<_> = pures
+                    .chunk_by(|x, y| std::ptr::eq(x.0, y.0))
+                    .flat_map(|row| row.chunks(LANES))
+                    .collect();
+                (0..groups.len())
+                    .into_par_iter()
+                    .map(|g| pairs.play_group(groups[g][0].0, groups[g].iter().map(|pair| pair.1)))
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .zip(&groups)
+                    .flat_map(|(values, group)| values.into_iter().take(group.len()))
+                    .collect()
+            }
+        };
+        for (&slot, &v) in misses.iter().zip(&replayed) {
+            payoff[slot] = v;
+            let (a, b) = pair(slot);
+            self.insert(a, b, kind, v);
+        }
+        payoff
+    }
+
     /// This session's `(hits, misses)` so far.
     #[cfg(test)]
     pub(crate) fn tally(&self) -> (u64, u64) {
@@ -568,6 +590,67 @@ impl Session<'_> {
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         self.release();
+        obs::counters().add_payoff_cache_probes(self.hits, self.misses);
+    }
+}
+
+/// The fitness of one focal row of a deduplicated evaluation:
+/// `Σ_q counts[q] · row[q]`, in ascending `q` — the census's ascending-id
+/// order. [`PairPayoff::evaluate_distinct`] and [`PairTable::fitness`] both
+/// sum through here, so their bits agree by construction.
+#[inline]
+fn weighted_row(counts: &[u32], row: &[f64]) -> f64 {
+    counts.iter().zip(row).map(|(&c, v)| f64::from(c) * v).sum()
+}
+
+/// The four payoffs of a population of two deterministic strategies — a
+/// resident/mutant fixation replicate — probed once and reused for every
+/// generation that follows ([`PairPayoff::pair_table`]). Each
+/// [`PairTable::fitness`] gives what
+/// [`PairPayoff::evaluate_distinct`]`(census, Sampled, None)` gives, to the
+/// bit, while both strategies are present. Its probes are tallied as that
+/// evaluation's would be: the first call probes the cache for real (a miss
+/// plays and inserts), every later one counts its four probes as the hits
+/// they would be, as a [`MemoSession`] answer counts as the hit it
+/// replaces. The tally reaches `obs` once, when the table drops.
+#[derive(Debug)]
+pub(crate) struct PairTable {
+    ids: [StratId; 2],
+    /// `[π₀₀, π₀₁, π₁₀, π₁₁]` once probed (`π_ab`: `ids[a]` against `ids[b]`).
+    payoffs: Option<[f64; 4]>,
+    hits: u64,
+    misses: u64,
+}
+
+impl PairTable {
+    /// Every SSet's fitness, written into `fitness`. `pairs` must be the
+    /// [`PairPayoff`] that built the table, and `assignments` must hold both
+    /// of its strategies and no other.
+    pub(crate) fn fitness(&mut self, pairs: &PairPayoff<'_>, assignments: &[StratId], fitness: &mut Vec<f64>) {
+        let payoffs = match self.payoffs {
+            Some(payoffs) => {
+                self.hits += 4;
+                payoffs
+            }
+            None => {
+                let mut session = pairs.session();
+                let rows = session.pair_rows(&self.ids, &self.ids, PayoffKind::Sampled);
+                self.hits += std::mem::take(&mut session.hits);
+                self.misses += std::mem::take(&mut session.misses);
+                *self.payoffs.insert([rows[0], rows[1], rows[2], rows[3]])
+            }
+        };
+        let second = assignments.iter().filter(|&&id| id == self.ids[1]).count() as u32;
+        let counts = [assignments.len() as u32 - second, second];
+        debug_assert!(counts.iter().all(|&c| c > 0), "both strategies present");
+        let rows = [weighted_row(&counts, &payoffs[..2]), weighted_row(&counts, &payoffs[2..])];
+        fitness.clear();
+        fitness.extend(assignments.iter().map(|&id| rows[usize::from(id == self.ids[1])]));
+    }
+}
+
+impl Drop for PairTable {
+    fn drop(&mut self) {
         obs::counters().add_payoff_cache_probes(self.hits, self.misses);
     }
 }
@@ -1139,6 +1222,45 @@ mod tests {
                 assert!(!cache.is_empty(), "the cold pass warms the cache");
             }
         }
+    }
+
+    /// A pair table against the deduplicating evaluator on a twin cache, at
+    /// every mixture of its two strategies: the same fitness bits, and the
+    /// same probe tally — four real probes the first time, four hits each
+    /// time after.
+    #[test]
+    fn pair_table_gives_the_bits_and_probes_of_the_deduplicating_evaluator() {
+        let weak = GameConfig {
+            payoff: PayoffMatrix::from_rstp(1.0, 0.0, 1.85, 0.0),
+            ..cfg()
+        };
+        for (space, _, pool) in [setup_classics(), setup_pure(6, 3, 8)] {
+            for game in [cfg(), weak] {
+                let (tabled, evaluated) = (PayoffCache::new(game), PayoffCache::new(game));
+                let by_table = PairPayoff::new(&space, &pool, &game, Some(&tabled));
+                let by_census = PairPayoff::new(&space, &pool, &game, Some(&evaluated));
+                let mut table = by_table.pair_table([1, 2]).expect("pure and noiseless");
+                let (mut fitness, mut probes) = (Vec::new(), (0, 0));
+                for second in [3usize, 1, 7, 4] {
+                    let asg: Vec<StratId> = (0..8).map(|i| if i < second { 2 } else { 1 }).collect();
+                    table.fitness(&by_table, &asg, &mut fitness);
+                    // The evaluator's probes, through the session it opens.
+                    let mut session = by_census.session();
+                    session.pair_rows(&[1, 2], &[1, 2], PayoffKind::Sampled);
+                    probes = (probes.0 + session.hits, probes.1 + session.misses);
+                    drop(session);
+                    let want = by_census.evaluate_distinct(&census(&asg), PayoffKind::Sampled, None);
+                    assert_eq!(bits(&fitness), bits(&want), "mixture {second}/8");
+                    assert_eq!((table.hits, table.misses), probes, "mixture {second}/8: probe tally");
+                }
+                assert_eq!(probes, (12, 4), "four misses, then hits");
+                assert_eq!(tabled.len(), 4);
+            }
+        }
+        let (space, _, pool) = setup_mixed(4, 2, 3);
+        assert!(PairPayoff::new(&space, &pool, &cfg(), None).pair_table([0, 1]).is_none(), "mixed strategies");
+        let (space, _, pool) = setup_classics();
+        assert!(PairPayoff::new(&space, &pool, &noisy(10, 0.01), None).pair_table([0, 1]).is_none(), "noise");
     }
 
     /// Four threads race one cold cache, a session per focal row each: a

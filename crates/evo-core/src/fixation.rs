@@ -22,14 +22,33 @@
 //! module is the sole owner of [`Domain::Fixation`] (enforced by detlint's
 //! rng-domain rule).
 //!
+//! # How a replicate steps
+//!
+//! A replicate runs the engine's own phases over a two-strategy
+//! population: every generation is [`engine::plan`] → the replicate's
+//! fitness provider → [`engine::apply`], what
+//! [`crate::population::Population::step`] runs, with mutation off and
+//! fitness evaluated every generation. It skips only a general
+//! population's bookkeeping: no census, no record, no counter baseline.
+//!
 //! # Payoff-cache reuse
 //!
-//! Every replicate of a pair seeds the resident as `StratId` 0 and the
-//! mutant as id 1 ([`crate::population::Population::new_uniform`] pins the
-//! interning order), so all of a batch's replicates share one
-//! [`PayoffCache`]: the pair's payoffs are evaluated once and served from
-//! the cache in every subsequent generation and replicate. Cost-only, as
-//! always — trajectories are bit-identical with sharing on or off.
+//! Every replicate interns the resident as `StratId` 0 and the mutant as
+//! id 1, so all of a batch's replicates may share one [`PayoffCache`].
+//! When both strategies are pure and the game noiseless, a replicate needs
+//! only the pair's four payoffs, π_rr, π_rm, π_mr and π_mm. It probes them
+//! once, in its first generation: four probes, a miss played and inserted.
+//! Every later generation's fitness follows from the mutant count, to the
+//! bit what the deduplicating evaluator would give, and its four probes
+//! count as the hits they would be. A shared cache thus spares every
+//! replicate after the first its four games. Any other pair (a mixed
+//! strategy, or noise) plays the paper's full schedule every generation,
+//! uncached. Cost-only, as always: trajectories are bit-identical with the
+//! cache shared, private, cold or warm.
+//!
+//! A replicate's RNG streams and cache probes are tallied on its thread and
+//! reach `obs` when it ends, one write each; the totals are those of one
+//! write per stream and per evaluation.
 //!
 //! ```
 //! use evo_core::fixation::{Absorption, FixationBatch, FixationSpec};
@@ -55,12 +74,15 @@
 //! assert!((0.0..=1.0).contains(&p) || outcome.absorbed() == 0);
 //! ```
 
+use crate::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
+use crate::fitness::{FitnessPolicy, PairPayoff, PairTable};
+use crate::nature::NatureAgent;
 use crate::params::{Params, ParamsError};
 use crate::paycache::PayoffCache;
-use crate::pool::StratId;
-use crate::population::Population;
-use crate::record::{check_schema, state_digest, CheckpointError, GenerationRecord};
-use crate::rngstream::{stream, Domain};
+use crate::pool::{StratId, StrategyPool};
+use crate::record::{check_schema, state_digest, CheckpointError, GenerationRecord, RunStats};
+use crate::rngstream::{stream, Domain, StreamTally};
+use ipd::game::GameConfig;
 use ipd::payoff::Move;
 use ipd::state::StateSpace;
 use ipd::strategy::{PureStrategy, Strategy};
@@ -184,43 +206,46 @@ impl FixationSpec {
 
     /// Run replicate `r` to absorption (or the cap): the pure function of
     /// `(spec, r)` both backends and the resume path execute. `cache`, when
-    /// given, is the batch-shared payoff cache (cost-only; see the module
-    /// docs for why sharing across a pair's replicates is sound); `None`
-    /// runs the replicate on a private cache of its own, the reference the
+    /// given, is the batch-shared payoff cache the pair's four payoffs are
+    /// probed in (cost-only; see the module docs for why sharing across a
+    /// pair's replicates is sound); `None` runs the replicate on a private
+    /// cache of its own — four misses, then hits — the reference the
     /// shared one is checked and timed against.
     ///
     /// Panics if the spec is invalid — callers construct through
     /// [`FixationBatch::new`] or validate first.
     pub fn run_replicate(&self, r: u32, cache: Option<&Arc<PayoffCache>>) -> ReplicateResult {
-        let mut params = self.params.clone();
-        params.seed = replicate_seed(self.params.seed, r);
-        let cap = params.generations;
-        let mut pop = Population::new_uniform(params, self.resident.clone())
-            // detlint: allow(panic-path, reason = "invariant: the documented precondition — every caller holds a spec that passed FixationSpec::validate (FixationBatch::new/resume, run_fixation_distributed), whose first step is the same Params::validate that new_uniform repeats; only the seed differs, and validation does not read it")
-            .expect("validated fixation spec");
-        // Two distinct strategies in an S-SSet population: the deduplicated
-        // evaluator (which is also the one that consults the payoff cache —
-        // the naive full path stays uncached as the fidelity baseline)
-        // collapses each generation's S×S games to at most 4 distinct pairs.
-        // Cost-only: bit-identical either way.
-        pop.dedup = true;
-        let mutant_id = pop.set_strategy(MUTANT_SITE, self.mutant.clone());
-        if let Some(cache) = cache {
-            pop.use_shared_payoff_cache(Arc::clone(cache));
-        }
+        // The replicate's streams reach the shared counter in one write.
+        let _streams = StreamTally::open();
+        let seed = replicate_seed(self.params.seed, r);
+        let mut nature = NatureAgent::from_params(&self.params);
+        nature.seed = seed;
+        let private;
+        let cache = match cache {
+            Some(shared) => shared.as_ref(),
+            None => {
+                private = PayoffCache::new(self.params.game);
+                &private
+            }
+        };
+        let mut duel = Duel::new(self, seed, cache);
+        let (num_ssets, rule, cap) = (duel.assignments.len() as u32, self.params.rule, self.params.generations);
+        let mut stats = RunStats::default();
         let mut generations = 0u64;
         let outcome = loop {
-            if let Some(done) = commit_absorption(pop.assignments(), mutant_id, generations, cap) {
+            if let Some(done) = commit_absorption(&duel.assignments, MUTANT, generations, cap) {
                 break done;
             }
-            pop.step();
+            let _span = obs::span("population.generation");
+            let plan = engine::plan(&nature, num_ssets, rule, FitnessPolicy::EveryGeneration, generations);
+            let provided = duel.provide(&plan);
+            engine::apply(&nature, &duel.space, &plan, &provided, &mut duel.assignments, &mut duel.pool, &mut stats);
+            if let FitnessView::Full(spare) = provided.view {
+                duel.spare = spare;
+            }
             generations += 1;
         };
-        let mutants_final = pop
-            .assignments()
-            .iter()
-            .filter(|&&id| id == mutant_id)
-            .count() as u32;
+        let mutants_final = duel.assignments.iter().filter(|&&id| id == MUTANT).count() as u32;
         obs::counters().add_replicate_run();
         match outcome {
             Absorption::Fixed => obs::counters().add_fixation(),
@@ -232,6 +257,85 @@ impl FixationSpec {
             outcome,
             generations,
             mutants_final,
+        }
+    }
+}
+
+/// The pool ids of the resident and the mutant in every replicate: they
+/// are interned in that order, so all of a batch's replicates name the
+/// pair alike and may share one payoff cache.
+const RESIDENT: StratId = 0;
+const MUTANT: StratId = 1;
+
+/// One replicate's population — two strategies over `num_ssets` SSets —
+/// and the engine's phase 2 for it. Both strategies pure and the game
+/// noiseless: every generation's fitness comes from the pair's four
+/// payoffs ([`PairTable`]), probed once per replicate. Otherwise every
+/// generation plays the paper's full schedule
+/// ([`PairPayoff::evaluate_naive`]), as the deduplicating evaluator falls
+/// back to for such a population.
+#[derive(Debug)]
+struct Duel<'c> {
+    space: StateSpace,
+    game: GameConfig,
+    seed: u64,
+    pool: StrategyPool,
+    assignments: Vec<StratId>,
+    cache: &'c PayoffCache,
+    table: Option<PairTable>,
+    /// The previous generation's fitness vector, refilled in place.
+    spare: Vec<f64>,
+}
+
+impl<'c> Duel<'c> {
+    /// Generation 0 of a replicate of `spec` under engine seed `seed`: every
+    /// SSet the resident, [`MUTANT_SITE`] the mutant.
+    fn new(spec: &FixationSpec, seed: u64, cache: &'c PayoffCache) -> Self {
+        let space = spec
+            .params
+            .validate()
+            // detlint: allow(panic-path, reason = "invariant: the documented precondition of run_replicate — every caller holds a spec that passed FixationSpec::validate (FixationBatch::new/resume, run_fixation_distributed), whose first step is this same Params::validate")
+            .expect("validated fixation spec");
+        let mut pool = StrategyPool::new();
+        let ids = [pool.intern(spec.resident.clone()), pool.intern(spec.mutant.clone())];
+        debug_assert_eq!(ids, [RESIDENT, MUTANT], "a valid spec's pair is distinct");
+        let mut assignments = vec![RESIDENT; spec.params.num_ssets];
+        assignments[MUTANT_SITE] = MUTANT;
+        let table = PairPayoff::new(&space, &pool, &spec.params.game, Some(cache)).pair_table(ids);
+        Duel {
+            space,
+            game: spec.params.game,
+            seed,
+            pool,
+            assignments,
+            cache,
+            table,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl FitnessProvider for Duel<'_> {
+    fn provide(&mut self, plan: &GenPlan) -> Provided {
+        debug_assert_eq!(plan.eval, EvalScope::Full, "replicates evaluate every generation");
+        let _span = obs::span("population.fitness");
+        let pairs = PairPayoff::new(&self.space, &self.pool, &self.game, Some(self.cache));
+        match &mut self.table {
+            Some(table) => {
+                let mut fitness = std::mem::take(&mut self.spare);
+                table.fitness(&pairs, &self.assignments, &mut fitness);
+                Provided {
+                    view: FitnessView::Full(fitness),
+                    games: 4,
+                }
+            }
+            None => {
+                let s = self.assignments.len() as u64;
+                Provided {
+                    view: FitnessView::Full(pairs.evaluate_naive(&self.assignments, self.seed, plan.generation)),
+                    games: s * s,
+                }
+            }
         }
     }
 }
@@ -462,8 +566,7 @@ impl FixationBatch {
         cp.validate()?;
         let mut completed = cp.completed;
         completed.retain(|r| r.replicate < cp.spec.replicates);
-        completed.sort_by_key(|r| r.replicate);
-        completed.dedup_by_key(|r| r.replicate);
+        into_replicate_order(&mut completed);
         Ok(FixationBatch {
             cache: Arc::new(PayoffCache::new(cp.spec.params.game)),
             spec: cp.spec,
@@ -488,6 +591,24 @@ impl FixationBatch {
         (0..self.spec.replicates).filter(|r| !done.contains(r)).collect()
     }
 
+    /// The lowest replicate index still to run. `completed` is in
+    /// replicate order without repeats, so its first `k` entries are
+    /// replicates `0..k` exactly when entry `k - 1` is replicate `k - 1`:
+    /// a binary search finds the first gap.
+    fn next_pending(&self) -> Option<u32> {
+        let (mut lo, mut hi) = (0, self.completed.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.completed[mid].replicate as usize == mid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let next = lo as u32;
+        (next < self.spec.replicates).then_some(next)
+    }
+
     /// `true` once every replicate has a result.
     pub fn is_complete(&self) -> bool {
         self.completed.len() == self.spec.replicates as usize
@@ -504,21 +625,20 @@ impl FixationBatch {
     /// for callers that must observe pause requests at replicate
     /// boundaries.
     pub fn run_step(&mut self) -> Option<ReplicateResult> {
-        let next = *self.pending().first()?;
+        let next = self.next_pending()?;
         let result = self.run_replicate(next);
         self.record(result);
         Some(result)
     }
 
     /// Record an externally computed replicate result (the distributed
-    /// runner feeds rank results back through this).
+    /// runner feeds rank results back through this). A replicate already
+    /// recorded keeps its first result.
     pub fn record(&mut self, result: ReplicateResult) {
         debug_assert!(result.replicate < self.spec.replicates);
-        if self.completed.iter().any(|r| r.replicate == result.replicate) {
-            return;
+        if let Err(at) = self.completed.binary_search_by_key(&result.replicate, |r| r.replicate) {
+            self.completed.insert(at, result);
         }
-        self.completed.push(result);
-        self.completed.sort_by_key(|r| r.replicate);
     }
 
     /// Run every pending replicate (rayon-parallel; bit-identical at any
@@ -530,9 +650,8 @@ impl FixationBatch {
             .into_par_iter()
             .map(|i| self.run_replicate(pending[i]))
             .collect();
-        for result in fresh {
-            self.record(result);
-        }
+        self.completed.extend(fresh);
+        into_replicate_order(&mut self.completed);
         self.outcome()
     }
 
@@ -552,6 +671,13 @@ impl FixationBatch {
             completed: self.completed.clone(),
         }
     }
+}
+
+/// Sort results into replicate order, keeping the first of any replicate
+/// listed twice.
+fn into_replicate_order(results: &mut Vec<ReplicateResult>) {
+    results.sort_by_key(|r| r.replicate);
+    results.dedup_by_key(|r| r.replicate);
 }
 
 /// Every pure strategy of `space` — for memory ≤ 1 this is exactly the
@@ -788,6 +914,17 @@ mod tests {
         while seq.run_step().is_some() {}
         assert!(seq.is_complete());
         assert_eq!(seq.outcome(), expected);
+        // Resumed with gaps, out of order and with a repeat: the steps fill
+        // the gaps lowest first.
+        let scattered = [4, 1, 4].map(|r| expected.results[r]);
+        let mut gappy = FixationBatch::resume(FixationCheckpoint {
+            completed: scattered.to_vec(),
+            ..par.checkpoint()
+        })
+        .unwrap();
+        let stepped: Vec<u32> = std::iter::from_fn(|| gappy.run_step()).map(|r| r.replicate).collect();
+        assert_eq!(stepped, [0, 2, 3, 5]);
+        assert_eq!(gappy.outcome(), expected);
     }
 
     #[test]

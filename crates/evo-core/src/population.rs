@@ -82,13 +82,6 @@ pub struct Population {
     /// evaluator never reads it, and every other one gives the bits it
     /// would give without it.
     payoff_cache: PayoffCache,
-    /// When set ([`Population::use_shared_payoff_cache`]), evaluations
-    /// read and warm this cache instead of the private one — the batch
-    /// workloads' cross-replicate sharing hook. Sound only while every
-    /// sharing population maps equal `StratId`s to equal strategies (e.g.
-    /// [`Population::new_uniform`] replicates of one resident/mutant
-    /// pair).
-    shared_cache: Option<Arc<PayoffCache>>,
 }
 
 impl Population {
@@ -126,19 +119,16 @@ impl Population {
             dedup: false,
             expected_fitness: false,
             payoff_cache: PayoffCache::new(params.game),
-            shared_cache: None,
             params,
         }
     }
 
     /// Build a population with every SSet holding `strategy` — no
-    /// `Domain::Init` draws at all. Beyond skipping the random
-    /// initialisation that [`Population::seed_uniform`] would immediately
-    /// overwrite, this pins the interning order: the seeded strategy is
-    /// always `StratId` 0 and the next [`Population::set_strategy`] call
-    /// interns id 1, which is what lets fixation replicates of one
-    /// resident/mutant pair share a payoff cache soundly
-    /// (`crate::fixation`, docs/FIXATION.md).
+    /// `Domain::Init` draws at all, where [`Population::new`] followed by
+    /// [`Population::seed_uniform`] would draw a random table only to
+    /// overwrite it. The seeded strategy is `StratId` 0 and the next
+    /// [`Population::set_strategy`] call interns id 1: one resident with
+    /// one invading mutant, stepped by the general engine loop.
     pub fn new_uniform(params: Params, strategy: Strategy) -> Result<Self, ParamsError> {
         let space = params.validate()?;
         assert_eq!(
@@ -150,22 +140,6 @@ impl Population {
         let id = pool.intern(strategy);
         let assignments = vec![id; params.num_ssets];
         Ok(Population::with_tables(params, space, pool, assignments))
-    }
-
-    /// Evaluate through `cache` instead of the private per-population
-    /// cache (cost-only; panics if `cache` was pinned to a different
-    /// `GameConfig`). Callers must guarantee id-compatibility: every
-    /// population sharing the cache must map equal `StratId`s to equal
-    /// strategies for the cache's lifetime — see the field docs.
-    pub fn use_shared_payoff_cache(&mut self, cache: Arc<PayoffCache>) {
-        cache.assert_game(&self.params.game);
-        self.shared_cache = Some(cache);
-    }
-
-    /// The cache evaluations actually consult: the shared one when
-    /// installed, the private one otherwise.
-    fn active_cache(&self) -> &PayoffCache {
-        self.shared_cache.as_deref().unwrap_or(&self.payoff_cache)
     }
 
     /// The parameters this population was built with.
@@ -251,7 +225,7 @@ impl Population {
             dedup: self.dedup,
             kernel: GameKernel::Naive,
             expected_fitness: self.expected_fitness,
-            cache: Some(self.active_cache()),
+            cache: Some(&self.payoff_cache),
         }
         .provide(&plan);
         let delta = engine::apply(
@@ -375,7 +349,7 @@ impl Population {
         } else {
             PayoffKind::Sampled
         };
-        PairPayoff::new(&self.space, &self.pool, &self.params.game, Some(self.active_cache()))
+        PairPayoff::new(&self.space, &self.pool, &self.params.game, Some(&self.payoff_cache))
             .prewarm(&self.assignments, kind)
     }
 
@@ -383,7 +357,7 @@ impl Population {
     /// cross-generation payoff cache (0 until a cacheable evaluation has
     /// run or the cache was pre-warmed).
     pub fn payoff_cache_len(&self) -> usize {
-        self.active_cache().len()
+        self.payoff_cache.len()
     }
 
     /// Per-generation wall times (nanoseconds) recorded so far, in

@@ -12,6 +12,8 @@
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::Cell;
+use std::marker::PhantomData;
 
 /// The independent randomness domains used by the engine. Keeping domains
 /// disjoint guarantees that, e.g., game-play draws can never perturb the
@@ -82,8 +84,65 @@ pub fn stream(seed: u64, domain: Domain, entity: u64, generation: u64) -> ChaCha
     // would cost an atomic op in the innermost loop for a number with no
     // extra analytical value. The counter cannot perturb the stream itself
     // (docs/OBSERVABILITY.md, "Determinism guarantee").
-    obs::counters().add_rng_stream();
+    let tallied = TALLY.with(|tally| {
+        let (depth, streams) = tally.get();
+        if depth > 0 {
+            tally.set((depth, streams + 1));
+        }
+        depth > 0
+    });
+    if !tallied {
+        obs::counters().add_rng_stream();
+    }
     ChaCha8Rng::from_seed(derive_key(seed, domain, entity, generation))
+}
+
+thread_local! {
+    /// This thread's open [`StreamTally`] scopes and the streams opened
+    /// inside them, not yet reported. `(0, 0)` outside any scope.
+    static TALLY: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// While one is alive, the streams this thread opens are counted here and
+/// reach `obs` in one write when the outermost scope on the thread ends —
+/// on unwind too — instead of one shared-counter write each. Scopes nest:
+/// an inner one (a rayon worker running a second replicate while it waits
+/// inside the first) adds to the outer one's tally. Streams opened on
+/// other threads are counted there, as ever. Totals are unchanged; only
+/// when they reach the counter moves.
+#[derive(Debug)]
+pub(crate) struct StreamTally {
+    /// The tally belongs to the thread that opened the scope.
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl StreamTally {
+    /// Open a scope on this thread.
+    pub(crate) fn open() -> Self {
+        TALLY.with(|tally| {
+            let (depth, streams) = tally.get();
+            tally.set((depth + 1, streams));
+        });
+        StreamTally {
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for StreamTally {
+    fn drop(&mut self) {
+        let flushed = TALLY.with(|tally| match tally.get() {
+            (1, streams) => {
+                tally.set((0, 0));
+                streams
+            }
+            (depth, streams) => {
+                tally.set((depth - 1, streams));
+                0
+            }
+        });
+        obs::counters().add_rng_streams(flushed);
+    }
 }
 
 /// Stream for the game a specific SSet plays against a specific opponent in
@@ -150,6 +209,33 @@ mod tests {
         let mut ij = game_stream(9, 3, 5, 100, 7);
         let mut ji = game_stream(9, 5, 3, 100, 7);
         assert_ne!(ij.random::<u64>(), ji.random::<u64>());
+    }
+
+    #[test]
+    fn tally_scopes_nest_and_flush_once_even_on_unwind() {
+        let tally = || TALLY.with(Cell::get);
+        let before = obs::counters().snapshot().rng_streams;
+        {
+            let _outer = StreamTally::open();
+            stream(1, Domain::Init, 0, 0);
+            {
+                let _inner = StreamTally::open();
+                stream(1, Domain::Init, 1, 0);
+                stream(1, Domain::Init, 2, 0);
+                assert_eq!(tally(), (2, 3));
+            }
+            assert_eq!(tally(), (1, 3), "the inner scope adds to the outer one");
+        }
+        assert_eq!(tally(), (0, 0), "the outermost scope flushed");
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = StreamTally::open();
+            stream(1, Domain::Init, 3, 0);
+            panic!("unwind through an open scope");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(tally(), (0, 0), "the drop guard flushed on unwind");
+        // Other tests open streams concurrently, so only a lower bound.
+        assert!(obs::counters().snapshot().rng_streams >= before + 4);
     }
 
     #[test]

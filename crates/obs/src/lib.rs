@@ -190,7 +190,18 @@ impl Counters {
     /// One counter-based RNG stream opened (`evo_core::rngstream::stream`).
     #[inline]
     pub fn add_rng_stream(&self) {
-        self.rng_streams.fetch_add(1, Ordering::Relaxed);
+        self.add_rng_streams(1);
+    }
+
+    /// `streams` RNG streams opened and tallied by their opener, reported
+    /// in one write (a fixation replicate's streams, at its end). Totals
+    /// are exactly those of `streams` calls to [`Counters::add_rng_stream`];
+    /// a zero tally writes nothing.
+    #[inline]
+    pub fn add_rng_streams(&self, streams: u64) {
+        if streams != 0 {
+            self.rng_streams.fetch_add(streams, Ordering::Relaxed);
+        }
     }
 
     /// One point-to-point message of `bytes` payload bytes sent through

@@ -16,7 +16,8 @@
 # population, expected fitness on demand, dedup counters in a manifest),
 # the lattice shared / row-sharded / fermi-vn4 / on 3-wide and 3-tall tori
 # whose stencils and halo rows wrap, fixation
-# shared / replicate-sharded / --matrix, checkpoint -> resume per family
+# shared / replicate-sharded / --matrix / noisy (the played-every-generation
+# branch, with manifests) / ImitateBest, checkpoint -> resume per family
 # across backends, kill -> resume per family, the generation frame's edge
 # cases (one compute rank, a resumed run's periodic checkpoints at
 # absolute multiples, a lattice kill at the first generation), and an
@@ -144,6 +145,12 @@ run_list() {
     c fx-ranks fixate $FX --ranks 3 --records fx-ranks.jsonl --manifest-out fx-ranks.manifest.json
     c fx-pc fixate --replicates 12 --ssets 6 --seed 9 --rule pc --pc-rate 0.5 --resident TFT --mutant WSLS --generations 400
     c fx-matrix fixate --matrix --replicates 3 --ssets 6 --generations 100 --seed 2 --rounds 10
+    # Noise makes every game stochastic: each generation plays the full
+    # schedule, the cache untouched, so even the shared manifest is exact.
+    c fx-noisy fixate $FX --noise 0.02 --records fx-noisy.jsonl --manifest-out fx-noisy.manifest.json
+    c fx-noisy-ranks fixate $FX --noise 0.02 --ranks 3 --records fx-noisy-ranks.jsonl --manifest-out fx-noisy-ranks.manifest.json
+    # No manifest: its cold-cache counters race as fx-shared's do.
+    c fx-best fixate $FX --rule best --records fx-best.jsonl
     # Checkpoint -> resume, per family, across backends (the distributed
     # runs leave their latest periodic snapshot: generation 50 / 30).
     c cp-run run $WM --checkpoint-out cp-run.json --checkpoint-every 25

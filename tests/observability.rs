@@ -304,3 +304,140 @@ fn racing_threads_count_every_probe_of_a_cold_shared_cache_once() {
     assert_eq!(hits + misses, (THREADS * asg.len() * asg.len()) as u64);
     assert!((distinct..=distinct * THREADS as u64).contains(&misses), "{misses} misses for {distinct} entries");
 }
+
+/// Every span's count so far, by name.
+fn span_counts() -> std::collections::BTreeMap<String, u64> {
+    obs::span_snapshots().into_iter().map(|s| (s.name, s.count)).collect()
+}
+
+/// Span counts moved since `baseline` (names that did not move left out).
+fn spans_since(baseline: &std::collections::BTreeMap<String, u64>) -> std::collections::BTreeMap<String, u64> {
+    span_counts()
+        .into_iter()
+        .map(|(name, count)| {
+            let moved = count - baseline.get(&name).copied().unwrap_or(0);
+            (name, moved)
+        })
+        .filter(|&(_, moved)| moved > 0)
+        .collect()
+}
+
+/// Replicate `r` of `spec` as a general population steps it: every SSet
+/// the resident, the mutant at `MUTANT_SITE`, the deduplicating evaluator
+/// on the population's own cache (pre-warmed with the pair's payoffs when
+/// `warm`), `step()` until absorption. Returns the result with the counter
+/// and span activity of the replicate, the pre-warm left out.
+fn population_replicate(
+    spec: &FixationSpec,
+    r: u32,
+    warm: bool,
+) -> (ReplicateResult, obs::CounterSnapshot, std::collections::BTreeMap<String, u64>) {
+    use evogame::engine::fixation::{commit_absorption, replicate_seed, MUTANT_SITE};
+    let spans = span_counts();
+    let start = obs::counters().snapshot();
+    let mut params = spec.params.clone();
+    params.seed = replicate_seed(spec.params.seed, r);
+    let cap = params.generations;
+    let mut pop = Population::new_uniform(params, spec.resident.clone()).unwrap();
+    pop.dedup = true;
+    let mutant = pop.set_strategy(MUTANT_SITE, spec.mutant.clone());
+    let before_warm = obs::counters().snapshot();
+    if warm {
+        pop.prewarm_payoff_cache();
+    }
+    let warmup = obs::counters().snapshot().delta_since(&before_warm);
+    // Pre-warming plays the pair's deterministic games and moves nothing else.
+    let played = obs::CounterSnapshot {
+        games_played: warmup.games_played,
+        rounds_simulated: warmup.rounds_simulated,
+        ..Default::default()
+    };
+    assert_eq!(warmup, played, "pre-warm moved more than games");
+    let mut generations = 0u64;
+    let outcome = loop {
+        if let Some(done) = commit_absorption(pop.assignments(), mutant, generations, cap) {
+            break done;
+        }
+        pop.step();
+        generations += 1;
+    };
+    obs::counters().add_replicate_run();
+    match outcome {
+        Absorption::Fixed => obs::counters().add_fixation(),
+        Absorption::Extinct => obs::counters().add_extinction(),
+        Absorption::Censored => {}
+    }
+    let result = ReplicateResult {
+        replicate: r,
+        outcome,
+        generations,
+        mutants_final: pop.assignments().iter().filter(|&&id| id == mutant).count() as u32,
+    };
+    let mut delta = obs::counters().snapshot().delta_since(&start);
+    delta.games_played -= warmup.games_played;
+    delta.rounds_simulated -= warmup.rounds_simulated;
+    (result, delta, spans_since(&spans))
+}
+
+#[test]
+fn fixation_replicates_match_a_stepped_population_in_bits_counters_and_spans() {
+    use evogame::engine::paycache::PayoffCache;
+    use evogame::ipd::classic;
+    use evogame::ipd::strategy::MixedStrategy;
+    use std::sync::Arc;
+    let _counters = counters_lock();
+    obs::set_enabled(true);
+    let space = evogame::ipd::state::StateSpace::new(1).unwrap();
+    let pure = |s| Strategy::Pure(s);
+    let mixed = Strategy::Mixed(MixedStrategy::new(space, vec![0.9, 0.2, 0.7, 0.1]).unwrap());
+    // (resident, mutant, noise)
+    let pairs = [
+        (pure(classic::all_c(&space)), pure(classic::all_d(&space)), 0.0),
+        (pure(classic::tft(&space)), pure(classic::wsls(&space)), 0.0),
+        (pure(classic::all_c(&space)), pure(classic::all_d(&space)), 0.02),
+        (pure(classic::tft(&space)), mixed, 0.0),
+    ];
+    // (rule, pc_rate)
+    let rules = [(UpdateRule::Moran, 1.0), (UpdateRule::PairwiseComparison, 0.5), (UpdateRule::ImitateBest, 1.0)];
+    for (resident, mutant, noise) in &pairs {
+        for &(rule, pc_rate) in &rules {
+            let mut params = Params {
+                mem_steps: 1,
+                num_ssets: 8,
+                generations: 150,
+                seed: 23,
+                pc_rate,
+                mutation_rate: 0.0,
+                rule,
+                ..Params::default()
+            };
+            params.game.rounds = 10;
+            params.game.noise = *noise;
+            let spec = FixationSpec {
+                params,
+                resident: resident.clone(),
+                mutant: mutant.clone(),
+                replicates: 4,
+            };
+            let shared = Arc::new(PayoffCache::new(spec.params.game));
+            for r in 0..spec.replicates {
+                for warm in [false, true] {
+                    let label = format!("{rule:?} pc {pc_rate} noise {noise} {mutant:?} replicate {r} warm {warm}");
+                    let (want, want_counters, want_spans) = population_replicate(&spec, r, warm);
+                    let cache = warm.then(|| {
+                        spec.run_replicate(r, Some(&shared));
+                        &shared
+                    });
+                    let spans = span_counts();
+                    let start = obs::counters().snapshot();
+                    let got = spec.run_replicate(r, cache);
+                    let got_counters = obs::counters().snapshot().delta_since(&start);
+                    assert_eq!(got, want, "{label}: result");
+                    assert_eq!(got_counters, want_counters, "{label}: counters");
+                    assert_eq!(spans_since(&spans), want_spans, "{label}: spans");
+                    assert!(want_counters.rng_streams > 0 && want_spans.contains_key("population.generation"), "{label}");
+                }
+            }
+        }
+    }
+}
