@@ -7,7 +7,8 @@
 # Usage: sh scripts/cli_identity.sh <parent-bin> <child-bin> [workdir]
 #
 # The list: the seven ledger workload shapes (ledger/src/spec.rs) scaled
-# down, every update rule on both backends, mixed strategies with noise,
+# down, every update rule on both backends, mixed strategies with noise
+# (short games, and full 200-round games at memory 6),
 # the evaluator flags (--dedup, --expected-fitness, also on a resumed
 # run), population sizes that leave a partial lockstep group at
 # memory 2 / 3 / 6, both cycle detectors (memory 3 and 4) and a
@@ -106,6 +107,9 @@ run_list() {
     c dist-manifest distributed --ranks 3 $WM --manifest-out dist.manifest.json
     # Mixed strategies with noise; the cost knobs and views.
     c run-mixed run --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20 --records run-mixed.jsonl
+    # Full-length noisy mixed games against 4096-entry tables: each game's
+    # stream runs through many four-block keystream refills.
+    c run-mixed-long run --mem 6 --mixed --noise 0.01 --rounds 200 --ssets 6 --generations 10 --records run-mixed-long.jsonl
     c dist-mixed distributed --ranks 3 --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20
     c run-expected run $WM --expected-fitness --sample-every 7 --heatmap
     c run-mem2 run --ssets 8 --generations 20 --seed 5 --mem 2 --mu 0.2 --beta 2 --dedup

@@ -46,6 +46,37 @@ if printf '%s\n' "$syms" | grep -E 'evo_core::fitness::Session::probe([^_[:alnum
     exit 1
 fi
 
+echo "== perf: the ChaCha8 wide refill stays vectorised =="
+# Stochastic games (mixed strategies, execution noise) spend most of
+# their time in the ChaCha8 keystream. After a stream's first block,
+# rand_chacha's `refill_wide` computes four blocks in one pass that the
+# loop vectoriser runs as SIMD across the blocks; on the scalar fallback
+# every word stays the same and only the time moves, so no test would
+# notice. The function is `#[inline(never)]` to keep a symbol: its
+# disassembly must hold packed 32-bit adds (`paddd`, ≈ 130 when
+# vectorised). A failed nm leaves no symbol, which fails the first
+# check; the disassembly is read into a variable, so that `set -e` stops
+# here if objdump fails.
+case "$(uname -m)" in
+x86_64)
+    wide=$(nm target/release/evogame-cli | awk '/rand_chacha10ChaCha8Rng11refill_wide/ { print $3 }')
+    if [ "$(printf '%s\n' "$wide" | grep -c .)" -ne 1 ]; then
+        echo "verify: FAIL — no single rand_chacha::ChaCha8Rng::refill_wide symbol in evogame-cli" >&2
+        exit 1
+    fi
+    asm=$(objdump -d --no-show-raw-insn --disassemble="$wide" target/release/evogame-cli)
+    packed=$(printf '%s\n' "$asm" | grep -cw paddd || true)
+    echo "refill_wide: $packed packed 32-bit adds"
+    if [ "$packed" -eq 0 ]; then
+        echo "verify: FAIL — rand_chacha::ChaCha8Rng::refill_wide is no longer vectorised" >&2
+        exit 1
+    fi
+    ;;
+*)
+    echo "skipped: the refill's vector check reads x86_64 disassembly, this is $(uname -m)"
+    ;;
+esac
+
 echo "== static: detlint lexical determinism contract =="
 cargo run -p detlint --release -- check --rules lexical
 
