@@ -141,7 +141,7 @@ impl<'a, M: Messenger> Collective<'a, M> {
     fn next_tag(&self) -> Tag {
         // Every collective claims exactly one tag per participating rank,
         // so this is the natural single point to count collective ops.
-        obs::counters().add_collective_op();
+        obs::counters().add(obs::Counter::CollectiveOps, 1);
         let t = self.next.get();
         self.next
             // detlint: allow(panic-path, reason = "invariant: u64 tag counter cannot overflow within any feasible run; checked_add makes the impossible overflow loud instead of wrapping")

@@ -196,15 +196,15 @@ impl<T: Send + Clone + 'static> Comm<T> {
             None => deliver(env),
             Some(FaultAction::Drop) => {
                 // The network loses the message; the send itself succeeded.
-                obs::counters().add_fault_injected();
+                obs::counters().add(obs::Counter::FaultsInjected, 1);
                 Ok(())
             }
             Some(FaultAction::Duplicate) => {
-                obs::counters().add_fault_injected();
+                obs::counters().add(obs::Counter::FaultsInjected, 1);
                 deliver(env.clone()).and_then(|()| deliver(env))
             }
             Some(FaultAction::Delay) => {
-                obs::counters().add_fault_injected();
+                obs::counters().add(obs::Counter::FaultsInjected, 1);
                 self.delayed.borrow_mut().push(env);
                 Ok(())
             }
@@ -301,7 +301,7 @@ impl<T: Send + Clone + 'static> Comm<T> {
             let mut wait = ALIVENESS_POLL;
             if let Some(d) = deadline {
                 if now >= d {
-                    obs::counters().add_comm_timeout();
+                    obs::counters().add(obs::Counter::CommTimeouts, 1);
                     return Err(ClusterError::Timeout);
                 }
                 wait = wait.min(d - now);

@@ -70,7 +70,7 @@ pub(super) fn recv_from<M: Send + Clone + 'static>(
 /// progress unit `unit` (a generation; a replicate for fixation batches).
 pub(super) fn check_kill(faults: &FaultPlan, rank: Rank, unit: u64) -> Result<(), RankError> {
     if faults.kills_at(rank, unit) {
-        obs::counters().add_fault_injected();
+        obs::counters().add(obs::Counter::FaultsInjected, 1);
         return Err(RankError::Killed);
     }
     Ok(())

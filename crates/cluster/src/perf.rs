@@ -209,7 +209,7 @@ impl PerfModel {
     /// Full per-generation breakdown and run total for `procs` processors.
     pub fn breakdown(&self, w: &Workload, procs: u64) -> Breakdown {
         let _span = obs::span("perf.breakdown");
-        obs::counters().add_perf_model_eval();
+        obs::counters().add(obs::Counter::PerfModelEvals, 1);
         assert!(procs >= 1);
         let p = &self.profile;
         let depth = CollectiveTree::new(procs as usize).depth() as f64;

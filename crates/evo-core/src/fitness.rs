@@ -590,7 +590,8 @@ impl Session<'_> {
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         self.release();
-        obs::counters().add_payoff_cache_probes(self.hits, self.misses);
+        obs::counters().add(obs::Counter::PayoffCacheHits, self.hits);
+        obs::counters().add(obs::Counter::PayoffCacheMisses, self.misses);
     }
 }
 
@@ -651,7 +652,8 @@ impl PairTable {
 
 impl Drop for PairTable {
     fn drop(&mut self) {
-        obs::counters().add_payoff_cache_probes(self.hits, self.misses);
+        obs::counters().add(obs::Counter::PayoffCacheHits, self.hits);
+        obs::counters().add(obs::Counter::PayoffCacheMisses, self.misses);
     }
 }
 

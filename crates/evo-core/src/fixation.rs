@@ -246,10 +246,10 @@ impl FixationSpec {
             generations += 1;
         };
         let mutants_final = duel.assignments.iter().filter(|&&id| id == MUTANT).count() as u32;
-        obs::counters().add_replicate_run();
+        obs::counters().add(obs::Counter::ReplicatesRun, 1);
         match outcome {
-            Absorption::Fixed => obs::counters().add_fixation(),
-            Absorption::Extinct => obs::counters().add_extinction(),
+            Absorption::Fixed => obs::counters().add(obs::Counter::Fixations, 1),
+            Absorption::Extinct => obs::counters().add(obs::Counter::Extinctions, 1),
             Absorption::Censored => {}
         }
         ReplicateResult {

@@ -101,7 +101,8 @@ pub struct PayoffCache {
 
 /// The cache's read lock, held across a run of probes
 /// ([`PayoffCache::reader`]). Probes through it move no counter: the
-/// holder tallies and reports them (`obs::Counters::add_payoff_cache_probes`).
+/// holder tallies and reports them (`obs::Counter::PayoffCacheHits`,
+/// `PayoffCacheMisses`).
 ///
 /// While a thread holds a `Reader` it must not call
 /// [`PayoffCache::get`], [`PayoffCache::insert`], [`PayoffCache::len`] or
@@ -153,8 +154,8 @@ impl PayoffCache {
     /// [`PayoffCache::reader`].
     pub fn get(&self, a: StratId, b: StratId, kind: PayoffKind) -> Option<f64> {
         let hit = self.reader().get(a, b, kind);
-        let hits = u64::from(hit.is_some());
-        obs::counters().add_payoff_cache_probes(hits, 1 - hits);
+        let probe = if hit.is_some() { obs::Counter::PayoffCacheHits } else { obs::Counter::PayoffCacheMisses };
+        obs::counters().add(probe, 1);
         hit
     }
 

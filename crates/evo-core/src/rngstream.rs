@@ -92,7 +92,7 @@ pub fn stream(seed: u64, domain: Domain, entity: u64, generation: u64) -> ChaCha
         depth > 0
     });
     if !tallied {
-        obs::counters().add_rng_stream();
+        obs::counters().add(obs::Counter::RngStreams, 1);
     }
     ChaCha8Rng::from_seed(derive_key(seed, domain, entity, generation))
 }
@@ -141,7 +141,7 @@ impl Drop for StreamTally {
                 0
             }
         });
-        obs::counters().add_rng_streams(flushed);
+        obs::counters().add(obs::Counter::RngStreams, flushed);
     }
 }
 

@@ -20,9 +20,9 @@
 //! Steps 1–3 differ per kernel; step 4 is shared by every kernel that
 //! plays every round: [`play_deterministic_lanes`] (and
 //! [`play_deterministic`], its one-lane case) read step 2 from the strategy
-//! words, [`play`] / [`play_transcript`] draw steps 2–3 from the caller's
-//! RNG. They add the sums round by round in round order, so their results
-//! agree to the bit for any payoff matrix and memory depth.
+//! words, [`play`] draws steps 2–3 from the caller's RNG. They add the sums
+//! round by round in round order, so their results agree to the bit for
+//! any payoff matrix and memory depth.
 //!
 //! # Paying a game out from its cycle
 //!
@@ -380,69 +380,6 @@ pub fn play_deterministic(
     outcome
 }
 
-/// A full game record: the move pair of every round plus the outcome.
-/// Used for move-pattern analysis (echo effects, forgiveness, alternation)
-/// that aggregate fitness alone can't show.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Transcript {
-    /// `(player A's move, player B's move)` per round, in order.
-    pub moves: Vec<(Move, Move)>,
-    /// The aggregate outcome (identical to what [`play`] returns).
-    pub outcome: GameOutcome,
-}
-
-impl Transcript {
-    /// Rounds of mutual cooperation.
-    pub fn mutual_cooperation(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|(a, b)| a.is_cooperate() && b.is_cooperate())
-            .count()
-    }
-
-    /// Rounds of mutual defection.
-    pub fn mutual_defection(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|(a, b)| !a.is_cooperate() && !b.is_cooperate())
-            .count()
-    }
-
-    /// Longest run of consecutive mutual-defection rounds — the "echo"
-    /// length that makes errors fatal for TFT (§III-E).
-    pub fn longest_defection_echo(&self) -> usize {
-        let mut best = 0;
-        let mut cur = 0;
-        for (a, b) in &self.moves {
-            if !a.is_cooperate() && !b.is_cooperate() {
-                cur += 1;
-                best = best.max(cur);
-            } else {
-                cur = 0;
-            }
-        }
-        best
-    }
-}
-
-/// [`play`] variant that records every round. Same RNG consumption and
-/// outcome as [`play`] given the same stream.
-pub fn play_transcript<R: Rng + ?Sized>(
-    space: &StateSpace,
-    a: &Strategy,
-    b: &Strategy,
-    config: &GameConfig,
-    rng: &mut R,
-) -> Transcript {
-    let mut moves = Vec::with_capacity(config.rounds as usize);
-    let [outcome] = play_lanes(space, config, |_, state_a, state_b| {
-        let (move_a, move_b) = sample_moves(a, b, (state_a, state_b), config.noise, rng);
-        moves.push((move_a, move_b));
-        (move_a.bit() as u32, move_b.bit() as u32)
-    });
-    Transcript { moves, outcome }
-}
-
 /// Rounds of each outcome of a game, indexed by `a<<1|b` (player A's move
 /// first): `[CC, CD, DC, DD]`.
 type Counts = [u64; 4];
@@ -572,7 +509,7 @@ mod tests {
         b: &Strategy,
         config: &GameConfig,
         rng: &mut R,
-    ) -> Transcript {
+    ) -> (Vec<(Move, Move)>, GameOutcome) {
         let mut state_a = space.initial_state();
         let mut state_b = space.initial_state();
         let mut moves = Vec::new();
@@ -603,7 +540,7 @@ mod tests {
             state_a = space.advance(state_a, move_a, move_b);
             state_b = space.advance(state_b, move_b, move_a);
         }
-        Transcript { moves, outcome: out }
+        (moves, out)
     }
 
     fn assert_same_bits(got: &GameOutcome, want: &GameOutcome, ctx: &str) {
@@ -635,7 +572,7 @@ mod tests {
                 let focal = Strategy::Pure(strats[0].clone());
                 for (k, lane) in got.iter().enumerate() {
                     let opp = Strategy::Pure(opponents[k].clone());
-                    let want = oracle(space, &focal, &opp, config, &mut unused).outcome;
+                    let (_, want) = oracle(space, &focal, &opp, config, &mut unused);
                     let ctx = format!("memory-{} {} rounds K={K} lane {k} {:?}", space.mem_steps(), config.rounds, config.payoff);
                     assert_same_bits(lane, &want, &ctx);
                 }
@@ -657,9 +594,9 @@ mod tests {
             }
         }
 
-        /// `play` and `play_transcript` are the oracle's game — outcome,
-        /// moves, and the position they leave the RNG at — for pure and
-        /// mixed strategies, with and without noise.
+        /// `play` is the oracle's game — outcome and the position it leaves
+        /// the RNG at — for pure and mixed strategies, with and without
+        /// noise.
         #[test]
         fn sampled_kernels_match_the_oracle(seed in proptest::prelude::any::<u64>(), mem in 0usize..=6) {
             let space = sp(mem);
@@ -677,18 +614,12 @@ mod tests {
                         let config = GameConfig { rounds: 60, noise, payoff };
                         let ctx = format!("memory-{mem} noise {noise} {payoff:?}");
                         let mut want_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
-                        let want = oracle(&space, a, b, &config, &mut want_rng);
+                        let (_, want) = oracle(&space, a, b, &config, &mut want_rng);
                         let want_next = want_rng.next_u64();
 
                         let mut play_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
-                        assert_same_bits(&play(&space, a, b, &config, &mut play_rng), &want.outcome, &ctx);
+                        assert_same_bits(&play(&space, a, b, &config, &mut play_rng), &want, &ctx);
                         assert_eq!(play_rng.next_u64(), want_next, "{ctx}: play's RNG position");
-
-                        let mut transcript_rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
-                        let transcript = play_transcript(&space, a, b, &config, &mut transcript_rng);
-                        assert_same_bits(&transcript.outcome, &want.outcome, &ctx);
-                        assert_eq!(transcript.moves, want.moves, "{ctx}: moves");
-                        assert_eq!(transcript_rng.next_u64(), want_next, "{ctx}: play_transcript's RNG position");
                     }
                 }
             }
@@ -859,55 +790,28 @@ mod tests {
     }
 
     #[test]
-    fn transcript_outcome_matches_play() {
-        let s = sp(2);
-        let mut r1 = ChaCha8Rng::seed_from_u64(31);
-        let mut r2 = ChaCha8Rng::seed_from_u64(31);
-        let a = Strategy::Mixed(crate::strategy::MixedStrategy::random(s, &mut r1));
-        let b = Strategy::Mixed(crate::strategy::MixedStrategy::random(s, &mut r1));
-        let noisy = GameConfig {
-            rounds: 80,
-            noise: 0.05,
-            ..GameConfig::default()
-        };
-        let mut g1 = ChaCha8Rng::seed_from_u64(7);
-        let transcript = play_transcript(&s, &a, &b, &noisy, &mut g1);
-        let mut g2 = ChaCha8Rng::seed_from_u64(7);
-        let plain = play(&s, &a, &b, &noisy, &mut g2);
-        let _ = &mut r2;
-        assert_eq!(transcript.outcome, plain);
-        assert_eq!(transcript.moves.len(), 80);
-    }
-
-    #[test]
-    fn transcript_shows_wsls_alternation_vs_alld() {
+    fn oracle_shows_wsls_alternation_vs_alld() {
         let s = sp(1);
         let wsls = Strategy::Pure(classic::wsls(&s));
         let alld = Strategy::Pure(classic::all_d(&s));
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let t = play_transcript(&s, &wsls, &alld, &cfg(10), &mut rng);
+        let (moves, _) = oracle(&s, &wsls, &alld, &cfg(10), &mut ChaCha8Rng::seed_from_u64(0));
         // WSLS alternates C, D, C, D, ... against a constant defector.
-        let expect: Vec<Move> = (0..10)
-            .map(|i| if i % 2 == 0 { Move::Cooperate } else { Move::Defect })
+        let expect: Vec<(Move, Move)> = (0..10)
+            .map(|i| (if i % 2 == 0 { Move::Cooperate } else { Move::Defect }, Move::Defect))
             .collect();
-        let got: Vec<Move> = t.moves.iter().map(|(a, _)| *a).collect();
-        assert_eq!(got, expect);
-        assert_eq!(t.mutual_defection(), 5);
-        assert_eq!(t.longest_defection_echo(), 1);
+        assert_eq!(moves, expect);
     }
 
     #[test]
-    fn transcript_echo_metrics() {
+    fn oracle_shows_tft_echoing_alld() {
         // ALLD vs TFT: the sucker round, then locked mutual defection —
         // the unbroken echo that §III-E warns about.
         let s = sp(1);
         let alld = Strategy::Pure(classic::all_d(&s));
         let tft = Strategy::Pure(classic::tft(&s));
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let t = play_transcript(&s, &alld, &tft, &cfg(20), &mut rng);
-        assert_eq!(t.mutual_cooperation(), 0);
-        assert_eq!(t.mutual_defection(), 19);
-        assert_eq!(t.longest_defection_echo(), 19);
+        let (moves, _) = oracle(&s, &alld, &tft, &cfg(20), &mut ChaCha8Rng::seed_from_u64(0));
+        assert_eq!(moves[0], (Move::Defect, Move::Cooperate));
+        assert_eq!(moves[1..], [(Move::Defect, Move::Defect); 19]);
     }
 
     #[test]
@@ -935,7 +839,7 @@ mod tests {
             let focal = Strategy::Pure(strats[0].clone());
             for (k, game) in got.iter().enumerate() {
                 let opp = Strategy::Pure(opponents[k].clone());
-                let want = oracle(space, &focal, &opp, config, &mut ChaCha8Rng::seed_from_u64(0)).outcome;
+                let (_, want) = oracle(space, &focal, &opp, config, &mut ChaCha8Rng::seed_from_u64(0));
                 let ctx = format!("memory-{} {} rounds K={K} game {k} {:?}", space.mem_steps(), config.rounds, config.payoff);
                 assert_same_bits(game, &want, &ctx);
             }

@@ -208,7 +208,7 @@ pub fn expected_outcome(
     b: &Strategy,
     config: &GameConfig,
 ) -> ExpectedOutcome {
-    obs::counters().add_markov_fastpath_eval();
+    obs::counters().add(obs::Counter::MarkovFastpathEvals, 1);
     let kernel = ForwardKernel::new(space, a, b, config);
     let mut dist = vec![0.0; space.num_states()];
     let mut next = vec![0.0; space.num_states()];

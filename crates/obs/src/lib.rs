@@ -8,10 +8,11 @@
 //! and exposes three layers, all documented as a stable contract in
 //! `docs/OBSERVABILITY.md`:
 //!
-//! 1. **Counters** ([`counters`]) — process-global relaxed atomics that are
-//!    *always on*. The instrumented crates increment them at well-defined
-//!    points: games played, rounds simulated, Fermi updates, mutations,
-//!    RNG streams opened, messages/bytes through the virtual cluster.
+//! 1. **Counters** ([`counters`]) — process-global relaxed atomics, one
+//!    per [`Counter`], that are *always on*. The instrumented crates
+//!    increment them with [`Counters::add`] at well-defined points: games
+//!    played, rounds simulated, Fermi updates, mutations, RNG streams
+//!    opened, messages/bytes through the virtual cluster.
 //! 2. **Spans** ([`span`]) — named wall-clock timings through the hot
 //!    paths (generation loop, fitness evaluation, collectives, the
 //!    distributed engine). Gated by [`set_enabled`]: when disabled a span
@@ -89,7 +90,111 @@ pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
 
 // --------------------------------------------------------------- counters
 
-/// The process-global event counters. All increments use relaxed atomics —
+/// One process-global event counter: an index into [`Counters`] and a
+/// field of [`CounterSnapshot`] (`GamesPlayed` is `games_played`). The
+/// variants are in manifest order; each says what it counts and where
+/// it is incremented.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Iterated games finished: every game kernel in `ipd::game` and
+    /// `ipd::batch`, through [`Counters::add_game`] or, once per lockstep
+    /// group or word-parallel batch, [`Counters::add_games`].
+    GamesPlayed,
+    /// Game rounds simulated, summed over games, at the same points. The
+    /// cycle kernel counts the *logical* rounds it pays out arithmetically.
+    RoundsSimulated,
+    /// Fermi pairwise comparisons resolved (`NatureAgent::resolve_pc`).
+    FermiUpdates,
+    /// Mutation strategies drawn (`NatureAgent::mutation_strategy`).
+    Mutations,
+    /// Counter-based RNG streams opened (`evo_core::rngstream::stream`).
+    /// Inside a fixation replicate the opening thread tallies them and
+    /// adds the tally once, when the replicate ends.
+    RngStreams,
+    /// Point-to-point messages sent through `cluster::comm`, collective
+    /// traffic included: collectives are built from point-to-point sends
+    /// ([`Counters::add_comm_message`]).
+    CommMessages,
+    /// Payload bytes of those messages: the in-memory `size_of` of each
+    /// message's payload type, a lower bound for heap-owning payloads.
+    CommBytes,
+    /// Collective operations (bcast/reduce/gather/barrier) initiated, one
+    /// per participating rank (`cluster::collective`).
+    CollectiveOps,
+    /// Analytic performance-model evaluations
+    /// (`cluster::perf::PerfModel::breakdown`).
+    PerfModelEvals,
+    /// Scheduled faults executed by the virtual cluster's transport or
+    /// engine (message drop/delay/duplicate applied, rank killed on plan).
+    FaultsInjected,
+    /// Receive deadlines expired (`cluster::comm` returned
+    /// `ClusterError::Timeout`). Fault-free runs never increment this.
+    CommTimeouts,
+    /// Run checkpoints serialised to stable storage: the CLI's periodic,
+    /// final and degraded-run snapshots, and `svc`'s spool checkpoints.
+    CheckpointsWritten,
+    /// Pairwise payoffs served from the cross-generation payoff cache
+    /// (`evo_core::paycache`) without playing the game. The prober
+    /// tallies in plain integers and adds once per evaluation (once per
+    /// replicate in a fixation batch), not once per game.
+    PayoffCacheHits,
+    /// Pairwise payoffs computed and inserted into the payoff cache, at
+    /// the same points.
+    PayoffCacheMisses,
+    /// Pairwise payoffs computed analytically by Markov forward iteration
+    /// (`ipd::markov::expected_outcome`) instead of round simulation —
+    /// the expected-fitness fast path.
+    MarkovFastpathEvals,
+    /// Simulation jobs admitted by the service layer's queue
+    /// (`svc::JobQueue`, docs/SERVICE.md).
+    JobsAccepted,
+    /// Simulation jobs refused admission (queue full, duplicate id, or
+    /// invalid request); the CLI adds unparseable request lines.
+    JobsRejected,
+    /// Simulation jobs finished with a receipt (docs/SERVICE.md).
+    JobsCompleted,
+    /// Degraded simulation jobs automatically re-enqueued from their
+    /// `DegradedRun` checkpoint (docs/SERVICE.md retry semantics).
+    JobsRetried,
+    /// Fixation replicates run to absorption or their generation cap
+    /// (`evo_core::fixation`).
+    ReplicatesRun,
+    /// Fixation replicates that ended with the mutant lineage fixed.
+    Fixations,
+    /// Fixation replicates that ended with the mutant lineage extinct.
+    Extinctions,
+}
+
+impl Counter {
+    /// Every counter, in declaration order: the order of the
+    /// [`CounterSnapshot`] fields and of a manifest's `counters` object.
+    pub const ALL: [Counter; 22] = [
+        Counter::GamesPlayed,
+        Counter::RoundsSimulated,
+        Counter::FermiUpdates,
+        Counter::Mutations,
+        Counter::RngStreams,
+        Counter::CommMessages,
+        Counter::CommBytes,
+        Counter::CollectiveOps,
+        Counter::PerfModelEvals,
+        Counter::FaultsInjected,
+        Counter::CommTimeouts,
+        Counter::CheckpointsWritten,
+        Counter::PayoffCacheHits,
+        Counter::PayoffCacheMisses,
+        Counter::MarkovFastpathEvals,
+        Counter::JobsAccepted,
+        Counter::JobsRejected,
+        Counter::JobsCompleted,
+        Counter::JobsRetried,
+        Counter::ReplicatesRun,
+        Counter::Fixations,
+        Counter::Extinctions,
+    ];
+}
+
+/// The process-global event counters, one relaxed atomic per [`Counter`] —
 /// cheap enough to stay **always on**, independent of [`enabled`].
 ///
 /// Counters only ever increase within a process (there is deliberately no
@@ -97,55 +202,9 @@ pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
 /// counts to a region of interest by taking a [`Counters::snapshot`]
 /// before and after and diffing with [`CounterSnapshot::delta_since`].
 #[derive(Debug)]
-pub struct Counters {
-    games_played: AtomicU64,
-    rounds_simulated: AtomicU64,
-    fermi_updates: AtomicU64,
-    mutations: AtomicU64,
-    rng_streams: AtomicU64,
-    comm_messages: AtomicU64,
-    comm_bytes: AtomicU64,
-    collective_ops: AtomicU64,
-    perf_model_evals: AtomicU64,
-    faults_injected: AtomicU64,
-    comm_timeouts: AtomicU64,
-    checkpoints_written: AtomicU64,
-    payoff_cache_hits: AtomicU64,
-    payoff_cache_misses: AtomicU64,
-    markov_fastpath_evals: AtomicU64,
-    jobs_accepted: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_retried: AtomicU64,
-    replicates_run: AtomicU64,
-    fixations: AtomicU64,
-    extinctions: AtomicU64,
-}
+pub struct Counters([AtomicU64; Counter::ALL.len()]);
 
-static COUNTERS: Counters = Counters {
-    games_played: AtomicU64::new(0),
-    rounds_simulated: AtomicU64::new(0),
-    fermi_updates: AtomicU64::new(0),
-    mutations: AtomicU64::new(0),
-    rng_streams: AtomicU64::new(0),
-    comm_messages: AtomicU64::new(0),
-    comm_bytes: AtomicU64::new(0),
-    collective_ops: AtomicU64::new(0),
-    perf_model_evals: AtomicU64::new(0),
-    faults_injected: AtomicU64::new(0),
-    comm_timeouts: AtomicU64::new(0),
-    checkpoints_written: AtomicU64::new(0),
-    payoff_cache_hits: AtomicU64::new(0),
-    payoff_cache_misses: AtomicU64::new(0),
-    markov_fastpath_evals: AtomicU64::new(0),
-    jobs_accepted: AtomicU64::new(0),
-    jobs_rejected: AtomicU64::new(0),
-    jobs_completed: AtomicU64::new(0),
-    jobs_retried: AtomicU64::new(0),
-    replicates_run: AtomicU64::new(0),
-    fixations: AtomicU64::new(0),
-    extinctions: AtomicU64::new(0),
-};
+static COUNTERS: Counters = Counters([const { AtomicU64::new(0) }; Counter::ALL.len()]);
 
 /// The process-global [`Counters`] instance.
 pub fn counters() -> &'static Counters {
@@ -153,10 +212,17 @@ pub fn counters() -> &'static Counters {
 }
 
 impl Counters {
-    /// One iterated game finished, `rounds` rounds long. Incremented by
-    /// every game kernel in `ipd::game` (sampled, deterministic, cycle,
-    /// transcript); the cycle kernel counts the *logical* rounds it pays
-    /// out arithmetically.
+    /// `n` events of counter `c`, in one relaxed atomic add. A zero `n`
+    /// writes nothing, so a tally that flushes empty (a probe session or
+    /// a replicate's stream tally) leaves the shared line alone.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        if n != 0 {
+            self.0[c as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// One iterated game finished, `rounds` rounds long.
     #[inline]
     pub fn add_game(&self, rounds: u32) {
         self.add_games(1, rounds);
@@ -169,292 +235,133 @@ impl Counters {
     /// calls to [`Counters::add_game`].
     #[inline]
     pub fn add_games(&self, games: u64, rounds_each: u32) {
-        self.games_played.fetch_add(games, Ordering::Relaxed);
-        self.rounds_simulated
-            .fetch_add(games * rounds_each as u64, Ordering::Relaxed);
-    }
-
-    /// One Fermi pairwise comparison resolved
-    /// (`NatureAgent::resolve_pc`).
-    #[inline]
-    pub fn add_fermi_update(&self) {
-        self.fermi_updates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One mutation strategy drawn (`NatureAgent::mutation_strategy`).
-    #[inline]
-    pub fn add_mutation(&self) {
-        self.mutations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One counter-based RNG stream opened (`evo_core::rngstream::stream`).
-    #[inline]
-    pub fn add_rng_stream(&self) {
-        self.add_rng_streams(1);
-    }
-
-    /// `streams` RNG streams opened and tallied by their opener, reported
-    /// in one write (a fixation replicate's streams, at its end). Totals
-    /// are exactly those of `streams` calls to [`Counters::add_rng_stream`];
-    /// a zero tally writes nothing.
-    #[inline]
-    pub fn add_rng_streams(&self, streams: u64) {
-        if streams != 0 {
-            self.rng_streams.fetch_add(streams, Ordering::Relaxed);
-        }
+        self.add(Counter::GamesPlayed, games);
+        self.add(Counter::RoundsSimulated, games * rounds_each as u64);
     }
 
     /// One point-to-point message of `bytes` payload bytes sent through
-    /// `cluster::comm` (collective traffic included — collectives are
-    /// built from point-to-point sends).
+    /// `cluster::comm`.
     #[inline]
     pub fn add_comm_message(&self, bytes: u64) {
-        self.comm_messages.fetch_add(1, Ordering::Relaxed);
-        self.comm_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// One collective operation (bcast/reduce/gather/barrier) initiated on
-    /// one rank (`cluster::collective`).
-    #[inline]
-    pub fn add_collective_op(&self) {
-        self.collective_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One analytic performance-model evaluation
-    /// (`cluster::perf::PerfModel::breakdown`).
-    #[inline]
-    pub fn add_perf_model_eval(&self) {
-        self.perf_model_evals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One scheduled fault executed by the virtual cluster's transport or
-    /// engine (message drop/delay/duplicate applied, rank killed on plan).
-    #[inline]
-    pub fn add_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One receive deadline expired (`cluster::comm` returned
-    /// `ClusterError::Timeout`). Fault-free runs never increment this.
-    #[inline]
-    pub fn add_comm_timeout(&self) {
-        self.comm_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One run checkpoint serialised to stable storage (periodic
-    /// `--checkpoint-every` snapshots and degraded-run final snapshots).
-    #[inline]
-    pub fn add_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A finished run of probes of the cross-generation payoff cache
-    /// (`evo_core::paycache`): `hits` pairwise payoffs served without
-    /// playing the game, `misses` computed and inserted. The prober tallies
-    /// in plain integers and reports once per evaluation, so the shared
-    /// counter lines are written once per evaluation, not once per game; a
-    /// zero tally writes nothing.
-    #[inline]
-    pub fn add_payoff_cache_probes(&self, hits: u64, misses: u64) {
-        if hits != 0 {
-            self.payoff_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses != 0 {
-            self.payoff_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
-    /// One pairwise payoff computed analytically by Markov forward
-    /// iteration (`ipd::markov::expected_outcome`) instead of round
-    /// simulation — the expected-fitness fast path.
-    #[inline]
-    pub fn add_markov_fastpath_eval(&self) {
-        self.markov_fastpath_evals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One simulation job admitted by the service layer's queue
-    /// (`svc::JobQueue`, docs/SERVICE.md).
-    #[inline]
-    pub fn add_job_accepted(&self) {
-        self.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One simulation job refused admission (queue full, duplicate id, or
-    /// invalid request).
-    #[inline]
-    pub fn add_job_rejected(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One simulation job finished with a receipt (docs/SERVICE.md).
-    #[inline]
-    pub fn add_job_completed(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One degraded simulation job automatically re-enqueued from its
-    /// `DegradedRun` checkpoint (docs/SERVICE.md retry semantics).
-    #[inline]
-    pub fn add_job_retried(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One fixation replicate run to absorption or its generation cap
-    /// (`evo_core::fixation`).
-    #[inline]
-    pub fn add_replicate_run(&self) {
-        self.replicates_run.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One fixation replicate ended with the mutant lineage fixed.
-    #[inline]
-    pub fn add_fixation(&self) {
-        self.fixations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One fixation replicate ended with the mutant lineage extinct.
-    #[inline]
-    pub fn add_extinction(&self) {
-        self.extinctions.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::CommMessages, 1);
+        self.add(Counter::CommBytes, bytes);
     }
 
     /// A consistent-enough point-in-time copy of every counter (each load
     /// is individually atomic; the set is not a cross-counter transaction).
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            games_played: self.games_played.load(Ordering::Relaxed),
-            rounds_simulated: self.rounds_simulated.load(Ordering::Relaxed),
-            fermi_updates: self.fermi_updates.load(Ordering::Relaxed),
-            mutations: self.mutations.load(Ordering::Relaxed),
-            rng_streams: self.rng_streams.load(Ordering::Relaxed),
-            comm_messages: self.comm_messages.load(Ordering::Relaxed),
-            comm_bytes: self.comm_bytes.load(Ordering::Relaxed),
-            collective_ops: self.collective_ops.load(Ordering::Relaxed),
-            perf_model_evals: self.perf_model_evals.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            comm_timeouts: self.comm_timeouts.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            payoff_cache_hits: self.payoff_cache_hits.load(Ordering::Relaxed),
-            payoff_cache_misses: self.payoff_cache_misses.load(Ordering::Relaxed),
-            markov_fastpath_evals: self.markov_fastpath_evals.load(Ordering::Relaxed),
-            jobs_accepted: self.jobs_accepted.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            replicates_run: self.replicates_run.load(Ordering::Relaxed),
-            fixations: self.fixations.load(Ordering::Relaxed),
-            extinctions: self.extinctions.load(Ordering::Relaxed),
+        let mut snap = CounterSnapshot::default();
+        for c in Counter::ALL {
+            *snap.field_mut(c) = self.0[c as usize].load(Ordering::Relaxed);
         }
+        snap
     }
 }
 
 /// A point-in-time copy of the [`Counters`] — the `counters` field of the
-/// run manifest. Field meanings and increment points are documented on the
-/// corresponding [`Counters`] methods and in `docs/OBSERVABILITY.md`.
+/// run manifest. Each field is the [`Counter`] of the same name; the
+/// table in `docs/OBSERVABILITY.md` lists them in this order. Fields
+/// marked `#[serde(default)]` are absent in manifests written before the
+/// counter existed and parse as zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
-    /// Iterated games completed ([`Counters::add_game`]).
+    /// [`Counter::GamesPlayed`].
     pub games_played: u64,
-    /// Game rounds simulated, summed over games.
+    /// [`Counter::RoundsSimulated`].
     pub rounds_simulated: u64,
-    /// Fermi pairwise comparisons resolved.
+    /// [`Counter::FermiUpdates`].
     pub fermi_updates: u64,
-    /// Mutation strategies drawn.
+    /// [`Counter::Mutations`].
     pub mutations: u64,
-    /// Counter-based RNG streams opened.
+    /// [`Counter::RngStreams`].
     pub rng_streams: u64,
-    /// Point-to-point messages sent through the virtual cluster.
+    /// [`Counter::CommMessages`].
     pub comm_messages: u64,
-    /// Payload bytes moved through the virtual cluster (in-memory
-    /// `size_of` of each message's payload type — a lower bound for
-    /// heap-owning payloads).
+    /// [`Counter::CommBytes`].
     pub comm_bytes: u64,
-    /// Collective operations initiated, summed over ranks.
+    /// [`Counter::CollectiveOps`].
     pub collective_ops: u64,
-    /// Analytic performance-model evaluations.
+    /// [`Counter::PerfModelEvals`].
     pub perf_model_evals: u64,
-    /// Scheduled faults executed (message faults applied, ranks killed on
-    /// plan). `#[serde(default)]`: absent in pre-fault-tolerance manifests.
+    /// [`Counter::FaultsInjected`].
     #[serde(default)]
     pub faults_injected: u64,
-    /// Receive deadlines expired in the virtual cluster; always 0 in
-    /// fault-free runs. `#[serde(default)]`: absent in older manifests.
+    /// [`Counter::CommTimeouts`].
     #[serde(default)]
     pub comm_timeouts: u64,
-    /// Run checkpoints serialised. `#[serde(default)]`: absent in older
-    /// manifests.
+    /// [`Counter::CheckpointsWritten`].
     #[serde(default)]
     pub checkpoints_written: u64,
-    /// Pairwise payoffs served from the cross-generation payoff cache.
-    /// `#[serde(default)]`: absent in pre-cache manifests.
+    /// [`Counter::PayoffCacheHits`].
     #[serde(default)]
     pub payoff_cache_hits: u64,
-    /// Pairwise payoffs computed and inserted into the payoff cache.
-    /// `#[serde(default)]`: absent in pre-cache manifests.
+    /// [`Counter::PayoffCacheMisses`].
     #[serde(default)]
     pub payoff_cache_misses: u64,
-    /// Pairwise payoffs computed analytically via Markov forward iteration
-    /// (the expected-fitness fast path). `#[serde(default)]`: absent in
-    /// older manifests.
+    /// [`Counter::MarkovFastpathEvals`].
     #[serde(default)]
     pub markov_fastpath_evals: u64,
-    /// Simulation jobs admitted by the service layer (docs/SERVICE.md).
-    /// `#[serde(default)]`: absent in pre-service manifests.
+    /// [`Counter::JobsAccepted`].
     #[serde(default)]
     pub jobs_accepted: u64,
-    /// Simulation jobs refused admission (queue full, duplicate id,
-    /// invalid request). `#[serde(default)]`: absent in older manifests.
+    /// [`Counter::JobsRejected`].
     #[serde(default)]
     pub jobs_rejected: u64,
-    /// Simulation jobs completed with a receipt. `#[serde(default)]`:
-    /// absent in older manifests.
+    /// [`Counter::JobsCompleted`].
     #[serde(default)]
     pub jobs_completed: u64,
-    /// Degraded simulation jobs automatically re-enqueued from their
-    /// checkpoint. `#[serde(default)]`: absent in older manifests.
+    /// [`Counter::JobsRetried`].
     #[serde(default)]
     pub jobs_retried: u64,
-    /// Fixation replicates run to absorption or their generation cap
-    /// (`evo_core::fixation`). `#[serde(default)]`: absent in older
-    /// manifests.
+    /// [`Counter::ReplicatesRun`].
     #[serde(default)]
     pub replicates_run: u64,
-    /// Fixation replicates that ended with the mutant lineage fixed.
-    /// `#[serde(default)]`: absent in older manifests.
+    /// [`Counter::Fixations`].
     #[serde(default)]
     pub fixations: u64,
-    /// Fixation replicates that ended with the mutant lineage extinct.
-    /// `#[serde(default)]`: absent in older manifests.
+    /// [`Counter::Extinctions`].
     #[serde(default)]
     pub extinctions: u64,
 }
 
 impl CounterSnapshot {
+    /// The field that holds counter `c`.
+    fn field_mut(&mut self, c: Counter) -> &mut u64 {
+        match c {
+            Counter::GamesPlayed => &mut self.games_played,
+            Counter::RoundsSimulated => &mut self.rounds_simulated,
+            Counter::FermiUpdates => &mut self.fermi_updates,
+            Counter::Mutations => &mut self.mutations,
+            Counter::RngStreams => &mut self.rng_streams,
+            Counter::CommMessages => &mut self.comm_messages,
+            Counter::CommBytes => &mut self.comm_bytes,
+            Counter::CollectiveOps => &mut self.collective_ops,
+            Counter::PerfModelEvals => &mut self.perf_model_evals,
+            Counter::FaultsInjected => &mut self.faults_injected,
+            Counter::CommTimeouts => &mut self.comm_timeouts,
+            Counter::CheckpointsWritten => &mut self.checkpoints_written,
+            Counter::PayoffCacheHits => &mut self.payoff_cache_hits,
+            Counter::PayoffCacheMisses => &mut self.payoff_cache_misses,
+            Counter::MarkovFastpathEvals => &mut self.markov_fastpath_evals,
+            Counter::JobsAccepted => &mut self.jobs_accepted,
+            Counter::JobsRejected => &mut self.jobs_rejected,
+            Counter::JobsCompleted => &mut self.jobs_completed,
+            Counter::JobsRetried => &mut self.jobs_retried,
+            Counter::ReplicatesRun => &mut self.replicates_run,
+            Counter::Fixations => &mut self.fixations,
+            Counter::Extinctions => &mut self.extinctions,
+        }
+    }
+
+    /// The value of counter `c`.
+    fn get(mut self, c: Counter) -> u64 {
+        *self.field_mut(c)
+    }
+
     /// `true` if every counter in `self` is ≥ its value in `earlier` —
     /// the monotonicity the process-global counters guarantee.
     pub fn monotone_since(&self, earlier: &CounterSnapshot) -> bool {
-        self.games_played >= earlier.games_played
-            && self.rounds_simulated >= earlier.rounds_simulated
-            && self.fermi_updates >= earlier.fermi_updates
-            && self.mutations >= earlier.mutations
-            && self.rng_streams >= earlier.rng_streams
-            && self.comm_messages >= earlier.comm_messages
-            && self.comm_bytes >= earlier.comm_bytes
-            && self.collective_ops >= earlier.collective_ops
-            && self.perf_model_evals >= earlier.perf_model_evals
-            && self.faults_injected >= earlier.faults_injected
-            && self.comm_timeouts >= earlier.comm_timeouts
-            && self.checkpoints_written >= earlier.checkpoints_written
-            && self.payoff_cache_hits >= earlier.payoff_cache_hits
-            && self.payoff_cache_misses >= earlier.payoff_cache_misses
-            && self.markov_fastpath_evals >= earlier.markov_fastpath_evals
-            && self.jobs_accepted >= earlier.jobs_accepted
-            && self.jobs_rejected >= earlier.jobs_rejected
-            && self.jobs_completed >= earlier.jobs_completed
-            && self.jobs_retried >= earlier.jobs_retried
-            && self.replicates_run >= earlier.replicates_run
-            && self.fixations >= earlier.fixations
-            && self.extinctions >= earlier.extinctions
+        Counter::ALL.iter().all(|&c| self.get(c) >= earlier.get(c))
     }
 
     /// Per-counter difference `self − baseline` (saturating), attributing
@@ -463,42 +370,11 @@ impl CounterSnapshot {
     /// single-run tools (the CLI, the regenerators) run one engine at a
     /// time so the delta is exactly the run's activity.
     pub fn delta_since(&self, baseline: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            games_played: self.games_played.saturating_sub(baseline.games_played),
-            rounds_simulated: self
-                .rounds_simulated
-                .saturating_sub(baseline.rounds_simulated),
-            fermi_updates: self.fermi_updates.saturating_sub(baseline.fermi_updates),
-            mutations: self.mutations.saturating_sub(baseline.mutations),
-            rng_streams: self.rng_streams.saturating_sub(baseline.rng_streams),
-            comm_messages: self.comm_messages.saturating_sub(baseline.comm_messages),
-            comm_bytes: self.comm_bytes.saturating_sub(baseline.comm_bytes),
-            collective_ops: self.collective_ops.saturating_sub(baseline.collective_ops),
-            perf_model_evals: self
-                .perf_model_evals
-                .saturating_sub(baseline.perf_model_evals),
-            faults_injected: self.faults_injected.saturating_sub(baseline.faults_injected),
-            comm_timeouts: self.comm_timeouts.saturating_sub(baseline.comm_timeouts),
-            checkpoints_written: self
-                .checkpoints_written
-                .saturating_sub(baseline.checkpoints_written),
-            payoff_cache_hits: self
-                .payoff_cache_hits
-                .saturating_sub(baseline.payoff_cache_hits),
-            payoff_cache_misses: self
-                .payoff_cache_misses
-                .saturating_sub(baseline.payoff_cache_misses),
-            markov_fastpath_evals: self
-                .markov_fastpath_evals
-                .saturating_sub(baseline.markov_fastpath_evals),
-            jobs_accepted: self.jobs_accepted.saturating_sub(baseline.jobs_accepted),
-            jobs_rejected: self.jobs_rejected.saturating_sub(baseline.jobs_rejected),
-            jobs_completed: self.jobs_completed.saturating_sub(baseline.jobs_completed),
-            jobs_retried: self.jobs_retried.saturating_sub(baseline.jobs_retried),
-            replicates_run: self.replicates_run.saturating_sub(baseline.replicates_run),
-            fixations: self.fixations.saturating_sub(baseline.fixations),
-            extinctions: self.extinctions.saturating_sub(baseline.extinctions),
+        let mut delta = *self;
+        for c in Counter::ALL {
+            *delta.field_mut(c) = self.get(c).saturating_sub(baseline.get(c));
         }
+        delta
     }
 }
 
@@ -737,47 +613,45 @@ mod tests {
     use super::*;
 
     #[test]
+    fn each_counter_is_one_snapshot_field_in_manifest_order() {
+        let zero = CounterSnapshot::default().to_value();
+        let keys: Vec<&String> = zero.as_map().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(Counter::ALL.len(), keys.len());
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}: ALL is in declaration order");
+            let mut snap = CounterSnapshot::default();
+            *snap.field_mut(c) = 1;
+            let value = snap.to_value();
+            let set: Vec<&String> = value.as_map().unwrap().iter()
+                .filter(|(_, v)| *v == Value::UInt(1))
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(set, [keys[i]], "{c:?} sets exactly the i-th key");
+        }
+    }
+
+    #[test]
     fn counters_increment_and_stay_monotone() {
         let before = counters().snapshot();
+        for c in Counter::ALL {
+            counters().add(c, 1);
+        }
         counters().add_game(200);
         counters().add_games(3, 50);
-        counters().add_fermi_update();
-        counters().add_mutation();
-        counters().add_rng_stream();
         counters().add_comm_message(64);
-        counters().add_collective_op();
-        counters().add_perf_model_eval();
-        counters().add_fault_injected();
-        counters().add_comm_timeout();
-        counters().add_checkpoint_written();
-        counters().add_payoff_cache_probes(3, 2);
-        counters().add_markov_fastpath_eval();
-        counters().add_job_accepted();
-        counters().add_job_rejected();
-        counters().add_job_completed();
-        counters().add_job_retried();
-        counters().add_replicate_run();
-        counters().add_fixation();
-        counters().add_extinction();
+        counters().add(Counter::PayoffCacheHits, 3);
+        counters().add(Counter::PayoffCacheMisses, 2);
         let after = counters().snapshot();
         assert!(after.monotone_since(&before));
         let delta = after.delta_since(&before);
+        for c in Counter::ALL {
+            assert!(delta.get(c) >= 1, "{c:?}");
+        }
         assert!(delta.games_played >= 4);
         assert!(delta.rounds_simulated >= 350);
         assert!(delta.comm_bytes >= 64);
-        assert!(delta.faults_injected >= 1);
-        assert!(delta.comm_timeouts >= 1);
-        assert!(delta.checkpoints_written >= 1);
         assert!(delta.payoff_cache_hits >= 3);
         assert!(delta.payoff_cache_misses >= 2);
-        assert!(delta.markov_fastpath_evals >= 1);
-        assert!(delta.jobs_accepted >= 1);
-        assert!(delta.jobs_rejected >= 1);
-        assert!(delta.jobs_completed >= 1);
-        assert!(delta.jobs_retried >= 1);
-        assert!(delta.replicates_run >= 1);
-        assert!(delta.fixations >= 1);
-        assert!(delta.extinctions >= 1);
     }
 
     #[test]
@@ -806,8 +680,18 @@ mod tests {
         assert_eq!(snap.games_played, 1);
     }
 
+    /// Held by the tests that flip the process-global [`set_enabled`]
+    /// switch: run in parallel, one test's `set_enabled(true)` could land
+    /// between the other's `set_enabled(false)` and its span.
+    static SPAN_SWITCH: Mutex<()> = Mutex::new(());
+
+    fn span_switch() -> std::sync::MutexGuard<'static, ()> {
+        SPAN_SWITCH.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_spans_record_nothing_new() {
+        let _switch = span_switch();
         set_enabled(false);
         let name = "obs.test.disabled";
         let before = span_snapshots()
@@ -824,6 +708,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_aggregate() {
+        let _switch = span_switch();
         set_enabled(true);
         for _ in 0..3 {
             let _s = span("obs.test.enabled");

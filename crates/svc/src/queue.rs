@@ -95,12 +95,12 @@ impl JobQueue {
         match self.check(&request) {
             Ok(()) => {
                 self.seen.insert(request.id.clone());
-                obs::counters().add_job_accepted();
+                obs::counters().add(obs::Counter::JobsAccepted, 1);
                 self.push(QueuedJob::fresh(request));
                 Ok(())
             }
             Err(e) => {
-                obs::counters().add_job_rejected();
+                obs::counters().add(obs::Counter::JobsRejected, 1);
                 Err(e)
             }
         }

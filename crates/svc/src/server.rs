@@ -590,7 +590,7 @@ fn finish(inner: &Inner, job: QueuedJob, mut outcome: Outcome) {
                 retries: receipt.retries,
             };
             entry.receipt = Some(*receipt);
-            obs::counters().add_job_completed();
+            obs::counters().add(obs::Counter::JobsCompleted, 1);
         }
         Outcome::Paused { checkpoint } => {
             entry.pause_requested = false;
@@ -606,7 +606,7 @@ fn finish(inner: &Inner, job: QueuedJob, mut outcome: Outcome) {
             });
         }
         Outcome::Degraded { resume } => {
-            obs::counters().add_job_retried();
+            obs::counters().add(obs::Counter::JobsRetried, 1);
             entry.status = JobStatus::Queued;
             spool_checkpoint = Some(resume.checkpoint.clone());
             queue.requeue(QueuedJob {

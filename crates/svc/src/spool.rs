@@ -191,7 +191,7 @@ impl Spool {
         let dir = self.ensure_dir(id)?;
         let json = serde_json::to_string(cp).map_err(to_io)?;
         replace_file(&dir, "checkpoint.json", &json)?;
-        obs::counters().add_checkpoint_written();
+        obs::counters().add(obs::Counter::CheckpointsWritten, 1);
         Ok(())
     }
 

@@ -141,7 +141,7 @@ echo "== static: payoff-cache access audit (one reader/writer) =="
 # obs. A second accessor could hold a session's read lock across its own
 # write, or count a probe twice.
 if grep -rnE --include='*.rs' \
-        '\.reader\(\)|add_payoff_cache_|PayoffCache::(get|insert)|\.(get|insert)\([^)]*PayoffKind::' \
+        '\.reader\(\)|Counter::PayoffCache|PayoffCache::(get|insert)|\.(get|insert)\([^)]*PayoffKind::' \
         crates/*/src \
         | grep -vE '^crates/evo-core/src/(paycache|fitness)\.rs:|^crates/obs/'; then
     echo "verify: FAIL — payoff-cache access outside crates/evo-core/src/{paycache,fitness}.rs" >&2
@@ -337,12 +337,15 @@ grep -q "retried 1" "$SV_DIR/err1" \
     || { echo "verify: FAIL — retry counter does not show the auto-resume" >&2; exit 1; }
 echo "serve smoke: 5/5 receipts, one auto-retry, spatial backends agree, resubmission bit-identical"
 
-echo "== benchmark surface: ledger builds and passes its smoke run =="
+echo "== benchmark surface: ledger builds, passes its unit tests and its smoke run =="
 # ledger/ (BENCHMARK.json) is a package of its own with path deps into
 # crates/: it pins the engine surface in ledger-trace/layers.rs and parses
 # four CLI output lines, so drift against either fails here, not at
-# benchmark time.
+# benchmark time. Its own unit tests (the CLI output lines it parses, the
+# `JobRequest` file it writes for `serve`, its statistics) run here: the
+# workspace's `cargo test` does not reach them.
 cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test -q --release --offline --manifest-path ledger/Cargo.toml
 cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin ledger -- run --smoke \
     > target/verify-ledger-smoke.txt \
     || { echo "verify: FAIL — ledger smoke run failed" >&2; tail -n 30 target/verify-ledger-smoke.txt >&2; exit 1; }

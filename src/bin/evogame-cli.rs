@@ -222,7 +222,7 @@ impl CheckpointFlags {
         };
         let json = serde_json::to_string(cp).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        evogame::obs::counters().add_checkpoint_written();
+        evogame::obs::counters().add(evogame::obs::Counter::CheckpointsWritten, 1);
         eprintln!("wrote checkpoint ({}) to {path}", progress(cp));
         Ok(())
     }
@@ -874,7 +874,7 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
                 // Malformed lines count as rejections too — nothing is
                 // dropped silently.
                 rejected += 1;
-                evogame::obs::counters().add_job_rejected();
+                evogame::obs::counters().add(evogame::obs::Counter::JobsRejected, 1);
                 eprintln!("line {}: not a job request: {e}", lineno + 1);
             }
         }

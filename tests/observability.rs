@@ -91,6 +91,22 @@ fn counters_are_monotone_across_a_run() {
     assert!(delta.rng_streams > 0);
 }
 
+/// The counter table in docs/OBSERVABILITY.md lists every counter a
+/// manifest carries, in the manifest's order.
+#[test]
+fn the_documented_counter_table_is_the_manifest_counter_list() {
+    use serde::Serialize;
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let table = doc.lines().skip_while(|l| !l.starts_with("| Counter |")).skip(2);
+    let documented: Vec<&str> = table
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| row.split('|').nth(1).unwrap().trim().trim_matches('`'))
+        .collect();
+    let zero = obs::CounterSnapshot::default().to_value();
+    let keys: Vec<&str> = zero.as_map().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(documented, keys);
+}
+
 #[test]
 fn observability_on_and_off_give_bit_identical_results() {
     let _counters = counters_lock();
@@ -361,10 +377,10 @@ fn population_replicate(
         pop.step();
         generations += 1;
     };
-    obs::counters().add_replicate_run();
+    obs::counters().add(obs::Counter::ReplicatesRun, 1);
     match outcome {
-        Absorption::Fixed => obs::counters().add_fixation(),
-        Absorption::Extinct => obs::counters().add_extinction(),
+        Absorption::Fixed => obs::counters().add(obs::Counter::Fixations, 1),
+        Absorption::Extinct => obs::counters().add(obs::Counter::Extinctions, 1),
         Absorption::Censored => {}
     }
     let result = ReplicateResult {
