@@ -177,10 +177,12 @@ pub(crate) fn fig4(_: &Args) {
         ],
         &growth_rows,
     );
+    let fast_growth = fast_pts[6].1 / fast_pts[1].1;
+    let scan_growth = scan_costs[6] / scan_costs[1];
     println!(
-        "Both series grow monotonically with memory depth; the local O(1)-index \
-         kernel stays nearly flat, confirming the paper's diagnosis that state \
-         identification — not strategy lookup — drives the growth."
+        "From memory-1 to memory-6 (1024x the states) this run measured the linear \
+         scan growing {scan_growth:.0}x and the O(1)-index kernel {fast_growth:.1}x: the \
+         scan's extra growth is the state identification the paper blames."
     );
     let svg = LinePlot {
         title: "Fig 4: game cost vs memory depth (measured, 200 rounds)".into(),

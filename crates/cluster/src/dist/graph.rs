@@ -14,15 +14,18 @@
 //!    of strategies its payoff phase reads;
 //! 2. rank 0 broadcasts the [`GenPlan`] ([`engine::graph_plan`] — an
 //!    [`EvalScope::Neighborhood`] evaluation; pure, draws nothing);
-//! 3. each compute rank runs a [`LatticeProvider`] over its owned rows
-//!    plus the 1-ring halo rows and resolves its owned cells with
-//!    [`spatial::decide_cell`]. The per-cell `Domain::Graph` streams are
-//!    counter-based, so the update needs **no decision broadcast** —
-//!    `graph_plan().has_update()` is `false` by construction;
-//! 4. each compute rank sends rank 0 a per-generation summary (owned
-//!    row sums, max, distinct ids, adoptions); rank 0 folds the row sums
-//!    in row order — the canonical [`spatial::row_sums`] reduction — and
-//!    emits the *identical* [`GenerationRecord`] the shared backend does.
+//! 3. each compute rank runs the shared backend's generation body,
+//!    [`SpatialPopulation::play_rows`], over its owned rows on its own copy
+//!    of the population: payoffs for those rows plus the 1-ring halo rows,
+//!    then every owned cell decided and committed. The per-cell
+//!    `Domain::Graph` streams are counter-based, so the update needs **no
+//!    decision broadcast** — `graph_plan().has_update()` is `false` by
+//!    construction;
+//! 4. each compute rank sends rank 0 the body's [`GenSummary`] (owned row
+//!    sums, max, distinct ids, adoptions); rank 0 folds the summaries in
+//!    row order with [`SpatialPopulation::fold`], the fold behind every
+//!    shared step, so its [`GenerationRecord`] and `RunStats` are the
+//!    shared backend's.
 //!
 //! Full-grid gathers happen only at generation boundaries that need a
 //! consistent snapshot: while a fault plan is active, at
@@ -35,14 +38,13 @@ use super::{Degraded, DistError};
 use crate::collective::Collective;
 use crate::comm::{Comm, Rank};
 use crate::faults::FaultPlan;
-use evo_core::engine::{self, EvalScope, FitnessProvider, FitnessView, GenPlan};
-use evo_core::fitness::GameKernel;
+use evo_core::engine::{self, EvalScope, GenPlan};
 use evo_core::graph::GraphScope;
-use evo_core::paycache::PayoffCache;
-use evo_core::pool::{census, StratId, StrategyPool};
+use evo_core::pool::StratId;
 use evo_core::record::{GenerationRecord, RunStats};
-use evo_core::spatial::{self, InitPattern, LatticeProvider, SpatialCheckpoint, SpatialParams};
-use ipd::state::StateSpace;
+use evo_core::spatial::{
+    GenSummary, InitPattern, SpatialCheckpoint, SpatialParams, SpatialPopulation,
+};
 use serde::{Deserialize, Serialize};
 
 /// Point-to-point tag for halo row exchanges.
@@ -73,28 +75,12 @@ enum SpatialMsg {
     Scalar(#[allow(dead_code)] f64),
 }
 
-/// What one compute rank contributes to a generation's record.
-#[derive(Debug, Clone)]
-struct GenSummary {
-    generation: u64,
-    /// Per-owned-row payoff sums, rows in order — rank 0 folds these in
-    /// row order so the mean is bit-identical to the shared backend's
-    /// [`spatial::row_major_mean`].
-    row_sums: Vec<f64>,
-    /// Max payoff over the owned cells (cell order).
-    max: f64,
-    /// Distinct strategy ids present on the owned cells, ascending.
-    distinct: Vec<StratId>,
-    /// Owned cells whose strategy changed this generation.
-    adoptions: u64,
-}
-
 /// Configuration of a distributed spatial run. Mirrors
 /// [`super::DistConfig`]: the defaults are a fault-free, checkpoint-free
 /// run from generation zero.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpatialDistConfig {
-    /// Lattice parameters (shared with [`spatial::SpatialPopulation`];
+    /// Lattice parameters (shared with [`SpatialPopulation`];
     /// `params.generations` is the stop condition).
     pub params: SpatialParams,
     /// Initial grid seeding (ignored on resume).
@@ -167,7 +153,7 @@ pub fn owned_rows(rank: usize, height: usize, ranks: usize) -> std::ops::Range<u
 }
 
 /// Run the spatial engine rank-sharded and return its outcome —
-/// bit-identical to [`spatial::SpatialPopulation`] run shared-memory: the
+/// bit-identical to [`SpatialPopulation`] run shared-memory: the
 /// record stream, final grid, stats, and state digest all match at any
 /// rank count.
 ///
@@ -196,15 +182,14 @@ pub fn run_spatial_distributed(
         config.params = cp.params.clone();
     }
     let params = &config.params;
-    let (space, restored) = match &config.resume {
-        Some(cp) => {
-            let (space, pool, grid) = cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
-            (space, Some((pool, grid)))
-        }
+    let restored = match &config.resume {
+        Some(cp) => Some(
+            SpatialPopulation::restore(cp.clone()).map_err(|e| DistError::Params(e.to_string()))?,
+        ),
         None => {
-            let space = params.validate().map_err(DistError::Params)?;
+            params.validate().map_err(DistError::Params)?;
             config.init.validate(params).map_err(DistError::Params)?;
-            (space, None)
+            None
         }
     };
     let compute = config.ranks - 1;
@@ -216,18 +201,21 @@ pub fn run_spatial_distributed(
             params.height
         )));
     }
-    let spec = Lattice {
-        config,
-        space,
-        restored,
-    };
+    // Every rank starts from a copy of this population: the shared
+    // backend's construction (and, for random seeding, its `Domain::Init`
+    // streams) or the checkpoint's tables, so ids and layout replicate
+    // without an initialisation broadcast.
+    let start =
+        restored.unwrap_or_else(|| SpatialPopulation::new(params.clone(), config.init.clone()));
+    let spec = Lattice { config, start };
     let (rank0, messages_sent) =
         driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
     let st = rank0.state;
+    let snap = st.pop.snapshot();
     Ok(SpatialOutcome {
-        features: st.grid.iter().map(|&id| st.pool.get(id).feature_vector()).collect(),
-        grid: st.grid,
-        stats: st.stats,
+        grid: snap.assignments,
+        features: snap.features,
+        stats: *st.pop.stats(),
         records: st.records,
         messages_sent,
         checkpoint: rank0.periodic,
@@ -235,32 +223,25 @@ pub fn run_spatial_distributed(
 }
 
 /// The lattice protocol: the run's configuration, its `params` already the
-/// ones driving the run, the validated state space and, on resume, the
-/// checkpoint's decoded strategy tables — shipped into the cluster closure
-/// once.
+/// ones driving the run, and the population every rank starts from —
+/// shipped into the cluster closure once.
 struct Lattice {
     config: SpatialDistConfig,
-    space: StateSpace,
-    restored: Option<(StrategyPool, Vec<StratId>)>,
+    start: SpatialPopulation,
 }
 
 /// One rank's share of the lattice.
 struct RankState {
-    pool: StrategyPool,
-    /// Full-size grid, row-major. A compute rank keeps only its owned
-    /// rows + exchanged halo rows fresh; rank 0's copy is refreshed by
-    /// boundary gathers.
-    grid: Vec<StratId>,
-    /// Full-size payoff field; a compute rank fills only the rows its
-    /// decide phase reads.
-    payoffs: Vec<f64>,
-    stats: RunStats,
+    /// This rank's copy of the population. A compute rank keeps only its
+    /// owned rows and exchanged halo rows fresh, and never folds; rank 0's
+    /// grid is refreshed by boundary gathers, and its folds account the
+    /// run's `RunStats`. Each copy has its own payoff cache (cost-only,
+    /// never checkpointed).
+    pop: SpatialPopulation,
     /// Rank 0 only: the records of the generations run so far.
     records: Vec<GenerationRecord>,
-    /// This rank's payoff memo-cache (cost-only, never checkpointed).
-    cache: PayoffCache,
-    /// The owned rows' cells (empty on the coordinator).
-    cells: std::ops::Range<usize>,
+    /// The owned rows (empty on the coordinator).
+    rows: std::ops::Range<usize>,
 }
 
 impl Generations for Lattice {
@@ -270,38 +251,18 @@ impl Generations for Lattice {
     const BARRIER: SpatialMsg = SpatialMsg::Scalar(0.0);
 
     fn schedule(&self) -> Schedule<'_> {
-        let start = self.config.resume.as_ref().map_or(0, |cp| cp.generation);
         Schedule {
             faults: &self.config.faults,
             checkpoint_every: self.config.checkpoint_every,
-            generations: start..self.config.params.generations,
+            generations: self.start.generation()..self.config.params.generations,
         }
     }
 
     fn init(&self, rank: Rank, ranks: usize) -> RankState {
-        let spec = &self.config;
-        // Every rank rebuilds the identical pool and initial grid locally —
-        // the same construction (and, for random seeding, the same
-        // `Domain::Init` streams) the shared backend uses, so ids and layout
-        // replicate without an initialisation broadcast. Resume copies the
-        // tables `run_spatial_distributed` decoded from the checkpoint.
-        let (pool, grid) = match &self.restored {
-            Some(tables) => tables.clone(),
-            None => {
-                let seeded =
-                    spatial::SpatialPopulation::new(spec.params.clone(), spec.init.clone());
-                (seeded.pool().clone(), seeded.grid().to_vec())
-            }
-        };
-        let rows = owned_rows(rank, spec.params.height, ranks);
         RankState {
-            payoffs: vec![0.0; grid.len()],
-            pool,
-            grid,
-            stats: spec.resume.as_ref().map_or_else(RunStats::default, |cp| cp.stats),
+            pop: self.start.clone(),
             records: Vec::new(),
-            cache: PayoffCache::new(spec.params.game),
-            cells: rows.start * spec.params.width..rows.end * spec.params.width,
+            rows: owned_rows(rank, self.config.params.height, ranks),
         }
     }
 
@@ -318,17 +279,14 @@ impl Generations for Lattice {
         let compute = ranks - 1;
         let p = &self.config.params;
         let (w, h) = (p.width, p.height);
-        let n = w * h;
-        let lattice = p.lattice();
-        let cells = st.cells.clone();
-        let rows = (cells.start / w)..(cells.end / w);
+        let rows = st.rows.clone();
         let frecv = |src: Rank, tag| driver::recv_from(comm, &self.config.faults, src, tag);
 
         // (1) Halo exchange: refresh the 2-ring of strategies around the
         // owned block. Skipped on the first post-init/post-resume
         // generation (the whole grid is fresh) and with a single compute
         // rank (it owns every row).
-        if !is_coord && compute > 1 && generation > self.schedule().generations.start {
+        if !is_coord && compute > 1 && generation > self.start.generation() {
             // Ring neighbours among compute ranks, row-adjacent by
             // construction.
             let prev = if rank == 1 { ranks - 1 } else { rank - 1 };
@@ -340,7 +298,7 @@ impl Generations for Lattice {
                     HALO_TAG,
                     SpatialMsg::Halo {
                         first_row: first_row as u32,
-                        cells: st.grid[first_row * w..(first_row + 2) * w].to_vec(),
+                        cells: st.pop.grid()[first_row * w..(first_row + 2) * w].to_vec(),
                         generation,
                     },
                 )?;
@@ -375,8 +333,7 @@ impl Generations for Lattice {
                             }
                             let fr = first_row as usize;
                             if let Some(i) = wants.iter().position(|&r| r == fr) {
-                                st.grid[fr * w..fr * w + cells.len()]
-                                    .copy_from_slice(&cells);
+                                st.pop.write_rows(fr, &cells);
                                 wants.remove(i);
                             }
                         }
@@ -390,7 +347,8 @@ impl Generations for Lattice {
         // only per-generation collective; the plan carries no update
         // decision, so nothing else is broadcast.
         let msg = is_coord.then(|| {
-            SpatialMsg::Plan(engine::graph_plan(GraphScope::of(&lattice, p.include_self), generation))
+            let scope = GraphScope::of(st.pop.lattice(), p.include_self);
+            SpatialMsg::Plan(engine::graph_plan(scope, generation))
         });
         let plan = match coll.bcast(0, msg)? {
             SpatialMsg::Plan(pl) => pl,
@@ -401,111 +359,25 @@ impl Generations for Lattice {
         }
 
         if !is_coord {
-            // (3) Payoffs for the owned rows plus the 1-ring halo rows the
-            // decide phase reads; every value is the identical f64 the
-            // shared backend computes for that cell.
-            let mut ranges: Vec<std::ops::Range<usize>> = vec![cells.clone()];
-            if compute > 1 {
-                let top = (rows.start + h - 1) % h;
-                let bottom = rows.end % h;
-                ranges.push(top * w..(top + 1) * w);
-                ranges.push(bottom * w..(bottom + 1) * w);
-            }
-            for range in ranges {
-                let provided = LatticeProvider {
-                    space: &self.space,
-                    view: &lattice,
-                    grid: &st.grid,
-                    pool: &st.pool,
-                    game: &p.game,
-                    seed: p.seed,
-                    kernel: GameKernel::Naive,
-                    cache: Some(&st.cache),
-                    range: range.clone(),
-                }
-                .provide(&plan);
-                let FitnessView::Full(values) = provided.view else {
-                    return Err(RankError::Protocol("full payoff field"));
-                };
-                st.payoffs[range].copy_from_slice(&values);
-            }
-
-            // (4) Decide + commit the owned cells. Counter-based
-            // `Domain::Graph` streams make the decision a pure function of
-            // (seed, cell, generation, payoffs) — no broadcast needed.
-            let new_cells: Vec<StratId> = cells
-                .clone()
-                .map(|i| {
-                    spatial::decide_cell(
-                        &lattice,
-                        p.update,
-                        p.seed,
-                        plan.generation,
-                        i,
-                        &|j| st.grid[j],
-                        &|j| st.payoffs[j],
-                    )
-                })
-                .collect();
-            let adoptions = st.grid[cells.clone()]
-                .iter()
-                .zip(&new_cells)
-                .filter(|(old, new)| old != new)
-                .count() as u64;
-            st.grid[cells.clone()].copy_from_slice(&new_cells);
-
-            // (5) Per-generation summary to rank 0.
-            let owned_payoffs = &st.payoffs[cells.clone()];
-            comm.send(
-                0,
-                SUMMARY_TAG,
-                SpatialMsg::Summary(Box::new(GenSummary {
-                    generation,
-                    row_sums: spatial::row_sums(owned_payoffs, w),
-                    max: owned_payoffs.iter().cloned().fold(f64::MIN, f64::max),
-                    distinct: census(&st.grid[cells.clone()]).ids().to_vec(),
-                    adoptions,
-                })),
-            )?;
+            // (3) The shared backend's generation body over the owned rows,
+            // and (4) its summary to rank 0.
+            let summary = st.pop.play_rows(&plan, rows.clone());
+            comm.send(0, SUMMARY_TAG, SpatialMsg::Summary(Box::new(summary)))?;
         } else {
-            // Rank 0 assembles the record: row sums concatenate in rank
-            // order = row order, so the fold is the canonical
-            // `row_major_mean` reduction bit for bit.
-            let mut row_sums: Vec<f64> = Vec::with_capacity(h);
-            let mut max = f64::MIN;
-            // Every rank's distinct ids, counted once below.
-            let mut distinct: Vec<StratId> = Vec::new();
-            let mut adoptions = 0u64;
+            // (5) Rank 0 folds the summaries in rank order = row order, with
+            // the fold behind every shared step.
+            let mut blocks = Vec::with_capacity(ranks - 1);
             for src in 1..ranks {
-                loop {
+                let summary = loop {
                     match frecv(src, SUMMARY_TAG)?.payload {
-                        SpatialMsg::Summary(s) => {
-                            if s.generation != generation {
-                                continue; // stale duplicate
-                            }
-                            row_sums.extend_from_slice(&s.row_sums);
-                            max = max.max(s.max);
-                            distinct.extend_from_slice(&s.distinct);
-                            adoptions += s.adoptions;
-                            break;
-                        }
+                        SpatialMsg::Summary(s) if s.generation == generation => break *s,
+                        SpatialMsg::Summary(_) => {} // stale duplicate
                         _ => return Err(RankError::Protocol("generation summary")),
                     }
-                }
+                };
+                blocks.push(summary);
             }
-            let mean = row_sums.iter().sum::<f64>() / n as f64;
-            let per_cell = p.neighborhood.offsets().len() as u64 + u64::from(p.include_self);
-            st.stats.generations += 1;
-            st.stats.fitness_evaluations += 1;
-            st.stats.games_played += per_cell * n as u64;
-            st.stats.adoptions += adoptions;
-            st.records.push(GenerationRecord {
-                generation,
-                events: Vec::new(),
-                mean_fitness: Some(mean),
-                max_fitness: Some(max),
-                distinct_strategies: census(&distinct).len(),
-            });
+            st.records.push(st.pop.fold(&blocks));
         }
 
         // (6) Boundary gather — the only full-grid traffic. SPMD: every
@@ -513,14 +385,13 @@ impl Generations for Lattice {
         if whole {
             let block = SpatialMsg::OwnedRows {
                 first_row: rows.start as u32,
-                cells: st.grid[cells].to_vec(),
+                cells: st.pop.grid()[rows.start * w..rows.end * w].to_vec(),
             };
             if let Some(blocks) = coll.gather(0, block)? {
                 for b in blocks {
                     match b {
                         SpatialMsg::OwnedRows { first_row, cells } => {
-                            let start = first_row as usize * w;
-                            st.grid[start..start + cells.len()].copy_from_slice(&cells);
+                            st.pop.write_rows(first_row as usize, &cells);
                         }
                         _ => return Err(RankError::Protocol("owned rows block")),
                     }
@@ -530,9 +401,11 @@ impl Generations for Lattice {
         Ok(())
     }
 
-    /// Call only with rank 0's grid freshly gathered.
+    /// Call only with rank 0's grid freshly gathered. Rank 0's folds keep
+    /// its population's generation at the frame's.
     fn snapshot(&self, st: &RankState, generation: u64) -> SpatialCheckpoint {
-        SpatialCheckpoint::capture(&self.config.params, generation, &st.pool, &st.grid, st.stats)
+        debug_assert_eq!(st.pop.generation(), generation);
+        st.pop.checkpoint()
     }
 
     fn records(st: RankState) -> Vec<GenerationRecord> {
@@ -542,7 +415,9 @@ impl Generations for Lattice {
     /// Rank 0's gathered grid against a compute rank's live owned rows —
     /// the spatial analogue of the replicated-table divergence check.
     fn agrees(rank0: &RankState, st: &RankState) -> bool {
-        rank0.grid[st.cells.clone()] == st.grid[st.cells.clone()]
+        let w = st.pop.params().width;
+        let cells = st.rows.start * w..st.rows.end * w;
+        rank0.pop.grid()[cells.clone()] == st.pop.grid()[cells]
     }
 }
 
@@ -551,7 +426,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultAction, MessageFault, MessageFaults, RankKill};
     use evo_core::record::state_digest;
-    use evo_core::spatial::{SpatialPopulation, SpatialUpdate};
+    use evo_core::spatial::{self, SpatialUpdate};
     use ipd::game::GameConfig;
     use ipd::payoff::PayoffMatrix;
 
@@ -692,7 +567,7 @@ mod tests {
         // rejected before any rank indexes with it.
         let good = params(1, 6, 5, SpatialUpdate::BestNeighbor);
         let mut hostile =
-            spatial::SpatialPopulation::new(good.clone(), InitPattern::SingleDefector).checkpoint();
+            SpatialPopulation::new(good.clone(), InitPattern::SingleDefector).checkpoint();
         hostile.grid[0] = 9999;
         let mut resumed = SpatialDistConfig::new(good, InitPattern::SingleDefector, 3);
         resumed.resume = Some(hostile);

@@ -68,11 +68,15 @@ pub const PURITY_ROOTS: &[PurityRoot] = &[
         suffix: "engine::commit",
         sanctioned: &[],
     },
-    // The structured-population commit phase is RNG-free too: every
-    // spatial draw happens in the decide step (`spatial::decide_cell`),
-    // so the apply step gets no sanctioned delegates at all.
+    // The lattice's commit and fold are RNG-free too: every spatial draw
+    // happens in the decide step (`SpatialPopulation::decide_cell`), so
+    // neither gets a sanctioned delegate.
     PurityRoot {
-        suffix: "SpatialPopulation::commit_update",
+        suffix: "SpatialPopulation::commit_rows",
+        sanctioned: &[],
+    },
+    PurityRoot {
+        suffix: "SpatialPopulation::fold",
         sanctioned: &[],
     },
     // The fixation workload's absorption classifier inspects committed
@@ -478,23 +482,7 @@ pub fn phase_purity(files: &[ParsedFile]) -> Vec<Diagnostic> {
     };
     let mut out = Vec::new();
     for root in PURITY_ROOTS {
-        let roots: Vec<(usize, usize)> = files
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, f)| {
-                f.structure
-                    .fns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| {
-                        !g.is_test
-                            && (g.qual == root.suffix
-                                || g.qual.ends_with(&format!("::{}", root.suffix)))
-                    })
-                    .map(move |(gi, _)| (fi, gi))
-            })
-            .collect();
-        for &(rfi, rgi) in &roots {
+        for (rfi, rgi) in root_fns(files, root) {
             let mut visited = std::collections::BTreeSet::new();
             let root_qual = files[rfi].structure.fns[rgi].qual.clone();
             let mut queue: Vec<((usize, usize), Vec<String>)> =
@@ -554,4 +542,36 @@ pub fn phase_purity(files: &[ParsedFile]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// The non-test fns (file idx, fn idx) whose qualified name ends in
+/// `root`'s suffix.
+fn root_fns(files: &[ParsedFile], root: &PurityRoot) -> Vec<(usize, usize)> {
+    files
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, f)| {
+            f.structure
+                .fns
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| {
+                    !g.is_test
+                        && (g.qual == root.suffix || g.qual.ends_with(&format!("::{}", root.suffix)))
+                })
+                .map(move |(gi, _)| (fi, gi))
+        })
+        .collect()
+}
+
+/// The [`PURITY_ROOTS`] suffixes that resolve to no non-test fn of
+/// `files`. [`phase_purity`] checks nothing from such a root, so a renamed
+/// or deleted phase would silently drop out of the check; a tree that
+/// should hold every phase asserts this empty.
+pub fn unresolved_roots(files: &[ParsedFile]) -> Vec<&'static str> {
+    PURITY_ROOTS
+        .iter()
+        .filter(|root| root_fns(files, root).is_empty())
+        .map(|root| root.suffix)
+        .collect()
 }

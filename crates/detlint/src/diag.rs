@@ -27,6 +27,11 @@ pub struct Report {
     pub files_scanned: usize,
     /// All violations, sorted by (path, line, rule).
     pub diagnostics: Vec<Diagnostic>,
+    /// Phase-purity roots that name no fn of the scanned tree
+    /// ([`crate::contracts::unresolved_roots`]). Not a violation, since a
+    /// partial tree need not hold every phase; the live workspace's
+    /// self-check requires it empty.
+    pub unresolved_roots: Vec<&'static str>,
 }
 
 impl Report {
@@ -111,6 +116,7 @@ mod tests {
                 line: 1,
                 message: "m".into(),
             }],
+            ..Report::default()
         };
         assert_eq!(
             r.to_json(),

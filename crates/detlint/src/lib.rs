@@ -206,6 +206,7 @@ pub fn check_sources(files: &[(String, String)]) -> Report {
 
     let mut report = Report {
         files_scanned: files.len(),
+        unresolved_roots: contracts::unresolved_roots(&parsed),
         ..Report::default()
     };
     for (a, diags) in analyzed.iter().zip(per_file_diags) {

@@ -70,6 +70,7 @@ mod tests {
                 line: 12,
                 message: "RNG \"reachable\"".into(),
             }],
+            ..Report::default()
         };
         let log = to_sarif(&report);
         assert!(log.contains("\"version\":\"2.1.0\""), "{log}");

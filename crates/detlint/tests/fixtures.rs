@@ -104,6 +104,13 @@ fn live_workspace_is_clean() {
         rendered.join("\n")
     );
     assert!(report.files_scanned > 50, "suspiciously few files scanned");
+    // A purity root that names no fn is checked from nowhere: a renamed
+    // phase must take its root along.
+    assert!(
+        report.unresolved_roots.is_empty(),
+        "phase-purity roots that resolve to no non-test fn: {:?}",
+        report.unresolved_roots
+    );
 
     // The registry carries both lint classes: six lexical rules and the five
     // structural contract checks. A partial registry means the self-check

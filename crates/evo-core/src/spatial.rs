@@ -16,11 +16,19 @@
 //!    through the deterministic kernel and the cross-generation
 //!    [`PayoffCache`]; stochastic games draw only per-pair
 //!    `Domain::GamePlay` streams.
-//! 3. [`SpatialPopulation::step`] applies the update: `decide_update`
-//!    resolves every cell synchronously against the frozen payoff field
-//!    (the only spatial RNG user — per-cell `Domain::Graph` streams), and
-//!    the RNG-free `commit_update` writes the new grid, accounts
-//!    [`RunStats`], and emits the generation's [`GenerationRecord`].
+//! 3. [`SpatialPopulation::play_rows`] decides every cell of a range of
+//!    rows synchronously against the frozen payoff field (the only spatial
+//!    RNG user — per-cell `Domain::Graph` streams), commits the new cells
+//!    and returns the block's [`GenSummary`];
+//! 4. the RNG-free [`SpatialPopulation::fold`] folds the blocks' summaries
+//!    in row order into the generation's [`GenerationRecord`] and accounts
+//!    [`RunStats`].
+//!
+//! [`SpatialPopulation::step`] is the plan, the body over the whole torus
+//! and the fold of its one block. A compute rank of the distributed
+//! backend (`cluster::dist::graph`) runs the same body over its owned rows
+//! and rank 0 folds the ranks' summaries, so the two backends share every
+//! decision and every line of accounting.
 //!
 //! Update rules:
 //!
@@ -123,11 +131,20 @@ impl Default for SpatialParams {
 
 impl SpatialParams {
     /// Non-panicking validation, for service admission, CLI parsing and
-    /// checkpoint decoding; returns the strategies' state space.
+    /// checkpoint decoding; returns the strategies' state space. A grid
+    /// holds at most 2³² cells, so every pair game's stream entity
+    /// `a·n + b` fits in a `u64`.
     pub fn validate(&self) -> Result<StateSpace, String> {
         if self.width < 3 || self.height < 3 {
             return Err(format!(
                 "grid must be at least 3×3, got {}×{}",
+                self.width, self.height
+            ));
+        }
+        let cells = self.width.checked_mul(self.height);
+        if cells.is_none_or(|n| n as u64 > 1 << 32) {
+            return Err(format!(
+                "grid must hold at most 2^32 cells, got {}×{}",
                 self.width, self.height
             ));
         }
@@ -170,7 +187,7 @@ impl InitPattern {
                 }
             }
             InitPattern::Explicit(strats) => {
-                let n = params.width * params.height;
+                let n = params.width.saturating_mul(params.height);
                 if strats.len() == n {
                     Ok(())
                 } else {
@@ -213,25 +230,6 @@ pub struct SpatialCheckpoint {
 }
 
 impl SpatialCheckpoint {
-    /// Snapshot a lattice run's tables at a generation boundary — the one
-    /// place a [`SpatialCheckpoint`] is built.
-    pub fn capture(
-        params: &SpatialParams,
-        generation: u64,
-        pool: &StrategyPool,
-        grid: &[StratId],
-        stats: RunStats,
-    ) -> Self {
-        SpatialCheckpoint {
-            schema_version: SPATIAL_CHECKPOINT_SCHEMA_VERSION,
-            params: params.clone(),
-            generation,
-            pool: pool_table(pool),
-            grid: grid.to_vec(),
-            stats,
-        }
-    }
-
     /// Decode and validate the strategy tables: the parameters' state
     /// space, the rebuilt interning pool (ids as written) and the row-major
     /// grid. The lattice counterpart of
@@ -243,21 +241,54 @@ impl SpatialCheckpoint {
     }
 }
 
-/// Per-row payoff sums, rows in order. This is the *canonical* f64
-/// reduction order of the spatial record stream: the shared backend folds
-/// these row sums in row order, and the distributed backend has each rank
-/// compute the row sums of its owned rows and rank 0 fold them in the
-/// identical order — so the mean payoff is bit-identical across backends
-/// and rank counts despite f64 addition being non-associative.
-pub fn row_sums(payoffs: &[f64], width: usize) -> Vec<f64> {
-    payoffs.chunks(width).map(|row| row.iter().sum()).collect()
+/// What one block of rows contributes to its generation's record: the
+/// summary [`SpatialPopulation::play_rows`] returns and
+/// [`SpatialPopulation::fold`] folds. The distributed backend ships one per
+/// compute rank to rank 0.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenSummary {
+    /// The generation the block ran (the distributed backend discards a
+    /// fault-duplicated summary of an earlier one by it).
+    pub generation: u64,
+    /// Per-row payoff sums, rows in order. Folded in row order, they are
+    /// the *canonical* f64 reduction of the record's mean: the same bits
+    /// whatever the row partition, although f64 addition is not
+    /// associative.
+    pub row_sums: Vec<f64>,
+    /// Max payoff over the block's cells (cell order).
+    pub max: f64,
+    /// Distinct strategy ids on the block's new cells, ascending.
+    pub distinct: Vec<StratId>,
+    /// Cells of the block whose strategy changed.
+    pub adoptions: u64,
 }
 
-/// Mean cell payoff in the canonical reduction order of [`row_sums`].
-pub fn row_major_mean(payoffs: &[f64], width: usize) -> f64 {
-    let total: f64 = row_sums(payoffs, width).iter().sum();
-    total / payoffs.len() as f64
+/// `f` over `range` cut into `blocks` (≥ 1) contiguous blocks, one rayon
+/// task each, the results concatenated in range order.
+fn in_blocks<T: Clone + Send>(
+    range: Range<usize>,
+    blocks: usize,
+    f: impl Fn(Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let size = range.len().div_ceil(blocks);
+    let per_block: Vec<Vec<T>> = (0..blocks)
+        .into_par_iter()
+        .map(|b| {
+            let lo = (range.start + b * size).min(range.end);
+            f(lo..(lo + size).min(range.end))
+        })
+        .collect();
+    per_block.concat()
 }
+
+/// Fewest cells [`SpatialPopulation::play_rows`] decides on one rayon
+/// worker. On a 2-vCPU x86-64 box a decision took ≈ 50 ns a cell
+/// (`BestNeighbor`) to ≈ 120 ns (`Fermi`, which opens a ChaCha8 stream)
+/// and a two-worker fan-out of the vendored rayon ≈ 50 µs, so a smaller
+/// block would save less than its worker thread costs. A 128×128 step
+/// fans out; a 32×32 step and a compute rank owning fewer than 2048
+/// cells do not.
+const DECIDE_BLOCK_MIN: usize = 1024;
 
 /// The graph-structured [`FitnessProvider`]: plays every vertex against
 /// its neighbours over an explicit topology and returns the payoff field
@@ -347,17 +378,9 @@ impl LatticeProvider<'_> {
     /// the hit / miss split between concurrent blocks.
     fn payoffs(&self, include_self: bool, generation: u64, blocks: usize) -> Vec<f64> {
         let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
-        let (start, end) = (self.range.start, self.range.end);
-        let size = self.range.len().div_ceil(blocks);
-        let per_block: Vec<Vec<f64>> = (0..blocks)
-            .into_par_iter()
-            .map(|b| {
-                let lo = (start + b * size).min(end);
-                let cells = lo..(lo + size).min(end);
-                self.block(&mut pairs.memo_session(), cells, include_self, generation)
-            })
-            .collect();
-        per_block.concat()
+        in_blocks(self.range.clone(), blocks, |cells| {
+            self.block(&mut pairs.memo_session(), cells, include_self, generation)
+        })
     }
 }
 
@@ -382,50 +405,6 @@ impl FitnessProvider for LatticeProvider<'_> {
     }
 }
 
-/// Resolve one cell's synchronous update against the frozen payoff field.
-/// `payoff_of(j)` must be defined for `j == cell` and every neighbour of
-/// `cell`. The *only* spatial RNG user: Fermi draws the cell's
-/// `Domain::Graph` stream (entity = cell index), so the decision is a pure
-/// function of `(seed, cell, generation, payoff field)` — which is what
-/// lets distributed ranks resolve their owned cells with no decision
-/// broadcast.
-pub fn decide_cell(
-    view: &Lattice,
-    update: SpatialUpdate,
-    seed: u64,
-    generation: u64,
-    cell: usize,
-    grid_at: &impl Fn(usize) -> StratId,
-    payoff_of: &impl Fn(usize) -> f64,
-) -> StratId {
-    match update {
-        SpatialUpdate::BestNeighbor => {
-            let mut best = cell;
-            let mut best_pay = payoff_of(cell);
-            for j in view.stencil(cell) {
-                // Strict improvement, lowest-index tie-break: the rule
-                // stays fully deterministic.
-                if payoff_of(j) > best_pay || (payoff_of(j) == best_pay && j < best) {
-                    best = j;
-                    best_pay = payoff_of(j);
-                }
-            }
-            grid_at(best)
-        }
-        SpatialUpdate::Fermi { beta } => {
-            use rand::Rng;
-            let mut rng = stream(seed, Domain::Graph, cell as u64, generation);
-            let j = view.neighbor(cell, rng.random_range(0..view.degree(cell)));
-            let p = crate::fermi::fermi_probability(beta, payoff_of(j), payoff_of(cell));
-            if rng.random::<f64>() < p {
-                grid_at(j)
-            } else {
-                grid_at(cell)
-            }
-        }
-    }
-}
-
 /// A lattice population of strategies, stepped through the engine
 /// contract.
 #[derive(Debug, Clone)]
@@ -444,10 +423,9 @@ pub struct SpatialPopulation {
 impl SpatialPopulation {
     /// Build a grid population.
     pub fn new(params: SpatialParams, init: InitPattern) -> Self {
-        assert!(params.width >= 3 && params.height >= 3, "grid must be at least 3x3");
         let lattice = params.lattice();
-        // detlint: allow(panic-path, reason = "constructor contract: every outside input (CLI flags, svc admission, dist configs, checkpoints) passes SpatialParams::validate first, which rejects a bad memory depth typed; reaching this with one is a caller bug")
-        let space = StateSpace::new(params.mem_steps).expect("valid memory steps");
+        // detlint: allow(panic-path, reason = "constructor contract: every outside input (CLI flags, svc admission, dist configs, checkpoints) passes SpatialParams::validate first, which rejects a bad grid or memory depth typed; reaching this with one is a caller bug")
+        let space = params.validate().expect("valid spatial params");
         let mut pool = StrategyPool::new();
         let n = params.width * params.height;
         let grid: Vec<StratId> = match init {
@@ -563,9 +541,17 @@ impl SpatialPopulation {
         }
     }
 
-    /// Serialise the complete run state (docs/GRAPH.md §checkpoints).
+    /// Serialise the complete run state (docs/GRAPH.md §checkpoints) — the
+    /// one place a [`SpatialCheckpoint`] is built, on either backend.
     pub fn checkpoint(&self) -> SpatialCheckpoint {
-        SpatialCheckpoint::capture(&self.params, self.generation, &self.pool, &self.grid, self.stats)
+        SpatialCheckpoint {
+            schema_version: SPATIAL_CHECKPOINT_SCHEMA_VERSION,
+            params: self.params.clone(),
+            generation: self.generation,
+            pool: pool_table(&self.pool),
+            grid: self.grid.clone(),
+            stats: self.stats,
+        }
     }
 
     /// Rebuild a population from a checkpoint, rejecting one whose tables
@@ -587,87 +573,157 @@ impl SpatialPopulation {
         })
     }
 
-    /// Resolve every cell's update against the frozen payoff field — the
-    /// spatial `decide` phase. Reads state, never writes it; Fermi draws
-    /// per-cell `Domain::Graph` streams, so the result is rayon
-    /// schedule-invariant.
-    fn decide_update(&self, payoffs: &[f64]) -> Vec<StratId> {
-        let gen = self.generation;
-        (0..self.grid.len())
-            .into_par_iter()
-            .map(|i| {
-                decide_cell(
-                    &self.lattice,
-                    self.params.update,
-                    self.params.seed,
-                    gen,
-                    i,
-                    &|j| self.grid[j],
-                    &|j| payoffs[j],
-                )
-            })
-            .collect()
+    /// Overwrite the cells of the rows from `first_row` on with `cells`, ids
+    /// of this population's pool: the rows another copy of the population
+    /// owns (a distributed rank's halo, or a block gathered at rank 0).
+    pub fn write_rows(&mut self, first_row: usize, cells: &[StratId]) {
+        let start = first_row * self.params.width;
+        self.grid[start..start + cells.len()].copy_from_slice(cells);
     }
 
-    /// Commit a decided update: write the grid and payoff field, account
-    /// stats, and build the generation's record. Deterministic and
-    /// RNG-free (detlint phase-purity root, like `engine::commit`).
-    fn commit_update(
-        &mut self,
-        new_grid: Vec<StratId>,
-        payoffs: Vec<f64>,
-        games: u64,
-    ) -> GenerationRecord {
-        let gen = self.generation;
-        let adoptions = self
-            .grid
-            .iter()
-            .zip(&new_grid)
-            .filter(|(old, new)| old != new)
-            .count() as u64;
-        let mean = row_major_mean(&payoffs, self.params.width);
-        let max = payoffs.iter().cloned().fold(f64::MIN, f64::max);
-        self.grid = new_grid;
-        self.payoffs = payoffs;
-        self.generation += 1;
-        self.stats.generations += 1;
-        self.stats.fitness_evaluations += 1;
-        self.stats.games_played += games;
-        self.stats.adoptions += adoptions;
-        GenerationRecord {
-            generation: gen,
-            events: Vec::new(),
-            mean_fitness: Some(mean),
-            max_fitness: Some(max),
-            distinct_strategies: self.distinct_strategies(),
+    /// One lattice generation over `rows`, the body both backends run: the
+    /// payoffs of those rows and of the one-row ring outside them (empty
+    /// when `rows` is the whole torus) through [`LatticeProvider`], every
+    /// cell of `rows` decided against that frozen payoff field, and the new
+    /// cells committed. It reads the strategies of the rows and of their
+    /// two-row ring only, so a compute rank runs it on its own copy of the
+    /// population, fresh there. Deterministic for `BestNeighbor`;
+    /// schedule-invariant for `Fermi` (counter-based streams).
+    pub fn play_rows(&mut self, plan: &GenPlan, rows: Range<usize>) -> GenSummary {
+        let (w, h) = self.dims();
+        let cells = rows.start * w..rows.end * w;
+        let mut ranges = vec![cells.clone()];
+        if rows.len() < h {
+            for row in [(rows.start + h - 1) % h, rows.end % h] {
+                ranges.push(row * w..(row + 1) * w);
+            }
+        }
+        for range in ranges {
+            let provided = LatticeProvider {
+                space: &self.space,
+                view: &self.lattice,
+                grid: &self.grid,
+                pool: &self.pool,
+                game: &self.params.game,
+                seed: self.params.seed,
+                kernel: GameKernel::Naive,
+                cache: Some(&self.cache),
+                range: range.clone(),
+            }
+            .provide(plan);
+            let FitnessView::Full(values) = provided.view else {
+                // detlint: allow(panic-path, reason = "invariant: LatticeProvider always answers a Neighborhood plan with FitnessView::Full; anything else is a provider implementation bug")
+                panic!("spatial provider must return the full payoff field")
+            };
+            self.payoffs[range].copy_from_slice(&values);
+        }
+        // Decide against the old grid: one block of cells per worker, none
+        // smaller than `DECIDE_BLOCK_MIN`.
+        let blocks = (cells.len() / DECIDE_BLOCK_MIN).clamp(1, rayon::current_num_threads());
+        let new_cells = in_blocks(cells.clone(), blocks, |block| {
+            block
+                .map(|i| self.decide_cell(plan.generation, i))
+                .collect()
+        });
+        self.commit_rows(plan.generation, cells, &new_cells)
+    }
+
+    /// Resolve one cell's synchronous update against the frozen payoff
+    /// field, which must be filled at `cell` and at every neighbour. The
+    /// *only* spatial RNG user: Fermi draws the cell's `Domain::Graph`
+    /// stream (entity = cell index), so the decision is a pure function of
+    /// `(seed, cell, generation, payoff field)` — which is what lets
+    /// distributed ranks resolve their owned cells with no decision
+    /// broadcast.
+    fn decide_cell(&self, generation: u64, cell: usize) -> StratId {
+        let pay = &self.payoffs;
+        match self.params.update {
+            SpatialUpdate::BestNeighbor => {
+                let mut best = cell;
+                for j in self.lattice.stencil(cell) {
+                    // Strict improvement, lowest-index tie-break: the rule
+                    // stays fully deterministic.
+                    if pay[j] > pay[best] || (pay[j] == pay[best] && j < best) {
+                        best = j;
+                    }
+                }
+                self.grid[best]
+            }
+            SpatialUpdate::Fermi { beta } => {
+                use rand::Rng;
+                let mut rng = stream(self.params.seed, Domain::Graph, cell as u64, generation);
+                let k = rng.random_range(0..self.lattice.degree(cell));
+                let j = self.lattice.neighbor(cell, k);
+                let p = crate::fermi::fermi_probability(beta, pay[j], pay[cell]);
+                if rng.random::<f64>() < p {
+                    self.grid[j]
+                } else {
+                    self.grid[cell]
+                }
+            }
         }
     }
 
-    /// Advance one generation through the engine phases: `graph_plan`,
-    /// [`LatticeProvider::provide`], then decide + commit. Deterministic
-    /// for `BestNeighbor`; schedule-invariant for `Fermi` (counter-based
-    /// streams).
+    /// Commit a block's decided cells into the grid and summarise the block
+    /// for its record. Deterministic and RNG-free (detlint phase-purity
+    /// root).
+    fn commit_rows(
+        &mut self,
+        generation: u64,
+        cells: Range<usize>,
+        new_cells: &[StratId],
+    ) -> GenSummary {
+        let old = &mut self.grid[cells.clone()];
+        let adoptions = old.iter().zip(new_cells).filter(|(o, n)| o != n).count() as u64;
+        old.copy_from_slice(new_cells);
+        let payoffs = &self.payoffs[cells];
+        GenSummary {
+            generation,
+            row_sums: payoffs
+                .chunks(self.params.width)
+                .map(|row| row.iter().sum())
+                .collect(),
+            max: payoffs.iter().copied().fold(f64::MIN, f64::max),
+            distinct: census(new_cells).ids().to_vec(),
+            adoptions,
+        }
+    }
+
+    /// Fold a generation's block summaries, in row order, into the
+    /// generation's record, and account its [`RunStats`] — games as
+    /// `per_cell · n` from the params. The one place a lattice record is
+    /// made and the lattice's `RunStats` change, on either backend.
+    /// Deterministic and RNG-free (detlint phase-purity root, like
+    /// `engine::commit`).
+    pub fn fold(&mut self, blocks: &[GenSummary]) -> GenerationRecord {
+        let n = self.grid.len();
+        let per_cell =
+            self.params.neighborhood.offsets().len() as u64 + u64::from(self.params.include_self);
+        let total: f64 = blocks.iter().flat_map(|b| &b.row_sums).sum();
+        let distinct: Vec<StratId> = blocks.iter().flat_map(|b| &b.distinct).copied().collect();
+        let record = GenerationRecord {
+            generation: self.generation,
+            events: Vec::new(),
+            mean_fitness: Some(total / n as f64),
+            max_fitness: Some(blocks.iter().map(|b| b.max).fold(f64::MIN, f64::max)),
+            distinct_strategies: census(&distinct).len(),
+        };
+        self.generation += 1;
+        self.stats.generations += 1;
+        self.stats.fitness_evaluations += 1;
+        self.stats.games_played += per_cell * n as u64;
+        self.stats.adoptions += blocks.iter().map(|b| b.adoptions).sum::<u64>();
+        record
+    }
+
+    /// Advance one generation: [`crate::engine::graph_plan`], the body over
+    /// the whole torus ([`SpatialPopulation::play_rows`]), then the fold of
+    /// its one block.
     pub fn step(&mut self) -> GenerationRecord {
         let scope = GraphScope::of(&self.lattice, self.params.include_self);
         let plan = crate::engine::graph_plan(scope, self.generation);
-        let mut provider = LatticeProvider {
-            space: &self.space,
-            view: &self.lattice,
-            grid: &self.grid,
-            pool: &self.pool,
-            game: &self.params.game,
-            seed: self.params.seed,
-            kernel: GameKernel::Naive,
-            cache: Some(&self.cache),
-            range: 0..self.grid.len(),
-        };
-        let provided = provider.provide(&plan);
-        let FitnessView::Full(payoffs) = provided.view else {
-            // detlint: allow(panic-path, reason = "invariant: LatticeProvider always answers a Neighborhood plan with FitnessView::Full; anything else is a provider implementation bug")
-            panic!("spatial provider must return the full payoff field")
-        };
-        let new_grid = self.decide_update(&payoffs);
-        self.commit_update(new_grid, payoffs, provided.games)
+        let block = self.play_rows(&plan, 0..self.params.height);
+        self.fold(&[block])
     }
 
     /// Run `generations` steps, discarding the records.
@@ -1033,7 +1089,8 @@ mod tests {
         let mean = rec.mean_fitness.expect("spatial records carry the mean");
         let max = rec.max_fitness.expect("spatial records carry the max");
         assert!(max >= mean);
-        assert_eq!(mean, row_major_mean(pop.payoffs(), 8));
+        let row_sums = pop.payoffs().chunks(8).map(|row| row.iter().sum::<f64>());
+        assert_eq!(mean, row_sums.sum::<f64>() / 64.0);
         assert!(rec.distinct_strategies >= 1);
         // 8×8 Moore grid with self-games: 64 cells × 9 games each.
         assert_eq!(pop.stats().games_played, 64 * 9);
@@ -1113,12 +1170,81 @@ mod tests {
         assert!(matches!(reject(future), CheckpointError::FutureSchema { .. }));
     }
 
+    /// GRAPH.md's rule 2 without the cluster: the body over every block of
+    /// a row partition, each block on its own copy of the population (as a
+    /// compute rank runs it), then the fold of the blocks in row order, gives
+    /// the record bits, grid and `RunStats` of one block over the whole
+    /// torus. The partitions include 1-row blocks and uneven cuts, which no
+    /// distributed run makes (every compute rank owns ≥ 2 rows).
     #[test]
-    fn row_sums_define_the_canonical_mean() {
-        let payoffs: Vec<f64> = (0..12).map(|i| i as f64 * 0.1).collect();
-        let rs = row_sums(&payoffs, 4);
-        assert_eq!(rs.len(), 3);
-        let mean = row_major_mean(&payoffs, 4);
-        assert_eq!(mean, rs.iter().sum::<f64>() / 12.0);
+    fn any_row_partition_gives_the_same_bits() {
+        let bits = |r: &GenerationRecord| {
+            (r.generation, r.mean_fitness.map(f64::to_bits), r.max_fitness.map(f64::to_bits), r.distinct_strategies)
+        };
+        let partitions: [&[usize]; 5] = [&[1; 7], &[3, 1, 3], &[2, 5], &[6, 1], &[1, 2, 4]];
+        for update in [SpatialUpdate::BestNeighbor, SpatialUpdate::Fermi { beta: 1.1 }] {
+            for neighborhood in [Neighborhood::Moore8, Neighborhood::VonNeumann4] {
+                for include_self in [true, false] {
+                    let p = SpatialParams {
+                        width: 5,
+                        height: 7,
+                        neighborhood,
+                        include_self,
+                        seed: 17,
+                        ..params(1.7, 5, update)
+                    };
+                    let mut whole = SpatialPopulation::new(p.clone(), InitPattern::RandomDefectors(0.4));
+                    for partition in partitions {
+                        let label = format!("{update:?} {neighborhood:?} self {include_self} rows {partition:?}");
+                        let mut merged = whole.clone();
+                        for _ in 0..6 {
+                            let want = whole.step();
+                            let scope = GraphScope::of(&merged.lattice, include_self);
+                            let plan = crate::engine::graph_plan(scope, merged.generation);
+                            let mut blocks = Vec::new();
+                            let mut start = 0;
+                            let mut copies = Vec::new();
+                            for &len in partition {
+                                let mut copy = merged.clone();
+                                blocks.push(copy.play_rows(&plan, start..start + len));
+                                copies.push((start, len, copy));
+                                start += len;
+                            }
+                            for (start, len, copy) in copies {
+                                merged.write_rows(start, &copy.grid()[start * 5..(start + len) * 5]);
+                            }
+                            let got = merged.fold(&blocks);
+                            assert_eq!(bits(&got), bits(&want), "{label}: record");
+                            assert_eq!(merged.grid(), whole.grid(), "{label}: grid");
+                            assert_eq!(merged.stats(), whole.stats(), "{label}: stats");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validation_bounds_the_cell_count() {
+        let wide = SpatialParams {
+            width: 1 << 33,
+            height: 3,
+            ..SpatialParams::default()
+        };
+        assert!(wide.validate().unwrap_err().contains("2^32 cells"));
+        let overflow = SpatialParams {
+            width: usize::MAX / 2,
+            height: 3,
+            ..SpatialParams::default()
+        };
+        assert!(overflow.validate().unwrap_err().contains("2^32 cells"));
+        let explicit = InitPattern::Explicit(Vec::new());
+        assert!(explicit.validate(&overflow).unwrap_err().contains("strategies"));
+        let largest = SpatialParams {
+            width: 1 << 30,
+            height: 4,
+            ..SpatialParams::default()
+        };
+        assert!(largest.validate().is_ok());
     }
 }

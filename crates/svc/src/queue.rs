@@ -357,4 +357,27 @@ mod tests {
         q.admit(ok).unwrap();
         assert_eq!(q.len(), 1);
     }
+
+    /// A grid past 2³² cells is refused at admission, before any worker
+    /// would size a grid from it or key a game stream past `u64`.
+    #[test]
+    fn spatial_requests_with_an_oversized_grid_are_rejected() {
+        use evo_core::spatial::{InitPattern, SpatialParams};
+        let mut q = JobQueue::new(8);
+        let huge = JobRequest::new_spatial(
+            "sp-huge",
+            SpatialParams {
+                width: 1 << 33,
+                height: 3,
+                ..SpatialParams::default()
+            },
+            InitPattern::SingleDefector,
+        );
+        assert!(matches!(
+            q.admit(huge),
+            Err(AdmitError::Invalid { ref reason })
+                if reason.starts_with("spatial params:") && reason.contains("2^32 cells")
+        ));
+        assert_eq!(q.len(), 0);
+    }
 }
