@@ -20,8 +20,8 @@ pub const COLLECTIVE_TAG_BASE: Tag = u32::MAX / 2;
 
 /// The point-to-point capability collectives are built on. Implemented by
 /// the plain [`Comm`] handle and by the virtual-time
-/// [`crate::simtime::TimedComm`], so the same binomial-tree algorithms run
-/// untimed (functional) or timed (performance simulation).
+/// [`crate::simtime::TimedComm`], so the same binomial-tree algorithms and
+/// distributed protocols run untimed (functional) or timed (performance).
 pub trait Messenger {
     /// Message body type.
     type Payload: Send + Clone + 'static;
@@ -50,6 +50,12 @@ pub trait Messenger {
         // detlint: allow(comm-discipline, reason = "default for messengers without a fault model (virtual-time TimedComm): no peer can die, so blocking is deadlock-free; Comm overrides with a real deadline")
         self.recv(src, tag)
     }
+    /// Mark this rank dead, so that peers blocked on it unblock.
+    fn kill(&self);
+    /// Whether `rank` is still alive.
+    fn is_alive(&self, rank: Rank) -> bool;
+    /// Charge `seconds` of local computation (a no-op without a clock).
+    fn compute(&self, _seconds: f64) {}
 }
 
 impl<T: Send + Clone + 'static> Messenger for Comm<T> {
@@ -74,6 +80,12 @@ impl<T: Send + Clone + 'static> Messenger for Comm<T> {
         timeout: Duration,
     ) -> Result<Envelope<T>, ClusterError> {
         Comm::recv_timeout(self, src, tag, timeout)
+    }
+    fn kill(&self) {
+        Comm::kill(self);
+    }
+    fn is_alive(&self, rank: Rank) -> bool {
+        Comm::is_alive(self, rank)
     }
 }
 

@@ -47,6 +47,11 @@
 //! ([`fixation`]) runners, and the generation frame (boundary snapshots,
 //! kill checks, periodic checkpoints, teardown) shared with the lattice;
 //! this file keeps one well-mixed generation's body.
+//!
+//! The frame and this body are generic over the [`Messenger`], so
+//! [`run_distributed_timed`] runs and prices the same protocol on
+//! virtual-time ranks. Under `OnDemand` the pair's two owners alone play
+//! its games, which [`crate::perf`] instead divides over all the ranks.
 
 mod driver;
 pub mod fixation;
@@ -54,9 +59,11 @@ pub mod graph;
 
 pub use driver::Degraded;
 
-use crate::collective::Collective;
-use crate::comm::{ClusterError, Comm, Rank};
+use crate::collective::{Collective, Messenger};
+use crate::comm::{ClusterError, Rank};
 use crate::faults::FaultPlan;
+use crate::perf::MachineProfile;
+use crate::simtime::NetCosts;
 use driver::{Generations, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
 use evo_core::fitness::{FitnessPolicy, PairPayoff};
@@ -271,6 +278,58 @@ struct WellMixed {
     space: StateSpace,
     nature: NatureAgent,
     restored: Option<(StrategyPool, Vec<StratId>)>,
+    /// Virtual seconds a rank charges per game it evaluates.
+    game_cost: f64,
+}
+
+impl WellMixed {
+    /// The set-up both entry points share: validate `config` and decode
+    /// its resume checkpoint. A timed run's `profile` prices its games.
+    fn new(config: &DistConfig, profile: Option<&MachineProfile>) -> Result<Self, DistError> {
+        if config.ranks < 2 {
+            return Err(DistError::Params(
+                "need the Nature Agent plus at least one compute rank".into(),
+            ));
+        }
+        // A resumed run is driven by the checkpoint's own params: they carry
+        // the seed and the original generation target.
+        let mut config = config.clone();
+        if let Some(cp) = &config.resume {
+            config.params = cp.params.clone();
+        }
+        let (space, restored) = match &config.resume {
+            Some(cp) => {
+                let (space, pool, assignments) =
+                    cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
+                (space, Some((pool, assignments)))
+            }
+            None => (
+                config.params.validate().map_err(|e| DistError::Params(e.to_string()))?,
+                None,
+            ),
+        };
+        Ok(WellMixed {
+            nature: NatureAgent::from_params(&config.params),
+            game_cost: profile.map_or(0.0, |p| p.game_cost[config.params.mem_steps]),
+            config,
+            space,
+            restored,
+        })
+    }
+}
+
+/// The outcome rank 0's final context and the exact message total make.
+fn outcome(rank0: driver::RankCtx<RankState, Checkpoint>, messages_sent: u64) -> DistOutcome {
+    let st = rank0.state;
+    DistOutcome {
+        features: st.assignments.iter().map(|&id| st.pool.get(id).feature_vector()).collect(),
+        assignments: st.assignments,
+        stats: st.stats,
+        messages_sent,
+        events: st.events,
+        generation_ns: rank0.generation_ns,
+        checkpoint: rank0.periodic,
+    }
 }
 
 /// Run the distributed engine and return its outcome. Spawns `ranks`
@@ -288,46 +347,33 @@ struct WellMixed {
 ///   with no degraded-mode context.
 pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
     let _span = obs::span("dist.run");
-    if config.ranks < 2 {
-        return Err(DistError::Params(
-            "need the Nature Agent plus at least one compute rank".into(),
-        ));
-    }
-    // A resumed run is driven by the checkpoint's own params: they carry
-    // the seed and the original generation target.
-    let mut config = config.clone();
-    if let Some(cp) = &config.resume {
-        config.params = cp.params.clone();
-    }
-    let (space, restored) = match &config.resume {
-        Some(cp) => {
-            let (space, pool, assignments) =
-                cp.tables().map_err(|e| DistError::Params(e.to_string()))?;
-            (space, Some((pool, assignments)))
-        }
-        None => (
-            config.params.validate().map_err(|e| DistError::Params(e.to_string()))?,
-            None,
-        ),
-    };
-    let spec = WellMixed {
-        nature: NatureAgent::from_params(&config.params),
-        config,
-        space,
-        restored,
-    };
+    let spec = WellMixed::new(config, None)?;
     let (rank0, messages_sent) =
         driver::launch(spec.config.ranks, &spec.config.faults.clone(), spec)?;
-    let st = rank0.state;
-    Ok(DistOutcome {
-        features: st.assignments.iter().map(|&id| st.pool.get(id).feature_vector()).collect(),
-        assignments: st.assignments,
-        stats: st.stats,
-        messages_sent,
-        events: st.events,
-        generation_ns: rank0.generation_ns,
-        checkpoint: rank0.periodic,
-    })
+    Ok(outcome(rank0, messages_sent))
+}
+
+/// [`run_distributed`] on a healthy virtual-time machine priced by
+/// `profile` ([`crate::simtime`]): the identical [`DistOutcome`] plus the
+/// makespan in virtual seconds. A rank charges `game_cost[mem_steps]` per
+/// game it evaluates (focal SSets × `num_ssets`, cached or not).
+///
+/// # Errors
+///
+/// As [`run_distributed`]; a non-empty fault plan is [`DistError::Params`].
+pub fn run_distributed_timed(
+    config: &DistConfig,
+    profile: &MachineProfile,
+) -> Result<(DistOutcome, f64), DistError> {
+    if !config.faults.is_empty() {
+        return Err(DistError::Params(
+            "a timed run models a healthy machine: the fault plan must be empty".into(),
+        ));
+    }
+    let spec = WellMixed::new(config, Some(profile))?;
+    let net = NetCosts::from_profile(profile, spec.config.ranks);
+    let (rank0, messages_sent, makespan) = driver::launch_timed(spec.config.ranks, net, spec)?;
+    Ok((outcome(rank0, messages_sent), makespan))
 }
 
 /// One rank's replicated strategy table and the SSets it owns.
@@ -393,15 +439,14 @@ impl Generations for WellMixed {
         state
     }
 
-    fn step(
+    fn step<C: Messenger<Payload = DistMsg>>(
         &self,
-        comm: &Comm<DistMsg>,
-        coll: &Collective<'_, Comm<DistMsg>>,
+        coll: &Collective<'_, C>,
         st: &mut RankState,
         generation: u64,
         _whole: bool,
     ) -> Result<(), RankError> {
-        let is_nature = comm.rank() == 0;
+        let is_nature = coll.comm().rank() == 0;
         let params = &self.config.params;
         let num_ssets = params.num_ssets;
 
@@ -422,7 +467,6 @@ impl Generations for WellMixed {
 
         // (2) Game dynamics and fitness movement through the provider.
         let provided = RankProvider {
-            comm,
             coll,
             owned: st.owned.clone(),
             num_ssets,
@@ -433,6 +477,7 @@ impl Generations for WellMixed {
             seed: params.seed,
             faults: &self.config.faults,
             cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
+            game_cost: self.game_cost,
         }
         .provide(&plan)?;
 
@@ -482,9 +527,8 @@ impl Generations for WellMixed {
 /// pair, a gather over the collective tree for full-vector rules. SPMD:
 /// every rank runs it each generation so the collective schedules stay
 /// aligned.
-struct RankProvider<'a> {
-    comm: &'a Comm<DistMsg>,
-    coll: &'a Collective<'a, Comm<DistMsg>>,
+struct RankProvider<'a, C> {
+    coll: &'a Collective<'a, C>,
     owned: std::ops::Range<usize>,
     num_ssets: usize,
     space: &'a StateSpace,
@@ -498,14 +542,12 @@ struct RankProvider<'a> {
     /// and every rank computes identical values from the replicated
     /// strategy table, so caching cannot skew any message payload.
     cache: Option<&'a PayoffCache>,
+    game_cost: f64,
 }
 
-impl RankProvider<'_> {
-    fn is_nature(&self) -> bool {
-        self.comm.rank() == 0
-    }
-
+impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
     fn provide(&mut self, plan: &GenPlan) -> Result<Provided, RankError> {
+        let comm = self.coll.comm();
         // (2) Game dynamics: local, no communication (§V-A).
         let local: Vec<(usize, f64)> = {
             let needed: Vec<usize> = match plan.eval {
@@ -529,12 +571,15 @@ impl RankProvider<'_> {
                 .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, plan.generation, s)))
                 .collect()
         };
+        // Each focal SSet is `num_ssets` games, charged before any fitness
+        // leaves this rank.
+        comm.compute((local.len() * self.num_ssets) as f64 * self.game_cost);
 
         // (2b) Move what the Nature Agent needs.
         let view = match plan.need {
             FitnessNeed::None => FitnessView::None,
             FitnessNeed::Pair { teacher, learner } => {
-                if self.is_nature() {
+                if comm.rank() == 0 {
                     // Receive from the pair's *owners* specifically: a
                     // source-filtered receive is aliveness-aware, so a dead
                     // owner surfaces as `RankDead` instead of a silent wait.
@@ -548,8 +593,8 @@ impl RankProvider<'_> {
                             break (t, l);
                         }
                         let want = if ft.is_none() { teacher } else { learner };
-                        let owner = owner_of(want as usize, self.num_ssets, self.comm.size());
-                        match driver::recv_from(self.comm, self.faults, owner, FITNESS_TAG)?.payload {
+                        let owner = owner_of(want as usize, self.num_ssets, comm.size());
+                        match driver::recv_from(comm, self.faults, owner, FITNESS_TAG)?.payload {
                             DistMsg::Fitness { sset, value, generation } => {
                                 if generation != plan.generation {
                                     // Stale fault-duplicated message from an
@@ -570,7 +615,7 @@ impl RankProvider<'_> {
                 } else {
                     for &(s, f) in &local {
                         if s == teacher as usize || s == learner as usize {
-                            self.comm.send(
+                            comm.send(
                                 0,
                                 FITNESS_TAG,
                                 DistMsg::Fitness {
@@ -1033,5 +1078,154 @@ mod tests {
                 Err(other) => panic!("seed {seed}: unexpected error {other}"),
             }
         }
+    }
+
+    /// A machine whose every cost is a power of two, so that the clock
+    /// sums below are exact in `f64`: game cost 2⁻¹⁰ s at memory one,
+    /// α = 2⁻¹², a hop 2⁻¹⁶, receive overhead 2⁻¹⁴. `network` false
+    /// zeroes the three message costs.
+    fn dyadic_profile(network: bool) -> MachineProfile {
+        let net = if network { 1.0 } else { 0.0 };
+        MachineProfile {
+            name: "dyadic".into(),
+            game_cost: [0.0, 2f64.powi(-10), 0.0, 0.0, 0.0, 0.0, 0.0],
+            alpha_coll: net * 2f64.powi(-14),
+            alpha_p2p: net * 2f64.powi(-12),
+            per_hop: net * 2f64.powi(-16),
+            mutation_per_state: 0.0,
+            serial_per_gen: 0.0,
+            nonpow2_penalty: 0.0,
+        }
+    }
+
+    #[test]
+    fn timed_run_returns_the_untimed_outcome() {
+        use evo_core::params::UpdateRule;
+        let profile = MachineProfile::bluegene_p();
+        for rule in [
+            UpdateRule::PairwiseComparison,
+            UpdateRule::Moran,
+            UpdateRule::ImitateBest,
+        ] {
+            for policy in [FitnessPolicy::EveryGeneration, FitnessPolicy::OnDemand] {
+                for compute_ranks in [2usize, 4] {
+                    let mut p = params(21, 9, 40);
+                    p.rule = rule;
+                    let cfg = config(p, compute_ranks + 1, policy);
+                    let plain = run_distributed(&cfg).unwrap();
+                    let (timed, makespan) = run_distributed_timed(&cfg, &profile).unwrap();
+                    let label = format!("{rule:?}/{policy:?}/{compute_ranks} compute ranks");
+                    assert_eq!(timed.assignments, plain.assignments, "{label}");
+                    assert_eq!(timed.stats, plain.stats, "{label}");
+                    assert_eq!(timed.events, plain.events, "{label}");
+                    assert_eq!(timed.features, plain.features, "{label}");
+                    assert_eq!(timed.messages_sent, plain.messages_sent, "{label}");
+                    assert!(makespan > 0.0, "{label}");
+                }
+            }
+        }
+    }
+
+    /// One compute rank, four SSets, a PC event in each of three
+    /// generations, no mutation, `OnDemand`. With L = α + 1 hop (two ranks
+    /// sit one hop apart) and o the receive overhead:
+    /// - each barrier (a reduce and a broadcast over one edge) is 2L + 2o;
+    /// - a generation is the plan (L + o), the two selected SSets' 2·4
+    ///   games, the two fitness returns (L + 2o) and the decision
+    ///   (L + o): 3L + 4o + 8c on the critical path, of which the plan's
+    ///   L overlaps rank 0's wait from the generation before, so 2L + 4o
+    ///   + 8c after the first.
+    ///
+    /// The total is 4L + 4o + 3·(2L + 4o + 8c).
+    #[test]
+    fn timed_makespan_of_a_tiny_run_is_exact() {
+        let profile = dyadic_profile(true);
+        let mut p = params(3, 4, 3);
+        p.pc_rate = 1.0;
+        p.mutation_rate = 0.0;
+        let (out, makespan) =
+            run_distributed_timed(&config(p, 2, FitnessPolicy::OnDemand), &profile).unwrap();
+        assert_eq!(out.stats.pc_events, 3);
+        let l = profile.alpha_p2p + profile.per_hop;
+        let o = profile.alpha_coll;
+        let c = profile.game_cost[1];
+        assert_eq!(makespan, 4.0 * l + 4.0 * o + 3.0 * (2.0 * l + 4.0 * o + 8.0 * c));
+    }
+
+    #[test]
+    fn every_generation_policy_costs_more_than_on_demand() {
+        let profile = MachineProfile::bluegene_p();
+        let p = Params {
+            mem_steps: 3,
+            num_ssets: 128,
+            generations: 20,
+            pc_rate: 0.1,
+            mutation_rate: 0.05,
+            seed: 1,
+            ..Params::default()
+        };
+        let timed =
+            |policy| run_distributed_timed(&config(p.clone(), 5, policy), &profile).unwrap().1;
+        let every = timed(FitnessPolicy::EveryGeneration);
+        let lazy = timed(FitnessPolicy::OnDemand);
+        assert!(
+            every > lazy * 3.0,
+            "full evaluation {every} should dwarf on-demand {lazy}"
+        );
+    }
+
+    /// Under `OnDemand` the teacher's owner and the learner's owner each
+    /// play their SSet's S games, in parallel when they differ and one
+    /// after the other when one rank owns both. On a machine whose
+    /// messages cost nothing the makespan is exactly that charge on the
+    /// critical path: S games per PC generation, 2S when one rank owns
+    /// the pair. Going from 2 to 8 compute ranks only makes a shared
+    /// owner rarer: the charge never drops below S games per PC
+    /// generation, where `cluster::perf` divides 2S by the rank count.
+    #[test]
+    fn on_demand_critical_path_charge_barely_falls_with_ranks() {
+        let profile = dyadic_profile(false);
+        let p = Params {
+            pc_rate: 0.5,
+            ..params(11, 24, 60)
+        };
+        let s = p.num_ssets;
+        let unit = s as f64 * profile.game_cost[1];
+        let nature = NatureAgent::from_params(&p);
+        let pairs: Vec<(usize, usize)> = (0..p.generations)
+            .filter_map(|g| nature.schedule(s as u32, g).pc)
+            .map(|(t, l)| (t as usize, l as usize))
+            .collect();
+        let mut charged = Vec::new();
+        for compute_ranks in [2usize, 4, 8] {
+            let ranks = compute_ranks + 1;
+            let cfg = config(p.clone(), ranks, FitnessPolicy::OnDemand);
+            let (_, makespan) = run_distributed_timed(&cfg, &profile).unwrap();
+            let shared = pairs
+                .iter()
+                .filter(|&&(t, l)| owner_of(t, s, ranks) == owner_of(l, s, ranks))
+                .count();
+            let label = format!("{compute_ranks} compute ranks");
+            assert_eq!(makespan, (pairs.len() + shared) as f64 * unit, "{label}");
+            charged.push(makespan / unit);
+        }
+        // 32 PC generations: 50 → 37 S-game units from 2 to 8 compute
+        // ranks (0.74×), where the model's 2S / P charge gives 32 → 8.
+        assert_eq!(pairs.len(), 32, "PC generations");
+        assert_eq!(charged, [50.0, 38.0, 37.0], "S-game units at 2, 4, 8 compute ranks");
+    }
+
+    #[test]
+    fn timed_run_refuses_a_fault_plan() {
+        let mut cfg = config(params(1, 6, 10), 3, FitnessPolicy::OnDemand);
+        cfg.faults.kills = vec![RankKill {
+            rank: 1,
+            generation: 4,
+        }];
+        let err = run_distributed_timed(&cfg, &MachineProfile::bluegene_p()).unwrap_err();
+        let DistError::Params(msg) = err else {
+            panic!("expected a Params error, got {err}");
+        };
+        assert!(msg.contains("fault plan"), "{msg}");
     }
 }

@@ -7,6 +7,10 @@
 //! run, and on any rank's failure run the kill cascade and surface the
 //! restartable [`Degraded`] payload (docs/FAULT_TOLERANCE.md).
 //!
+//! The bodies are generic over the [`Messenger`] they talk through:
+//! [`launch`] runs them on [`Comm`] ranks, [`launch_timed`] on
+//! virtual-time [`TimedComm`] ranks, settled by the same fold.
+//!
 //! The generation-stepped runners (well-mixed, lattice) implement
 //! [`Generations`] instead, and its one [`Protocol`] impl is the
 //! generation frame: the boundary snapshot, kill check, generation timer,
@@ -14,9 +18,10 @@
 //! family's per-generation body.
 
 use super::DistError;
-use crate::collective::Collective;
+use crate::collective::{Collective, Messenger};
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
 use crate::faults::FaultPlan;
+use crate::simtime::{self, NetCosts, TimedComm};
 use evo_core::record::GenerationRecord;
 use std::ops::Range;
 use std::time::Duration;
@@ -53,12 +58,12 @@ fn recv_deadline(faults: &FaultPlan) -> Option<Duration> {
 }
 
 /// Source-filtered receive, deadline-bound when the fault plan set one.
-pub(super) fn recv_from<M: Send + Clone + 'static>(
-    comm: &Comm<M>,
+pub(super) fn recv_from<C: Messenger>(
+    comm: &C,
     faults: &FaultPlan,
     src: Rank,
     tag: Tag,
-) -> Result<Envelope<M>, ClusterError> {
+) -> Result<Envelope<C::Payload>, ClusterError> {
     match recv_deadline(faults) {
         Some(t) => comm.recv_timeout(Some(src), Some(tag), t),
         // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (a dead peer surfaces as RankDead, not a hang)")
@@ -135,12 +140,15 @@ pub(super) trait Protocol: Send + Sync + 'static {
     type Checkpoint: Send + 'static;
 
     /// Rank 0's whole run; on failure, the report built by [`stopped`].
-    fn coordinate(
+    fn coordinate<C: Messenger<Payload = Self::Msg>>(
         &self,
-        comm: &Comm<Self::Msg>,
+        comm: &C,
     ) -> Result<Self::Outcome, Box<Degraded<Self::Checkpoint>>>;
     /// A compute rank's whole run.
-    fn compute(&self, comm: &Comm<Self::Msg>) -> Result<Self::Piece, RankError>;
+    fn compute<C: Messenger<Payload = Self::Msg>>(
+        &self,
+        comm: &C,
+    ) -> Result<Self::Piece, RankError>;
     /// Does a compute rank's final piece match rank 0's outcome?
     fn agrees(outcome: &Self::Outcome, piece: &Self::Piece) -> bool;
 }
@@ -179,10 +187,9 @@ pub(super) trait Generations: Send + Sync + 'static {
     /// Run `generation` on this rank. With `whole` set, rank 0 must hold
     /// the complete state when it returns: a snapshot or the outcome
     /// follows.
-    fn step(
+    fn step<C: Messenger<Payload = Self::Msg>>(
         &self,
-        comm: &Comm<Self::Msg>,
-        coll: &Collective<'_, Comm<Self::Msg>>,
+        coll: &Collective<'_, C>,
         state: &mut Self::State,
         generation: u64,
         whole: bool,
@@ -222,7 +229,10 @@ impl<G: Generations> Protocol for G {
     type Piece = G::State;
     type Checkpoint = G::Checkpoint;
 
-    fn coordinate(&self, comm: &Comm<G::Msg>) -> Result<Self::Outcome, Box<Degraded<G::Checkpoint>>> {
+    fn coordinate<C: Messenger<Payload = G::Msg>>(
+        &self,
+        comm: &C,
+    ) -> Result<Self::Outcome, Box<Degraded<G::Checkpoint>>> {
         let (ctx, result) = run(self, comm);
         match result {
             Ok(()) => Ok(ctx),
@@ -238,7 +248,7 @@ impl<G: Generations> Protocol for G {
         }
     }
 
-    fn compute(&self, comm: &Comm<G::Msg>) -> Result<G::State, RankError> {
+    fn compute<C: Messenger<Payload = G::Msg>>(&self, comm: &C) -> Result<G::State, RankError> {
         let (ctx, result) = run(self, comm);
         result.map(|()| ctx.state)
     }
@@ -253,9 +263,9 @@ impl<G: Generations> Protocol for G {
 /// state alongside the loop's verdict: `Err` on the first fault-plan kill,
 /// detected peer failure, deadline expiry or protocol violation, with the
 /// state left at the last committed generation boundary.
-fn run<G: Generations>(
+fn run<G: Generations, C: Messenger<Payload = G::Msg>>(
     family: &G,
-    comm: &Comm<G::Msg>,
+    comm: &C,
 ) -> (RankCtx<G::State, G::Checkpoint>, Result<(), RankError>) {
     let schedule = family.schedule();
     let rank = comm.rank();
@@ -295,7 +305,7 @@ fn run<G: Generations>(
                 .checkpoint_every
                 .is_some_and(|e| e > 0 && next.is_multiple_of(e));
             let whole = fault_aware || periodic || next == target;
-            family.step(comm, &coll, &mut ctx.state, generation, whole)?;
+            family.step(&coll, &mut ctx.state, generation, whole)?;
             ctx.generation = next;
 
             if is_nature && periodic {
@@ -346,12 +356,26 @@ pub(super) fn launch<P: Protocol>(
     Ok((fold(results, faults.is_empty(), P::agrees)?, messages_sent))
 }
 
+/// [`launch`] on a healthy virtual-time machine priced by `net`, plus the
+/// makespan.
+pub(super) fn launch_timed<P: Protocol>(
+    ranks: usize,
+    net: NetCosts,
+    protocol: P,
+) -> Result<(P::Outcome, u64, f64), DistError<P::Checkpoint>> {
+    let (results, makespan, messages_sent) =
+        simtime::run_timed_counted(ranks, net, move |comm: &TimedComm<P::Msg>| {
+            run_rank(&protocol, comm)
+        });
+    Ok((fold(results, true, P::agrees)?, messages_sent, makespan))
+}
+
 /// Run one rank's body. A rank that fails kills itself before returning —
 /// the cascade: peers blocked on it observe the death instead of waiting
 /// forever — and rank 0 then takes the dead-rank census.
-fn run_rank<P: Protocol>(
+fn run_rank<P: Protocol, C: Messenger<Payload = P::Msg>>(
     protocol: &P,
-    comm: &Comm<P::Msg>,
+    comm: &C,
 ) -> RankResult<P::Outcome, P::Piece, P::Checkpoint> {
     let rank = comm.rank();
     if rank == 0 {

@@ -29,7 +29,7 @@
 
 use super::driver::{self, Protocol, RankError};
 use super::{owned_range, Degraded, DistError};
-use crate::comm::Comm;
+use crate::collective::Messenger;
 use crate::faults::FaultPlan;
 use evo_core::fixation::{
     FixationBatch, FixationCheckpoint, FixationOutcome, FixationSpec, ReplicateResult,
@@ -151,10 +151,9 @@ pub fn run_fixation_distributed(
             config.spec.validate().map_err(|e| DistError::Params(e.to_string()))?;
         }
     }
-    let (mut outcome, messages_sent) =
+    let (outcome, messages_sent) =
         driver::launch(config.ranks, &config.faults.clone(), Farm { config })?;
-    outcome.messages_sent = messages_sent;
-    Ok(outcome)
+    Ok(FixationDistOutcome { outcome, messages_sent })
 }
 
 /// Compute ranks run their owned replicates in ascending index order and
@@ -163,7 +162,7 @@ pub fn run_fixation_distributed(
 /// and assembles the outcome.
 impl Protocol for Farm {
     type Msg = FixMsg;
-    type Outcome = FixationDistOutcome;
+    type Outcome = FixationOutcome;
     /// Nothing is replicated: every result already travelled to rank 0.
     type Piece = ();
     type Checkpoint = FixationCheckpoint;
@@ -172,10 +171,10 @@ impl Protocol for Farm {
     /// (rank-major, replicate-ascending) order, recording each result into a
     /// bookkeeping [`FixationBatch`]. On error, the report snapshots exactly
     /// what was received.
-    fn coordinate(
+    fn coordinate<C: Messenger<Payload = FixMsg>>(
         &self,
-        comm: &Comm<FixMsg>,
-    ) -> Result<FixationDistOutcome, Box<FixationDegradedRun>> {
+        comm: &C,
+    ) -> Result<FixationOutcome, Box<FixationDegradedRun>> {
         let mut batch = FixationBatch::new(self.config.spec.clone())
             // detlint: allow(panic-path, reason = "run_fixation_distributed validated this exact spec before any rank started; re-validation cannot fail")
             .expect("spec validated by run_fixation_distributed");
@@ -207,17 +206,12 @@ impl Protocol for Farm {
                 batch.record(result);
             }
         }
-        Ok(FixationDistOutcome {
-            outcome: batch.outcome(),
-            // Placeholder: `run_fixation_distributed` overwrites this with the
-            // exact post-join cluster total.
-            messages_sent: 0,
-        })
+        Ok(batch.outcome())
     }
 
     /// Compute-rank body: run owned, not-yet-completed replicates in ascending
     /// order, sharing one payoff cache across them, and send each result home.
-    fn compute(&self, comm: &Comm<FixMsg>) -> Result<(), RankError> {
+    fn compute<C: Messenger<Payload = FixMsg>>(&self, comm: &C) -> Result<(), RankError> {
         let rank = comm.rank();
         let owned = owned_range(rank, self.config.spec.replicates as usize, comm.size());
         let cache = Arc::new(PayoffCache::new(self.config.spec.params.game));
@@ -233,7 +227,7 @@ impl Protocol for Farm {
         Ok(())
     }
 
-    fn agrees(_: &FixationDistOutcome, (): &()) -> bool {
+    fn agrees(_: &FixationOutcome, (): &()) -> bool {
         true
     }
 }

@@ -35,8 +35,8 @@
 
 use super::driver::{self, Generations, RankError, Schedule};
 use super::{Degraded, DistError};
-use crate::collective::Collective;
-use crate::comm::{Comm, Rank};
+use crate::collective::{Collective, Messenger};
+use crate::comm::Rank;
 use crate::faults::FaultPlan;
 use evo_core::engine::{self, EvalScope, GenPlan};
 use evo_core::graph::GraphScope;
@@ -266,14 +266,14 @@ impl Generations for Lattice {
         }
     }
 
-    fn step(
+    fn step<C: Messenger<Payload = SpatialMsg>>(
         &self,
-        comm: &Comm<SpatialMsg>,
-        coll: &Collective<'_, Comm<SpatialMsg>>,
+        coll: &Collective<'_, C>,
         st: &mut RankState,
         generation: u64,
         whole: bool,
     ) -> Result<(), RankError> {
+        let comm = coll.comm();
         let (rank, ranks) = (comm.rank(), comm.size());
         let is_coord = rank == 0;
         let compute = ranks - 1;

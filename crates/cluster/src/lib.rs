@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::dist::{DegradedRun, DistConfig, DistError, DistOutcome};
     pub use crate::faults::{FaultAction, FaultPlan, MessageFault, MessageFaults, RankKill};
     pub use crate::perf::{MachineProfile, PerfModel, Workload};
-    pub use crate::simtime::{simulate_run, run_timed, NetCosts, TimedComm};
+    pub use crate::simtime::{run_timed, NetCosts, TimedComm};
     pub use crate::topology::{CollectiveTree, Torus3D};
 }
 

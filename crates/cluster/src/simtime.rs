@@ -2,37 +2,28 @@
 //! simulator layered on the functional cluster.
 //!
 //! Each rank carries a local virtual clock. Computation advances it
-//! explicitly ([`TimedComm::compute`]); every message is stamped with its
+//! explicitly ([`Messenger::compute`]); every message is stamped with its
 //! arrival time `send_clock + α + hops·c_hop` (hops from the torus
 //! topology), and a receive advances the receiver's clock to at least that
 //! arrival. The run's **makespan** — the maximum clock over all ranks — is
-//! the simulated wall-clock of the whole program, the LogP-style quantity
-//! (à la LogGOPSim) that bridges the purely functional engine and the
-//! closed-form model in [`crate::perf`]:
+//! the simulated wall-clock of the whole program (à la LogGOPSim).
 //!
-//! - the *analytic* model can reach 262,144 processors but idealises
-//!   pipelining and skew;
-//! - the *virtual-time simulator* runs the real message-by-message
-//!   protocol (collectives included, through the shared [`Messenger`]
-//!   trait) at rank counts a workstation can host, capturing tree
-//!   pipelining, stragglers, and serialisation exactly.
-//!
-//! [`simulate_run`] uses this to replay the distributed engine's §V
-//! communication pattern with *charged* (not executed) game time, giving
-//! simulated scaling curves that validate the analytic model's shape.
+//! [`crate::dist::run_distributed_timed`] runs the distributed engine's
+//! own generation frame on [`TimedComm`] ranks, each game a rank evaluates
+//! charged at the profile's per-game cost, so the makespan prices the
+//! protocol the engine runs, exactly and deterministically — the number
+//! `reproduce fig7` sets beside the closed-form model in [`crate::perf`].
 //!
 //! The simulator models a *healthy* machine: [`TimedComm`] keeps the
-//! [`Messenger`] trait's default deadline-free receive, so fault
-//! injection and recv deadlines (docs/FAULT_TOLERANCE.md) are a
-//! functional-engine concern that never skews makespans here.
+//! [`Messenger`] trait's default deadline-free receive, and the timed
+//! entry refuses a fault plan, so fault injection and recv deadlines
+//! (docs/FAULT_TOLERANCE.md) never skew makespans here.
 
-use crate::collective::{Collective, Messenger};
+use crate::collective::Messenger;
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
-use crate::perf::{MachineProfile, Workload};
+use crate::faults::MessageFaults;
+use crate::perf::MachineProfile;
 use crate::topology::Torus3D;
-use evo_core::fitness::FitnessPolicy;
-use evo_core::nature::NatureAgent;
-use evo_core::params::StrategyKind;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -73,40 +64,17 @@ impl NetCosts {
 /// A communicator whose sends and receives advance a per-rank virtual
 /// clock. Implements [`Messenger`], so every collective algorithm runs on
 /// it unchanged — each tree edge then contributes real simulated latency.
+#[derive(Debug)]
 pub struct TimedComm<T> {
     comm: Comm<Timed<T>>,
     clock: Cell<f64>,
     net: Arc<NetCosts>,
 }
 
-impl<T> std::fmt::Debug for TimedComm<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedComm")
-            .field("comm", &self.comm)
-            .field("clock", &self.clock)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + Clone + 'static> TimedComm<T> {
-    /// Wrap a raw communicator.
-    pub fn new(comm: Comm<Timed<T>>, net: Arc<NetCosts>) -> Self {
-        TimedComm {
-            comm,
-            clock: Cell::new(0.0),
-            net,
-        }
-    }
-
+impl<T> TimedComm<T> {
     /// This rank's current virtual time.
     pub fn now(&self) -> f64 {
         self.clock.get()
-    }
-
-    /// Charge `seconds` of local computation.
-    pub fn compute(&self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        self.clock.set(self.clock.get() + seconds);
     }
 }
 
@@ -128,7 +96,7 @@ impl<T: Send + Clone + 'static> Messenger for TimedComm<T> {
     }
 
     fn recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Result<Envelope<T>, ClusterError> {
-        // detlint: allow(comm-discipline, reason = "virtual-time wrapper: TimedComm models a fault-free network (no kills, no drops), so a blocking receive cannot deadlock; it forwards to the aliveness-aware Comm::recv underneath")
+        // detlint: allow(comm-discipline, reason = "virtual-time wrapper: TimedComm models a fault-free network (no injected kills, no drops), and it forwards to the aliveness-aware Comm::recv underneath, so a rank that fails and kills itself surfaces as RankDead, not a hang")
         let env = self.comm.recv(src, tag)?;
         // Conservative clock rule: the receive completes no earlier than
         // both the local clock and the message's arrival.
@@ -141,6 +109,19 @@ impl<T: Send + Clone + 'static> Messenger for TimedComm<T> {
             payload: env.payload.payload,
         })
     }
+
+    fn kill(&self) {
+        self.comm.kill();
+    }
+
+    fn is_alive(&self, rank: Rank) -> bool {
+        self.comm.is_alive(rank)
+    }
+
+    fn compute(&self, seconds: f64) {
+        debug_assert!(seconds >= 0.0);
+        self.clock.set(self.clock.get() + seconds);
+    }
 }
 
 /// Run `body` on `size` timed ranks; returns each rank's result paired
@@ -151,115 +132,35 @@ where
     R: Send + 'static,
     F: Fn(&TimedComm<T>) -> R + Send + Sync + 'static,
 {
+    let (results, makespan, _) = run_timed_counted(size, net, body);
+    (results, makespan)
+}
+
+/// [`run_timed`] plus the cluster's exact message total.
+pub(crate) fn run_timed_counted<T, R, F>(size: usize, net: NetCosts, body: F) -> (Vec<R>, f64, u64)
+where
+    T: Send + Clone + 'static,
+    R: Send + 'static,
+    F: Fn(&TimedComm<T>) -> R + Send + Sync + 'static,
+{
     let net = Arc::new(net);
-    let results = VirtualCluster::run(size, move |comm: Comm<Timed<T>>| {
-        let timed = TimedComm::new(comm, Arc::clone(&net));
-        let r = body(&timed);
-        (r, timed.now())
-    });
+    let (results, messages_sent) =
+        VirtualCluster::run_with_faults_counted(size, MessageFaults::default(), move |comm| {
+            let timed = TimedComm { comm, clock: Cell::new(0.0), net: Arc::clone(&net) };
+            let r = body(&timed);
+            (r, timed.now())
+        });
     let makespan = results
         .iter()
         .map(|(_, t)| *t)
         .fold(0.0f64, f64::max);
-    (results.into_iter().map(|(r, _)| r).collect(), makespan)
-}
-
-/// Simulate the distributed engine's per-generation protocol (§V-B) with
-/// charged compute time: virtual ranks exchange the real schedule /
-/// fitness / update messages while game play is *charged* from the
-/// profile's per-game cost instead of executed. Returns the simulated
-/// wall-clock seconds of the whole run.
-///
-/// This is the discrete-event counterpart of
-/// [`crate::perf::PerfModel::predict`]; the two agree on shape (tested)
-/// while the simulation additionally captures pipelining and skew.
-pub fn simulate_run(
-    workload: &Workload,
-    profile: &MachineProfile,
-    ranks: usize,
-    policy: FitnessPolicy,
-    seed: u64,
-) -> f64 {
-    assert!(ranks >= 2, "Nature Agent plus at least one compute rank");
-    let net = NetCosts::from_profile(profile, ranks);
-    let game_cost = profile.game_cost[workload.mem_steps];
-    let num_ssets = workload.num_ssets as usize;
-    let generations = workload.generations;
-    let nature = NatureAgent {
-        pc_rate: workload.pc_rate,
-        mutation_rate: workload.mutation_rate,
-        beta: 1.0,
-        teacher_must_be_fitter: true,
-        kind: StrategyKind::Pure,
-        mutation_kind: Default::default(),
-        seed,
-    };
-    let (_, makespan) = run_timed(ranks, net, move |comm: &TimedComm<u64>| {
-        let coll = Collective::new(comm);
-        let rank = comm.rank();
-        let is_nature = rank == 0;
-        for generation in 0..generations {
-            // Schedule broadcast.
-            let schedule = nature.schedule(num_ssets as u32, generation);
-            let encoded = match schedule.pc {
-                Some((t, l)) => 1 + ((t as u64) << 32 | l as u64),
-                None => 0,
-            };
-            let word = coll
-                .bcast(0, is_nature.then_some(encoded))
-                .expect("schedule bcast");
-            let pc = (word != 0).then(|| {
-                let w = word - 1;
-                ((w >> 32) as usize, (w & 0xffff_ffff) as usize)
-            });
-            // Charge game dynamics. Following §V, an SSet's agents (one
-            // per opponent game) are spread across the compute nodes, so
-            // per-rank work is the global game count divided by the
-            // compute ranks — exactly what the analytic model charges.
-            let compute_ranks = comm.size() - 1;
-            if !is_nature {
-                let games_total = match policy {
-                    FitnessPolicy::EveryGeneration => num_ssets * num_ssets,
-                    FitnessPolicy::OnDemand => {
-                        if pc.is_some() {
-                            2 * num_ssets
-                        } else {
-                            0
-                        }
-                    }
-                };
-                // Balanced share, quantised up (the straggler defines the
-                // generation's critical path).
-                let my_games = games_total.div_ceil(compute_ranks);
-                comm.compute(my_games as f64 * game_cost);
-            }
-            // Fitness returns: every compute rank holds agents of the
-            // selected SSets, so the teacher's and learner's partial sums
-            // flow to the Nature Agent as reductions over the tree.
-            if pc.is_some() {
-                for _ in 0..2 {
-                    let _ = coll.reduce(0, 1u64, |a, b| a + b).expect("fitness reduce");
-                }
-                let _ = coll
-                    .bcast(0, is_nature.then_some(1u64))
-                    .expect("outcome bcast");
-            }
-            // Mutation broadcast.
-            if schedule.mutation.is_some() {
-                let _ = coll
-                    .bcast(0, is_nature.then_some(2u64))
-                    .expect("mutation bcast");
-            }
-        }
-        0u8
-    });
-    makespan
+    (results.into_iter().map(|(r, _)| r).collect(), makespan, messages_sent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::PerfModel;
+    use crate::collective::Collective;
 
     fn net(ranks: usize) -> NetCosts {
         NetCosts {
@@ -341,85 +242,5 @@ mod tests {
         for (r, &t) in results.iter().enumerate() {
             assert!(t >= 3.0, "rank {r} clock {t} behind straggler");
         }
-    }
-
-    #[test]
-    fn simulated_run_matches_analytic_model_shape() {
-        // Same workload, shrunk to simulator scale: efficiency from the
-        // discrete-event simulation must decrease with ranks and stay
-        // within the unit interval, and runtime within 3x of the analytic
-        // model at every point.
-        let profile = MachineProfile::bluegene_p();
-        let model = PerfModel::new(profile.clone());
-        let w = Workload {
-            num_ssets: 256,
-            mem_steps: 6,
-            generations: 40,
-            pc_rate: 0.2,
-            mutation_rate: 0.05,
-            policy: FitnessPolicy::OnDemand,
-        };
-        let mut last_time = f64::INFINITY;
-        for compute_ranks in [2usize, 4, 8, 16] {
-            let sim = simulate_run(&w, &profile, compute_ranks + 1, w.policy, 7);
-            let analytic = model.predict(&w, compute_ranks as u64);
-            assert!(sim > 0.0);
-            assert!(
-                sim < last_time * 1.05,
-                "simulated time should not grow with ranks: {sim} after {last_time}"
-            );
-            let ratio = sim / analytic;
-            assert!(
-                (0.2..=5.0).contains(&ratio),
-                "{compute_ranks} ranks: simulated {sim} vs analytic {analytic}"
-            );
-            last_time = sim;
-        }
-    }
-
-    #[test]
-    fn simulated_weak_scaling_is_flat() {
-        // The Fig 6 property, reproduced by discrete-event simulation:
-        // SSets proportional to compute ranks, OnDemand policy.
-        let profile = MachineProfile::bluegene_p();
-        let mut times = Vec::new();
-        for compute_ranks in [2usize, 4, 8] {
-            let w = Workload {
-                num_ssets: 64 * compute_ranks as u64,
-                mem_steps: 6,
-                generations: 30,
-                pc_rate: 0.2,
-                mutation_rate: 0.05,
-                policy: FitnessPolicy::OnDemand,
-            };
-            times.push(simulate_run(&w, &profile, compute_ranks + 1, w.policy, 3));
-        }
-        let (min, max) = (
-            times.iter().cloned().fold(f64::INFINITY, f64::min),
-            times.iter().cloned().fold(0.0f64, f64::max),
-        );
-        assert!(
-            max / min < 1.6,
-            "weak scaling should stay near-flat: {times:?}"
-        );
-    }
-
-    #[test]
-    fn every_generation_policy_costs_more_than_on_demand() {
-        let profile = MachineProfile::bluegene_p();
-        let w = Workload {
-            num_ssets: 128,
-            mem_steps: 3,
-            generations: 20,
-            pc_rate: 0.1,
-            mutation_rate: 0.05,
-            policy: FitnessPolicy::EveryGeneration,
-        };
-        let every = simulate_run(&w, &profile, 5, FitnessPolicy::EveryGeneration, 1);
-        let lazy = simulate_run(&w, &profile, 5, FitnessPolicy::OnDemand, 1);
-        assert!(
-            every > lazy * 3.0,
-            "full evaluation {every} should dwarf on-demand {lazy}"
-        );
     }
 }

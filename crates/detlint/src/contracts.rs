@@ -159,7 +159,8 @@ pub const DOMAIN_OWNERS: &[(&str, &[&str])] = &[
 ];
 
 /// Files whose panic paths must be typed or reason-annotated: the
-/// distributed protocol layer, the engine transition hot path, the
+/// distributed protocol layer and the virtual-time messenger it also runs
+/// on, the engine transition hot path, the
 /// populations, fixation kernel and record layer that call the pair path
 /// and decode checkpoints, the strategy pool whose census every backend
 /// takes each generation, and the job server with its family seam and
@@ -171,6 +172,7 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/cluster/src/dist/graph.rs",
     "crates/cluster/src/collective.rs",
     "crates/cluster/src/comm.rs",
+    "crates/cluster/src/simtime.rs",
     "crates/evo-core/src/engine.rs",
     "crates/evo-core/src/fitness.rs",
     "crates/evo-core/src/fixation.rs",

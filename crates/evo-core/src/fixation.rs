@@ -1,5 +1,5 @@
 //! Fixation-probability workloads: resident-vs-mutant invasion batches
-//! and round-robin tournaments (docs/FIXATION.md; ROADMAP item 3).
+//! and round-robin tournaments (docs/FIXATION.md).
 //!
 //! The Moran-process study this family reproduces asks one question many
 //! times: seed a single mutant strategy into an otherwise uniform resident

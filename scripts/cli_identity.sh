@@ -28,15 +28,15 @@
 #   - wall times ("in 0.12s", a manifest's elapsed / per-generation / span
 #     fields);
 #   - the `dead ranks [...]` census of a degraded run and which dead rank
-#     its reason names first (kill-cascade race, ROADMAP 4b);
+#     its reason names first (kill-cascade race, ROADMAP 8(a));
 #   - the boundary generation of a killed well-mixed distributed run
-#     (ROADMAP 4b: `--kill-at 30` degrades at 30, 31 or 32): in the
+#     (ROADMAP 8(a): `--kill-at 30` degrades at 30, 31 or 32): in the
 #     `kill-dist*` commands the generation of the degraded line and of the
 #     checkpoint line and the resumed runs' `messages N` are masked, and
 #     `kill-dist.json`, its manifest, the shared resume's sampled CSV (its
 #     sample points count from the boundary) and the `wm-faulty` job's
 #     spool checkpoint and receipt counters are left out;
-#   - process-global counters that race on every commit (ROADMAP item 2):
+#   - process-global counters that race on every commit (ROADMAP 8(a)):
 #     in shared-memory `fixate`'s manifest the four counters two rayon
 #     workers missing the same cold cache entry both bump
 #     (payoff_cache_{hits,misses}, games_played, rounds_simulated), and

@@ -142,3 +142,74 @@ fn wsls_takeover_raises_population_payoff() {
     );
     assert!(after > 2.2, "cooperative regime pays near R = 3, got {after:.3}");
 }
+
+/// The lifting identity over a whole run (Gaffney, Harper & Knight,
+/// arXiv:1912.04493): a memory-n pure strategy read at memory m > n —
+/// the move for state `s` is the original's for `s & mask_n` — plays
+/// every game exactly as the original. So a memory-one population and the
+/// same population lifted to memory three, with no mutation (a mutant
+/// would be drawn from the wider space) and no noise, evolve identically
+/// under pairwise comparison: per generation the same events with the
+/// same fitness bits, and the same assignment trajectory read through the
+/// lift. Their state digests differ, because the digest covers the
+/// strategies' feature vectors, which are four entries long at memory one
+/// and 64 at memory three.
+#[test]
+fn lifted_population_evolves_identically_over_a_whole_run() {
+    let (narrow, wider) = (StateSpace::new(1).unwrap(), StateSpace::new(3).unwrap());
+    let lift = |s: &Strategy| match s {
+        Strategy::Pure(p) => {
+            Strategy::Pure(PureStrategy::from_fn(wider, |st| p.move_for(st & narrow.mask())))
+        }
+        Strategy::Mixed(_) => unreachable!("a pure population stays pure without mutation"),
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(1912);
+    let mut tables = vec![classic::tft(&narrow), classic::wsls(&narrow), classic::all_d(&narrow)];
+    tables.extend((0..5).map(|_| PureStrategy::random(narrow, &mut rng)));
+    let population = |mem_steps, policy, map: &dyn Fn(&Strategy) -> Strategy| {
+        let params = Params {
+            mem_steps,
+            num_ssets: 16,
+            generations: 300,
+            pc_rate: 0.5,
+            mutation_rate: 0.0,
+            seed: 4099,
+            ..Params::default()
+        };
+        assert_eq!(params.game.noise, 0.0);
+        let strategy = |i: usize| map(&Strategy::Pure(tables[i % tables.len()].clone()));
+        let mut pop = Population::new_uniform(params, strategy(0)).unwrap();
+        for i in 1..16 {
+            pop.set_strategy(i, strategy(i * 3));
+        }
+        pop.fitness_policy = policy;
+        pop
+    };
+    for policy in [FitnessPolicy::EveryGeneration, FitnessPolicy::OnDemand] {
+        let mut base = population(1, policy, &|s: &Strategy| s.clone());
+        let mut lifted = population(3, policy, &lift);
+        let mut adopted = 0;
+        for g in 0..300 {
+            let (a, b) = (base.step(), lifted.step());
+            let at = format!("{policy:?} generation {g}");
+            assert_eq!(a.events, b.events, "{at}: events and their fitness bits");
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            assert_eq!(bits(a.mean_fitness), bits(b.mean_fitness), "{at}");
+            assert_eq!(bits(a.max_fitness), bits(b.max_fitness), "{at}");
+            let fitness = |p: &Population| p.fitness().iter().map(|f| f.to_bits()).collect();
+            let (narrow_bits, wide_bits): (Vec<u64>, Vec<u64>) = (fitness(&base), fitness(&lifted));
+            assert_eq!(narrow_bits, wide_bits, "{at}: fitness vector");
+            for i in 0..16 {
+                let (narrow_table, wide_table) = (base.strategy_of(i), lifted.strategy_of(i));
+                assert_eq!(lift(narrow_table), **wide_table, "{at}: SSet {i} through the lift");
+            }
+            adopted += usize::from(a.population_changed());
+        }
+        assert!(adopted > 10, "{policy:?}: the run moved the population ({adopted} adoptions)");
+        let digest = |p: &Population| {
+            let snap = p.snapshot();
+            evogame::engine::record::state_digest(&snap.assignments, &snap.features)
+        };
+        assert_ne!(digest(&base), digest(&lifted), "{policy:?}: the digests see the memory depth");
+    }
+}
