@@ -26,6 +26,16 @@
 //! and `RunStats` — for all three update rules; the integration tests
 //! assert this rank-count by rank-count.
 //!
+//! A compute rank keeps the owned fitness block of its last full
+//! evaluation together with the strategy table it was evaluated on. Most
+//! generations of an every-generation run leave the table unchanged; when
+//! every game on it is deterministic (pure strategies, no noise) a full
+//! evaluation of the same table returns that block instead of probing the
+//! payoff cache `owned × S` times. The answer counts those probes as the
+//! cache hits they would have been, and games accounting still counts the
+//! schedule, so every counter, message and bit is what re-evaluation gives.
+//! [`DistConfig::disable_payoff_cache`] turns the block off with the cache.
+//!
 //! # Fault tolerance
 //!
 //! The engine is built to terminate with a *typed* outcome under any
@@ -360,14 +370,18 @@ pub fn run_distributed(config: &DistConfig) -> Result<DistOutcome, DistError> {
 ///
 /// # Errors
 ///
-/// As [`run_distributed`]; a non-empty fault plan is [`DistError::Params`].
+/// As [`run_distributed`]; a fault plan that schedules a fault or sets a
+/// receive deadline is [`DistError::Params`].
 pub fn run_distributed_timed(
     config: &DistConfig,
     profile: &MachineProfile,
 ) -> Result<(DistOutcome, f64), DistError> {
-    if !config.faults.is_empty() {
+    // `is_empty` counts scheduled faults only; a deadline is refused too,
+    // because virtual-time receives cannot honour one.
+    if !config.faults.is_empty() || config.faults.recv_timeout_ms.is_some() {
         return Err(DistError::Params(
-            "a timed run models a healthy machine: the fault plan must be empty".into(),
+            "a timed run models a healthy machine: the fault plan must be empty and set no receive deadline"
+                .into(),
         ));
     }
     let spec = WellMixed::new(config, Some(profile))?;
@@ -388,6 +402,21 @@ struct RankState {
     /// Excluded from checkpoints by design: a resumed run restarts it
     /// cold and still reproduces the identical trajectory (cost-only).
     cache: PayoffCache,
+    /// The owned fitness block of this rank's last full evaluation, kept
+    /// only when the run has a cache and every game of that table was
+    /// deterministic ([`OwnedBlock`]). Cost-only and left out of
+    /// checkpoints like the cache: a resumed rank starts without one.
+    block: Option<OwnedBlock>,
+}
+
+/// A compute rank's owned fitness block and the strategy table it was
+/// evaluated on. Among pure strategies in a noiseless game an SSet's
+/// fitness is a function of the table alone, and the pool never reuses an
+/// id, so an equal table is the same population: a full evaluation of it
+/// gives these values again, bit for bit.
+struct OwnedBlock {
+    assignments: Vec<StratId>,
+    fitness: Vec<(usize, f64)>,
 }
 
 impl Generations for WellMixed {
@@ -421,6 +450,7 @@ impl Generations for WellMixed {
             events: Vec::new(),
             owned: owned_range(rank, self.config.params.num_ssets, ranks),
             cache: PayoffCache::new(self.config.params.game),
+            block: None,
         };
         if !self.config.disable_payoff_cache && self.config.resume.is_some() {
             // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
@@ -477,6 +507,7 @@ impl Generations for WellMixed {
             seed: params.seed,
             faults: &self.config.faults,
             cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
+            block: &mut st.block,
             game_cost: self.game_cost,
         }
         .provide(&plan)?;
@@ -542,34 +573,58 @@ struct RankProvider<'a, C> {
     /// and every rank computes identical values from the replicated
     /// strategy table, so caching cannot skew any message payload.
     cache: Option<&'a PayoffCache>,
+    /// The rank's owned fitness block ([`OwnedBlock`]): a full evaluation
+    /// of an unchanged table answers from it, any other refreshes it.
+    block: &'a mut Option<OwnedBlock>,
     game_cost: f64,
 }
 
 impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
+    fn pairs(&self) -> PairPayoff<'_> {
+        PairPayoff::new(self.space, self.pool, self.game, self.cache)
+    }
+
+    /// `(sset, fitness)` of the owned SSets `needed`, one
+    /// [`PairPayoff::evaluate_one`] each.
+    fn evaluate(&self, needed: impl Iterator<Item = usize>, generation: u64) -> Vec<(usize, f64)> {
+        let pairs = self.pairs();
+        needed
+            .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, generation, s)))
+            .collect()
+    }
+
+    /// The whole owned block, from the kept [`OwnedBlock`] while the table
+    /// is the one it was evaluated on. Its answer counts the
+    /// `owned × num_ssets` probes the skipped evaluation would have made
+    /// as the hits they would have been ([`PairPayoff::count_reused`]).
+    fn owned_block(&mut self, generation: u64) -> Vec<(usize, f64)> {
+        if let Some(block) = self.block.as_ref().filter(|b| b.assignments == self.assignments) {
+            self.pairs().count_reused((block.fitness.len() * self.num_ssets) as u64);
+            return block.fitness.clone();
+        }
+        let fitness = self.evaluate(self.owned.clone(), generation);
+        let reusable = self.cache.is_some() && self.pairs().all_deterministic(self.assignments);
+        *self.block = reusable.then(|| OwnedBlock {
+            assignments: self.assignments.to_vec(),
+            fitness: fitness.clone(),
+        });
+        fitness
+    }
+
     fn provide(&mut self, plan: &GenPlan) -> Result<Provided, RankError> {
         let comm = self.coll.comm();
         // (2) Game dynamics: local, no communication (§V-A).
-        let local: Vec<(usize, f64)> = {
-            let needed: Vec<usize> = match plan.eval {
-                EvalScope::None => Vec::new(),
-                EvalScope::Pair { teacher, learner } => self
-                    .owned
-                    .clone()
-                    .filter(|&s| s == teacher as usize || s == learner as usize)
-                    .collect(),
-                EvalScope::Full => self.owned.clone().collect(),
-                // Lattice plans belong to the spatial engine
-                // ([`graph::run_spatial_distributed`]), which shards by
-                // rows, not SSet blocks.
-                EvalScope::Neighborhood(_) => {
-                    return Err(RankError::Protocol("well-mixed evaluation scope"))
-                }
-            };
-            let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
-            needed
-                .into_iter()
-                .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, plan.generation, s)))
-                .collect()
+        let local: Vec<(usize, f64)> = match plan.eval {
+            EvalScope::None => Vec::new(),
+            EvalScope::Pair { teacher, learner } => self.evaluate(
+                self.owned.clone().filter(|&s| s == teacher as usize || s == learner as usize),
+                plan.generation,
+            ),
+            EvalScope::Full => self.owned_block(plan.generation),
+            // Lattice plans belong to the spatial engine
+            // ([`graph::run_spatial_distributed`]), which shards by rows,
+            // not SSet blocks.
+            EvalScope::Neighborhood(_) => return Err(RankError::Protocol("well-mixed evaluation scope")),
         };
         // Each focal SSet is `num_ssets` games, charged before any fitness
         // leaves this rank.
@@ -862,14 +917,31 @@ mod tests {
         assert_eq!(out.stats.generations, 20);
     }
 
+    /// `p`'s shared-memory run: its events per generation, and the
+    /// population it ends on.
+    fn reference_run(p: &Params) -> (Vec<Vec<Event>>, Population) {
+        let mut reference = Population::new(p.clone()).unwrap();
+        let events = (0..p.generations).map(|_| reference.step().events).collect();
+        (events, reference)
+    }
+
+    /// A distributed outcome against the shared-memory run of the same
+    /// params: events (fitness bits included), assignments and `RunStats`.
+    fn assert_matches_reference(out: &DistOutcome, reference: &(Vec<Vec<Event>>, Population), label: &str) {
+        assert_eq!(out.events, reference.0, "{label}: events");
+        assert_eq!(out.assignments, reference.1.assignments(), "{label}: assignments");
+        assert_eq!(out.stats, *reference.1.stats(), "{label}: RunStats");
+    }
+
     #[test]
     fn mixed_strategy_population_distributes() {
+        // Mixed strategies play stochastic games, so a rank may not reuse
+        // its owned fitness block even while the table is unchanged: a
+        // reused row would change fitness bits without flipping a decision.
         let mut p = params(13, 8, 30);
         p.kind = evo_core::params::StrategyKind::Mixed;
-        let mut reference = Population::new(p.clone()).unwrap();
-        reference.run(30);
-        let out = run_distributed(&config(p, 4, FitnessPolicy::EveryGeneration)).unwrap();
-        assert_eq!(out.assignments, reference.assignments());
+        let out = run_distributed(&config(p.clone(), 4, FitnessPolicy::EveryGeneration)).unwrap();
+        assert_matches_reference(&out, &reference_run(&p), "mixed");
     }
 
     #[test]
@@ -886,12 +958,52 @@ mod tests {
 
     #[test]
     fn noisy_games_still_match_reference() {
+        // Noise makes pure strategies' games stochastic: as for mixed ones,
+        // every generation's fitness is played afresh.
         let mut p = params(17, 6, 30);
         p.game.noise = 0.05;
-        let mut reference = Population::new(p.clone()).unwrap();
-        reference.run(30);
-        let out = run_distributed(&config(p, 3, FitnessPolicy::EveryGeneration)).unwrap();
-        assert_eq!(out.assignments, reference.assignments());
+        let out = run_distributed(&config(p.clone(), 3, FitnessPolicy::EveryGeneration)).unwrap();
+        assert_matches_reference(&out, &reference_run(&p), "noisy");
+    }
+
+    #[test]
+    fn long_every_generation_runs_match_every_oracle() {
+        use evo_core::params::UpdateRule;
+        // At the default PC and mutation rates most generations leave the
+        // strategy table unchanged, so a compute rank answers them from
+        // its owned fitness block. The run must still be the shared-memory
+        // run, the uncached run (which never reuses a block), and a resume
+        // from a mid-run checkpoint (whose ranks start with no block).
+        for rule in [
+            UpdateRule::PairwiseComparison,
+            UpdateRule::Moran,
+            UpdateRule::ImitateBest,
+        ] {
+            let mut p = params(43, 10, 300);
+            p.rule = rule;
+            let reference = reference_run(&p);
+            let unchanged = reference.0.iter().filter(|events| events.is_empty()).count();
+            assert!(unchanged > 150, "{rule:?}: {unchanged} event-free generations");
+
+            let mut cfg = config(p.clone(), 4, FitnessPolicy::EveryGeneration);
+            cfg.checkpoint_every = Some(160);
+            let out = run_distributed(&cfg).unwrap();
+            assert_matches_reference(&out, &reference, &format!("{rule:?}"));
+
+            let mut off = config(p, 4, FitnessPolicy::EveryGeneration);
+            off.disable_payoff_cache = true;
+            let off = run_distributed(&off).unwrap();
+            assert_matches_reference(&off, &reference, &format!("{rule:?} uncached"));
+
+            let cp = out.checkpoint.expect("periodic checkpoint present");
+            assert_eq!(cp.generation, 160, "{rule:?}");
+            let mut resumed = config(cp.params.clone(), 4, FitnessPolicy::EveryGeneration);
+            resumed.resume = Some(cp);
+            let resumed = run_distributed(&resumed).unwrap();
+            assert_eq!(resumed.events, reference.0[160..], "{rule:?} resumed: events");
+            assert_eq!(resumed.assignments, reference.1.assignments(), "{rule:?} resumed: assignments");
+            assert_eq!(resumed.stats, *reference.1.stats(), "{rule:?} resumed: RunStats");
+        }
     }
 
     #[test]
@@ -1217,15 +1329,28 @@ mod tests {
 
     #[test]
     fn timed_run_refuses_a_fault_plan() {
-        let mut cfg = config(params(1, 6, 10), 3, FitnessPolicy::OnDemand);
-        cfg.faults.kills = vec![RankKill {
-            rank: 1,
-            generation: 4,
-        }];
-        let err = run_distributed_timed(&cfg, &MachineProfile::bluegene_p()).unwrap_err();
-        let DistError::Params(msg) = err else {
-            panic!("expected a Params error, got {err}");
+        let kill = FaultPlan {
+            kills: vec![RankKill {
+                rank: 1,
+                generation: 4,
+            }],
+            ..FaultPlan::default()
         };
-        assert!(msg.contains("fault plan"), "{msg}");
+        // A deadline alone schedules no fault, but a timed run cannot
+        // honour it, so it is refused rather than silently dropped.
+        let deadline = FaultPlan {
+            recv_timeout_ms: Some(2_000),
+            ..FaultPlan::default()
+        };
+        assert!(deadline.is_empty(), "a deadline alone leaves the plan empty");
+        for (faults, label) in [(kill, "kill"), (deadline, "deadline only")] {
+            let mut cfg = config(params(1, 6, 10), 3, FitnessPolicy::OnDemand);
+            cfg.faults = faults;
+            let err = run_distributed_timed(&cfg, &MachineProfile::bluegene_p()).unwrap_err();
+            let DistError::Params(msg) = err else {
+                panic!("{label}: expected a Params error, got {err}");
+            };
+            assert!(msg.contains("fault plan"), "{label}: {msg}");
+        }
     }
 }

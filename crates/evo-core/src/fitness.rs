@@ -156,8 +156,18 @@ impl<'a> PairPayoff<'a> {
 
     /// `true` when every pair among `ids` is deterministic — the soundness
     /// condition for deduplicating sampled games.
-    pub(crate) fn all_deterministic(&self, ids: &[StratId]) -> bool {
+    pub fn all_deterministic(&self, ids: &[StratId]) -> bool {
         ids.iter().all(|&id| self.deterministic(id, id).is_some())
+    }
+
+    /// Count `probes` probes that the caller answered from fitness it kept
+    /// from its own earlier evaluation of the same strategy table through
+    /// this cache, as the hits they would have been: that evaluation took
+    /// every pair into the cache, which never evicts. The whole-row
+    /// counterpart of a `MemoSession` answer or a `PairTable` reuse.
+    pub fn count_reused(&self, probes: u64) {
+        debug_assert!(self.cache.is_some(), "only a cached evaluation can be reused");
+        obs::counters().add(obs::Counter::PayoffCacheHits, probes);
     }
 
     /// Focal payoffs of `focal` against up to [`LANES`] `opponents` (any

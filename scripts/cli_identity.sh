@@ -10,7 +10,8 @@
 # down, every update rule on both backends, mixed strategies with noise
 # (short games, and full 200-round games at memory 6),
 # the evaluator flags (--dedup, --expected-fitness, also on a resumed
-# run), population sizes that leave a partial lockstep group at
+# run), every-generation distributed runs (pure, mixed and noisy, resumed)
+# with their probe counters, population sizes that leave a partial lockstep group at
 # memory 2 / 3 / 6, both cycle detectors (memory 3 and 4) and a
 # deterministic fractional lattice game, which must skip the cycle payout,
 # the strategy census (a pool far larger than the
@@ -125,6 +126,11 @@ run_list() {
     c run-mem4 run --ssets 9 --mem 4 --generations 6 --seed 6 --rounds 300
     c run-mem6 run --ssets 9 --mem 6 --generations 6 --seed 6 --rounds 50
     c dist-tail distributed --ranks 3 --ssets 13 --mem 2 --generations 20 --seed 5 --every-generation
+    # Every-generation distributed runs whose compute ranks answer an
+    # unchanged table from their owned fitness block (pure, noiseless),
+    # or must not (mixed and noisy), with the probes in a manifest.
+    c dist-eg-manifest distributed --ranks 3 $WM --every-generation --manifest-out dist-eg.manifest.json
+    c dist-mixed-eg distributed --ranks 3 --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20 --every-generation --manifest-out dist-mixed-eg.manifest.json
     # The census: a pool far larger than the population (mutation at every
     # other generation), the Pair scope's one census for two expected rows,
     # and the dedup path's hits, misses and games in a manifest.
@@ -163,6 +169,8 @@ run_list() {
     c cp-dist-resume-shared run --resume cp-dist.json --records cp-dist-resume.jsonl
     c cp-dist-resume distributed --ranks 4 --resume cp-dist.json --checkpoint-out cp-dist-2.json
     c cp-dist-resume-every distributed --resume cp-dist.json --checkpoint-every 20 --checkpoint-out cp-dist-3.json
+    # Its ranks start with no fitness block and a prewarmed cache.
+    c cp-dist-resume-eg distributed --ranks 3 --every-generation --resume cp-dist.json --manifest-out cp-dist-resume-eg.manifest.json
     # Expected fitness on a resumed run starts on a warm cache (cp-run.json
     # holds the run's last generation, so the snapshot at 50 of 60 it is).
     c cp-dist-resume-expected run --resume cp-dist.json --expected-fitness --manifest-out cp-dist-resume-expected.manifest.json

@@ -222,6 +222,11 @@ fn send_into_a_returned_ranks_inbox_counts_no_comm_message() {
 /// `small_params(17)` over 30 generations, as the per-probe counters read.
 const DIST_PROBES: (u64, u64, u64) = (7570, 110, 7680);
 const DIST_DIGEST: u64 = 0x5732_3e6f_2723_9b7c;
+/// The same for 300 generations, most of which leave the strategy table
+/// unchanged: a compute rank answers those from its owned fitness block,
+/// and its probes must still read as the warm evaluations they replace.
+const DIST_LONG_PROBES: (u64, u64, u64) = (76589, 211, 76800);
+const DIST_LONG_DIGEST: u64 = 0xce3f_f22f_5465_6f90;
 /// Games after 1 and after 10 generations of the 16×12 lattice, and its
 /// digest then.
 const LATTICE_GAMES: (u64, u64) = (1728, 17280);
@@ -253,6 +258,15 @@ fn payoff_cache_probes_add_up_to_the_games_of_a_cached_run() {
     assert_eq!(hits + misses, out.stats.games_played);
     assert_eq!((hits, misses, out.stats.games_played), DIST_PROBES);
     assert_eq!(state_digest(&out.assignments, &out.features), DIST_DIGEST);
+
+    let baseline = obs::counters().snapshot();
+    let mut params = small_params(17);
+    params.generations = 300;
+    let out = run_distributed(&DistConfig::new(params, 3, FitnessPolicy::EveryGeneration)).unwrap();
+    let (hits, misses) = cache_probes_since(&baseline);
+    assert_eq!(hits + misses, out.stats.games_played);
+    assert_eq!((hits, misses, out.stats.games_played), DIST_LONG_PROBES);
+    assert_eq!(state_digest(&out.assignments, &out.features), DIST_LONG_DIGEST);
 
     // Lattice: rayon workers share the cache and may both miss a cold pair,
     // so the cold generation is pinned by its sum and the warm ones exactly.
