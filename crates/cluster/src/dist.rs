@@ -27,14 +27,15 @@
 //! assert this rank-count by rank-count.
 //!
 //! A compute rank keeps the owned fitness block of its last full
-//! evaluation together with the strategy table it was evaluated on. Most
+//! evaluation in a [`TableMemo`], the type a shared-memory `Population`
+//! keeps its own full evaluation in (docs/PERFORMANCE.md §2.2). Most
 //! generations of an every-generation run leave the table unchanged; when
 //! every game on it is deterministic (pure strategies, no noise) a full
 //! evaluation of the same table returns that block instead of probing the
 //! payoff cache `owned × S` times. The answer counts those probes as the
 //! cache hits they would have been, and games accounting still counts the
 //! schedule, so every counter, message and bit is what re-evaluation gives.
-//! [`DistConfig::disable_payoff_cache`] turns the block off with the cache.
+//! [`DistConfig::disable_payoff_cache`] turns the memo off with the cache.
 //!
 //! # Fault tolerance
 //!
@@ -76,7 +77,7 @@ use crate::perf::MachineProfile;
 use crate::simtime::NetCosts;
 use driver::{Generations, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
-use evo_core::fitness::{FitnessPolicy, PairPayoff};
+use evo_core::fitness::{FitnessPolicy, PairPayoff, TableMemo};
 use evo_core::nature::{Event, NatureAgent};
 use evo_core::params::Params;
 use evo_core::paycache::{PayoffCache, PayoffKind};
@@ -402,21 +403,11 @@ struct RankState {
     /// Excluded from checkpoints by design: a resumed run restarts it
     /// cold and still reproduces the identical trajectory (cost-only).
     cache: PayoffCache,
-    /// The owned fitness block of this rank's last full evaluation, kept
-    /// only when the run has a cache and every game of that table was
-    /// deterministic ([`OwnedBlock`]). Cost-only and left out of
-    /// checkpoints like the cache: a resumed rank starts without one.
-    block: Option<OwnedBlock>,
-}
-
-/// A compute rank's owned fitness block and the strategy table it was
-/// evaluated on. Among pure strategies in a noiseless game an SSet's
-/// fitness is a function of the table alone, and the pool never reuses an
-/// id, so an equal table is the same population: a full evaluation of it
-/// gives these values again, bit for bit.
-struct OwnedBlock {
-    assignments: Vec<StratId>,
-    fitness: Vec<(usize, f64)>,
+    /// The [`TableMemo`] of this rank's owned fitness block, kept only
+    /// when the run has a cache and every game of that table was
+    /// deterministic. Cost-only and left out of checkpoints like the cache:
+    /// a resumed rank starts without one.
+    memo: Option<TableMemo>,
 }
 
 impl Generations for WellMixed {
@@ -450,7 +441,7 @@ impl Generations for WellMixed {
             events: Vec::new(),
             owned: owned_range(rank, self.config.params.num_ssets, ranks),
             cache: PayoffCache::new(self.config.params.game),
-            block: None,
+            memo: None,
         };
         if !self.config.disable_payoff_cache && self.config.resume.is_some() {
             // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
@@ -507,7 +498,7 @@ impl Generations for WellMixed {
             seed: params.seed,
             faults: &self.config.faults,
             cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
-            block: &mut st.block,
+            memo: &mut st.memo,
             game_cost: self.game_cost,
         }
         .provide(&plan)?;
@@ -573,14 +564,15 @@ struct RankProvider<'a, C> {
     /// and every rank computes identical values from the replicated
     /// strategy table, so caching cannot skew any message payload.
     cache: Option<&'a PayoffCache>,
-    /// The rank's owned fitness block ([`OwnedBlock`]): a full evaluation
-    /// of an unchanged table answers from it, any other refreshes it.
-    block: &'a mut Option<OwnedBlock>,
+    /// The [`TableMemo`] of the rank's owned fitness block: a full
+    /// evaluation of an unchanged table answers from it, any other
+    /// refreshes it.
+    memo: &'a mut Option<TableMemo>,
     game_cost: f64,
 }
 
-impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
-    fn pairs(&self) -> PairPayoff<'_> {
+impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
+    fn pairs(&self) -> PairPayoff<'a> {
         PairPayoff::new(self.space, self.pool, self.game, self.cache)
     }
 
@@ -593,21 +585,22 @@ impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
             .collect()
     }
 
-    /// The whole owned block, from the kept [`OwnedBlock`] while the table
-    /// is the one it was evaluated on. Its answer counts the
+    /// The whole owned block, from the kept [`TableMemo`] while the table
+    /// is the one it was evaluated on; its answer counts the
     /// `owned × num_ssets` probes the skipped evaluation would have made
-    /// as the hits they would have been ([`PairPayoff::count_reused`]).
+    /// as the hits they would have been.
     fn owned_block(&mut self, generation: u64) -> Vec<(usize, f64)> {
-        if let Some(block) = self.block.as_ref().filter(|b| b.assignments == self.assignments) {
-            self.pairs().count_reused((block.fitness.len() * self.num_ssets) as u64);
-            return block.fitness.clone();
+        let kept = self.memo.as_ref().and_then(|m| m.reuse(self.assignments, PayoffKind::Sampled));
+        if let Some(values) = kept {
+            return self.owned.clone().zip(values.iter().copied()).collect();
         }
         let fitness = self.evaluate(self.owned.clone(), generation);
-        let reusable = self.cache.is_some() && self.pairs().all_deterministic(self.assignments);
-        *self.block = reusable.then(|| OwnedBlock {
-            assignments: self.assignments.to_vec(),
-            fitness: fitness.clone(),
-        });
+        let pairs = self.pairs();
+        *self.memo = pairs.all_deterministic(self.assignments).then(|| {
+            let values = fitness.iter().map(|&(_, f)| f).collect();
+            let probes = (fitness.len() * self.num_ssets) as u64;
+            pairs.table_memo(self.assignments, PayoffKind::Sampled, values, probes)
+        }).flatten();
         fitness
     }
 

@@ -39,7 +39,7 @@
 //! is what checkpoint/restore and the distributed engine's degraded-run
 //! recovery build on (docs/FAULT_TOLERANCE.md).
 
-use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff};
+use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff, TableMemo};
 use crate::graph::GraphScope;
 use crate::nature::{Event, GenSchedule, NatureAgent};
 use crate::params::UpdateRule;
@@ -275,37 +275,67 @@ impl FitnessProvider for LocalProvider<'_> {
                     games: 2 * s,
                 }
             }
-            EvalScope::Full => {
-                let _span = obs::span("population.fitness");
-                // The population counted once; whether dedup is sound is a
-                // question about its u distinct strategies, not its s SSets.
-                let distinct = (self.expected_fitness || self.dedup)
-                    .then(|| census(self.assignments))
-                    .filter(|census| self.expected_fitness || pairs.all_deterministic(census.ids()));
-                match distinct {
-                    Some(census) => {
-                        let kind = if self.expected_fitness {
-                            PayoffKind::Expected
-                        } else {
-                            PayoffKind::Sampled
-                        };
-                        let u = census.len() as u64;
-                        Provided {
-                            view: FitnessView::Full(pairs.evaluate_distinct(&census, kind, None)),
-                            games: u * u,
-                        }
-                    }
-                    None => Provided {
-                        view: FitnessView::Full(pairs.evaluate_naive(self.assignments, self.seed, plan.generation)),
-                        games: s * s,
-                    },
-                }
-            }
+            EvalScope::Full => self.full(plan.generation, None),
             EvalScope::Neighborhood(_) => {
                 // detlint: allow(panic-path, reason = "invariant: graph_plan() plans are driven only by graph-structured populations, whose providers implement Neighborhood; routing one into the well-mixed LocalProvider is a backend wiring bug, not a runtime condition")
                 panic!("LocalProvider is well-mixed; Neighborhood plans need a graph provider")
             }
         }
+    }
+}
+
+impl LocalProvider<'_> {
+    /// Every SSet's fitness, inside a `population.fitness` span: over the
+    /// census where that is sound — expected fitness
+    /// ([`PayoffKind::Expected`]), or `dedup` over all-deterministic
+    /// strategies ([`PayoffKind::Sampled`]) — and by the paper's naive
+    /// schedule otherwise.
+    ///
+    /// `memo` holds the caller's [`TableMemo`] of a census evaluation and
+    /// the number of distinct strategies in its table. A census evaluation
+    /// of the memo's table and kind is answered from it, and any other
+    /// refreshes it. The naive schedule neither reads nor writes it, and
+    /// is chosen before any table is compared.
+    pub(crate) fn full(&self, generation: u64, memo: Option<&mut Option<(TableMemo, usize)>>) -> Provided {
+        let _span = obs::span("population.fitness");
+        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
+        let naive = || {
+            let s = self.assignments.len() as u64;
+            Provided {
+                view: FitnessView::Full(pairs.evaluate_naive(self.assignments, self.seed, generation)),
+                games: s * s,
+            }
+        };
+        if !(self.expected_fitness || self.dedup) {
+            return naive();
+        }
+        let kind = if self.expected_fitness {
+            PayoffKind::Expected
+        } else {
+            PayoffKind::Sampled
+        };
+        let by_census = |values: Vec<f64>, u: usize| Provided {
+            view: FitnessView::Full(values),
+            games: (u * u) as u64,
+        };
+        if let Some((kept, u)) = memo.as_deref().and_then(Option::as_ref) {
+            if let Some(values) = kept.reuse(self.assignments, kind) {
+                return by_census(values.to_vec(), *u);
+            }
+        }
+        // The population counted once; whether dedup is sound is a
+        // question about its u distinct strategies, not its s SSets.
+        let census = census(self.assignments);
+        if kind == PayoffKind::Sampled && !pairs.all_deterministic(census.ids()) {
+            return naive();
+        }
+        let u = census.len();
+        let values = pairs.evaluate_distinct(&census, kind, None);
+        if let Some(memo) = memo {
+            let probes = (u * u) as u64;
+            *memo = pairs.table_memo(self.assignments, kind, values.clone(), probes).map(|kept| (kept, u));
+        }
+        by_census(values, u)
     }
 }
 

@@ -160,14 +160,20 @@ impl<'a> PairPayoff<'a> {
         ids.iter().all(|&id| self.deterministic(id, id).is_some())
     }
 
-    /// Count `probes` probes that the caller answered from fitness it kept
-    /// from its own earlier evaluation of the same strategy table through
-    /// this cache, as the hits they would have been: that evaluation took
-    /// every pair into the cache, which never evicts. The whole-row
-    /// counterpart of a `MemoSession` answer or a `PairTable` reuse.
-    pub fn count_reused(&self, probes: u64) {
-        debug_assert!(self.cache.is_some(), "only a cached evaluation can be reused");
-        obs::counters().add(obs::Counter::PayoffCacheHits, probes);
+    /// Keep `values`, an evaluation of `kind` over `assignments` that made
+    /// `probes` probes of this cache, as a [`TableMemo`]; `None` without a
+    /// cache. Every pair of the evaluation must be memoisable:
+    /// [`PayoffKind::Expected`], or deterministic
+    /// ([`PairPayoff::all_deterministic`], which the caller has checked
+    /// already to choose its evaluator).
+    pub fn table_memo(&self, assignments: &[StratId], kind: PayoffKind, values: Vec<f64>, probes: u64) -> Option<TableMemo> {
+        debug_assert!(kind == PayoffKind::Expected || self.all_deterministic(assignments));
+        self.cache.map(|_| TableMemo {
+            assignments: assignments.to_vec(),
+            kind,
+            values,
+            probes,
+        })
     }
 
     /// Focal payoffs of `focal` against up to [`LANES`] `opponents` (any
@@ -388,6 +394,41 @@ impl<'a> PairPayoff<'a> {
             }
         }
         inserted
+    }
+}
+
+/// A table memo: the values of one cached evaluation, kept with the
+/// strategy table and payoff kind it ran on and the probes it made
+/// ([`PairPayoff::table_memo`]). Every pair of that evaluation was
+/// memoisable, so its values are a function of the table and the kind
+/// alone, and the pool never reuses an id: an evaluation of an equal table
+/// of the same kind gives them again, bit for bit, and would find every
+/// pair in the cache, which never evicts. [`TableMemo::reuse`] answers such
+/// an evaluation and counts its probes as those hits. Cost-only state: a
+/// shared-memory population keeps one for its full evaluation, a
+/// distributed compute rank one for its owned block.
+#[derive(Debug, Clone)]
+pub struct TableMemo {
+    assignments: Vec<StratId>,
+    kind: PayoffKind,
+    values: Vec<f64>,
+    probes: u64,
+}
+
+impl TableMemo {
+    /// The strategy table the kept evaluation ran on.
+    pub(crate) fn assignments(&self) -> &[StratId] {
+        &self.assignments
+    }
+
+    /// The kept values if `assignments` and `kind` are the memo's, their
+    /// probes counted as cache hits. `None` for any other table or kind.
+    pub fn reuse(&self, assignments: &[StratId], kind: PayoffKind) -> Option<&[f64]> {
+        if kind != self.kind || assignments != self.assignments.as_slice() {
+            return None;
+        }
+        obs::counters().add(obs::Counter::PayoffCacheHits, self.probes);
+        Some(&self.values)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The generation loop tying game dynamics to population dynamics
 //! (paper §IV, Fig 1's Agents / SSets / Nature Agent hierarchy).
 
-use crate::engine::{self, FitnessProvider, FitnessView, LocalProvider};
-use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff};
+use crate::engine::{self, EvalScope, FitnessProvider, FitnessView, LocalProvider};
+use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff, TableMemo};
 use crate::nature::NatureAgent;
 use crate::params::{Params, ParamsError, StrategyKind};
 use crate::paycache::{PayoffCache, PayoffKind};
@@ -82,6 +82,12 @@ pub struct Population {
     /// evaluator never reads it, and every other one gives the bits it
     /// would give without it.
     payoff_cache: PayoffCache,
+    /// The [`TableMemo`] of the last census evaluation of every SSet's
+    /// fitness, with the number of distinct strategies in its table: a
+    /// `dedup` or expected-fitness run answers a full evaluation of an
+    /// unchanged table from it (docs/PERFORMANCE.md §2.2). Cost-only and,
+    /// like the cache, left out of checkpoints.
+    memo: Option<(TableMemo, usize)>,
 }
 
 impl Population {
@@ -119,6 +125,7 @@ impl Population {
             dedup: false,
             expected_fitness: false,
             payoff_cache: PayoffCache::new(params.game),
+            memo: None,
             params,
         }
     }
@@ -215,7 +222,7 @@ impl Population {
             self.fitness_policy,
             gen,
         );
-        let provided = LocalProvider {
+        let mut provider = LocalProvider {
             space: &self.space,
             assignments: &self.assignments,
             pool: &self.pool,
@@ -226,8 +233,11 @@ impl Population {
             kernel: GameKernel::Naive,
             expected_fitness: self.expected_fitness,
             cache: Some(&self.payoff_cache),
-        }
-        .provide(&plan);
+        };
+        let provided = match plan.eval {
+            EvalScope::Full => provider.full(gen, Some(&mut self.memo)),
+            _ => provider.provide(&plan),
+        };
         let delta = engine::apply(
             &self.nature,
             &self.space,
@@ -248,7 +258,11 @@ impl Population {
                 self.gen_timings.push(ns);
             }
         }
-        delta.into_record(gen, mean, max, self.distinct_strategies())
+        let distinct = match &self.memo {
+            Some((kept, u)) if kept.assignments() == self.assignments => *u,
+            _ => self.distinct_strategies(),
+        };
+        delta.into_record(gen, mean, max, distinct)
     }
 
     /// Run `generations` steps, discarding per-generation records.
@@ -960,6 +974,185 @@ mod tests {
         let added = exact.prewarm_payoff_cache();
         assert!(added > 0);
         assert_eq!(exact.payoff_cache_len(), sampled_entries + added);
+    }
+
+    /// Every SSet's fitness over `pop`'s current table by a fresh
+    /// `LocalProvider` with `pop`'s flags: no cache, no memo.
+    fn fresh_fitness(pop: &Population) -> Vec<u64> {
+        let plan = engine::GenPlan {
+            generation: pop.generation,
+            rule: pop.params.rule,
+            policy: FitnessPolicy::EveryGeneration,
+            schedule: crate::nature::GenSchedule { pc: None, mutation: None },
+            eval: EvalScope::Full,
+            need: engine::FitnessNeed::Full,
+        };
+        let provided = LocalProvider {
+            space: &pop.space,
+            assignments: &pop.assignments,
+            pool: &pop.pool,
+            game: &pop.params.game,
+            seed: pop.params.seed,
+            exec_mode: ExecMode::Rayon,
+            dedup: pop.dedup,
+            kernel: GameKernel::Naive,
+            expected_fitness: pop.expected_fitness,
+            cache: None,
+        }
+        .provide(&plan);
+        match provided.view {
+            FitnessView::Full(v) => bits(&v),
+            other => panic!("a full evaluation gave {other:?}"),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Step `pop` `generations` times. After every step that evaluated
+    /// fitness, `fitness()` must be, bit for bit, a fresh evaluation of the
+    /// table it ran on, and every record's census the table's. Returns the
+    /// number of evaluations of a table the previous one ran on.
+    fn step_against_fresh_evaluations(pop: &mut Population, generations: u64, label: &str) -> usize {
+        let mut evaluated: Option<Vec<StratId>> = None;
+        let mut repeats = 0;
+        for _ in 0..generations {
+            let table = pop.assignments.clone();
+            let want = fresh_fitness(pop);
+            let evaluations = pop.stats.fitness_evaluations;
+            let rec = pop.step();
+            let g = rec.generation;
+            assert_eq!(rec.distinct_strategies, pop.distinct_strategies(), "{label}: census at {g}");
+            if pop.stats.fitness_evaluations > evaluations {
+                assert_eq!(bits(pop.fitness()), want, "{label}: fitness at {g}");
+                repeats += usize::from(evaluated.as_ref() == Some(&table));
+                evaluated = Some(table);
+            }
+        }
+        repeats
+    }
+
+    fn memo_params(mem_steps: usize, rule: UpdateRule, seed: u64) -> Params {
+        Params {
+            mem_steps,
+            rule,
+            num_ssets: 12,
+            generations: 500,
+            seed,
+            game: ipd::game::GameConfig {
+                rounds: 20,
+                ..ipd::game::GameConfig::default()
+            },
+            ..Params::default()
+        }
+    }
+
+    #[test]
+    fn table_memo_answers_are_fresh_evaluations_for_every_rule() {
+        // Default PC and mutation rates leave most tables unchanged, so the
+        // memo answers most evaluations here.
+        let rules = [UpdateRule::PairwiseComparison, UpdateRule::Moran, UpdateRule::ImitateBest];
+        for mem in [1, 2] {
+            for (k, rule) in rules.into_iter().enumerate() {
+                // On demand, a comparison evaluates its pair alone; Moran
+                // and ImitateBest still evaluate every SSet.
+                let on_demand = (rule != UpdateRule::PairwiseComparison).then_some(FitnessPolicy::OnDemand);
+                for policy in std::iter::once(FitnessPolicy::EveryGeneration).chain(on_demand) {
+                    let label = format!("memory {mem} {rule:?} {policy:?}");
+                    let mut pop = Population::new(memo_params(mem, rule, 80 + k as u64)).unwrap();
+                    pop.dedup = true;
+                    pop.fitness_policy = policy;
+                    let repeats = step_against_fresh_evaluations(&mut pop, 500, &label);
+                    let evaluations = pop.stats.fitness_evaluations as usize;
+                    if policy == FitnessPolicy::EveryGeneration {
+                        assert!(2 * repeats > evaluations, "{label}: {repeats} of {evaluations} repeat a table");
+                    }
+                    assert!(pop.memo.is_some(), "{label}: a pure noiseless dedup run keeps a memo");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_memo_answers_are_fresh_expected_evaluations_of_mixed_strategies() {
+        let mut p = memo_params(1, UpdateRule::Moran, 90);
+        p.kind = StrategyKind::Mixed;
+        let mut pop = Population::new(p).unwrap();
+        pop.expected_fitness = true;
+        let repeats = step_against_fresh_evaluations(&mut pop, 500, "expected mixed");
+        assert!(2 * repeats > 500, "{repeats} of 500 repeat a table");
+        // The sampled schedule of a mixed population is never memoised.
+        pop.expected_fitness = false;
+        pop.memo = None;
+        step_against_fresh_evaluations(&mut pop, 20, "sampled mixed");
+        assert!(pop.memo.is_none());
+        pop.dedup = true;
+        step_against_fresh_evaluations(&mut pop, 20, "dedup mixed");
+        assert!(pop.memo.is_none());
+    }
+
+    #[test]
+    fn table_memo_is_keyed_on_the_payoff_kind_and_the_table() {
+        let mut p = memo_params(1, UpdateRule::PairwiseComparison, 91);
+        p.pc_rate = 0.0;
+        p.mutation_rate = 0.0;
+        let mut pop = Population::new(p).unwrap();
+        pop.dedup = true;
+        step_against_fresh_evaluations(&mut pop, 3, "sampled");
+        // The table never changes; every flip of a flag is a new question.
+        // A Sampled memo must not answer an Expected step: that step probes
+        // the cache for the Expected pairs, and takes them in.
+        let sampled_entries = pop.payoff_cache_len();
+        pop.expected_fitness = true;
+        step_against_fresh_evaluations(&mut pop, 3, "expected");
+        assert!(pop.payoff_cache_len() > sampled_entries, "the Expected step was answered from the Sampled memo");
+        for (dedup, expected) in [(false, true), (true, false), (false, false), (true, true), (true, false)] {
+            pop.dedup = dedup;
+            pop.expected_fitness = expected;
+            step_against_fresh_evaluations(&mut pop, 3, &format!("dedup {dedup} expected {expected}"));
+        }
+        // The naive schedule leaves the memo as it was.
+        let memo_table = |pop: &Population| pop.memo.as_ref().map(|(m, u)| (m.assignments().to_vec(), *u));
+        let kept = memo_table(&pop);
+        pop.dedup = false;
+        step_against_fresh_evaluations(&mut pop, 3, "naive");
+        assert_eq!(memo_table(&pop), kept);
+
+        // A strategy set between steps is a new table; setting the one an
+        // SSet already holds is the same table.
+        pop.dedup = true;
+        let space = *pop.space();
+        for (i, s) in [classic::all_d(&space), classic::tft(&space), classic::all_c(&space)].into_iter().enumerate() {
+            pop.set_strategy(i, Strategy::Pure(s));
+            step_against_fresh_evaluations(&mut pop, 2, &format!("set_strategy {i}"));
+        }
+        let kept = memo_table(&pop);
+        let same = (**pop.strategy_of(5)).clone();
+        pop.set_strategy(5, same);
+        step_against_fresh_evaluations(&mut pop, 2, "set_strategy unchanged");
+        assert_eq!(memo_table(&pop), kept);
+    }
+
+    #[test]
+    fn table_memo_resume_is_bit_identical_to_the_uninterrupted_run() {
+        for rule in [UpdateRule::PairwiseComparison, UpdateRule::Moran, UpdateRule::ImitateBest] {
+            let p = memo_params(2, rule, 92);
+            let mut straight = Population::new(p.clone()).unwrap();
+            straight.dedup = true;
+            let want: Vec<_> = (0..500).map(|_| (straight.step(), bits(straight.fitness()))).collect();
+
+            let mut first = Population::new(p).unwrap();
+            first.dedup = true;
+            first.run(230);
+            let mut resumed = Population::restore(first.checkpoint()).unwrap();
+            assert!(resumed.memo.is_none(), "a checkpoint carries no memo");
+            resumed.dedup = true;
+            let got: Vec<_> = (0..270).map(|_| (resumed.step(), bits(resumed.fitness()))).collect();
+            assert_eq!(got, want[230..], "{rule:?}");
+            assert_eq!(resumed.stats(), straight.stats(), "{rule:?}");
+            assert_eq!(resumed.assignments(), straight.assignments(), "{rule:?}");
+        }
     }
 
     #[test]

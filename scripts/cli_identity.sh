@@ -10,7 +10,7 @@
 # down, every update rule on both backends, mixed strategies with noise
 # (short games, and full 200-round games at memory 6),
 # the evaluator flags (--dedup, --expected-fitness, also on a resumed
-# run), every-generation distributed runs (pure, mixed and noisy, resumed)
+# run, and long runs that reuse their table memo), every-generation distributed runs (pure, mixed and noisy, resumed)
 # with their probe counters, population sizes that leave a partial lockstep group at
 # memory 2 / 3 / 6, both cycle detectors (memory 3 and 4) and a
 # deterministic fractional lattice game, which must skip the cycle payout,
@@ -137,6 +137,11 @@ run_list() {
     c run-deadpool run --ssets 16 --mem 3 --generations 2000 --mu 0.5 --seed 8 --dedup --records run-deadpool.jsonl
     c run-expected-od run $WM --expected-fitness --on-demand --records run-expected-od.jsonl
     c wm_cached-manifest run --ssets 512 --mem 1 --generations 200 --seed 12 --dedup --manifest-out wm_cached.manifest.json
+    # The table memo: long every-generation runs that answer an unchanged
+    # table from it, sampled (dedup, Moran) and expected (mixed), with
+    # their probes in a manifest.
+    c run-memo-moran run --ssets 64 --mem 2 --generations 3000 --seed 17 --dedup --rule moran --records run-memo-moran.jsonl --manifest-out run-memo-moran.manifest.json
+    c run-memo-expected run --ssets 24 --generations 1500 --seed 18 --mixed --expected-fitness --records run-memo-expected.jsonl --manifest-out run-memo-expected.manifest.json
     # The lattice.
     c sp-shared spatial $SP --records sp-shared.jsonl --render --manifest-out sp-shared.manifest.json
     c sp-ranks spatial $SP --ranks 3 --records sp-ranks.jsonl --manifest-out sp-ranks.manifest.json

@@ -227,6 +227,11 @@ const DIST_DIGEST: u64 = 0x5732_3e6f_2723_9b7c;
 /// and its probes must still read as the warm evaluations they replace.
 const DIST_LONG_PROBES: (u64, u64, u64) = (76589, 211, 76800);
 const DIST_LONG_DIGEST: u64 = 0xce3f_f22f_5465_6f90;
+/// The same for a 300-generation shared-memory `dedup` run of
+/// `small_params(17)`: a population answers an unchanged table from its
+/// table memo, whose probes must read as the warm evaluations they replace.
+const SHARED_LONG_PROBES: (u64, u64, u64) = (20627, 142, 20769);
+const SHARED_LONG_DIGEST: u64 = 0xce3f_f22f_5465_6f90;
 /// Games after 1 and after 10 generations of the 16×12 lattice, and its
 /// digest then.
 const LATTICE_GAMES: (u64, u64) = (1728, 17280);
@@ -267,6 +272,19 @@ fn payoff_cache_probes_add_up_to_the_games_of_a_cached_run() {
     assert_eq!(hits + misses, out.stats.games_played);
     assert_eq!((hits, misses, out.stats.games_played), DIST_LONG_PROBES);
     assert_eq!(state_digest(&out.assignments, &out.features), DIST_LONG_DIGEST);
+
+    // Shared memory: one census-wide probe session per generation.
+    let baseline = obs::counters().snapshot();
+    let mut params = small_params(17);
+    params.generations = 300;
+    let mut pop = Population::new(params).unwrap();
+    pop.dedup = true;
+    pop.run_to_end();
+    let (hits, misses) = cache_probes_since(&baseline);
+    let snap = pop.snapshot();
+    assert_eq!(hits + misses, pop.stats().games_played);
+    assert_eq!((hits, misses, pop.stats().games_played), SHARED_LONG_PROBES);
+    assert_eq!(state_digest(&snap.assignments, &snap.features), SHARED_LONG_DIGEST);
 
     // Lattice: rayon workers share the cache and may both miss a cold pair,
     // so the cold generation is pinned by its sum and the warm ones exactly.
