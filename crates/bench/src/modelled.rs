@@ -105,8 +105,9 @@ pub(crate) fn fig6(_: &Args) {
         &fn_rows,
     );
     println!(
-        "Per-rank message volume grows only with the collective-tree depth \
-         (logarithmically), not with the population — the communication-side \
+        "Per-rank message volume is flat: each fitness value a PC generation \
+         needs is pushed once by its owner to every other rank, so the total \
+         grows with the ranks, not with the population — the communication-side \
          basis of flat weak scaling."
     );
     let svg = LinePlot {

@@ -4,21 +4,28 @@
 //! Rank 0 is the **Nature Agent**; every other rank owns a contiguous block
 //! of SSets and keeps a full local copy of the strategy table ("all nodes
 //! need to maintain an up to date view of the strategies assigned to all
-//! other SSets", §V-B). One generation drives the three phases of the
-//! engine core (`evo_core::engine`, docs/ENGINE_CORE.md):
+//! other SSets", §V-B). Every rank runs the Nature Agent on its own
+//! replica: the counter-based streams let each rank "calculate its position
+//! individually" (§V), so one generation drives the three phases of the
+//! engine core (`evo_core::engine`, docs/ENGINE_CORE.md) on every rank:
 //!
-//! 1. rank 0 computes the [`GenPlan`] and **broadcasts** it over the
-//!    collective tree;
+//! 1. every rank computes the generation's [`GenPlan`] itself — it is pure
+//!    in `(seed, generation)`, so nothing is broadcast;
 //! 2. compute ranks run their owned SSets' games locally — "handled locally
-//!    with no communication" (§V-A) — and move what the plan needs: the
-//!    owners of a selected teacher/learner pair return those fitnesses to
-//!    rank 0 by **point-to-point** sends, while full-vector rules (Moran,
-//!    ImitateBest) **gather** every owned block to rank 0;
-//! 3. rank 0 applies the plan — resolving the comparison and generating any
-//!    mutation — and **broadcasts** the resulting
-//!    [`GenDecision`](engine::GenDecision) (the new
-//!    strategy travels with the broadcast);
-//! 4. every rank commits the decision to its local table.
+//!    with no communication" (§V-A) — and move only what the plan needs:
+//!    the owner of a selected teacher or learner **pushes** that fitness to
+//!    every other rank, and under full-vector rules (Moran, ImitateBest)
+//!    each compute rank pushes its owned block to every other rank. A
+//!    generation that schedules no comparison sends nothing;
+//! 3. every rank resolves the plan against those values — drawing any
+//!    mutant from `Domain::Mutation` itself — and commits the decision to
+//!    its own table. Rank 0 keeps the events and the authoritative
+//!    `RunStats`.
+//!
+//! This departs from the paper's §V-B, where rank 0 broadcasts the pair and
+//! the update: the same streams give every rank the same decision, so such
+//! a broadcast would carry nothing a rank cannot compute, and a PC
+//! generation waits on one hop (owner → every rank), not two.
 //!
 //! Because every phase is the engine core's own code driven by the same
 //! counter-based streams as the shared-memory engine, the distributed run
@@ -49,6 +56,11 @@
 //! - any rank that fails **kills itself** before returning, so the failure
 //!   cascades: peers blocked on it unblock with `RankDead` within one
 //!   generation instead of deadlocking;
+//! - a push to a rank that is already dead is not the sender's failure: a
+//!   rank learns of a death only through a receive it needs, or at the
+//!   teardown barrier. A killed rank therefore degrades the run at the
+//!   first generation at or after the kill whose need includes one of its
+//!   SSets — a pure function of the plan, the same on every run;
 //! - a degraded run surfaces a generation-boundary [`Checkpoint`] in the
 //!   [`DegradedRun`] it returns, and resuming from it reproduces the
 //!   uninterrupted trajectory bit for bit.
@@ -88,27 +100,21 @@ use ipd::game::GameConfig;
 use ipd::state::StateSpace;
 use serde::{Deserialize, Serialize};
 
-/// Point-to-point tag for fitness returns (collective tags live in their
+/// Point-to-point tag for fitness pushes (collective tags live in their
 /// own range, see `collective.rs`).
 const FITNESS_TAG: crate::comm::Tag = 1;
 
 /// Messages exchanged by the distributed engine.
 #[derive(Debug, Clone)]
 enum DistMsg {
-    /// Broadcast: this generation's plan (schedule plus fitness needs).
-    Plan(GenPlan),
-    /// Point-to-point: a selected SSet's relative fitness, returned to the
-    /// Nature Agent. Carries its generation so a fault-duplicated message
-    /// from an earlier generation is recognised as stale and discarded
-    /// instead of being mistaken for the current pair's fitness.
-    Fitness { sset: u32, value: f64, generation: u64 },
-    /// Gather leaf: one rank's owned block of the fitness vector, starting
-    /// at SSet `start` (full-vector rules).
-    OwnedFitness { start: u32, values: Vec<f64> },
-    /// Broadcast: the Nature Agent's resolved decision — rule outcome and
-    /// any mutation's new strategy travel together.
-    Decision(engine::GenDecision),
-    /// Collective plumbing (barriers / reductions of scalars).
+    /// Point-to-point push from an owner to every other rank: the fitness
+    /// of SSets `start..start + values.len()` — one SSet of a selected
+    /// pair, or a compute rank's owned block. Carries its generation so a
+    /// fault-duplicated message from an earlier generation is recognised
+    /// as stale and discarded, and one from a later generation is kept
+    /// for it, instead of either being mistaken for this one's.
+    Fitness { start: u32, values: Vec<f64>, generation: u64 },
+    /// Collective plumbing (the setup and teardown barriers).
     Scalar(#[allow(dead_code)] f64),
 }
 
@@ -408,6 +414,8 @@ struct RankState {
     /// deterministic. Cost-only and left out of checkpoints like the cache:
     /// a resumed rank starts without one.
     memo: Option<TableMemo>,
+    /// Pushes received before their generation, with their sender.
+    early: Vec<(Rank, DistMsg)>,
 }
 
 impl Generations for WellMixed {
@@ -442,6 +450,7 @@ impl Generations for WellMixed {
             owned: owned_range(rank, self.config.params.num_ssets, ranks),
             cache: PayoffCache::new(self.config.params.game),
             memo: None,
+            early: Vec::new(),
         };
         if !self.config.disable_payoff_cache && self.config.resume.is_some() {
             // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
@@ -467,28 +476,16 @@ impl Generations for WellMixed {
         generation: u64,
         _whole: bool,
     ) -> Result<(), RankError> {
-        let is_nature = coll.comm().rank() == 0;
         let params = &self.config.params;
         let num_ssets = params.num_ssets;
 
-        // (1) Nature plans the generation and broadcasts the plan.
-        let msg = is_nature.then(|| {
-            DistMsg::Plan(engine::plan(
-                &self.nature,
-                num_ssets as u32,
-                params.rule,
-                self.config.policy,
-                generation,
-            ))
-        });
-        let plan = match coll.bcast(0, msg)? {
-            DistMsg::Plan(p) => p,
-            _ => return Err(RankError::Protocol("generation plan")),
-        };
+        // (1) Every rank plans the generation itself: the plan is pure in
+        // `(seed, generation)`.
+        let plan = engine::plan(&self.nature, num_ssets as u32, params.rule, self.config.policy, generation);
 
         // (2) Game dynamics and fitness movement through the provider.
         let provided = RankProvider {
-            coll,
+            comm: coll.comm(),
             owned: st.owned.clone(),
             num_ssets,
             space: &self.space,
@@ -499,14 +496,15 @@ impl Generations for WellMixed {
             faults: &self.config.faults,
             cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
             memo: &mut st.memo,
+            early: &mut st.early,
             game_cost: self.game_cost,
         }
         .provide(&plan)?;
 
-        // (3) Nature applies the plan — the engine core owns all stats —
-        // and broadcasts the decision; (4) every rank commits it. PC-free,
-        // mutation-free generations broadcast nothing beyond the plan.
-        if is_nature {
+        // (3) Every rank decides and commits on its own table. Rank 0's
+        // `apply` keeps the events and the authoritative stats, and is the
+        // one count of the decision in the obs counters.
+        if coll.comm().rank() == 0 {
             let delta = engine::apply(
                 &self.nature,
                 &self.space,
@@ -516,20 +514,11 @@ impl Generations for WellMixed {
                 &mut st.pool,
                 &mut st.stats,
             );
-            if plan.has_update() {
-                coll.bcast(0, Some(DistMsg::Decision(delta.decision.clone())))?;
-            }
             st.events.push(delta.events);
-        } else if plan.has_update() {
-            match coll.bcast(0, None)? {
-                DistMsg::Decision(decision) => {
-                    // Compute ranks replay the commit on their replicated
-                    // table; rank 0's `stats` is the authoritative copy.
-                    let mut replica_stats = RunStats::default();
-                    engine::commit(&decision, &mut st.assignments, &mut st.pool, &mut replica_stats);
-                }
-                _ => return Err(RankError::Protocol("decision")),
-            }
+        } else {
+            let decision =
+                engine::decide(&self.nature, &self.space, &plan, &provided.view, &st.assignments, &st.pool);
+            engine::commit(&decision, &mut st.assignments, &mut st.pool, &mut RunStats::default());
         }
         Ok(())
     }
@@ -545,12 +534,11 @@ impl Generations for WellMixed {
 }
 
 /// Phase-2 fitness provider for one rank: evaluates the owned range the
-/// plan asks for and moves fitness to rank 0 — point-to-point for a PC
-/// pair, a gather over the collective tree for full-vector rules. SPMD:
-/// every rank runs it each generation so the collective schedules stay
-/// aligned.
+/// plan asks for, pushes the owned part of the plan's need to every other
+/// rank and receives the rest from its owners, so every rank ends with the
+/// same [`FitnessView`].
 struct RankProvider<'a, C> {
-    coll: &'a Collective<'a, C>,
+    comm: &'a C,
     owned: std::ops::Range<usize>,
     num_ssets: usize,
     space: &'a StateSpace,
@@ -568,6 +556,11 @@ struct RankProvider<'a, C> {
     /// evaluation of an unchanged table answers from it, any other
     /// refreshes it.
     memo: &'a mut Option<TableMemo>,
+    /// Ranks meet only where a value is needed, so an owner may run
+    /// generations ahead of a rank that still waits on it, and a delay
+    /// fault can put the owner's later push ahead of the one awaited.
+    /// Such a push waits here until its generation asks for it.
+    early: &'a mut Vec<(Rank, DistMsg)>,
     game_cost: f64,
 }
 
@@ -604,8 +597,72 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
         fitness
     }
 
+    /// Move the values of `pieces` — contiguous SSet ranges, each owned by
+    /// one compute rank — so that every rank holds them all: this rank
+    /// pushes the pieces it owns (their values in `local`) to every other
+    /// rank, then receives each other piece from its owner. Returns the
+    /// values in piece order.
+    fn exchange(
+        &mut self,
+        local: &[(usize, f64)],
+        pieces: &[std::ops::Range<usize>],
+        generation: u64,
+    ) -> Result<Vec<f64>, RankError> {
+        let comm = self.comm;
+        let owner = |piece: &std::ops::Range<usize>| owner_of(piece.start, self.num_ssets, comm.size());
+        let mut got: Vec<Option<Vec<f64>>> = pieces
+            .iter()
+            .map(|piece| {
+                (owner(piece) == comm.rank())
+                    .then(|| local.iter().filter(|(s, _)| piece.contains(s)).map(|&(_, f)| f).collect())
+            })
+            .collect();
+        // Sends never block, so every owner's pushes are on the wire before
+        // any rank waits.
+        for (piece, values) in pieces.iter().zip(&got) {
+            let Some(values) = values else { continue };
+            for dst in (0..comm.size()).filter(|&r| r != comm.rank()) {
+                let msg = DistMsg::Fitness { start: piece.start as u32, values: values.clone(), generation };
+                match comm.send(dst, FITNESS_TAG, msg) {
+                    // A dead receiver is not this rank's failure: it learns
+                    // of a death only through a receive it needs.
+                    Ok(()) | Err(ClusterError::RankDead(_)) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        // Receive from each missing piece's *owner* specifically: a
+        // source-filtered receive is aliveness-aware, so a dead owner
+        // surfaces as `RankDead` instead of a silent wait. A message fills
+        // the piece it names, whichever was asked for: one owner's two
+        // pushes may arrive reordered by a delay fault.
+        while let Some(want) = got.iter().position(Option::is_none) {
+            let src = owner(&pieces[want]);
+            let kept = self.early.iter().position(|(r, msg)| {
+                *r == src && matches!(msg, DistMsg::Fitness { generation: g, .. } if *g == generation)
+            });
+            let msg = match kept {
+                Some(i) => self.early.remove(i).1,
+                None => driver::recv_from(comm, self.faults, src, FITNESS_TAG)?.payload,
+            };
+            match msg {
+                // Stale fault-duplicated message from an earlier generation.
+                DistMsg::Fitness { generation: g, .. } if g < generation => {}
+                DistMsg::Fitness { generation: g, .. } if g > generation => self.early.push((src, msg)),
+                DistMsg::Fitness { start, values, .. } => {
+                    let i = pieces
+                        .iter()
+                        .position(|p| p.start == start as usize && p.len() == values.len())
+                        .ok_or(RankError::Protocol("a needed fitness piece"))?;
+                    got[i] = Some(values);
+                }
+                DistMsg::Scalar(_) => return Err(RankError::Protocol("fitness message")),
+            }
+        }
+        Ok(got.into_iter().flatten().flatten().collect())
+    }
+
     fn provide(&mut self, plan: &GenPlan) -> Result<Provided, RankError> {
-        let comm = self.coll.comm();
         // (2) Game dynamics: local, no communication (§V-A).
         let local: Vec<(usize, f64)> = match plan.eval {
             EvalScope::None => Vec::new(),
@@ -621,86 +678,25 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
         };
         // Each focal SSet is `num_ssets` games, charged before any fitness
         // leaves this rank.
-        comm.compute((local.len() * self.num_ssets) as f64 * self.game_cost);
+        self.comm.compute((local.len() * self.num_ssets) as f64 * self.game_cost);
 
-        // (2b) Move what the Nature Agent needs.
+        // (2b) Every rank gets what the decision needs.
         let view = match plan.need {
             FitnessNeed::None => FitnessView::None,
             FitnessNeed::Pair { teacher, learner } => {
-                if comm.rank() == 0 {
-                    // Receive from the pair's *owners* specifically: a
-                    // source-filtered receive is aliveness-aware, so a dead
-                    // owner surfaces as `RankDead` instead of a silent wait.
-                    let mut ft = None;
-                    let mut fl = None;
-                    // Loop until both slots are filled; breaking with the
-                    // values makes "both set" a type-level fact instead of
-                    // an expect() at the use sites.
-                    let (ft, fl) = loop {
-                        if let (Some(t), Some(l)) = (ft, fl) {
-                            break (t, l);
-                        }
-                        let want = if ft.is_none() { teacher } else { learner };
-                        let owner = owner_of(want as usize, self.num_ssets, comm.size());
-                        match driver::recv_from(comm, self.faults, owner, FITNESS_TAG)?.payload {
-                            DistMsg::Fitness { sset, value, generation } => {
-                                if generation != plan.generation {
-                                    // Stale fault-duplicated message from an
-                                    // earlier generation: discard.
-                                    continue;
-                                }
-                                if sset == teacher {
-                                    ft = Some(value);
-                                }
-                                if sset == learner {
-                                    fl = Some(value);
-                                }
-                            }
-                            _ => return Err(RankError::Protocol("fitness message")),
-                        }
-                    };
-                    FitnessView::Pair { teacher: ft, learner: fl }
-                } else {
-                    for &(s, f) in &local {
-                        if s == teacher as usize || s == learner as usize {
-                            comm.send(
-                                0,
-                                FITNESS_TAG,
-                                DistMsg::Fitness {
-                                    sset: s as u32,
-                                    value: f,
-                                    generation: plan.generation,
-                                },
-                            )?;
-                        }
-                    }
-                    FitnessView::None
-                }
+                let (t, l) = (teacher as usize, learner as usize);
+                let [teacher, learner] = self.exchange(&local, &[t..t + 1, l..l + 1], plan.generation)?[..] else {
+                    return Err(RankError::Protocol("one value per selected SSet"));
+                };
+                FitnessView::Pair { teacher, learner }
             }
             FitnessNeed::Full => {
-                // Full-vector rules: every rank contributes its owned block
-                // through one gather (rank 0's block is empty).
-                let block = DistMsg::OwnedFitness {
-                    start: self.owned.start as u32,
-                    values: local.iter().map(|&(_, f)| f).collect(),
-                };
-                match self.coll.gather(0, block)? {
-                    Some(blocks) => {
-                        let mut full = vec![0.0f64; self.num_ssets];
-                        for b in blocks {
-                            match b {
-                                DistMsg::OwnedFitness { start, values } => {
-                                    for (i, v) in values.into_iter().enumerate() {
-                                        full[start as usize + i] = v;
-                                    }
-                                }
-                                _ => return Err(RankError::Protocol("owned fitness block")),
-                            }
-                        }
-                        FitnessView::Full(full)
-                    }
-                    None => FitnessView::None,
-                }
+                let ranks = self.comm.size();
+                let blocks: Vec<_> = (1..ranks)
+                    .map(|r| owned_range(r, self.num_ssets, ranks))
+                    .filter(|block| !block.is_empty())
+                    .collect();
+                FitnessView::Full(self.exchange(&local, &blocks, plan.generation)?)
             }
         };
 
@@ -937,16 +933,32 @@ mod tests {
         assert_matches_reference(&out, &reference_run(&p), "mixed");
     }
 
+    /// A run's messages are its two barriers — a reduce and a broadcast,
+    /// `ranks − 1` messages each — plus `ranks − 1` pushes of every piece
+    /// a generation needs: the pair's two values in a PC generation, every
+    /// compute rank's block in a Moran one, nothing in a generation that
+    /// schedules no comparison (a mutation alone included).
     #[test]
-    fn message_volume_scales_with_generations() {
-        let short =
-            run_distributed(&config(params(3, 6, 10), 4, FitnessPolicy::OnDemand)).unwrap();
-        let long =
-            run_distributed(&config(params(3, 6, 100), 4, FitnessPolicy::OnDemand)).unwrap();
-        assert!(long.messages_sent > short.messages_sent);
-        // Every generation broadcasts at least the schedule: ≥ (ranks-1)
-        // messages per generation.
-        assert!(long.messages_sent >= 100 * 3);
+    fn messages_are_the_barriers_plus_one_push_per_needed_piece() {
+        use evo_core::params::UpdateRule;
+        let ranks = 4u64;
+        let barriers = 2 * 2 * (ranks - 1);
+        for (rule, pieces) in [(UpdateRule::PairwiseComparison, 2), (UpdateRule::Moran, ranks - 1)] {
+            for policy in [FitnessPolicy::OnDemand, FitnessPolicy::EveryGeneration] {
+                let mut p = params(3, 6, 100);
+                p.rule = rule;
+                let out = run_distributed(&config(p.clone(), ranks as usize, policy)).unwrap();
+                let label = format!("{rule:?}/{policy:?}");
+                assert!(out.stats.pc_events > 0, "{label}");
+                assert_eq!(out.messages_sent, barriers + out.stats.pc_events * pieces * (ranks - 1), "{label}");
+
+                p.pc_rate = 0.0;
+                p.mutation_rate = 0.5;
+                let quiet = run_distributed(&config(p, ranks as usize, policy)).unwrap();
+                assert!(quiet.stats.mutations > 0, "{label}");
+                assert_eq!(quiet.messages_sent, barriers, "{label}: mutations send nothing");
+            }
+        }
     }
 
     #[test]
@@ -1041,13 +1053,78 @@ mod tests {
             panic!("expected DegradedRun, got something else");
         };
         assert!(d.dead_ranks.contains(&2), "dead ranks: {:?}", d.dead_ranks);
-        // Rank 0's sends are asynchronous, so it may legitimately commit
-        // generations past the kill before it next *receives* from the dead
-        // rank — but never past the end of the run.
-        assert!(d.completed <= 40);
+        // Ranks commit generations past the kill until one needs a value
+        // the dead rank owns — never past the end of the run.
+        assert!((13..=40).contains(&d.completed));
         let cp = d.checkpoint.expect("fault-aware runs always checkpoint");
         assert_eq!(cp.generation, d.completed);
         assert_eq!(cp.schema_version, evo_core::record::CHECKPOINT_SCHEMA_VERSION);
+    }
+
+    /// Where a kill of `rank` at generation `kill` degrades a run of `p` on
+    /// `ranks` ranks: the first generation at or after the kill whose need
+    /// includes an SSet `rank` owns — the first receive that can observe
+    /// the death — else the end of the run, where the teardown barrier
+    /// observes it.
+    fn predicted_boundary(p: &Params, ranks: usize, rank: usize, kill: u64) -> u64 {
+        let nature = NatureAgent::from_params(p);
+        let n = p.num_ssets;
+        let owned = owned_range(rank, n, ranks);
+        (kill..p.generations)
+            .find(|&g| match engine::plan(&nature, n as u32, p.rule, FitnessPolicy::OnDemand, g).need {
+                FitnessNeed::None => false,
+                FitnessNeed::Pair { teacher, learner } => {
+                    owned.contains(&(teacher as usize)) || owned.contains(&(learner as usize))
+                }
+                FitnessNeed::Full => !owned.is_empty(),
+            })
+            .unwrap_or(p.generations)
+    }
+
+    #[test]
+    fn a_killed_rank_degrades_the_run_where_the_plan_predicts() {
+        use evo_core::params::UpdateRule;
+        // A push to a dead rank is not the sender's failure, so nothing
+        // races the first receive that needs the dead rank: every repeat
+        // degrades at the same generation, the one the plan predicts. The
+        // pairwise kill is placed so that a PC generation which needs no
+        // SSet of the dead rank comes first: its owners push to the dead
+        // rank, and must carry on.
+        for (rule, repeats) in [(UpdateRule::PairwiseComparison, 50), (UpdateRule::Moran, 10)] {
+            let mut p = params(19, 10, 40);
+            p.rule = rule;
+            let nature = NatureAgent::from_params(&p);
+            let first_pc = |k: u64| (k..p.generations).find(|&g| nature.schedule(10, g).pc.is_some());
+            let kill = match rule {
+                UpdateRule::PairwiseComparison => (1..p.generations)
+                    .find(|&k| first_pc(k) < Some(predicted_boundary(&p, 4, 2, k)))
+                    .expect("a PC generation between the kill and the boundary"),
+                _ => 13,
+            };
+            let boundary = predicted_boundary(&p, 4, 2, kill);
+            assert!(boundary < p.generations, "{rule:?}: a receive past the kill observes it");
+            for policy in [FitnessPolicy::OnDemand, FitnessPolicy::EveryGeneration] {
+                let mut cfg = config(p.clone(), 4, policy);
+                cfg.faults.kills = vec![RankKill { rank: 2, generation: kill }];
+                for run in 0..repeats {
+                    let Err(DistError::Degraded(d)) = run_distributed(&cfg) else {
+                        panic!("{rule:?}/{policy:?} run {run}: expected a degraded run");
+                    };
+                    let label = format!("{rule:?}/{policy:?} run {run}");
+                    assert_eq!(d.completed, boundary, "{label}");
+                    assert_eq!(d.checkpoint.map(|cp| cp.generation), Some(boundary), "{label}");
+                    assert!(d.dead_ranks.contains(&2), "{label}: {:?}", d.dead_ranks);
+                }
+            }
+        }
+        // Rank 0 owns no SSet, so no rank needs it: the kill stops rank 0
+        // at the kill itself and the compute ranks at the teardown barrier.
+        let mut cfg = config(params(19, 10, 40), 4, FitnessPolicy::OnDemand);
+        cfg.faults.kills = vec![RankKill { rank: 0, generation: 13 }];
+        let Err(DistError::Degraded(d)) = run_distributed(&cfg) else {
+            panic!("a killed rank 0 degrades the run");
+        };
+        assert_eq!(d.completed, 13);
     }
 
     #[test]
@@ -1127,30 +1204,64 @@ mod tests {
     }
 
     #[test]
-    fn dropped_message_degrades_instead_of_hanging() {
-        // Drop the plan broadcast's very first send (rank 0's send #0 of
-        // the first bcast after the setup barrier). With a receive
-        // deadline the run must degrade cleanly rather than hang.
-        let mut cfg = config(params(37, 8, 40), 4, FitnessPolicy::EveryGeneration);
+    fn a_push_delayed_past_its_owners_next_generation_is_kept() {
+        // Ranks meet only where a value is needed, so an owner may run
+        // generations ahead of a rank still waiting on it. With one compute
+        // rank, delay its second push (send #2, the learner's value; #0 is
+        // the setup barrier's reduce): it is delivered after rank 1's next
+        // send, the teacher's push of the next PC generation. Rank 0 must
+        // keep that push for its own generation, not discard it as stale,
+        // and the run stays the clean run.
+        let mut p = params(37, 8, 40);
+        p.pc_rate = 0.3;
+        let clean = run_distributed(&config(p.clone(), 2, FitnessPolicy::OnDemand)).unwrap();
+        assert!(clean.stats.pc_events >= 2, "a second PC generation carries the next push");
+        let mut cfg = config(p, 2, FitnessPolicy::OnDemand);
         cfg.faults.messages = MessageFaults {
             faults: vec![MessageFault {
-                src: 0,
-                nth_send: 5,
+                src: 1,
+                nth_send: 2,
+                action: FaultAction::Delay,
+            }],
+        };
+        cfg.faults.recv_timeout_ms = Some(2_000);
+        let out = run_distributed(&cfg).unwrap();
+        assert_eq!(out.events, clean.events);
+        assert_eq!(out.assignments, clean.assignments);
+        assert_eq!(out.stats, clean.stats);
+    }
+
+    #[test]
+    fn dropped_message_degrades_instead_of_hanging() {
+        // Drop rank 1's first push (its send #1; #0 is the setup barrier's
+        // reduce), the one to rank 0 in the first generation whose pair
+        // holds an SSet of rank 1. With a receive deadline the run must
+        // degrade cleanly at that generation rather than hang.
+        let p = params(37, 8, 40);
+        let nature = NatureAgent::from_params(&p);
+        let first_push = (0..p.generations)
+            .find(|&g| {
+                nature.schedule(8, g).pc.is_some_and(|(t, l)| {
+                    owner_of(t as usize, 8, 4) == 1 || owner_of(l as usize, 8, 4) == 1
+                })
+            })
+            .expect("rank 1 owns a selected SSet within 40 generations");
+        let mut cfg = config(p, 4, FitnessPolicy::EveryGeneration);
+        cfg.faults.messages = MessageFaults {
+            faults: vec![MessageFault {
+                src: 1,
+                nth_send: 1,
                 action: FaultAction::Drop,
             }],
         };
         cfg.faults.recv_timeout_ms = Some(200);
-        match run_distributed(&cfg) {
-            Err(DistError::Degraded(d)) => {
-                assert!(d.checkpoint.is_some(), "degraded run leaves a checkpoint");
-            }
-            Ok(_) => {
-                // The dropped send may be one whose loss the protocol
-                // tolerates; completing cleanly is also a valid outcome —
-                // the property under test is "no hang, no panic".
-            }
-            Err(other) => panic!("expected degraded or clean, got {other}"),
-        }
+        let Err(DistError::Degraded(d)) = run_distributed(&cfg) else {
+            panic!("a lost push must degrade the run");
+        };
+        // Rank 0 times out, unless the teardown barrier's deadline cascades
+        // rank 1's death to it first: either way at that generation.
+        assert_eq!(d.completed, first_push);
+        assert!(d.checkpoint.is_some(), "degraded run leaves a checkpoint");
     }
 
     #[test]
@@ -1235,13 +1346,14 @@ mod tests {
     /// generations, no mutation, `OnDemand`. With L = α + 1 hop (two ranks
     /// sit one hop apart) and o the receive overhead:
     /// - each barrier (a reduce and a broadcast over one edge) is 2L + 2o;
-    /// - a generation is the plan (L + o), the two selected SSets' 2·4
-    ///   games, the two fitness returns (L + 2o) and the decision
-    ///   (L + o): 3L + 4o + 8c on the critical path, of which the plan's
-    ///   L overlaps rank 0's wait from the generation before, so 2L + 4o
-    ///   + 8c after the first.
+    /// - a generation is rank 1's 2·4 games of the selected pair, which it
+    ///   owns whole, and its two pushes to rank 0 (L + 2o). Rank 1 never
+    ///   waits, so its 3·8c run back to back; rank 0 ends the last
+    ///   generation L + 2o after rank 1 does;
+    /// - the teardown barrier's reduce then waits on rank 0 (o), and its
+    ///   broadcast reaches rank 1 (L + o).
     ///
-    /// The total is 4L + 4o + 3·(2L + 4o + 8c).
+    /// The total is 2L + 2o + 24c + (L + 2o) + o + (L + o) = 4L + 6o + 24c.
     #[test]
     fn timed_makespan_of_a_tiny_run_is_exact() {
         let profile = dyadic_profile(true);
@@ -1254,7 +1366,7 @@ mod tests {
         let l = profile.alpha_p2p + profile.per_hop;
         let o = profile.alpha_coll;
         let c = profile.game_cost[1];
-        assert_eq!(makespan, 4.0 * l + 4.0 * o + 3.0 * (2.0 * l + 4.0 * o + 8.0 * c));
+        assert_eq!(makespan, 4.0 * l + 6.0 * o + 24.0 * c);
     }
 
     #[test]

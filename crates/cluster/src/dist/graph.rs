@@ -19,8 +19,7 @@
 //!    of the population: payoffs for those rows plus the 1-ring halo rows,
 //!    then every owned cell decided and committed. The per-cell
 //!    `Domain::Graph` streams are counter-based, so the update needs **no
-//!    decision broadcast** — `graph_plan().has_update()` is `false` by
-//!    construction;
+//!    decision broadcast** — `graph_plan()` schedules no Nature event;
 //! 4. each compute rank sends rank 0 the body's [`GenSummary`] (owned row
 //!    sums, max, distinct ids, adoptions); rank 0 folds the summaries in
 //!    row order with [`SpatialPopulation::fold`], the fold behind every

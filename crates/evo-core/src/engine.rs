@@ -25,10 +25,11 @@
 //! [`Population`](crate::population::Population) drives all three phases
 //! locally, and so does each fixation replicate
 //! ([`FixationSpec::run_replicate`](crate::fixation::FixationSpec::run_replicate)),
-//! over its own two-strategy provider. The distributed engine broadcasts the [`GenPlan`] from rank 0,
-//! runs phase 2 on every rank, applies on rank 0, and broadcasts the
-//! [`GenDecision`] so compute ranks [`commit`] the identical update to
-//! their replicated tables. Because both backends execute this module's
+//! over its own two-strategy provider. Every rank of the distributed engine
+//! plans for itself, moves only the fitness the plan needs in phase 2, and
+//! resolves and commits the identical [`GenDecision`] on its own replicated
+//! table: rank 0 through [`apply`], a compute rank through [`decide`] and
+//! [`commit`]. Because both backends execute this module's
 //! functions in the same order with the same RNG streams, their
 //! trajectories — records, assignments, fitness bits, and statistics — are
 //! bit-identical.
@@ -113,16 +114,9 @@ pub struct GenPlan {
     pub need: FitnessNeed,
 }
 
-impl GenPlan {
-    /// `true` if the generation carries an update compute ranks must learn
-    /// about (a scheduled comparison or mutation).
-    pub fn has_update(&self) -> bool {
-        self.schedule.pc.is_some() || self.schedule.mutation.is_some()
-    }
-}
-
 /// Phase 1: derive the generation's plan. Pure in `(seed, generation)` —
-/// every backend computes or receives the identical plan.
+/// every backend, and every rank of the distributed one, computes the
+/// identical plan.
 pub fn plan(
     nature: &NatureAgent,
     num_ssets: u32,
@@ -159,11 +153,10 @@ pub fn plan(
 /// Phase 1 for graph-structured populations: every generation evaluates
 /// the full per-vertex payoff field over the topology `scope` describes
 /// and resolves it locally at each vertex — there is no Nature-Agent event
-/// schedule, so `schedule` is empty, `need` is [`FitnessNeed::None`]
-/// (nothing travels to a central decider), and [`GenPlan::has_update`] is
-/// `false` (the distributed backend never broadcasts a decision; per-cell
-/// update draws are replicated from counter-based `Domain::Graph`
-/// streams). Pure in `(scope, generation)` — it draws nothing at all.
+/// schedule, so `schedule` is empty and `need` is [`FitnessNeed::None`]
+/// (nothing travels to a central decider; per-cell update draws are
+/// replicated from counter-based `Domain::Graph` streams). Pure in
+/// `(scope, generation)` — it draws nothing at all.
 pub fn graph_plan(scope: GraphScope, generation: u64) -> GenPlan {
     GenPlan {
         generation,
@@ -376,8 +369,8 @@ pub enum RuleDecision {
 }
 
 /// Everything the Nature Agent decided for one generation. Self-contained:
-/// committing it needs no fitness data and no RNG, so the distributed
-/// engine can broadcast it once and every rank applies the identical
+/// committing it needs no fitness data and no RNG, and every rank that
+/// decides from the same plan, fitness and table decides the identical
 /// update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenDecision {
@@ -464,8 +457,8 @@ pub fn decide(
 
 /// Commit a decision: assignment writes, pool interns, the generation's
 /// [`Event`]s, and the event counters in `stats`. Deterministic and
-/// RNG-free, so every rank of the distributed engine commits the broadcast
-/// decision identically (compute ranks pass a throwaway `stats`).
+/// RNG-free, so every rank of the distributed engine commits its decision
+/// identically (compute ranks pass a throwaway `stats`).
 pub fn commit(
     decision: &GenDecision,
     assignments: &mut [StratId],
@@ -555,7 +548,11 @@ impl GenDelta {
 /// Phase 3: resolve and commit one generation, owning *all* `RunStats`
 /// accounting — evaluation counts keyed on the plan (so backends that
 /// evaluate without moving values still count them), event counters from
-/// [`commit`], and the generation counter.
+/// [`commit`], and the generation counter — and the run's obs counts of
+/// the decision: one `fermi_updates` per resolved comparison, one
+/// `mutations` per drawn mutant. A replica that decides the same
+/// generation again (a distributed compute rank) calls [`decide`] and
+/// [`commit`] instead, so a run counts each decision once.
 pub fn apply(
     nature: &NatureAgent,
     space: &StateSpace,
@@ -570,6 +567,9 @@ pub fn apply(
         stats.games_played += provided.games;
     }
     let decision = decide(nature, space, plan, &provided.view, assignments, pool);
+    let counters = obs::counters();
+    counters.add(obs::Counter::FermiUpdates, matches!(decision.rule, RuleDecision::Pc { .. }) as u64);
+    counters.add(obs::Counter::Mutations, decision.mutation.is_some() as u64);
     let events = commit(&decision, assignments, pool, stats);
     stats.generations += 1;
     GenDelta { decision, events }
@@ -645,12 +645,10 @@ mod tests {
             0,
         );
         assert_eq!(p.eval, EvalScope::None);
-        assert!(!p.has_update());
 
         let busy = nature(2, 1.0, 0.0);
         let p = plan(&busy, 8, UpdateRule::Moran, FitnessPolicy::OnDemand, 0);
         assert_eq!(p.eval, EvalScope::Full, "Moran needs the whole vector");
-        assert!(p.has_update());
     }
 
     #[test]
@@ -745,7 +743,7 @@ mod tests {
         assert_eq!(p.generation, 5);
         assert_eq!(p.eval, EvalScope::Neighborhood(scope));
         assert_eq!(p.need, FitnessNeed::None);
-        assert!(!p.has_update(), "no decision broadcast for graph plans");
+        assert_eq!(p.schedule, GenSchedule { pc: None, mutation: None }, "no Nature events");
         assert_eq!(p, graph_plan(scope, 5), "pure in (scope, generation)");
         assert_ne!(p, graph_plan(scope, 6));
     }

@@ -156,7 +156,6 @@ impl NatureAgent {
         fitness_learner: f64,
         generation: u64,
     ) -> (f64, bool) {
-        obs::counters().add(obs::Counter::FermiUpdates, 1);
         let p = fermi_probability(self.beta, fitness_teacher, fitness_learner);
         if self.teacher_must_be_fitter && fitness_teacher <= fitness_learner {
             return (p, false);
@@ -215,7 +214,6 @@ impl NatureAgent {
         generation: u64,
         current: &Strategy,
     ) -> Strategy {
-        obs::counters().add(obs::Counter::Mutations, 1);
         let mut rng = stream(self.seed, Domain::Mutation, 1, generation);
         match self.mutation_kind {
             MutationKind::Fresh => {

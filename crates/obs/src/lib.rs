@@ -103,9 +103,12 @@ pub enum Counter {
     /// Game rounds simulated, summed over games, at the same points. The
     /// cycle kernel counts the *logical* rounds it pays out arithmetically.
     RoundsSimulated,
-    /// Fermi pairwise comparisons resolved (`NatureAgent::resolve_pc`).
+    /// Fermi pairwise comparisons resolved, counted once per decision by
+    /// `evo_core::engine::apply` (a distributed run's compute ranks decide
+    /// again without counting).
     FermiUpdates,
-    /// Mutation strategies drawn (`NatureAgent::mutation_strategy`).
+    /// Mutation strategies drawn, counted once per decision by
+    /// `evo_core::engine::apply`.
     Mutations,
     /// Counter-based RNG streams opened (`evo_core::rngstream::stream`).
     /// Inside a fixation replicate the opening thread tallies them and

@@ -2,7 +2,7 @@
 //! the way the paper drives Blue Gene (§V, §VI-B/C).
 //!
 //! Part 1 runs the *functional* distributed engine on the virtual cluster
-//! (real rank threads, real broadcasts and fitness returns) and verifies
+//! (real rank threads, real point-to-point fitness pushes) and verifies
 //! the trajectory is identical to the shared-memory engine at every rank
 //! count. Part 2 asks the calibrated performance model for the paper's
 //! headline numbers at Blue Gene scale.

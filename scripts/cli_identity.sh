@@ -22,7 +22,8 @@
 # branch, with manifests) / ImitateBest, checkpoint -> resume per family
 # across backends, kill -> resume per family, the generation frame's edge
 # cases (one compute rank, a resumed run's periodic checkpoints at
-# absolute multiples, a lattice kill at the first generation), and an
+# absolute multiples, a lattice kill at the first generation), a killed
+# on-demand run and an on-demand Moran run's block pushes, and an
 # 8-job `serve --workers 1` batch — all at RAYON_NUM_THREADS=2.
 #
 # Normalised before the diff, and nothing else:
@@ -30,13 +31,14 @@
 #     fields);
 #   - the `dead ranks [...]` census of a degraded run and which dead rank
 #     its reason names first (kill-cascade race, ROADMAP 8(a));
-#   - the boundary generation of a killed well-mixed distributed run
-#     (ROADMAP 8(a): `--kill-at 30` degrades at 30, 31 or 32): in the
-#     `kill-dist*` commands the generation of the degraded line and of the
-#     checkpoint line and the resumed runs' `messages N` are masked, and
-#     `kill-dist.json`, its manifest, the shared resume's sampled CSV (its
-#     sample points count from the boundary) and the `wm-faulty` job's
-#     spool checkpoint and receipt counters are left out;
+#   - the message count of a killed well-mixed distributed run: in the
+#     `kill-dist*` commands `messages N` is masked (a push that reaches a
+#     rank before or after it dies counts or not), and the counters of
+#     `kill-dist.json`'s manifest and of the `wm-faulty` job's receipt are
+#     left out. The boundary generation itself is a function of the plan
+#     (docs/FAULT_TOLERANCE.md §3) and is compared: the degraded and
+#     checkpoint lines, `kill-dist.json`, `kill-dist-od.json`, the shared
+#     resume's sampled CSV and the `wm-faulty` job's spool checkpoint;
 #   - process-global counters that race on every commit (ROADMAP 8(a)):
 #     in shared-memory `fixate`'s manifest the four counters two rayon
 #     workers missing the same cold cache entry both bump
@@ -106,6 +108,8 @@ run_list() {
     done
     c run-manifest run $WM --manifest-out run.manifest.json
     c dist-manifest distributed --ranks 3 $WM --manifest-out dist.manifest.json
+    # On demand, every compute rank's block pushed to every other rank.
+    c dist-moran-od-manifest distributed --ranks 4 $WM --rule moran --manifest-out dist-moran-od.manifest.json
     # Mixed strategies with noise; the cost knobs and views.
     c run-mixed run --ssets 10 --generations 30 --seed 3 --mixed --noise 0.05 --rounds 20 --records run-mixed.jsonl
     # Full-length noisy mixed games against 4096-entry tables: each game's
@@ -191,6 +195,9 @@ run_list() {
     c kill-dist-resume distributed --ranks 4 --every-generation --resume kill-dist.json
     c kill-dist-resume-shared run --resume kill-dist.json
     c kill-dist-nofile distributed --ranks 3 $WM --every-generation $KILL --kill-at 10
+    # On demand: the kill is first seen where a later pair needs rank 1.
+    c kill-dist-od distributed --ranks 4 $WM $KILL --kill-at 30 --checkpoint-out kill-dist-od.json
+    c kill-dist-od-resume distributed --ranks 4 --resume kill-dist-od.json
     c kill-sp spatial $SP --ranks 3 $KILL --kill-at 20 --checkpoint-out kill-sp.json --records kill-sp.jsonl
     c kill-sp-resume spatial --ranks 3 --resume kill-sp.json --records kill-sp-resume.jsonl
     c kill-sp-resume-shared spatial --resume kill-sp.json
@@ -213,9 +220,8 @@ normalise() {
         sed -E 's/ in [0-9]+\.[0-9]+s/ in Xs/; s/, [0-9]+\.[0-9]+s$/, Xs/; s/dead ranks \[[^]]*\]\): rank [0-9]+ is dead/dead ranks [..]): rank N is dead/' "$f" > "$f.n"
         mv "$f.n" "$f"
     done
-    sed -E -i 's/after [0-9]+ generations/after N generations/; s/\(generation [0-9]+\)/(generation N)/; s/messages [0-9]+/messages N/' "$1"/kill-dist*.out "$1"/kill-dist*.err
-    rm "$1/kill-dist.json" "$1/kill-dist.manifest.json" "$1/kill-dist-resume-shared.out" \
-        "$1/spool/wm-faulty/checkpoint.json"
+    sed -E -i 's/messages [0-9]+/messages N/' "$1"/kill-dist*.out "$1"/kill-dist*.err
+    rm "$1/kill-dist.manifest.json"
     sed -i '/"counters": {/,/}/d' "$1/spool/wm-faulty/receipt.json"
     for f in "$1"/*.manifest.json; do
         sed -E '/"elapsed_seconds"/d; /"(per_generation_ns|buckets|spans)": \[$/,/^ *\],?$/d' "$f" > "$f.n"

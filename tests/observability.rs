@@ -161,23 +161,38 @@ fn manifests_are_thread_count_invariant_in_results() {
 
 #[test]
 fn distributed_run_reports_comm_counters_and_timings() {
+    use evogame::cluster::dist::{run_distributed, DistConfig};
     let _counters = counters_lock();
     obs::set_enabled(true);
-    let baseline = obs::counters().snapshot();
     let mut params = small_params(13);
     params.generations = 30;
-    let out = evogame::cluster::dist::run_distributed(&evogame::cluster::dist::DistConfig::new(
-        params,
-        4,
-        FitnessPolicy::EveryGeneration,
-    ))
-    .unwrap();
+
+    // Its shared-memory twin: the naive evaluator, uncached.
+    let baseline = obs::counters().snapshot();
+    let mut twin = Population::new(params.clone()).unwrap();
+    twin.run_to_end();
+    let shared = obs::counters().snapshot().delta_since(&baseline);
+
+    // Uncached too, so that every game a rank evaluates is one played.
+    let baseline = obs::counters().snapshot();
+    let mut config = DistConfig::new(params, 4, FitnessPolicy::EveryGeneration);
+    config.disable_payoff_cache = true;
+    let out = run_distributed(&config).unwrap();
     let delta = obs::counters().snapshot().delta_since(&baseline);
 
-    // Every generation broadcasts at least a schedule over 4 ranks.
-    assert!(delta.comm_messages >= out.messages_sent);
+    // Every rank decides each generation, but the run counts each
+    // decision once and each game once, as its twin does.
+    assert!(shared.fermi_updates > 0 && shared.mutations > 0, "{shared:?}");
+    assert_eq!(delta.fermi_updates, shared.fermi_updates);
+    assert_eq!(delta.mutations, shared.mutations);
+    assert_eq!(delta.games_played, shared.games_played);
+    // Two barriers (a reduce and a broadcast, 3 messages and one
+    // collective op per rank each) and, per PC generation, the pair's two
+    // values pushed to the 3 other ranks; nothing else.
+    assert_eq!(out.messages_sent, 2 * 2 * 3 + out.stats.pc_events * 2 * 3);
+    assert_eq!(delta.comm_messages, out.messages_sent);
     assert!(delta.comm_bytes > 0);
-    assert!(delta.collective_ops >= 30);
+    assert_eq!(delta.collective_ops, 2 * 2 * 4);
     assert_eq!(out.generation_ns.len(), 30);
     // The Nature Agent's timings feed a manifest directly.
     use serde::Serialize;
