@@ -33,16 +33,9 @@
 //! and `RunStats` — for all three update rules; the integration tests
 //! assert this rank-count by rank-count.
 //!
-//! A compute rank keeps the owned fitness block of its last full
-//! evaluation in a [`TableMemo`], the type a shared-memory `Population`
-//! keeps its own full evaluation in (docs/PERFORMANCE.md §2.2). Most
-//! generations of an every-generation run leave the table unchanged; when
-//! every game on it is deterministic (pure strategies, no noise) a full
-//! evaluation of the same table returns that block instead of probing the
-//! payoff cache `owned × S` times. The answer counts those probes as the
-//! cache hits they would have been, and games accounting still counts the
-//! schedule, so every counter, message and bit is what re-evaluation gives.
-//! [`DistConfig::disable_payoff_cache`] turns the memo off with the cache.
+//! A rank scores its owned SSets through the shared engine's own
+//! evaluation, [`PairPayoff::evaluate_rows`], with its owned block and its
+//! [`TableMemo`] (docs/PERFORMANCE.md §2.2); this file moves the values.
 //!
 //! # Fault tolerance
 //!
@@ -89,14 +82,13 @@ use crate::perf::MachineProfile;
 use crate::simtime::NetCosts;
 use driver::{Generations, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
-use evo_core::fitness::{FitnessPolicy, PairPayoff, TableMemo};
+use evo_core::fitness::{FitnessPolicy, PairPayoff, Rows, TableMemo};
 use evo_core::nature::{Event, NatureAgent};
 use evo_core::params::Params;
 use evo_core::paycache::{PayoffCache, PayoffKind};
 use evo_core::pool::{StratId, StrategyPool};
 use evo_core::population::initial_tables;
 use evo_core::record::{Checkpoint, RunStats};
-use ipd::game::GameConfig;
 use ipd::state::StateSpace;
 use serde::{Deserialize, Serialize};
 
@@ -226,8 +218,8 @@ pub enum DistError<C = Checkpoint> {
     },
     /// A compute rank's replicated state diverged from rank 0's at the end
     /// of a fault-free run — the replication protocol itself is broken (a
-    /// dropped or reordered commit broadcast, a stale halo), so the
-    /// trajectory cannot be trusted.
+    /// rank decided from a fitness push of another generation or SSet, a
+    /// stale halo), so the trajectory cannot be trusted.
     ReplicaDivergence {
         /// The first compute rank whose state diverged.
         rank: Rank,
@@ -488,13 +480,17 @@ impl Generations for WellMixed {
             comm: coll.comm(),
             owned: st.owned.clone(),
             num_ssets,
-            space: &self.space,
+            // The rank's own cache: entries never travel over the wire, and
+            // every rank computes identical values from the replicated table.
+            pairs: PairPayoff::new(
+                &self.space,
+                &st.pool,
+                &params.game,
+                (!self.config.disable_payoff_cache).then_some(&st.cache),
+            ),
             assignments: &st.assignments,
-            pool: &st.pool,
-            game: &params.game,
             seed: params.seed,
             faults: &self.config.faults,
-            cache: (!self.config.disable_payoff_cache).then_some(&st.cache),
             memo: &mut st.memo,
             early: &mut st.early,
             game_cost: self.game_cost,
@@ -533,28 +529,21 @@ impl Generations for WellMixed {
     }
 }
 
-/// Phase-2 fitness provider for one rank: evaluates the owned range the
-/// plan asks for, pushes the owned part of the plan's need to every other
-/// rank and receives the rest from its owners, so every rank ends with the
-/// same [`FitnessView`].
+/// Phase-2 fitness provider for one rank: evaluates the owned SSets the
+/// plan asks for ([`PairPayoff::evaluate_rows`]), pushes the owned part of
+/// the plan's need to every other rank and receives the rest from its
+/// owners, so every rank ends with the same [`FitnessView`].
 struct RankProvider<'a, C> {
     comm: &'a C,
     owned: std::ops::Range<usize>,
     num_ssets: usize,
-    space: &'a StateSpace,
+    /// Over the rank's tables and its payoff cache (`None` when the run
+    /// disabled it).
+    pairs: PairPayoff<'a>,
     assignments: &'a [StratId],
-    pool: &'a StrategyPool,
-    game: &'a GameConfig,
     seed: u64,
     faults: &'a FaultPlan,
-    /// This rank's cross-generation payoff memo-cache (`None` when the run
-    /// disabled it). Per-rank state: entries never travel over the wire,
-    /// and every rank computes identical values from the replicated
-    /// strategy table, so caching cannot skew any message payload.
-    cache: Option<&'a PayoffCache>,
-    /// The [`TableMemo`] of the rank's owned fitness block: a full
-    /// evaluation of an unchanged table answers from it, any other
-    /// refreshes it.
+    /// The rank's owned block's [`TableMemo`].
     memo: &'a mut Option<TableMemo>,
     /// Ranks meet only where a value is needed, so an owner may run
     /// generations ahead of a rank that still waits on it, and a delay
@@ -564,47 +553,16 @@ struct RankProvider<'a, C> {
     game_cost: f64,
 }
 
-impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
-    fn pairs(&self) -> PairPayoff<'a> {
-        PairPayoff::new(self.space, self.pool, self.game, self.cache)
-    }
-
-    /// `(sset, fitness)` of the owned SSets `needed`, one
-    /// [`PairPayoff::evaluate_one`] each.
-    fn evaluate(&self, needed: impl Iterator<Item = usize>, generation: u64) -> Vec<(usize, f64)> {
-        let pairs = self.pairs();
-        needed
-            .map(|s| (s, pairs.evaluate_one(self.assignments, self.seed, generation, s)))
-            .collect()
-    }
-
-    /// The whole owned block, from the kept [`TableMemo`] while the table
-    /// is the one it was evaluated on; its answer counts the
-    /// `owned × num_ssets` probes the skipped evaluation would have made
-    /// as the hits they would have been.
-    fn owned_block(&mut self, generation: u64) -> Vec<(usize, f64)> {
-        let kept = self.memo.as_ref().and_then(|m| m.reuse(self.assignments, PayoffKind::Sampled));
-        if let Some(values) = kept {
-            return self.owned.clone().zip(values.iter().copied()).collect();
-        }
-        let fitness = self.evaluate(self.owned.clone(), generation);
-        let pairs = self.pairs();
-        *self.memo = pairs.all_deterministic(self.assignments).then(|| {
-            let values = fitness.iter().map(|&(_, f)| f).collect();
-            let probes = (fitness.len() * self.num_ssets) as u64;
-            pairs.table_memo(self.assignments, PayoffKind::Sampled, values, probes)
-        }).flatten();
-        fitness
-    }
-
+impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
     /// Move the values of `pieces` — contiguous SSet ranges, each owned by
     /// one compute rank — so that every rank holds them all: this rank
-    /// pushes the pieces it owns (their values in `local`) to every other
-    /// rank, then receives each other piece from its owner. Returns the
-    /// values in piece order.
+    /// pushes the pieces it owns (their values in `local`, its evaluation
+    /// of `rows`) to every other rank, then receives each other piece from
+    /// its owner. Returns the values in piece order.
     fn exchange(
         &mut self,
-        local: &[(usize, f64)],
+        rows: &Rows,
+        local: &[f64],
         pieces: &[std::ops::Range<usize>],
         generation: u64,
     ) -> Result<Vec<f64>, RankError> {
@@ -613,8 +571,8 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
         let mut got: Vec<Option<Vec<f64>>> = pieces
             .iter()
             .map(|piece| {
-                (owner(piece) == comm.rank())
-                    .then(|| local.iter().filter(|(s, _)| piece.contains(s)).map(|&(_, f)| f).collect())
+                let mine = rows.ssets(self.num_ssets).zip(local).filter(|(s, _)| piece.contains(s));
+                (owner(piece) == comm.rank()).then(|| mine.map(|(_, &f)| f).collect())
             })
             .collect();
         // Sends never block, so every owner's pushes are on the wire before
@@ -664,18 +622,18 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
 
     fn provide(&mut self, plan: &GenPlan) -> Result<Provided, RankError> {
         // (2) Game dynamics: local, no communication (§V-A).
-        let local: Vec<(usize, f64)> = match plan.eval {
-            EvalScope::None => Vec::new(),
-            EvalScope::Pair { teacher, learner } => self.evaluate(
-                self.owned.clone().filter(|&s| s == teacher as usize || s == learner as usize),
-                plan.generation,
-            ),
-            EvalScope::Full => self.owned_block(plan.generation),
+        let owned = |s: u32| self.owned.contains(&(s as usize)).then_some(s as usize);
+        let rows = match plan.eval {
+            // Nothing scheduled, so nothing is needed either.
+            EvalScope::None => return Ok(Provided { view: FitnessView::None, games: 0 }),
+            EvalScope::Pair { teacher, learner } => Rows::Pair([owned(teacher), owned(learner)]),
+            EvalScope::Full => Rows::Block(self.owned.clone()),
             // Lattice plans belong to the spatial engine
             // ([`graph::run_spatial_distributed`]), which shards by rows,
             // not SSet blocks.
             EvalScope::Neighborhood(_) => return Err(RankError::Protocol("well-mixed evaluation scope")),
         };
+        let (local, games) = self.pairs.evaluate_rows(self.assignments, self.seed, plan.generation, None, &rows, self.memo);
         // Each focal SSet is `num_ssets` games, charged before any fitness
         // leaves this rank.
         self.comm.compute((local.len() * self.num_ssets) as f64 * self.game_cost);
@@ -685,7 +643,7 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
             FitnessNeed::None => FitnessView::None,
             FitnessNeed::Pair { teacher, learner } => {
                 let (t, l) = (teacher as usize, learner as usize);
-                let [teacher, learner] = self.exchange(&local, &[t..t + 1, l..l + 1], plan.generation)?[..] else {
+                let [teacher, learner] = self.exchange(&rows, &local, &[t..t + 1, l..l + 1], plan.generation)?[..] else {
                     return Err(RankError::Protocol("one value per selected SSet"));
                 };
                 FitnessView::Pair { teacher, learner }
@@ -696,20 +654,8 @@ impl<'a, C: Messenger<Payload = DistMsg>> RankProvider<'a, C> {
                     .map(|r| owned_range(r, self.num_ssets, ranks))
                     .filter(|block| !block.is_empty())
                     .collect();
-                FitnessView::Full(self.exchange(&local, &blocks, plan.generation)?)
+                FitnessView::Full(self.exchange(&rows, &local, &blocks, plan.generation)?)
             }
-        };
-
-        // Evaluation-cost accounting mirrors the shared-memory engine
-        // arithmetically: the distributed evaluator is the naive kernel,
-        // `num_ssets` games per focal SSet.
-        let s = self.num_ssets as u64;
-        let games = match plan.eval {
-            EvalScope::None => 0,
-            EvalScope::Pair { .. } => 2 * s,
-            EvalScope::Full => s * s,
-            // Unreachable: a Neighborhood plan already errored above.
-            EvalScope::Neighborhood(_) => 0,
         };
         Ok(Provided { view, games })
     }
@@ -1229,6 +1175,22 @@ mod tests {
         assert_eq!(out.events, clean.events);
         assert_eq!(out.assignments, clean.assignments);
         assert_eq!(out.stats, clean.stats);
+    }
+
+    #[test]
+    fn a_plan_that_can_lose_a_message_needs_a_deadline() {
+        // Without the refusal, a delayed push whose owner next sends only
+        // after waiting on its receiver would hang both ranks.
+        for action in [FaultAction::Drop, FaultAction::Delay] {
+            let mut cfg = config(params(37, 8, 40), 3, FitnessPolicy::OnDemand);
+            cfg.faults.messages = MessageFaults {
+                faults: vec![MessageFault { src: 1, nth_send: 1, action }],
+            };
+            let Err(DistError::Params(msg)) = run_distributed(&cfg) else {
+                panic!("{action:?} without a deadline must be refused");
+            };
+            assert!(msg.contains("recv_timeout_ms"), "{msg}");
+        }
     }
 
     #[test]

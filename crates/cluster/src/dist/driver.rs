@@ -20,7 +20,7 @@
 use super::DistError;
 use crate::collective::{Collective, Messenger};
 use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultAction, FaultPlan};
 use crate::simtime::{self, NetCosts, TimedComm};
 use evo_core::record::GenerationRecord;
 use std::ops::Range;
@@ -343,11 +343,19 @@ enum Finished<O, P> {
 /// result: the outcome plus the cluster's message total. The total is read
 /// after every rank joined, so it is exact — rank 0's own view could miss
 /// peers' in-flight final sends and would vary run to run.
+///
+/// A plan that drops or delays a message must set a receive deadline, or
+/// no rank is spawned: a rank waiting on a lost push, or on a delayed one
+/// whose sender waits on it in turn, would never return.
 pub(super) fn launch<P: Protocol>(
     ranks: usize,
     faults: &FaultPlan,
     protocol: P,
 ) -> Result<(P::Outcome, u64), DistError<P::Checkpoint>> {
+    let loses = faults.messages.faults.iter().any(|f| f.action != FaultAction::Duplicate);
+    if loses && faults.recv_timeout_ms.is_none() {
+        return Err(DistError::Params("a fault plan that drops or delays a message needs recv_timeout_ms".into()));
+    }
     let (results, messages_sent) = VirtualCluster::run_with_faults_counted(
         ranks,
         faults.messages.clone(),

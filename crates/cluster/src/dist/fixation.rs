@@ -235,7 +235,7 @@ impl Protocol for Farm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::RankKill;
+    use crate::faults::{FaultAction, MessageFault, MessageFaults, RankKill};
     use evo_core::params::{Params, UpdateRule};
     use ipd::state::StateSpace;
     use ipd::strategy::Strategy;
@@ -292,6 +292,18 @@ mod tests {
         s.params.mutation_rate = 0.1;
         let err = run_fixation_distributed(&FixationDistConfig::new(s, 3)).unwrap_err();
         assert!(matches!(err, DistError::Params(_)));
+    }
+
+    #[test]
+    fn a_plan_that_can_lose_a_message_needs_a_deadline() {
+        for action in [FaultAction::Drop, FaultAction::Delay] {
+            let mut cfg = FixationDistConfig::new(spec(9, 10), 3);
+            cfg.faults.messages = MessageFaults {
+                faults: vec![MessageFault { src: 1, nth_send: 1, action }],
+            };
+            let err = run_fixation_distributed(&cfg).unwrap_err();
+            assert!(matches!(err, DistError::Params(_)), "{action:?}: {err}");
+        }
     }
 
     #[test]

@@ -688,6 +688,22 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_that_can_lose_a_message_needs_a_deadline() {
+        for action in [FaultAction::Drop, FaultAction::Delay] {
+            let mut cfg = SpatialDistConfig::new(
+                params(37, 10, 20, SpatialUpdate::Fermi { beta: 1.0 }),
+                InitPattern::RandomDefectors(0.4),
+                3,
+            );
+            cfg.faults.messages = MessageFaults {
+                faults: vec![MessageFault { src: 1, nth_send: 7, action }],
+            };
+            let err = run_spatial_distributed(&cfg).unwrap_err();
+            assert!(matches!(err, DistError::Params(_)), "{action:?}: {err}");
+        }
+    }
+
+    #[test]
     fn dropped_message_degrades_instead_of_hanging() {
         let mut cfg = SpatialDistConfig::new(
             params(37, 10, 20, SpatialUpdate::Fermi { beta: 1.0 }),

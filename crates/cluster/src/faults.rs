@@ -25,10 +25,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultAction {
     /// The message is lost in transit; the sender still observes success
-    /// (detected downstream only by receive deadlines).
+    /// (detected downstream only by receive deadlines, so a plan holding a
+    /// drop must set one).
     Drop,
-    /// Delivery is postponed past the sender's next send (reordered, never
-    /// lost); tag matching must absorb it.
+    /// Delivery is postponed past the sender's next send, or until its
+    /// `Comm` drops. A receiver can wait on it while the sender, before its
+    /// next send, waits on that receiver: only a receive deadline ends
+    /// that wait, so a plan holding a delay must set one.
     Delay,
     /// The message is delivered twice; the protocol must tolerate stale
     /// duplicates.

@@ -40,12 +40,12 @@
 //! is what checkpoint/restore and the distributed engine's degraded-run
 //! recovery build on (docs/FAULT_TOLERANCE.md).
 
-use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff, TableMemo};
+use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff, Rows, TableMemo};
 use crate::graph::GraphScope;
 use crate::nature::{Event, GenSchedule, NatureAgent};
 use crate::params::UpdateRule;
 use crate::paycache::{PayoffCache, PayoffKind};
-use crate::pool::{census, StratId, StrategyPool};
+use crate::pool::{StratId, StrategyPool};
 use crate::record::{GenerationRecord, RunStats};
 use ipd::game::GameConfig;
 use ipd::state::StateSpace;
@@ -212,8 +212,8 @@ pub trait FitnessProvider {
 
 /// The shared-memory provider: evaluates in place over the population's
 /// own tables, honouring the evaluation knobs (dedup, expected-value
-/// fitness). Which evaluator each combination selects is tabulated in
-/// docs/PERFORMANCE.md §2.2. Rows and miss replays map through rayon.
+/// fitness). [`PairPayoff::evaluate_rows`] picks the evaluator, as
+/// docs/PERFORMANCE.md §2.2 tabulates.
 #[derive(Debug)]
 pub struct LocalProvider<'a> {
     /// State space of all strategies.
@@ -244,91 +244,36 @@ pub struct LocalProvider<'a> {
 
 impl FitnessProvider for LocalProvider<'_> {
     fn provide(&mut self, plan: &GenPlan) -> Provided {
-        let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
-        let s = self.assignments.len() as u64;
-        match plan.eval {
-            EvalScope::None => Provided {
-                view: FitnessView::None,
-                games: 0,
-            },
-            EvalScope::Pair { teacher, learner } => {
-                // Expected fitness weighs each focal row by the census: one
-                // census serves both rows.
-                let census = self.expected_fitness.then(|| census(self.assignments));
-                let one = |focal: u32| match &census {
-                    // One cache row per focal SSet.
-                    Some(census) => pairs.evaluate_distinct(census, PayoffKind::Expected, Some(focal as usize))[0],
-                    None => pairs.evaluate_one(self.assignments, self.seed, plan.generation, focal as usize),
-                };
-                Provided {
-                    view: FitnessView::Pair {
-                        teacher: one(teacher),
-                        learner: one(learner),
-                    },
-                    games: 2 * s,
-                }
-            }
-            EvalScope::Full => self.full(plan.generation, None),
-            EvalScope::Neighborhood(_) => {
-                // detlint: allow(panic-path, reason = "invariant: graph_plan() plans are driven only by graph-structured populations, whose providers implement Neighborhood; routing one into the well-mixed LocalProvider is a backend wiring bug, not a runtime condition")
-                panic!("LocalProvider is well-mixed; Neighborhood plans need a graph provider")
-            }
-        }
+        self.evaluate(plan, &mut None)
     }
 }
 
 impl LocalProvider<'_> {
-    /// Every SSet's fitness, inside a `population.fitness` span: over the
-    /// census where that is sound — expected fitness
-    /// ([`PayoffKind::Expected`]), or `dedup` over all-deterministic
-    /// strategies ([`PayoffKind::Sampled`]) — and by the paper's naive
-    /// schedule otherwise.
-    ///
-    /// `memo` holds the caller's [`TableMemo`] of a census evaluation and
-    /// the number of distinct strategies in its table. A census evaluation
-    /// of the memo's table and kind is answered from it, and any other
-    /// refreshes it. The naive schedule neither reads nor writes it, and
-    /// is chosen before any table is compared.
-    pub(crate) fn full(&self, generation: u64, memo: Option<&mut Option<(TableMemo, usize)>>) -> Provided {
-        let _span = obs::span("population.fitness");
+    /// [`FitnessProvider::provide`] with the caller's [`TableMemo`]: the
+    /// plan's rows through [`PairPayoff::evaluate_rows`], a full evaluation
+    /// inside a `population.fitness` span.
+    pub(crate) fn evaluate(&self, plan: &GenPlan, memo: &mut Option<TableMemo>) -> Provided {
+        let rows = match plan.eval {
+            EvalScope::None => return Provided { view: FitnessView::None, games: 0 },
+            EvalScope::Pair { teacher, learner } => Rows::Pair([Some(teacher as usize), Some(learner as usize)]),
+            EvalScope::Full => Rows::All,
+            EvalScope::Neighborhood(_) => {
+                // detlint: allow(panic-path, reason = "invariant: graph_plan() plans are driven only by graph-structured populations, whose providers implement Neighborhood; routing one into the well-mixed LocalProvider is a backend wiring bug, not a runtime condition")
+                panic!("LocalProvider is well-mixed; Neighborhood plans need a graph provider")
+            }
+        };
+        let _span = (rows == Rows::All).then(|| obs::span("population.fitness"));
+        let by_census = self.expected_fitness.then_some(PayoffKind::Expected).or(self.dedup.then_some(PayoffKind::Sampled));
         let pairs = PairPayoff::new(self.space, self.pool, self.game, self.cache);
-        let naive = || {
-            let s = self.assignments.len() as u64;
-            Provided {
-                view: FitnessView::Full(pairs.evaluate_naive(self.assignments, self.seed, generation)),
-                games: s * s,
-            }
+        let (values, games) = pairs.evaluate_rows(self.assignments, self.seed, plan.generation, by_census, &rows, memo);
+        let view = match rows {
+            Rows::Pair(_) => FitnessView::Pair {
+                teacher: values[0],
+                learner: values[1],
+            },
+            _ => FitnessView::Full(values),
         };
-        if !(self.expected_fitness || self.dedup) {
-            return naive();
-        }
-        let kind = if self.expected_fitness {
-            PayoffKind::Expected
-        } else {
-            PayoffKind::Sampled
-        };
-        let by_census = |values: Vec<f64>, u: usize| Provided {
-            view: FitnessView::Full(values),
-            games: (u * u) as u64,
-        };
-        if let Some((kept, u)) = memo.as_deref().and_then(Option::as_ref) {
-            if let Some(values) = kept.reuse(self.assignments, kind) {
-                return by_census(values.to_vec(), *u);
-            }
-        }
-        // The population counted once; whether dedup is sound is a
-        // question about its u distinct strategies, not its s SSets.
-        let census = census(self.assignments);
-        if kind == PayoffKind::Sampled && !pairs.all_deterministic(census.ids()) {
-            return naive();
-        }
-        let u = census.len();
-        let values = pairs.evaluate_distinct(&census, kind, None);
-        if let Some(memo) = memo {
-            let probes = (u * u) as u64;
-            *memo = pairs.table_memo(self.assignments, kind, values.clone(), probes).map(|kept| (kept, u));
-        }
-        by_census(values, u)
+        Provided { view, games }
     }
 }
 

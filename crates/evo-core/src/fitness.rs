@@ -25,9 +25,11 @@
 //! [`PairPayoff::evaluate_distinct`] (each distinct ordered pair once,
 //! weighted by multiplicity). The distinct strategies and multiplicities
 //! are a [`Census`] the caller takes once per generation; the weighted rows
-//! go back to the SSets through it ([`Census::spread`]). Which evaluator
-//! runs when, what is cached and what is probed is stated once, in
-//! docs/PERFORMANCE.md §2.
+//! go back to the SSets through it ([`Census::spread`]). One function,
+//! [`PairPayoff::evaluate_rows`], picks among them for both well-mixed
+//! backends and alone reads and writes the caller's [`TableMemo`]. Which
+//! evaluator runs when, what is cached and what is probed is stated once,
+//! in docs/PERFORMANCE.md §2.
 //!
 //! Deterministic games that have to be played are played a *group* at a
 //! time: one focal strategy against up to `LANES` opponents, in one place
@@ -158,22 +160,6 @@ impl<'a> PairPayoff<'a> {
     /// condition for deduplicating sampled games.
     pub fn all_deterministic(&self, ids: &[StratId]) -> bool {
         ids.iter().all(|&id| self.deterministic(id, id).is_some())
-    }
-
-    /// Keep `values`, an evaluation of `kind` over `assignments` that made
-    /// `probes` probes of this cache, as a [`TableMemo`]; `None` without a
-    /// cache. Every pair of the evaluation must be memoisable:
-    /// [`PayoffKind::Expected`], or deterministic
-    /// ([`PairPayoff::all_deterministic`], which the caller has checked
-    /// already to choose its evaluator).
-    pub fn table_memo(&self, assignments: &[StratId], kind: PayoffKind, values: Vec<f64>, probes: u64) -> Option<TableMemo> {
-        debug_assert!(kind == PayoffKind::Expected || self.all_deterministic(assignments));
-        self.cache.map(|_| TableMemo {
-            assignments: assignments.to_vec(),
-            kind,
-            values,
-            probes,
-        })
     }
 
     /// Focal payoffs of `focal` against up to [`LANES`] `opponents` (any
@@ -337,6 +323,65 @@ impl<'a> PairPayoff<'a> {
         }
     }
 
+    /// The fitness of `rows` of the table `assignments`, in row order, and
+    /// the games their plan scope accounts — the one well-mixed evaluation
+    /// of both backends, with the caller's [`TableMemo`] (docs/PERFORMANCE.md
+    /// §2.2). `by_census` is the kind a census may evaluate: `Expected`,
+    /// `Sampled` (dedup, where every pair is deterministic) or neither.
+    pub fn evaluate_rows(
+        &self,
+        assignments: &[StratId],
+        seed: u64,
+        generation: u64,
+        by_census: Option<PayoffKind>,
+        rows: &Rows,
+        memo: &mut Option<TableMemo>,
+    ) -> (Vec<f64>, u64) {
+        let s = assignments.len();
+        let naive = || (self.evaluate_naive(assignments, seed, generation), (s * s) as u64);
+        // The kind the evaluation probes the cache for.
+        let kind = match (rows, by_census) {
+            (Rows::All, None) => return naive(),
+            (_, Some(PayoffKind::Expected)) => PayoffKind::Expected,
+            _ => PayoffKind::Sampled,
+        };
+        if let Some(kept) = memo.as_ref().and_then(|m| m.reuse(assignments, kind, rows)) {
+            return kept;
+        }
+        let all = *rows == Rows::All;
+        let census = (all || kind == PayoffKind::Expected).then(|| census(assignments));
+        let (values, width) = match &census {
+            Some(census) if all => {
+                // Whether dedup is sound is a question about the u distinct
+                // strategies, not the s SSets.
+                if kind == PayoffKind::Sampled && !self.all_deterministic(census.ids()) {
+                    return naive();
+                }
+                (self.evaluate_distinct(census, kind, None), census.len())
+            }
+            Some(census) => {
+                let values = rows.ssets(s).map(|i| self.evaluate_distinct(census, kind, Some(i))[0]);
+                (values.collect(), census.len())
+            }
+            None => (rows.ssets(s).map(|i| self.evaluate_one(assignments, seed, generation, i)).collect(), s),
+        };
+        let games = rows.cost(s, values.len(), width).0;
+        let memoisable = match rows {
+            Rows::All => true,
+            Rows::Block(_) => kind == PayoffKind::Expected || self.all_deterministic(assignments),
+            // A pair's rows are never kept.
+            Rows::Pair(_) => return (values, games),
+        };
+        *memo = (memoisable && self.cache.is_some()).then(|| TableMemo {
+            assignments: assignments.to_vec(),
+            kind,
+            rows: rows.clone(),
+            values: values.clone(),
+            width,
+        });
+        (values, games)
+    }
+
     /// The payoffs of a population of the two strategies `ids` (ascending),
     /// for as long as it holds no other: [`PairTable`]. `None` unless both
     /// are pure and the game noiseless.
@@ -397,39 +442,91 @@ impl<'a> PairPayoff<'a> {
     }
 }
 
-/// A table memo: the values of one cached evaluation, kept with the
-/// strategy table and payoff kind it ran on and the probes it made
-/// ([`PairPayoff::table_memo`]). Every pair of that evaluation was
-/// memoisable, so its values are a function of the table and the kind
-/// alone, and the pool never reuses an id: an evaluation of an equal table
-/// of the same kind gives them again, bit for bit, and would find every
-/// pair in the cache, which never evicts. [`TableMemo::reuse`] answers such
-/// an evaluation and counts its probes as those hits. Cost-only state: a
-/// shared-memory population keeps one for its full evaluation, a
-/// distributed compute rank one for its owned block.
+/// The SSets one well-mixed evaluation scores on this side, and for which
+/// plan scope ([`PairPayoff::evaluate_rows`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rows {
+    /// Every SSet: a shared-memory full evaluation.
+    All,
+    /// One block of a full evaluation whose other blocks are scored
+    /// elsewhere: a compute rank's owned SSets.
+    Block(std::ops::Range<usize>),
+    /// The selected pair, teacher then learner, each `Some` where this side
+    /// scores it.
+    Pair([Option<usize>; 2]),
+}
+
+impl Rows {
+    /// The SSets these rows score, of `s`, in row order.
+    pub fn ssets(&self, s: usize) -> impl Iterator<Item = usize> {
+        let (block, pair) = match self {
+            Rows::All => (0..s, [None; 2]),
+            Rows::Block(block) => (block.clone(), [None; 2]),
+            Rows::Pair(pair) => (0..0, *pair),
+        };
+        block.chain(pair.into_iter().flatten())
+    }
+
+    /// The games an evaluation of these rows over `s` SSets accounts and
+    /// the probes its `n` values make against `width` opponents each (a
+    /// census's `u`, or `s`; every SSet's are the census's `u` rows).
+    fn cost(&self, s: usize, n: usize, width: usize) -> (u64, u64) {
+        let (games, probes) = match self {
+            Rows::All => (width * width, width * width),
+            Rows::Block(_) => (s * s, n * width),
+            Rows::Pair(_) => (2 * s, n * width),
+        };
+        (games as u64, probes as u64)
+    }
+}
+
+/// The values of one cached evaluation of every SSet or of a block whose
+/// every pair was memoisable, with the table, kind and rows it ran on
+/// ([`PairPayoff::evaluate_rows`] alone reads and writes one). The pool
+/// never reuses an id, so an equal evaluation gives these values again and
+/// would hit the cache on every probe: the memo answers it and counts
+/// those hits (docs/PERFORMANCE.md §2.2). Cost-only state.
 #[derive(Debug, Clone)]
 pub struct TableMemo {
     assignments: Vec<StratId>,
     kind: PayoffKind,
+    rows: Rows,
     values: Vec<f64>,
-    probes: u64,
+    /// Opponents per row: the table's distinct count where it took a census.
+    width: usize,
 }
 
 impl TableMemo {
     /// The strategy table the kept evaluation ran on.
+    #[cfg(test)]
     pub(crate) fn assignments(&self) -> &[StratId] {
         &self.assignments
     }
 
-    /// The kept values if `assignments` and `kind` are the memo's, their
-    /// probes counted as cache hits. `None` for any other table or kind.
-    pub fn reuse(&self, assignments: &[StratId], kind: PayoffKind) -> Option<&[f64]> {
-        if kind != self.kind || assignments != self.assignments.as_slice() {
+    /// The number of distinct strategies in `assignments` if it is the kept
+    /// table of a census over every SSet.
+    pub(crate) fn distinct(&self, assignments: &[StratId]) -> Option<usize> {
+        (self.rows == Rows::All && assignments == self.assignments.as_slice()).then_some(self.width)
+    }
+
+    /// The kept values and games if `assignments`, `kind` and `rows` are
+    /// the memo's, their probes counted as cache hits.
+    fn reuse(&self, assignments: &[StratId], kind: PayoffKind, rows: &Rows) -> Option<(Vec<f64>, u64)> {
+        if kind != self.kind || *rows != self.rows || assignments != self.assignments.as_slice() {
             return None;
         }
-        obs::counters().add(obs::Counter::PayoffCacheHits, self.probes);
-        Some(&self.values)
+        let (games, probes) = rows.cost(assignments.len(), self.values.len(), self.width);
+        count_probes(probes, 0);
+        Some((self.values.clone(), games))
     }
+}
+
+/// Flush a probe tally to `obs`, the payoff-cache counters' one writer.
+fn count_probes(hits: u64, misses: u64) {
+    obs::counters().add(obs::Counter::PayoffCacheHits, hits);
+    obs::counters().add(obs::Counter::PayoffCacheMisses, misses);
+    #[cfg(test)]
+    tests::PROBES.with(|probes| probes.set(probes.get() + hits + misses));
 }
 
 /// One thread's cache access for one evaluation: the [`PayoffCache`] read
@@ -641,8 +738,7 @@ impl Session<'_> {
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         self.release();
-        obs::counters().add(obs::Counter::PayoffCacheHits, self.hits);
-        obs::counters().add(obs::Counter::PayoffCacheMisses, self.misses);
+        count_probes(self.hits, self.misses);
     }
 }
 
@@ -703,8 +799,7 @@ impl PairTable {
 
 impl Drop for PairTable {
     fn drop(&mut self) {
-        obs::counters().add(obs::Counter::PayoffCacheHits, self.hits);
-        obs::counters().add(obs::Counter::PayoffCacheMisses, self.misses);
+        count_probes(self.hits, self.misses);
     }
 }
 
@@ -868,6 +963,120 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    thread_local! {
+        /// Every probe this thread's sessions, pair tables and table memos
+        /// counted ([`count_probes`]).
+        pub(super) static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `f`'s result and the probes it counted on this thread.
+    fn probes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = PROBES.with(|p| p.get());
+        let out = f();
+        (out, PROBES.with(|p| p.get()) - before)
+    }
+
+    /// Every row of docs/PERFORMANCE.md §2.2's table: rows × census kind
+    /// (`None`: neither flag; `Sampled`: `dedup`; `Expected`:
+    /// `expected_fitness`, `dedup` either way) × a population that is all
+    /// deterministic or not × a memo that is cold, warm or of the other
+    /// kind. Values against the reference evaluators, bit for bit; probes,
+    /// games, the memo's answer and the memo left behind against the table.
+    #[test]
+    fn evaluate_rows_follows_the_evaluator_table() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Memo {
+            Cold,
+            Warm,
+            OtherKind,
+        }
+        let game = cfg();
+        let (seed, generation) = (11, 5);
+        let key = |m: &Option<TableMemo>| m.as_ref().map(|m| (m.kind, m.rows.clone(), m.assignments.clone(), bits(&m.values)));
+        let (space, classics, pool) = setup_classics();
+        let (mixed_space, mixed, mixed_pool) = setup_mixed(12, 3, 7);
+        for (space, asg, pool, det) in [(space, classics, pool, true), (mixed_space, mixed, mixed_pool, false)] {
+            let (s, u) = (asg.len(), census(&asg).len());
+            let reference = plain(&space, &pool, &game);
+            let naive = reference.evaluate_naive(&asg, seed, generation);
+            let exact = reference.evaluate_distinct(&census(&asg), PayoffKind::Expected, None);
+            for rows in [Rows::All, Rows::Block(s / 4..s / 2), Rows::Pair([Some(s - 1), Some(2)]), Rows::Pair([None, Some(2)])] {
+                let scored: Vec<usize> = match &rows {
+                    Rows::All => (0..s).collect(),
+                    Rows::Block(block) => block.clone().collect(),
+                    Rows::Pair(pair) => pair.iter().flatten().copied().collect(),
+                };
+                let n = scored.len();
+                for by_census in [None, Some(PayoffKind::Sampled), Some(PayoffKind::Expected)] {
+                    let expected = by_census == Some(PayoffKind::Expected);
+                    let census_row = matches!(rows, Rows::All) && (expected || by_census.is_some() && det);
+                    // The table's evaluator (its values), kind, probes and games.
+                    let (want, kind, probes) = match &rows {
+                        Rows::All if census_row => {
+                            let kind = by_census.expect("a census row has a kind");
+                            (reference.evaluate_distinct(&census(&asg), kind, None), Some(kind), u * u)
+                        }
+                        Rows::All => (naive.clone(), None, 0),
+                        _ if expected => (scored.iter().map(|&i| exact[i]).collect(), Some(PayoffKind::Expected), n * u),
+                        _ => {
+                            let want = scored.iter().map(|&i| reference.evaluate_one(&asg, seed, generation, i)).collect();
+                            (want, Some(PayoffKind::Sampled), if det { n * s } else { 0 })
+                        }
+                    };
+                    let games = match rows {
+                        Rows::All if census_row => u * u,
+                        Rows::All | Rows::Block(_) => s * s,
+                        Rows::Pair(_) => 2 * s,
+                    };
+                    let full = !matches!(rows, Rows::Pair(_));
+                    let memoisable = full && kind.is_some() && (kind == Some(PayoffKind::Expected) || det);
+                    for state in [Memo::Cold, Memo::Warm, Memo::OtherKind] {
+                        let label = format!("det {det}, {rows:?}, {by_census:?}, {state:?} memo");
+                        let mut memo = None;
+                        let other = if expected { Some(PayoffKind::Sampled) } else { Some(PayoffKind::Expected) };
+                        let filler = match state {
+                            Memo::Cold => None,
+                            Memo::Warm => Some(by_census),
+                            Memo::OtherKind => Some(other),
+                        };
+                        if let Some(by) = filler {
+                            let warm = PayoffCache::new(game);
+                            PairPayoff::new(&space, &pool, &game, Some(&warm)).evaluate_rows(&asg, seed, generation, by, &rows, &mut memo);
+                        }
+                        let before = key(&memo);
+                        // A cold cache: an answer from the memo leaves it empty.
+                        let cache = PayoffCache::new(game);
+                        let pairs = PairPayoff::new(&space, &pool, &game, Some(&cache));
+                        let ((values, got_games), got_probes) =
+                            probes_of(|| pairs.evaluate_rows(&asg, seed, generation, by_census, &rows, &mut memo));
+                        assert_eq!(bits(&values), bits(&want), "{label}: values");
+                        assert_eq!(got_games, games as u64, "{label}: games");
+                        assert_eq!(got_probes, probes as u64, "{label}: probes");
+                        let answered = memoisable && state == Memo::Warm;
+                        assert_eq!(cache.is_empty(), answered || probes == 0, "{label}: answered from the memo");
+                        let left = key(&memo);
+                        if memoisable {
+                            let kind = kind.expect("a memoisable row probes");
+                            assert_eq!(left, Some((kind, rows.clone(), asg.clone(), bits(&values))), "{label}: memo kept");
+                        } else if full && kind.is_some() {
+                            assert_eq!(left, None, "{label}: memo cleared");
+                        } else {
+                            assert_eq!(left, before, "{label}: memo untouched");
+                        }
+                    }
+                }
+            }
+        }
+        // A memo answers only the rows it kept: another block re-evaluates.
+        let (space, asg, pool) = setup_classics();
+        let mut memo = None;
+        let warm = PayoffCache::new(game);
+        PairPayoff::new(&space, &pool, &game, Some(&warm)).evaluate_rows(&asg, seed, generation, None, &Rows::Block(0..4), &mut memo);
+        let cache = PayoffCache::new(game);
+        PairPayoff::new(&space, &pool, &game, Some(&cache)).evaluate_rows(&asg, seed, generation, None, &Rows::Block(4..8), &mut memo);
+        assert!(!cache.is_empty(), "another block's memo answered");
     }
 
     #[test]

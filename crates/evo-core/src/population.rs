@@ -1,7 +1,7 @@
 //! The generation loop tying game dynamics to population dynamics
 //! (paper §IV, Fig 1's Agents / SSets / Nature Agent hierarchy).
 
-use crate::engine::{self, EvalScope, FitnessProvider, FitnessView, LocalProvider};
+use crate::engine::{self, FitnessView, LocalProvider};
 use crate::fitness::{ExecMode, FitnessPolicy, GameKernel, PairPayoff, TableMemo};
 use crate::nature::NatureAgent;
 use crate::params::{Params, ParamsError, StrategyKind};
@@ -83,11 +83,11 @@ pub struct Population {
     /// would give without it.
     payoff_cache: PayoffCache,
     /// The [`TableMemo`] of the last census evaluation of every SSet's
-    /// fitness, with the number of distinct strategies in its table: a
-    /// `dedup` or expected-fitness run answers a full evaluation of an
-    /// unchanged table from it (docs/PERFORMANCE.md §2.2). Cost-only and,
-    /// like the cache, left out of checkpoints.
-    memo: Option<(TableMemo, usize)>,
+    /// fitness: a `dedup` or expected-fitness run answers a full evaluation
+    /// of an unchanged table from it, and takes a record's distinct count
+    /// from it (docs/PERFORMANCE.md §2.2). Cost-only and, like the cache,
+    /// left out of checkpoints.
+    memo: Option<TableMemo>,
 }
 
 impl Population {
@@ -222,7 +222,7 @@ impl Population {
             self.fitness_policy,
             gen,
         );
-        let mut provider = LocalProvider {
+        let provider = LocalProvider {
             space: &self.space,
             assignments: &self.assignments,
             pool: &self.pool,
@@ -234,10 +234,7 @@ impl Population {
             expected_fitness: self.expected_fitness,
             cache: Some(&self.payoff_cache),
         };
-        let provided = match plan.eval {
-            EvalScope::Full => provider.full(gen, Some(&mut self.memo)),
-            _ => provider.provide(&plan),
-        };
+        let provided = provider.evaluate(&plan, &mut self.memo);
         let delta = engine::apply(
             &self.nature,
             &self.space,
@@ -258,10 +255,11 @@ impl Population {
                 self.gen_timings.push(ns);
             }
         }
-        let distinct = match &self.memo {
-            Some((kept, u)) if kept.assignments() == self.assignments => *u,
-            _ => self.distinct_strategies(),
-        };
+        let distinct = self
+            .memo
+            .as_ref()
+            .and_then(|kept| kept.distinct(&self.assignments))
+            .unwrap_or_else(|| self.distinct_strategies());
         delta.into_record(gen, mean, max, distinct)
     }
 
@@ -421,6 +419,7 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EvalScope, FitnessProvider};
     use crate::nature::Event;
     use crate::params::UpdateRule;
     use ipd::classic;
@@ -1113,7 +1112,7 @@ mod tests {
             step_against_fresh_evaluations(&mut pop, 3, &format!("dedup {dedup} expected {expected}"));
         }
         // The naive schedule leaves the memo as it was.
-        let memo_table = |pop: &Population| pop.memo.as_ref().map(|(m, u)| (m.assignments().to_vec(), *u));
+        let memo_table = |pop: &Population| pop.memo.as_ref().map(|m| (m.assignments().to_vec(), m.distinct(m.assignments())));
         let kept = memo_table(&pop);
         pop.dedup = false;
         step_against_fresh_evaluations(&mut pop, 3, "naive");

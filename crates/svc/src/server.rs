@@ -768,6 +768,28 @@ mod tests {
     }
 
     #[test]
+    fn a_request_whose_faults_can_lose_a_message_without_a_deadline_fails_typed() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            queue_depth: 8,
+        });
+        let mut req = JobRequest::new("lossy", small(37, 40));
+        req.backend = Backend::Distributed { ranks: 3 };
+        req.faults.messages.faults = vec![cluster::faults::MessageFault {
+            src: 1,
+            nth_send: 1,
+            action: cluster::faults::FaultAction::Delay,
+        }];
+        server.submit(req).unwrap();
+        let status = server.wait("lossy").unwrap();
+        let JobStatus::Failed { reason, retries: 0 } = &status else {
+            panic!("expected a typed failure, got {status:?}");
+        };
+        assert!(reason.contains("recv_timeout_ms"), "{reason}");
+        server.shutdown();
+    }
+
+    #[test]
     fn spatial_degraded_run_retries_to_the_clean_digest() {
         let server = Server::new(ServerConfig {
             workers: 1,

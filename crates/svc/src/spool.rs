@@ -25,7 +25,7 @@
 //! committed name. A crash at any instant therefore leaves either the
 //! previous valid file, the new valid file, or a stray `.tmp` — never a
 //! torn committed file — which is what the restart-recovery scan
-//! (ROADMAP item 1) needs to trust the spool.
+//! (ROADMAP item 8(c)) needs to trust the spool.
 
 use crate::job::{JobStatus, Receipt};
 use evo_core::record::GenerationRecord;

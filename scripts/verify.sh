@@ -201,7 +201,26 @@ for rank in 1 2 3; do
         fi
     done
 done
-echo "fault matrix: 9/9 degraded cleanly and resumed bit-identically"
+# The same kill under --every-generation: its ranks answer most
+# generations from their table memo, and a resumed rank starts without
+# one, so the resume must still reach the clean every-generation digest.
+$CLI distributed $FT_ARGS --every-generation 2> "$FT_DIR/clean-eg.err"
+CLEAN_EG_DIGEST=$(grep "state digest" "$FT_DIR/clean-eg.err")
+[ -n "$CLEAN_EG_DIGEST" ] || { echo "verify: FAIL — no every-generation state digest" >&2; exit 1; }
+rc=0
+$CLI distributed $FT_ARGS --every-generation \
+    --kill-rank 2 --kill-at 30 --recv-timeout-ms 2000 \
+    --checkpoint-out "$FT_DIR/kill-eg.json" 2> "$FT_DIR/kill-eg.err" || rc=$?
+[ "$rc" -eq 3 ] || { echo "verify: FAIL — every-generation kill: exit $rc, want 3 (degraded)" >&2; exit 1; }
+[ -s "$FT_DIR/kill-eg.json" ] || { echo "verify: FAIL — every-generation kill left no checkpoint" >&2; exit 1; }
+$CLI distributed --ranks 4 --every-generation --resume "$FT_DIR/kill-eg.json" 2> "$FT_DIR/resume-eg.err"
+RESUMED_EG_DIGEST=$(grep "state digest" "$FT_DIR/resume-eg.err")
+if [ "$RESUMED_EG_DIGEST" != "$CLEAN_EG_DIGEST" ]; then
+    echo "verify: FAIL — every-generation kill: resumed digest differs from clean run" >&2
+    printf 'clean:   %s\nresumed: %s\n' "$CLEAN_EG_DIGEST" "$RESUMED_EG_DIGEST" >&2
+    exit 1
+fi
+echo "fault matrix: 10/10 degraded cleanly and resumed bit-identically (one every-generation)"
 
 echo "== structured populations: spatial smoke — shared vs rank-sharded bit-identity =="
 # The graph-scope contract (docs/GRAPH.md): a lattice run must produce the
