@@ -46,6 +46,10 @@
 //!   peer surfaces as [`ClusterError::RankDead`]) or deadline-bound
 //!   (`FaultPlan::recv_timeout_ms`, surfacing lost messages as
 //!   [`ClusterError::Timeout`]);
+//! - every point-to-point message names its unit (a generation; a
+//!   replicate for fixation) and arrives through one stamped receive
+//!   shared by all three families: an earlier stamp is a fault duplicate
+//!   and is dropped, a later one waits in the rank's stash for its unit;
 //! - any rank that fails **kills itself** before returning, so the failure
 //!   cascades: peers blocked on it unblock with `RankDead` within one
 //!   generation instead of deadlocking;
@@ -80,7 +84,7 @@ use crate::comm::{ClusterError, Rank};
 use crate::faults::FaultPlan;
 use crate::perf::MachineProfile;
 use crate::simtime::NetCosts;
-use driver::{Generations, RankError, Schedule};
+use driver::{Generations, Inbox, RankError, Schedule};
 use evo_core::engine::{self, EvalScope, FitnessNeed, FitnessView, GenPlan, Provided};
 use evo_core::fitness::{FitnessPolicy, PairPayoff, Rows, TableMemo};
 use evo_core::nature::{Event, NatureAgent};
@@ -101,13 +105,20 @@ const FITNESS_TAG: crate::comm::Tag = 1;
 enum DistMsg {
     /// Point-to-point push from an owner to every other rank: the fitness
     /// of SSets `start..start + values.len()` — one SSet of a selected
-    /// pair, or a compute rank's owned block. Carries its generation so a
-    /// fault-duplicated message from an earlier generation is recognised
-    /// as stale and discarded, and one from a later generation is kept
-    /// for it, instead of either being mistaken for this one's.
+    /// pair, or a compute rank's owned block — stamped with its generation
+    /// (`driver::Inbox::recv_stamped`).
     Fitness { start: u32, values: Vec<f64>, generation: u64 },
-    /// Collective plumbing (the setup and teardown barriers).
-    Scalar(#[allow(dead_code)] f64),
+    /// The setup and teardown barriers' token.
+    Barrier,
+}
+
+impl driver::Stamped for DistMsg {
+    fn stamp(&self) -> Option<u64> {
+        match self {
+            DistMsg::Fitness { generation, .. } => Some(*generation),
+            DistMsg::Barrier => None,
+        }
+    }
 }
 
 /// Configuration of a distributed run. Construct with [`DistConfig::new`]
@@ -406,15 +417,13 @@ struct RankState {
     /// deterministic. Cost-only and left out of checkpoints like the cache:
     /// a resumed rank starts without one.
     memo: Option<TableMemo>,
-    /// Pushes received before their generation, with their sender.
-    early: Vec<(Rank, DistMsg)>,
 }
 
 impl Generations for WellMixed {
     type Msg = DistMsg;
     type State = RankState;
     type Checkpoint = Checkpoint;
-    const BARRIER: DistMsg = DistMsg::Scalar(0.0);
+    const BARRIER: DistMsg = DistMsg::Barrier;
 
     fn schedule(&self) -> Schedule<'_> {
         let start = self.config.resume.as_ref().map_or(0, |cp| cp.generation);
@@ -442,7 +451,6 @@ impl Generations for WellMixed {
             owned: owned_range(rank, self.config.params.num_ssets, ranks),
             cache: PayoffCache::new(self.config.params.game),
             memo: None,
-            early: Vec::new(),
         };
         if !self.config.disable_payoff_cache && self.config.resume.is_some() {
             // Resume cold-start fix (docs/PERFORMANCE.md): the cache is
@@ -464,6 +472,7 @@ impl Generations for WellMixed {
     fn step<C: Messenger<Payload = DistMsg>>(
         &self,
         coll: &Collective<'_, C>,
+        inbox: &mut Inbox<DistMsg>,
         st: &mut RankState,
         generation: u64,
         _whole: bool,
@@ -490,9 +499,8 @@ impl Generations for WellMixed {
             ),
             assignments: &st.assignments,
             seed: params.seed,
-            faults: &self.config.faults,
+            inbox,
             memo: &mut st.memo,
-            early: &mut st.early,
             game_cost: self.game_cost,
         }
         .provide(&plan)?;
@@ -542,14 +550,10 @@ struct RankProvider<'a, C> {
     pairs: PairPayoff<'a>,
     assignments: &'a [StratId],
     seed: u64,
-    faults: &'a FaultPlan,
+    /// Where an owner's pushes from generations ahead wait for their turn.
+    inbox: &'a mut Inbox<DistMsg>,
     /// The rank's owned block's [`TableMemo`].
     memo: &'a mut Option<TableMemo>,
-    /// Ranks meet only where a value is needed, so an owner may run
-    /// generations ahead of a rank that still waits on it, and a delay
-    /// fault can put the owner's later push ahead of the one awaited.
-    /// Such a push waits here until its generation asks for it.
-    early: &'a mut Vec<(Rank, DistMsg)>,
     game_cost: f64,
 }
 
@@ -589,33 +593,19 @@ impl<C: Messenger<Payload = DistMsg>> RankProvider<'_, C> {
                 }
             }
         }
-        // Receive from each missing piece's *owner* specifically: a
-        // source-filtered receive is aliveness-aware, so a dead owner
-        // surfaces as `RankDead` instead of a silent wait. A message fills
-        // the piece it names, whichever was asked for: one owner's two
-        // pushes may arrive reordered by a delay fault.
+        // Receive from each missing piece's owner. A message fills the
+        // piece it names, whichever was asked for: one owner's two pushes
+        // may arrive reordered by a delay fault.
         while let Some(want) = got.iter().position(Option::is_none) {
-            let src = owner(&pieces[want]);
-            let kept = self.early.iter().position(|(r, msg)| {
-                *r == src && matches!(msg, DistMsg::Fitness { generation: g, .. } if *g == generation)
-            });
-            let msg = match kept {
-                Some(i) => self.early.remove(i).1,
-                None => driver::recv_from(comm, self.faults, src, FITNESS_TAG)?.payload,
+            let msg = self.inbox.recv_stamped(comm, owner(&pieces[want]), FITNESS_TAG, generation)?;
+            let DistMsg::Fitness { start, values, .. } = msg else {
+                return Err(RankError::Protocol("fitness message"));
             };
-            match msg {
-                // Stale fault-duplicated message from an earlier generation.
-                DistMsg::Fitness { generation: g, .. } if g < generation => {}
-                DistMsg::Fitness { generation: g, .. } if g > generation => self.early.push((src, msg)),
-                DistMsg::Fitness { start, values, .. } => {
-                    let i = pieces
-                        .iter()
-                        .position(|p| p.start == start as usize && p.len() == values.len())
-                        .ok_or(RankError::Protocol("a needed fitness piece"))?;
-                    got[i] = Some(values);
-                }
-                DistMsg::Scalar(_) => return Err(RankError::Protocol("fitness message")),
-            }
+            let i = pieces
+                .iter()
+                .position(|p| p.start == start as usize && p.len() == values.len())
+                .ok_or(RankError::Protocol("a needed fitness piece"))?;
+            got[i] = Some(values);
         }
         Ok(got.into_iter().flatten().flatten().collect())
     }

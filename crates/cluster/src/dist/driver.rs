@@ -19,7 +19,7 @@
 
 use super::DistError;
 use crate::collective::{Collective, Messenger};
-use crate::comm::{ClusterError, Comm, Envelope, Rank, Tag, VirtualCluster};
+use crate::comm::{ClusterError, Comm, Rank, Tag, VirtualCluster};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::simtime::{self, NetCosts, TimedComm};
 use evo_core::record::GenerationRecord;
@@ -57,17 +57,56 @@ fn recv_deadline(faults: &FaultPlan) -> Option<Duration> {
     faults.recv_timeout_ms.map(Duration::from_millis)
 }
 
-/// Source-filtered receive, deadline-bound when the fault plan set one.
-pub(super) fn recv_from<C: Messenger>(
-    comm: &C,
-    faults: &FaultPlan,
-    src: Rank,
-    tag: Tag,
-) -> Result<Envelope<C::Payload>, ClusterError> {
-    match recv_deadline(faults) {
-        Some(t) => comm.recv_timeout(Some(src), Some(tag), t),
-        // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (a dead peer surfaces as RankDead, not a hang)")
-        None => comm.recv(Some(src), Some(tag)),
+/// A protocol message that names the progress unit it belongs to: a
+/// generation, or a replicate index for fixation batches.
+pub(super) trait Stamped {
+    /// The message's unit; `None` for collective plumbing (barrier tokens,
+    /// gather leaves), which travels under collective tags.
+    fn stamp(&self) -> Option<u64>;
+}
+
+/// One rank's point-to-point receive: the fault plan's deadline, and the
+/// messages that arrived ahead of their unit with their sender and tag (none
+/// in a fault-free run).
+pub(super) struct Inbox<M> {
+    deadline: Option<Duration>,
+    stash: Vec<(Rank, Tag, M)>,
+}
+
+impl<M: Stamped> Inbox<M> {
+    pub(super) fn new(faults: &FaultPlan) -> Self {
+        Inbox { deadline: recv_deadline(faults), stash: Vec::new() }
+    }
+
+    /// Receive from `src` under `tag` the message stamped `unit` (each
+    /// sender's units are asked for in ascending order). An earlier stamp is
+    /// a fault duplicate and is dropped; a later one — its sender ran ahead,
+    /// or a delay reordered two sends — is stashed until its unit asks.
+    /// Source-filtered, so a dead `src` surfaces as `RankDead`, and
+    /// deadline-bound when the fault plan set one.
+    pub(super) fn recv_stamped<C: Messenger<Payload = M>>(
+        &mut self,
+        comm: &C,
+        src: Rank,
+        tag: Tag,
+        unit: u64,
+    ) -> Result<M, RankError> {
+        if let Some(i) = self.stash.iter().position(|(s, t, m)| (*s, *t, m.stamp()) == (src, tag, Some(unit))) {
+            return Ok(self.stash.remove(i).2);
+        }
+        loop {
+            let msg = match self.deadline {
+                Some(t) => comm.recv_timeout(Some(src), Some(tag), t),
+                // detlint: allow(comm-discipline, reason = "explicit opt-out: no fault deadline in the plan; the source filter keeps it aliveness-aware (a dead peer surfaces as RankDead, not a hang)")
+                None => comm.recv(Some(src), Some(tag)),
+            }?
+            .payload;
+            match msg.stamp().ok_or(RankError::Protocol("a stamped message"))? {
+                s if s == unit => return Ok(msg),
+                s if s > unit => self.stash.push((src, tag, msg)),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -130,7 +169,7 @@ pub(super) fn stopped<C>(
 /// factored out: the wire format and the two rank bodies.
 pub(super) trait Protocol: Send + Sync + 'static {
     /// Messages the ranks exchange.
-    type Msg: Send + Clone + 'static;
+    type Msg: Send + Clone + Stamped + 'static;
     /// What rank 0 assembles.
     type Outcome: Send + 'static;
     /// A compute rank's live share of the replicated state, checked
@@ -171,7 +210,7 @@ pub(super) struct Schedule<'a> {
 /// compute rank's piece is its final state.
 pub(super) trait Generations: Send + Sync + 'static {
     /// Messages the ranks exchange.
-    type Msg: Send + Clone + 'static;
+    type Msg: Send + Clone + Stamped + 'static;
     /// One rank's replicated state.
     type State: Send + 'static;
     /// The restartable snapshot.
@@ -184,12 +223,13 @@ pub(super) trait Generations: Send + Sync + 'static {
     /// Rank `rank`'s state at the first generation: fresh, or restored
     /// from the resume checkpoint.
     fn init(&self, rank: Rank, ranks: usize) -> Self::State;
-    /// Run `generation` on this rank. With `whole` set, rank 0 must hold
-    /// the complete state when it returns: a snapshot or the outcome
-    /// follows.
+    /// Run `generation` on this rank, receiving its point-to-point
+    /// messages through `inbox`. With `whole` set, rank 0 must hold the
+    /// complete state when it returns: a snapshot or the outcome follows.
     fn step<C: Messenger<Payload = Self::Msg>>(
         &self,
         coll: &Collective<'_, C>,
+        inbox: &mut Inbox<Self::Msg>,
         state: &mut Self::State,
         generation: u64,
         whole: bool,
@@ -285,6 +325,7 @@ fn run<G: Generations, C: Messenger<Payload = G::Msg>>(
         Some(t) => Collective::with_recv_timeout(comm, t),
         None => Collective::new(comm),
     };
+    let mut inbox = Inbox::new(schedule.faults);
     let result = (|| -> Result<(), RankError> {
         // The setup barrier stands in for the paper's initial broadcast.
         coll.barrier(G::BARRIER)?;
@@ -305,7 +346,7 @@ fn run<G: Generations, C: Messenger<Payload = G::Msg>>(
                 .checkpoint_every
                 .is_some_and(|e| e > 0 && next.is_multiple_of(e));
             let whole = fault_aware || periodic || next == target;
-            family.step(&coll, &mut ctx.state, generation, whole)?;
+            family.step(&coll, &mut inbox, &mut ctx.state, generation, whole)?;
             ctx.generation = next;
 
             if is_nature && periodic {

@@ -27,7 +27,7 @@
 //! every replicate completed so far. Resuming runs only the missing replicates,
 //! so the stitched outcome is bit-identical to an uninterrupted run.
 
-use super::driver::{self, Protocol, RankError};
+use super::driver::{self, Inbox, Protocol, RankError};
 use super::{owned_range, Degraded, DistError};
 use crate::collective::Messenger;
 use crate::faults::FaultPlan;
@@ -43,11 +43,12 @@ use std::sync::Arc;
 /// cluster).
 const RESULT_TAG: crate::comm::Tag = 2;
 
-/// Messages exchanged by the distributed fixation runner.
-#[derive(Debug, Clone)]
-enum FixMsg {
-    /// Point-to-point: one finished replicate, returned to rank 0.
-    Result(ReplicateResult),
+/// The runner's one message, a finished replicate returned to rank 0, is
+/// stamped with its replicate index.
+impl driver::Stamped for ReplicateResult {
+    fn stamp(&self) -> Option<u64> {
+        Some(u64::from(self.replicate))
+    }
 }
 
 /// Configuration of a distributed fixation batch. Construct with
@@ -157,21 +158,21 @@ pub fn run_fixation_distributed(
 }
 
 /// Compute ranks run their owned replicates in ascending index order and
-/// send each result to rank 0; rank 0 receives them in the same
-/// deterministic order (per-link FIFO makes arrival order equal send order)
-/// and assembles the outcome.
+/// send each result to rank 0; rank 0 asks for them in the same order
+/// through the stamped receive, which drops a duplicated result and keeps
+/// one that a delay put ahead of its turn, and assembles the outcome.
 impl Protocol for Farm {
-    type Msg = FixMsg;
+    type Msg = ReplicateResult;
     type Outcome = FixationOutcome;
     /// Nothing is replicated: every result already travelled to rank 0.
     type Piece = ();
     type Checkpoint = FixationCheckpoint;
 
-    /// Coordinator body: source-filtered receives in deterministic
-    /// (rank-major, replicate-ascending) order, recording each result into a
+    /// Coordinator body: stamped receives in deterministic (rank-major,
+    /// replicate-ascending) order, recording each result into a
     /// bookkeeping [`FixationBatch`]. On error, the report snapshots exactly
     /// what was received.
-    fn coordinate<C: Messenger<Payload = FixMsg>>(
+    fn coordinate<C: Messenger<Payload = ReplicateResult>>(
         &self,
         comm: &C,
     ) -> Result<FixationOutcome, Box<FixationDegradedRun>> {
@@ -187,23 +188,17 @@ impl Protocol for Farm {
             driver::stopped(&e, completed, Some(batch.checkpoint()), Vec::new())
         };
 
+        let mut inbox = Inbox::new(&self.config.faults);
         for src in 1..comm.size() {
             for r in owned_range(src, self.config.spec.replicates as usize, comm.size()) {
                 let r = r as u32;
                 if self.is_completed(r) {
                     continue;
                 }
-                let envelope = match driver::recv_from(comm, &self.config.faults, src, RESULT_TAG) {
-                    Ok(e) => e,
-                    Err(e) => return Err(stopped(e.into(), &batch)),
-                };
-                let FixMsg::Result(result) = envelope.payload;
-                if result.replicate != r {
-                    // Per-link FIFO plus the deterministic send order makes any
-                    // index mismatch a protocol bug, not a fault-model outcome.
-                    return Err(stopped(RankError::Protocol("replicate result in owned order"), &batch));
+                match inbox.recv_stamped(comm, src, RESULT_TAG, u64::from(r)) {
+                    Ok(result) => batch.record(result),
+                    Err(e) => return Err(stopped(e, &batch)),
                 }
-                batch.record(result);
             }
         }
         Ok(batch.outcome())
@@ -211,7 +206,7 @@ impl Protocol for Farm {
 
     /// Compute-rank body: run owned, not-yet-completed replicates in ascending
     /// order, sharing one payoff cache across them, and send each result home.
-    fn compute<C: Messenger<Payload = FixMsg>>(&self, comm: &C) -> Result<(), RankError> {
+    fn compute<C: Messenger<Payload = ReplicateResult>>(&self, comm: &C) -> Result<(), RankError> {
         let rank = comm.rank();
         let owned = owned_range(rank, self.config.spec.replicates as usize, comm.size());
         let cache = Arc::new(PayoffCache::new(self.config.spec.params.game));
@@ -222,7 +217,7 @@ impl Protocol for Farm {
             }
             driver::check_kill(&self.config.faults, rank, u64::from(r))?;
             let result = self.config.spec.run_replicate(r, Some(&cache));
-            comm.send(0, RESULT_TAG, FixMsg::Result(result))?;
+            comm.send(0, RESULT_TAG, result)?;
         }
         Ok(())
     }
@@ -303,6 +298,30 @@ mod tests {
             };
             let err = run_fixation_distributed(&cfg).unwrap_err();
             assert!(matches!(err, DistError::Params(_)), "{action:?}: {err}");
+        }
+    }
+
+    /// Rank 1 owns replicates 0..5 and sends one result each. A duplicated
+    /// result is dropped when the next replicate is asked for; a delayed
+    /// one arrives behind its successor, which waits in the inbox.
+    #[test]
+    fn duplicated_and_delayed_results_leave_the_outcome_clean() {
+        let clean = FixationBatch::new(spec(9, 10)).unwrap().run();
+        let plans = [
+            (FaultAction::Duplicate, 0),
+            (FaultAction::Duplicate, 1),
+            (FaultAction::Duplicate, 3),
+            (FaultAction::Delay, 0),
+        ];
+        for (action, nth_send) in plans {
+            let mut cfg = FixationDistConfig::new(spec(9, 10), 3);
+            cfg.faults.messages = MessageFaults {
+                faults: vec![MessageFault { src: 1, nth_send, action }],
+            };
+            cfg.faults.recv_timeout_ms = Some(2_000);
+            let out = run_fixation_distributed(&cfg)
+                .unwrap_or_else(|e| panic!("{action:?} on send {nth_send}: {e}"));
+            assert_eq!(out.outcome, clean, "{action:?} on send {nth_send}");
         }
     }
 

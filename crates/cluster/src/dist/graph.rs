@@ -4,16 +4,17 @@
 //! The well-mixed distributed engine (`super`) replicates the whole
 //! strategy table because any SSet may interact with any other. A lattice
 //! interacts only locally, so the paper's decomposition tightens: rank 0
-//! coordinates (plans, records, checkpoints) and owns no cells; compute
-//! ranks `1..P` own contiguous *row blocks* of the torus and per
-//! generation exchange only their two boundary rows with the ring-adjacent
-//! ranks — never the full grid. One generation:
+//! coordinates (records, checkpoints) and owns no cells; compute ranks
+//! `1..P` own contiguous *row blocks* of the torus and per generation
+//! exchange only their two boundary rows with the ring-adjacent ranks —
+//! never the full grid. One generation:
 //!
 //! 1. compute ranks swap halos: each sends its top-2/bottom-2 owned rows
 //!    to the previous/next compute rank (wrapping), refreshing the 2-ring
 //!    of strategies its payoff phase reads;
-//! 2. rank 0 broadcasts the [`GenPlan`] ([`engine::graph_plan`] — an
-//!    [`EvalScope::Neighborhood`] evaluation; pure, draws nothing);
+//! 2. each compute rank computes the generation's plan itself
+//!    ([`engine::graph_plan`] — a neighbourhood evaluation; pure in the
+//!    generation, draws nothing), so nothing is broadcast;
 //! 3. each compute rank runs the shared backend's generation body,
 //!    [`SpatialPopulation::play_rows`], over its owned rows on its own copy
 //!    of the population: payoffs for those rows plus the 1-ring halo rows,
@@ -26,18 +27,22 @@
 //!    shared step, so its [`GenerationRecord`] and `RunStats` are the
 //!    shared backend's.
 //!
+//! Rank 0 therefore sends nothing between the setup and teardown barriers.
+//! Halos and summaries carry their generation and arrive through the one
+//! stamped receive (`driver::Inbox::recv_stamped`).
+//!
 //! Full-grid gathers happen only at generation boundaries that need a
 //! consistent snapshot: while a fault plan is active, at
 //! `checkpoint_every` points, and at the end of the run. Which boundaries
 //! those are, and fault handling (docs/FAULT_TOLERANCE.md), is the
 //! generation frame's in `driver`; this file keeps one generation's body.
 
-use super::driver::{self, Generations, RankError, Schedule};
+use super::driver::{self, Generations, Inbox, RankError, Schedule};
 use super::{Degraded, DistError};
 use crate::collective::{Collective, Messenger};
 use crate::comm::Rank;
 use crate::faults::FaultPlan;
-use evo_core::engine::{self, EvalScope, GenPlan};
+use evo_core::engine;
 use evo_core::graph::GraphScope;
 use evo_core::pool::StratId;
 use evo_core::record::{GenerationRecord, RunStats};
@@ -54,24 +59,31 @@ const SUMMARY_TAG: crate::comm::Tag = 3;
 /// Messages exchanged by the spatial distributed engine.
 #[derive(Debug, Clone)]
 enum SpatialMsg {
-    /// Broadcast: this generation's plan (an `EvalScope::Neighborhood`
-    /// evaluation over the lattice's scope).
-    Plan(GenPlan),
     /// Point-to-point halo: two consecutive fresh rows of the sender's
-    /// owned block. Carries its generation so a fault-duplicated message
-    /// is recognised as stale and discarded.
+    /// owned block, stamped with their generation.
     Halo {
         first_row: u32,
         cells: Vec<StratId>,
         generation: u64,
     },
-    /// Point-to-point: one compute rank's per-generation summary.
+    /// Point-to-point: one compute rank's per-generation summary, stamped
+    /// with its own generation.
     Summary(Box<GenSummary>),
     /// Gather leaf: one rank's owned rows (boundary snapshots and the
     /// final state — the only times the full grid travels).
     OwnedRows { first_row: u32, cells: Vec<StratId> },
-    /// Collective plumbing (barriers / reductions of scalars).
-    Scalar(#[allow(dead_code)] f64),
+    /// The setup and teardown barriers' token.
+    Barrier,
+}
+
+impl driver::Stamped for SpatialMsg {
+    fn stamp(&self) -> Option<u64> {
+        match self {
+            SpatialMsg::Halo { generation, .. } => Some(*generation),
+            SpatialMsg::Summary(s) => Some(s.generation),
+            SpatialMsg::OwnedRows { .. } | SpatialMsg::Barrier => None,
+        }
+    }
 }
 
 /// Configuration of a distributed spatial run. Mirrors
@@ -247,7 +259,7 @@ impl Generations for Lattice {
     type Msg = SpatialMsg;
     type State = RankState;
     type Checkpoint = SpatialCheckpoint;
-    const BARRIER: SpatialMsg = SpatialMsg::Scalar(0.0);
+    const BARRIER: SpatialMsg = SpatialMsg::Barrier;
 
     fn schedule(&self) -> Schedule<'_> {
         Schedule {
@@ -268,113 +280,71 @@ impl Generations for Lattice {
     fn step<C: Messenger<Payload = SpatialMsg>>(
         &self,
         coll: &Collective<'_, C>,
+        inbox: &mut Inbox<SpatialMsg>,
         st: &mut RankState,
         generation: u64,
         whole: bool,
     ) -> Result<(), RankError> {
         let comm = coll.comm();
         let (rank, ranks) = (comm.rank(), comm.size());
-        let is_coord = rank == 0;
         let compute = ranks - 1;
         let p = &self.config.params;
         let (w, h) = (p.width, p.height);
         let rows = st.rows.clone();
-        let frecv = |src: Rank, tag| driver::recv_from(comm, &self.config.faults, src, tag);
 
-        // (1) Halo exchange: refresh the 2-ring of strategies around the
-        // owned block. Skipped on the first post-init/post-resume
-        // generation (the whole grid is fresh) and with a single compute
-        // rank (it owns every row).
-        if !is_coord && compute > 1 && generation > self.start.generation() {
-            // Ring neighbours among compute ranks, row-adjacent by
-            // construction.
-            let prev = if rank == 1 { ranks - 1 } else { rank - 1 };
-            let next = if rank == ranks - 1 { 1 } else { rank + 1 };
-            // A two-row block sends the same rows both ways.
-            for (first_row, dst) in [(rows.start, prev), (rows.end - 2, next)] {
-                comm.send(
-                    dst,
-                    HALO_TAG,
-                    SpatialMsg::Halo {
-                        first_row: first_row as u32,
-                        cells: st.pop.grid()[first_row * w..(first_row + 2) * w].to_vec(),
-                        generation,
-                    },
-                )?;
-            }
-            // Expected blocks: the previous rank's bottom two rows and the
-            // next rank's top two. With two compute ranks both come from
-            // the same peer, so match by row, not arrival order.
-            let mut pending: Vec<(Rank, usize)> = vec![
-                (prev, owned_rows(prev, h, ranks).end - 2),
-                (next, owned_rows(next, h, ranks).start),
-            ];
-            pending.sort_unstable();
-            pending.dedup();
-            let mut by_src: Vec<(Rank, Vec<usize>)> = Vec::new();
-            for (src, row) in pending {
-                match by_src.iter_mut().find(|(s, _)| *s == src) {
-                    Some((_, wants)) => wants.push(row),
-                    None => by_src.push((src, vec![row])),
+        if rank != 0 {
+            // (1) Halo exchange: refresh the 2-ring of strategies around the
+            // owned block. Skipped on the first post-init/post-resume
+            // generation (the whole grid is fresh) and with a single
+            // compute rank (it owns every row).
+            if compute > 1 && generation > self.start.generation() {
+                // Ring neighbours among compute ranks, row-adjacent by
+                // construction.
+                let prev = if rank == 1 { ranks - 1 } else { rank - 1 };
+                let next = if rank == ranks - 1 { 1 } else { rank + 1 };
+                // A two-row block sends the same rows both ways.
+                for (first_row, dst) in [(rows.start, prev), (rows.end - 2, next)] {
+                    let cells = st.pop.grid()[first_row * w..(first_row + 2) * w].to_vec();
+                    let halo = SpatialMsg::Halo { first_row: first_row as u32, cells, generation };
+                    comm.send(dst, HALO_TAG, halo)?;
                 }
-            }
-            for (src, mut wants) in by_src {
-                while !wants.is_empty() {
-                    match frecv(src, HALO_TAG)?.payload {
-                        SpatialMsg::Halo {
-                            first_row,
-                            cells,
-                            generation: g,
-                        } => {
-                            if g != generation {
-                                // Stale fault-duplicated halo: discard.
-                                continue;
-                            }
-                            let fr = first_row as usize;
-                            if let Some(i) = wants.iter().position(|&r| r == fr) {
-                                st.pop.write_rows(fr, &cells);
-                                wants.remove(i);
-                            }
-                        }
-                        _ => return Err(RankError::Protocol("halo rows")),
+                // Expected: the previous rank's bottom two rows and the next
+                // rank's top two. With two compute ranks both come from the
+                // same peer (the same pair when it owns two rows), so a
+                // halo fills whichever wanted rows it names.
+                let mut wants = vec![
+                    (prev, owned_rows(prev, h, ranks).end - 2),
+                    (next, owned_rows(next, h, ranks).start),
+                ];
+                wants.dedup();
+                while let Some(&(src, _)) = wants.first() {
+                    let SpatialMsg::Halo { first_row, cells, .. } =
+                        inbox.recv_stamped(comm, src, HALO_TAG, generation)?
+                    else {
+                        return Err(RankError::Protocol("halo rows"));
+                    };
+                    if let Some(i) = wants.iter().position(|&want| want == (src, first_row as usize)) {
+                        st.pop.write_rows(first_row as usize, &cells);
+                        wants.remove(i);
                     }
                 }
             }
-        }
 
-        // (2) Rank 0 plans the generation and broadcasts the plan — the
-        // only per-generation collective; the plan carries no update
-        // decision, so nothing else is broadcast.
-        let msg = is_coord.then(|| {
-            let scope = GraphScope::of(st.pop.lattice(), p.include_self);
-            SpatialMsg::Plan(engine::graph_plan(scope, generation))
-        });
-        let plan = match coll.bcast(0, msg)? {
-            SpatialMsg::Plan(pl) => pl,
-            _ => return Err(RankError::Protocol("generation plan")),
-        };
-        if !matches!(plan.eval, EvalScope::Neighborhood(_)) {
-            return Err(RankError::Protocol("neighborhood scope"));
-        }
-
-        if !is_coord {
-            // (3) The shared backend's generation body over the owned rows,
-            // and (4) its summary to rank 0.
+            // (2) The rank plans the generation itself: the plan is pure
+            // and draws nothing. (3) The shared backend's generation body
+            // over the owned rows, and (4) its summary to rank 0.
+            let plan = engine::graph_plan(GraphScope::of(st.pop.lattice(), p.include_self), generation);
             let summary = st.pop.play_rows(&plan, rows.clone());
             comm.send(0, SUMMARY_TAG, SpatialMsg::Summary(Box::new(summary)))?;
         } else {
             // (5) Rank 0 folds the summaries in rank order = row order, with
             // the fold behind every shared step.
-            let mut blocks = Vec::with_capacity(ranks - 1);
+            let mut blocks = Vec::with_capacity(compute);
             for src in 1..ranks {
-                let summary = loop {
-                    match frecv(src, SUMMARY_TAG)?.payload {
-                        SpatialMsg::Summary(s) if s.generation == generation => break *s,
-                        SpatialMsg::Summary(_) => {} // stale duplicate
-                        _ => return Err(RankError::Protocol("generation summary")),
-                    }
+                let SpatialMsg::Summary(summary) = inbox.recv_stamped(comm, src, SUMMARY_TAG, generation)? else {
+                    return Err(RankError::Protocol("generation summary"));
                 };
-                blocks.push(summary);
+                blocks.push(*summary);
             }
             st.records.push(st.pop.fold(&blocks));
         }
@@ -685,6 +655,89 @@ mod tests {
         assert_eq!(out.records, clean.records);
         assert_eq!(out.grid, clean.grid);
         assert_eq!(out.stats, clean.stats);
+    }
+
+    /// How many messages `rank` sends in the binomial broadcast rooted at
+    /// rank 0 over `ranks` ranks: one to each child `rank + m`, for the
+    /// powers of two `m` below `rank`'s lowest set bit.
+    fn bcast_children(rank: usize, ranks: usize) -> u64 {
+        let low = if rank == 0 { ranks.next_power_of_two() } else { 1 << rank.trailing_zeros() };
+        (0..usize::BITS).map(|k| 1usize << k).take_while(|&m| m < low).filter(|&m| rank + m < ranks).count() as u64
+    }
+
+    /// A run's messages are its two barriers (a reduce and a broadcast,
+    /// `ranks − 1` messages each), each compute rank's summary per
+    /// generation, its two halos per generation after the first when there
+    /// is more than one compute rank, and one gather leaf per rank at each
+    /// boundary that needs the whole grid. Rank 0 sends only its share of
+    /// the barriers' broadcasts.
+    #[test]
+    fn messages_are_the_barriers_plus_summaries_halos_and_boundary_gathers() {
+        let gens = 10u64;
+        let p = params(41, 8, gens, SpatialUpdate::Fermi { beta: 1.0 });
+        let init = InitPattern::RandomDefectors(0.4);
+        for ranks in [2u64, 3, 4] {
+            let compute = ranks - 1;
+            let halos = if compute > 1 { 2 * compute * (gens - 1) } else { 0 };
+            for (every, gathers) in [(None, 1), (Some(4), 3), (Some(5), 2)] {
+                let mut cfg = SpatialDistConfig::new(p.clone(), init.clone(), ranks as usize);
+                cfg.checkpoint_every = every;
+                let out = run_spatial_distributed(&cfg).unwrap();
+                let expected = 4 * (ranks - 1) + gens * compute + halos + gathers * (ranks - 1);
+                assert_eq!(out.messages_sent, expected, "{ranks} ranks, checkpoint every {every:?}");
+            }
+
+            // Rank 0's first send after the setup barrier is dropped. Were
+            // it a message of some generation, a compute rank would wait on
+            // it and the run would degrade; it is the teardown barrier's
+            // broadcast, which rank 0's outcome does not wait on.
+            let clean = run_spatial_distributed(&SpatialDistConfig::new(p.clone(), init.clone(), ranks as usize))
+                .unwrap();
+            let mut cfg = SpatialDistConfig::new(p.clone(), init.clone(), ranks as usize);
+            cfg.faults.messages = MessageFaults {
+                faults: vec![MessageFault {
+                    src: 0,
+                    nth_send: bcast_children(0, ranks as usize),
+                    action: FaultAction::Drop,
+                }],
+            };
+            cfg.faults.recv_timeout_ms = Some(100);
+            let out = run_spatial_distributed(&cfg)
+                .unwrap_or_else(|e| panic!("{ranks} ranks: rank 0 sent mid-run: {e}"));
+            assert_eq!(out.records, clean.records, "{ranks} ranks");
+            assert_eq!(out.grid, clean.grid, "{ranks} ranks");
+        }
+    }
+
+    /// One delay on each send a compute rank makes between the barriers —
+    /// halos, summaries and the boundary gathers a fault plan turns on
+    /// every generation — leaves the run bit-identical. Rank 0 makes no
+    /// such send.
+    #[test]
+    fn a_delay_on_any_non_barrier_send_leaves_the_trajectory_bit_identical() {
+        let gens = 15u64;
+        let p = params(31, 10, gens, SpatialUpdate::Fermi { beta: 1.1 });
+        let init = InitPattern::RandomDefectors(0.45);
+        for ranks in [2usize, 3, 4] {
+            let clean = run_spatial_distributed(&SpatialDistConfig::new(p.clone(), init.clone(), ranks)).unwrap();
+            let halos = if ranks > 2 { 2 * (gens - 1) } else { 0 };
+            let mid_run = halos + 2 * gens;
+            for src in 1..ranks {
+                let setup = 1 + bcast_children(src, ranks);
+                for nth_send in setup..setup + mid_run {
+                    let mut cfg = SpatialDistConfig::new(p.clone(), init.clone(), ranks);
+                    cfg.faults.messages = MessageFaults {
+                        faults: vec![MessageFault { src, nth_send, action: FaultAction::Delay }],
+                    };
+                    cfg.faults.recv_timeout_ms = Some(300);
+                    let label = format!("{ranks} ranks, delay on rank {src}'s send {nth_send}");
+                    let out = run_spatial_distributed(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(out.records, clean.records, "{label}");
+                    assert_eq!(out.grid, clean.grid, "{label}");
+                    assert_eq!(out.stats, clean.stats, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! any thread count, any rank partition, same bits (docs/GRAPH.md).
 //!
 //! A [`GraphScope`] is the *plan-level* summary of a topology: a tiny
-//! `Copy` descriptor that rides inside `engine::GenPlan` (and therefore
-//! inside the distributed `Plan` broadcast) without dragging the adjacency
-//! data along. The concrete [`Lattice`] lives with the population that
-//! owns it; the scope only says how many vertices the plan covers and
-//! whether self-play is included.
+//! `Copy` descriptor that rides inside `engine::GenPlan` without dragging
+//! the adjacency data along. The concrete [`Lattice`] lives with the
+//! population that owns it; the scope only says how many vertices the plan
+//! covers and whether self-play is included. A distributed rank derives
+//! it from its own copy of the lattice, so no plan travels.
 
 use serde::{Deserialize, Serialize};
 
@@ -167,8 +167,8 @@ fn step(c: usize, d: i64, n: usize) -> usize {
 
 /// Plan-level descriptor of a neighbourhood evaluation: how many vertices
 /// the generation covers and whether each vertex additionally plays
-/// itself. `Copy` + `Eq` so `GenPlan` stays broadcastable by value; the
-/// adjacency itself never travels with the plan.
+/// itself. `Copy` + `Eq`, so a `GenPlan` holding it is a plain value; the
+/// adjacency itself stays with the lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GraphScope {
     /// Vertex count of the topology the plan evaluates over.

@@ -3,7 +3,7 @@
 //! degraded → retry-with-budget → exhausted, queue-full admission
 //! rejection — all deterministic under a fixed seed.
 
-use evogame::cluster::faults::RankKill;
+use evogame::cluster::faults::{FaultAction, FaultPlan, MessageFault, MessageFaults, RankKill};
 use evogame::engine::record::state_digest;
 use evogame::prelude::*;
 use evogame::svc::{AdmitError, Backend, JobRequest, JobStatus, Server, ServerConfig};
@@ -263,4 +263,74 @@ fn retried_lattice_job_streams_the_same_records_as_the_shared_backend() {
     assert_eq!(spooled("retried"), spooled("shared"), "records.jsonl");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Duplicate faults only, spread over `ranks`' compute ranks' first sends.
+fn duplicates(ranks: usize, sends: u64) -> FaultPlan {
+    FaultPlan {
+        messages: MessageFaults {
+            faults: (0..sends)
+                .map(|nth_send| MessageFault {
+                    src: 1 + (nth_send as usize % (ranks - 1)),
+                    nth_send,
+                    action: FaultAction::Duplicate,
+                })
+                .collect(),
+        },
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn duplicate_faults_leave_distributed_lattice_and_fixation_jobs_clean() {
+    // Every point-to-point message of the lattice and fixation protocols
+    // names its generation or replicate, so a duplicate is dropped, never
+    // taken for the next message: no attempt degrades, and each job ends
+    // on its shared-memory twin's digest.
+    let server = Server::new(ServerConfig {
+        workers: 2,
+        queue_depth: 8,
+    });
+    let lattice = SpatialParams {
+        width: 12,
+        height: 12,
+        generations: 24,
+        seed: 17,
+        ..SpatialParams::default()
+    };
+    let space = StateSpace::new(1).unwrap();
+    let mut params = Params {
+        mem_steps: 1,
+        num_ssets: 8,
+        generations: 200,
+        seed: 9,
+        pc_rate: 1.0,
+        mutation_rate: 0.0,
+        rule: UpdateRule::Moran,
+        ..Params::default()
+    };
+    params.game.rounds = 10;
+    let fixation = FixationSpec {
+        params,
+        resident: Strategy::Pure(evogame::ipd::classic::all_c(&space)),
+        mutant: Strategy::Pure(evogame::ipd::classic::all_d(&space)),
+        replicates: 10,
+    };
+    let jobs = [
+        JobRequest::new_spatial("lattice", lattice, InitPattern::RandomDefectors(0.4)),
+        JobRequest::new_fixation("fixation", fixation),
+    ];
+    for shared in jobs {
+        let mut dist = shared.clone();
+        dist.id = format!("{}-dist", shared.id);
+        dist.backend = Backend::Distributed { ranks: 3 };
+        dist.faults = duplicates(3, 12);
+        server.submit(shared.clone()).unwrap();
+        server.submit(dist.clone()).unwrap();
+        let (shared_digest, _) = completed(server.wait(&shared.id).unwrap());
+        let (dist_digest, retries) = completed(server.wait(&dist.id).unwrap());
+        assert_eq!(retries, 0, "{}: no attempt degraded", dist.id);
+        assert_eq!(dist_digest, shared_digest, "{}", dist.id);
+    }
+    server.shutdown();
 }
